@@ -53,6 +53,6 @@ from .hochschild import (
     verify_trace_decomposition,
 )
 from .linalg import ComplexSlice, GradedMap, GradedSpace, SparseMatrix, homology_at, rank_kernel_image
-from .scalars import QQ, Cyc, CyclotomicField, cyclotomic_arith, format_scalar, parse_scalar
+from .scalars import QQ, Cyc, CyclotomicField, format_scalar, parse_scalar
 
 __version__ = "0.1.0"

@@ -173,7 +173,6 @@ def cmd_decompose(args):
         degrees=degrees,
         bar_cap=args.bar_cap if args.bar_cap is not None else bundle.bar_cap,
         certificates=not args.no_certificates,
-        jobs=args.jobs,
     )
     if not report.certification.startswith("Exact") and not args.allow_truncated:
         print(
@@ -268,9 +267,7 @@ def build_parser():
             p.add_argument("document", help="input document path, or - for stdin")
         p.add_argument("--degrees", help="degree range LO..HI (cohomological)")
         p.add_argument("--bar-cap", type=int, default=None)
-        p.add_argument("--field", default=None, help="q or cyc:M (documents carry their own)")
         p.add_argument("--allow-truncated", action="store_true")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--output", choices=["json", "text"], default="text")
 
     p = sub.add_parser("validate", help="run all structural validators")

@@ -48,6 +48,7 @@ from .dgcat import (
 )
 from .equivariant import (
     build_equivariant_category,
+    closure_under_action,
     lift_action,
     realize_declared,
     rep_tensor,
@@ -194,7 +195,6 @@ class DecompositionPipeline:
         degrees=(0, 0),
         bar_cap=None,
         certificates=True,
-        jobs=1,
     ):
         self.base_action = action
         self.group = action.group
@@ -206,10 +206,6 @@ class DecompositionPipeline:
         self.degree_list = list(range(self.dlo, self.dhi + 1))
         self.bar_cap = bar_cap
         self.certificates_wanted = certificates
-        self.jobs = max(1, jobs)
-        self.witnesses = []
-        self.checks = {}
-        self.cert_log = []
         self._plan_and_build(hh_names)
 
     # -- construction ------------------------------------------------------
@@ -224,16 +220,7 @@ class DecompositionPipeline:
             return out
 
         gen_tuples = [(g,) for g in self.generators]
-        small = set(gen_tuples)
-        changed = True
-        while changed:
-            changed = False
-            for t in list(small):
-                for g in self.group.elements:
-                    img = tuple(base.rho(g).apply_obj(x) for x in t)
-                    if img not in small:
-                        small.add(img)
-                        changed = True
+        small = sorted(closure_under_action(base, gen_tuples), key=repr)
         decl_tuples = [tuple(d.underlying) for d in self.declared]
         hh_decl = [d.name for d in self.declared] if hh_names is None else list(hh_names)
         if not hh_decl:
@@ -244,21 +231,8 @@ class DecompositionPipeline:
         else:
             cover_underlyings = [declared_by_name[n] for n in hh_decl]
 
-        def action_closure(tuples):
-            out = set(tuples)
-            changed = True
-            while changed:
-                changed = False
-                for t in list(out):
-                    for g in self.group.elements:
-                        img = tuple(base.rho(g).apply_obj(x) for x in t)
-                        if img not in out:
-                            out.add(img)
-                            changed = True
-            return out
-
         hull_tuples = set(small) | set(decl_tuples) | set(cover_underlyings)
-        for t in action_closure(set(small) | set(cover_underlyings)):
+        for t in closure_under_action(base, small + cover_underlyings):
             hull_tuples.add(base_s_tuple(t))
         for rep in self.representations.values():
             for t in cover_underlyings:
@@ -290,7 +264,7 @@ class DecompositionPipeline:
                 raise StructureError(report.summary())
             declared_names.append(add(obj))
         sym_of = {}
-        for t in sorted(small, key=repr):
+        for t in small:
             obj = symmetrize(self.laction, t)
             sym_of[t] = add(obj)
         if hh_decl is None:
@@ -298,11 +272,7 @@ class DecompositionPipeline:
         self.hh_names = hh_decl
         for name in list(self.hh_names):
             entry = next(o for o in roster if o.name == name)
-            u = entry.underlying
-            closure = {u}
-            for g in self.group.elements:
-                closure.add(self.laction.rho(g).apply_obj(u))
-            for t in sorted(closure, key=repr):
+            for t in sorted(closure_under_action(base, [entry.underlying]), key=repr):
                 if t not in sym_of:
                     sym_obj = symmetrize(self.laction, t)
                     sym_of[t] = add(sym_obj)
@@ -315,19 +285,8 @@ class DecompositionPipeline:
         self.sym_of = sym_of
 
         # window categories
-        self.small_objs = sorted(small, key=repr)
-        big = set(self.small_objs)
-        for o in roster:
-            big.add(o.underlying)
-        changed = True
-        while changed:
-            changed = False
-            for t in list(big):
-                for g in self.group.elements:
-                    img = self.laction.rho(g).apply_obj(t)
-                    if img not in big:
-                        big.add(img)
-                        changed = True
+        self.small_objs = small
+        big = closure_under_action(base, small + [o.underlying for o in roster])
         self.big_objs = sorted(big, key=repr)
         self.cat_small = full_subcategory(ambient, self.small_objs)
         self.cat_big = full_subcategory(ambient, self.big_objs)
@@ -351,8 +310,8 @@ class DecompositionPipeline:
             self.w_big[g] = self._window_for(self.cat_big, self._rho_big, g, lo, hi)
 
         # canonical functors and transformations
-        self.forget_full = self._forgetful(self.cat_full, self.cat_big)
-        self.forget_hh = self._forgetful(self.cat_hh, self.cat_big)
+        self.forget_full = self.eqcat.forgetful_functor(self.cat_full, self.cat_big)
+        self.forget_hh = self.eqcat.forgetful_functor(self.cat_hh, self.cat_big)
         self.s_small = self.eqcat.symmetrization_functor(self.cat_small)
         self.mu = InducedMap(
             self.w_hh,
@@ -370,19 +329,6 @@ class DecompositionPipeline:
             if base.rho(g2) is base.rho(g) or functors_equal(rho_table[g2], fun):
                 return win
         return build_window(cat, fun, lo, hi, self.bar_cap)
-
-    def _forgetful(self, src_cat, tgt_cat) -> DgFunctor:
-        eq = self.eqcat
-        obj_map = {name: eq.roster[name].underlying for name in src_cat.objects}
-
-        def build(pair):
-            sn, tn = pair
-            return {
-                key: eq.embed(Mor(sn, tn, {key: eq.ambient.field.one}), sn, tn)
-                for key in src_cat.basis_keys(sn, tn)
-            }
-
-        return DgFunctor(src_cat, tgt_cat, obj_map, LazyDict(build), name="forget")
 
     def _identity_eps(self, src_cat, tgt_cat) -> NatTransform:
         comps = {x: tgt_cat.unit(x) for x in src_cat.objects}
@@ -568,10 +514,6 @@ class DecompositionPipeline:
     # ... the verification driver lives in decompose() below.
 
 
-def _mat_eq(a: SparseMatrix, b: SparseMatrix) -> bool:
-    return a == b
-
-
 def _is_idempotent(m: SparseMatrix) -> bool:
     return m * m == m
 
@@ -585,9 +527,8 @@ def decompose(
     degrees=(0, 0),
     bar_cap=None,
     certificates=True,
-    jobs=1,
 ) -> DecompositionReport:
-    start = time.time()
+    start = time.perf_counter()
     pipe = DecompositionPipeline(
         action,
         declared,
@@ -597,10 +538,9 @@ def decompose(
         degrees=degrees,
         bar_cap=bar_cap,
         certificates=certificates,
-        jobs=jobs,
     )
     report = run_checks(pipe)
-    report.runtime = time.time() - start
+    report.runtime = time.perf_counter() - start
     return report
 
 
@@ -608,11 +548,9 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
     degs = pipe.degree_list
     grp = pipe.group
     field = pipe.eqcat.ambient.field
-    checks = pipe.checks
-    checks.setdefault("chain_functoriality", True)
-    checks.setdefault("centralizer_right_action", True)
-    witnesses = pipe.witnesses
-    cert_log = pipe.cert_log
+    checks = {"chain_functoriality": True, "centralizer_right_action": True}
+    witnesses = []
+    cert_log = []
 
     lhs_dims = {k: pipe.w_hh.homology(k)[0] for k in degs}
     mu_mat = {k: pipe.mu.homology_matrix(k) for k in degs}
@@ -626,9 +564,7 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
         mu_inv[k] = inv
     checks["covering_isomorphism"] = ok_mu
 
-    class_blocks = []
     reps_of_classes = pipe.classes.representatives
-    per_class = {}
     small_enough = all(
         pipe.w_big[g].dim(k) <= CERTIFICATE_CHAIN_BUDGET
         for g in reps_of_classes
@@ -649,26 +585,14 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
         )
         for g in reps_of_classes
     }
-    if pipe.jobs > 1 and len(reps_of_classes) > 1:
-        # per-class computations are independent; shared caches are only
-        # ever extended with identical values, and the results are
-        # assembled in class order, so scheduling cannot leak into output
-        from concurrent.futures import ThreadPoolExecutor
-
-        for k in degs:  # pre-warm the shared homology bases
-            pipe.w_hh.homology_basis(k)
-            pipe.w_full.homology_basis(k)
-        with ThreadPoolExecutor(max_workers=pipe.jobs) as pool:
-            futures = {
-                g: pool.submit(_build_class_data, pipe, g, blocks[g], degs, do_certs)
-                for g in reps_of_classes
-            }
-            for g in reps_of_classes:
-                per_class[g] = futures[g].result()
-    else:
-        for g in reps_of_classes:
-            per_class[g] = _build_class_data(pipe, g, blocks[g], degs, do_certs)
-    class_blocks.extend(blocks[g] for g in reps_of_classes)
+    class_blocks = [blocks[g] for g in reps_of_classes]
+    per_class = {}
+    for g in reps_of_classes:
+        data, class_checks, class_witnesses = _build_class_data(pipe, g, blocks[g].members, degs)
+        per_class[g] = data
+        for name, ok in class_checks.items():
+            checks[name] = checks[name] and ok
+        witnesses.extend(class_witnesses)
 
     # check 1: projection is centralizer-invariant
     ok1 = True
@@ -720,7 +644,7 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
     # invariant subspaces and summand dims
     for g in reps_of_classes:
         data = per_class[g]
-        block = next(b for b in class_blocks if b.representative == g)
+        block = blocks[g]
         for k in degs:
             avg = data["avg"][k]
             if not _is_idempotent(avg):
@@ -756,7 +680,7 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
     ok_factor = True
     for g in reps_of_classes:
         data = per_class[g]
-        block = next(b for b in class_blocks if b.representative == g)
+        block = blocks[g]
         c_order = len(pipe.classes.centralizers[g])
         projectors[g] = {}
         for k in degs:
@@ -900,7 +824,14 @@ def _sum_matrices(mats, ncols):
     return out
 
 
-def _build_class_data(pipe, g, block, degs, do_certs):
+def _build_class_data(pipe, g, members, degs):
+    """Homology matrices and maps of one conjugacy class, with the results
+    and witnesses of its two per-class checks: chain-level functoriality of
+    pi∘mu and the centralizer right-action law.
+
+    Returns (data, checks, witnesses).
+    """
+    witnesses = []
     data = {"A": {}, "B": {}, "K": {}, "L": {}, "L_inv": {}, "M_small": {}, "avg": {}}
     proj = pipe.projection(g)
     proj_hh = pipe.projection_hh(g)
@@ -913,10 +844,9 @@ def _build_class_data(pipe, g, block, degs, do_certs):
     data["k_map"] = k_map
     field = pipe.eqcat.ambient.field
     # chain-level functoriality: pi restricted to the covering objects
-    combined, composed, mismatches = compose_induced(proj, pipe.mu)
+    _, _, mismatches = compose_induced(proj, pipe.mu)
     if mismatches:
-        pipe.witnesses.append(f"chain-level functoriality fails for pi∘mu at {g}")
-        pipe.checks["chain_functoriality"] = False
+        witnesses.append(f"chain-level functoriality fails for pi∘mu at {g}")
     for k in degs:
         data["A"][k] = proj.homology_matrix(k)
         data["B"][k] = inc.homology_matrix(k)
@@ -942,16 +872,12 @@ def _build_class_data(pipe, g, block, degs, do_certs):
                 rhs_map = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, prod_target, g)
                 if not lhs == rhs_map.homology_matrix(k):
                     ok_action = False
-                    pipe.witnesses.append(
+                    witnesses.append(
                         f"centralizer right-action law fails for ({h},{h2}) at {g}, degree {k}"
                     )
-    pipe.checks.setdefault("centralizer_right_action", True)
-    if not ok_action:
-        pipe.checks["centralizer_right_action"] = False
 
     # alternate conjugate representative for representative independence
     data["K_alt"] = None
-    members = block.members
     if len(members) > 1:
         for a in pipe.group.elements:
             g2 = pipe.group.mul(pipe.group.mul(pipe.group.inv(a), g), a)
@@ -961,7 +887,8 @@ def _build_class_data(pipe, g, block, degs, do_certs):
                 alt = pipe.projector_map(g2)
                 data["K_alt"] = {k: alt.homology_matrix(k) for k in degs}
                 break
-    return data
+    checks = {"chain_functoriality": not mismatches, "centralizer_right_action": ok_action}
+    return data, checks, witnesses
 
 
 def _check1_certificates(pipe, per_class, cert_log):

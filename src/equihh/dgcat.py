@@ -215,9 +215,6 @@ class DgCategory:
                 out = out + Mor(f.src, f.tgt, img).scale(c)
         return out
 
-    def is_closed_degree_zero(self, f: Mor):
-        return (not f.coeffs or f.degrees() == [0]) and self.d(f).is_zero()
-
     def invert(self, f: Mor):
         """Two-sided inverse of a degree-0 morphism, or None.
 
@@ -475,47 +472,11 @@ def identity_nat(fun: DgFunctor, name="1") -> NatTransform:
     return NatTransform(fun, fun, comps, name=name)
 
 
-def nat_equal(a: NatTransform, b: NatTransform) -> bool:
-    return all(a.at(x) == b.at(x) for x in a.src.src.objects)
-
-
 def nat_vertical(b: NatTransform, a: NatTransform, name=None) -> NatTransform:
     """b after a (componentwise composition in the target category)."""
     cat = a.src.tgt
     comps = {x: cat.compose(b.at(x), a.at(x)) for x in a.src.src.objects}
     return NatTransform(a.src, b.tgt, comps, name=name or f"{b.name}∘{a.name}")
-
-
-def nat_sum(parts, src, tgt, name="Σ") -> NatTransform:
-    comps = {}
-    for x in src.src.objects:
-        total = None
-        for p in parts:
-            total = p.at(x) if total is None else total + p.at(x)
-        comps[x] = total
-    return NatTransform(src, tgt, comps, name=name)
-
-
-def whisker_left(fun: DgFunctor, eps: NatTransform, name=None) -> NatTransform:
-    """fun(eps): fun∘F ⇒ fun∘G for eps: F ⇒ G."""
-    comps = {x: fun.apply(eps.at(x)) for x in eps.src.src.objects}
-    return NatTransform(
-        compose_functors(fun, eps.src),
-        compose_functors(fun, eps.tgt),
-        comps,
-        name=name or f"{fun.name}({eps.name})",
-    )
-
-
-def whisker_right(eps: NatTransform, fun: DgFunctor, name=None) -> NatTransform:
-    """eps_fun: F∘fun ⇒ G∘fun for eps: F ⇒ G."""
-    comps = {x: eps.at(fun.apply_obj(x)) for x in fun.src.objects}
-    return NatTransform(
-        compose_functors(eps.src, fun),
-        compose_functors(eps.tgt, fun),
-        comps,
-        name=name or f"{eps.name}_{fun.name}",
-    )
 
 
 def nat_inverse(eps: NatTransform, name=None) -> NatTransform:
@@ -796,27 +757,6 @@ def lift_functor_to_hull(fun: DgFunctor, src_hull: DgCategory, tgt_hull: DgCateg
         return table
 
     return DgFunctor(src_hull, tgt_hull, obj_map, LazyDict(build), name=name or f"hull({fun.name})")
-
-
-def hull_block(cat_hull: DgCategory, f: Mor, row: int, col: int) -> Mor:
-    """Component (row, col) of a hull morphism, as a morphism of the hull
-    category between the singleton tuples."""
-    src = (f.src[col],)
-    tgt = (f.tgt[row],)
-    coeffs = {}
-    for (deg, (i, j, lab)), c in f.coeffs.items():
-        if i == row and j == col:
-            coeffs[(deg, (0, 0, lab))] = c
-    return Mor(src, tgt, coeffs)
-
-
-def mor_from_blocks(tgt_tuple, src_tuple, blocks) -> Mor:
-    """Assemble a hull morphism from a dict {(row, col): base Mor}."""
-    coeffs = {}
-    for (i, j), base in blocks.items():
-        for (deg, lab), c in base.coeffs.items():
-            coeffs[(deg, (i, j, lab))] = c
-    return Mor(tuple(src_tuple), tuple(tgt_tuple), coeffs)
 
 
 def full_subcategory(cat: DgCategory, objects) -> DgCategory:

@@ -36,6 +36,8 @@ def parse_document(doc) -> ExampleBundle:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise InputError(f"not valid JSON: {exc}", "document") from exc
+    if not isinstance(doc, dict):
+        raise InputError("document is not a JSON object", "document")
     if doc.get("schema") != SCHEMA:
         raise InputError(f"unknown schema {doc.get('schema')!r}", "schema")
     field = parse_field(doc.get("field", "q"))

@@ -37,12 +37,12 @@ from .linalg import Echelon, GradedSpace, SparseMatrix, rank_kernel_image
 def closure_under_action(action: GroupAction, tuples):
     """Close a set of hull tuples under the componentwise object maps."""
     todo = [tuple(t) for t in tuples]
-    seen = []
+    seen = set()
     while todo:
         t = todo.pop()
         if t in seen:
             continue
-        seen.append(t)
+        seen.add(t)
         for g in action.group.elements:
             img = tuple(action.rho(g).apply_obj(x) for x in t)
             if img not in seen:
@@ -415,17 +415,19 @@ class EquivariantCategory:
 
     # -- canonical functors ----------------------------------------------
 
-    def forgetful_functor(self) -> DgFunctor:
-        obj_map = {name: self.roster[name].underlying for name in self.order}
+    def forgetful_functor(self, src: DgCategory, tgt: DgCategory) -> DgFunctor:
+        """forget from a full subcategory of the roster category into a
+        hull subcategory holding every underlying object."""
+        obj_map = {name: self.roster[name].underlying for name in src.objects}
 
         def build(pair):
             sn, tn = pair
             return {
                 key: self.embed(Mor(sn, tn, {key: self.ambient.field.one}), sn, tn)
-                for key in self.category.basis_keys(sn, tn)
+                for key in src.basis_keys(sn, tn)
             }
 
-        return DgFunctor(self.category, self.ambient, obj_map, LazyDict(build), name="forget")
+        return DgFunctor(src, tgt, obj_map, LazyDict(build), name="forget")
 
     def symmetrization_functor(self, small: DgCategory) -> DgFunctor:
         """S on a hull subcategory whose symmetrizations are all rostered."""

@@ -118,9 +118,6 @@ class ClassData:
     def centralizer_order(self, g):
         return len(self.centralizers[g])
 
-    def class_size(self, rep):
-        return len(self.classes[self.representatives.index(rep)])
-
 
 def conjugacy_data(group: FiniteGroup) -> ClassData:
     """Conjugacy classes with deterministic representatives and per-element

@@ -91,9 +91,6 @@ class WindowBase:
     def chains_at(self, k):
         return self._chains.get(k, [])
 
-    def index_at(self, k):
-        return self._index.get(k, {})
-
     def dim(self, k):
         return len(self.chains_at(k))
 
@@ -577,11 +574,6 @@ class LinearComboMap(ChainMap):
         for c, part in self.parts:
             out = vec_add(out, vec_scale(c, part.apply_chain(k, idx)))
         return out
-
-
-class IdentityMap(ChainMap):
-    def _compute(self, k, idx):
-        return {idx: self.src.category.field.one}
 
 
 def eps_star(outer_phi, outer_eps, inner_phi, inner_eps, name=None) -> NatTransform:

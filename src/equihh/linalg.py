@@ -213,10 +213,6 @@ class Echelon:
         self.tags.append(tag)
         return vec, combo
 
-    def contains(self, vec):
-        residual, _ = self._reduce(vec, {})
-        return vec_is_zero(residual)
-
     def express(self, vec):
         """Coordinates of vec over the stored columns, or None if outside
         the span.  Returned as {column position: scalar}."""

@@ -229,12 +229,6 @@ class Cyc:
     def __hash__(self):
         return hash((self.field.m, self.coeffs))
 
-    def rational_part(self):
-        """The Fraction this element equals, or None if it is irrational."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0] if self.coeffs else Q_ZERO
-
     def __repr__(self):
         return f"cyc{self.field.m}:{','.join(format_scalar(c) for c in self.coeffs)}"
 
@@ -280,19 +274,6 @@ def invert_scalar(x):
     if not x:
         raise DivisionError("inversion of zero")
     return 1 / Fraction(x)
-
-
-def cyclotomic_arith(a, b, op: str):
-    """Field arithmetic dispatch: op is "add", "mul" or "inv" (b ignored
-    for "inv").  Mixed rational/cyclotomic operands embed; mixed orders
-    raise FieldMismatchError, inverting zero raises DivisionError."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return invert_scalar(a)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def format_scalar(x) -> str:

@@ -3,6 +3,8 @@
 run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -291,6 +293,23 @@ def test_criterion_7_main_theorem(reports, tmp_path):
             f" in {rep.runtime:.1f}s (cli exit 0)"
         )
     record(7, ok, "; ".join(details))
+
+
+# sha256 of each report's canonical JSON without ``runtime_seconds``: any
+# change to a matrix entry, check, certificate or witness order shows here.
+REPORT_DIGESTS = {
+    "E1": "4948ac183f0b7e5d213b4393c68d52fd09def9998b04910ad6111e7a20cc4353",
+    "E2": "af6a394eaea95987281153c513e3e31f0ae7c5d560e99e4c6723b9393fbe8655",
+    "E5": "c54e854485148ff0fc2f84802860bdef3620115e9bae93b0df715b14e0eb7e2b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digests(reports, name):
+    payload = reports[name][1].to_dict()
+    del payload["runtime_seconds"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
 
 
 def test_criterion_8_representation_action(reports):

@@ -134,3 +134,11 @@ def test_input_error_exit_code(tmp_path):
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_non_object_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["validate", str(path)]) == 2
+    assert main(["decompose", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err

@@ -269,3 +269,7 @@ def test_undersized_covering_detected():
     )
     assert not rep.theorem_holds
     assert not rep.checks["covering_isomorphism"]
+    assert rep.witnesses == [
+        "covering inclusion not a homology isomorphism at degree 0",
+        "dimension sum mismatch",
+    ]
