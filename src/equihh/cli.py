@@ -163,6 +163,8 @@ def cmd_decompose(args):
     bundle = _load_document(args)
     if bundle.action is None:
         raise InputError("document has no group action", "action")
+    if not bundle.generators:
+        raise InputError("document has no generators", "generators")
     degrees = _parse_degrees(args.degrees, default=bundle.degrees)
     report = decompose(
         bundle.action,

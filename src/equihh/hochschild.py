@@ -14,6 +14,13 @@ A window stores the degrees [lo, hi]; the certification flag is Exact when
 the hom-degree bounds prove only finitely many bar degrees reach the
 window, else TruncatedAt(cap).
 
+Windows are assembled from the structure tables: a face of a basis chain
+replaces one slot key by the entries of its differential (d1) or two
+adjacent keys by the entries of their product (d2), so only the twist
+face F(a_n) a0 builds morphisms.  Homology stops adding boundaries to its
+echelon once the echelon is as large as the cycle space, provided every
+boundary column is a cycle; the skipped columns would reduce to zero.
+
 Everything downstream (induced maps, their composition and conjugation
 laws, homotopy certificates, the trace decomposition, the shuffle map and
 the centralizer action) operates on these windows with exact arithmetic.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dgcat import (
     DgCategory,
@@ -58,14 +66,14 @@ class Certification:
         return "Exact" if self.exact else f"TruncatedAt({self.bound})"
 
 
-class Chain:
-    """A basis chain: the object cycle and one basis key per slot."""
+class Chain(NamedTuple):
+    """A basis chain: the object cycle and one basis key per slot.
 
-    __slots__ = ("objects", "keys")
+    As a plain tuple it equals and hashes like ``(objects, keys)``, so a
+    window's chain index is searched with such a pair directly."""
 
-    def __init__(self, objects, keys):
-        self.objects = tuple(objects)
-        self.keys = tuple(keys)
+    objects: tuple
+    keys: tuple
 
     @property
     def bar_degree(self):
@@ -74,12 +82,6 @@ class Chain:
     @property
     def total_degree(self):
         return sum(k[0] for k in self.keys) - self.bar_degree
-
-    def __eq__(self, other):
-        return self.objects == other.objects and self.keys == other.keys
-
-    def __hash__(self):
-        return hash((self.objects, self.keys))
 
     def __repr__(self):
         return f"Chain({self.objects}, {self.keys})"
@@ -110,11 +112,19 @@ class WindowBase:
                 f"homology at {k} needs degrees {k - 1}..{k + 1} inside [{self.lo}, {self.hi}]"
             )
         if k not in self._homology:
-            _, cycles, _ = rank_kernel_image(self.differential(k))
+            d_k = self.differential(k)
+            _, cycles, _ = rank_kernel_image(d_k)
             ech = Echelon()
             d_prev = self.differential(k - 1)
-            for j in range(d_prev.ncols):
-                ech.add(d_prev.cols[j], tag=None)
+            # When every boundary is a cycle, an echelon as large as the
+            # cycle space spans it: the remaining boundaries reduce to zero
+            # and leave the echelon unchanged, so adding them is skipped.
+            # Without d∘d = 0 every boundary is added.
+            closed = all(not d_k.apply(col) for col in d_prev.cols)
+            for col in d_prev.cols:
+                if closed and ech.rank == len(cycles):
+                    break
+                ech.add(col, tag=None)
             reps = []
             for cyc in cycles:
                 residual, _ = ech.add(cyc, tag=len(reps))
@@ -197,6 +207,7 @@ class HochschildWindow(WindowBase):
     def _certify(self) -> Certification:
         a, b = self.category.min_max_degree()
         if a is None:
+            self.bar_degrees = []
             return Certification("exact", -1)
         self._bounds = (a, b)
         lo, hi = self.lo, self.hi
@@ -325,82 +336,73 @@ class HochschildWindow(WindowBase):
             coeff = None
             for _, c in combo:
                 coeff = c if coeff is None else coeff * c
-            chain = Chain(objs, keys)
-            k = chain.total_degree
-            idx = self._index.get(k, {}).get(chain)
-            if idx is None:
-                if self.in_window(k):
-                    raise StructureError(f"image chain missing from window: {chain}")
-                continue
-            prev = out.get(idx)
-            val = sign * coeff if prev is None else prev + sign * coeff
-            if val:
-                out[idx] = val
-            elif prev is not None:
-                del out[idx]
+            self._add_term(out, objs, keys, sign * coeff)
 
-    def _d2_chain(self, chain: Chain):
-        cat = self.category
-        out = {}
-        m = chain.bar_degree
-        if m == 0:
-            return out
-        objs = chain.objects
-        pairs = self._slot_pairs(objs)
-        slots = [self._mor(x, y, key) for (x, y), key in zip(pairs, chain.keys)]
-        degs = [key[0] for key in chain.keys]
-        # i = 0: a0 a1
-        prod = cat.compose(slots[0], slots[1])
-        new_objs = (objs[0],) + objs[2:]
-        self._add_image(out, new_objs, [prod] + list(slots[2:]), 1)
-        # middle terms
-        for i in range(1, m):
-            prod = cat.compose(slots[i], slots[i + 1])
-            new_objs = objs[: i + 1] + objs[i + 2 :]
-            mors = list(slots[:i]) + [prod] + list(slots[i + 2 :])
-            self._add_image(out, new_objs, mors, parity_sign(i))
-        # last term: F(a_m) a0
-        f_last = self.functor.apply(slots[m])
-        prod = cat.compose(f_last, slots[0])
-        new_objs = (objs[m],) + objs[1:m]
-        mors = [prod] + list(slots[1:m])
-        sign = parity_sign(m + degs[m] * sum(degs[:m]))
-        self._add_image(out, new_objs, mors, sign)
-        return out
-
-    def _d1_chain(self, chain: Chain):
-        cat = self.category
-        out = {}
-        objs = chain.objects
-        pairs = self._slot_pairs(objs)
-        slots = [self._mor(x, y, key) for (x, y), key in zip(pairs, chain.keys)]
-        degs = [key[0] for key in chain.keys]
-        prefix = 0
-        for t, slot in enumerate(slots):
-            dslot = cat.d(slot)
-            if not dslot.is_zero():
-                mors = list(slots)
-                mors[t] = dslot
-                self._add_image(out, objs, mors, parity_sign(prefix))
-            prefix += degs[t]
-        return out
+    def _add_term(self, out, objs, keys, c):
+        """Add c times the chain (objs, keys) to ``out``."""
+        k = sum(key[0] for key in keys) - len(keys) + 1
+        idx = self._index.get(k, {}).get((objs, keys))
+        if idx is None:
+            if self.in_window(k):
+                raise StructureError(f"image chain missing from window: {Chain(objs, keys)}")
+            return
+        prev = out.get(idx)
+        val = c if prev is None else prev + c
+        if val:
+            out[idx] = val
+        elif prev is not None:
+            del out[idx]
 
     def _differentials(self):
+        """d1 and d2 column by column, read off the structure tables.
+
+        Each face of a basis chain replaces one key (d1: the differential
+        of a slot) or two adjacent keys (d2: their product) by a table
+        entry; only the twist face F(a_m)∘a0 goes through morphisms."""
+        cat = self.category
         for k in range(self.lo, self.hi):
             n = self.dim(k)
             nt = self.dim(k + 1)
             d1 = SparseMatrix(nt, n)
             d2 = SparseMatrix(nt, n)
             total = SparseMatrix(nt, n)
-            for j, chain in enumerate(self.chains_at(k)):
-                col1 = self._d1_chain(chain)
-                col2 = self._d2_chain(chain)
+            for j, (objs, keys) in enumerate(self.chains_at(k)):
+                m = len(keys) - 1
+                pairs = self._slot_pairs(objs)
+                col1 = {}
+                prefix = 0
+                for t, key in enumerate(keys):
+                    img = cat.diff.get(pairs[t], {}).get(key)
+                    if img:
+                        for hk, c in img.items():
+                            if c:
+                                new_keys = keys[:t] + (hk,) + keys[t + 1 :]
+                                self._add_term(col1, objs, new_keys, -c if prefix % 2 else c)
+                    prefix += key[0]
+                col2 = {}
+                # a_i a_{i+1} with sign (-1)^i, i = 0 included
+                for i in range(m):
+                    x, y = pairs[i + 1]
+                    prod = cat.comp_table(x, y, pairs[i][1]).get((keys[i + 1], keys[i]))
+                    if prod:
+                        new_objs = objs[: i + 1] + objs[i + 2 :]
+                        for hk, c in prod.items():
+                            if c:
+                                new_keys = keys[:i] + (hk,) + keys[i + 2 :]
+                                self._add_term(col2, new_objs, new_keys, -c if i % 2 else c)
+                if m:
+                    # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
+                    f_last = self.functor.apply(self._mor(*pairs[m], keys[m]))
+                    prod = cat.compose(f_last, self._mor(*pairs[0], keys[0]))
+                    odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
+                    new_objs = (objs[m],) + objs[1:m]
+                    for hk, c in prod.coeffs.items():
+                        self._add_term(col2, new_objs, (hk,) + keys[1:m], -c if odd else c)
                 if col1:
                     d1.cols[j] = col1
                 if col2:
                     d2.cols[j] = col2
-                tw = parity_sign(chain.bar_degree)
-                total.cols[j] = vec_add(col2, vec_scale(tw, col1))
+                total.cols[j] = vec_add(col2, vec_scale(parity_sign(m), col1))
             self._d1[k] = d1
             self._d2[k] = d2
             self._total[k] = total

@@ -142,3 +142,11 @@ def test_non_object_document_is_input_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     assert main(["decompose", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_decompose_without_generators_is_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "E1", mutate=lambda doc: doc.pop("generators"))
+    assert main(["decompose", path]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "generators" in err
+    assert "Traceback" not in err
