@@ -52,7 +52,7 @@ from .hochschild import (
     shuffle_map,
     verify_trace_decomposition,
 )
-from .linalg import ComplexSlice, GradedMap, GradedSpace, SparseMatrix, homology_at, rank_kernel_image
+from .linalg import GradedSpace, SparseMatrix, rank_kernel_image
 from .scalars import QQ, Cyc, CyclotomicField, format_scalar, parse_scalar
 
 __version__ = "0.1.0"

@@ -44,7 +44,6 @@ from .dgcat import (
     identity_functor,
     nat_inverse,
     nat_vertical,
-    parity_sign,
 )
 from .equivariant import (
     build_equivariant_category,
@@ -67,6 +66,7 @@ from .hochschild import (
     build_window,
     compose_induced,
     conjugate_transport,
+    insertion_homotopy,
     verify_trace_decomposition,
 )
 from .linalg import SparseMatrix, matrix_inverse, rank_kernel_image
@@ -1186,30 +1186,19 @@ def _check5_certificate(pipe, per_class, cert_log):
 
     cat = pipe.cat_full
 
-    def h_map(k, idx):
-        chain = pipe.w_hh.chains_at(k)[idx]
-        objs = chain.objects
-        m = chain.bar_degree
-        pairs = pipe.w_hh._slot_pairs(objs)
-        slots = [
-            pipe.cat_hh.basis_mor(x, y, *key) for (x, y), key in zip(pairs, chain.keys)
-        ]
-        out = {}
-        for i in range(m + 1):
-            first = cat.compose(p_comps[objs[0]], s_for.apply(slots[0]))
-            mors = [first]
-            mors += [s_for.apply(slots[t]) for t in range(1, i + 1)]
-            cut = objs[(i + 1) % (m + 1)]
-            mors.append(i_comps[cut])
-            mors += [slots[t] for t in range(i + 1, m + 1)]
-            new_objs = (
-                (objs[0],)
-                + tuple(s_for.apply_obj(objs[t]) for t in range(1, i + 2) if t <= m)
-                + ((s_for.apply_obj(objs[0]),) if i == m else ())
-                + tuple(objs[t] for t in range(i + 1, m + 1))
-            )
-            pipe.w_full._add_image(out, new_objs, mors, parity_sign(i))
-        return out
+    def first(a0, c0):
+        return cat.compose(p_comps[c0], s_for.apply(a0))
+
+    h_map = insertion_homotopy(
+        pipe.w_hh,
+        pipe.w_full,
+        first,
+        s_for.apply,
+        i_comps.__getitem__,
+        lambda a: a,
+        s_for.apply_obj,
+        lambda c: c,
+    )
 
     # the insertion homotopy contracts |G|·mu onto the summed projector map
     cert = HomotopyCertificate(scaled_mu, sum_map, h_map, name="projector sum homotopy")

@@ -234,14 +234,10 @@ class DgCategory:
             images.append(self.compose(g, f).coeffs)  # g∘f in End(x)
         for pos, img in enumerate(images):
             ech.add(img, tag=pos)
-        coords = ech.express(self.unit(x).coeffs)
-        if coords is None:
+        sol = ech.solve(self.unit(x).coeffs)
+        if sol is None:
             return None
-        g = Mor(y, x, {})
-        for pos, c in coords.items():
-            gen_combo = ech.combos[pos]
-            for tag, coeff in gen_combo.items():
-                g = g + self.basis_mor(y, x, *keys[tag]).scale(c * coeff)
+        g = Mor(y, x, {keys[tag]: c for tag, c in sol.items()})
         if not self.compose(g, f) == self.unit(x):
             return None
         if not self.compose(f, g) == self.unit(y):

@@ -20,6 +20,18 @@ from .scalars import field_spec, format_scalar, parse_field, parse_scalar
 
 SCHEMA = "equihh-schema-1"
 
+# JSON type of each top-level block that may appear in a document
+BLOCK_TYPES = {
+    "category": dict,
+    "group": dict,
+    "action": dict,
+    "roster": list,
+    "representations": dict,
+    "params": dict,
+    "covering": list,
+    "generators": list,
+}
+
 
 def _coeffs(entry, field, degrees_of, location):
     out = {}
@@ -40,10 +52,13 @@ def parse_document(doc) -> ExampleBundle:
         raise InputError("document is not a JSON object", "document")
     if doc.get("schema") != SCHEMA:
         raise InputError(f"unknown schema {doc.get('schema')!r}", "schema")
+    for key, kind in BLOCK_TYPES.items():
+        if key in doc and not isinstance(doc[key], kind):
+            raise InputError(f"must be a JSON {'object' if kind is dict else 'array'}", key)
     field = parse_field(doc.get("field", "q"))
 
     cat_doc = doc.get("category")
-    if not isinstance(cat_doc, dict):
+    if cat_doc is None:
         raise InputError("missing category block", "category")
     objects = list(cat_doc.get("objects", []))
     if not objects:
@@ -217,7 +232,7 @@ def parse_document(doc) -> ExampleBundle:
         for x in underlying:
             if x not in objects:
                 raise InputError(f"unknown component {x!r}", loc)
-        if group is None:
+        if action is None:
             raise InputError("roster requires a group action", loc)
         alpha_entries = {}
         for g in group.elements:
@@ -242,7 +257,7 @@ def parse_document(doc) -> ExampleBundle:
         declared.append(DeclaredObject(name, underlying, alpha_entries))
 
     representations = {}
-    for name, r in (doc.get("representations") or {}).items():
+    for name, r in doc.get("representations", {}).items():
         if group is None:
             raise InputError("representations require a group", f"representations[{name}]")
         dim = int(r.get("dim", 0))
@@ -254,6 +269,15 @@ def parse_document(doc) -> ExampleBundle:
             mats[g] = [[parse_scalar(v, field) for v in row] for row in rows]
         representations[name] = Representation(group, dim, mats, name=name, field=field)
 
+    generators = doc.get("generators", [])
+    for x in generators:
+        if x not in objects:
+            raise InputError(f"unknown object {x!r}", "generators")
+    roster_names = [d.name for d in declared]
+    covering = doc.get("covering", [])
+    for name in covering:
+        if name not in roster_names:
+            raise InputError(f"{name!r} is not a roster name", "covering")
     params = doc.get("params", {})
     degrees = tuple(params.get("degrees", (0, 0)))
     return ExampleBundle(
@@ -263,8 +287,8 @@ def parse_document(doc) -> ExampleBundle:
         group=group,
         action=action,
         declared=declared,
-        generators=list(doc.get("generators", [])),
-        hh_names=list(doc.get("covering", [])),
+        generators=list(generators),
+        hh_names=list(covering),
         representations=representations,
         degrees=(int(degrees[0]), int(degrees[-1])),
         bar_cap=params.get("bar_cap"),

@@ -404,13 +404,11 @@ class EquivariantCategory:
                 return None
             keys, keyidx = self._flatten_space(src.underlying, tgt.underlying, deg)
             flat = {keyidx[k]: v for k, v in coeffs.items()}
-            coords = ech.express(flat)
-            if coords is None:
+            sol = ech.solve(flat)
+            if sol is None:
                 return None
-            for pos, c in coords.items():
-                for tag, w in ech.combos[pos].items():
-                    key = (deg, f"q{deg}_{tag}")
-                    out[key] = out.get(key, self.ambient.field.zero) + c * w
+            for tag, c in sol.items():
+                out[(deg, f"q{deg}_{tag}")] = c
         return Mor(src_name, tgt_name, out)
 
     # -- canonical functors ----------------------------------------------

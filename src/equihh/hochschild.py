@@ -39,7 +39,6 @@ from .dgcat import (
     NatTransform,
     compose_functors,
     parity_sign,
-    validate_nat,
 )
 from .errors import StructureError, TruncationError, WindowError
 from .linalg import (
@@ -47,6 +46,7 @@ from .linalg import (
     SparseMatrix,
     rank_kernel_image,
     vec_add,
+    vec_eq,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -147,8 +147,9 @@ class WindowBase:
 
 
 class HomologyBasis:
-    """Cycle representatives extending an echelon of the boundaries; the
-    echelon tags recover class coordinates."""
+    """Cycle representatives extending an echelon of the boundaries; each
+    representative is tagged by its position, so solving against the
+    echelon gives class coordinates."""
 
     def __init__(self, window, degree, reps, echelon):
         self.window = window
@@ -163,29 +164,12 @@ class HomologyBasis:
     def express(self, vec):
         """Coordinates of a cycle's class over the representatives, or
         None if the vector is not a cycle-plus-boundary combination.
-
-        Stored echelon columns are mutually reduced mixtures, so the class
-        coordinates are read off the tracked generator combinations (all
-        boundary generators share the tag None and are dropped).
-        """
-        coords = self._ech.express(vec)
-        if coords is None:
-            return None
-        out = {}
-        for pos, c in coords.items():
-            for tag, w in self._ech.combos[pos].items():
-                if tag is None:
-                    continue
-                s = out.get(tag, 0) + c * w
-                if s:
-                    out[tag] = s
-                elif tag in out:
-                    del out[tag]
-        return out
+        Boundaries are untagged, so they drop out."""
+        return self._ech.solve(vec)
 
 
 class HochschildWindow(WindowBase):
-    def __init__(self, category, functor, lo, hi, bar_cap=None, build=True):
+    def __init__(self, category, functor, lo, hi, bar_cap=None):
         self.category = category
         self.functor = functor
         self.lo = lo
@@ -198,9 +182,8 @@ class HochschildWindow(WindowBase):
         self._total = {}
         self._homology = {}
         self.certification = self._certify()
-        if build:
-            self._enumerate()
-            self._differentials()
+        self._enumerate()
+        self._differentials()
 
     # -- construction ---------------------------------------------------
 
@@ -530,14 +513,10 @@ class InducedMap(ChainMap):
     """(phi, eps)_*: applies phi to every slot and eps at the twist slot:
     a0[a1|...|an] -> eps_{c0} phi(a0)[phi(a1)|...|phi(an)]."""
 
-    def __init__(self, src, tgt, phi: DgFunctor, eps: NatTransform, name="", check_eps=False):
+    def __init__(self, src, tgt, phi: DgFunctor, eps: NatTransform, name=""):
         super().__init__(src, tgt, name=name or f"({phi.name},{eps.name})*")
         self.phi = phi
         self.eps = eps
-        if check_eps:
-            report = validate_nat(eps)
-            if not report.ok:
-                raise StructureError(report.summary())
 
     def _compute(self, k, idx):
         chain = self.src.chains_at(k)[idx]
@@ -619,23 +598,43 @@ def compose_induced(outer: InducedMap, inner: InducedMap, verify=True):
 # homotopies
 
 
+class FormulaHomotopy(ChainMap):
+    """Wrapper giving homotopy callables the ChainMap caching interface."""
+
+    def __init__(self, src, tgt, fn, name="H"):
+        super().__init__(src, tgt, name=name)
+        self._fn = fn
+
+    def _compute(self, k, idx):
+        return self._fn(k, idx)
+
+
+class DHPlusHD(ChainMap):
+    """dH + Hd of a degree -1 map, as a chain map."""
+
+    def __init__(self, src, tgt, h_map: ChainMap):
+        super().__init__(src, tgt, name=f"d{h_map.name}+{h_map.name}d")
+        self.h_map = h_map
+
+    def _compute(self, k, idx):
+        dh = self.tgt.differential(k - 1).apply(self.h_map.apply_chain(k, idx))
+        if k < self.src.hi:
+            return vec_add(dh, self.h_map.apply_vec(k + 1, self.src.differential(k).cols[idx]))
+        return dh
+
+
 class HomotopyCertificate:
     """A degree -1 map H with dH + Hd = f - g checked entry-exactly on the
-    interior degrees of the window; boundary degrees are recorded."""
+    interior degrees of the window; boundary degrees are recorded.  ``h``
+    caches H, so each value is computed once."""
 
     def __init__(self, f: ChainMap, g: ChainMap, h_map, name=""):
         self.f = f
         self.g = g
-        self.h = h_map  # callable (k, chain index) -> vector at degree k-1
+        self.h = FormulaHomotopy(f.src, f.tgt, h_map)
         self.name = name
         self.checked_degrees = []
         self.failures = []
-
-    def h_vec(self, k, vec):
-        out = {}
-        for idx, c in vec.items():
-            out = vec_add(out, vec_scale(c, self.h(k, idx)))
-        return out
 
     def check(self, degrees=None):
         src, tgt = self.f.src, self.f.tgt
@@ -645,22 +644,48 @@ class HomotopyCertificate:
                 for k in range(src.lo, src.hi + 1)
                 if k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi
             ]
+        dh_hd = DHPlusHD(src, tgt, self.h)
         ok = True
         for k in degrees:
             for j in range(src.dim(k)):
-                dh = tgt.differential(k - 1).apply(self.h(k, j))
-                if k < src.hi:
-                    hd = self.h_vec(k + 1, src.differential(k).cols[j])
-                else:
-                    hd = {}
-                want = vec_sub(
-                    self.f.apply_chain(k, j), self.g.apply_chain(k, j)
-                )
-                if not vec_is_zero(vec_sub(vec_add(dh, hd), want)):
+                want = vec_sub(self.f.apply_chain(k, j), self.g.apply_chain(k, j))
+                if not vec_eq(dh_hd.apply_chain(k, j), want):
                     self.failures.append((k, j))
                     ok = False
             self.checked_degrees.append(k)
         return ok
+
+
+def insertion_homotopy(src, tgt, first, middle, cut, tail, middle_obj, tail_obj):
+    """The insertion homotopy as a callable (k, chain index) -> vector of
+    ``tgt`` at degree k - 1:
+
+        a0[a1|...|am] -> Σ_i (-1)^i first(a0)[middle(a1)|...|middle(ai)|
+                                    cut(c_{i+1})|tail(a_{i+1})|...|tail(am)]
+
+    with c_{m+1} = c0.  ``first`` takes (a0, c0), ``cut`` an object and the
+    other slot maps a basis morphism.  Object 0 of each term is
+    tail_obj(c0), object t is middle_obj(c_{t mod (m+1)}) for 1 <= t <= i+1
+    and tail_obj(c_{t-1}) after that."""
+
+    def h(k, idx):
+        objs, keys = src.chains_at(k)[idx]
+        m = len(keys) - 1
+        pairs = src._slot_pairs(objs)
+        slots = [src.category.basis_mor(x, y, *key) for (x, y), key in zip(pairs, keys)]
+        head = first(slots[0], objs[0])
+        middles = [middle(a) for a in slots[1:]]
+        tails = [tail(a) for a in slots[1:]]
+        middle_objs = tuple(middle_obj(objs[t % (m + 1)]) for t in range(1, m + 2))
+        tail_objs = tuple(tail_obj(c) for c in objs)
+        out = {}
+        for i in range(m + 1):
+            mors = [head] + middles[:i] + [cut(objs[(i + 1) % (m + 1)])] + tails[i:]
+            new_objs = tail_objs[:1] + middle_objs[: i + 1] + tail_objs[i + 1 :]
+            tgt._add_image(out, new_objs, mors, parity_sign(i))
+        return out
+
+    return h
 
 
 def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor):
@@ -695,33 +720,14 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
     conj = NatTransform(eta.src, eta.tgt, conj_comps, name=f"{alpha.name}·{eta.name}·{alpha.name}^-1")
     transported = InducedMap(src, tgt, psi, conj, name=f"({psi.name},conj)*")
 
-    def h_map(k, idx):
-        chain = src.chains_at(k)[idx]
-        objs = chain.objects
-        m = chain.bar_degree
-        pairs = src._slot_pairs(objs)
-        slots = [src.category.basis_mor(x, y, *key) for (x, y), key in zip(pairs, chain.keys)]
-        ftgt = induced.tgt.functor
-        out = {}
-        for i in range(m + 1):
-            first = cat_t.compose(
-                eta.at(objs[0]),
-                cat_t.compose(alpha_inv(f_twist.apply_obj(objs[0])), psi.apply(slots[0])),
-            )
-            mors = [first]
-            mors += [psi.apply(slots[t]) for t in range(1, i + 1)]
-            cut = objs[(i + 1) % (m + 1)]
-            mors.append(alpha.at(cut))
-            mors += [phi.apply(slots[t]) for t in range(i + 1, m + 1)]
-            new_objs = (
-                (phi.apply_obj(objs[0]),)
-                + tuple(psi.apply_obj(objs[t]) for t in range(1, i + 2) if t <= m)
-                + ((psi.apply_obj(objs[0]),) if i == m else ())
-                + tuple(phi.apply_obj(objs[t]) for t in range(i + 1, m + 1))
-            )
-            tgt._add_image(out, new_objs, mors, parity_sign(i))
-        return out
+    def first(a0, c0):
+        return cat_t.compose(
+            eta.at(c0), cat_t.compose(alpha_inv(f_twist.apply_obj(c0)), psi.apply(a0))
+        )
 
+    h_map = insertion_homotopy(
+        src, tgt, first, psi.apply, alpha.at, phi.apply, psi.apply_obj, phi.apply_obj
+    )
     cert = HomotopyCertificate(induced, transported, h_map, name=f"transport along {alpha.name}")
     return transported, cert
 
@@ -773,76 +779,42 @@ def nat_block(cat: DgCategory, eps: NatTransform, summands, i, j, f_twist=None, 
     return at
 
 
-class FormulaHomotopy(ChainMap):
-    """Wrapper giving homotopy callables the ChainMap caching interface."""
-
-    def __init__(self, src, tgt, fn, name="H"):
-        super().__init__(src, tgt, name=name)
-        self._fn = fn
-
-    def _compute(self, k, idx):
-        return self._fn(k, idx)
-
-
 def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, total_functor, i):
     """The insertion homotopy for one diagonal summand of a direct-sum
     functor: conjugated prefix on total-functor objects, a pure inclusion
-    slot, then the plain summand tail; signs (-1)^j over the insertion
-    position."""
+    slot, then the plain summand tail."""
     cat_t = window_tgt.category
     a_i = summand_functors[i]
-    f_twist = window_src.functor
-    ftgt = window_tgt.functor
+    eta_block = nat_block(
+        cat_t, eta, summand_functors, i, i, window_src.functor, window_tgt.functor
+    )
 
     def parts_at(c):
         return [f.apply_obj(c) for f in summand_functors]
 
-    def eta_block_at(c):
-        return nat_block(cat_t, eta, summand_functors, i, i, f_twist, ftgt)(c)
+    def first(a0, c0):
+        proj = block_projection(cat_t, parts_at(a0.src), i)
+        return cat_t.compose(eta_block(c0), cat_t.compose(a_i.apply(a0), proj))
 
-    def h(k, idx):
-        chain = window_src.chains_at(k)[idx]
-        objs = chain.objects
-        m = chain.bar_degree
-        pairs = window_src._slot_pairs(objs)
-        slots = [
-            window_src.category.basis_mor(x, y, *key)
-            for (x, y), key in zip(pairs, chain.keys)
-        ]
-        out = {}
-        total_obj = lambda c: total_functor.apply_obj(c)
-        for j in range(m + 1):
-            first = cat_t.compose(
-                eta_block_at(objs[0]),
-                cat_t.compose(
-                    a_i.apply(slots[0]),
-                    block_projection(cat_t, parts_at(objs[1 % (m + 1)]), i),
-                ),
-            )
-            mors = [first]
-            for t in range(1, j + 1):
-                conj = cat_t.compose(
-                    block_inclusion(cat_t, parts_at(objs[t]), i),
-                    cat_t.compose(
-                        a_i.apply(slots[t]),
-                        block_projection(cat_t, parts_at(objs[(t + 1) % (m + 1)]), i),
-                    ),
-                )
-                mors.append(conj)
-            cut = objs[(j + 1) % (m + 1)]
-            mors.append(block_inclusion(cat_t, parts_at(cut), i))
-            for t in range(j + 1, m + 1):
-                mors.append(a_i.apply(slots[t]))
-            new_objs = (
-                (a_i.apply_obj(objs[0]),)
-                + tuple(total_obj(objs[t]) for t in range(1, j + 2) if t <= m)
-                + ((total_obj(objs[0]),) if j == m else ())
-                + tuple(a_i.apply_obj(objs[t]) for t in range(j + 1, m + 1))
-            )
-            window_tgt._add_image(out, new_objs, mors, parity_sign(j))
-        return out
+    def middle(a):
+        proj = block_projection(cat_t, parts_at(a.src), i)
+        return cat_t.compose(
+            block_inclusion(cat_t, parts_at(a.tgt), i), cat_t.compose(a_i.apply(a), proj)
+        )
 
-    return h
+    def cut(c):
+        return block_inclusion(cat_t, parts_at(c), i)
+
+    return insertion_homotopy(
+        window_src,
+        window_tgt,
+        first,
+        middle,
+        cut,
+        a_i.apply,
+        total_functor.apply_obj,
+        a_i.apply_obj,
+    )
 
 
 def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
@@ -863,8 +835,7 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
 
     top = max(degrees)
     # joint solve at the top: unknowns H_top and H_{top+1}
-    unknown_cols = []
-    tags = []
+    ech = Echelon()
     d_tgt = tgt.differential(top - 1)
     n_top = src.dim(top)
     n_up = src.dim(top + 1) if top + 1 <= src.hi else 0
@@ -882,8 +853,7 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
         for t in range(dim_tgt_tm1):
             col = eq_rows_of(x, d_tgt.cols[t])
             if col:
-                unknown_cols.append(col)
-                tags.append(("top", x, t))
+                ech.add(col, tag=(top, x, t))
     for xu in range(n_up):
         for t in range(dim_tgt_t):
             col = {}
@@ -892,31 +862,17 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
                 if c:
                     col[eq_index(x, t)] = c
             if col:
-                unknown_cols.append(col)
-                tags.append(("up", xu, t))
-    ech = Echelon()
-    for pos, col in enumerate(unknown_cols):
-        ech.add(col, tag=pos)
+                ech.add(col, tag=(top + 1, xu, t))
     rhs = {}
     for x in range(n_top):
         rhs.update(eq_rows_of(x, residual.apply_chain(top, x)))
-    coords = ech.express(rhs)
-    if coords is None:
+    sol = ech.solve(rhs)
+    if sol is None:
         return None
-    sol = {}
-    for pos, c in coords.items():
-        for tag, w in ech.combos[pos].items():
-            sol[tag] = sol.get(tag, 0) + c * w
     h_cols[top] = [dict() for _ in range(n_top)]
     h_cols[top + 1] = [dict() for _ in range(n_up)]
-    for pos, value in sol.items():
-        kind, x, t = tags[pos]
-        if not value:
-            continue
-        if kind == "top":
-            h_cols[top][x][t] = value
-        else:
-            h_cols[top + 1][x][t] = value
+    for (deg, x, t), value in sol.items():
+        h_cols[deg][x][t] = value
 
     # sweep downward: d H_k = residual_k - H_{k+1} d
     for k in sorted([d for d in degrees if d < top], reverse=True):
@@ -935,14 +891,10 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
                 for xu, c in d_src_k.cols[x].items():
                     carried = vec_add(carried, vec_scale(c, upper[xu]))
                 target = vec_sub(target, carried)
-            coords = ech_k.express(target)
-            if coords is None:
+            col = ech_k.solve(target)
+            if col is None:
                 return None
-            col = {}
-            for pos, c in coords.items():
-                for tag, w in ech_k.combos[pos].items():
-                    col[tag] = col.get(tag, 0) + c * w
-            cols.append({t: v for t, v in col.items() if v})
+            cols.append(col)
         h_cols[k] = cols
 
     def h(k, idx):
@@ -1017,7 +969,6 @@ def verify_trace_decomposition(
                 out = vec_add(out, h(k, idx))
             return out
 
-        formula = FormulaHomotopy(window_src, window_tgt, h_formula, name="H_diag")
         cert = HomotopyCertificate(total_map, summand_sum, h_formula, name="trace decomposition")
         if cert.check():
             result["certificate"] = cert
@@ -1029,7 +980,7 @@ def verify_trace_decomposition(
                 [
                     (field.one, total_map),
                     (-field.one, summand_sum),
-                    (-field.one, DHPlusHD(window_src, window_tgt, formula)),
+                    (-field.one, DHPlusHD(window_src, window_tgt, cert.h)),
                 ],
                 name="residual",
             )
@@ -1038,7 +989,7 @@ def verify_trace_decomposition(
                 result["certificate_mode"] = "failed"
             else:
                 def h_total(k, idx):
-                    return vec_add(h_formula(k, idx), solved.apply_chain(k, idx))
+                    return vec_add(cert.h.apply_chain(k, idx), solved.apply_chain(k, idx))
 
                 cert2 = HomotopyCertificate(
                     total_map, summand_sum, h_total, name="trace decomposition"
@@ -1049,24 +1000,6 @@ def verify_trace_decomposition(
                 else:
                     result["certificate_mode"] = "failed"
     return result
-
-
-class DHPlusHD(ChainMap):
-    """dH + Hd of a degree -1 map, as a chain map (used to form residuals)."""
-
-    def __init__(self, src, tgt, h_map: ChainMap):
-        super().__init__(src, tgt, name=f"d{h_map.name}+{h_map.name}d")
-        self.h_map = h_map
-
-    def _compute(self, k, idx):
-        dh = self.tgt.differential(k - 1).apply(self.h_map.apply_chain(k, idx))
-        if k < self.src.hi:
-            hd = {}
-            for xu, c in self.src.differential(k).cols[idx].items():
-                hd = vec_add(hd, vec_scale(c, self.h_map.apply_chain(k + 1, xu)))
-        else:
-            hd = {}
-        return vec_add(dh, hd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra and graded chain-complex slices.
+"""Sparse exact linear algebra and graded spaces.
 
 Everything here is deterministic: elimination processes columns in
 ascending index and pivots on the lowest nonzero row, so bases and
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import WindowError
 from .scalars import invert_scalar
 
 
@@ -162,15 +161,14 @@ class Echelon:
 
     Each stored column has a distinct pivot row; pivots are normalized to 1
     and eliminated from every other stored column, so membership tests are
-    a single pass.  ``tags`` remembers which generator produced a column,
-    letting callers read off coordinates over the original generators.
+    a single pass.  ``combos`` holds each stored column as a combination of
+    the tagged generators, so ``solve`` reads off coordinates over them.
     """
 
     def __init__(self):
         self.columns = []  # reduced column vectors
         self.pivots = {}  # pivot row -> column position
-        self.tags = []  # tag per stored column
-        self.combos = []  # generator combination per stored column
+        self.combos = []  # {tag: scalar} per stored column
 
     @property
     def rank(self):
@@ -210,7 +208,6 @@ class Echelon:
         self.pivots[pivot] = len(self.columns)
         self.columns.append(vec)
         self.combos.append(combo)
-        self.tags.append(tag)
         return vec, combo
 
     def express(self, vec):
@@ -228,6 +225,23 @@ class Echelon:
         if not vec_is_zero(vec):
             return None
         return coords
+
+    def solve(self, vec):
+        """vec as {tag: scalar} over the tagged generators, or None if
+        outside the span.  Untagged generators contribute nothing."""
+        coords = self.express(vec)
+        if coords is None:
+            return None
+        out = {}
+        for pos, c in coords.items():
+            for tag, w in self.combos[pos].items():
+                s = out.get(tag)
+                s = c * w if s is None else s + c * w
+                if s:
+                    out[tag] = s
+                elif tag in out:
+                    del out[tag]
+        return out
 
 
 def rank_kernel_image(matrix: SparseMatrix):
@@ -259,18 +273,7 @@ def matrix_inverse(m: SparseMatrix):
             return None
     inv = SparseMatrix(m.ncols, m.nrows)
     for i in range(m.nrows):
-        coords = ech.express({i: Fraction(1)})
-        if coords is None:
-            return None
-        col = {}
-        for pos, c in coords.items():
-            for tag, w in ech.combos[pos].items():
-                s = col.get(tag, Fraction(0)) + c * w
-                if s:
-                    col[tag] = s
-                elif tag in col:
-                    del col[tag]
-        inv.cols[i] = col
+        inv.cols[i] = ech.solve({i: Fraction(1)})
     return inv
 
 
@@ -311,97 +314,3 @@ class GradedSpace:
 
     def __repr__(self):
         return f"GradedSpace({{{', '.join(f'{d}: {len(l)}' for d, l in sorted(self.basis.items()))}}})"
-
-
-class GradedMap:
-    """Degree-homogeneous linear map between graded spaces.
-
-    ``matrices[k]`` sends the degree-k part of the source to the degree
-    ``k + shift`` part of the target (rows = target basis, cols = source).
-    """
-
-    def __init__(self, source: GradedSpace, target: GradedSpace, shift: int, matrices=None):
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.matrices = {}
-        for deg in source.degrees():
-            m = None if matrices is None else matrices.get(deg)
-            if m is None:
-                m = SparseMatrix(target.dim(deg + shift), source.dim(deg))
-            if m.ncols != source.dim(deg) or m.nrows != target.dim(deg + shift):
-                raise ValueError(f"matrix shape mismatch in degree {deg}")
-            self.matrices[deg] = m
-
-    def matrix(self, deg) -> SparseMatrix:
-        return self.matrices.get(
-            deg, SparseMatrix(self.target.dim(deg + self.shift), self.source.dim(deg))
-        )
-
-    def apply(self, deg, vec):
-        return self.matrix(deg).apply(vec)
-
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("graded map composition mismatch")
-        mats = {
-            deg: self.matrix(deg + other.shift) * other.matrix(deg)
-            for deg in other.source.degrees()
-        }
-        return GradedMap(other.source, self.target, self.shift + other.shift, mats)
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.matrices.values())
-
-
-class ComplexSlice:
-    """A degree window of a cohomological complex with a degree +1 map."""
-
-    def __init__(self, space: GradedSpace, d: GradedMap, lo: int, hi: int, check=True):
-        if d.shift != 1:
-            raise ValueError("differential must have degree +1")
-        self.space = space
-        self.d = d
-        self.lo = lo
-        self.hi = hi
-        if check:
-            bad = self.d_squared_violations()
-            if bad:
-                deg, col = bad[0]
-                raise ValueError(f"d^2 != 0 at degree {deg}, basis column {col}")
-
-    def d_squared_violations(self):
-        out = []
-        for k in range(self.lo, self.hi - 1):
-            prod = self.d.matrix(k + 1) * self.d.matrix(k)
-            for j, col in enumerate(prod.cols):
-                if not vec_is_zero(col):
-                    out.append((k, j))
-        return out
-
-    def homology_at(self, k: int):
-        """(dimension, cycle representatives) in degree k.
-
-        Representatives extend an echelon of the boundaries, so their
-        classes are independent by construction.
-        """
-        if not (self.lo <= k - 1 and k + 1 <= self.hi):
-            raise WindowError(f"homology at {k} needs degrees {k-1}..{k+1} in window")
-        _, cycles, _ = rank_kernel_image(self.d.matrix(k))
-        ech = Echelon()
-        for j in range(self.space.dim(k - 1)):
-            ech.add(self.d.matrix(k - 1).cols[j])
-        boundary_rank = ech.rank
-        reps = []
-        for cyc in cycles:
-            residual, _ = ech.add(cyc)
-            if residual:
-                reps.append(cyc)
-        assert len(reps) == len(cycles) - boundary_rank
-        return len(reps), reps
-
-
-def homology_at(complex_slice: ComplexSlice, k: int):
-    """Module-level alias for ComplexSlice.homology_at."""
-    return complex_slice.homology_at(k)

@@ -150,3 +150,32 @@ def test_decompose_without_generators_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "generators" in err
     assert "Traceback" not in err
+
+
+def _case(key, value, location=None):
+    def mutate(doc):
+        doc[key] = value
+
+    return pytest.param(mutate, location or key, id=f"{key}={json.dumps(value)}")
+
+
+MALFORMED = [
+    pytest.param(lambda doc: doc.pop("action"), "roster[0]", id="roster-without-action"),
+    *[_case(key, value) for key in ("action", "group", "params") for value in (1, None, "x", [])],
+    _case("representations", 1),
+    _case("representations", "x"),
+    *[_case(key, value) for key in ("covering", "generators", "roster") for value in (1, None)],
+    _case("covering", ["x"]),
+    _case("roster", [], location="covering"),
+    _case("generators", "x"),
+    _case("generators", ["x"]),
+]
+
+
+@pytest.mark.parametrize("mutate, location", MALFORMED)
+def test_malformed_blocks_are_input_errors(tmp_path, capsys, mutate, location):
+    path = write_doc(tmp_path, "E1", mutate=mutate)
+    assert main(["decompose", path]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"{location}:" in err
+    assert "Traceback" not in err

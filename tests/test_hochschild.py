@@ -18,9 +18,11 @@ from equihh.examples import (
 from equihh.groups import permutation_action
 import equihh.hochschild as hochschild
 from equihh.hochschild import (
+    ChainMap,
     HochschildWindow,
+    HomotopyCertificate,
     InducedMap,
-    WindowBase,
+    LinearComboMap,
     build_window,
     compose_induced,
     conjugate_transport,
@@ -30,6 +32,7 @@ from equihh.hochschild import (
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_is_zero
 from equihh.scalars import QQ
 from tests_support import (
+    MatrixWindow,
     full_elimination_basis,
     reference_d1_chain,
     reference_d2_chain,
@@ -240,6 +243,23 @@ def test_conjugate_transport_identity_alpha_trivial():
         assert transported.homology_matrix(k) == base_map.homology_matrix(k)
 
 
+class Identity(ChainMap):
+    def _compute(self, k, idx):
+        return {idx: Fraction(1)}
+
+
+def test_homotopy_certificate_lists_failures():
+    # C^-1 -(id)-> C^0, C^1 = Q: id ≃ 0 in degree 0 through H_0 = id
+    win = MatrixWindow({-1: 1, 0: 1, 1: 1}, {-1: [[1]]})
+    ident, zero = Identity(win, win), LinearComboMap(win, win, [])
+    good = HomotopyCertificate(ident, zero, lambda k, idx: {0: Fraction(1)} if k == 0 else {})
+    assert good.check() and good.failures == [] and good.checked_degrees == [0]
+    for wrong in ({}, {0: Fraction(2)}):
+        bad = HomotopyCertificate(ident, zero, lambda k, idx: wrong if k == 0 else {})
+        assert not bad.check()
+        assert bad.failures == [(0, 0)] and bad.checked_degrees == [0]
+
+
 def test_empty_category_window_is_exact_and_zero():
     cat = DgCategory(QQ, ["a"], {}, {}, {}, {"a": {}})
     res = hh_dimensions(cat, identity_functor(cat), [-1, 0])
@@ -308,26 +328,6 @@ def test_chain_index_accepts_plain_pairs():
 
 # ---------------------------------------------------------------------------
 # early stop of boundary elimination
-
-
-class MatrixWindow(WindowBase):
-    """A window over hand-written differentials {degree: rows}."""
-
-    def __init__(self, dims, rows_by_degree):
-        self.lo = min(dims)
-        self.hi = max(dims)
-        self._chains = {k: list(range(n)) for k, n in dims.items()}
-        self._homology = {}
-        self._mats = {}
-        for k, rows in rows_by_degree.items():
-            mat = SparseMatrix(dims[k + 1], dims[k])
-            for i, row in enumerate(rows):
-                for j, x in enumerate(row):
-                    mat.set(i, j, Fraction(x))
-            self._mats[k] = mat
-
-    def differential(self, k):
-        return self._mats[k]
 
 
 def unit_vectors(n):

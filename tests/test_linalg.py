@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from equihh.errors import WindowError
 from equihh.linalg import (
-    ComplexSlice,
     Echelon,
-    GradedMap,
-    GradedSpace,
     SparseMatrix,
+    matrix_inverse,
     rank_kernel_image,
     vec_is_zero,
 )
+from tests_support import MatrixWindow
 
 
 def test_rank_kernel_proportional_rows():
@@ -70,47 +69,64 @@ def test_echelon_express():
     assert ech.express({2: Fraction(1)}) is None
 
 
-def make_slice(dims, mats, lo, hi):
-    space = GradedSpace({k: [f"e{k}_{i}" for i in range(n)] for k, n in dims.items()})
-    matrices = {
-        k: SparseMatrix.from_rows(m) if m is not None else None for k, m in mats.items()
-    }
-    d = GradedMap(space, space, 1, matrices)
-    return ComplexSlice(space, d, lo, hi)
+def test_echelon_solve_over_tags():
+    ech = Echelon()
+    ech.add({0: Fraction(1), 1: Fraction(1)}, tag="a")
+    ech.add({1: Fraction(2)})  # untagged: spans, but carries no coordinate
+    ech.add({1: Fraction(1), 2: Fraction(1)}, tag="b")
+    # 3·(e0 + e1) + 2·(e1 + e2) - 5/2·(2 e1)
+    assert ech.solve({0: Fraction(3), 2: Fraction(2)}) == {"a": 3, "b": 2}
+    assert ech.solve({1: Fraction(4)}) == {}
+    assert ech.solve({}) == {}
+    assert ech.solve({3: Fraction(1)}) is None
+    assert ech.solve({0: Fraction(1), 3: Fraction(1)}) is None
+
+
+def test_matrix_inverse_and_singular():
+    m = SparseMatrix.from_rows([[2, 1], [1, 1]])
+    assert matrix_inverse(m).to_rows() == [[1, -1], [-1, 2]]
+    assert matrix_inverse(m) * m == SparseMatrix.identity(2)
+    assert matrix_inverse(SparseMatrix.from_rows([[1, 2], [2, 4]])) is None
+    assert matrix_inverse(SparseMatrix(2, 3)) is None
+
+
+def window(dims, rows, lo, hi):
+    """MatrixWindow over degrees lo..hi, empty where dims has no entry."""
+    return MatrixWindow({k: dims.get(k, 0) for k in range(lo, hi + 1)}, rows)
 
 
 def test_homology_exact_complex():
     # 0 -> Q -(id)-> Q -> 0 in degrees 0, 1
-    sl = make_slice({0: 1, 1: 1}, {0: [[1]]}, -1, 2)
-    assert sl.homology_at(0) == (0, [])
-    assert sl.homology_at(1)[0] == 0
+    win = window({0: 1, 1: 1}, {0: [[1]]}, -1, 2)
+    assert win.homology(0) == (0, [])
+    assert win.homology(1)[0] == 0
 
 
 def test_homology_zero_differential():
-    sl = make_slice({0: 2, 1: 3, 2: 1}, {}, -1, 3)
-    assert sl.homology_at(0)[0] == 2
-    assert sl.homology_at(1)[0] == 3
-    assert sl.homology_at(2)[0] == 1
+    win = window({0: 2, 1: 3, 2: 1}, {}, -1, 3)
+    assert win.homology(0)[0] == 2
+    assert win.homology(1)[0] == 3
+    assert win.homology(2)[0] == 1
 
 
 def test_homology_rank_nullity_by_hand():
     # d = [[1, 1]] from Q^2 (degree 0) to Q (degree 1): kernel is 1-dim
-    sl = make_slice({0: 2, 1: 1}, {0: [[1, 1]]}, -1, 2)
-    dim, reps = sl.homology_at(0)
+    win = window({0: 2, 1: 1}, {0: [[1, 1]]}, -1, 2)
+    dim, reps = win.homology(0)
     assert dim == 1
     assert len(reps) == 1
 
 
 def test_window_error():
-    sl = make_slice({0: 1}, {}, 0, 1)
+    win = window({0: 1}, {}, 0, 1)
     with pytest.raises(WindowError):
-        sl.homology_at(0)
+        win.homology(0)
 
 
 def test_d_squared_checked():
-    # d0 = id, d1 = id: d^2 = id != 0 must be rejected
-    with pytest.raises(ValueError):
-        make_slice({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, 0, 2)
+    # d0 = id, d1 = id: d^2 = id != 0 is reported at degree 0, column 0
+    win = window({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, 0, 2)
+    assert win.verify_d_squared() == (1, [(0, 0)])
 
 
 def test_matrix_product_and_transpose():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from equihh.dgcat import NatTransform, algebra_category, identity_functor, parity_sign
 from equihh.groups import FiniteGroup, GroupAction
-from equihh.hochschild import HomologyBasis
+from equihh.hochschild import HomologyBasis, WindowBase
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image
 from equihh.scalars import QQ
 
@@ -96,3 +96,26 @@ def full_elimination_basis(win, k):
         if residual:
             reps.append(cyc)
     return HomologyBasis(win, k, reps, ech)
+
+
+class MatrixWindow(WindowBase):
+    """A window over hand-written differentials {degree: rows}; degrees
+    without rows get a zero differential."""
+
+    def __init__(self, dims, rows_by_degree):
+        self.lo = min(dims)
+        self.hi = max(dims)
+        self._chains = {k: list(range(n)) for k, n in dims.items()}
+        self._homology = {}
+        self._mats = {}
+        for k, rows in rows_by_degree.items():
+            mat = SparseMatrix(dims[k + 1], dims[k])
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    mat.set(i, j, Fraction(x))
+            self._mats[k] = mat
+
+    def differential(self, k):
+        if k in self._mats:
+            return self._mats[k]
+        return SparseMatrix(self.dim(k + 1), self.dim(k))
