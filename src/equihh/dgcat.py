@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapacityError, EmptyCategoryError, StructureError
-from .linalg import GradedSpace
+from .linalg import GradedSpace, vec_add, vec_axpy, vec_sub
 
 
 def parity_sign(n: int) -> int:
@@ -43,18 +43,11 @@ class Mor:
 
     def __add__(self, other):
         assert self.src == other.src and self.tgt == other.tgt
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return Mor(self.src, self.tgt, out)
+        return Mor(self.src, self.tgt, vec_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        assert self.src == other.src and self.tgt == other.tgt
+        return Mor(self.src, self.tgt, vec_sub(self.coeffs, other.coeffs))
 
     def scale(self, c):
         if not c:
@@ -194,26 +187,18 @@ class DgCategory:
         for gk, cg in g.coeffs.items():
             for fk, cf in f.coeffs.items():
                 prod = table.get((gk, fk))
-                if not prod:
-                    continue
-                c = cg * cf
-                for hk, ch in prod.items():
-                    s = out.get(hk)
-                    s = c * ch if s is None else s + c * ch
-                    if s:
-                        out[hk] = s
-                    elif hk in out:
-                        del out[hk]
+                if prod:
+                    vec_axpy(out, cg * cf, prod)
         return Mor(g.src, f.tgt, out)
 
     def d(self, f: Mor) -> Mor:
         table = self.diff.get((f.src, f.tgt), {})
-        out = Mor(f.src, f.tgt, {})
+        out = {}
         for key, c in f.coeffs.items():
             img = table.get(key)
             if img:
-                out = out + Mor(f.src, f.tgt, img).scale(c)
-        return out
+                vec_axpy(out, c, img)
+        return Mor(f.src, f.tgt, out)
 
     def invert(self, f: Mor):
         """Two-sided inverse of a degree-0 morphism, or None.
@@ -357,15 +342,16 @@ class DgFunctor:
             table = self.mor_map[(f.src, f.tgt)]
         except KeyError:
             table = {}
-        out = Mor(self.apply_obj(f.src), self.apply_obj(f.tgt), {})
+        src, tgt = self.apply_obj(f.src), self.apply_obj(f.tgt)
+        out = {}
         for key, c in f.coeffs.items():
             img = table.get(key)
             if img is None:
                 raise StructureError(
                     f"functor {self.name} has no action on {key} in {f.src}->{f.tgt}"
                 )
-            out = out + img.scale(c)
-        return out
+            vec_axpy(out, c, img.coeffs)
+        return Mor(src, tgt, out)
 
     def __repr__(self):
         return f"DgFunctor({self.name or hex(id(self))})"

@@ -33,6 +33,14 @@ BLOCK_TYPES = {
 }
 
 
+def _expect(value, kind, location):
+    """``value`` after checking that its JSON type is ``kind`` (dict for
+    an object, list for an array)."""
+    if not isinstance(value, kind):
+        raise InputError(f"must be a JSON {'object' if kind is dict else 'array'}", location)
+    return value
+
+
 def _coeffs(entry, field, degrees_of, location):
     out = {}
     for label, value in entry.items():
@@ -53,8 +61,8 @@ def parse_document(doc) -> ExampleBundle:
     if doc.get("schema") != SCHEMA:
         raise InputError(f"unknown schema {doc.get('schema')!r}", "schema")
     for key, kind in BLOCK_TYPES.items():
-        if key in doc and not isinstance(doc[key], kind):
-            raise InputError(f"must be a JSON {'object' if kind is dict else 'array'}", key)
+        if key in doc:
+            _expect(doc[key], kind, key)
     field = parse_field(doc.get("field", "q"))
 
     cat_doc = doc.get("category")
@@ -138,7 +146,7 @@ def parse_document(doc) -> ExampleBundle:
     action = None
     if "group" in doc:
         gdoc = doc["group"]
-        elements = list(gdoc.get("elements", []))
+        elements = list(_expect(gdoc.get("elements", []), list, "group.elements"))
         table = {}
         raw = gdoc.get("table", {})
         for a in elements:
@@ -225,7 +233,7 @@ def parse_document(doc) -> ExampleBundle:
     declared = []
     for i, r in enumerate(doc.get("roster", [])):
         loc = f"roster[{i}]"
-        name = r.get("name")
+        name = _expect(r, dict, loc).get("name")
         underlying = tuple(r.get("objects", []))
         if not name:
             raise InputError("roster entry without a name", loc)
@@ -260,7 +268,7 @@ def parse_document(doc) -> ExampleBundle:
     for name, r in doc.get("representations", {}).items():
         if group is None:
             raise InputError("representations require a group", f"representations[{name}]")
-        dim = int(r.get("dim", 0))
+        dim = int(_expect(r, dict, f"representations[{name}]").get("dim", 0))
         mats = {}
         for g in group.elements:
             rows = (r.get("matrices") or {}).get(g)
@@ -279,7 +287,9 @@ def parse_document(doc) -> ExampleBundle:
         if name not in roster_names:
             raise InputError(f"{name!r} is not a roster name", "covering")
     params = doc.get("params", {})
-    degrees = tuple(params.get("degrees", (0, 0)))
+    degrees = _expect(params.get("degrees", [0, 0]), list, "params.degrees")
+    if not degrees or any(type(d) is not int for d in degrees):
+        raise InputError("must be a non-empty array of integers", "params.degrees")
     return ExampleBundle(
         name=doc.get("name", "document"),
         description=doc.get("description", ""),

@@ -31,7 +31,7 @@ from .dgcat import (
 )
 from .errors import CapacityError, StructureError
 from .groups import GroupAction
-from .linalg import Echelon, GradedSpace, SparseMatrix, rank_kernel_image
+from .linalg import Echelon, GradedSpace, SparseMatrix, rank_kernel_image, vec_axpy
 
 
 def closure_under_action(action: GroupAction, tuples):
@@ -384,10 +384,10 @@ class EquivariantCategory:
         table = self._solved[(sn, tn)]
         src = self.roster[sn]
         tgt = self.roster[tn]
-        out = Mor(src.underlying, tgt.underlying, {})
+        out = {}
         for key, c in mor.coeffs.items():
-            out = out + Mor(src.underlying, tgt.underlying, table[key]).scale(c)
-        return out
+            vec_axpy(out, c, table[key])
+        return Mor(src.underlying, tgt.underlying, out)
 
     def restrict(self, amb: Mor, src_name, tgt_name) -> Mor | None:
         """Ambient morphism -> roster morphism, or None if it is not

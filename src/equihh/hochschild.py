@@ -46,9 +46,9 @@ from .linalg import (
     SparseMatrix,
     rank_kernel_image,
     vec_add,
+    vec_axpy,
     vec_eq,
     vec_is_zero,
-    vec_scale,
     vec_sub,
 )
 
@@ -309,17 +309,30 @@ class HochschildWindow(WindowBase):
         return self.category.basis_mor(x, y, *key)
 
     def _add_image(self, out, objs, mors, sign):
-        """Accumulate the multilinear expansion of per-slot morphisms into
-        the chain-index vector ``out``; unseen in-window targets are an error."""
+        """Accumulate ``sign`` (±1) times the multilinear expansion of
+        per-slot morphisms into the chain-index vector ``out``; unseen
+        in-window targets are an error."""
         items = [list(m.coeffs.items()) for m in mors]
         if any(not it for it in items):
             return
         for combo in itertools.product(*items):
             keys = tuple(k for k, _ in combo)
             coeff = None
+            # units are not multiplied, as in vec_axpy
             for _, c in combo:
-                coeff = c if coeff is None else coeff * c
-            self._add_term(out, objs, keys, sign * coeff)
+                if coeff is None:
+                    coeff = c
+                elif c == 1:
+                    pass
+                elif c == -1:
+                    coeff = -coeff
+                elif coeff == 1:
+                    coeff = c
+                elif coeff == -1:
+                    coeff = -c
+                else:
+                    coeff = coeff * c
+            self._add_term(out, objs, keys, coeff if sign > 0 else -coeff)
 
     def _add_term(self, out, objs, keys, c):
         """Add c times the chain (objs, keys) to ``out``."""
@@ -385,7 +398,8 @@ class HochschildWindow(WindowBase):
                     d1.cols[j] = col1
                 if col2:
                     d2.cols[j] = col2
-                total.cols[j] = vec_add(col2, vec_scale(parity_sign(m), col1))
+                # d2 keeps col2, so the total starts from a copy
+                total.cols[j] = vec_axpy(dict(col2), parity_sign(m), col1)
             self._d1[k] = d1
             self._d2[k] = d2
             self._total[k] = total
@@ -464,7 +478,7 @@ class ChainMap:
     def apply_vec(self, k, vec):
         out = {}
         for idx, c in vec.items():
-            out = vec_add(out, vec_scale(c, self.apply_chain(k, idx)))
+            vec_axpy(out, c, self.apply_chain(k, idx))
         return out
 
     def matrix(self, k) -> SparseMatrix:
@@ -553,7 +567,7 @@ class LinearComboMap(ChainMap):
     def _compute(self, k, idx):
         out = {}
         for c, part in self.parts:
-            out = vec_add(out, vec_scale(c, part.apply_chain(k, idx)))
+            vec_axpy(out, c, part.apply_chain(k, idx))
         return out
 
 
@@ -619,7 +633,7 @@ class DHPlusHD(ChainMap):
     def _compute(self, k, idx):
         dh = self.tgt.differential(k - 1).apply(self.h_map.apply_chain(k, idx))
         if k < self.src.hi:
-            return vec_add(dh, self.h_map.apply_vec(k + 1, self.src.differential(k).cols[idx]))
+            return vec_axpy(dh, 1, self.h_map.apply_vec(k + 1, self.src.differential(k).cols[idx]))
         return dh
 
 
@@ -889,7 +903,7 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
             if upper is not None:
                 carried = {}
                 for xu, c in d_src_k.cols[x].items():
-                    carried = vec_add(carried, vec_scale(c, upper[xu]))
+                    vec_axpy(carried, c, upper[xu])
                 target = vec_sub(target, carried)
             col = ech_k.solve(target)
             if col is None:
@@ -966,7 +980,7 @@ def verify_trace_decomposition(
         def h_formula(k, idx):
             out = {}
             for h in h_parts:
-                out = vec_add(out, h(k, idx))
+                vec_axpy(out, 1, h(k, idx))
             return out
 
         cert = HomotopyCertificate(total_map, summand_sum, h_formula, name="trace decomposition")

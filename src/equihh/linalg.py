@@ -4,6 +4,15 @@ Everything here is deterministic: elimination processes columns in
 ascending index and pivots on the lowest nonzero row, so bases and
 reports are reproducible run to run.  Vectors are dicts ``{row: scalar}``
 with no explicit zeros; matrices store columns the same way.
+
+``vec_axpy(u, c, v)`` (``u += c·v``) is the one kernel for adding a scaled
+vector.  It changes ``u`` in place and returns it, leaves ``v`` alone,
+drops entries that cancel and appends new keys in ``v``'s order, so keys
+come out in the order of ``vec_add(u, vec_scale(c, v))``.  Units are not
+multiplied: for ``c == 1`` it adds the entries of ``v`` as they are, for
+``c == -1`` it subtracts them, and for ``c == 0`` it returns ``u``
+unchanged; only other scalars are multiplied.  Most scalars in
+elimination and chain-map evaluation are ±1.
 """
 
 from __future__ import annotations
@@ -13,16 +22,48 @@ from fractions import Fraction
 from .scalars import invert_scalar
 
 
+def vec_axpy(u, c, v):
+    """u += c·v in place; returns u."""
+    if not c:
+        return u
+    get = u.get
+    if c == 1:
+        for k, x in v.items():
+            y = get(k)
+            if y is None:
+                if x:
+                    u[k] = x
+            else:
+                s = y + x
+                if s:
+                    u[k] = s
+                else:
+                    del u[k]
+    elif c == -1:
+        for k, x in v.items():
+            y = get(k)
+            if y is None:
+                if x:
+                    u[k] = -x
+            else:
+                s = y - x
+                if s:
+                    u[k] = s
+                else:
+                    del u[k]
+    else:
+        for k, x in v.items():
+            y = get(k)
+            s = c * x if y is None else y + c * x
+            if s:
+                u[k] = s
+            elif y is not None:
+                del u[k]
+    return u
+
+
 def vec_add(u, v):
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k)
-        s = x if y is None else y + x
-        if s:
-            out[k] = s
-        elif y is not None:
-            del out[k]
-    return out
+    return vec_axpy(dict(u), 1, v)
 
 
 def vec_scale(c, v):
@@ -32,7 +73,7 @@ def vec_scale(c, v):
 
 
 def vec_sub(u, v):
-    return vec_add(u, vec_scale(-1, v))
+    return vec_axpy(dict(u), -1, v)
 
 
 def vec_is_zero(v):
@@ -95,15 +136,7 @@ class SparseMatrix:
         """Matrix times column vector (vector as {index: scalar})."""
         out = {}
         for j, x in vec.items():
-            if not x:
-                continue
-            for i, y in self.cols[j].items():
-                s = out.get(i)
-                s = x * y if s is None else s + x * y
-                if s:
-                    out[i] = s
-                elif i in out:
-                    del out[i]
+            vec_axpy(out, x, self.cols[j])
         return out
 
     def __mul__(self, other):
@@ -118,12 +151,15 @@ class SparseMatrix:
                 out.cols[j] = col
         return out
 
-    def __add__(self, other):
+    def _columnwise(self, op, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         out = SparseMatrix(self.nrows, self.ncols)
-        out.cols = [vec_add(a, b) for a, b in zip(self.cols, other.cols)]
+        out.cols = [op(a, b) for a, b in zip(self.cols, other.cols)]
         return out
+
+    def __add__(self, other):
+        return self._columnwise(vec_add, other)
 
     def scale(self, c):
         out = SparseMatrix(self.nrows, self.ncols)
@@ -131,7 +167,7 @@ class SparseMatrix:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._columnwise(vec_sub, other)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -183,8 +219,8 @@ class Echelon:
             if not c:
                 continue
             pos = self.pivots[row]
-            vec = vec_sub(vec, vec_scale(c, self.columns[pos]))
-            combo = vec_sub(combo, vec_scale(c, self.combos[pos]))
+            vec_axpy(vec, -c, self.columns[pos])
+            vec_axpy(combo, -c, self.combos[pos])
         return vec, combo
 
     def add(self, vec, tag=None, combo=None):
@@ -199,12 +235,13 @@ class Echelon:
         inv = invert_scalar(vec[pivot])
         vec = vec_scale(inv, vec)
         combo = vec_scale(inv, combo)
-        # eliminate the new pivot row from existing columns
+        # eliminate the new pivot row from existing columns; stored columns
+        # may be held by callers (add returns them), so change copies
         for pos, col in enumerate(self.columns):
             c = col.get(pivot)
             if c:
-                self.columns[pos] = vec_sub(col, vec_scale(c, vec))
-                self.combos[pos] = vec_sub(self.combos[pos], vec_scale(c, combo))
+                self.columns[pos] = vec_axpy(dict(col), -c, vec)
+                self.combos[pos] = vec_axpy(dict(self.combos[pos]), -c, combo)
         self.pivots[pivot] = len(self.columns)
         self.columns.append(vec)
         self.combos.append(combo)
@@ -220,7 +257,7 @@ class Echelon:
             if not c:
                 continue
             pos = self.pivots[row]
-            vec = vec_sub(vec, vec_scale(c, self.columns[pos]))
+            vec_axpy(vec, -c, self.columns[pos])
             coords[pos] = c
         if not vec_is_zero(vec):
             return None
@@ -234,13 +271,7 @@ class Echelon:
             return None
         out = {}
         for pos, c in coords.items():
-            for tag, w in self.combos[pos].items():
-                s = out.get(tag)
-                s = c * w if s is None else s + c * w
-                if s:
-                    out[tag] = s
-                elif tag in out:
-                    del out[tag]
+            vec_axpy(out, c, self.combos[pos])
         return out
 
 

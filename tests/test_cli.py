@@ -159,6 +159,13 @@ def _case(key, value, location=None):
     return pytest.param(mutate, location or key, id=f"{key}={json.dumps(value)}")
 
 
+def _nested_case(block, key, value, location):
+    def mutate(doc):
+        doc[block][key] = value
+
+    return pytest.param(mutate, location, id=f"{block}.{key}={json.dumps(value)}")
+
+
 MALFORMED = [
     pytest.param(lambda doc: doc.pop("action"), "roster[0]", id="roster-without-action"),
     *[_case(key, value) for key in ("action", "group", "params") for value in (1, None, "x", [])],
@@ -169,6 +176,10 @@ MALFORMED = [
     _case("roster", [], location="covering"),
     _case("generators", "x"),
     _case("generators", ["x"]),
+    _nested_case("params", "degrees", 1, "params.degrees"),
+    _nested_case("group", "elements", 1, "group.elements"),
+    pytest.param(lambda doc: doc["roster"].insert(0, 1), "roster[0]", id="roster[0]=1"),
+    _nested_case("representations", "x", 1, "representations[x]"),
 ]
 
 

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 from equihh.decomposition import DecompositionPipeline
-from equihh.dgcat import DgCategory, algebra_category, identity_functor, tensor_category, validate_dgcat
+from equihh.dgcat import (
+    DgCategory,
+    DgFunctor,
+    Mor,
+    algebra_category,
+    identity_functor,
+    parity_sign,
+    tensor_category,
+    validate_dgcat,
+)
 from equihh.errors import StructureError, TruncationError, WindowError
 from equihh.examples import (
     example_e1,
@@ -30,13 +39,18 @@ from equihh.hochschild import (
     centralizer_action_map,
 )
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_is_zero
-from equihh.scalars import QQ
+from equihh.scalars import QQ, CyclotomicField, Cyc
 from tests_support import (
     MatrixWindow,
+    assert_elimination_matches_reference,
     full_elimination_basis,
     reference_d1_chain,
     reference_d2_chain,
+    reference_homology,
     reference_matrix,
+    reference_vec_add,
+    reference_vec_scale,
+    typed,
 )
 
 
@@ -271,17 +285,40 @@ def test_empty_category_window_is_exact_and_zero():
 # table-driven d1/d2 against the per-chain Mor reference
 
 
-def cyclic_group_algebra(n):
+def cyclic_group_algebra(n, field=QQ):
     names = [f"g{i}" for i in range(n)]
     products = {(names[i], names[j]): {names[(i + j) % n]: 1} for i in range(n) for j in range(n)}
-    return algebra_category(QQ, "pt", [(g, 0) for g in names], products, unit="g0")
+    return algebra_category(field, "pt", [(g, 0) for g in names], products, unit="g0")
 
 
-def reference_windows():
+def cyclotomic_windows():
+    """k[Z/3] over Q(zeta_3), untwisted and twisted by the character
+    automorphism g_i -> zeta^i g_i."""
+    field = CyclotomicField(3)
+    cat = cyclic_group_algebra(3, field)
+    zeta = field.zeta()
+    twist = {
+        (0, f"g{i}"): Mor("pt", "pt", {(0, f"g{i}"): c})
+        for i, c in enumerate([field.one, zeta, zeta * zeta])
+    }
+    character = DgFunctor(cat, cat, {"pt": "pt"}, {("pt", "pt"): twist}, name="chi")
+    return [build_window(cat, identity_functor(cat), -3, 1), build_window(cat, character, -3, 1)]
+
+
+def example_windows():
     for name in ["E1", "E2", "E3", "E4", "E5"]:
         b = get_example(name)
         lo, hi = b.degrees
         yield build_window(b.base, identity_functor(b.base), lo - 1, hi + 1, bar_cap=b.bar_cap)
+
+
+def ladder_windows():
+    for n in (2, 3, 4):
+        yield window_for(cyclic_group_algebra(n), (-4, 1))
+
+
+def reference_windows():
+    yield from example_windows()
     e2 = example_e2()
     for g in e2.group.elements:
         yield build_window(e2.base, e2.action.rho(g), -3, 1)
@@ -298,12 +335,11 @@ def reference_windows():
     yield window_for(negative_degree_exterior_category(), (-4, 1))
     good, _ = leibniz_sabotage_pair()
     yield window_for(good, (-2, 2), cap=3)
-    for n in (2, 3, 4):
-        yield window_for(cyclic_group_algebra(n), (-4, 1))
+    yield from ladder_windows()
 
 
 def columns(mat):
-    return [list(col.items()) for col in mat.cols]
+    return [typed(col) for col in mat.cols]
 
 
 def test_table_differentials_match_mor_reference():
@@ -316,6 +352,36 @@ def test_table_differentials_match_mor_reference():
             assert columns(win.d2_matrix(k)) == columns(d2), (win.category.objects, k)
             d1_nonzero += d1.nnz()
     assert d1_nonzero  # the Leibniz category has an internal differential
+
+
+def test_elimination_matches_two_pass_reference():
+    """Differentials, kernels, echelons and homology reps of the E1-E5
+    windows, the k[Z/n] ladder and two windows over Q(zeta_3) equal the
+    two-pass path entry by entry, in key order and in scalar type; over Q
+    every entry is a Fraction, over Q(zeta_3) every differential entry is
+    a Cyc."""
+    windows = [*example_windows(), *ladder_windows(), *cyclotomic_windows()]
+    for win in windows:
+        scalar = Fraction if win.category.field == QQ else Cyc
+        for k in range(win.lo, win.hi):
+            d1, d2, total = win.d1_matrix(k), win.d2_matrix(k), win.differential(k)
+            for j, chain in enumerate(win.chains_at(k)):
+                sign = parity_sign(chain.bar_degree)
+                want = reference_vec_add(d2.cols[j], reference_vec_scale(sign, d1.cols[j]))
+                assert typed(total.cols[j]) == typed(want)
+            assert all(type(x) is scalar for _, _, x in total.entries())
+            assert_elimination_matches_reference(total)
+        for k in range(win.lo + 1, win.hi):
+            reps, ech = reference_homology(win, k)
+            got = win.homology_basis(k)
+            assert [typed(v) for v in got.reps] == [typed(v) for v in reps]
+            assert list(got._ech.pivots.items()) == list(ech.pivots.items())
+            assert [typed(v) for v in got._ech.columns] == [typed(v) for v in ech.columns]
+            assert [typed(v) for v in got._ech.combos] == [typed(v) for v in ech.combos]
+            # over Q(zeta_3) the kernel seed of a cycle's own column is a
+            # rational 1, on this path as on the reference
+            if scalar is Fraction:
+                assert all(type(x) is Fraction for rep in got.reps for x in rep.values())
 
 
 def test_chain_index_accepts_plain_pairs():

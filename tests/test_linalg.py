@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,60 @@ from equihh.linalg import (
     SparseMatrix,
     matrix_inverse,
     rank_kernel_image,
+    vec_add,
+    vec_axpy,
     vec_is_zero,
+    vec_scale,
 )
-from tests_support import MatrixWindow
+from equihh.scalars import CyclotomicField
+from tests_support import (
+    MatrixWindow,
+    assert_elimination_matches_reference,
+    reference_vec_add,
+    reference_vec_scale,
+    typed,
+)
+
+Q = Fraction
+CYC = CyclotomicField(3)
+ZETA = CYC.zeta()
+U_Q = {0: Q(1), 2: Q(-3, 2), 5: Q(2)}
+U_CYC = {0: CYC.one, 1: ZETA}
+
+# (u, c, v, the key of u that cancels or None)
+AXPY_CASES = [
+    pytest.param(U_Q, 0, {2: Q(3, 2), 7: Q(1)}, None, id="zero"),
+    pytest.param(U_Q, 1, {7: Q(1), 2: Q(3, 2), 1: Q(-1)}, 2, id="one"),
+    pytest.param(U_Q, -1, {7: Q(1), 5: Q(2), 0: Q(1, 2)}, 5, id="minus-one"),
+    pytest.param(U_Q, Q(-1), {2: Q(-3, 2), 3: Q(4)}, 2, id="fraction-minus-one"),
+    pytest.param(U_Q, Q(3, 2), {7: Q(1), 2: Q(1), 0: Q(1, 3)}, 2, id="fraction"),
+    pytest.param(U_CYC, CYC.one, {3: ZETA, 1: -ZETA}, 1, id="cyc-one"),
+    pytest.param(U_CYC, -CYC.one, {1: ZETA, 3: ZETA}, 1, id="cyc-minus-one"),
+    pytest.param(U_CYC, ZETA, {4: ZETA * ZETA, 1: -CYC.one, 0: ZETA}, 1, id="cyc"),
+]
+
+
+@pytest.mark.parametrize("u, c, v, cancelled", AXPY_CASES)
+def test_vec_axpy_matches_two_pass(u, c, v, cancelled):
+    u = dict(u)
+    v_before = typed(v)
+    want = typed(vec_add(u, vec_scale(c, v)))
+    assert want == typed(reference_vec_add(u, reference_vec_scale(c, v)))
+    out = vec_axpy(u, c, v)
+    assert out is u  # changed in place
+    assert typed(u) == want  # same values, key order and scalar types
+    assert typed(v) == v_before
+    if cancelled is not None:
+        assert cancelled not in u
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elimination_matches_two_pass_reference(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(3, 8), rng.randint(3, 9)
+    entries = [0, 0, 0, 1, -1, 1, -1, 2, -3]
+    rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+    assert_elimination_matches_reference(SparseMatrix.from_rows(rows))
 
 
 def test_rank_kernel_proportional_rows():

@@ -1,12 +1,13 @@
 """Shared fixtures for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 from equihh.dgcat import NatTransform, algebra_category, identity_functor, parity_sign
 from equihh.groups import FiniteGroup, GroupAction
 from equihh.hochschild import HomologyBasis, WindowBase
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image
-from equihh.scalars import QQ
+from equihh.scalars import QQ, invert_scalar
 
 
 def scaled_action():
@@ -32,6 +33,172 @@ def scaled_action():
 
 
 # -- reference paths for the fast window code -------------------------------
+#
+# The two-pass vector arithmetic below multiplies by every scalar, ±1
+# included, and copies on every update.  It is the reference that the
+# unit-aware, in-place vec_axpy is compared against.
+
+
+def reference_vec_add(u, v):
+    out = dict(u)
+    for k, x in v.items():
+        y = out.get(k)
+        s = x if y is None else y + x
+        if s:
+            out[k] = s
+        elif y is not None:
+            del out[k]
+    return out
+
+
+def reference_vec_scale(c, v):
+    if not c:
+        return {}
+    return {k: c * x for k, x in v.items()}
+
+
+def reference_vec_sub(u, v):
+    return reference_vec_add(u, reference_vec_scale(-1, v))
+
+
+def reference_apply(mat, vec):
+    out = {}
+    for j, x in vec.items():
+        out = reference_vec_add(out, reference_vec_scale(x, mat.cols[j]))
+    return out
+
+
+class ReferenceEchelon:
+    """Echelon with the two-pass update vec - c·col: same pivoting, same
+    bookkeeping, no in-place change and no unit shortcut."""
+
+    def __init__(self):
+        self.columns = []
+        self.pivots = {}
+        self.combos = []
+
+    @property
+    def rank(self):
+        return len(self.columns)
+
+    def _reduce(self, vec, combo):
+        for row in sorted(set(vec) & set(self.pivots)):
+            c = vec.get(row)
+            if not c:
+                continue
+            pos = self.pivots[row]
+            vec = reference_vec_sub(vec, reference_vec_scale(c, self.columns[pos]))
+            combo = reference_vec_sub(combo, reference_vec_scale(c, self.combos[pos]))
+        return vec, combo
+
+    def add(self, vec, tag=None):
+        combo = {tag: Fraction(1)} if tag is not None else {}
+        vec, combo = self._reduce(dict(vec), combo)
+        if not any(vec.values()):
+            return {}, combo
+        pivot = min(vec)
+        inv = invert_scalar(vec[pivot])
+        vec = reference_vec_scale(inv, vec)
+        combo = reference_vec_scale(inv, combo)
+        for pos, col in enumerate(self.columns):
+            c = col.get(pivot)
+            if c:
+                self.columns[pos] = reference_vec_sub(col, reference_vec_scale(c, vec))
+                self.combos[pos] = reference_vec_sub(
+                    self.combos[pos], reference_vec_scale(c, combo)
+                )
+        self.pivots[pivot] = len(self.columns)
+        self.columns.append(vec)
+        self.combos.append(combo)
+        return vec, combo
+
+    def solve(self, vec):
+        coords = {}
+        for row in sorted(set(vec) & set(self.pivots)):
+            c = vec.get(row)
+            if not c:
+                continue
+            pos = self.pivots[row]
+            vec = reference_vec_sub(vec, reference_vec_scale(c, self.columns[pos]))
+            coords[pos] = c
+        if any(vec.values()):
+            return None
+        out = {}
+        for pos, c in coords.items():
+            out = reference_vec_add(out, reference_vec_scale(c, self.combos[pos]))
+        return out
+
+
+def reference_rank_kernel_image(matrix):
+    ech = ReferenceEchelon()
+    kernel = []
+    for j in range(matrix.ncols):
+        residual, combo = ech.add(matrix.cols[j], tag=j)
+        if not residual:
+            kernel.append(combo)
+    return ech.rank, kernel, list(ech.columns), ech
+
+
+def reference_homology(win, k):
+    """(reps, echelon) of WindowBase.homology_basis on the reference path,
+    with the same early stop."""
+    d_k = win.differential(k)
+    _, cycles, _, _ = reference_rank_kernel_image(d_k)
+    ech = ReferenceEchelon()
+    d_prev = win.differential(k - 1)
+    closed = all(not reference_apply(d_k, col) for col in d_prev.cols)
+    for col in d_prev.cols:
+        if closed and ech.rank == len(cycles):
+            break
+        ech.add(col)
+    reps = []
+    for cyc in cycles:
+        residual, _ = ech.add(cyc, tag=len(reps))
+        if residual:
+            reps.append(cyc)
+    return reps, ech
+
+
+def typed(vec):
+    """Entries of a vector in key order, each with its scalar type."""
+    return [(k, x, type(x)) for k, x in vec.items()]
+
+
+def assert_elimination_matches_reference(mat, probes=8):
+    """rank_kernel_image and the Echelon agree with the two-pass reference
+    in pivots, reduced columns, combos, kernels and a few solves, entry by
+    entry, in key order and in scalar type."""
+    rank, kernel, image = rank_kernel_image(mat)
+    ref_rank, ref_kernel, ref_image, ref_ech = reference_rank_kernel_image(mat)
+    assert rank == ref_rank
+    assert [typed(v) for v in kernel] == [typed(v) for v in ref_kernel]
+    assert [typed(v) for v in image] == [typed(v) for v in ref_image]
+    ech = Echelon()
+    for j, col in enumerate(mat.cols):
+        ech.add(col, tag=j)
+    assert list(ech.pivots.items()) == list(ref_ech.pivots.items())
+    assert [typed(v) for v in ech.columns] == [typed(v) for v in ref_ech.columns]
+    assert [typed(v) for v in ech.combos] == [typed(v) for v in ref_ech.combos]
+    probe_vecs = mat.cols[:probes] + [{i: Fraction(1)} for i in range(min(probes, mat.nrows))]
+    for vec in probe_vecs:
+        got, want = ech.solve(vec), ref_ech.solve(vec)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert typed(got) == typed(want)
+
+
+def reference_add_image(win, out, objs, mors, sign):
+    """HochschildWindow._add_image multiplying every slot coefficient and
+    the sign."""
+    items = [list(m.coeffs.items()) for m in mors]
+    if any(not it for it in items):
+        return
+    for combo in itertools.product(*items):
+        keys = tuple(k for k, _ in combo)
+        coeff = None
+        for _, c in combo:
+            coeff = c if coeff is None else coeff * c
+        win._add_term(out, objs, keys, sign * coeff)
 
 
 def _basis_slots(win, chain):
@@ -41,7 +208,7 @@ def _basis_slots(win, chain):
 
 def reference_d1_chain(win, chain):
     """d1 of one basis chain through Mor objects: DgCategory.d on each slot,
-    expanded with HochschildWindow._add_image."""
+    expanded with reference_add_image."""
     cat = win.category
     out = {}
     slots = _basis_slots(win, chain)
@@ -51,7 +218,7 @@ def reference_d1_chain(win, chain):
         if not dslot.is_zero():
             mors = list(slots)
             mors[t] = dslot
-            win._add_image(out, chain.objects, mors, parity_sign(prefix))
+            reference_add_image(win, out, chain.objects, mors, parity_sign(prefix))
         prefix += chain.keys[t][0]
     return out
 
@@ -69,10 +236,10 @@ def reference_d2_chain(win, chain):
     for i in range(m):
         prod = cat.compose(slots[i], slots[i + 1])
         mors = slots[:i] + [prod] + slots[i + 2 :]
-        win._add_image(out, objs[: i + 1] + objs[i + 2 :], mors, parity_sign(i))
+        reference_add_image(win, out, objs[: i + 1] + objs[i + 2 :], mors, parity_sign(i))
     prod = cat.compose(win.functor.apply(slots[m]), slots[0])
     sign = parity_sign(m + degs[m] * sum(degs[:m]))
-    win._add_image(out, (objs[m],) + objs[1:m], [prod] + slots[1:m], sign)
+    reference_add_image(win, out, (objs[m],) + objs[1:m], [prod] + slots[1:m], sign)
     return out
 
 
