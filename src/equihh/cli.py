@@ -212,7 +212,7 @@ def cmd_kunneth(args):
     bijective = True
     for k in range(degrees[0], degrees[1] + 1):
         m = sh.homology_matrix(k)
-        rank, kernel, _ = rank_kernel_image(m)
+        rank, kernel = rank_kernel_image(m)
         is_bij = rank == m.nrows == m.ncols
         bijective = bijective and is_bij
         rows[str(k)] = {

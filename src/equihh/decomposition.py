@@ -650,7 +650,7 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
             if not _is_idempotent(avg):
                 checks["averaging_idempotent"] = False
                 witnesses.append(f"averaging projector for {g} not idempotent at degree {k}")
-            rank, _, _ = rank_kernel_image(avg)
+            rank, _ = rank_kernel_image(avg)
             block.summand_dims[k] = rank
     checks.setdefault("averaging_idempotent", True)
 
@@ -1056,7 +1056,7 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
         avg = total.scale(field.embed(Fraction(1, len(action.group))))
         if not _is_idempotent(avg):
             raise StructureError("averaged permutation action is not idempotent")
-        rank, _, _ = rank_kernel_image(avg)
+        rank, _ = rank_kernel_image(avg)
         invariant_dims[k] = rank
     return {
         "sym_dims": sym_dims,

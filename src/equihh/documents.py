@@ -68,7 +68,7 @@ def parse_document(doc) -> ExampleBundle:
     cat_doc = doc.get("category")
     if cat_doc is None:
         raise InputError("missing category block", "category")
-    objects = list(cat_doc.get("objects", []))
+    objects = list(_expect(cat_doc.get("objects", []), list, "category.objects"))
     if not objects:
         raise InputError("category has no objects", "category.objects")
     homs = {}
@@ -76,9 +76,9 @@ def parse_document(doc) -> ExampleBundle:
     comp = {}
     units = {}
     label_degrees = {}
-    for i, hom in enumerate(cat_doc.get("homs", [])):
+    for i, hom in enumerate(_expect(cat_doc.get("homs", []), list, "category.homs")):
         loc = f"category.homs[{i}]"
-        src, tgt = hom.get("source"), hom.get("target")
+        src, tgt = _expect(hom, dict, loc).get("source"), hom.get("target")
         if src not in objects or tgt not in objects:
             raise InputError(f"hom between unknown objects {src!r}, {tgt!r}", loc)
         basis = {}
@@ -148,7 +148,7 @@ def parse_document(doc) -> ExampleBundle:
         gdoc = doc["group"]
         elements = list(_expect(gdoc.get("elements", []), list, "group.elements"))
         table = {}
-        raw = gdoc.get("table", {})
+        raw = _expect(gdoc.get("table", {}), dict, "group.table")
         for a in elements:
             row = raw.get(a)
             if row is None:
@@ -163,8 +163,9 @@ def parse_document(doc) -> ExampleBundle:
             raise InputError("action without group", "action")
         adoc = doc["action"]
         functors = {}
+        functors_doc = _expect(adoc.get("functors") or {}, dict, "action.functors")
         for g in group.elements:
-            fdoc = (adoc.get("functors") or {}).get(g)
+            fdoc = functors_doc.get(g)
             loc = f"action.functors[{g}]"
             if fdoc is None or fdoc.get("identity"):
                 functors[g] = identity_functor(category, name=f"rho[{g}]")
@@ -243,8 +244,9 @@ def parse_document(doc) -> ExampleBundle:
         if action is None:
             raise InputError("roster requires a group action", loc)
         alpha_entries = {}
+        alpha = _expect(r.get("alpha") or {}, dict, f"{loc}.alpha")
         for g in group.elements:
-            rows = (r.get("alpha") or {}).get(g)
+            rows = alpha.get(g)
             if rows is None:
                 raise InputError(f"alpha missing for {g!r}", loc)
             entries = {}
@@ -270,8 +272,9 @@ def parse_document(doc) -> ExampleBundle:
             raise InputError("representations require a group", f"representations[{name}]")
         dim = int(_expect(r, dict, f"representations[{name}]").get("dim", 0))
         mats = {}
+        matrices = _expect(r.get("matrices") or {}, dict, f"representations[{name}].matrices")
         for g in group.elements:
-            rows = (r.get("matrices") or {}).get(g)
+            rows = matrices.get(g)
             if rows is None:
                 raise InputError(f"matrix missing for {g!r}", f"representations[{name}]")
             mats[g] = [[parse_scalar(v, field) for v in row] for row in rows]
@@ -290,6 +293,9 @@ def parse_document(doc) -> ExampleBundle:
     degrees = _expect(params.get("degrees", [0, 0]), list, "params.degrees")
     if not degrees or any(type(d) is not int for d in degrees):
         raise InputError("must be a non-empty array of integers", "params.degrees")
+    for key in ("bar_cap", "hull_cap"):
+        if key in params and type(params[key]) is not int:
+            raise InputError("must be an integer", f"params.{key}")
     return ExampleBundle(
         name=doc.get("name", "document"),
         description=doc.get("description", ""),

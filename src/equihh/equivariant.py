@@ -284,7 +284,7 @@ class EquivariantCategory:
             mat = SparseMatrix(len(rows), len(keys))
             for j, col in enumerate(matrix_cols):
                 mat.cols[j] = col
-            _, kernel, _ = rank_kernel_image(mat)
+            _, kernel = rank_kernel_image(mat)
             basis = []
             for vec in kernel:
                 coeffs = {keys[i]: v for i, v in vec.items()}

@@ -21,6 +21,19 @@ face F(a_n) a0 builds morphisms.  Homology stops adding boundaries to its
 echelon once the echelon is as large as the cycle space, provided every
 boundary column is a cycle; the skipped columns would reduce to zero.
 
+Most degrees of a window are acyclic, and homology proves it without a
+rational elimination.  With d_k∘d_{k-1} = 0 checked exactly,
+
+    rank_P(d_{k-1}) + rank_P(d_k) == dim C_k
+
+for ranks mod the prime P of ``linalg.rank_mod_p`` proves H_k = 0: the
+ranks mod P are lower bounds for the ranks over Q, and d∘d = 0 bounds
+rank(d_{k-1}) + rank(d_k) by dim C_k from above.  Such a degree keeps no
+echelon; a vector's class there is 0 exactly when it is a cycle.  The
+exact elimination runs when the test fails: the degree has homology, P
+divides a minor it needs, an entry is cyclotomic or has a denominator
+divisible by P, or d∘d ≠ 0.
+
 Everything downstream (induced maps, their composition and conjugation
 laws, homotopy certificates, the trace decomposition, the shuffle map and
 the centralizer action) operates on these windows with exact arithmetic.
@@ -45,6 +58,7 @@ from .linalg import (
     Echelon,
     SparseMatrix,
     rank_kernel_image,
+    rank_mod_p,
     vec_add,
     vec_axpy,
     vec_eq,
@@ -79,10 +93,6 @@ class Chain(NamedTuple):
     def bar_degree(self):
         return len(self.keys) - 1
 
-    @property
-    def total_degree(self):
-        return sum(k[0] for k in self.keys) - self.bar_degree
-
     def __repr__(self):
         return f"Chain({self.objects}, {self.keys})"
 
@@ -113,23 +123,12 @@ class WindowBase:
             )
         if k not in self._homology:
             d_k = self.differential(k)
-            _, cycles, _ = rank_kernel_image(d_k)
-            ech = Echelon()
             d_prev = self.differential(k - 1)
-            # When every boundary is a cycle, an echelon as large as the
-            # cycle space spans it: the remaining boundaries reduce to zero
-            # and leave the echelon unchanged, so adding them is skipped.
-            # Without d∘d = 0 every boundary is added.
             closed = all(not d_k.apply(col) for col in d_prev.cols)
-            for col in d_prev.cols:
-                if closed and ech.rank == len(cycles):
-                    break
-                ech.add(col, tag=None)
-            reps = []
-            for cyc in cycles:
-                residual, _ = ech.add(cyc, tag=len(reps))
-                if residual:
-                    reps.append(cyc)
+            if closed and _acyclic_mod_p(d_k, d_prev):
+                reps, ech = [], None
+            else:
+                reps, ech = _exact_homology(d_k, d_prev, closed)
             self._homology[k] = HomologyBasis(self, k, reps, ech)
         return self._homology[k]
 
@@ -146,10 +145,42 @@ class WindowBase:
         return count, bad
 
 
+def _acyclic_mod_p(d_k, d_prev):
+    """True when ranks mod P prove H = 0 between d_prev and d_k, given
+    d_k∘d_prev = 0: rank_P(d_prev) reaches dim C_k - rank_P(d_k)."""
+    rank = rank_mod_p(d_k)
+    if rank is None:
+        return False
+    need = d_k.ncols - rank
+    return rank_mod_p(d_prev, stop=need) == need
+
+
+def _exact_homology(d_k, d_prev, closed):
+    """(representatives, echelon) of homology between d_prev and d_k by
+    exact elimination; ``closed`` says d_k∘d_prev = 0."""
+    _, cycles = rank_kernel_image(d_k)
+    ech = Echelon()
+    # When every boundary is a cycle, an echelon as large as the cycle
+    # space spans it: the remaining boundaries reduce to zero and leave the
+    # echelon unchanged, so adding them is skipped.  Without d∘d = 0 every
+    # boundary is added.
+    for col in d_prev.cols:
+        if closed and ech.rank == len(cycles):
+            break
+        ech.add(col, tag=None)
+    reps = []
+    for cyc in cycles:
+        residual, _ = ech.add(cyc, tag=len(reps))
+        if residual:
+            reps.append(cyc)
+    return reps, ech
+
+
 class HomologyBasis:
     """Cycle representatives extending an echelon of the boundaries; each
     representative is tagged by its position, so solving against the
-    echelon gives class coordinates."""
+    echelon gives class coordinates.  A degree certified acyclic has no
+    representatives and no echelon (``echelon`` None)."""
 
     def __init__(self, window, degree, reps, echelon):
         self.window = window
@@ -164,7 +195,10 @@ class HomologyBasis:
     def express(self, vec):
         """Coordinates of a cycle's class over the representatives, or
         None if the vector is not a cycle-plus-boundary combination.
-        Boundaries are untagged, so they drop out."""
+        Boundaries are untagged, so they drop out; in a degree certified
+        acyclic every cycle is a boundary."""
+        if self._ech is None:
+            return None if self.window.differential(self.degree).apply(vec) else {}
         return self._ech.solve(vec)
 
 

@@ -13,6 +13,14 @@ multiplied: for ``c == 1`` it adds the entries of ``v`` as they are, for
 ``c == -1`` it subtracts them, and for ``c == 0`` it returns ``u``
 unchanged; only other scalars are multiplied.  Most scalars in
 elimination and chain-map evaluation are ±1.
+
+``rank_mod_p`` eliminates plain ints mod the prime P = 2^31 - 1 and
+proves only a lower bound for the rank over Q.  It reads an entry n/d as
+n·d^-1 mod P, the entry of the matrix whose columns are cleared of
+denominators, times a unit mod P; a minor of that integer matrix that is
+nonzero mod P is nonzero over Q, so the rank mod P never exceeds the rank
+over Q.  Cyclotomic entries and denominators divisible by P have no such
+image, and it returns None for them.
 """
 
 from __future__ import annotations
@@ -276,7 +284,7 @@ class Echelon:
 
 
 def rank_kernel_image(matrix: SparseMatrix):
-    """Exact (rank, kernel basis, image basis) by deterministic elimination.
+    """Exact (rank, kernel basis) by deterministic elimination.
 
     Kernel vectors are combinations over the original column indices with
     the eliminated column carrying coefficient 1; rank + len(kernel) equals
@@ -288,9 +296,77 @@ def rank_kernel_image(matrix: SparseMatrix):
         residual, combo = ech.add(matrix.cols[j], tag=j)
         if not residual:
             kernel.append(combo)
-    image = list(ech.columns)
     assert ech.rank + len(kernel) == matrix.ncols
-    return ech.rank, kernel, image
+    return ech.rank, kernel
+
+
+P = 2**31 - 1  # the prime of rank_mod_p
+
+
+def _mod_p(x):
+    """x as an int mod P, or None for a Cyc or a denominator divisible by P."""
+    if isinstance(x, int):
+        return x % P
+    if not isinstance(x, Fraction):
+        return None
+    den = x.denominator
+    if den == 1:
+        return x.numerator % P
+    if den % P == 0:
+        return None
+    return x.numerator * pow(den, -1, P) % P
+
+
+def _sub_mod_p(u, c, v):
+    """u -= c·v mod P in place, dropping zeros."""
+    for i, x in v.items():
+        y = (u.get(i, 0) - c * x) % P
+        if y:
+            u[i] = y
+        else:
+            u.pop(i, None)
+
+
+def rank_mod_p(matrix: SparseMatrix, stop=None):
+    """Rank of ``matrix`` mod P, a lower bound for its rank over Q; None
+    when an entry it reads has no image mod P (a Cyc, or a denominator
+    divisible by P).
+
+    Same elimination as ``Echelon`` on plain ints: columns in order, empty
+    ones skipped, pivot on the lowest row, stored columns mutually reduced.
+    Elimination ends once the rank reaches ``stop``, leaving the remaining
+    columns unread, so the result is then ``stop``.
+    """
+    columns = []  # reduced columns {row: int}, pivot entry 1
+    pivots = {}  # pivot row -> column position
+    for col in matrix.cols:
+        if stop is not None and len(columns) >= stop:
+            break
+        if not col:
+            continue
+        vec = {}
+        for i, x in col.items():
+            y = _mod_p(x)
+            if y is None:
+                return None
+            if y:
+                vec[i] = y
+        for row in sorted(vec.keys() & pivots.keys()):
+            c = vec.get(row)
+            if c:
+                _sub_mod_p(vec, c, columns[pivots[row]])
+        if not vec:
+            continue
+        pivot = min(vec)
+        inv = pow(vec[pivot], -1, P)
+        vec = {i: x * inv % P for i, x in vec.items()}
+        for other in columns:
+            c = other.get(pivot)
+            if c:
+                _sub_mod_p(other, c, vec)
+        pivots[pivot] = len(columns)
+        columns.append(vec)
+    return len(columns)
 
 
 def matrix_inverse(m: SparseMatrix):

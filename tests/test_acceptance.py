@@ -184,7 +184,7 @@ def test_criterion_4_kunneth():
         bij = True
         for k in (-1, 0):
             m = sh.homology_matrix(k)
-            rank, _, _ = rank_kernel_image(m)
+            rank, _ = rank_kernel_image(m)
             bij = bij and rank == m.nrows == m.ncols
         m0 = sh.homology_matrix(0)
         ok = ok and not failures and bij and m0.ncols == expected

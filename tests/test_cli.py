@@ -159,11 +159,14 @@ def _case(key, value, location=None):
     return pytest.param(mutate, location or key, id=f"{key}={json.dumps(value)}")
 
 
-def _nested_case(block, key, value, location):
+def _nested_case(path, value, location):
     def mutate(doc):
-        doc[block][key] = value
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
 
-    return pytest.param(mutate, location, id=f"{block}.{key}={json.dumps(value)}")
+    return pytest.param(mutate, location, id=f"{'.'.join(map(str, path))}={json.dumps(value)}")
 
 
 MALFORMED = [
@@ -176,10 +179,22 @@ MALFORMED = [
     _case("roster", [], location="covering"),
     _case("generators", "x"),
     _case("generators", ["x"]),
-    _nested_case("params", "degrees", 1, "params.degrees"),
-    _nested_case("group", "elements", 1, "group.elements"),
+    _nested_case(("params", "degrees"), 1, "params.degrees"),
+    _nested_case(("group", "elements"), 1, "group.elements"),
     pytest.param(lambda doc: doc["roster"].insert(0, 1), "roster[0]", id="roster[0]=1"),
-    _nested_case("representations", "x", 1, "representations[x]"),
+    _nested_case(("representations", "x"), 1, "representations[x]"),
+    _nested_case(("group", "table"), 1, "group.table"),
+    _nested_case(("action", "functors"), 1, "action.functors"),
+    _nested_case(("roster", 0, "alpha"), 1, "roster[0].alpha"),
+    _nested_case(("representations", "regular", "matrices"), 1, "representations[regular].matrices"),
+    _nested_case(("category", "objects"), 1, "category.objects"),
+    _nested_case(("category", "homs"), 1, "category.homs"),
+    _nested_case(("category", "homs", 0), 1, "category.homs[0]"),
+    *[
+        _nested_case(("params", key), value, f"params.{key}")
+        for key in ("hull_cap", "bar_cap")
+        for value in ("x", 1.5, True)
+    ],
 ]
 
 

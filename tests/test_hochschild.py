@@ -38,10 +38,11 @@ from equihh.hochschild import (
     hh_dimensions,
     centralizer_action_map,
 )
-from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_is_zero
+from equihh.linalg import P, Echelon, SparseMatrix, rank_mod_p, vec_is_zero
 from equihh.scalars import QQ, CyclotomicField, Cyc
 from tests_support import (
     MatrixWindow,
+    assert_classes_match_reference,
     assert_elimination_matches_reference,
     full_elimination_basis,
     reference_d1_chain,
@@ -375,6 +376,9 @@ def test_elimination_matches_two_pass_reference():
             reps, ech = reference_homology(win, k)
             got = win.homology_basis(k)
             assert [typed(v) for v in got.reps] == [typed(v) for v in reps]
+            if got._ech is None:  # certified acyclic: there is no echelon
+                assert_classes_match_reference(win, k, got, ech)
+                continue
             assert list(got._ech.pivots.items()) == list(ech.pivots.items())
             assert [typed(v) for v in got._ech.columns] == [typed(v) for v in ech.columns]
             assert [typed(v) for v in got._ech.combos] == [typed(v) for v in ech.combos]
@@ -417,8 +421,8 @@ def boundary_adds(monkeypatch):
 @pytest.mark.parametrize(
     "dims, rows, k, adds",
     [
-        # exact at 0: the first boundary spans the one cycle e0 - e1
-        ({-1: 3, 0: 2, 1: 2, 2: 1}, {-1: [[1, 2, -1], [-1, -2, 1]], 0: [[1, 1], [0, 0]], 1: [[0, 0]]}, 0, 1),
+        # exact at 0: the ranks mod P certify it, so no boundary is added
+        ({-1: 3, 0: 2, 1: 2, 2: 1}, {-1: [[1, 2, -1], [-1, -2, 1]], 0: [[1, 1], [0, 0]], 1: [[0, 0]]}, 0, 0),
         # H^1 is one-dimensional: the echelon never reaches the cycles
         ({-1: 3, 0: 2, 1: 2, 2: 1}, {-1: [[1, 2, -1], [-1, -2, 1]], 0: [[1, 1], [0, 0]], 1: [[0, 0]]}, 1, 2),
         # d∘d != 0: the second boundary is no cycle, so every one is added
@@ -431,8 +435,61 @@ def test_early_stop_matches_full_elimination(monkeypatch, dims, rows, k, adds):
     calls = boundary_adds(monkeypatch)
     got = win.homology_basis(k)
     assert len(calls) == adds
+    assert (got._ech is None) == (adds == 0)
     assert got.reps == want.reps
-    assert got._ech.columns == want._ech.columns
-    assert got._ech.combos == want._ech.combos
-    for vec in unit_vectors(dims[k]):
+    if got._ech is not None:
+        assert got._ech.columns == want._ech.columns
+        assert got._ech.combos == want._ech.combos
+    for vec in unit_vectors(dims[k]) + win.differential(k - 1).cols:
         assert got.express(vec) == want.express(vec)
+
+
+# ---------------------------------------------------------------------------
+# acyclic degrees certified by ranks mod P
+
+
+def certified_degrees(win):
+    return [k for k in range(win.lo + 1, win.hi) if win.homology_basis(k)._ech is None]
+
+
+def test_certified_homology_matches_reference():
+    """On every homology degree of the reference and cyclotomic windows,
+    the reps equal the exact reference path's and express agrees with
+    it.  Over Q the certificate fires exactly on the acyclic degrees with
+    d∘d = 0; over Q(zeta_3) it never fires."""
+    fired = 0
+    for win in [*reference_windows(), *cyclotomic_windows()]:
+        rational = win.category.field == QQ
+        for k in range(win.lo + 1, win.hi):
+            reps, ech = reference_homology(win, k)
+            got = win.homology_basis(k)
+            assert [typed(v) for v in got.reps] == [typed(v) for v in reps]
+            assert_classes_match_reference(win, k, got, ech)
+            d_k = win.differential(k)
+            closed = (d_k * win.differential(k - 1)).is_zero()
+            assert (got._ech is None) == (rational and closed and not reps)
+            fired += got._ech is None
+    assert fired
+    for win in ladder_windows():
+        assert certified_degrees(win) == [-3, -2, -1]
+
+
+@pytest.mark.parametrize("entry", [P, Fraction(1, P)], ids=["unlucky-prime", "denominator-p"])
+def test_certificate_falls_back_when_p_fails(entry):
+    # 0 -> Q -(entry)-> Q -> 0 in degrees 0, 1 is acyclic over Q, but the
+    # entry is 0 mod P or has no image mod P
+    win = MatrixWindow({-1: 0, 0: 1, 1: 1, 2: 0}, {0: [[entry]]})
+    assert rank_mod_p(win.differential(0)) == (0 if entry == P else None)
+    assert certified_degrees(win) == []
+    assert [win.homology(k)[0] for k in (0, 1)] == [0, 0]
+    assert win.homology_basis(0).express({0: Fraction(1)}) is None
+    assert win.homology_basis(1).express({0: Fraction(1)}) == {}
+
+
+def test_nonzero_square_is_never_certified():
+    # d_{-1}: e -> e0 and d_0 = (1 0): the ranks mod P add up to dim C_0,
+    # but d_0 d_{-1} != 0 and the cycle e1 is no boundary
+    win = MatrixWindow({-2: 0, -1: 1, 0: 2, 1: 1, 2: 0}, {-1: [[1], [0]], 0: [[1, 0]]})
+    assert rank_mod_p(win.differential(-1)) + rank_mod_p(win.differential(0)) == 2
+    assert 0 not in certified_degrees(win)
+    assert win.homology(0) == (1, [{1: Fraction(1)}])

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from equihh.errors import WindowError
 from equihh.linalg import (
+    P,
     Echelon,
     SparseMatrix,
     matrix_inverse,
     rank_kernel_image,
+    rank_mod_p,
     vec_add,
     vec_axpy,
     vec_is_zero,
@@ -69,29 +71,27 @@ def test_elimination_matches_two_pass_reference(seed):
 
 def test_rank_kernel_proportional_rows():
     m = SparseMatrix.from_rows([[1, 2], [2, 4]])
-    rank, kernel, image = rank_kernel_image(m)
+    rank, kernel = rank_kernel_image(m)
     assert rank == 1
     assert len(kernel) == 1
     # kernel basis {(-2, 1)}
     assert kernel[0] == {0: Fraction(-2), 1: Fraction(1)}
-    assert len(image) == 1
 
 
 def test_rank_identity():
-    rank, kernel, _ = rank_kernel_image(SparseMatrix.identity(3))
+    rank, kernel = rank_kernel_image(SparseMatrix.identity(3))
     assert rank == 3 and kernel == []
 
 
 def test_rank_zero_matrix():
-    rank, kernel, image = rank_kernel_image(SparseMatrix(4, 5))
+    rank, kernel = rank_kernel_image(SparseMatrix(4, 5))
     assert rank == 0
     assert len(kernel) == 5
-    assert image == []
 
 
 def test_kernel_vectors_annihilated():
     m = SparseMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    rank, kernel, _ = rank_kernel_image(m)
+    rank, kernel = rank_kernel_image(m)
     assert rank == 2
     for v in kernel:
         assert vec_is_zero(m.apply(v))
@@ -105,11 +105,39 @@ def test_kernel_vectors_annihilated():
 )
 def test_rank_nullity(rows):
     m = SparseMatrix.from_rows(rows)
-    rank, kernel, image = rank_kernel_image(m)
+    rank, kernel = rank_kernel_image(m)
     assert rank + len(kernel) == m.ncols
-    assert len(image) == rank
     for v in kernel:
         assert vec_is_zero(m.apply(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.fractions(-4, 4, max_denominator=6), min_size=4, max_size=4),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.fractions(-3, 3, max_denominator=5), min_size=3, max_size=3),
+    st.integers(0, 5),
+)
+def test_rank_mod_p_equals_exact_rank(rows, coeffs, stop):
+    # a last row that is a rational combination of the others keeps the
+    # rank below the column count
+    combination = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(4)]
+    m = SparseMatrix.from_rows(rows + [combination])
+    rank, _ = rank_kernel_image(m)
+    assert rank_mod_p(m) == rank
+    assert rank_mod_p(m, stop=stop) == min(rank, stop)
+
+
+def test_rank_mod_p_reads_ints_and_rejects_cyclotomic():
+    assert rank_mod_p(SparseMatrix(2, 3, [{0: 2}, {}, {0: 4, 1: P}])) == 1
+    assert rank_mod_p(SparseMatrix(2, 2, [{0: 2, 1: 1}, {0: 1, 1: P + 3}])) == 2
+    assert rank_mod_p(SparseMatrix(1, 2, [{}, {0: ZETA}])) is None
+    assert rank_mod_p(SparseMatrix(1, 2, [{0: Q(1, P)}, {0: Q(1)}])) is None
+    # the rank reaches stop before the cyclotomic column is read
+    assert rank_mod_p(SparseMatrix(1, 2, [{0: Q(1)}, {0: ZETA}]), stop=1) == 1
 
 
 def test_echelon_express():

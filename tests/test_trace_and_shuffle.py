@@ -211,7 +211,7 @@ def kunneth_bijection(cat_a, cat_b, degrees, window_range):
     out = {}
     for k in degrees:
         m = sh.homology_matrix(k)
-        rank, kernel, _ = rank_kernel_image(m)
+        rank, kernel = rank_kernel_image(m)
         out[k] = (m.nrows, m.ncols, rank, len(kernel))
     return out
 
