@@ -3,7 +3,8 @@
 Subcommands: validate, hh, decompose, kunneth, examples.  Documents are
 JSON (schema "equihh-schema-1") read from a file or stdin.  Exit codes:
 0 all checks pass, 1 a mathematical check failed, 2 input error,
-3 uncertified truncation without --allow-truncated.
+3 uncertified truncation without --allow-truncated, 4 internal error (an
+unexpected exception, reported in one line without a traceback).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 EXIT_TRUNCATED = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_degrees(text, default=(0, 0)):
@@ -311,6 +313,9 @@ def main(argv=None):
     except EquihhError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -131,9 +131,6 @@ class DgCategory:
     def hom(self, x, y) -> GradedSpace:
         return self.homs.get((x, y)) or GradedSpace()
 
-    def zero_mor(self, x, y):
-        return Mor(x, y, {})
-
     def basis_mor(self, x, y, deg, label):
         return Mor(x, y, {(deg, label): self.field.one})
 
@@ -337,20 +334,21 @@ class DgFunctor:
         except KeyError as exc:
             raise StructureError(f"functor {self.name} has no object map for {x}") from exc
 
-    def apply(self, f: Mor) -> Mor:
+    def image(self, x, y, key) -> Mor:
+        """F of the basis morphism ``key`` of Hom(x, y), read from the
+        morphism table."""
         try:
-            table = self.mor_map[(f.src, f.tgt)]
-        except KeyError:
-            table = {}
+            return self.mor_map[(x, y)][key]
+        except KeyError as exc:
+            raise StructureError(
+                f"functor {self.name} has no action on {key} in {x}->{y}"
+            ) from exc
+
+    def apply(self, f: Mor) -> Mor:
         src, tgt = self.apply_obj(f.src), self.apply_obj(f.tgt)
         out = {}
         for key, c in f.coeffs.items():
-            img = table.get(key)
-            if img is None:
-                raise StructureError(
-                    f"functor {self.name} has no action on {key} in {f.src}->{f.tgt}"
-                )
-            vec_axpy(out, c, img.coeffs)
+            vec_axpy(out, c, self.image(f.src, f.tgt, key).coeffs)
         return Mor(src, tgt, out)
 
     def __repr__(self):
@@ -447,11 +445,6 @@ class NatTransform:
 
     def __repr__(self):
         return f"NatTransform({self.name or hex(id(self))})"
-
-
-def identity_nat(fun: DgFunctor, name="1") -> NatTransform:
-    comps = {x: fun.tgt.unit(fun.apply_obj(x)) for x in fun.src.objects}
-    return NatTransform(fun, fun, comps, name=name)
 
 
 def nat_vertical(b: NatTransform, a: NatTransform, name=None) -> NatTransform:

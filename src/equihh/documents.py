@@ -41,12 +41,24 @@ def _expect(value, kind, location):
     return value
 
 
+def _expect_int(value, location):
+    if type(value) is not int:
+        raise InputError("must be an integer", location)
+    return value
+
+
+def _scalar(value, field, location):
+    if not isinstance(value, str):
+        raise InputError(f"scalar {value!r} must be a string", location)
+    return parse_scalar(value, field)
+
+
 def _coeffs(entry, field, degrees_of, location):
     out = {}
-    for label, value in entry.items():
+    for label, value in _expect(entry, dict, location).items():
         if label not in degrees_of:
             raise InputError(f"unknown basis label {label!r}", location)
-        out[(degrees_of[label], label)] = parse_scalar(value, field)
+        out[(degrees_of[label], label)] = _scalar(value, field, location)
     return out
 
 
@@ -83,8 +95,10 @@ def parse_document(doc) -> ExampleBundle:
             raise InputError(f"hom between unknown objects {src!r}, {tgt!r}", loc)
         basis = {}
         degrees_of = {}
-        for b in hom.get("basis", []):
-            label, degree = b.get("label"), int(b.get("degree", 0))
+        for k, b in enumerate(_expect(hom.get("basis", []), list, f"{loc}.basis")):
+            bloc = f"{loc}.basis[{k}]"
+            label = _expect(b, dict, bloc).get("label")
+            degree = _expect_int(b.get("degree", 0), f"{bloc}.degree")
             if label in degrees_of:
                 raise InputError(f"duplicate label {label!r}", loc)
             degrees_of[label] = degree
@@ -92,18 +106,18 @@ def parse_document(doc) -> ExampleBundle:
         homs[(src, tgt)] = GradedSpace(basis)
         label_degrees[(src, tgt)] = degrees_of
         dtable = {}
-        for j, d in enumerate(hom.get("differential", [])):
+        for j, d in enumerate(_expect(hom.get("differential", []), list, f"{loc}.differential")):
             dloc = f"{loc}.differential[{j}]"
-            from_label = d.get("from")
+            from_label = _expect(d, dict, dloc).get("from")
             if from_label not in degrees_of:
                 raise InputError(f"unknown label {from_label!r}", dloc)
             img = _coeffs(d.get("image", {}), field, degrees_of, dloc)
             dtable[(degrees_of[from_label], from_label)] = img
         if dtable:
             diff[(src, tgt)] = dtable
-    for i, c in enumerate(cat_doc.get("compositions", [])):
+    for i, c in enumerate(_expect(cat_doc.get("compositions", []), list, "category.compositions")):
         loc = f"category.compositions[{i}]"
-        x, y, z = c.get("source"), c.get("middle"), c.get("target")
+        x, y, z = _expect(c, dict, loc).get("source"), c.get("middle"), c.get("target")
         for o in (x, y, z):
             if o not in objects:
                 raise InputError(f"unknown object {o!r}", loc)
@@ -115,7 +129,7 @@ def parse_document(doc) -> ExampleBundle:
             raise InputError(f"unknown composition labels {gl!r}, {fl!r}", loc)
         result = _coeffs(c.get("result", {}), field, label_degrees.get((x, z), {}), loc)
         comp.setdefault((x, y, z), {})[((dg[gl], gl), (df[fl], fl))] = result
-    for x, entry in (cat_doc.get("units") or {}).items():
+    for x, entry in _expect(cat_doc.get("units") or {}, dict, "category.units").items():
         if x not in objects:
             raise InputError(f"unit for unknown object {x!r}", "category.units")
         units[x] = _coeffs(entry, field, label_degrees.get((x, x), {}), "category.units")
@@ -153,6 +167,7 @@ def parse_document(doc) -> ExampleBundle:
             row = raw.get(a)
             if row is None:
                 raise InputError(f"multiplication row missing for {a!r}", "group.table")
+            _expect(row, dict, f"group.table[{a}]")
             for b in elements:
                 if b not in row:
                     raise InputError(f"entry ({a},{b}) missing", "group.table")
@@ -167,17 +182,18 @@ def parse_document(doc) -> ExampleBundle:
         for g in group.elements:
             fdoc = functors_doc.get(g)
             loc = f"action.functors[{g}]"
-            if fdoc is None or fdoc.get("identity"):
+            if fdoc is None or _expect(fdoc, dict, loc).get("identity"):
                 functors[g] = identity_functor(category, name=f"rho[{g}]")
                 continue
-            obj_map = dict(fdoc.get("objects", {}))
+            obj_map = dict(_expect(fdoc.get("objects", {}), dict, f"{loc}.objects"))
             for x in objects:
                 if obj_map.get(x) not in objects:
                     raise InputError(f"object map misses {x!r}", loc)
             mor_map = {pair: {} for pair in homs}
-            for j, m in enumerate(fdoc.get("morphisms", [])):
+            for j, m in enumerate(_expect(fdoc.get("morphisms", []), list, f"{loc}.morphisms")):
                 mloc = f"{loc}.morphisms[{j}]"
-                src, tgt, from_label = m.get("source"), m.get("target"), m.get("from")
+                src, tgt = _expect(m, dict, mloc).get("source"), m.get("target")
+                from_label = m.get("from")
                 dg = label_degrees.get((src, tgt), {})
                 if from_label not in dg:
                     raise InputError(f"unknown label {from_label!r}", mloc)
@@ -235,7 +251,7 @@ def parse_document(doc) -> ExampleBundle:
     for i, r in enumerate(doc.get("roster", [])):
         loc = f"roster[{i}]"
         name = _expect(r, dict, loc).get("name")
-        underlying = tuple(r.get("objects", []))
+        underlying = tuple(_expect(r.get("objects", []), list, f"{loc}.objects"))
         if not name:
             raise InputError("roster entry without a name", loc)
         for x in underlying:
@@ -251,10 +267,16 @@ def parse_document(doc) -> ExampleBundle:
                 raise InputError(f"alpha missing for {g!r}", loc)
             entries = {}
             image = tuple(action.rho(g).apply_obj(x) for x in underlying)
+            gloc = f"{loc}.alpha[{g}]"
+            if len(_expect(rows, list, gloc)) > len(image):
+                raise InputError(f"more than {len(image)} rows", gloc)
             for ri, row in enumerate(rows):
+                if len(_expect(row, list, f"{gloc}[{ri}]")) > len(underlying):
+                    raise InputError(f"more than {len(underlying)} columns", f"{gloc}[{ri}]")
                 for ci, cell in enumerate(row):
                     if not cell:
                         continue
+                    _expect(cell, dict, f"{gloc}[{ri}][{ci}]")
                     pair = (underlying[ci], image[ri])
                     degrees_of = label_degrees.get(pair, {})
                     for label, value in cell.items():
@@ -262,22 +284,30 @@ def parse_document(doc) -> ExampleBundle:
                             raise InputError(
                                 f"unknown label {label!r} in alpha[{g}]({ri},{ci})", loc
                             )
-                        entries[(ri, ci, degrees_of[label], label)] = parse_scalar(value, field)
+                        entries[(ri, ci, degrees_of[label], label)] = _scalar(
+                            value, field, f"{gloc}[{ri}][{ci}]"
+                        )
             alpha_entries[g] = entries
         declared.append(DeclaredObject(name, underlying, alpha_entries))
 
     representations = {}
     for name, r in doc.get("representations", {}).items():
+        rloc = f"representations[{name}]"
         if group is None:
-            raise InputError("representations require a group", f"representations[{name}]")
-        dim = int(_expect(r, dict, f"representations[{name}]").get("dim", 0))
+            raise InputError("representations require a group", rloc)
+        dim = _expect_int(_expect(r, dict, rloc).get("dim", 0), f"{rloc}.dim")
         mats = {}
-        matrices = _expect(r.get("matrices") or {}, dict, f"representations[{name}].matrices")
+        matrices = _expect(r.get("matrices") or {}, dict, f"{rloc}.matrices")
         for g in group.elements:
             rows = matrices.get(g)
             if rows is None:
-                raise InputError(f"matrix missing for {g!r}", f"representations[{name}]")
-            mats[g] = [[parse_scalar(v, field) for v in row] for row in rows]
+                raise InputError(f"matrix missing for {g!r}", rloc)
+            mloc = f"{rloc}.matrices[{g}]"
+            if len(_expect(rows, list, mloc)) != dim or any(
+                len(_expect(row, list, mloc)) != dim for row in rows
+            ):
+                raise InputError(f"must be a {dim}x{dim} matrix, as dim says", mloc)
+            mats[g] = [[_scalar(v, field, mloc) for v in row] for row in rows]
         representations[name] = Representation(group, dim, mats, name=name, field=field)
 
     generators = doc.get("generators", [])
@@ -294,8 +324,8 @@ def parse_document(doc) -> ExampleBundle:
     if not degrees or any(type(d) is not int for d in degrees):
         raise InputError("must be a non-empty array of integers", "params.degrees")
     for key in ("bar_cap", "hull_cap"):
-        if key in params and type(params[key]) is not int:
-            raise InputError("must be an integer", f"params.{key}")
+        if key in params:
+            _expect_int(params[key], f"params.{key}")
     return ExampleBundle(
         name=doc.get("name", "document"),
         description=doc.get("description", ""),

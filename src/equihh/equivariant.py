@@ -7,6 +7,13 @@ The equivariant category on a finite roster has hom complexes carved out
 of the ambient hull homs by the linear condition
 alpha'_g ∘ φ = rho_g(φ) ∘ alpha_g for every g, solved exactly per degree.
 
+Both the conditions and the compositions are read from the structure
+tables, not built one morphism at a time: the condition on a basis key φ
+sums the alpha coefficients against the ambient composition tables and
+rho_g's image of φ (``DgFunctor.image``), and the product of two solved
+basis morphisms is one bilinear sum of their ambient coefficients
+against the ambient composition table, restricted to the solved basis.
+
 Also here: the symmetrization functor (left adjoint to the forgetful
 functor), tensoring a roster object by a representation, the adjunction
 correspondences, and the comparison isomorphism between the regular-
@@ -260,24 +267,53 @@ class EquivariantCategory:
 
     def _solve_pair(self, src: EquivariantObject, tgt: EquivariantObject):
         """Kernel of the stacked equivariance conditions, one matrix per
-        degree; deterministic elimination order gives reproducible bases."""
+        degree; deterministic elimination order gives reproducible bases.
+
+        The condition alpha'_g∘φ - rho_g(φ)∘alpha_g on a basis key φ is
+        read from the tables: per g, the composition tables of
+        (c, c2, rho_g c2) and (c, rho_g c, rho_g c2), the coefficients of
+        both alphas and rho_g's image of φ.  Both sides are summed in
+        ``compose``'s loop order, and rows are numbered in first-seen
+        (g index, key) order."""
         cat = self.laction.category
-        grp = self.laction.group
         c, c2 = src.underlying, tgt.underlying
         space = cat.hom(c, c2)
+        if not space.total_dim():
+            return {}
+        per_g = []
+        for g in self.laction.group.elements:
+            rho = self.laction.rho(g)
+            a_src, a_tgt = src.alpha[g], tgt.alpha[g]
+            if a_tgt.src != c2 or a_src.tgt != rho.apply_obj(c):
+                raise StructureError(f"alpha[{g}] does not compose with {c}->{c2}")
+            per_g.append((
+                rho,
+                cat.comp_table(c, c2, a_tgt.tgt),
+                list(a_tgt.coeffs.items()),
+                cat.comp_table(a_src.src, a_src.tgt, rho.apply_obj(c2)),
+                list(a_src.coeffs.items()),
+            ))
         solved = {}
         for deg in space.degrees():
             keys, _ = self._flatten_space(c, c2, deg)
             rows = {}
             matrix_cols = []
             for key in keys:
-                phi = cat.basis_mor(c, c2, *key)
                 col = {}
-                for gi, g in enumerate(grp.elements):
-                    lhs = cat.compose(tgt.alpha[g], phi)
-                    rhs = cat.compose(self.laction.rho(g).apply(phi), src.alpha[g])
-                    dif = lhs - rhs
-                    for dkey, val in dif.coeffs.items():
+                for gi, (rho, lhs_table, a_tgt, rhs_table, a_src) in enumerate(per_g):
+                    lhs = {}
+                    for ak, ca in a_tgt:
+                        prod = lhs_table.get((key, ak))
+                        if prod:
+                            vec_axpy(lhs, ca, prod)
+                    rhs = {}
+                    image = rho.image(c, c2, key).coeffs.items()
+                    for ak, ca in a_src:
+                        for rk, cr in image:
+                            prod = rhs_table.get((ak, rk))
+                            if prod:
+                                vec_axpy(rhs, ca * cr, prod)
+                    for dkey, val in vec_axpy(lhs, -1, rhs).items():
                         row = rows.setdefault((gi, dkey), len(rows))
                         col[row] = val
                 matrix_cols.append(col)
@@ -351,20 +387,24 @@ class EquivariantCategory:
                 raise StructureError(f"unit of {sn} is not equivariant")
             units[sn] = restricted.coeffs
 
-        builder_self = self
-
         def comp_builder(xn, yn, zn):
+            # each product is one bilinear sum of the solved ambient
+            # coefficients against the ambient table, in compose's order
+            gs, fs = self._solved[(xn, yn)], self._solved[(yn, zn)]
+            if not (gs and fs):
+                return {}
+            x, z = self.roster[xn].underlying, self.roster[zn].underlying
+            amb = cat.comp_table(x, self.roster[yn].underlying, z)
             table = {}
-            for gkey in builder_self._solved[(xn, yn)]:
-                gmor = builder_self.embed(
-                    Mor(xn, yn, {gkey: cat.field.one}), xn, yn
-                )
-                for fkey in builder_self._solved[(yn, zn)]:
-                    fmor = builder_self.embed(
-                        Mor(yn, zn, {fkey: cat.field.one}), yn, zn
-                    )
-                    prod = cat.compose(fmor, gmor)
-                    restricted = builder_self.restrict(prod, xn, zn)
+            for gkey, gcoeffs in gs.items():
+                for fkey, fcoeffs in fs.items():
+                    prod = {}
+                    for gk, cg in gcoeffs.items():
+                        for fk, cf in fcoeffs.items():
+                            entry = amb.get((gk, fk))
+                            if entry:
+                                vec_axpy(prod, cg * cf, entry)
+                    restricted = self.restrict(Mor(x, z, prod), xn, zn)
                     if restricted is None:
                         raise StructureError(
                             f"composite of ({xn},{yn},{zn}) leaves the solved subspace"
@@ -653,32 +693,3 @@ def sfor_iso(eqcat: EquivariantCategory, oname):
     if inv is None:
         report.add("invertibility", "comparison morphism has no two-sided inverse")
     return mor, report
-
-
-def sfor_iso_natural(eqcat: EquivariantCategory, phi: Mor, iso_by_name):
-    """One naturality square of the comparison isomorphism, exactly:
-    iso_tgt ∘ T_reg(φ) = S(For(φ)) ∘ iso_src."""
-    from .groups import regular_representation
-
-    laction = eqcat.laction
-    cat = eqcat.category
-    reg = regular_representation(laction.group, field=eqcat.ambient.field)
-    sn, tn = phi.src, phi.tgt
-    t_reg = eqcat.rep_tensor_functor(reg, source_names=[sn, tn] if sn != tn else [sn])
-    amb = eqcat.embed(phi, sn, tn)
-    grp = laction.group
-    ells, ellt = len(eqcat.roster[sn].underlying), len(eqcat.roster[tn].underlying)
-    coeffs = {}
-    for hi, h in enumerate(grp.elements):
-        img = laction.rho(h).apply(amb)
-        coeffs.update(_shift_blocks(img.coeffs, hi * ellt, hi * ells))
-    sym_src = symmetrize(laction, eqcat.roster[sn].underlying)
-    sym_tgt = symmetrize(laction, eqcat.roster[tn].underlying)
-    s_for_phi = eqcat.restrict(
-        Mor(sym_src.underlying, sym_tgt.underlying, coeffs),
-        eqcat.find(sym_src.underlying, sym_src.alpha),
-        eqcat.find(sym_tgt.underlying, sym_tgt.alpha),
-    )
-    lhs = cat.compose(iso_by_name[tn], t_reg.apply(phi))
-    rhs = cat.compose(s_for_phi, iso_by_name[sn])
-    return lhs == rhs

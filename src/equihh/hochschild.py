@@ -16,10 +16,12 @@ window, else TruncatedAt(cap).
 
 Windows are assembled from the structure tables: a face of a basis chain
 replaces one slot key by the entries of its differential (d1) or two
-adjacent keys by the entries of their product (d2), so only the twist
-face F(a_n) a0 builds morphisms.  Homology stops adding boundaries to its
-echelon once the echelon is as large as the cycle space, provided every
-boundary column is a cycle; the skipped columns would reduce to zero.
+adjacent keys by the entries of their product (d2).  The twist face
+F(a_n) a0 takes F(a_n) from the functor's morphism table and multiplies
+it with a0 through the composition table, so no face builds a new
+morphism.  Homology stops adding boundaries to its echelon once the
+echelon is as large as the cycle space, provided every boundary column
+is a cycle; the skipped columns would reduce to zero.
 
 Most degrees of a window are acyclic, and homology proves it without a
 rational elimination.  With d_k∘d_{k-1} = 0 checked exactly,
@@ -339,9 +341,6 @@ class HochschildWindow(WindowBase):
             if (nxt, path[-1]) in nonzero:
                 yield from self._walk_cycle(c0, path + [nxt], m, nonzero)
 
-    def _mor(self, x, y, key):
-        return self.category.basis_mor(x, y, *key)
-
     def _add_image(self, out, objs, mors, sign):
         """Accumulate ``sign`` (±1) times the multilinear expansion of
         per-slot morphisms into the chain-index vector ``out``; unseen
@@ -388,8 +387,11 @@ class HochschildWindow(WindowBase):
 
         Each face of a basis chain replaces one key (d1: the differential
         of a slot) or two adjacent keys (d2: their product) by a table
-        entry; only the twist face F(a_m)∘a0 goes through morphisms."""
+        entry.  The twist face F(a_m)∘a0 reads F(a_m) from the functor's
+        morphism table and multiplies it with a0 through the composition
+        table."""
         cat = self.category
+        fun = self.functor
         for k in range(self.lo, self.hi):
             n = self.dim(k)
             nt = self.dim(k + 1)
@@ -421,12 +423,17 @@ class HochschildWindow(WindowBase):
                                 new_keys = keys[:i] + (hk,) + keys[i + 2 :]
                                 self._add_term(col2, new_objs, new_keys, -c if i % 2 else c)
                 if m:
-                    # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
-                    f_last = self.functor.apply(self._mor(*pairs[m], keys[m]))
-                    prod = cat.compose(f_last, self._mor(*pairs[0], keys[0]))
+                    # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)},
+                    # summed in compose's order; vec_axpy leaves no zeros
+                    table = cat.comp_table(*pairs[0], fun.apply_obj(objs[m]))
+                    prod = {}
+                    for fk, cf in fun.image(*pairs[m], keys[m]).coeffs.items():
+                        entry = table.get((keys[0], fk))
+                        if entry:
+                            vec_axpy(prod, cf, entry)
                     odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
                     new_objs = (objs[m],) + objs[1:m]
-                    for hk, c in prod.coeffs.items():
+                    for hk, c in prod.items():
                         self._add_term(col2, new_objs, (hk,) + keys[1:m], -c if odd else c)
                 if col1:
                     d1.cols[j] = col1
@@ -450,18 +457,6 @@ class HochschildWindow(WindowBase):
 
     def d2_matrix(self, k):
         return self._d2.get(k, SparseMatrix(self.dim(k + 1), self.dim(k)))
-
-    def verify_sign_identities(self):
-        """d2^2 = 0 and d1 d2 = d2 d1 on all stored composable degrees."""
-        issues = []
-        for k in range(self.lo, self.hi - 1):
-            if not (self.d2_matrix(k + 1) * self.d2_matrix(k)).is_zero():
-                issues.append(("d2_squared", k))
-            lhs = self.d1_matrix(k + 1) * self.d2_matrix(k)
-            rhs = self.d2_matrix(k + 1) * self.d1_matrix(k)
-            if not lhs == rhs:
-                issues.append(("d1_d2_commute", k))
-        return issues
 
 
 def build_window(category, functor, lo, hi, bar_cap=None) -> HochschildWindow:
@@ -571,11 +566,7 @@ class InducedMap(ChainMap):
         cat_t = self.tgt.category
         objs = chain.objects
         pairs = self.src._slot_pairs(objs)
-        slots = [
-            self.src.category.basis_mor(x, y, *key)
-            for (x, y), key in zip(pairs, chain.keys)
-        ]
-        imgs = [self.phi.apply(s) for s in slots]
+        imgs = [self.phi.image(x, y, key) for (x, y), key in zip(pairs, chain.keys)]
         imgs[0] = cat_t.compose(self.eps.at(objs[0]), imgs[0])
         new_objs = tuple(self.phi.apply_obj(c) for c in objs)
         out = {}
@@ -1106,26 +1097,6 @@ class TensorWindow(WindowBase):
         return self._index[k].get((ka, i, j))
 
 
-def koszul_swap_map(tw: TensorWindow, tw_swapped: TensorWindow) -> ChainMap:
-    """x⊗y -> (-1)^{|x||y|} y⊗x between tensor windows."""
-
-    class _Swap(ChainMap):
-        def _compute(self, k, idx):
-            ka, i, j = self.src.chains_at(k)[idx]
-            kb = k - ka
-            pos = self.tgt.pair_index(k, kb, j, i)
-            if pos is None:
-                return {}
-            one = _window_field(self.src.left).one
-            return {pos: one * parity_sign(ka * kb)}
-
-    return _Swap(tw, tw_swapped, name="koszul swap")
-
-
-def _window_field(window):
-    return window.category.field if hasattr(window, "category") else _window_field(window.left)
-
-
 class ShuffleMap(ChainMap):
     """The shuffle quasi-isomorphism C(𝒞)⊗C(ℬ) → C(𝒞⊗ℬ).
 
@@ -1207,13 +1178,3 @@ def shuffle_map(window_a, window_b, tensor_cat, lo, hi, bar_cap=None):
 
     tgt = HochschildWindow(tensor_cat, identity_functor(tensor_cat), lo, hi, bar_cap=bar_cap)
     return tw, tgt, ShuffleMap(tw, tgt)
-
-
-# ---------------------------------------------------------------------------
-# the centralizer action
-
-
-def centralizer_action_map(window: HochschildWindow, rho_h: DgFunctor, c_transform: NatTransform, name=None) -> InducedMap:
-    """(rho_h, C_{h,g})_* as an endo chain map of a twisted window."""
-    return InducedMap(window, window, rho_h, c_transform, name=name or f"({rho_h.name})*")
-

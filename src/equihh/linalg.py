@@ -184,12 +184,6 @@ class SparseMatrix:
             return False
         return all(vec_eq(a, b) for a, b in zip(self.cols, other.cols))
 
-    def transpose(self):
-        out = SparseMatrix(self.ncols, self.nrows)
-        for i, j, x in self.entries():
-            out.cols[i][j] = x
-        return out
-
     def to_rows(self):
         rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
         for i, j, x in self.entries():

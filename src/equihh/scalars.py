@@ -13,7 +13,6 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import DivisionError, FieldMismatchError, InputError
 

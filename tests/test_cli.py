@@ -195,6 +195,29 @@ MALFORMED = [
         for key in ("hull_cap", "bar_cap")
         for value in ("x", 1.5, True)
     ],
+    _nested_case(("group", "table", "e"), 1, "group.table[e]"),
+    _nested_case(("representations", "regular", "matrices", "s"), 1, "representations[regular].matrices[s]"),
+    _nested_case(("representations", "regular", "dim"), "x", "representations[regular].dim"),
+    _nested_case(("representations", "regular", "dim"), 1, "representations[regular].matrices[e]"),
+    *[
+        case
+        for value in (1, "x")
+        for case in (
+            _nested_case(("roster", 0, "alpha", "s"), value, "roster[0].alpha[s]"),
+            _nested_case(("category", "homs", 0, "basis"), value, "category.homs[0].basis"),
+            _nested_case(("category", "units"), value, "category.units"),
+            _nested_case(("category", "compositions"), value, "category.compositions"),
+            _nested_case(("action", "functors", "s"), value, "action.functors[s]"),
+        )
+    ],
+    _nested_case(("category", "homs", 0, "basis", 0, "degree"), "x", "category.homs[0].basis[0].degree"),
+    _nested_case(("category", "homs", 0, "differential"), 1, "category.homs[0].differential"),
+    _nested_case(("category", "units", "pt"), 1, "category.units"),
+    _nested_case(("roster", 0, "objects"), 1, "roster[0].objects"),
+    _nested_case(("roster", 0, "alpha", "s", 0), 1, "roster[0].alpha[s][0]"),
+    _nested_case(("roster", 0, "alpha", "s", 0, 0), 1, "roster[0].alpha[s][0][0]"),
+    _nested_case(("roster", 0, "alpha", "s", 0, 0, "1"), 1, "roster[0].alpha[s][0][0]"),
+    _nested_case(("representations", "regular", "matrices", "s", 0), "x", "representations[regular].matrices[s]"),
 ]
 
 
@@ -205,3 +228,21 @@ def test_malformed_blocks_are_input_errors(tmp_path, capsys, mutate, location):
     err = capsys.readouterr().err
     assert "input error" in err and f"{location}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("boom"), MemoryError("out of memory")], ids=lambda e: type(e).__name__
+)
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc):
+    """An exception that is no EquihhError exits 4 with one line and no
+    traceback; exit 1 stays reserved for a failed check."""
+    import equihh.cli as cli
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", raise_it)
+    path = write_doc(tmp_path, "E1")
+    assert main(["validate", path]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"

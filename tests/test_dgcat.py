@@ -11,7 +11,6 @@ from equihh.dgcat import (
     hull_objects_up_to_cap,
     hull_subcategory,
     identity_functor,
-    identity_nat,
     lift_functor_to_hull,
     tensor_category,
     validate_dgcat,
@@ -20,6 +19,7 @@ from equihh.dgcat import (
 )
 from equihh.errors import EmptyCategoryError
 from equihh.scalars import QQ
+from tests_support import identity_nat, zero_mor
 
 
 def point_category():
@@ -222,4 +222,4 @@ def test_invert_morphism():
     assert uinv is not None and cat.compose(u, uinv) == cat.unit("pt")
     proj = (cat.unit("pt") + g).scale(Fraction(1, 2))  # idempotent, not a unit
     assert cat.invert(proj) is None
-    assert cat.invert(cat.zero_mor("pt", "pt")) is None
+    assert cat.invert(zero_mor("pt", "pt")) is None

@@ -10,7 +10,6 @@ from equihh.equivariant import (
     realize_declared,
     rep_tensor,
     sfor_iso,
-    sfor_iso_natural,
     symmetrize,
     validate_equivariant,
 )
@@ -18,6 +17,7 @@ from equihh.errors import CapacityError
 from equihh.examples import example_e1, example_e2, example_e5
 from equihh.groups import regular_representation, trivial_representation
 from equihh.scalars import QQ
+from tests_support import sfor_iso_natural
 
 
 def lifted_e1(extra=()):

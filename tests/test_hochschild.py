@@ -36,7 +36,6 @@ from equihh.hochschild import (
     compose_induced,
     conjugate_transport,
     hh_dimensions,
-    centralizer_action_map,
 )
 from equihh.linalg import P, Echelon, SparseMatrix, rank_mod_p, vec_is_zero
 from equihh.scalars import QQ, CyclotomicField, Cyc
@@ -44,7 +43,9 @@ from tests_support import (
     MatrixWindow,
     assert_classes_match_reference,
     assert_elimination_matches_reference,
+    centralizer_action_map,
     full_elimination_basis,
+    identity_nat,
     reference_d1_chain,
     reference_d2_chain,
     reference_homology,
@@ -52,6 +53,7 @@ from tests_support import (
     reference_vec_add,
     reference_vec_scale,
     typed,
+    verify_sign_identities,
 )
 
 
@@ -152,12 +154,12 @@ def test_d_squared_and_sign_identities_graded():
     win = build_window(lam, identity_functor(lam), -3, 1, bar_cap=8)
     count, bad = win.verify_d_squared()
     assert not bad and count > 100
-    assert win.verify_sign_identities() == []
+    assert verify_sign_identities(win) == []
     neg = negative_degree_exterior_category()
     win2 = build_window(neg, identity_functor(neg), -5, 0)
     count2, bad2 = win2.verify_d_squared()
     assert not bad2 and count2 > 20
-    assert win2.verify_sign_identities() == []
+    assert verify_sign_identities(win2) == []
 
 
 def test_window_error_and_structural_error():
@@ -174,7 +176,6 @@ def test_identity_induced_map_is_identity():
     kz2 = group_algebra_z2_category()
     ident = identity_functor(kz2)
     win = window_for(kz2, (-2, 0))
-    from equihh.dgcat import identity_nat
 
     m = InducedMap(win, win, ident, identity_nat(ident), name="id*")
     checked, failures = m.verify_chain_map()
@@ -193,7 +194,6 @@ def test_compose_induced_chain_level_equality():
     cat = b.base
     rho_s = b.action.rho("s")
     win_id = window_for(cat, (-2, 1))
-    from equihh.dgcat import identity_nat
 
     swap_map = InducedMap(win_id, win_id, rho_s, b.action.centralizer_transform("s", "e"), name="swap*")
     combined, composed, mismatches = compose_induced(swap_map, swap_map)
@@ -235,7 +235,7 @@ def test_conjugate_transport_certificate():
     kz2 = group_algebra_z2_category()
     ident = identity_functor(kz2)
     win = window_for(kz2, (-3, 1), cap=None)
-    from equihh.dgcat import NatTransform, identity_nat
+    from equihh.dgcat import NatTransform
 
     base_map = InducedMap(win, win, ident, identity_nat(ident), name="id*")
     alpha = NatTransform(ident, ident, {"pt": kz2.unit("pt").scale(Fraction(-1))}, name="-1")
@@ -249,7 +249,6 @@ def test_conjugate_transport_identity_alpha_trivial():
     kz2 = group_algebra_z2_category()
     ident = identity_functor(kz2)
     win = window_for(kz2, (-2, 1))
-    from equihh.dgcat import identity_nat
 
     base_map = InducedMap(win, win, ident, identity_nat(ident), name="id*")
     transported, cert = conjugate_transport(base_map, identity_nat(ident), ident)

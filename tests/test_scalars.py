@@ -9,10 +9,10 @@ from equihh.scalars import (
     QQ,
     CyclotomicField,
     cyclotomic_polynomial,
-    euler_phi,
     format_scalar,
     parse_scalar,
 )
+from tests_support import euler_phi
 
 
 def test_cyclotomic_polynomials_small():

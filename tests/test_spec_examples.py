@@ -14,10 +14,10 @@ from equihh.dgcat import (
 from equihh.equivariant import adjunction_maps, lift_action, realize_declared, sfor_iso, symmetrize
 from equihh.examples import DeclaredObject, example_e1, example_e2, point_category
 from equihh.groups import FiniteGroup, permutation_action, trivial_action, validate_action
-from equihh.hochschild import hh_dimensions, centralizer_action_map, build_window
+from equihh.hochschild import hh_dimensions, build_window
 from equihh.linalg import SparseMatrix
 from equihh.scalars import QQ
-from tests_support import scaled_action
+from tests_support import centralizer_action_map, scaled_action
 
 
 def test_alpha_family_is_natural_from_forget_to_twisted_forget():

@@ -23,12 +23,12 @@ from equihh.hochschild import (
     InducedMap,
     TensorWindow,
     build_window,
-    koszul_swap_map,
     shuffle_map,
     verify_trace_decomposition,
 )
 from equihh.linalg import SparseMatrix, rank_kernel_image, vec_is_zero
 from equihh.scalars import QQ
+from tests_support import koszul_swap_map
 
 
 def doubled_point_setup(eta_rows):

@@ -2,10 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
-from equihh.dgcat import NatTransform, algebra_category, identity_functor, parity_sign
-from equihh.groups import FiniteGroup, GroupAction
-from equihh.hochschild import HomologyBasis, WindowBase
+from equihh.dgcat import Mor, NatTransform, algebra_category, identity_functor, parity_sign
+from equihh.equivariant import _shift_blocks, symmetrize
+from equihh.groups import FiniteGroup, GroupAction, regular_representation
+from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image
 from equihh.scalars import QQ, invert_scalar
 
@@ -30,6 +32,94 @@ def scaled_action():
     }
     eta = NatTransform(ident, ident, {"pt": cat.unit("pt").scale(lam)}, name="eta")
     return GroupAction(z2, cat, {g: ident for g in z2.elements}, theta, eta, name="scaled")
+
+
+# -- helpers only the tests use ----------------------------------------------
+
+
+def zero_mor(x, y):
+    return Mor(x, y, {})
+
+
+def identity_nat(fun, name="1"):
+    comps = {x: fun.tgt.unit(fun.apply_obj(x)) for x in fun.src.objects}
+    return NatTransform(fun, fun, comps, name=name)
+
+
+def transpose(mat):
+    out = SparseMatrix(mat.ncols, mat.nrows)
+    for i, j, x in mat.entries():
+        out.cols[i][j] = x
+    return out
+
+
+def euler_phi(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def verify_sign_identities(win):
+    """d2^2 = 0 and d1 d2 = d2 d1 on all stored composable degrees."""
+    issues = []
+    for k in range(win.lo, win.hi - 1):
+        if not (win.d2_matrix(k + 1) * win.d2_matrix(k)).is_zero():
+            issues.append(("d2_squared", k))
+        lhs = win.d1_matrix(k + 1) * win.d2_matrix(k)
+        rhs = win.d2_matrix(k + 1) * win.d1_matrix(k)
+        if not lhs == rhs:
+            issues.append(("d1_d2_commute", k))
+    return issues
+
+
+def _window_field(window):
+    return window.category.field if hasattr(window, "category") else _window_field(window.left)
+
+
+def koszul_swap_map(tw, tw_swapped):
+    """x⊗y -> (-1)^{|x||y|} y⊗x between tensor windows."""
+
+    class _Swap(ChainMap):
+        def _compute(self, k, idx):
+            ka, i, j = self.src.chains_at(k)[idx]
+            kb = k - ka
+            pos = self.tgt.pair_index(k, kb, j, i)
+            if pos is None:
+                return {}
+            one = _window_field(self.src.left).one
+            return {pos: one * parity_sign(ka * kb)}
+
+    return _Swap(tw, tw_swapped, name="koszul swap")
+
+
+def centralizer_action_map(window, rho_h, c_transform, name=None):
+    """(rho_h, C_{h,g})_* as an endo chain map of a twisted window."""
+    return InducedMap(window, window, rho_h, c_transform, name=name or f"({rho_h.name})*")
+
+
+def sfor_iso_natural(eqcat, phi, iso_by_name):
+    """One naturality square of the comparison isomorphism, exactly:
+    iso_tgt ∘ T_reg(φ) = S(For(φ)) ∘ iso_src."""
+    laction = eqcat.laction
+    cat = eqcat.category
+    reg = regular_representation(laction.group, field=eqcat.ambient.field)
+    sn, tn = phi.src, phi.tgt
+    t_reg = eqcat.rep_tensor_functor(reg, source_names=[sn, tn] if sn != tn else [sn])
+    amb = eqcat.embed(phi, sn, tn)
+    grp = laction.group
+    ells, ellt = len(eqcat.roster[sn].underlying), len(eqcat.roster[tn].underlying)
+    coeffs = {}
+    for hi, h in enumerate(grp.elements):
+        img = laction.rho(h).apply(amb)
+        coeffs.update(_shift_blocks(img.coeffs, hi * ellt, hi * ells))
+    sym_src = symmetrize(laction, eqcat.roster[sn].underlying)
+    sym_tgt = symmetrize(laction, eqcat.roster[tn].underlying)
+    s_for_phi = eqcat.restrict(
+        Mor(sym_src.underlying, sym_tgt.underlying, coeffs),
+        eqcat.find(sym_src.underlying, sym_src.alpha),
+        eqcat.find(sym_tgt.underlying, sym_tgt.alpha),
+    )
+    lhs = cat.compose(iso_by_name[tn], t_reg.apply(phi))
+    rhs = cat.compose(s_for_phi, iso_by_name[sn])
+    return lhs == rhs
 
 
 # -- reference paths for the fast window code -------------------------------
@@ -303,3 +393,67 @@ class MatrixWindow(WindowBase):
         if k in self._mats:
             return self._mats[k]
         return SparseMatrix(self.dim(k + 1), self.dim(k))
+
+
+# -- reference paths for the table-driven equivariant layer ------------------
+#
+# The morphism-by-morphism versions of EquivariantCategory._solve_pair, of
+# the equivariant composition tables and of InducedMap._compute: every
+# condition, product and slot image goes through basis_mor, DgFunctor.apply
+# and DgCategory.compose.
+
+
+def reference_solve_pair(eqcat, src, tgt):
+    """The solved equivariance subspace of Hom(src, tgt), per degree, with
+    alpha'_g∘φ - rho_g(φ)∘alpha_g composed as morphisms."""
+    cat = eqcat.laction.category
+    grp = eqcat.laction.group
+    c, c2 = src.underlying, tgt.underlying
+    space = cat.hom(c, c2)
+    solved = {}
+    for deg in space.degrees():
+        keys = [(deg, lab) for lab in space.labels(deg)]
+        rows = {}
+        cols = []
+        for key in keys:
+            phi = cat.basis_mor(c, c2, *key)
+            col = {}
+            for gi, g in enumerate(grp.elements):
+                lhs = cat.compose(tgt.alpha[g], phi)
+                rhs = cat.compose(eqcat.laction.rho(g).apply(phi), src.alpha[g])
+                for dkey, val in (lhs - rhs).coeffs.items():
+                    col[rows.setdefault((gi, dkey), len(rows))] = val
+            cols.append(col)
+        _, kernel = rank_kernel_image(SparseMatrix(len(rows), len(keys), cols))
+        basis = [{keys[i]: v for i, v in vec.items()} for vec in kernel]
+        if basis:
+            solved[deg] = basis
+    return solved
+
+
+def reference_equivariant_comp_table(eqcat, xn, yn, zn):
+    """The composition table of eqcat.category on (xn, yn, zn): embed each
+    pair of basis morphisms, compose them in the ambient category and
+    restrict the product."""
+    cat = eqcat.ambient
+    table = {}
+    for gkey in eqcat._solved[(xn, yn)]:
+        gmor = eqcat.embed(Mor(xn, yn, {gkey: cat.field.one}), xn, yn)
+        for fkey in eqcat._solved[(yn, zn)]:
+            fmor = eqcat.embed(Mor(yn, zn, {fkey: cat.field.one}), yn, zn)
+            restricted = eqcat.restrict(cat.compose(fmor, gmor), xn, zn)
+            assert restricted is not None
+            if not restricted.is_zero():
+                table[(gkey, fkey)] = restricted.coeffs
+    return table
+
+
+def reference_induced_chain(induced, k, idx):
+    """InducedMap._compute with phi applied to each slot's basis morphism."""
+    chain = induced.src.chains_at(k)[idx]
+    objs = chain.objects
+    imgs = [induced.phi.apply(s) for s in _basis_slots(induced.src, chain)]
+    imgs[0] = induced.tgt.category.compose(induced.eps.at(objs[0]), imgs[0])
+    out = {}
+    induced.tgt._add_image(out, tuple(induced.phi.apply_obj(c) for c in objs), imgs, 1)
+    return out
