@@ -209,7 +209,7 @@ class DgCategory:
         if x == y and f.coeffs == _clean(self.units.get(x, {})):
             return self.unit(x)
         keys = [k for k in self.basis_keys(y, x) if k[0] == 0]
-        ech = Echelon()
+        ech = Echelon(self.field)
         images = []
         for k in keys:
             g = self.basis_mor(y, x, *k)

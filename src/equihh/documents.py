@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .dgcat import DgCategory, DgFunctor, NatTransform, identity_functor
-from .errors import InputError
+from .errors import FieldMismatchError, InputError, StructureError
 from .examples import DeclaredObject, ExampleBundle
 from .groups import FiniteGroup, GroupAction, Representation
 from .linalg import GradedSpace
@@ -50,7 +50,10 @@ def _expect_int(value, location):
 def _scalar(value, field, location):
     if not isinstance(value, str):
         raise InputError(f"scalar {value!r} must be a string", location)
-    return parse_scalar(value, field)
+    try:
+        return parse_scalar(value, field)
+    except FieldMismatchError as exc:
+        raise InputError(str(exc), location) from exc
 
 
 def _coeffs(entry, field, degrees_of, location):
@@ -172,7 +175,10 @@ def parse_document(doc) -> ExampleBundle:
                 if b not in row:
                     raise InputError(f"entry ({a},{b}) missing", "group.table")
                 table[(a, b)] = row[b]
-        group = FiniteGroup(elements, table, name=gdoc.get("name", "G"))
+        try:
+            group = FiniteGroup(elements, table, name=gdoc.get("name", "G"))
+        except StructureError as exc:
+            raise InputError(str(exc), "group.table") from exc
     if "action" in doc:
         if group is None:
             raise InputError("action without group", "action")

@@ -320,7 +320,7 @@ class EquivariantCategory:
             mat = SparseMatrix(len(rows), len(keys))
             for j, col in enumerate(matrix_cols):
                 mat.cols[j] = col
-            _, kernel = rank_kernel_image(mat)
+            _, kernel = rank_kernel_image(mat, cat.field)
             basis = []
             for vec in kernel:
                 coeffs = {keys[i]: v for i, v in vec.items()}
@@ -344,7 +344,7 @@ class EquivariantCategory:
                 for deg, basis in solved.items():
                     labels = [f"q{deg}_{i}" for i in range(len(basis))]
                     space_basis[deg] = labels
-                    ech = Echelon()
+                    ech = Echelon(cat.field)
                     keys, keyidx = self._flatten_space(
                         src.underlying, tgt.underlying, deg
                     )

@@ -67,6 +67,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
+from .scalars import QQ
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,10 @@ class Chain(NamedTuple):
 
 
 class WindowBase:
-    """Shared homology machinery over per-degree chain bases."""
+    """Shared homology machinery over per-degree chain bases, over
+    ``field``."""
+
+    field = QQ
 
     def chains_at(self, k):
         return self._chains.get(k, [])
@@ -130,7 +134,7 @@ class WindowBase:
             if closed and _acyclic_mod_p(d_k, d_prev):
                 reps, ech = [], None
             else:
-                reps, ech = _exact_homology(d_k, d_prev, closed)
+                reps, ech = _exact_homology(d_k, d_prev, closed, self.field)
             self._homology[k] = HomologyBasis(self, k, reps, ech)
         return self._homology[k]
 
@@ -157,11 +161,11 @@ def _acyclic_mod_p(d_k, d_prev):
     return rank_mod_p(d_prev, stop=need) == need
 
 
-def _exact_homology(d_k, d_prev, closed):
+def _exact_homology(d_k, d_prev, closed, field):
     """(representatives, echelon) of homology between d_prev and d_k by
-    exact elimination; ``closed`` says d_k∘d_prev = 0."""
-    _, cycles = rank_kernel_image(d_k)
-    ech = Echelon()
+    exact elimination over ``field``; ``closed`` says d_k∘d_prev = 0."""
+    _, cycles = rank_kernel_image(d_k, field)
+    ech = Echelon(field)
     # When every boundary is a cycle, an echelon as large as the cycle
     # space spans it: the remaining boundaries reduce to zero and leave the
     # echelon unchanged, so adding them is skipped.  Without d∘d = 0 every
@@ -207,14 +211,13 @@ class HomologyBasis:
 class HochschildWindow(WindowBase):
     def __init__(self, category, functor, lo, hi, bar_cap=None):
         self.category = category
+        self.field = category.field
         self.functor = functor
         self.lo = lo
         self.hi = hi
         self.bar_cap = bar_cap
         self._chains = {}
         self._index = {}
-        self._d1 = {}
-        self._d2 = {}
         self._total = {}
         self._homology = {}
         self.certification = self._certify()
@@ -383,7 +386,8 @@ class HochschildWindow(WindowBase):
             del out[idx]
 
     def _differentials(self):
-        """d1 and d2 column by column, read off the structure tables.
+        """The total differential d2 + (-1)^m d1 column by column, read off
+        the structure tables.
 
         Each face of a basis chain replaces one key (d1: the differential
         of a slot) or two adjacent keys (d2: their product) by a table
@@ -395,8 +399,6 @@ class HochschildWindow(WindowBase):
         for k in range(self.lo, self.hi):
             n = self.dim(k)
             nt = self.dim(k + 1)
-            d1 = SparseMatrix(nt, n)
-            d2 = SparseMatrix(nt, n)
             total = SparseMatrix(nt, n)
             for j, (objs, keys) in enumerate(self.chains_at(k)):
                 m = len(keys) - 1
@@ -435,14 +437,7 @@ class HochschildWindow(WindowBase):
                     new_objs = (objs[m],) + objs[1:m]
                     for hk, c in prod.items():
                         self._add_term(col2, new_objs, (hk,) + keys[1:m], -c if odd else c)
-                if col1:
-                    d1.cols[j] = col1
-                if col2:
-                    d2.cols[j] = col2
-                # d2 keeps col2, so the total starts from a copy
-                total.cols[j] = vec_axpy(dict(col2), parity_sign(m), col1)
-            self._d1[k] = d1
-            self._d2[k] = d2
+                total.cols[j] = vec_axpy(col2, parity_sign(m), col1)
             self._total[k] = total
 
     # -- interface --------------------------------------------------------
@@ -451,12 +446,6 @@ class HochschildWindow(WindowBase):
         if k in self._total:
             return self._total[k]
         return SparseMatrix(self.dim(k + 1), self.dim(k))
-
-    def d1_matrix(self, k):
-        return self._d1.get(k, SparseMatrix(self.dim(k + 1), self.dim(k)))
-
-    def d2_matrix(self, k):
-        return self._d2.get(k, SparseMatrix(self.dim(k + 1), self.dim(k)))
 
 
 def build_window(category, functor, lo, hi, bar_cap=None) -> HochschildWindow:
@@ -874,7 +863,7 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
 
     top = max(degrees)
     # joint solve at the top: unknowns H_top and H_{top+1}
-    ech = Echelon()
+    ech = Echelon(tgt.field)
     d_tgt = tgt.differential(top - 1)
     n_top = src.dim(top)
     n_up = src.dim(top + 1) if top + 1 <= src.hi else 0
@@ -917,7 +906,7 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
     for k in sorted([d for d in degrees if d < top], reverse=True):
         n_k = src.dim(k)
         d_tgt_k = tgt.differential(k - 1)
-        ech_k = Echelon()
+        ech_k = Echelon(tgt.field)
         for j in range(d_tgt_k.ncols):
             ech_k.add(d_tgt_k.cols[j], tag=j)
         cols = []
@@ -1051,6 +1040,7 @@ class TensorWindow(WindowBase):
 
     def __init__(self, left: WindowBase, right: WindowBase, lo, hi):
         self.left = left
+        self.field = left.field
         self.right = right
         self.lo = lo
         self.hi = hi
@@ -1092,9 +1082,6 @@ class TensorWindow(WindowBase):
             mat.cols[col] = {p: v for p, v in out.items() if v}
         self._dmat[k] = mat
         return mat
-
-    def pair_index(self, k, ka, i, j):
-        return self._index[k].get((ka, i, j))
 
 
 class ShuffleMap(ChainMap):

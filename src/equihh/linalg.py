@@ -14,6 +14,15 @@ multiplied: for ``c == 1`` it adds the entries of ``v`` as they are, for
 unchanged; only other scalars are multiplied.  Most scalars in
 elimination and chain-map evaluation are ±1.
 
+``Echelon`` eliminates without fractions.  It clears the denominators of
+each vector it is given and stores every column as an integer multiple of
+the reduced column, with that multiple as its pivot entry; cyclotomic
+entries keep integer coefficients.  Callers see field scalars only: each
+entry ``add`` or ``solve`` returns is divided back once.  A nonzero
+scaling cancels the same entries as the rational elimination, so the
+returned values, their scalar types and their key order are those of the
+rational elimination.
+
 ``rank_mod_p`` eliminates plain ints mod the prime P = 2^31 - 1 and
 proves only a lower bound for the rank over Q.  It reads an entry n/d as
 n·d^-1 mod P, the entry of the matrix whose columns are cleared of
@@ -26,8 +35,9 @@ image, and it returns None for them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .scalars import invert_scalar
+from .scalars import QQ, Cyc, invert_scalar
 
 
 def vec_axpy(u, c, v):
@@ -195,96 +205,177 @@ class SparseMatrix:
 
 
 class Echelon:
-    """Reduced column echelon accumulator with combination tracking.
+    """Reduced column echelon accumulator with combination tracking,
+    eliminating fraction-free.
 
-    Each stored column has a distinct pivot row; pivots are normalized to 1
-    and eliminated from every other stored column, so membership tests are
-    a single pass.  ``combos`` holds each stored column as a combination of
-    the tagged generators, so ``solve`` reads off coordinates over them.
+    Each generator enters times the lcm of its denominators, so every
+    stored column is an integer multiple of the reduced column it stands
+    for: its pivot entry, on the lowest row, is that multiple, and
+    ``combos`` holds the same multiple of its combination of the tagged
+    generators.  Stored columns are mutually reduced, so membership is a
+    single pass.  Eliminating ``w − (c/a)·s`` becomes ``a·w − c·s`` with a
+    and c divided by their gcd, and a changed column is divided by the
+    content of its entries and its combination (Bareiss, Math. Comp. 22,
+    1968).  A nonzero scaling cancels the same entries, so the columns and
+    their key order are those of the rational elimination up to one factor
+    each.  Cyclotomic entries are stored with integer coefficients.
+
+    Callers see field scalars only: ``add`` and ``solve`` divide each entry
+    they return once, into ``field``.  The field becomes the cyclotomic
+    field of the first cyclotomic entry met, if it was Q.
     """
 
-    def __init__(self):
-        self.columns = []  # reduced column vectors
+    def __init__(self, field=QQ):
+        self.field = field
+        self.columns = []  # integer multiples of the reduced columns
         self.pivots = {}  # pivot row -> column position
-        self.combos = []  # {tag: scalar} per stored column
+        self.combos = []  # {tag: integer} per stored column, same multiple
 
     @property
     def rank(self):
         return len(self.columns)
 
-    def _reduce(self, vec, combo):
-        vec = dict(vec)
-        combo = dict(combo)
+    def _integral(self, vec):
+        """(den·vec, den) with den the lcm of vec's denominators."""
+        try:
+            den = lcm(*[x.denominator for x in vec.values()])
+        except AttributeError:  # a Cyc entry has no denominator
+            return self._integral_cyc(vec)
+        if den == 1:
+            return {k: x.numerator for k, x in vec.items()}, 1
+        return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+
+    def _integral_cyc(self, vec):
+        """_integral of a vector with cyclotomic entries; a field that was
+        Q becomes theirs."""
+        den = 1
+        for x in vec.values():
+            if isinstance(x, Cyc):
+                if self.field == QQ:
+                    self.field = x.field
+                den = lcm(den, *[c.denominator for c in x.coeffs])
+            else:
+                den = lcm(den, x.denominator)
+        out = {}
+        for k, x in vec.items():
+            if isinstance(x, Cyc):
+                out[k] = Cyc(x.field, tuple(c * den for c in x.coeffs))
+            else:
+                out[k] = x.numerator * (den // x.denominator)
+        return out, den
+
+    def _reduce(self, vec, combo, scale):
+        """Reduce the integral vec and its combo, both ``scale`` times
+        their rational values, by the stored columns in place; returns the
+        new scale."""
         # one sweep is enough: stored columns are mutually reduced
-        for row in sorted(set(vec) & set(self.pivots)):
+        for row in sorted(vec.keys() & self.pivots.keys()):
             c = vec.get(row)
             if not c:
                 continue
             pos = self.pivots[row]
-            vec_axpy(vec, -c, self.columns[pos])
+            col = self.columns[pos]
+            a, c = _coprime(col[row], c)
+            if a != 1:
+                _scale_in_place(a, vec)
+                _scale_in_place(a, combo)
+                scale = scale * a
+            vec_axpy(vec, -c, col)
             vec_axpy(combo, -c, self.combos[pos])
-        return vec, combo
+        return scale
 
-    def add(self, vec, tag=None, combo=None):
+    def add(self, vec, tag=None):
         """Insert a generator.  Returns (residual, combo); residual {} means
         the vector was already in the span."""
-        if combo is None:
-            combo = {tag: Fraction(1)} if tag is not None else {}
-        vec, combo = self._reduce(vec, combo)
+        vec, den = self._integral(vec)
+        combo = {tag: den} if tag is not None else {}
+        scale = self._reduce(vec, combo, den)
         if vec_is_zero(vec):
-            return {}, combo
+            return {}, self._divide(combo, scale)
         pivot = min(vec)  # lowest row index rule
-        inv = invert_scalar(vec[pivot])
-        vec = vec_scale(inv, vec)
-        combo = vec_scale(inv, combo)
-        # eliminate the new pivot row from existing columns; stored columns
-        # may be held by callers (add returns them), so change copies
+        lead = vec[pivot]
+        out = self._divide(vec, lead), self._divide(combo, lead)
+        self._remove_content(vec, combo)
+        lead = vec[pivot]
+        # eliminate the new pivot row from the stored columns
         for pos, col in enumerate(self.columns):
             c = col.get(pivot)
             if c:
-                self.columns[pos] = vec_axpy(dict(col), -c, vec)
-                self.combos[pos] = vec_axpy(dict(self.combos[pos]), -c, combo)
+                a, c = _coprime(lead, c)
+                other = self.combos[pos]
+                if a != 1:
+                    _scale_in_place(a, col)
+                    _scale_in_place(a, other)
+                vec_axpy(col, -c, vec)
+                vec_axpy(other, -c, combo)
+                self._remove_content(col, other)
         self.pivots[pivot] = len(self.columns)
         self.columns.append(vec)
         self.combos.append(combo)
-        return vec, combo
-
-    def express(self, vec):
-        """Coordinates of vec over the stored columns, or None if outside
-        the span.  Returned as {column position: scalar}."""
-        vec = dict(vec)
-        coords = {}
-        for row in sorted(set(vec) & set(self.pivots)):
-            c = vec.get(row)
-            if not c:
-                continue
-            pos = self.pivots[row]
-            vec_axpy(vec, -c, self.columns[pos])
-            coords[pos] = c
-        if not vec_is_zero(vec):
-            return None
-        return coords
+        return out
 
     def solve(self, vec):
         """vec as {tag: scalar} over the tagged generators, or None if
         outside the span.  Untagged generators contribute nothing."""
-        coords = self.express(vec)
-        if coords is None:
+        vec, den = self._integral(vec)
+        combo = {}  # minus the solution, times scale
+        scale = self._reduce(vec, combo, den)
+        if not vec_is_zero(vec):
             return None
+        return self._divide(combo, -scale)
+
+    def _remove_content(self, vec, combo):
+        """Divide a column and its combination by their joint content."""
+        if self.field == QQ:
+            g = gcd(*vec.values(), *combo.values())
+        else:
+            g = 0
+            for x in [*vec.values(), *combo.values()]:
+                g = gcd(g, *[c.numerator for c in x.coeffs]) if isinstance(x, Cyc) else gcd(g, x)
+        if g > 1:
+            for v in (vec, combo):
+                for k, x in v.items():
+                    v[k] = Cyc(x.field, tuple(c / g for c in x.coeffs)) if isinstance(x, Cyc) else x // g
+
+    def _divide(self, vec, d):
+        """vec / d entrywise, one division per entry, as field scalars."""
+        if self.field == QQ:
+            if d == 1:
+                return {k: Fraction(x) for k, x in vec.items()}
+            return {k: Fraction(x, d) for k, x in vec.items()}
+        inv = invert_scalar(d)
+        field = self.field
         out = {}
-        for pos, c in coords.items():
-            vec_axpy(out, c, self.combos[pos])
+        for k, x in vec.items():
+            q = x * inv
+            out[k] = q if isinstance(q, Cyc) else field.embed(q)
         return out
 
 
-def rank_kernel_image(matrix: SparseMatrix):
+def _coprime(a, c):
+    """(a, c) over their gcd with a > 0 when both are ints, for the update
+    a·w − c·s; cyclotomic pairs are left as they are."""
+    if type(a) is int and type(c) is int:
+        g = gcd(a, c)
+        if a < 0:
+            g = -g
+        return a // g, c // g
+    return a, c
+
+
+def _scale_in_place(a, vec):
+    for k, x in vec.items():
+        vec[k] = a * x
+
+
+def rank_kernel_image(matrix: SparseMatrix, field=QQ):
     """Exact (rank, kernel basis) by deterministic elimination.
 
     Kernel vectors are combinations over the original column indices with
     the eliminated column carrying coefficient 1; rank + len(kernel) equals
-    the column count.
+    the column count.  Their entries lie in ``field`` (see ``Echelon``).
     """
-    ech = Echelon()
+    ech = Echelon(field)
     kernel = []
     for j in range(matrix.ncols):
         residual, combo = ech.add(matrix.cols[j], tag=j)

@@ -218,6 +218,9 @@ MALFORMED = [
     _nested_case(("roster", 0, "alpha", "s", 0, 0), 1, "roster[0].alpha[s][0][0]"),
     _nested_case(("roster", 0, "alpha", "s", 0, 0, "1"), 1, "roster[0].alpha[s][0][0]"),
     _nested_case(("representations", "regular", "matrices", "s", 0), "x", "representations[regular].matrices[s]"),
+    # well-formed JSON whose content is not in the document's field or not a group
+    _nested_case(("roster", 0, "alpha", "s", 0, 0, "1"), "cyc3:1,0", "roster[0].alpha[s][0][0]"),
+    _nested_case(("group", "table", "s", "s"), "s", "group.table"),
 ]
 
 

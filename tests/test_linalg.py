@@ -18,10 +18,14 @@ from equihh.linalg import (
     vec_is_zero,
     vec_scale,
 )
-from equihh.scalars import CyclotomicField
+from equihh.scalars import QQ, CyclotomicField
 from tests_support import (
     MatrixWindow,
+    ReferenceEchelon,
     assert_elimination_matches_reference,
+    assert_integral_content_one,
+    normalized_columns,
+    reference_columns,
     reference_vec_add,
     reference_vec_scale,
     transpose,
@@ -68,6 +72,83 @@ def test_elimination_matches_two_pass_reference(seed):
     entries = [0, 0, 0, 1, -1, 1, -1, 2, -3]
     rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
     assert_elimination_matches_reference(SparseMatrix.from_rows(rows))
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 12))
+
+
+def cyclotomic(coeffs):
+    return CYC.element(coeffs)
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    """Sparse matrices with entries of denominators 1..12, empty columns
+    and columns that are rational combinations of earlier ones."""
+    nrows = draw(st.integers(1, 7))
+    if field == QQ:
+        nonzero = FRACTIONS
+    else:
+        nonzero = st.builds(cyclotomic, st.lists(FRACTIONS, min_size=2, max_size=2))
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["new", "new", "dependent", "empty"]), max_size=9)):
+        if kind == "empty":
+            cols.append({})
+        elif kind == "dependent" and cols:
+            col = {}
+            for c, v in zip(draw(st.lists(FRACTIONS, min_size=len(cols), max_size=len(cols))), cols):
+                col = reference_vec_add(col, reference_vec_scale(c, v))
+            cols.append(col)
+        else:
+            cols.append({i: x for i in range(nrows) if (x := draw(entry))})
+    return SparseMatrix(nrows, len(cols), cols)
+
+
+def reference_inverse(m, field):
+    ech = ReferenceEchelon(field)
+    for j, col in enumerate(m.cols):
+        if not ech.add(col, tag=j)[0]:
+            return None
+    return [ech.solve({i: Fraction(1)}) for i in range(m.nrows)]
+
+
+def square_part(mat, shift, field):
+    """The leading square block of mat plus shift times the identity."""
+    n = min(mat.nrows, mat.ncols)
+    sq = SparseMatrix(n, n, [{i: x for i, x in col.items() if i < n} for col in mat.cols[:n]])
+    return sq + SparseMatrix.identity(n, field.one).scale(shift) if shift else sq
+
+
+@pytest.mark.parametrize("field", [QQ, CYC], ids=["Q", "Q(zeta_3)"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fraction_free_echelon_matches_rational_reference(field, data):
+    """The fraction-free Echelon returns what the rational two-pass
+    reference returns, value, scalar type and key order: kernels,
+    add's residual and combination (tagged and untagged generators),
+    solves and inverses; its stored columns with their combinations are
+    integral with content 1."""
+    mat = data.draw(sparse_matrices(field))
+    assert_elimination_matches_reference(mat, field)
+    ech, ref = Echelon(field), ReferenceEchelon(field)
+    for j, col in enumerate(mat.cols):
+        tag = j if j % 3 else None
+        got, want = ech.add(col, tag=tag), ref.add(col, tag=tag)
+        assert [typed(v) for v in got] == [typed(v) for v in want]
+        assert_integral_content_one(ech)
+    assert normalized_columns(ech, field) == reference_columns(ref)
+    for vec in mat.cols + [{i: Fraction(1)} for i in range(mat.nrows)]:
+        got, want = ech.solve(vec), ref.solve(vec)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert typed(got) == typed(want)
+    for shift in (0, 5):
+        sq = square_part(mat, shift, field)
+        got, want = matrix_inverse(sq), reference_inverse(sq, field)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [typed(col) for col in got.cols] == [typed(col) for col in want]
 
 
 def test_rank_kernel_proportional_rows():
@@ -145,9 +226,8 @@ def test_echelon_express():
     ech = Echelon()
     ech.add({0: Fraction(1), 1: Fraction(1)}, tag="a")
     ech.add({1: Fraction(1)}, tag="b")
-    coords = ech.express({0: Fraction(2), 1: Fraction(5)})
-    assert coords is not None
-    assert ech.express({2: Fraction(1)}) is None
+    assert ech.solve({0: Fraction(2), 1: Fraction(5)}) == {"a": 2, "b": 3}
+    assert ech.solve({2: Fraction(1)}) is None
 
 
 def test_echelon_solve_over_tags():

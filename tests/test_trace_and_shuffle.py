@@ -28,7 +28,7 @@ from equihh.hochschild import (
 )
 from equihh.linalg import SparseMatrix, rank_kernel_image, vec_is_zero
 from equihh.scalars import QQ
-from tests_support import koszul_swap_map
+from tests_support import koszul_swap_map, pair_index
 
 
 def doubled_point_setup(eta_rows):
@@ -171,7 +171,7 @@ def test_shuffle_one_one_formula():
         if ch.keys == ((0, "g"), (0, "g")):
             kx = i
     assert kx is not None
-    pos = tw.pair_index(-2, -1, kx, kx)
+    pos = pair_index(tw, -2, -1, kx, kx)
     vec = sh.apply_chain(-2, pos)
     # two shuffles of one f against one g, opposite signs
     assert len(vec) == 2

@@ -9,7 +9,7 @@ from equihh.equivariant import _shift_blocks, symmetrize
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image
-from equihh.scalars import QQ, invert_scalar
+from equihh.scalars import QQ, Cyc, invert_scalar
 
 
 def scaled_action():
@@ -57,21 +57,37 @@ def euler_phi(m):
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
+def split_differential(win, k):
+    """(d1, d2) of degree k: d1 on the reference path and d2 the rest of
+    the window's total differential d2 + (-1)^m d1.  The reference d2
+    multiplies every slot coefficient and takes seconds on long chains."""
+    d1 = reference_matrix(win, k, reference_d1_chain)
+    total = win.differential(k)
+    d2 = SparseMatrix(d1.nrows, d1.ncols)
+    for j, chain in enumerate(win.chains_at(k)):
+        sign = parity_sign(chain.bar_degree)
+        d2.cols[j] = reference_vec_sub(total.cols[j], reference_vec_scale(sign, d1.cols[j]))
+    return d1, d2
+
+
 def verify_sign_identities(win):
-    """d2^2 = 0 and d1 d2 = d2 d1 on all stored composable degrees."""
+    """d2^2 = 0 and d1 d2 = d2 d1 on all stored composable degrees, with
+    d1 and d2 from split_differential."""
     issues = []
+    d1, d2 = {}, {}
+    for k in range(win.lo, win.hi):
+        d1[k], d2[k] = split_differential(win, k)
     for k in range(win.lo, win.hi - 1):
-        if not (win.d2_matrix(k + 1) * win.d2_matrix(k)).is_zero():
+        if not (d2[k + 1] * d2[k]).is_zero():
             issues.append(("d2_squared", k))
-        lhs = win.d1_matrix(k + 1) * win.d2_matrix(k)
-        rhs = win.d2_matrix(k + 1) * win.d1_matrix(k)
-        if not lhs == rhs:
+        if not d1[k + 1] * d2[k] == d2[k + 1] * d1[k]:
             issues.append(("d1_d2_commute", k))
     return issues
 
 
-def _window_field(window):
-    return window.category.field if hasattr(window, "category") else _window_field(window.left)
+def pair_index(tw, k, ka, i, j):
+    """Position of the chain (ka, i, j) of a tensor window in degree k."""
+    return tw._index[k].get((ka, i, j))
 
 
 def koszul_swap_map(tw, tw_swapped):
@@ -81,11 +97,10 @@ def koszul_swap_map(tw, tw_swapped):
         def _compute(self, k, idx):
             ka, i, j = self.src.chains_at(k)[idx]
             kb = k - ka
-            pos = self.tgt.pair_index(k, kb, j, i)
+            pos = pair_index(self.tgt, k, kb, j, i)
             if pos is None:
                 return {}
-            one = _window_field(self.src.left).one
-            return {pos: one * parity_sign(ka * kb)}
+            return {pos: self.src.field.one * parity_sign(ka * kb)}
 
     return _Swap(tw, tw_swapped, name="koszul swap")
 
@@ -159,10 +174,12 @@ def reference_apply(mat, vec):
 
 
 class ReferenceEchelon:
-    """Echelon with the two-pass update vec - c·col: same pivoting, same
-    bookkeeping, no in-place change and no unit shortcut."""
+    """Rational echelon with the two-pass update vec - c·col: same
+    pivoting, pivots normalized to 1, no in-place change and no unit
+    shortcut; combinations are seeded with the field's one."""
 
-    def __init__(self):
+    def __init__(self, field=QQ):
+        self.one = field.one
         self.columns = []
         self.pivots = {}
         self.combos = []
@@ -182,7 +199,7 @@ class ReferenceEchelon:
         return vec, combo
 
     def add(self, vec, tag=None):
-        combo = {tag: Fraction(1)} if tag is not None else {}
+        combo = {tag: self.one} if tag is not None else {}
         vec, combo = self._reduce(dict(vec), combo)
         if not any(vec.values()):
             return {}, combo
@@ -219,8 +236,8 @@ class ReferenceEchelon:
         return out
 
 
-def reference_rank_kernel_image(matrix):
-    ech = ReferenceEchelon()
+def reference_rank_kernel_image(matrix, field=QQ):
+    ech = ReferenceEchelon(field)
     kernel = []
     for j in range(matrix.ncols):
         residual, combo = ech.add(matrix.cols[j], tag=j)
@@ -233,8 +250,8 @@ def reference_homology(win, k):
     """(reps, echelon) of WindowBase.homology_basis on the reference path,
     with the same early stop."""
     d_k = win.differential(k)
-    _, cycles, _ = reference_rank_kernel_image(d_k)
-    ech = ReferenceEchelon()
+    _, cycles, _ = reference_rank_kernel_image(d_k, win.field)
+    ech = ReferenceEchelon(win.field)
     d_prev = win.differential(k - 1)
     closed = all(not reference_apply(d_k, col) for col in d_prev.cols)
     for col in d_prev.cols:
@@ -254,20 +271,61 @@ def typed(vec):
     return [(k, x, type(x)) for k, x in vec.items()]
 
 
-def assert_elimination_matches_reference(mat, probes=8):
+def _quotient(x, d, field):
+    q = Fraction(x) / d if isinstance(x, int) else x / d
+    return q if field == QQ or isinstance(q, Cyc) else field.embed(q)
+
+
+def normalized_columns(ech, field=QQ):
+    """The stored columns and combos of an Echelon, each pair divided by
+    its column's pivot entry, as typed entries in key order."""
+    out = []
+    for row, pos in sorted(ech.pivots.items(), key=lambda item: item[1]):
+        lead = ech.columns[pos][row]
+        for vec in (ech.columns[pos], ech.combos[pos]):
+            out.append(typed({k: _quotient(x, lead, field) for k, x in vec.items()}))
+    return out
+
+
+def reference_columns(ref_ech):
+    return [typed(v) for pair in zip(ref_ech.columns, ref_ech.combos) for v in pair]
+
+
+def content(vec):
+    """gcd of a stored vector's entries, which are ints or Cycs with
+    integer coefficients."""
+    g = 0
+    for x in vec.values():
+        if isinstance(x, Cyc):
+            assert all(c.denominator == 1 for c in x.coeffs)
+            g = gcd(g, *(c.numerator for c in x.coeffs))
+        else:
+            assert type(x) is int
+            g = gcd(g, x)
+    return g
+
+
+def assert_integral_content_one(ech):
+    """Every stored column with its combo is integral with content 1."""
+    for col, combo in zip(ech.columns, ech.combos):
+        assert gcd(content(col), content(combo)) == 1
+
+
+def assert_elimination_matches_reference(mat, field=QQ, probes=8):
     """rank_kernel_image and the Echelon agree with the two-pass reference
     in pivots, reduced columns, combos, kernels and a few solves, entry by
-    entry, in key order and in scalar type."""
-    rank, kernel = rank_kernel_image(mat)
-    ref_rank, ref_kernel, ref_ech = reference_rank_kernel_image(mat)
+    entry, in key order and in scalar type.  Stored columns and combos are
+    compared after division by their pivot entry."""
+    rank, kernel = rank_kernel_image(mat, field)
+    ref_rank, ref_kernel, ref_ech = reference_rank_kernel_image(mat, field)
     assert rank == ref_rank
     assert [typed(v) for v in kernel] == [typed(v) for v in ref_kernel]
-    ech = Echelon()
+    ech = Echelon(field)
     for j, col in enumerate(mat.cols):
         ech.add(col, tag=j)
     assert list(ech.pivots.items()) == list(ref_ech.pivots.items())
-    assert [typed(v) for v in ech.columns] == [typed(v) for v in ref_ech.columns]
-    assert [typed(v) for v in ech.combos] == [typed(v) for v in ref_ech.combos]
+    assert normalized_columns(ech, field) == reference_columns(ref_ech)
+    assert_integral_content_one(ech)
     probe_vecs = mat.cols[:probes] + [{i: Fraction(1)} for i in range(min(probes, mat.nrows))]
     for vec in probe_vecs:
         got, want = ech.solve(vec), ref_ech.solve(vec)
@@ -281,7 +339,7 @@ def assert_classes_match_reference(win, k, got, ref_ech):
     key order and scalar type, on unit vectors, kernel vectors and
     boundary columns of degree k, and gives None on a non-cycle."""
     d_k = win.differential(k)
-    _, cycles = rank_kernel_image(d_k)
+    _, cycles = rank_kernel_image(d_k, win.field)
     units = [{i: Fraction(1)} for i in range(win.dim(k))]
     for vec in units + cycles + win.differential(k - 1).cols:
         want = ref_ech.solve(vec)
@@ -360,8 +418,8 @@ def reference_matrix(win, k, column):
 
 def full_elimination_basis(win, k):
     """HomologyBasis with every boundary column added to the echelon."""
-    _, cycles = rank_kernel_image(win.differential(k))
-    ech = Echelon()
+    _, cycles = rank_kernel_image(win.differential(k), win.field)
+    ech = Echelon(win.field)
     for col in win.differential(k - 1).cols:
         ech.add(col, tag=None)
     reps = []
