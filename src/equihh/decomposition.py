@@ -24,12 +24,21 @@ are small enough):
 The averaged centralizer action realizes the invariant subspaces; the
 per-class projectors are pairwise orthogonal idempotents.  A
 representation acts on the class projector image by its character value.
+
+The checks read one record per conjugacy class, built once by
+``_build_class_data`` and never written afterwards.  ``_failures`` is one
+ordered stream of (check name, witness or None) pairs, one per failed
+instance in report order; ``run_checks`` starts every name in ``CHECKS``
+as passed and fails it on each pair.  With ``certificates=False``
+(``--no-certificates``) no certificate runs; otherwise the homotopy
+certificates run only while every window fits the chain budget, and the
+representative transports while W_full does.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgcat import (
@@ -93,8 +102,8 @@ class ClassBlock:
     representative: str
     members: list
     centralizer: list
-    summand_dims: dict = dc_field(default_factory=dict)
-    matrices: dict = dc_field(default_factory=dict)  # degree -> {name: rows}
+    summand_dims: dict
+    matrices: dict  # degree -> {name: rows}
 
 
 @dataclass
@@ -311,7 +320,6 @@ class DecompositionPipeline:
 
         # canonical functors and transformations
         self.forget_full = self.eqcat.forgetful_functor(self.cat_full, self.cat_big)
-        self.forget_hh = self.eqcat.forgetful_functor(self.cat_hh, self.cat_big)
         self.s_small = self.eqcat.symmetrization_functor(self.cat_small)
         self.mu = InducedMap(
             self.w_hh,
@@ -384,6 +392,17 @@ class DecompositionPipeline:
         fun = identity_functor(self.cat_small)
         return NatTransform(fun, fun, comps, name=f"phi[{g}]")
 
+    def _sym_mor(self, f: Mor) -> Mor:
+        """S(f) for an ambient morphism f: the diagonal blocks rho_h(f),
+        h in G, between the symmetrizations of its ends."""
+        coeffs = {}
+        for i, h in enumerate(self.group.elements):
+            img = self.laction.rho(h).apply(f)
+            coeffs.update(_shift_blocks(img.coeffs, i * len(f.tgt), i * len(f.src)))
+        return Mor(
+            symmetrize_tuple(self.laction, f.src), symmetrize_tuple(self.laction, f.tgt), coeffs
+        )
+
     def s_for_functor(self, src_names) -> DgFunctor:
         """S∘forget from a subcategory of the roster into the roster."""
         eq = self.eqcat
@@ -396,23 +415,9 @@ class DecompositionPipeline:
         def build(pair):
             sn, tn = pair
             table = {}
-            grp = self.group
-            u_s, u_t = eq.roster[sn].underlying, eq.roster[tn].underlying
             for key in src.basis_keys(sn, tn):
                 amb = eq.embed(Mor(sn, tn, {key: eq.ambient.field.one}), sn, tn)
-                coeffs = {}
-                offs_s = offs_t = 0
-                for h in grp.elements:
-                    img = self.laction.rho(h).apply(amb)
-                    coeffs.update(_shift_blocks(img.coeffs, offs_t, offs_s))
-                    offs_s += len(u_s)
-                    offs_t += len(u_t)
-                big = Mor(
-                    symmetrize_tuple(self.laction, u_s),
-                    symmetrize_tuple(self.laction, u_t),
-                    coeffs,
-                )
-                restricted = eq.restrict(big, obj_map[sn], obj_map[tn])
+                restricted = eq.restrict(self._sym_mor(amb), obj_map[sn], obj_map[tn])
                 if restricted is None:
                     raise StructureError("symmetrized-forgotten morphism not equivariant")
                 table[key] = restricted
@@ -424,31 +429,16 @@ class DecompositionPipeline:
         """phi_g ⋆ alpha_g: S∘forget ⇒ S∘forget at each covering object:
         phi_g at the underlying object composed with S(alpha_g)."""
         eq = self.eqcat
-        grp = self.group
         comps = {}
         for name in src_names:
             obj = eq.roster[name]
             u = obj.underlying
-            alpha = obj.alpha[g]
             rg_u = self.laction.rho(g).apply_obj(u)
-            # S(alpha): diagonal blocks rho_h(alpha) between the two sums
-            coeffs = {}
-            off_s = off_t = 0
-            for h in grp.elements:
-                img = self.laction.rho(h).apply(alpha)
-                coeffs.update(_shift_blocks(img.coeffs, off_t, off_s))
-                off_s += len(u)
-                off_t += len(rg_u)
-            s_alpha_amb = Mor(
-                symmetrize_tuple(self.laction, u),
-                symmetrize_tuple(self.laction, rg_u),
-                coeffs,
-            )
             src_sym = self.sym_object(u)
             mid_sym = self.sym_object(rg_u)
             sname = eq.find(src_sym.underlying, src_sym.alpha)
             mname = eq.find(mid_sym.underlying, mid_sym.alpha)
-            s_alpha = eq.restrict(s_alpha_amb, sname, mname)
+            s_alpha = eq.restrict(self._sym_mor(obj.alpha[g]), sname, mname)
             if s_alpha is None:
                 raise StructureError(f"S(alpha[{g}]) at {name} is not equivariant")
             comps[name] = self.cat_full.compose(self._phi_component(g, u), s_alpha)
@@ -472,15 +462,6 @@ class DecompositionPipeline:
             self.forget_full,
             self.alpha_nat(g, self.cat_full),
             name=f"pi[{g}]",
-        )
-
-    def projection_hh(self, g) -> InducedMap:
-        return InducedMap(
-            self.w_hh,
-            self.w_big[g],
-            self.forget_hh,
-            self.alpha_nat(g, self.cat_hh),
-            name=f"pi_hh[{g}]",
         )
 
     def inclusion(self, g) -> InducedMap:
@@ -511,287 +492,83 @@ class DecompositionPipeline:
             name=f"iota∘pi[{g}]",
         )
 
-    # ... the verification driver lives in decompose() below.
-
 
 def _is_idempotent(m: SparseMatrix) -> bool:
     return m * m == m
 
 
-def decompose(
-    action,
-    declared,
-    generators,
-    hh_names=None,
-    representations=None,
-    degrees=(0, 0),
-    bar_cap=None,
-    certificates=True,
-) -> DecompositionReport:
-    start = time.perf_counter()
-    pipe = DecompositionPipeline(
-        action,
-        declared,
-        generators,
-        hh_names=hh_names,
-        representations=representations,
-        degrees=degrees,
-        bar_cap=bar_cap,
-        certificates=certificates,
+def _fits_budget(window) -> bool:
+    """Whether every degree of ``window`` is small enough for certificates."""
+    return all(
+        window.dim(k) <= CERTIFICATE_CHAIN_BUDGET for k in range(window.lo, window.hi + 1)
     )
-    report = run_checks(pipe)
+
+
+def decompose(action, declared, generators, **options) -> DecompositionReport:
+    """Build the pipeline (``options`` are DecompositionPipeline's keyword
+    parameters) and run every check, timing both."""
+    start = time.perf_counter()
+    report = run_checks(DecompositionPipeline(action, declared, generators, **options))
     report.runtime = time.perf_counter() - start
     return report
 
 
+# the named checks of a report; each passes until a failure of it is seen
+CHECKS = (
+    "chain_functoriality",
+    "centralizer_right_action",
+    "covering_isomorphism",
+    "projection_invariance",
+    "projection_inclusion_trace",
+    "cross_class_vanishing",
+    "averaging_idempotent",
+    "trace_scalar_on_invariants",
+    "projector_factorization",
+    "representative_independence",
+    "projector_sum_identity",
+    "projectors_orthogonal_idempotent",
+)
+
+
 def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
     degs = pipe.degree_list
-    grp = pipe.group
-    field = pipe.eqcat.ambient.field
-    checks = {"chain_functoriality": True, "centralizer_right_action": True}
-    witnesses = []
-    cert_log = []
-
+    reps = pipe.classes.representatives
     lhs_dims = {k: pipe.w_hh.homology(k)[0] for k in degs}
     mu_mat = {k: pipe.mu.homology_matrix(k) for k in degs}
-    mu_inv = {}
-    ok_mu = True
-    for k in degs:
-        inv = matrix_inverse(mu_mat[k])
-        if inv is None:
-            ok_mu = False
-            witnesses.append(f"covering inclusion not a homology isomorphism at degree {k}")
-        mu_inv[k] = inv
-    checks["covering_isomorphism"] = ok_mu
+    mu_inv = {k: matrix_inverse(mu_mat[k]) for k in degs}
+    data = {g: _build_class_data(pipe, g, degs, mu_mat, mu_inv) for g in reps}
 
-    reps_of_classes = pipe.classes.representatives
-    small_enough = all(
-        pipe.w_big[g].dim(k) <= CERTIFICATE_CHAIN_BUDGET
-        for g in reps_of_classes
-        for k in range(pipe.w_big[g].lo, pipe.w_big[g].hi + 1)
-    ) and all(
-        pipe.w_full.dim(k) <= CERTIFICATE_CHAIN_BUDGET
-        for k in range(pipe.w_full.lo, pipe.w_full.hi + 1)
-    )
-    do_certs = pipe.certificates_wanted and small_enough
-    if pipe.certificates_wanted and not small_enough:
-        cert_log.append(("homotopy certificates", "skipped: window too large", True))
+    checks = dict.fromkeys(CHECKS, True)
+    witnesses = []
+    for name, witness in _failures(pipe, data, mu_mat, mu_inv):
+        checks[name] = False
+        if witness is not None:
+            witnesses.append(witness)
 
-    blocks = {
-        g: ClassBlock(
+    class_blocks = [
+        ClassBlock(
             representative=g,
-            members=pipe.classes.classes[reps_of_classes.index(g)],
+            members=members,
             centralizer=pipe.classes.centralizers[g],
+            summand_dims={k: rank_kernel_image(data[g]["avg"][k])[0] for k in degs},
+            matrices=data[g]["matrices"],
         )
-        for g in reps_of_classes
-    }
-    class_blocks = [blocks[g] for g in reps_of_classes]
-    per_class = {}
-    for g in reps_of_classes:
-        data, class_checks, class_witnesses = _build_class_data(pipe, g, blocks[g].members, degs)
-        per_class[g] = data
-        for name, ok in class_checks.items():
-            checks[name] = checks[name] and ok
-        witnesses.extend(class_witnesses)
-
-    # check 1: projection is centralizer-invariant
-    ok1 = True
-    for g in reps_of_classes:
-        data = per_class[g]
-        for h in pipe.classes.centralizers[g]:
-            m_big = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
-            for k in degs:
-                lhs = m_big.homology_matrix(k) * data["A"][k]
-                if not lhs == data["A"][k]:
-                    ok1 = False
-                    witnesses.append(
-                        f"projection not invariant under {h} in the class of {g} at degree {k}"
-                    )
-    checks["projection_invariance"] = ok1
-    if do_certs:
-        _check1_certificates(pipe, per_class, cert_log)
-
-    # check 2/3: composite with inclusions, diagonal and cross-class
-    ok2 = True
-    ok3 = True
-    for g in reps_of_classes:
-        data = per_class[g]
-        for g2 in reps_of_classes:
-            data2 = per_class[g2]
-            for k in degs:
-                prod = data["A"][k] * data2["B"][k]
-                if g2 == g:
-                    want = data["L"][k] * _sum_matrices(
-                        [data["M_small"][h][k] for h in pipe.classes.centralizers[g]],
-                        data["L"][k].ncols,
-                    )
-                    if not prod == want:
-                        ok2 = False
-                        witnesses.append(
-                            f"projection∘inclusion mismatch for {g} at degree {k}"
-                        )
-                else:
-                    if not prod.is_zero():
-                        ok3 = False
-                        witnesses.append(
-                            f"cross-class composite ({g}, {g2}) nonzero at degree {k}"
-                        )
-    checks["projection_inclusion_trace"] = ok2
-    checks["cross_class_vanishing"] = ok3
-    if do_certs:
-        _check23_certificates(pipe, per_class, degs, cert_log)
-
-    # invariant subspaces and summand dims
-    for g in reps_of_classes:
-        data = per_class[g]
-        block = blocks[g]
-        for k in degs:
-            avg = data["avg"][k]
-            if not _is_idempotent(avg):
-                checks["averaging_idempotent"] = False
-                witnesses.append(f"averaging projector for {g} not idempotent at degree {k}")
-            rank, _ = rank_kernel_image(avg)
-            block.summand_dims[k] = rank
-    checks.setdefault("averaging_idempotent", True)
-
-    # check 2b: |C(g)|·id on the invariant image
-    ok2b = True
-    for g in reps_of_classes:
-        data = per_class[g]
-        c_order = len(pipe.classes.centralizers[g])
-        for k in degs:
-            l_inv = matrix_inverse(data["L"][k])
-            if l_inv is None:
-                ok2b = False
-                witnesses.append(f"generator inclusion not iso for {g} at degree {k}")
-                continue
-            comp = l_inv * data["A"][k] * data["B"][k]
-            avg = data["avg"][k]
-            if not comp * avg == avg.scale(field.embed(c_order)):
-                ok2b = False
-                witnesses.append(
-                    f"projection∘inclusion is not |C(g)|·id on invariants for {g} at {k}"
-                )
-            data["L_inv"][k] = l_inv
-    checks["trace_scalar_on_invariants"] = ok2b
-
-    # class projectors
-    projectors = {}
-    ok_factor = True
-    for g in reps_of_classes:
-        data = per_class[g]
-        block = blocks[g]
-        c_order = len(pipe.classes.centralizers[g])
-        projectors[g] = {}
-        for k in degs:
-            if mu_inv[k] is None:
-                continue
-            e_mat = mu_inv[k] * data["K"][k]
-            e_mat = e_mat.scale(field.embed(Fraction(1, c_order)))
-            projectors[g][k] = e_mat
-            block.matrices[k] = {
-                "projection": _rows(data["A"][k] * mu_mat[k]),
-                "inclusion": _rows(data["B"][k]),
-                "projector": _rows(e_mat),
-            }
-            # factorization through the invariants
-            want = data["B"][k] * data["L_inv"][k] * data["A"][k] * mu_mat[k]
-            if not data["K"][k] == want:
-                ok_factor = False
-                witnesses.append(f"projector factorization fails for {g} at degree {k}")
-    checks["projector_factorization"] = ok_factor
-
-    # check 4: representative independence (end identity, certified directly)
-    ok4 = True
-    for g in reps_of_classes:
-        data = per_class[g]
-        if data["K_alt"] is None:
-            continue
-        for k in degs:
-            if not data["K"][k] == data["K_alt"][k]:
-                ok4 = False
-                witnesses.append(
-                    f"projector differs between conjugate representatives of {g} at {k}"
-                )
-    checks["representative_independence"] = ok4
-    _check4_transports(pipe, per_class, cert_log)
-
-    # check 5: weighted projectors sum to the identity
-    ok5 = True
-    for k in degs:
-        if mu_inv[k] is None:
-            ok5 = False
-            continue
-        n = lhs_dims[k]
-        total = SparseMatrix(n, n)
-        for g in reps_of_classes:
-            total = total + projectors[g][k]
-        if not total == SparseMatrix.identity(n, one=field.one):
-            ok5 = False
-            witnesses.append(f"projectors do not sum to the identity at degree {k}")
-    checks["projector_sum_identity"] = ok5
-    if do_certs:
-        _check5_certificate(pipe, per_class, cert_log)
-
-    # idempotents, orthogonality
-    ok_idem = True
-    for k in degs:
-        if mu_inv[k] is None:
-            ok_idem = False
-            continue
-        for g in reps_of_classes:
-            if not _is_idempotent(projectors[g][k]):
-                ok_idem = False
-                witnesses.append(f"projector of {g} not idempotent at degree {k}")
-        for g in reps_of_classes:
-            for g2 in reps_of_classes:
-                if g2 == g:
-                    continue
-                prod = projectors[g][k] * projectors[g2][k]
-                if not prod.is_zero():
-                    ok_idem = False
-                    witnesses.append(f"projectors of {g}, {g2} not orthogonal at degree {k}")
-    checks["projectors_orthogonal_idempotent"] = ok_idem
-
+        for g, members in zip(reps, pipe.classes.classes)
+    ]
     dims_match = all(
-        lhs_dims[k] == sum(b.summand_dims.get(k, 0) for b in class_blocks) for k in degs
+        lhs_dims[k] == sum(b.summand_dims[k] for b in class_blocks) for k in degs
     )
     if not dims_match:
         witnesses.append("dimension sum mismatch")
 
-    # representation ring action
     rep_checks = {}
     for rname, rep in pipe.representations.items():
         chi = character(rep, pipe.classes)
-        t_fun = pipe.eqcat.rep_tensor_functor(rep, source_names=pipe.hh_names)
-        comps = {
-            name: pipe.cat_full.unit(t_fun.apply_obj(name)) for name in pipe.hh_names
-        }
-        fun = identity_functor(pipe.cat_hh)
-        t_map = InducedMap(
-            pipe.w_hh,
-            pipe.w_full,
-            t_fun,
-            NatTransform(fun, fun, comps, name="1"),
-            name=f"T[{rname}]",
-        )
-        rep_ok = True
-        for k in degs:
-            if mu_inv[k] is None:
-                rep_ok = False
-                continue
-            t_g = mu_inv[k] * t_map.homology_matrix(k)
-            for g in reps_of_classes:
-                e_mat = projectors[g][k]
-                if not t_g * e_mat == e_mat.scale(chi[g]):
-                    rep_ok = False
-                    witnesses.append(
-                        f"representation {rname} does not act by its character on the"
-                        f" class of {g} at degree {k}"
-                    )
-        rep_checks[rname] = (rep_ok, chi)
+        failures = list(_representation_failures(pipe, data, mu_inv, rname, rep, chi))
+        witnesses.extend(w for w in failures if w is not None)
+        rep_checks[rname] = (not failures, chi)
 
-    report = DecompositionReport(
+    return DecompositionReport(
         group_name=pipe.group.name,
         class_blocks=class_blocks,
         roster_names=pipe.roster_names,
@@ -803,10 +580,9 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
         checks=checks,
         witnesses=witnesses,
         rep_checks=rep_checks,
-        certificates=cert_log,
+        certificates=_certificates(pipe, data),
         runtime=0.0,
     )
-    return report
 
 
 def _rows(matrix: SparseMatrix):
@@ -815,95 +591,264 @@ def _rows(matrix: SparseMatrix):
     return [[format_scalar(v) for v in row] for row in matrix.to_rows()]
 
 
-def _sum_matrices(mats, ncols):
-    if not mats:
-        return SparseMatrix(0, ncols)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out + m
-    return out
+def _build_class_data(pipe, g, degs, mu_mat, mu_inv):
+    """Everything the checks and certificates read about the class of g,
+    built once and not changed afterwards.
 
-
-def _build_class_data(pipe, g, members, degs):
-    """Homology matrices and maps of one conjugacy class, with the results
-    and witnesses of its two per-class checks: chain-level functoriality of
-    pi∘mu and the centralizer right-action law.
-
-    Returns (data, checks, witnesses).
+    Per degree: the homology matrices A (projection), B (inclusion), K
+    (projector map) and L (generator inclusion lambda) with L_inv (None
+    where lambda is singular); the centralizer action M_small[h], its sum
+    M_sum and average avg; and, where mu is invertible, the class
+    projector E and the report's matrices.  Besides: the chain-level
+    mismatches of pi∘mu, and a conjugate (a, g2 = a^-1 g a ≠ g) with its
+    projector matrices K_alt, both None when g is central.
     """
-    witnesses = []
-    data = {"A": {}, "B": {}, "K": {}, "L": {}, "L_inv": {}, "M_small": {}, "avg": {}}
+    grp = pipe.group
+    field = pipe.eqcat.ambient.field
+    cent = pipe.classes.centralizers[g]
+    inv_order = field.embed(Fraction(1, len(cent)))
     proj = pipe.projection(g)
-    proj_hh = pipe.projection_hh(g)
     inc = pipe.inclusion(g)
     k_map = pipe.projector_map(g)
     lam = pipe.lam(g)
-    data["proj"] = proj
-    data["proj_hh"] = proj_hh
-    data["inc"] = inc
-    data["k_map"] = k_map
-    field = pipe.eqcat.ambient.field
-    # chain-level functoriality: pi restricted to the covering objects
     _, _, mismatches = compose_induced(proj, pipe.mu)
-    if mismatches:
-        witnesses.append(f"chain-level functoriality fails for pi∘mu at {g}")
-    for k in degs:
-        data["A"][k] = proj.homology_matrix(k)
-        data["B"][k] = inc.homology_matrix(k)
-        data["K"][k] = k_map.homology_matrix(k)
-        data["L"][k] = lam.homology_matrix(k)
-    for h in pipe.classes.centralizers[g]:
+    a_mat = {k: proj.homology_matrix(k) for k in degs}
+    b_mat = {k: inc.homology_matrix(k) for k in degs}
+    k_mat = {k: k_map.homology_matrix(k) for k in degs}
+    l_mat = {k: lam.homology_matrix(k) for k in degs}
+    m_small = {}
+    for h in cent:
         m = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, h, g)
-        data["M_small"][h] = {k: m.homology_matrix(k) for k in degs}
-    c_order = len(pipe.classes.centralizers[g])
+        m_small[h] = {k: m.homology_matrix(k) for k in degs}
+    m_sum = {}
     for k in degs:
         n = pipe.w_small[g].homology(k)[0]
-        total = SparseMatrix(n, n)
-        for h in pipe.classes.centralizers[g]:
-            total = total + data["M_small"][h][k]
-        data["avg"][k] = total.scale(field.embed(Fraction(1, c_order)))
-    # right-action law of the centralizer
-    ok_action = True
-    for h in pipe.classes.centralizers[g]:
-        for h2 in pipe.classes.centralizers[g]:
-            prod_target = pipe.group.mul(h2, h)
+        m_sum[k] = sum((m_small[h][k] for h in cent), SparseMatrix(n, n))
+    e_mat = {
+        k: (mu_inv[k] * k_mat[k]).scale(inv_order) for k in degs if mu_inv[k] is not None
+    }
+    matrices = {
+        k: {
+            "projection": _rows(a_mat[k] * mu_mat[k]),
+            "inclusion": _rows(b_mat[k]),
+            "projector": _rows(e),
+        }
+        for k, e in e_mat.items()
+    }
+    conjugate = k_alt = None
+    for a in grp.elements:
+        g2 = grp.mul(grp.mul(grp.inv(a), g), a)
+        if g2 != g:
+            conjugate = (a, g2)
+            alt = pipe.projector_map(g2)
+            k_alt = {k: alt.homology_matrix(k) for k in degs}
+            break
+    return {
+        "proj": proj,
+        "inc": inc,
+        "mismatches": mismatches,
+        "A": a_mat,
+        "B": b_mat,
+        "K": k_mat,
+        "L": l_mat,
+        "L_inv": {k: matrix_inverse(l_mat[k]) for k in degs},
+        "M_small": m_small,
+        "M_sum": m_sum,
+        "avg": {k: m_sum[k].scale(inv_order) for k in degs},
+        "E": e_mat,
+        "matrices": matrices,
+        "conjugate": conjugate,
+        "K_alt": k_alt,
+    }
+
+
+def _failures(pipe, data, mu_mat, mu_inv):
+    """(check name, witness) for every failed instance of a check in
+    CHECKS, in report order.  A check that cannot be evaluated where an
+    inverse is missing fails with witness None."""
+    degs = pipe.degree_list
+    reps = pipe.classes.representatives
+    cent = pipe.classes.centralizers
+    field = pipe.eqcat.ambient.field
+    for k in degs:
+        if mu_inv[k] is None:
+            yield "covering_isomorphism", (
+                f"covering inclusion not a homology isomorphism at degree {k}"
+            )
+
+    # per class: chain-level functoriality of pi∘mu, right-action law
+    for g in reps:
+        if data[g]["mismatches"]:
+            yield "chain_functoriality", f"chain-level functoriality fails for pi∘mu at {g}"
+        m = data[g]["M_small"]
+        for h in cent[g]:
+            for h2 in cent[g]:
+                hh2 = pipe.group.mul(h2, h)
+                rhs = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, hh2, g)
+                for k in degs:
+                    if not m[h][k] * m[h2][k] == rhs.homology_matrix(k):
+                        yield "centralizer_right_action", (
+                            f"centralizer right-action law fails for ({h},{h2}) at {g}, degree {k}"
+                        )
+
+    # check 1: projection is centralizer-invariant
+    for g in reps:
+        a_mat = data[g]["A"]
+        for h in cent[g]:
+            m_big = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
             for k in degs:
-                lhs = data["M_small"][h][k] * data["M_small"][h2][k]
-                rhs_map = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, prod_target, g)
-                if not lhs == rhs_map.homology_matrix(k):
-                    ok_action = False
-                    witnesses.append(
-                        f"centralizer right-action law fails for ({h},{h2}) at {g}, degree {k}"
+                if not m_big.homology_matrix(k) * a_mat[k] == a_mat[k]:
+                    yield "projection_invariance", (
+                        f"projection not invariant under {h} in the class of {g} at degree {k}"
                     )
 
-    # alternate conjugate representative for representative independence
-    data["K_alt"] = None
-    if len(members) > 1:
-        for a in pipe.group.elements:
-            g2 = pipe.group.mul(pipe.group.mul(pipe.group.inv(a), g), a)
-            if g2 != g:
-                data["conjugator"] = a
-                data["alt_rep"] = g2
-                alt = pipe.projector_map(g2)
-                data["K_alt"] = {k: alt.homology_matrix(k) for k in degs}
-                break
-    checks = {"chain_functoriality": not mismatches, "centralizer_right_action": ok_action}
-    return data, checks, witnesses
+    # check 2/3: composite with inclusions, diagonal and cross-class
+    for g in reps:
+        for g2 in reps:
+            for k in degs:
+                prod = data[g]["A"][k] * data[g2]["B"][k]
+                if g2 != g:
+                    if not prod.is_zero():
+                        yield "cross_class_vanishing", (
+                            f"cross-class composite ({g}, {g2}) nonzero at degree {k}"
+                        )
+                elif not prod == data[g]["L"][k] * data[g]["M_sum"][k]:
+                    yield "projection_inclusion_trace", (
+                        f"projection∘inclusion mismatch for {g} at degree {k}"
+                    )
+
+    for g in reps:
+        for k in degs:
+            if not _is_idempotent(data[g]["avg"][k]):
+                yield "averaging_idempotent", (
+                    f"averaging projector for {g} not idempotent at degree {k}"
+                )
+
+    # check 2b: |C(g)|·id on the invariant image
+    for g in reps:
+        d = data[g]
+        c_order = field.embed(len(cent[g]))
+        for k in degs:
+            avg = d["avg"][k]
+            if d["L_inv"][k] is None:
+                yield "trace_scalar_on_invariants", (
+                    f"generator inclusion not iso for {g} at degree {k}"
+                )
+            elif not d["L_inv"][k] * d["A"][k] * d["B"][k] * avg == avg.scale(c_order):
+                yield "trace_scalar_on_invariants", (
+                    f"projection∘inclusion is not |C(g)|·id on invariants for {g} at {k}"
+                )
+
+    # the class projector factors through the invariants
+    for g in reps:
+        d = data[g]
+        for k in degs:
+            if mu_inv[k] is None:
+                continue
+            if d["L_inv"][k] is None:
+                yield "projector_factorization", None
+            elif not d["K"][k] == d["B"][k] * d["L_inv"][k] * d["A"][k] * mu_mat[k]:
+                yield "projector_factorization", (
+                    f"projector factorization fails for {g} at degree {k}"
+                )
+
+    # check 4: representative independence (end identity, certified directly)
+    for g in reps:
+        d = data[g]
+        if d["K_alt"] is None:
+            continue
+        for k in degs:
+            if not d["K"][k] == d["K_alt"][k]:
+                yield "representative_independence", (
+                    f"projector differs between conjugate representatives of {g} at {k}"
+                )
+
+    # check 5: weighted projectors sum to the identity
+    for k in degs:
+        if mu_inv[k] is None:
+            yield "projector_sum_identity", None
+            continue
+        n = mu_mat[k].ncols
+        total = sum((data[g]["E"][k] for g in reps), SparseMatrix(n, n))
+        if not total == SparseMatrix.identity(n, one=field.one):
+            yield "projector_sum_identity", (
+                f"projectors do not sum to the identity at degree {k}"
+            )
+
+    # idempotents, orthogonality
+    for k in degs:
+        if mu_inv[k] is None:
+            yield "projectors_orthogonal_idempotent", None
+            continue
+        for g in reps:
+            if not _is_idempotent(data[g]["E"][k]):
+                yield "projectors_orthogonal_idempotent", (
+                    f"projector of {g} not idempotent at degree {k}"
+                )
+        for g in reps:
+            for g2 in reps:
+                if g2 != g and not (data[g]["E"][k] * data[g2]["E"][k]).is_zero():
+                    yield "projectors_orthogonal_idempotent", (
+                        f"projectors of {g}, {g2} not orthogonal at degree {k}"
+                    )
 
 
-def _check1_certificates(pipe, per_class, cert_log):
+def _representation_failures(pipe, data, mu_inv, rname, rep, chi):
+    """A witness, or None where mu is not invertible, for every class and
+    degree on which rep does not act on the class projector by its
+    character chi."""
+    t_fun = pipe.eqcat.rep_tensor_functor(rep, source_names=pipe.hh_names)
+    comps = {name: pipe.cat_full.unit(t_fun.apply_obj(name)) for name in pipe.hh_names}
+    fun = identity_functor(pipe.cat_hh)
+    t_map = InducedMap(
+        pipe.w_hh,
+        pipe.w_full,
+        t_fun,
+        NatTransform(fun, fun, comps, name="1"),
+        name=f"T[{rname}]",
+    )
+    for k in pipe.degree_list:
+        if mu_inv[k] is None:
+            yield None
+            continue
+        t_g = mu_inv[k] * t_map.homology_matrix(k)
+        for g in pipe.classes.representatives:
+            e_mat = data[g]["E"][k]
+            if not t_g * e_mat == e_mat.scale(chi[g]):
+                yield (
+                    f"representation {rname} does not act by its character on the"
+                    f" class of {g} at degree {k}"
+                )
+
+
+def _certificates(pipe, data):
+    """The chain-level certificates, in report order: none unless wanted,
+    and only the representative transports unless every window fits the
+    budget."""
+    if not pipe.certificates_wanted:
+        return []
+    if not all(_fits_budget(w) for w in [pipe.w_full, *pipe.w_big.values()]):
+        skipped = ("homotopy certificates", "skipped: window too large", True)
+        return [skipped, *_check4_transports(pipe, data)]
+    return [
+        *_check1_certificates(pipe, data),
+        *_check23_certificates(pipe, data),
+        *_check4_transports(pipe, data),
+        *_check5_certificate(pipe, data),
+    ]
+
+
+def _check1_certificates(pipe, data):
     """Chain-level route for check 1: the centralizer action composed with
     the projection equals the projection conjugated along alpha_h, with an
     explicit transport homotopy back to the projection itself."""
     for g in pipe.classes.representatives:
-        data = per_class[g]
-        proj = data["proj"]
+        proj = data[g]["proj"]
         for h in pipe.classes.centralizers[g]:
             if h == pipe.group.identity:
                 continue
             m_big = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
             combined, composed, mismatches = compose_induced(m_big, proj)
-            ok = not mismatches
             # transport (forget, alpha_g) along alpha_h: forget ⇒ rho_h∘forget
             alpha_h = pipe.alpha_nat(h, pipe.cat_full)
             transported, cert = conjugate_transport(proj, alpha_h, combined.phi)
@@ -914,38 +859,33 @@ def _check1_certificates(pipe, per_class, cert_log):
                 for name in pipe.cat_full.objects
             )
             cert_ok = cert.check()
+            a_mat = data[g]["A"]
             same_matrix = all(
-                transported.homology_matrix(k) == data["A"][k]
-                and (m_big.homology_matrix(k) * data["A"][k]) == data["A"][k]
+                transported.homology_matrix(k) == a_mat[k]
+                and (m_big.homology_matrix(k) * a_mat[k]) == a_mat[k]
                 for k in pipe.degree_list
             )
-            cert_log.append(
-                (
-                    f"projection invariance [{g}] under {h}",
-                    "transport",
-                    ok and same_twist and cert_ok and same_matrix,
-                )
-            )
+            ok = not mismatches and same_twist and cert_ok and same_matrix
+            yield f"projection invariance [{g}] under {h}", "transport", ok
 
 
-def _check23_certificates(pipe, per_class, degs, cert_log):
+def _check23_certificates(pipe, data):
     """Trace-decomposition certificates for the diagonal and cross-class
     composites: projection∘inclusion = (forget∘symmetrize, alpha⋆phi)."""
     grp = pipe.group
     for g in pipe.classes.representatives:
-        data = per_class[g]
         for g2 in pipe.classes.representatives:
-            data2 = per_class[g2]
-            combined, composed, mismatches = compose_induced(data["proj"], data2["inc"])
+            combined, composed, mismatches = compose_induced(data[g]["proj"], data[g2]["inc"])
             ok = not mismatches
-            summands = []
-            for h in grp.elements:
-                in_diag = grp.mul(h, g) == grp.mul(g2, h)
-                if in_diag:
-                    c_nat = _lifted_centralizer_block(pipe, h, g, g2)
-                    summands.append((_embedded_rho(pipe, h, g), c_nat))
-                else:
-                    summands.append((_embedded_rho(pipe, h, g), None))
+            summands = [
+                (
+                    _embedded_rho(pipe, h, g),
+                    _lifted_centralizer_block(pipe, h, g, g2)
+                    if grp.mul(h, g) == grp.mul(g2, h)
+                    else None,
+                )
+                for h in grp.elements
+            ]
             try:
                 result = verify_trace_decomposition(
                     pipe.w_small[g2],
@@ -953,7 +893,7 @@ def _check23_certificates(pipe, per_class, degs, cert_log):
                     combined.phi,
                     combined.eps,
                     summands,
-                    degs,
+                    pipe.degree_list,
                     certificates=True,
                 )
                 mats_ok = all(result["matrices_equal"].values())
@@ -965,7 +905,7 @@ def _check23_certificates(pipe, per_class, degs, cert_log):
             name = (
                 f"trace decomposition [{g}]" if g2 == g else f"cross-class [{g},{g2}]"
             )
-            cert_log.append((name, mode, ok and mats_ok and cert_ok))
+            yield name, mode, ok and mats_ok and cert_ok
 
 
 def _embedded_rho(pipe, h, g):
@@ -1068,24 +1008,18 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
     }
 
 
-def _check4_transports(pipe, per_class, cert_log):
+def _check4_transports(pipe, data):
     """Record whether the printed intermediate transports of the
     representative-independence argument certify: the twist
     theta[g2,h]^{-1}∘theta[h,g] carries the projection for g into the
     alpha_h-conjugate of the projection for g2 = h^{-1} g h, with a
     transport homotopy back."""
-    budget_ok = all(
-        pipe.w_full.dim(k) <= CERTIFICATE_CHAIN_BUDGET
-        for k in range(pipe.w_full.lo, pipe.w_full.hi + 1)
-    )
-    if not budget_ok:
+    if not _fits_budget(pipe.w_full):
         return
     for g in pipe.classes.representatives:
-        data = per_class[g]
-        if data["K_alt"] is None:
+        if data[g]["conjugate"] is None:
             continue
-        h = data["conjugator"]
-        g2 = data["alt_rep"]
+        h, g2 = data[g]["conjugate"]
         try:
             lo, hi = pipe.w_full.lo, pipe.w_full.hi
             w_big_g2 = pipe._window_for(pipe.cat_big, pipe._rho_big, g2, lo, hi)
@@ -1099,8 +1033,7 @@ def _check4_transports(pipe, per_class, cert_log):
             m_tau = InducedMap(
                 pipe.w_big[g], w_big_g2, pipe._rho_big[h], tau, name=f"(rho[{h}],tau)*"
             )
-            proj_g = data["proj"]
-            combined, _, _ = compose_induced(m_tau, proj_g, verify=False)
+            combined, _, _ = compose_induced(m_tau, data[g]["proj"], verify=False)
             proj_g2 = InducedMap(
                 pipe.w_full,
                 w_big_g2,
@@ -1121,19 +1054,17 @@ def _check4_transports(pipe, per_class, cert_log):
             ]
             matrices_agree = all(
                 combined.homology_matrix(k)
-                == m_tau.homology_matrix(k) * data["A"][k]
+                == m_tau.homology_matrix(k) * data[g]["A"][k]
                 for k in pipe.degree_list
             )
             ok = same_twist and matrices_agree and cert.check(degrees=cert_degrees)
         except EquihhErrorBase as exc:
-            cert_log.append((f"representative transport [{g}]", f"error: {exc}", False))
+            yield f"representative transport [{g}]", f"error: {exc}", False
             continue
-        cert_log.append(
-            (f"representative transport [{g}->{g2}] via {h}", "transport", ok)
-        )
+        yield f"representative transport [{g}->{g2}] via {h}", "transport", ok
 
 
-def _check5_certificate(pipe, per_class, cert_log):
+def _check5_certificate(pipe, data):
     """The explicit homotopy for the projector sum: inserting the unit
     component of the comparison isomorphism."""
     eq = pipe.eqcat
@@ -1158,24 +1089,17 @@ def _check5_certificate(pipe, per_class, cert_log):
         i_mor = eq.restrict(Mor(u, s_u, i_coeffs), name, sname)
         p_mor = eq.restrict(Mor(s_u, u, p_coeffs), sname, name)
         if i_mor is None or p_mor is None:
-            cert_log.append(("projector sum", "error: I/P not equivariant", False))
+            yield "projector sum", "error: I/P not equivariant", False
             return
         i_comps[name] = i_mor
         p_comps[name] = p_mor
     # sum of the twists over the whole group equals I∘P
-    twist_sum = None
-    for g in grp.elements:
-        tw = pipe.k_twist(g, pipe.hh_names)
-        if twist_sum is None:
-            twist_sum = {n: tw.at(n) for n in pipe.hh_names}
-        else:
-            twist_sum = {n: twist_sum[n] + tw.at(n) for n in pipe.hh_names}
-    ip_ok = True
-    for name in pipe.hh_names:
-        ip = pipe.cat_full.compose(i_comps[name], p_comps[name])
-        if not ip == twist_sum[name]:
-            ip_ok = False
-    cert_log.append(("sum of twists equals I∘P", "matrix", ip_ok))
+    twists = [pipe.k_twist(g, pipe.hh_names) for g in grp.elements]
+    twist_sum = {n: sum((tw.at(n) for tw in twists[1:]), twists[0].at(n)) for n in pipe.hh_names}
+    ip_ok = all(
+        pipe.cat_full.compose(i_comps[n], p_comps[n]) == twist_sum[n] for n in pipe.hh_names
+    )
+    yield "sum of twists equals I∘P", "matrix", ip_ok
 
     s_for = pipe.s_for_functor(pipe.hh_names)
     fun = identity_functor(pipe.cat_hh)
@@ -1204,14 +1128,10 @@ def _check5_certificate(pipe, per_class, cert_log):
     cert = HomotopyCertificate(scaled_mu, sum_map, h_map, name="projector sum homotopy")
     ok = cert.check()
     # the summed twist map must also agree with the per-class matrices
+    classes = list(zip(pipe.classes.representatives, pipe.classes.classes))
     agree = True
     for k in pipe.degree_list:
-        total = None
-        for g2 in pipe.classes.representatives:
-            size = len(pipe.classes.classes[pipe.classes.representatives.index(g2)])
-            part = per_class[g2]["K"][k].scale(field.embed(size))
-            total = part if total is None else total + part
-        if not sum_map.homology_matrix(k) == total:
-            agree = False
-    cert_log.append(("projector sum over the group", "matrix", agree))
-    cert_log.append(("projector sum homotopy", "formula", ok))
+        parts = [data[g]["K"][k].scale(field.embed(len(members))) for g, members in classes]
+        agree &= sum_map.homology_matrix(k) == sum(parts[1:], parts[0])
+    yield "projector sum over the group", "matrix", agree
+    yield "projector sum homotopy", "formula", ok

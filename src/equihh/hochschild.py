@@ -176,8 +176,7 @@ def _exact_homology(d_k, d_prev, closed, field):
         ech.add(col, tag=None)
     reps = []
     for cyc in cycles:
-        residual, _ = ech.add(cyc, tag=len(reps))
-        if residual:
+        if ech.add(cyc, tag=len(reps)) is None:
             reps.append(cyc)
     return reps, ech
 

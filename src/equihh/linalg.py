@@ -18,7 +18,8 @@ elimination and chain-map evaluation are ±1.
 each vector it is given and stores every column as an integer multiple of
 the reduced column, with that multiple as its pivot entry; cyclotomic
 entries keep integer coefficients.  Callers see field scalars only: each
-entry ``add`` or ``solve`` returns is divided back once.  A nonzero
+entry ``add`` or ``solve`` returns is divided back once, and ``add``
+returns a combination only for a vector already in the span.  A nonzero
 scaling cancels the same entries as the rational elimination, so the
 returned values, their scalar types and their key order are those of the
 rational elimination.
@@ -220,9 +221,10 @@ class Echelon:
     their key order are those of the rational elimination up to one factor
     each.  Cyclotomic entries are stored with integer coefficients.
 
-    Callers see field scalars only: ``add`` and ``solve`` divide each entry
-    they return once, into ``field``.  The field becomes the cyclotomic
-    field of the first cyclotomic entry met, if it was Q.
+    Callers see field scalars only: ``add`` (for a vector already in the
+    span) and ``solve`` divide each entry they return once, into
+    ``field``.  The field becomes the cyclotomic field of the first
+    cyclotomic entry met, if it was Q.
     """
 
     def __init__(self, field=QQ):
@@ -285,16 +287,15 @@ class Echelon:
         return scale
 
     def add(self, vec, tag=None):
-        """Insert a generator.  Returns (residual, combo); residual {} means
-        the vector was already in the span."""
+        """Insert a generator.  Returns None when it adds a pivot, and its
+        combination over the tagged generators (the generator itself with
+        coefficient 1) when it was already in the span."""
         vec, den = self._integral(vec)
         combo = {tag: den} if tag is not None else {}
         scale = self._reduce(vec, combo, den)
         if vec_is_zero(vec):
-            return {}, self._divide(combo, scale)
+            return self._divide(combo, scale)
         pivot = min(vec)  # lowest row index rule
-        lead = vec[pivot]
-        out = self._divide(vec, lead), self._divide(combo, lead)
         self._remove_content(vec, combo)
         lead = vec[pivot]
         # eliminate the new pivot row from the stored columns
@@ -312,7 +313,7 @@ class Echelon:
         self.pivots[pivot] = len(self.columns)
         self.columns.append(vec)
         self.combos.append(combo)
-        return out
+        return None
 
     def solve(self, vec):
         """vec as {tag: scalar} over the tagged generators, or None if
@@ -378,8 +379,8 @@ def rank_kernel_image(matrix: SparseMatrix, field=QQ):
     ech = Echelon(field)
     kernel = []
     for j in range(matrix.ncols):
-        residual, combo = ech.add(matrix.cols[j], tag=j)
-        if not residual:
+        combo = ech.add(matrix.cols[j], tag=j)
+        if combo is not None:
             kernel.append(combo)
     assert ech.rank + len(kernel) == matrix.ncols
     return ech.rank, kernel
@@ -460,8 +461,7 @@ def matrix_inverse(m: SparseMatrix):
         return None
     ech = Echelon()
     for j in range(m.ncols):
-        residual, _ = ech.add(m.cols[j], tag=j)
-        if not residual:
+        if ech.add(m.cols[j], tag=j) is not None:
             return None
     inv = SparseMatrix(m.ncols, m.nrows)
     for i in range(m.nrows):

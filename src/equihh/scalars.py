@@ -55,10 +55,6 @@ def cyclotomic_polynomial(m: int) -> list[Fraction]:
     return poly
 
 
-def euler_phi(m: int) -> int:
-    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
-
-
 class CyclotomicField:
     """The field Q(zeta_m).  Instances with equal m compare equal."""
 
@@ -85,7 +81,7 @@ class CyclotomicField:
 
     @property
     def zero(self):
-        return Cyc(self, ())
+        return self.embed(Q_ZERO)
 
     @property
     def one(self):

@@ -6,6 +6,7 @@ from equihh.decomposition import (
     DecompositionPipeline,
     decompose,
     graded_sym_power,
+    run_checks,
     sym_power_summand,
 )
 from equihh.examples import (
@@ -19,6 +20,7 @@ from equihh.examples import (
 )
 from equihh.errors import StructureError
 from equihh.groups import permutation_action
+from equihh.hochschild import LinearComboMap
 from equihh.linalg import SparseMatrix
 from equihh.scalars import QQ
 
@@ -272,3 +274,69 @@ def test_undersized_covering_detected():
         "covering inclusion not a homology isomorphism at degree 0",
         "dimension sum mismatch",
     ]
+
+
+def bundle_pipeline(bundle, degrees=None, certificates=True):
+    return DecompositionPipeline(
+        bundle.action,
+        bundle.declared,
+        bundle.generators,
+        hh_names=bundle.hh_names or None,
+        representations=bundle.representations,
+        degrees=degrees or bundle.degrees,
+        certificates=certificates,
+    )
+
+
+def test_no_certificates_skips_every_certificate():
+    # the representative transports of E5 are certificates too
+    rep = run_bundle(example_e5(), certificates=False)
+    assert rep.certificates == []
+    assert rep.theorem_holds
+    assert all(rep.checks.values())
+
+
+def test_singular_generator_inclusion_fails_its_checks():
+    # a zero lambda has no inverse: the checks that need L^-1 fail
+    # instead of the run crashing
+    pipe = bundle_pipeline(example_e1(), degrees=(-2, 0), certificates=False)
+    pipe.lam = lambda g: LinearComboMap(pipe.w_small[g], pipe.w_big[g], [])
+    rep = run_checks(pipe)
+    failed = sorted(name for name, ok in rep.checks.items() if not ok)
+    assert failed == [
+        "projection_inclusion_trace",
+        "projector_factorization",
+        "trace_scalar_on_invariants",
+    ]
+    assert rep.witnesses == [
+        "projection∘inclusion mismatch for e at degree 0",
+        "projection∘inclusion mismatch for s at degree 0",
+        "generator inclusion not iso for e at degree 0",
+        "generator inclusion not iso for s at degree 0",
+    ]
+    assert not rep.theorem_holds
+
+
+def test_witness_order_with_doubled_inclusion():
+    pipe = bundle_pipeline(example_e1(), certificates=False)
+    inclusion = pipe.inclusion
+    two = pipe.eqcat.ambient.field.embed(2)
+    pipe.inclusion = lambda g: LinearComboMap(
+        pipe.w_small[g], pipe.w_full, [(two, inclusion(g))]
+    )
+    rep = run_checks(pipe)
+    failed = sorted(name for name, ok in rep.checks.items() if not ok)
+    assert failed == [
+        "projection_inclusion_trace",
+        "projector_factorization",
+        "trace_scalar_on_invariants",
+    ]
+    assert rep.witnesses == [
+        "projection∘inclusion mismatch for e at degree 0",
+        "projection∘inclusion mismatch for s at degree 0",
+        "projection∘inclusion is not |C(g)|·id on invariants for e at 0",
+        "projection∘inclusion is not |C(g)|·id on invariants for s at 0",
+        "projector factorization fails for e at degree 0",
+        "projector factorization fails for s at degree 0",
+    ]
+    assert rep.dims_match and all(ok for ok, _ in rep.rep_checks.values())

@@ -17,7 +17,7 @@ from equihh.groups import (
     trivial_representation,
     validate_action,
 )
-from equihh.scalars import QQ
+from equihh.scalars import QQ, CyclotomicField
 
 
 def test_cyclic_group_and_classes():
@@ -60,6 +60,14 @@ def test_characters():
     values = [chi[r] for r in data.representatives]
     assert sorted(values, reverse=True) == [6, 0, 0]
     assert chi[s3.identity] == 6
+
+
+def test_cyclotomic_character_of_regular_representation():
+    z3 = FiniteGroup.cyclic(3, names=["e", "a", "b"])
+    field = CyclotomicField(3)
+    chi = character(regular_representation(z3, field=field), conjugacy_data(z3))
+    assert chi == {"e": 3, "a": 0, "b": 0}
+    assert all(v.field == field for v in chi.values())
 
 
 def test_sign_representation_s3():

@@ -95,8 +95,7 @@ def oracle_hh0(cat, functor):
                     for key, v in rhs.coeffs.items():
                         i = index[(c1, key)]
                         vec[i] = vec.get(i, QQ.zero) - v
-                    residual, _ = ech.add(vec)
-                    if residual:
+                    if ech.add(vec) is None:
                         rank += 1
     return len(gens) - ech.rank
 

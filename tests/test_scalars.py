@@ -47,6 +47,17 @@ def test_geometric_sum_of_fifth_roots_vanishes():
     assert not total
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_cyclotomic_zero_is_the_additive_identity(m):
+    F = CyclotomicField(m)
+    assert F.zero + F.one == F.one
+    assert F.one + F.zero == F.one
+    assert F.zero + F.zeta() == F.zeta()
+    assert F.zero == 0
+    assert F.zero == F.embed(0)
+    assert not F.zero
+
+
 def test_rational_embeds_into_cyclotomic():
     F = CyclotomicField(4)
     z = F.zeta()

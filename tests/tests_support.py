@@ -424,8 +424,7 @@ def full_elimination_basis(win, k):
         ech.add(col, tag=None)
     reps = []
     for cyc in cycles:
-        residual, _ = ech.add(cyc, tag=len(reps))
-        if residual:
+        if ech.add(cyc, tag=len(reps)) is None:
             reps.append(cyc)
     return HomologyBasis(win, k, reps, ech)
 
