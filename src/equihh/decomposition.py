@@ -597,11 +597,12 @@ def _build_class_data(pipe, g, degs, mu_mat, mu_inv):
 
     Per degree: the homology matrices A (projection), B (inclusion), K
     (projector map) and L (generator inclusion lambda) with L_inv (None
-    where lambda is singular); the centralizer action M_small[h], its sum
-    M_sum and average avg; and, where mu is invertible, the class
-    projector E and the report's matrices.  Besides: the chain-level
-    mismatches of pi∘mu, and a conjugate (a, g2 = a^-1 g a ≠ g) with its
-    projector matrices K_alt, both None when g is central.
+    where lambda is singular); the centralizer action M_small[h] on the
+    small window, its sum M_sum and average avg, and M_big[h] on the big
+    window; and, where mu is invertible, the class projector E and the
+    report's matrices.  Besides: the chain-level mismatches of pi∘mu, and
+    a conjugate (a, g2 = a^-1 g a ≠ g) with its projector matrices K_alt,
+    both None when g is central.
     """
     grp = pipe.group
     field = pipe.eqcat.ambient.field
@@ -617,9 +618,12 @@ def _build_class_data(pipe, g, degs, mu_mat, mu_inv):
     k_mat = {k: k_map.homology_matrix(k) for k in degs}
     l_mat = {k: lam.homology_matrix(k) for k in degs}
     m_small = {}
+    m_big = {}
     for h in cent:
         m = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, h, g)
         m_small[h] = {k: m.homology_matrix(k) for k in degs}
+        m = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
+        m_big[h] = {k: m.homology_matrix(k) for k in degs}
     m_sum = {}
     for k in degs:
         n = pipe.w_small[g].homology(k)[0]
@@ -653,6 +657,7 @@ def _build_class_data(pipe, g, degs, mu_mat, mu_inv):
         "L": l_mat,
         "L_inv": {k: matrix_inverse(l_mat[k]) for k in degs},
         "M_small": m_small,
+        "M_big": m_big,
         "M_sum": m_sum,
         "avg": {k: m_sum[k].scale(inv_order) for k in degs},
         "E": e_mat,
@@ -684,9 +689,8 @@ def _failures(pipe, data, mu_mat, mu_inv):
         for h in cent[g]:
             for h2 in cent[g]:
                 hh2 = pipe.group.mul(h2, h)
-                rhs = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, hh2, g)
                 for k in degs:
-                    if not m[h][k] * m[h2][k] == rhs.homology_matrix(k):
+                    if not m[h][k] * m[h2][k] == m[hh2][k]:
                         yield "centralizer_right_action", (
                             f"centralizer right-action law fails for ({h},{h2}) at {g}, degree {k}"
                         )
@@ -695,9 +699,8 @@ def _failures(pipe, data, mu_mat, mu_inv):
     for g in reps:
         a_mat = data[g]["A"]
         for h in cent[g]:
-            m_big = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
             for k in degs:
-                if not m_big.homology_matrix(k) * a_mat[k] == a_mat[k]:
+                if not data[g]["M_big"][h][k] * a_mat[k] == a_mat[k]:
                     yield "projection_invariance", (
                         f"projection not invariant under {h} in the class of {g} at degree {k}"
                     )
@@ -743,8 +746,6 @@ def _failures(pipe, data, mu_mat, mu_inv):
     for g in reps:
         d = data[g]
         for k in degs:
-            if mu_inv[k] is None:
-                continue
             if d["L_inv"][k] is None:
                 yield "projector_factorization", None
             elif not d["K"][k] == d["B"][k] * d["L_inv"][k] * d["A"][k] * mu_mat[k]:
@@ -862,7 +863,7 @@ def _check1_certificates(pipe, data):
             a_mat = data[g]["A"]
             same_matrix = all(
                 transported.homology_matrix(k) == a_mat[k]
-                and (m_big.homology_matrix(k) * a_mat[k]) == a_mat[k]
+                and (data[g]["M_big"][h][k] * a_mat[k]) == a_mat[k]
                 for k in pipe.degree_list
             )
             ok = not mismatches and same_twist and cert_ok and same_matrix

@@ -274,26 +274,33 @@ def validate_dgcat(cat: DgCategory) -> ValidationReport:
                             "associativity",
                             f"(f∘g)∘h != f∘(g∘h) for f={fk}, g={gk}, h={hk}",
                         )
-    # units
+    for witness in unit_violations(cat):
+        report.add("unit", witness)
+    return report
+
+
+def unit_violations(cat: DgCategory):
+    """A witness for each failed unit law: every object has a unit id_x,
+    concentrated in degree 0 and closed, with f∘id = f = id∘f for every
+    basis key into and out of x."""
     for x in cat.objects:
         if x not in cat.units:
-            report.add("unit", f"missing unit for {x}")
+            yield f"missing unit for {x}"
             continue
         u = cat.unit(x)
         if u.coeffs and u.degrees() != [0]:
-            report.add("unit", f"unit of {x} not concentrated in degree 0")
+            yield f"unit of {x} not concentrated in degree 0"
         if not cat.d(u).is_zero():
-            report.add("unit", f"unit of {x} not closed")
+            yield f"unit of {x} not closed"
         for y in cat.objects:
             for key in cat.basis_keys(x, y):
                 f = cat.basis_mor(x, y, *key)
                 if not cat.compose(f, u) == f:
-                    report.add("unit", f"f∘id != f for {key} in {x}->{y}")
+                    yield f"f∘id != f for {key} in {x}->{y}"
             for key in cat.basis_keys(y, x):
                 f = cat.basis_mor(y, x, *key)
                 if not cat.compose(u, f) == f:
-                    report.add("unit", f"id∘f != f for {key} in {y}->{x}")
-    return report
+                    yield f"id∘f != f for {key} in {y}->{x}"
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +426,16 @@ def validate_functor(fun: DgFunctor) -> ValidationReport:
                 rhs = fun.tgt.compose(fun.apply(f), fg_img)
                 if not lhs == rhs:
                     report.add("composition", f"F(f∘g) != F(f)∘F(g) for f={fk}, g={gk}")
+    for witness in functor_unit_violations(fun):
+        report.add("unit", witness)
+    return report
+
+
+def functor_unit_violations(fun: DgFunctor):
+    """A witness for each object x with F(id_x) != id_{F x}."""
     for x in fun.src.objects:
         if not fun.apply(fun.src.unit(x)) == fun.tgt.unit(fun.apply_obj(x)):
-            report.add("unit", f"F(id_{x}) != id_F({x})")
-    return report
+            yield f"F(id_{x}) != id_F({x})"
 
 
 class NatTransform:

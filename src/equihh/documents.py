@@ -47,6 +47,13 @@ def _expect_int(value, location):
     return value
 
 
+def _name(value, location):
+    """An object, basis label or group element name: a JSON string."""
+    if not isinstance(value, str):
+        raise InputError(f"name {value!r} must be a string", location)
+    return value
+
+
 def _scalar(value, field, location):
     if not isinstance(value, str):
         raise InputError(f"scalar {value!r} must be a string", location)
@@ -83,7 +90,10 @@ def parse_document(doc) -> ExampleBundle:
     cat_doc = doc.get("category")
     if cat_doc is None:
         raise InputError("missing category block", "category")
-    objects = list(_expect(cat_doc.get("objects", []), list, "category.objects"))
+    objects = [
+        _name(x, "category.objects")
+        for x in _expect(cat_doc.get("objects", []), list, "category.objects")
+    ]
     if not objects:
         raise InputError("category has no objects", "category.objects")
     homs = {}
@@ -100,7 +110,7 @@ def parse_document(doc) -> ExampleBundle:
         degrees_of = {}
         for k, b in enumerate(_expect(hom.get("basis", []), list, f"{loc}.basis")):
             bloc = f"{loc}.basis[{k}]"
-            label = _expect(b, dict, bloc).get("label")
+            label = _name(_expect(b, dict, bloc).get("label"), f"{bloc}.label")
             degree = _expect_int(b.get("degree", 0), f"{bloc}.degree")
             if label in degrees_of:
                 raise InputError(f"duplicate label {label!r}", loc)
@@ -111,7 +121,7 @@ def parse_document(doc) -> ExampleBundle:
         dtable = {}
         for j, d in enumerate(_expect(hom.get("differential", []), list, f"{loc}.differential")):
             dloc = f"{loc}.differential[{j}]"
-            from_label = _expect(d, dict, dloc).get("from")
+            from_label = _name(_expect(d, dict, dloc).get("from"), dloc)
             if from_label not in degrees_of:
                 raise InputError(f"unknown label {from_label!r}", dloc)
             img = _coeffs(d.get("image", {}), field, degrees_of, dloc)
@@ -124,8 +134,8 @@ def parse_document(doc) -> ExampleBundle:
         for o in (x, y, z):
             if o not in objects:
                 raise InputError(f"unknown object {o!r}", loc)
-        gl = c.get("first")
-        fl = c.get("then")
+        gl = _name(c.get("first"), loc)
+        fl = _name(c.get("then"), loc)
         dg = label_degrees.get((x, y), {})
         df = label_degrees.get((y, z), {})
         if gl not in dg or fl not in df:
@@ -163,7 +173,10 @@ def parse_document(doc) -> ExampleBundle:
     action = None
     if "group" in doc:
         gdoc = doc["group"]
-        elements = list(_expect(gdoc.get("elements", []), list, "group.elements"))
+        elements = [
+            _name(a, "group.elements")
+            for a in _expect(gdoc.get("elements", []), list, "group.elements")
+        ]
         table = {}
         raw = _expect(gdoc.get("table", {}), dict, "group.table")
         for a in elements:
@@ -174,7 +187,7 @@ def parse_document(doc) -> ExampleBundle:
             for b in elements:
                 if b not in row:
                     raise InputError(f"entry ({a},{b}) missing", "group.table")
-                table[(a, b)] = row[b]
+                table[(a, b)] = _name(row[b], "group.table")
         try:
             group = FiniteGroup(elements, table, name=gdoc.get("name", "G"))
         except StructureError as exc:
@@ -199,7 +212,9 @@ def parse_document(doc) -> ExampleBundle:
             for j, m in enumerate(_expect(fdoc.get("morphisms", []), list, f"{loc}.morphisms")):
                 mloc = f"{loc}.morphisms[{j}]"
                 src, tgt = _expect(m, dict, mloc).get("source"), m.get("target")
-                from_label = m.get("from")
+                if src not in objects or tgt not in objects:
+                    raise InputError(f"morphism between unknown objects {src!r}, {tgt!r}", mloc)
+                from_label = _name(m.get("from"), mloc)
                 dg = label_degrees.get((src, tgt), {})
                 if from_label not in dg:
                     raise InputError(f"unknown label {from_label!r}", mloc)
@@ -208,22 +223,36 @@ def parse_document(doc) -> ExampleBundle:
                 mor_map.setdefault((src, tgt), {})[(dg[from_label], from_label)] = category.mor(
                     isrc, itgt, img
                 )
+            for x, y in homs:
+                for key in category.basis_keys(x, y):
+                    if key not in mor_map[(x, y)]:
+                        raise InputError(f"no image of {key[1]!r} in {x}->{y}", f"{loc}.morphisms")
             functors[g] = DgFunctor(category, category, obj_map, mor_map, name=f"rho[{g}]")
         theta = {}
-        theta_doc = {(t.get("g"), t.get("g2")): t for t in adoc.get("theta", [])}
+        theta_doc = {}
+        for i, t in enumerate(_expect(adoc.get("theta", []), list, "action.theta")):
+            tloc = f"action.theta[{i}]"
+            pair = (_name(_expect(t, dict, tloc).get("g"), tloc), _name(t.get("g2"), tloc))
+            theta_doc[pair] = _expect(t.get("components") or {}, dict, f"{tloc}.components")
         from .dgcat import compose_functors
 
         for g in group.elements:
             for g2 in group.elements:
                 comp_fun = compose_functors(functors[g], functors[g2])
                 target = functors[group.mul(g2, g)]
-                entry = theta_doc.get((g, g2))
-                if entry is None:
+                components = theta_doc.get((g, g2))
+                if components is None:
+                    for x in objects:
+                        if comp_fun.apply_obj(x) != target.apply_obj(x):
+                            raise InputError(
+                                f"theta[{g},{g2}] is not an identity at {x!r}; give its components",
+                                "action.theta",
+                            )
                     comps = {x: category.unit(comp_fun.apply_obj(x)) for x in objects}
                 else:
                     comps = {}
                     for x in objects:
-                        raw_comp = (entry.get("components") or {}).get(x)
+                        raw_comp = components.get(x)
                         if raw_comp is None:
                             raise InputError(
                                 f"theta[{g},{g2}] missing a component at {x!r}", "action.theta"
@@ -239,11 +268,21 @@ def parse_document(doc) -> ExampleBundle:
         eta_doc = adoc.get("eta")
         rho_e = functors[group.identity]
         if eta_doc is None:
+            for x in objects:
+                if rho_e.apply_obj(x) != x:
+                    raise InputError(
+                        f"eta is not an identity at {x!r}; give its components", "action.eta"
+                    )
             eta_comps = {x: category.unit(rho_e.apply_obj(x)) for x in objects}
         else:
+            components = _expect(
+                _expect(eta_doc, dict, "action.eta").get("components") or {},
+                dict,
+                "action.eta.components",
+            )
             eta_comps = {}
             for x in objects:
-                raw_comp = (eta_doc.get("components") or {}).get(x)
+                raw_comp = components.get(x)
                 if raw_comp is None:
                     raise InputError(f"eta missing a component at {x!r}", "action.eta")
                 sobj = rho_e.apply_obj(x)
@@ -314,7 +353,10 @@ def parse_document(doc) -> ExampleBundle:
             ):
                 raise InputError(f"must be a {dim}x{dim} matrix, as dim says", mloc)
             mats[g] = [[_scalar(v, field, mloc) for v in row] for row in rows]
-        representations[name] = Representation(group, dim, mats, name=name, field=field)
+        try:
+            representations[name] = Representation(group, dim, mats, name=name, field=field)
+        except StructureError as exc:
+            raise InputError(str(exc), rloc) from exc
 
     generators = doc.get("generators", [])
     for x in generators:

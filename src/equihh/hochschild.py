@@ -36,6 +36,18 @@ exact elimination runs when the test fails: the degree has homology, P
 divides a minor it needs, an entry is cyclotomic or has a denominator
 divisible by P, or d∘d ≠ 0.
 
+A normalized window (``normalized=True``; ``hh_dimensions`` builds one)
+is the quotient by the chains with an identity in a bar slot 1..m, an
+acyclic subcomplex (Loday, *Cyclic Homology*, §1.1.14), so it has the
+same homology on exact windows with about half the chains.  Each object
+x with a nonzero unit u has a pivot p_x, the first key of End(x) in u;
+in End(x)/k·u, p_x ≡ -Σ_{k≠p} (u_k/u_p)·k.  The window enumerates no
+pivot in a slot 1..m of hom pair (x, x), and a face that writes such a
+slot substitutes the class of the pivot.  The quotient rests on the unit
+laws (u of degree 0 and closed, f∘u = f = u∘f, F(u_x) = u_{F x}), which
+the window checks first.  Slot 0 is never normalized.  Chain maps,
+certificates and the decomposition run on standard windows.
+
 Everything downstream (induced maps, their composition and conjugation
 laws, homotopy certificates, the trace decomposition, the shuffle map and
 the centralizer action) operates on these windows with exact arithmetic.
@@ -53,9 +65,11 @@ from .dgcat import (
     Mor,
     NatTransform,
     compose_functors,
+    functor_unit_violations,
     parity_sign,
+    unit_violations,
 )
-from .errors import StructureError, TruncationError, WindowError
+from .errors import InputError, StructureError, TruncationError, WindowError
 from .linalg import (
     Echelon,
     SparseMatrix,
@@ -208,7 +222,10 @@ class HomologyBasis:
 
 
 class HochschildWindow(WindowBase):
-    def __init__(self, category, functor, lo, hi, bar_cap=None):
+    """The window [lo, hi] of the standard complex, or of the normalized
+    complex when ``normalized`` (see the module docstring)."""
+
+    def __init__(self, category, functor, lo, hi, bar_cap=None, normalized=False):
         self.category = category
         self.field = category.field
         self.functor = functor
@@ -220,6 +237,7 @@ class HochschildWindow(WindowBase):
         self._total = {}
         self._homology = {}
         self.certification = self._certify()
+        self.pivots = _unit_pivots(category, functor) if normalized else {}
         self._enumerate()
         self._differentials()
 
@@ -282,8 +300,10 @@ class HochschildWindow(WindowBase):
                 pairs = self._slot_pairs(objs)
                 keylists = []
                 ok = True
-                for (x, y) in pairs:
+                for t, (x, y) in enumerate(pairs):
                     keys = list(cat.basis_keys(x, y))
+                    if t and x == y and x in self.pivots:
+                        keys.remove(self.pivots[x][0])
                     if not keys:
                         ok = False
                         break
@@ -384,6 +404,18 @@ class HochschildWindow(WindowBase):
         elif prev is not None:
             del out[idx]
 
+    def _normal_form(self, pair, entry):
+        """A table entry {key: c} written into a slot of hom pair ``pair``,
+        with the pivot of End(x) replaced by its class in End(x)/k·id_x
+        when pair is (x, x)."""
+        x, y = pair
+        pivot = self.pivots.get(x) if x == y else None
+        if pivot is None or pivot[0] not in entry:
+            return entry
+        p, rest = pivot
+        out = {key: c for key, c in entry.items() if key != p}
+        return vec_axpy(out, entry[p], rest)
+
     def _differentials(self):
         """The total differential d2 + (-1)^m d1 column by column, read off
         the structure tables.
@@ -392,9 +424,13 @@ class HochschildWindow(WindowBase):
         of a slot) or two adjacent keys (d2: their product) by a table
         entry.  The twist face F(a_m)∘a0 reads F(a_m) from the functor's
         morphism table and multiplies it with a0 through the composition
-        table."""
+        table.  A face changes one slot; in a normalized window, the d1
+        faces at slots t >= 1 and the d2 faces i >= 1 write a slot that may
+        be normalized, so their entries are put in normal form there.  The
+        twist face and the d2 face i = 0 write slot 0, which never is."""
         cat = self.category
         fun = self.functor
+        normalized = bool(self.pivots)
         for k in range(self.lo, self.hi):
             n = self.dim(k)
             nt = self.dim(k + 1)
@@ -407,6 +443,8 @@ class HochschildWindow(WindowBase):
                 for t, key in enumerate(keys):
                     img = cat.diff.get(pairs[t], {}).get(key)
                     if img:
+                        if t and normalized:
+                            img = self._normal_form(pairs[t], img)
                         for hk, c in img.items():
                             if c:
                                 new_keys = keys[:t] + (hk,) + keys[t + 1 :]
@@ -418,6 +456,8 @@ class HochschildWindow(WindowBase):
                     x, y = pairs[i + 1]
                     prod = cat.comp_table(x, y, pairs[i][1]).get((keys[i + 1], keys[i]))
                     if prod:
+                        if i and normalized:
+                            prod = self._normal_form((x, pairs[i][1]), prod)
                         new_objs = objs[: i + 1] + objs[i + 2 :]
                         for hk, c in prod.items():
                             if c:
@@ -447,21 +487,42 @@ class HochschildWindow(WindowBase):
         return SparseMatrix(self.dim(k + 1), self.dim(k))
 
 
-def build_window(category, functor, lo, hi, bar_cap=None) -> HochschildWindow:
+def _unit_pivots(category, functor):
+    """{x: (p_x, class of p_x in End(x)/k·id_x)} for every object x with a
+    nonzero unit: p_x is the first key of End(x) in the unit, and its class
+    is -Σ_{k≠p} (u_k/u_p)·k.  The unit laws the normalized complex rests
+    on are checked first; a failure is an input error."""
+    witness = next(
+        itertools.chain(unit_violations(category), functor_unit_violations(functor)), None
+    )
+    if witness is not None:
+        raise InputError(f"unit law fails: {witness} (the normalized window needs the unit laws)")
+    pivots = {}
+    for x in category.objects:
+        unit = category.units[x]
+        p = next((key for key in category.basis_keys(x, x) if unit.get(key)), None)
+        if p is not None:
+            scale = -category.field.inv(unit[p])
+            pivots[x] = (p, {key: c * scale for key, c in unit.items() if key != p and c})
+    return pivots
+
+
+def build_window(category, functor, lo, hi, bar_cap=None, normalized=False) -> HochschildWindow:
     """Spec entry point: the windowed total complex with its flag."""
     if functor.src is not category or functor.tgt is not category:
         raise StructureError("twist functor must be an endofunctor of the category")
-    return HochschildWindow(category, functor, lo, hi, bar_cap=bar_cap)
+    return HochschildWindow(category, functor, lo, hi, bar_cap=bar_cap, normalized=normalized)
 
 
 def hh_dimensions(category, functor, degrees, bar_cap=None):
-    """Dimension table {degree: dim} plus cycle bases and the flag.
+    """Dimension table {degree: dim} plus cycle bases and the flag, on the
+    normalized window.
 
     Reported degrees are cohomological; the homological index is the
     negative (HH_i is the degree -i entry).
     """
     lo, hi = min(degrees) - 1, max(degrees) + 1
-    win = build_window(category, functor, lo, hi, bar_cap=bar_cap)
+    win = build_window(category, functor, lo, hi, bar_cap=bar_cap, normalized=True)
     dims = {}
     reps = {}
     for k in sorted(degrees):

@@ -221,6 +221,14 @@ MALFORMED = [
     # well-formed JSON whose content is not in the document's field or not a group
     _nested_case(("roster", 0, "alpha", "s", 0, 0, "1"), "cyc3:1,0", "roster[0].alpha[s][0][0]"),
     _nested_case(("group", "table", "s", "s"), "s", "group.table"),
+    _nested_case(("representations", "regular", "matrices", "e", 0, 0), "0", "representations[regular]"),
+    _nested_case(("representations", "regular", "matrices", "s", 0, 0), "2", "representations[regular]"),
+    # names that are not strings cannot key the tables
+    _nested_case(("category", "homs", 0, "basis", 0, "label"), [], "category.homs[0].basis[0].label"),
+    _nested_case(("group", "elements", 0), {}, "group.elements"),
+    _nested_case(("group", "table", "s", "s"), [], "group.table"),
+    _nested_case(("action", "theta"), [{"g": [], "g2": "s"}], "action.theta[0]"),
+    _nested_case(("action", "eta"), {"components": 1}, "action.eta.components"),
 ]
 
 
@@ -249,3 +257,45 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, e
     assert main(["validate", path]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_hh_with_a_broken_unit_is_an_input_error(tmp_path, capsys):
+    # g1 is not a unit of k[Z/6]; the normalized window checks the unit laws
+    from tests_support import cyclic_group_document
+
+    doc = cyclic_group_document(11)
+    doc["category"]["units"]["pt"] = {"g1": "1"}
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hh", str(path), "--degrees=-1..0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: unit law fails: ")
+    assert "pt->pt" in captured.err and captured.err.count("\n") == 1
+
+
+def _drop_last_morphism(doc):
+    doc["action"]["functors"]["s"]["morphisms"].pop()
+
+
+def _unknown_morphism_source(doc):
+    doc["action"]["functors"]["s"]["morphisms"][0]["source"] = []
+
+
+def _collapse_objects(doc):
+    doc["action"]["functors"]["s"]["objects"]["x1"] = "x1"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_last_morphism, "action.functors[s].morphisms: no image of "),
+        (_unknown_morphism_source, "action.functors[s].morphisms[0]: morphism between unknown"),
+        (_collapse_objects, "action.theta: theta[s,s] is not an identity at 'x2'"),
+    ],
+    ids=["missing-image", "unknown-source", "theta-not-identity"],
+)
+def test_malformed_functors_are_input_errors(tmp_path, capsys, mutate, message):
+    path = write_doc(tmp_path, "E2", mutate=mutate)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")

@@ -276,6 +276,30 @@ def test_undersized_covering_detected():
     ]
 
 
+def test_projector_factorization_is_evaluated_where_mu_is_singular():
+    # the factorization reads mu's matrix, not its inverse, so a doubled
+    # projector map fails it on the undersized covering too
+    from tests_support import scaled_action
+
+    decl = DeclaredObject(
+        "unit4",
+        ("pt",),
+        {"e": {(0, 0, 0, "1"): Fraction(4)}, "s": {(0, 0, 0, "1"): Fraction(2)}},
+    )
+    pipe = DecompositionPipeline(
+        scaled_action(), [decl], ["pt"], hh_names=["unit4"], representations={},
+        degrees=(0, 0),
+    )
+    projector_map = pipe.projector_map
+    pipe.projector_map = lambda g: LinearComboMap(
+        pipe.w_hh, pipe.w_full, [(Fraction(2), projector_map(g))]
+    )
+    rep = run_checks(pipe)
+    assert not rep.checks["covering_isomorphism"]
+    assert not rep.checks["projector_factorization"]
+    assert "projector factorization fails for e at degree 0" in rep.witnesses
+
+
 def bundle_pipeline(bundle, degrees=None, certificates=True):
     return DecompositionPipeline(
         bundle.action,

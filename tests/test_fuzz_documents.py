@@ -1,0 +1,101 @@
+"""Fuzzing the input boundary: bundled documents with one scalar, key or
+unit changed must make `hh` and `validate` exit with a documented code,
+print no traceback, and back every failed check (exit 1) with a witness."""
+
+import contextlib
+import io
+import json
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equihh.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, EXIT_TRUNCATED, main
+from equihh.documents import serialize_bundle
+from equihh.examples import get_example
+from tests_support import cyclic_group_document
+
+DOCUMENTS = {
+    "E1": serialize_bundle(get_example("E1")),
+    "E2": serialize_bundle(get_example("E2")),
+    "Z6": cyclic_group_document(11),
+}
+
+
+def sites(node, path=()):
+    """("value", path) for every leaf and ("key", path) for every dict key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield "key", path + (key,)
+            yield from sites(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from sites(value, path + (i,))
+    else:
+        yield "value", path
+
+
+SITES = {name: list(sites(doc)) for name, doc in DOCUMENTS.items()}
+LABELS = {
+    name: sorted({b["label"] for h in doc["category"]["homs"] for b in h["basis"]})
+    for name, doc in DOCUMENTS.items()
+}
+SCALARS = ["0", "1", "2", "-1", "1/2", "1/0", "x", "", "cyc3:1,0"]
+VALUES = SCALARS + [7, -3, None, [], {}, "pt", "s"]
+
+
+@st.composite
+def mutated_documents(draw):
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    kind = draw(st.sampled_from(["value", "key", "unit"]))
+    if kind == "unit":
+        x = draw(st.sampled_from(doc["category"]["objects"]))
+        label = draw(st.sampled_from(LABELS[name] + ["nope"]))
+        doc["category"]["units"][x] = {label: draw(st.sampled_from(SCALARS))}
+        return doc
+    kind, path = draw(st.sampled_from([s for s in SITES[name] if s[0] == kind]))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if kind == "value":
+        parent[path[-1]] = draw(st.sampled_from(VALUES + LABELS[name]))
+    else:
+        new_key = draw(st.sampled_from(SCALARS + LABELS[name]))
+        parent[new_key] = parent.pop(path[-1])
+    return doc
+
+
+def run_cli(argv, text):
+    """(exit code, stdout, stderr) of main(argv) with ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def witnesses(payload):
+    """Every violation listed in a validate report's sections."""
+    found = []
+    for section in payload.get("sections", {}).values():
+        parts = [section] if "ok" in section else section.values()
+        for part in parts:
+            found.extend(part["violations"])
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_documents_exit_with_a_documented_code(doc):
+    text = json.dumps(doc)
+    for argv in (["validate", "-"], ["hh", "-", "--degrees=-1..0"]):
+        code, out, err = run_cli(argv + ["--output", "json"], text)
+        assert code in (EXIT_OK, EXIT_MATH, EXIT_INPUT, EXIT_TRUNCATED), (argv, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        if code == EXIT_MATH:
+            assert out.strip() and witnesses(json.loads(out)), (argv, err)

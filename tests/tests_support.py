@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -514,3 +515,61 @@ def reference_induced_chain(induced, k, idx):
     out = {}
     induced.tgt._add_image(out, tuple(induced.phi.apply_obj(c) for c in objs), imgs, 1)
     return out
+
+
+class NormalizationMap(ChainMap):
+    """The quotient map π from a standard window onto the normalized window
+    of the same category, functor and degrees: a pivot key in a normalized
+    slot goes to its class in End(x)/k·id_x, every other key to itself."""
+
+    def _compute(self, k, idx):
+        objs, keys = self.src.chains_at(k)[idx]
+        one = self.src.field.one
+        mors = []
+        for t, ((x, y), key) in enumerate(zip(self.src._slot_pairs(objs), keys)):
+            pivot = self.tgt.pivots.get(x) if t and x == y else None
+            coeffs = pivot[1] if pivot is not None and key == pivot[0] else {key: one}
+            mors.append(Mor(x, y, coeffs))
+        out = {}
+        self.tgt._add_image(out, objs, mors, 1)
+        return out
+
+
+def cyclic_group_document(seed, n=6):
+    """The one-object group algebra k[Z/n] as a document.  The seed picks a
+    unit u mod n, names g^i "g<u·i mod n>" (g^0 is "1") and shuffles the
+    basis and composition lists, so every seed describes the same algebra."""
+    rng = random.Random(seed)
+    u = rng.choice([a for a in range(1, n) if gcd(a, n) == 1])
+
+    def label(i):
+        j = (u * i) % n
+        return "1" if j == 0 else f"g{j}"
+
+    basis = [{"label": label(i), "degree": 0} for i in range(n)]
+    rng.shuffle(basis)
+    compositions = [
+        {
+            "source": "pt",
+            "middle": "pt",
+            "target": "pt",
+            "first": label(a),
+            "then": label(b),
+            "result": {label(a + b): "1"},
+        }
+        for a in range(1, n)
+        for b in range(1, n)
+    ]
+    rng.shuffle(compositions)
+    return {
+        "schema": "equihh-schema-1",
+        "name": f"Z{n}-seed{seed}",
+        "field": "q",
+        "category": {
+            "objects": ["pt"],
+            "homs": [{"source": "pt", "target": "pt", "basis": basis}],
+            "compositions": compositions,
+            "units": {"pt": {"1": "1"}},
+        },
+        "params": {"degrees": [-3, 0]},
+    }
