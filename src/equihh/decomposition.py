@@ -33,6 +33,15 @@ as passed and fails it on each pair.  With ``certificates=False``
 (``--no-certificates``) no certificate runs; otherwise the homotopy
 certificates run only while every window fits the chain budget, and the
 representative transports while W_full does.
+
+The transport certificates of checks 1 and 4 compose a map with the
+projection (check 1 verifying the composite chain by chain) and then run
+through one routine, ``_transport_certificate``: transport a projection
+along alpha_h to the composite's functor, compare the two twists
+componentwise, compare homology matrices (each check its own), and check
+the transport homotopy.  A trace-decomposition certificate
+records how its homotopy was found: "formula", "formula+solved" or
+"failed".
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ from .hochschild import (
     build_window,
     compose_induced,
     conjugate_transport,
+    induced_composite,
     insertion_homotopy,
     verify_trace_decomposition,
 )
@@ -289,7 +299,7 @@ class DecompositionPipeline:
             for name in self.hh_names:
                 entry = next(o for o in roster if o.name == name)
                 add(rep_tensor(self.laction, rep, entry))
-        self.eqcat = build_equivariant_category(self.laction, roster, validate=True)
+        self.eqcat = build_equivariant_category(self.laction, roster)
         self.roster_names = list(self.eqcat.order)
         self.sym_of = sym_of
 
@@ -315,50 +325,47 @@ class DecompositionPipeline:
         self.w_small = {}
         self.w_big = {}
         for g in self.classes.representatives:
-            self.w_small[g] = self._window_for(self.cat_small, self._rho_small, g, lo, hi)
-            self.w_big[g] = self._window_for(self.cat_big, self._rho_big, g, lo, hi)
+            self.w_small[g] = self._window_for(self.cat_small, self._rho_small, g)
+            self.w_big[g] = self._window_for(self.cat_big, self._rho_big, g)
 
         # canonical functors and transformations
         self.forget_full = self.eqcat.forgetful_functor(self.cat_full, self.cat_big)
         self.s_small = self.eqcat.symmetrization_functor(self.cat_small)
+        self.s_forget = self._s_forget_functor()
         self.mu = InducedMap(
             self.w_hh,
             self.w_full,
             hull_inclusion(self.cat_hh, self.cat_full, name="incl"),
-            self._identity_eps(self.cat_hh, self.cat_full),
+            _twist(self.cat_hh, {x: self.cat_full.unit(x) for x in self.cat_hh.objects}, "1"),
             name="mu",
         )
 
-    def _window_for(self, cat, rho_table, g, lo, hi):
-        fun = rho_table[g]
+    def _window_for(self, cat, rho_table, g):
+        """The window of rho_g on ``cat``: a representative's own, else the
+        window of a representative with the same rho, else a new one."""
         table = self.w_small if cat is self.cat_small else self.w_big
+        if g in table:
+            return table[g]
+        fun = rho_table[g]
         base = self.base_action
-        for g2, win in list(table.items()):
+        for g2, win in table.items():
             if base.rho(g2) is base.rho(g) or functors_equal(rho_table[g2], fun):
                 return win
-        return build_window(cat, fun, lo, hi, self.bar_cap)
+        return build_window(cat, fun, self.dlo - 1, self.dhi + 1, self.bar_cap)
 
-    def _identity_eps(self, src_cat, tgt_cat) -> NatTransform:
-        comps = {x: tgt_cat.unit(x) for x in src_cat.objects}
-        fun = identity_functor(src_cat)
-        return NatTransform(fun, fun, comps, name="1")
+    def _sym_name(self, c):
+        """Roster name of the symmetrization of the hull object c."""
+        try:
+            return self.sym_of[c]
+        except KeyError:
+            raise StructureError(f"the symmetrization of {c} is not rostered") from None
 
     # -- transformations per class rep --------------------------------------
 
-    def alpha_nat(self, g, src_cat) -> NatTransform:
+    def alpha_nat(self, g) -> NatTransform:
         """alpha_g: forget ⇒ rho_g∘forget with components the structure maps."""
-        comps = {name: self.eqcat.roster[name].alpha[g] for name in src_cat.objects}
-        fun = identity_functor(src_cat)
-        return NatTransform(fun, fun, comps, name=f"alpha[{g}]")
-
-    def sym_object(self, c):
-        """Cached symmetrization of a hull object."""
-        c = tuple(c)
-        if not hasattr(self, "_sym_objects"):
-            self._sym_objects = {}
-        if c not in self._sym_objects:
-            self._sym_objects[c] = symmetrize(self.laction, c)
-        return self._sym_objects[c]
+        comps = {name: self.eqcat.roster[name].alpha[g] for name in self.cat_full.objects}
+        return _twist(self.cat_full, comps, f"alpha[{g}]")
 
     def _phi_component(self, g, c) -> Mor:
         """phi_g at one hull object: S(rho_g(c)) -> S(c) with blocks
@@ -368,19 +375,14 @@ class DecompositionPipeline:
         c = tuple(c)
         ell = len(c)
         slots = {h: i * ell for i, h in enumerate(grp.elements)}
-        rg_c = self.laction.rho(g).apply_obj(c)
         coeffs = {}
         for h2 in grp.elements:
             h = grp.mul(g, h2)
             block = self.laction.theta_at(h2, g).at(c)
             coeffs.update(_shift_blocks(block.coeffs, slots[h], slots[h2]))
-        src_obj = self.sym_object(rg_c)
-        tgt_obj = self.sym_object(c)
-        amb = Mor(src_obj.underlying, tgt_obj.underlying, coeffs)
-        sname = eq.find(src_obj.underlying, src_obj.alpha)
-        tname = eq.find(tgt_obj.underlying, tgt_obj.alpha)
-        if sname is None or tname is None:
-            raise StructureError(f"symmetrizations around {c} are not rostered")
+        sname = self._sym_name(self.laction.rho(g).apply_obj(c))
+        tname = self._sym_name(c)
+        amb = Mor(eq.roster[sname].underlying, eq.roster[tname].underlying, coeffs)
         restricted = eq.restrict(amb, sname, tname)
         if restricted is None:
             raise StructureError(f"phi[{g}] at {c} is not equivariant")
@@ -389,8 +391,7 @@ class DecompositionPipeline:
     def phi_nat(self, g) -> NatTransform:
         """phi_g on the generator objects (used by the inclusion map)."""
         comps = {c: self._phi_component(g, c) for c in self.cat_small.objects}
-        fun = identity_functor(self.cat_small)
-        return NatTransform(fun, fun, comps, name=f"phi[{g}]")
+        return _twist(self.cat_small, comps, f"phi[{g}]")
 
     def _sym_mor(self, f: Mor) -> Mor:
         """S(f) for an ambient morphism f: the diagonal blocks rho_h(f),
@@ -403,14 +404,11 @@ class DecompositionPipeline:
             symmetrize_tuple(self.laction, f.src), symmetrize_tuple(self.laction, f.tgt), coeffs
         )
 
-    def s_for_functor(self, src_names) -> DgFunctor:
-        """S∘forget from a subcategory of the roster into the roster."""
+    def _s_forget_functor(self) -> DgFunctor:
+        """S∘forget from the covering objects into the roster."""
         eq = self.eqcat
-        src = full_subcategory(self.cat_full, src_names)
-        obj_map = {}
-        for name in src_names:
-            u = eq.roster[name].underlying
-            obj_map[name] = self.sym_of[u]
+        src = self.cat_hh
+        obj_map = {name: self._sym_name(eq.roster[name].underlying) for name in self.hh_names}
 
         def build(pair):
             sn, tn = pair
@@ -425,42 +423,37 @@ class DecompositionPipeline:
 
         return DgFunctor(src, self.cat_full, obj_map, LazyDict(build), name="S∘forget")
 
-    def k_twist(self, g, src_names) -> NatTransform:
+    def k_twist(self, g) -> NatTransform:
         """phi_g ⋆ alpha_g: S∘forget ⇒ S∘forget at each covering object:
         phi_g at the underlying object composed with S(alpha_g)."""
         eq = self.eqcat
         comps = {}
-        for name in src_names:
+        for name in self.hh_names:
             obj = eq.roster[name]
             u = obj.underlying
-            rg_u = self.laction.rho(g).apply_obj(u)
-            src_sym = self.sym_object(u)
-            mid_sym = self.sym_object(rg_u)
-            sname = eq.find(src_sym.underlying, src_sym.alpha)
-            mname = eq.find(mid_sym.underlying, mid_sym.alpha)
+            sname = self._sym_name(u)
+            mname = self._sym_name(self.laction.rho(g).apply_obj(u))
             s_alpha = eq.restrict(self._sym_mor(obj.alpha[g]), sname, mname)
             if s_alpha is None:
                 raise StructureError(f"S(alpha[{g}]) at {name} is not equivariant")
             comps[name] = self.cat_full.compose(self._phi_component(g, u), s_alpha)
-        fun = identity_functor(full_subcategory(self.cat_full, src_names))
-        return NatTransform(fun, fun, comps, name=f"phi⋆alpha[{g}]")
+        return _twist(self.cat_hh, comps, f"phi⋆alpha[{g}]")
 
     def centralizer_map(self, window, rho_table, h, g) -> InducedMap:
         c_nat = self.laction.centralizer_transform(h, g)
         comps = {x: c_nat.at(x) for x in window.category.objects}
-        fun = identity_functor(window.category)
-        nat = NatTransform(fun, fun, comps, name=f"C[{h},{g}]")
+        nat = _twist(window.category, comps, f"C[{h},{g}]")
         return InducedMap(window, window, rho_table[h], nat, name=f"(rho[{h}],C[{h},{g}])*")
 
     # -- the main maps -------------------------------------------------------
 
     def projection(self, g) -> InducedMap:
-        """(forget, alpha_g)_*: W_full -> W_big."""
+        """(forget, alpha_g)_*: W_full -> the big window of rho_g."""
         return InducedMap(
             self.w_full,
-            self.w_big[g],
+            self._window_for(self.cat_big, self._rho_big, g),
             self.forget_full,
-            self.alpha_nat(g, self.cat_full),
+            self.alpha_nat(g),
             name=f"pi[{g}]",
         )
 
@@ -472,25 +465,27 @@ class DecompositionPipeline:
 
     def lam(self, g) -> InducedMap:
         incl = hull_inclusion(self.cat_small, self.cat_big, name="incl")
-        fun = identity_functor(self.cat_small)
         comps = {
             c: self.cat_big.unit(self._rho_small[g].apply_obj(c))
             for c in self.cat_small.objects
         }
-        nat = NatTransform(fun, fun, comps, name="1")
+        nat = _twist(self.cat_small, comps, "1")
         return InducedMap(self.w_small[g], self.w_big[g], incl, nat, name=f"lambda[{g}]")
 
-    def projector_map(self, g, src_names=None) -> InducedMap:
+    def projector_map(self, g) -> InducedMap:
         """(S∘forget, phi_g ⋆ alpha_g)_*: W_hh -> W_full, the one-shot
         inclusion∘projection composite."""
-        names = src_names or self.hh_names
         return InducedMap(
-            self.w_hh,
-            self.w_full,
-            self.s_for_functor(names),
-            self.k_twist(g, names),
-            name=f"iota∘pi[{g}]",
+            self.w_hh, self.w_full, self.s_forget, self.k_twist(g), name=f"iota∘pi[{g}]"
         )
+
+
+def _twist(cat, comps, name) -> NatTransform:
+    """A twist of the pipeline's induced maps: components ``comps`` at the
+    objects of ``cat``, with the identity functor of ``cat`` as nominal
+    source and target (an induced map reads only the components)."""
+    fun = identity_functor(cat)
+    return NatTransform(fun, fun, comps, name=name)
 
 
 def _is_idempotent(m: SparseMatrix) -> bool:
@@ -612,7 +607,7 @@ def _build_class_data(pipe, g, degs, mu_mat, mu_inv):
     inc = pipe.inclusion(g)
     k_map = pipe.projector_map(g)
     lam = pipe.lam(g)
-    _, _, mismatches = compose_induced(proj, pipe.mu)
+    _, mismatches = compose_induced(proj, pipe.mu)
     a_mat = {k: proj.homology_matrix(k) for k in degs}
     b_mat = {k: inc.homology_matrix(k) for k in degs}
     k_mat = {k: k_map.homology_matrix(k) for k in degs}
@@ -800,13 +795,8 @@ def _representation_failures(pipe, data, mu_inv, rname, rep, chi):
     character chi."""
     t_fun = pipe.eqcat.rep_tensor_functor(rep, source_names=pipe.hh_names)
     comps = {name: pipe.cat_full.unit(t_fun.apply_obj(name)) for name in pipe.hh_names}
-    fun = identity_functor(pipe.cat_hh)
     t_map = InducedMap(
-        pipe.w_hh,
-        pipe.w_full,
-        t_fun,
-        NatTransform(fun, fun, comps, name="1"),
-        name=f"T[{rname}]",
+        pipe.w_hh, pipe.w_full, t_fun, _twist(pipe.cat_hh, comps, "1"), name=f"T[{rname}]"
     )
     for k in pipe.degree_list:
         if mu_inv[k] is None:
@@ -839,34 +829,43 @@ def _certificates(pipe, data):
     ]
 
 
+def _transport_certificate(pipe, combined, target, h, agree):
+    """The route checks 1 and 4 share, given the induced map ``combined`` of
+    a map composed with a projection: transport the projection ``target``
+    along alpha_h: forget ⇒ rho_h∘forget to the functor of ``combined``.
+    Passes when the twist of ``combined`` equals the conjugated twist
+    alpha_h · eta · alpha_h^{-1} componentwise, the site's own homology
+    comparison ``agree(transported)`` holds, and the transport homotopy
+    checks; each part runs only if the ones before it passed."""
+    transported, cert = conjugate_transport(target, pipe.alpha_nat(h), combined.phi)
+    same_twist = all(
+        combined.eps.at(name) == transported.eps.at(name) for name in pipe.cat_full.objects
+    )
+    return same_twist and agree(transported) and cert.check()
+
+
 def _check1_certificates(pipe, data):
     """Chain-level route for check 1: the centralizer action composed with
-    the projection equals the projection conjugated along alpha_h, with an
-    explicit transport homotopy back to the projection itself."""
+    the projection is chain-level functorial and equals the projection
+    conjugated along alpha_h, with an explicit transport homotopy back to
+    the projection itself."""
     for g in pipe.classes.representatives:
         proj = data[g]["proj"]
+        a_mat = data[g]["A"]
         for h in pipe.classes.centralizers[g]:
             if h == pipe.group.identity:
                 continue
             m_big = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
-            combined, composed, mismatches = compose_induced(m_big, proj)
-            # transport (forget, alpha_g) along alpha_h: forget ⇒ rho_h∘forget
-            alpha_h = pipe.alpha_nat(h, pipe.cat_full)
-            transported, cert = conjugate_transport(proj, alpha_h, combined.phi)
-            # the composed twist C[h,g] ⋆ alpha_g must equal the conjugated
-            # twist alpha_h · alpha_g · alpha_h^{-1} componentwise
-            same_twist = all(
-                combined.eps.at(name) == transported.eps.at(name)
-                for name in pipe.cat_full.objects
-            )
-            cert_ok = cert.check()
-            a_mat = data[g]["A"]
-            same_matrix = all(
-                transported.homology_matrix(k) == a_mat[k]
-                and (data[g]["M_big"][h][k] * a_mat[k]) == a_mat[k]
-                for k in pipe.degree_list
-            )
-            ok = not mismatches and same_twist and cert_ok and same_matrix
+            combined, mismatches = compose_induced(m_big, proj)
+
+            def agree(transported):
+                return all(
+                    transported.homology_matrix(k) == a_mat[k]
+                    and (data[g]["M_big"][h][k] * a_mat[k]) == a_mat[k]
+                    for k in pipe.degree_list
+                )
+
+            ok = not mismatches and _transport_certificate(pipe, combined, proj, h, agree)
             yield f"projection invariance [{g}] under {h}", "transport", ok
 
 
@@ -876,11 +875,10 @@ def _check23_certificates(pipe, data):
     grp = pipe.group
     for g in pipe.classes.representatives:
         for g2 in pipe.classes.representatives:
-            combined, composed, mismatches = compose_induced(data[g]["proj"], data[g2]["inc"])
-            ok = not mismatches
+            combined, mismatches = compose_induced(data[g]["proj"], data[g2]["inc"])
             summands = [
                 (
-                    _embedded_rho(pipe, h, g),
+                    _embedded_rho(pipe, h),
                     _lifted_centralizer_block(pipe, h, g, g2)
                     if grp.mul(h, g) == grp.mul(g2, h)
                     else None,
@@ -895,21 +893,20 @@ def _check23_certificates(pipe, data):
                     combined.eps,
                     summands,
                     pipe.degree_list,
-                    certificates=True,
                 )
                 mats_ok = all(result["matrices_equal"].values())
                 cert_ok = result["certificate"] is not None
-                mode = result["certificate_mode"] or "matrix-only"
+                mode = result["certificate_mode"]
             except StructureError as exc:
                 mats_ok = cert_ok = False
                 mode = f"error: {exc}"
             name = (
                 f"trace decomposition [{g}]" if g2 == g else f"cross-class [{g},{g2}]"
             )
-            yield name, mode, ok and mats_ok and cert_ok
+            yield name, mode, not mismatches and mats_ok and cert_ok
 
 
-def _embedded_rho(pipe, h, g):
+def _embedded_rho(pipe, h):
     """lambda∘rho_h: the summand functor of forget∘symmetrize."""
     incl = hull_inclusion(pipe.cat_small, pipe.cat_big, name="incl")
     return compose_functors(incl, pipe._rho_small[h], name=f"rho[{h}]")
@@ -923,8 +920,7 @@ def _lifted_centralizer_block(pipe, h, g, g2):
     comps = {}
     for c in pipe.cat_small.objects:
         comps[c] = pipe.cat_big.compose(t_gh_inv.at(c), t_hg2.at(c))
-    fun = identity_functor(pipe.cat_small)
-    return NatTransform(fun, fun, comps, name=f"C[{h};{g},{g2}]")
+    return _twist(pipe.cat_small, comps, f"C[{h};{g},{g2}]")
 
 
 # ---------------------------------------------------------------------------
@@ -1022,43 +1018,23 @@ def _check4_transports(pipe, data):
             continue
         h, g2 = data[g]["conjugate"]
         try:
-            lo, hi = pipe.w_full.lo, pipe.w_full.hi
-            w_big_g2 = pipe._window_for(pipe.cat_big, pipe._rho_big, g2, lo, hi)
+            proj_g2 = pipe.projection(g2)
             tau_base = nat_vertical(
                 nat_inverse(pipe.laction.theta_at(g2, h)), pipe.laction.theta_at(h, g)
             )
-            fun = identity_functor(pipe.cat_big)
-            tau = NatTransform(
-                fun, fun, {x: tau_base.at(x) for x in pipe.cat_big.objects}, name="tau"
-            )
+            tau = _twist(pipe.cat_big, {x: tau_base.at(x) for x in pipe.cat_big.objects}, "tau")
             m_tau = InducedMap(
-                pipe.w_big[g], w_big_g2, pipe._rho_big[h], tau, name=f"(rho[{h}],tau)*"
+                pipe.w_big[g], proj_g2.tgt, pipe._rho_big[h], tau, name=f"(rho[{h}],tau)*"
             )
-            combined, _, _ = compose_induced(m_tau, data[g]["proj"], verify=False)
-            proj_g2 = InducedMap(
-                pipe.w_full,
-                w_big_g2,
-                pipe.forget_full,
-                pipe.alpha_nat(g2, pipe.cat_full),
-                name=f"pi[{g2}]",
-            )
-            alpha_h = pipe.alpha_nat(h, pipe.cat_full)
-            transported, cert = conjugate_transport(proj_g2, alpha_h, combined.phi)
-            same_twist = all(
-                combined.eps.at(name) == transported.eps.at(name)
-                for name in pipe.cat_full.objects
-            )
-            cert_degrees = [
-                k
-                for k in pipe.degree_list
-                if k - 1 >= w_big_g2.lo and k + 1 <= pipe.w_full.hi and k <= w_big_g2.hi
-            ]
-            matrices_agree = all(
-                combined.homology_matrix(k)
-                == m_tau.homology_matrix(k) * data[g]["A"][k]
-                for k in pipe.degree_list
-            )
-            ok = same_twist and matrices_agree and cert.check(degrees=cert_degrees)
+            combined = induced_composite(m_tau, data[g]["proj"])
+
+            def agree(_transported):
+                return all(
+                    combined.homology_matrix(k) == m_tau.homology_matrix(k) * data[g]["A"][k]
+                    for k in pipe.degree_list
+                )
+
+            ok = _transport_certificate(pipe, combined, proj_g2, h, agree)
         except EquihhErrorBase as exc:
             yield f"representative transport [{g}]", f"error: {exc}", False
             continue
@@ -1095,16 +1071,15 @@ def _check5_certificate(pipe, data):
         i_comps[name] = i_mor
         p_comps[name] = p_mor
     # sum of the twists over the whole group equals I∘P
-    twists = [pipe.k_twist(g, pipe.hh_names) for g in grp.elements]
+    twists = [pipe.k_twist(g) for g in grp.elements]
     twist_sum = {n: sum((tw.at(n) for tw in twists[1:]), twists[0].at(n)) for n in pipe.hh_names}
     ip_ok = all(
         pipe.cat_full.compose(i_comps[n], p_comps[n]) == twist_sum[n] for n in pipe.hh_names
     )
     yield "sum of twists equals I∘P", "matrix", ip_ok
 
-    s_for = pipe.s_for_functor(pipe.hh_names)
-    fun = identity_functor(pipe.cat_hh)
-    sum_nat = NatTransform(fun, fun, twist_sum, name="Σ twists")
+    s_for = pipe.s_forget
+    sum_nat = _twist(pipe.cat_hh, twist_sum, "Σ twists")
     sum_map = InducedMap(pipe.w_hh, pipe.w_full, s_for, sum_nat, name="(S∘forget,Σ)*")
     order = field.embed(len(grp))
     scaled_mu = LinearComboMap(pipe.w_hh, pipe.w_full, [(order, pipe.mu)], name="|G|·mu")

@@ -32,6 +32,7 @@ from .dgcat import (
     NatTransform,
     ValidationReport,
     compose_functors,
+    full_subcategory,
     hull_subcategory,
     identity_functor,
     lift_functor_to_hull,
@@ -65,10 +66,10 @@ def _shift_blocks(coeffs, row_off, col_off):
     }
 
 
-def lift_action(action: GroupAction, tuples, extra_objects=()) -> GroupAction:
+def lift_action(action: GroupAction, tuples) -> GroupAction:
     """Lift a base action to the hull subcategory on the closure of the
-    given tuples (plus any extra tuples, also closed)."""
-    objs = closure_under_action(action, list(tuples) + list(extra_objects))
+    given tuples under the action."""
+    objs = closure_under_action(action, tuples)
     hull = hull_subcategory(action.category, objs)
     functors = {
         g: lift_functor_to_hull(action.rho(g), hull, hull, name=f"rho[{g}]")
@@ -230,12 +231,13 @@ class EquivariantCategory:
     """The dg category of a finite roster of equivariant objects.
 
     Hom complexes are the exactly-solved equivariance subspaces of the
-    ambient homs; basis labels are "q0", "q1", ... per degree in solving
-    order.  ``embed``/``restrict`` convert between roster morphisms and
-    ambient morphisms.
+    ambient homs; basis labels are "q<deg>_0", "q<deg>_1", ... per degree
+    in solving order.  A subspace whose differential leaves it raises
+    StructureError.  ``embed``/``restrict`` convert between roster
+    morphisms and ambient morphisms.
     """
 
-    def __init__(self, laction: GroupAction, roster, check_invariance=True):
+    def __init__(self, laction: GroupAction, roster):
         self.laction = laction
         self.ambient = laction.category
         self.roster = {}
@@ -249,7 +251,7 @@ class EquivariantCategory:
         self._solved = {}  # (src_name, tgt_name) -> dict[(deg,label) -> ambient coeffs]
         self._echelons = {}  # (src_name, tgt_name, deg) -> Echelon over flat ambient idx
         self._flat = {}  # (x_tuple, y_tuple, deg) -> (key list, key index)
-        self.category = self._build(check_invariance)
+        self.category = self._build()
 
     # -- plumbing --------------------------------------------------------
 
@@ -329,7 +331,7 @@ class EquivariantCategory:
                 solved[deg] = basis
         return solved
 
-    def _build(self, check_invariance):
+    def _build(self):
         cat = self.laction.category
         homs = {}
         diff = {}
@@ -371,11 +373,9 @@ class EquivariantCategory:
                         continue
                     restricted = self.restrict(damb, sn, tn)
                     if restricted is None:
-                        if check_invariance:
-                            raise StructureError(
-                                f"equivariance subspace of ({sn}, {tn}) not d-stable"
-                            )
-                        continue
+                        raise StructureError(
+                            f"equivariance subspace of ({sn}, {tn}) not d-stable"
+                        )
                     dtable[(deg, lab)] = restricted.coeffs
                 if dtable:
                     diff[(sn, tn)] = dtable
@@ -503,20 +503,12 @@ class EquivariantCategory:
 
         return DgFunctor(small, self.category, obj_map, LazyDict(build), name="symmetrize")
 
-    def rep_tensor_functor(self, rep, source_names=None) -> DgFunctor:
-        """T_V = V⊗(-) from the full subcategory on ``source_names`` (the
-        whole roster by default) into the roster category; all images must
-        be rostered."""
-        from .dgcat import full_subcategory
-
-        names = list(source_names) if source_names is not None else list(self.order)
-        source = (
-            self.category
-            if source_names is None
-            else full_subcategory(self.category, names)
-        )
+    def rep_tensor_functor(self, rep, source_names) -> DgFunctor:
+        """T_V = V⊗(-) from the full subcategory on ``source_names`` into
+        the roster category; all images must be rostered."""
+        source = full_subcategory(self.category, source_names)
         obj_map = {}
-        for name in names:
+        for name in source_names:
             target = rep_tensor(self.laction, rep, self.roster[name])
             found = self.find(target.underlying, target.alpha)
             if found is None:
@@ -561,12 +553,13 @@ def realize_declared(laction: GroupAction, decl) -> EquivariantObject:
     return EquivariantObject(decl.name, underlying, alpha)
 
 
-def build_equivariant_category(laction: GroupAction, roster, validate=True) -> EquivariantCategory:
-    if validate:
-        for obj in roster:
-            report = validate_equivariant(laction, obj)
-            if not report.ok:
-                raise StructureError(report.summary())
+def build_equivariant_category(laction: GroupAction, roster) -> EquivariantCategory:
+    """The equivariant category of ``roster`` after validating each object;
+    an invalid object raises StructureError with its report."""
+    for obj in roster:
+        report = validate_equivariant(laction, obj)
+        if not report.ok:
+            raise StructureError(report.summary())
     return EquivariantCategory(laction, roster)
 
 

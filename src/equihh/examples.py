@@ -245,47 +245,3 @@ def get_example(name: str) -> ExampleBundle:
         from .errors import InputError
 
         raise InputError(f"unknown example {name!r}") from exc
-
-
-# -- extra fixtures used by the test suite (not bundled examples) ----------
-
-
-def negative_degree_exterior_category():
-    """Exterior generator in degree -1: certified windows in every range."""
-    return algebra_category(QQ, "pt", [("1", 0), ("u", -1)], {("u", "u"): {}})
-
-
-def leibniz_sabotage_pair():
-    """A pair (good, bad) of tensor-style categories where the bad one has
-    one composition sign flipped; the differential makes Leibniz fail."""
-    good = algebra_category(
-        QQ,
-        "pt",
-        [("1", 0), ("x", 1), ("t", 0), ("s", 1), ("xt", 1), ("xs", 2)],
-        {
-            ("x", "x"): {}, ("t", "t"): {}, ("s", "s"): {}, ("t", "s"): {}, ("s", "t"): {},
-            ("x", "t"): {"xt": 1}, ("t", "x"): {"xt": 1},
-            ("x", "s"): {"xs": 1}, ("s", "x"): {"xs": -1},
-            ("x", "xt"): {}, ("xt", "x"): {}, ("t", "xt"): {}, ("xt", "t"): {},
-            ("s", "xt"): {}, ("xt", "s"): {}, ("x", "xs"): {}, ("xs", "x"): {},
-            ("t", "xs"): {}, ("xs", "t"): {}, ("s", "xs"): {}, ("xs", "s"): {},
-            ("xt", "xt"): {}, ("xt", "xs"): {}, ("xs", "xt"): {}, ("xs", "xs"): {},
-        },
-        differential={"t": {"s": 1}, "xt": {"xs": -1}},
-    )
-    bad = algebra_category(
-        QQ,
-        "pt",
-        [("1", 0), ("x", 1), ("t", 0), ("s", 1), ("xt", 1), ("xs", 2)],
-        {
-            ("x", "x"): {}, ("t", "t"): {}, ("s", "s"): {}, ("t", "s"): {}, ("s", "t"): {},
-            ("x", "t"): {"xt": 1}, ("t", "x"): {"xt": 1},
-            ("x", "s"): {"xs": 1}, ("s", "x"): {"xs": 1},  # flipped Koszul sign
-            ("x", "xt"): {}, ("xt", "x"): {}, ("t", "xt"): {}, ("xt", "t"): {},
-            ("s", "xt"): {}, ("xt", "s"): {}, ("x", "xs"): {}, ("xs", "x"): {},
-            ("t", "xs"): {}, ("xs", "t"): {}, ("s", "xs"): {}, ("xs", "s"): {},
-            ("xt", "xt"): {}, ("xt", "xs"): {}, ("xs", "xt"): {}, ("xs", "xs"): {},
-        },
-        differential={"t": {"s": 1}, "xt": {"xs": -1}},
-    )
-    return good, bad

@@ -152,18 +152,6 @@ class WindowBase:
             self._homology[k] = HomologyBasis(self, k, reps, ech)
         return self._homology[k]
 
-    def verify_d_squared(self):
-        """(instances checked, list of violations (degree, column))."""
-        bad = []
-        count = 0
-        for k in range(self.lo, self.hi - 1):
-            prod = self.differential(k + 1) * self.differential(k)
-            count += self.dim(k)
-            for j, col in enumerate(prod.cols):
-                if not vec_is_zero(col):
-                    bad.append((k, j))
-        return count, bad
-
 
 def _acyclic_mod_p(d_k, d_prev):
     """True when ranks mod P prove H = 0 between d_prev and d_k, given
@@ -236,19 +224,18 @@ class HochschildWindow(WindowBase):
         self._index = {}
         self._total = {}
         self._homology = {}
-        self.certification = self._certify()
+        self.certification, self.bar_degrees = self._certify()
         self.pivots = _unit_pivots(category, functor) if normalized else {}
         self._enumerate()
         self._differentials()
 
     # -- construction ---------------------------------------------------
 
-    def _certify(self) -> Certification:
+    def _certify(self):
+        """(Certification, the bar degrees whose chains can reach the window)."""
         a, b = self.category.min_max_degree()
         if a is None:
-            self.bar_degrees = []
-            return Certification("exact", -1)
-        self._bounds = (a, b)
+            return Certification("exact", -1), []
         lo, hi = self.lo, self.hi
 
         def touches(m):
@@ -269,14 +256,14 @@ class HochschildWindow(WindowBase):
                 raise TruncationError(
                     f"window is exact up to bar degree {m_max} but the cap is {self.bar_cap}"
                 )
-            self.bar_degrees = [m for m in range(m_max + 1) if touches(m)]
-            return Certification("exact", m_max)
-        if self.bar_cap is None:
+            cert = Certification("exact", m_max)
+        elif self.bar_cap is None:
             raise TruncationError(
                 "window has unbounded bar degrees; a bar cap is required"
             )
-        self.bar_degrees = [m for m in range(self.bar_cap + 1) if touches(m)]
-        return Certification("truncated", self.bar_cap)
+        else:
+            cert = Certification("truncated", self.bar_cap)
+        return cert, [m for m in range(cert.bound + 1) if touches(m)]
 
     def _slot_pairs(self, objs):
         """Hom pairs for the slots of an object cycle (c0, ..., cm)."""
@@ -581,18 +568,16 @@ class ChainMap:
             out.cols[j] = coords
         return out
 
-    def verify_chain_map(self, per_degree_limit=None):
-        """Check T(Dx) = D'(Tx) on basis chains of stored degrees; the
-        deterministic prefix of each degree when a budget is given."""
+    def verify_chain_map(self):
+        """Check T(Dx) = D'(Tx) on every basis chain of the stored degrees:
+        (chains checked, failures (degree, index))."""
         failures = []
         checked = 0
         for k in range(self.src.lo, self.src.hi):
             if not (self.tgt.lo <= k and k + 1 <= self.tgt.hi):
                 continue
-            n = self.src.dim(k)
-            limit = n if per_degree_limit is None else min(n, per_degree_limit)
             d_src = self.src.differential(k)
-            for j in range(limit):
+            for j in range(self.src.dim(k)):
                 lhs = self.apply_vec(k + 1, d_src.cols[j])
                 rhs = self.tgt.differential(k).apply(self.apply_chain(k, j))
                 if not vec_is_zero(vec_sub(lhs, rhs)):
@@ -623,16 +608,6 @@ class InducedMap(ChainMap):
         return out
 
 
-class ComposedMap(ChainMap):
-    def __init__(self, outer: ChainMap, inner: ChainMap, name=""):
-        super().__init__(inner.src, outer.tgt, name=name or f"{outer.name}∘{inner.name}")
-        self.outer = outer
-        self.inner = inner
-
-    def _compute(self, k, idx):
-        return self.outer.apply_vec(k, self.inner.apply_chain(k, idx))
-
-
 class LinearComboMap(ChainMap):
     def __init__(self, src, tgt, parts, name="Σ"):
         super().__init__(src, tgt, name=name)
@@ -661,25 +636,31 @@ def eps_star(outer_phi, outer_eps, inner_phi, inner_eps, name=None) -> NatTransf
     )
 
 
-def compose_induced(outer: InducedMap, inner: InducedMap, verify=True):
+def induced_composite(outer: InducedMap, inner: InducedMap) -> InducedMap:
+    """The induced map of the composite functor with the star twist, the
+    map that chain-level functoriality equates with outer∘inner."""
+    phi = compose_functors(outer.phi, inner.phi)
+    eps = eps_star(outer.phi, outer.eps, inner.phi, inner.eps)
+    return InducedMap(inner.src, outer.tgt, phi, eps, name=f"({phi.name})*")
+
+
+def compose_induced(outer: InducedMap, inner: InducedMap):
     """Chain-level functoriality: the composite of induced maps equals the
     induced map of the composite with the star twist, entry-exactly.
 
-    Returns (combined InducedMap, composed ChainMap, mismatches).
+    Returns (``induced_composite(outer, inner)``, mismatches), the
+    mismatches being the (degree, index) of every basis chain of the
+    source on which the two differ.
     """
-    phi = compose_functors(outer.phi, inner.phi)
-    eps = eps_star(outer.phi, outer.eps, inner.phi, inner.eps)
-    combined = InducedMap(inner.src, outer.tgt, phi, eps, name=f"({phi.name})*")
-    composed = ComposedMap(outer, inner)
+    combined = induced_composite(outer, inner)
     mismatches = []
-    if verify:
-        for k in range(inner.src.lo, inner.src.hi + 1):
-            for j in range(inner.src.dim(k)):
-                a = combined.apply_chain(k, j)
-                b = composed.apply_chain(k, j)
-                if not vec_is_zero(vec_sub(a, b)):
-                    mismatches.append((k, j))
-    return combined, composed, mismatches
+    for k in range(inner.src.lo, inner.src.hi + 1):
+        for j in range(inner.src.dim(k)):
+            a = combined.apply_chain(k, j)
+            b = outer.apply_vec(k, inner.apply_chain(k, j))
+            if not vec_is_zero(vec_sub(a, b)):
+                mismatches.append((k, j))
+    return combined, mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +693,11 @@ class DHPlusHD(ChainMap):
 
 
 class HomotopyCertificate:
-    """A degree -1 map H with dH + Hd = f - g checked entry-exactly on the
-    interior degrees of the window; boundary degrees are recorded.  ``h``
-    caches H, so each value is computed once."""
+    """A degree -1 map H with dH + Hd = f - g, checked entry-exactly on
+    every basis chain of each source degree k with k + 1 stored in the
+    source and k - 1, k in the target; ``checked_degrees`` and
+    ``failures`` (degree, index) record the check.  ``h`` caches H, so each
+    value is computed once."""
 
     def __init__(self, f: ChainMap, g: ChainMap, h_map, name=""):
         self.f = f
@@ -724,17 +707,13 @@ class HomotopyCertificate:
         self.checked_degrees = []
         self.failures = []
 
-    def check(self, degrees=None):
+    def check(self):
         src, tgt = self.f.src, self.f.tgt
-        if degrees is None:
-            degrees = [
-                k
-                for k in range(src.lo, src.hi + 1)
-                if k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi
-            ]
         dh_hd = DHPlusHD(src, tgt, self.h)
         ok = True
-        for k in degrees:
+        for k in range(src.lo, src.hi + 1):
+            if not (k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi):
+                continue
             for j in range(src.dim(k)):
                 want = vec_sub(self.f.apply_chain(k, j), self.g.apply_chain(k, j))
                 if not vec_eq(dh_hd.apply_chain(k, j), want):
@@ -848,17 +827,14 @@ def block_inclusion(cat: DgCategory, summands, i):
     return Mor(part, whole, coeffs)
 
 
-def nat_block(cat: DgCategory, eps: NatTransform, summands, i, j, f_twist=None, f_prime=None):
+def nat_block(cat: DgCategory, eps: NatTransform, summands, i, j, f_twist, f_prime):
     """Block (i, j) of a twist eps: (⊕A)∘F ⇒ F'∘(⊕A), per object:
     pi_i ∘ eps_c ∘ iota_j, where the source decomposes at F(c) and the
     target under F'."""
 
     def at(c):
-        fc = f_twist.apply_obj(c) if f_twist is not None else c
-        src_parts = [f.apply_obj(fc) for f in summands]
-        tgt_parts = [f.apply_obj(c) for f in summands]
-        if f_prime is not None:
-            tgt_parts = [f_prime.apply_obj(p) for p in tgt_parts]
+        src_parts = [f.apply_obj(f_twist.apply_obj(c)) for f in summands]
+        tgt_parts = [f_prime.apply_obj(f.apply_obj(c)) for f in summands]
         return cat.compose(
             block_projection(cat, tgt_parts, i),
             cat.compose(eps.at(c), block_inclusion(cat, src_parts, j)),
@@ -905,18 +881,15 @@ def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, total_
     )
 
 
-def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
-    """Find H with dH + Hd = residual inside the window by exact linear
-    solving (top degree downward, a joint solve at the top step).
+def solve_homotopy(residual: ChainMap, name="H_solved"):
+    """Find H with dH + Hd = residual by exact linear solving, on the
+    source degrees k with k ± 1 stored in the source and k - 1, k in the
+    target (top degree downward, a joint solve at the top step).
 
-    Returns a FormulaHomotopy-backed callable or None when no windowed
-    homotopy exists.
+    Returns a FormulaHomotopy or None when no windowed homotopy exists.
     """
     src, tgt = residual.src, residual.tgt
-    if degrees is None:
-        degrees = [
-            k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi
-        ]
+    degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
     if not degrees:
         return FormulaHomotopy(src, tgt, lambda k, idx: {}, name=name)
     h_cols = {}  # degree k -> list of vectors (per source chain) at k-1
@@ -995,21 +968,18 @@ def solve_homotopy(residual: ChainMap, degrees=None, name="H_solved"):
 
 
 def verify_trace_decomposition(
-    window_src,
-    window_tgt,
-    total_functor,
-    eta: NatTransform,
-    summands,
-    degrees,
-    certificates=True,
+    window_src, window_tgt, total_functor, eta: NatTransform, summands, degrees
 ):
-    """Check (⊕A_i, eta)_* ≃ Σ_i (A_i, eta_ii)_* as homology matrices and
-    (optionally) produce a homotopy certificate.
+    """Check (⊕A_i, eta)_* ≃ Σ_i (A_i, eta_ii)_* as homology matrices on
+    ``degrees`` and look for a homotopy certificate.
 
     ``summands`` is a list of (functor A_i, eta_ii NatTransform or None);
     a None diagonal twist means the block must be zero and the summand is
     dropped from the sum.  The homotopy is the per-summand insertion
-    formula plus an exactly solved correction for the off-diagonal terms.
+    formula, plus an exactly solved correction for the off-diagonal terms
+    when the formula alone fails.  ``certificate_mode`` is "formula",
+    "formula+solved" or "failed"; ``certificate`` is the passing
+    HomotopyCertificate, or None when it failed.
     """
     cat_t = window_tgt.category
     field = cat_t.field
@@ -1035,59 +1005,49 @@ def verify_trace_decomposition(
     matrices_equal = {}
     for k in degrees:
         matrices_equal[k] = total_map.homology_matrix(k) == summand_sum.homology_matrix(k)
-    result = {
+    h_parts = [
+        trace_summand_homotopy(window_src, window_tgt, functors_only, eta, total_functor, i)
+        for i, (a_i, eta_ii) in enumerate(summands)
+        if eta_ii is not None
+    ]
+
+    def h_formula(k, idx):
+        out = {}
+        for h in h_parts:
+            vec_axpy(out, 1, h(k, idx))
+        return out
+
+    cert = HomotopyCertificate(total_map, summand_sum, h_formula, name="trace decomposition")
+    mode = "formula"
+    if not cert.check():
+        formula = cert.h
+        residual = LinearComboMap(
+            window_src,
+            window_tgt,
+            [
+                (field.one, total_map),
+                (-field.one, summand_sum),
+                (-field.one, DHPlusHD(window_src, window_tgt, formula)),
+            ],
+            name="residual",
+        )
+        solved = solve_homotopy(residual, name="H_offdiag")
+        mode = "failed"
+        if solved is not None:
+
+            def h_total(k, idx):
+                return vec_add(formula.apply_chain(k, idx), solved.apply_chain(k, idx))
+
+            cert = HomotopyCertificate(total_map, summand_sum, h_total, name="trace decomposition")
+            if cert.check():
+                mode = "formula+solved"
+    return {
         "total": total_map,
         "sum": summand_sum,
         "matrices_equal": matrices_equal,
-        "certificate": None,
-        "certificate_mode": None,
+        "certificate": None if mode == "failed" else cert,
+        "certificate_mode": mode,
     }
-    if certificates:
-        h_parts = [
-            trace_summand_homotopy(
-                window_src, window_tgt, functors_only, eta, total_functor, i
-            )
-            for i, (a_i, eta_ii) in enumerate(summands)
-            if eta_ii is not None
-        ]
-
-        def h_formula(k, idx):
-            out = {}
-            for h in h_parts:
-                vec_axpy(out, 1, h(k, idx))
-            return out
-
-        cert = HomotopyCertificate(total_map, summand_sum, h_formula, name="trace decomposition")
-        if cert.check():
-            result["certificate"] = cert
-            result["certificate_mode"] = "formula"
-        else:
-            residual = LinearComboMap(
-                window_src,
-                window_tgt,
-                [
-                    (field.one, total_map),
-                    (-field.one, summand_sum),
-                    (-field.one, DHPlusHD(window_src, window_tgt, cert.h)),
-                ],
-                name="residual",
-            )
-            solved = solve_homotopy(residual, name="H_offdiag")
-            if solved is None:
-                result["certificate_mode"] = "failed"
-            else:
-                def h_total(k, idx):
-                    return vec_add(cert.h.apply_chain(k, idx), solved.apply_chain(k, idx))
-
-                cert2 = HomotopyCertificate(
-                    total_map, summand_sum, h_total, name="trace decomposition"
-                )
-                if cert2.check():
-                    result["certificate"] = cert2
-                    result["certificate_mode"] = "formula+solved"
-                else:
-                    result["certificate_mode"] = "failed"
-    return result
 
 
 # ---------------------------------------------------------------------------

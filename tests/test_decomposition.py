@@ -15,13 +15,13 @@ from equihh.examples import (
     example_e2,
     example_e5,
     group_algebra_z2_category,
-    negative_degree_exterior_category,
     point_category,
 )
 from equihh.errors import StructureError
 from equihh.groups import permutation_action
-from equihh.hochschild import LinearComboMap
+from equihh.hochschild import HomotopyCertificate, LinearComboMap
 from equihh.linalg import SparseMatrix
+from tests_support import negative_degree_exterior_category
 from equihh.scalars import QQ
 
 
@@ -364,3 +364,51 @@ def test_witness_order_with_doubled_inclusion():
         "projector factorization fails for s at degree 0",
     ]
     assert rep.dims_match and all(ok for ok, _ in rep.rep_checks.values())
+
+
+def transport_with_wrong_homotopy(transport):
+    """``transport`` whose certificate's H is off by one target chain b
+    with db != 0 on every source chain of the lowest checked degree k, so
+    dH + Hd misses f - g by db on each chain of degree k."""
+
+    def wrong(induced, alpha, psi):
+        transported, cert = transport(induced, alpha, psi)
+        src, tgt = cert.f.src, cert.f.tgt
+        k, b = next(
+            (k, b)
+            for k in range(src.lo + 1, src.hi)
+            if src.dim(k)
+            for b, col in enumerate(tgt.differential(k - 1).cols)
+            if col
+        )
+        right = cert.h
+
+        def h(k2, idx):
+            out = dict(right.apply_chain(k2, idx))
+            if k2 == k:
+                out[b] = out.get(b, 0) + tgt.field.one
+            return {i: c for i, c in out.items() if c}
+
+        return transported, HomotopyCertificate(cert.f, cert.g, h, name=cert.name)
+
+    return wrong
+
+
+def test_wrong_transport_homotopy_fails_checks_1_and_4(monkeypatch):
+    import equihh.decomposition as decomposition
+
+    monkeypatch.setattr(
+        decomposition,
+        "conjugate_transport",
+        transport_with_wrong_homotopy(decomposition.conjugate_transport),
+    )
+    for bundle, degrees, kind in [
+        (example_e1(), (-2, 0), "projection invariance ["),
+        (example_e5(), None, "representative transport ["),
+    ]:
+        rep = run_checks(bundle_pipeline(bundle, degrees=degrees))
+        hit = [c for c in rep.certificates if c[0].startswith(kind)]
+        assert hit and all(mode == "transport" and not ok for _, mode, ok in hit), hit
+        # the other certificates do not transport and still pass
+        others = [c for c in rep.certificates if c not in hit]
+        assert others and all(ok for _, _, ok in others), others

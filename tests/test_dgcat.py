@@ -5,6 +5,7 @@ import pytest
 from equihh.dgcat import (
     DgFunctor,
     Mor,
+    NatTransform,
     additive_hull,
     algebra_category,
     disjoint_points_category,
@@ -123,6 +124,27 @@ def test_nat_closedness_violation():
     eps.components["pt"] = cat.basis_mor("pt", "pt", 0, "t")  # d(t) = s != 0
     report = validate_nat(eps)
     assert any(v.rule == "closedness" for v in report.violations)
+
+
+def test_nat_component_with_wrong_endpoints_is_reported_not_composed():
+    # E2's theta[s,s] with its component at x1 moved to x2 -> x2: the
+    # squares reading that component cannot be composed, so they are
+    # skipped and the component is reported once
+    from equihh.examples import example_e2
+
+    action = example_e2().action
+    theta = action.theta_at("s", "s")
+    cat = action.category
+    eps = NatTransform(
+        theta.src,
+        theta.tgt,
+        {"x1": cat.unit("x2"), "x2": theta.at("x2")},
+        name="theta[s,s]",
+    )
+    report = validate_nat(eps)
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("structure", "component at x1 has wrong endpoints")
+    ]
 
 
 def test_tensor_point_point():

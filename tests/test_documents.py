@@ -4,8 +4,9 @@ import pytest
 
 from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.errors import InputError
-from equihh.examples import get_example, leibniz_sabotage_pair, ExampleBundle
+from equihh.examples import get_example, ExampleBundle
 from equihh.scalars import QQ
+from tests_support import leibniz_sabotage_pair
 
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5"])

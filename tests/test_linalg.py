@@ -30,6 +30,7 @@ from tests_support import (
     reference_vec_scale,
     transpose,
     typed,
+    verify_d_squared,
 )
 
 Q = Fraction
@@ -290,7 +291,7 @@ def test_window_error():
 def test_d_squared_checked():
     # d0 = id, d1 = id: d^2 = id != 0 is reported at degree 0, column 0
     win = window({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, 0, 2)
-    assert win.verify_d_squared() == (1, [(0, 0)])
+    assert verify_d_squared(win) == (1, [(0, 0)])
 
 
 def test_matrix_product_and_transpose():

@@ -14,12 +14,15 @@ from equihh.examples import (
     example_e2,
     get_example,
     group_algebra_z2_category,
-    negative_degree_exterior_category,
     point_category,
 )
 from equihh.hochschild import build_window, hh_dimensions
 from equihh.linalg import matrix_inverse
-from tests_support import NormalizationMap, cyclic_group_document
+from tests_support import (
+    NormalizationMap,
+    cyclic_group_document,
+    negative_degree_exterior_category,
+)
 
 
 def e2_full_hull():

@@ -14,7 +14,6 @@ from equihh.dgcat import (
 from equihh.examples import (
     example_e2,
     group_algebra_z2_category,
-    negative_degree_exterior_category,
     point_category,
 )
 from equihh.groups import permutation_action
@@ -28,7 +27,7 @@ from equihh.hochschild import (
 )
 from equihh.linalg import SparseMatrix, rank_kernel_image, vec_is_zero
 from equihh.scalars import QQ
-from tests_support import koszul_swap_map, pair_index
+from tests_support import koszul_swap_map, negative_degree_exterior_category, pair_index
 
 
 def doubled_point_setup(eta_rows):

@@ -9,7 +9,7 @@ from equihh.dgcat import Mor, NatTransform, algebra_category, identity_functor, 
 from equihh.equivariant import _shift_blocks, symmetrize
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
-from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image
+from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_is_zero
 from equihh.scalars import QQ, Cyc, invert_scalar
 
 
@@ -36,6 +36,47 @@ def scaled_action():
 
 
 # -- helpers only the tests use ----------------------------------------------
+
+
+def negative_degree_exterior_category():
+    """Exterior generator in degree -1: certified windows in every range."""
+    return algebra_category(QQ, "pt", [("1", 0), ("u", -1)], {("u", "u"): {}})
+
+
+def leibniz_sabotage_pair():
+    """A pair (good, bad) of tensor-style categories where the bad one has
+    one composition sign flipped; the differential makes Leibniz fail."""
+    good = algebra_category(
+        QQ,
+        "pt",
+        [("1", 0), ("x", 1), ("t", 0), ("s", 1), ("xt", 1), ("xs", 2)],
+        {
+            ("x", "x"): {}, ("t", "t"): {}, ("s", "s"): {}, ("t", "s"): {}, ("s", "t"): {},
+            ("x", "t"): {"xt": 1}, ("t", "x"): {"xt": 1},
+            ("x", "s"): {"xs": 1}, ("s", "x"): {"xs": -1},
+            ("x", "xt"): {}, ("xt", "x"): {}, ("t", "xt"): {}, ("xt", "t"): {},
+            ("s", "xt"): {}, ("xt", "s"): {}, ("x", "xs"): {}, ("xs", "x"): {},
+            ("t", "xs"): {}, ("xs", "t"): {}, ("s", "xs"): {}, ("xs", "s"): {},
+            ("xt", "xt"): {}, ("xt", "xs"): {}, ("xs", "xt"): {}, ("xs", "xs"): {},
+        },
+        differential={"t": {"s": 1}, "xt": {"xs": -1}},
+    )
+    bad = algebra_category(
+        QQ,
+        "pt",
+        [("1", 0), ("x", 1), ("t", 0), ("s", 1), ("xt", 1), ("xs", 2)],
+        {
+            ("x", "x"): {}, ("t", "t"): {}, ("s", "s"): {}, ("t", "s"): {}, ("s", "t"): {},
+            ("x", "t"): {"xt": 1}, ("t", "x"): {"xt": 1},
+            ("x", "s"): {"xs": 1}, ("s", "x"): {"xs": 1},  # flipped Koszul sign
+            ("x", "xt"): {}, ("xt", "x"): {}, ("t", "xt"): {}, ("xt", "t"): {},
+            ("s", "xt"): {}, ("xt", "s"): {}, ("x", "xs"): {}, ("xs", "x"): {},
+            ("t", "xs"): {}, ("xs", "t"): {}, ("s", "xs"): {}, ("xs", "s"): {},
+            ("xt", "xt"): {}, ("xt", "xs"): {}, ("xs", "xt"): {}, ("xs", "xs"): {},
+        },
+        differential={"t": {"s": 1}, "xt": {"xs": -1}},
+    )
+    return good, bad
 
 
 def zero_mor(x, y):
@@ -84,6 +125,20 @@ def verify_sign_identities(win):
         if not d1[k + 1] * d2[k] == d2[k + 1] * d1[k]:
             issues.append(("d1_d2_commute", k))
     return issues
+
+
+def verify_d_squared(win):
+    """(instances checked, list of violations (degree, column)) of
+    d∘d = 0 on the stored degrees of a window."""
+    bad = []
+    count = 0
+    for k in range(win.lo, win.hi - 1):
+        prod = win.differential(k + 1) * win.differential(k)
+        count += win.dim(k)
+        for j, col in enumerate(prod.cols):
+            if not vec_is_zero(col):
+                bad.append((k, j))
+    return count, bad
 
 
 def pair_index(tw, k, ka, i, j):
