@@ -478,18 +478,27 @@ def nat_inverse(eps: NatTransform, name=None) -> NatTransform:
     return NatTransform(eps.tgt, eps.src, comps, name=name or f"{eps.name}^-1")
 
 
+def misplaced_components(eps: NatTransform):
+    """The objects x at which eps_x does not run from F(x) to G(x), for
+    eps: F ⇒ G."""
+    return {
+        x
+        for x in eps.src.src.objects
+        if (eps.at(x).src, eps.at(x).tgt) != (eps.src.apply_obj(x), eps.tgt.apply_obj(x))
+    }
+
+
 def validate_nat(eps: NatTransform) -> ValidationReport:
     report = ValidationReport(f"transformation {eps.name or ''}".strip())
     if eps.src.src is not eps.tgt.src or eps.src.tgt is not eps.tgt.tgt:
         raise StructureError("transformation between non-parallel functors")
     cat = eps.src.tgt
-    misplaced = set()  # components with wrong endpoints compose with nothing
+    misplaced = misplaced_components(eps)  # they compose with nothing
     for x in eps.src.src.objects:
-        comp = eps.at(x)
-        if comp.src != eps.src.apply_obj(x) or comp.tgt != eps.tgt.apply_obj(x):
+        if x in misplaced:
             report.add("structure", f"component at {x} has wrong endpoints")
-            misplaced.add(x)
             continue
+        comp = eps.at(x)
         if comp.coeffs and comp.degrees() != [0]:
             report.add("degree", f"component at {x} not degree 0")
         if not cat.d(comp).is_zero():

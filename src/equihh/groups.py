@@ -19,6 +19,7 @@ from .dgcat import (
     compose_functors,
     functors_equal,
     identity_functor,
+    misplaced_components,
     nat_inverse,
     nat_vertical,
     parity_sign,
@@ -286,10 +287,20 @@ def trivial_action(group: FiniteGroup, category: DgCategory) -> GroupAction:
 
 def validate_action(action: GroupAction) -> ValidationReport:
     """Functor/transformation validity, invertibility of all coherence
-    components, and the two coherence conditions, each instance exact."""
+    components, and the two coherence conditions, each instance exact.  A
+    coherence instance that reads a theta or eta component with wrong
+    endpoints is skipped; that component is reported as a structure
+    violation instead."""
     report = ValidationReport(f"action {action.name}")
     cat = action.category
     grp = action.group
+    misplaced = {}  # transformation -> objects of its misplaced components
+
+    def placed(t, x):
+        if t not in misplaced:
+            misplaced[t] = misplaced_components(t)
+        return x not in misplaced[t]
+
     for g in grp.elements:
         sub = validate_functor(action.rho(g))
         for v in sub.violations:
@@ -314,14 +325,16 @@ def validate_action(action: GroupAction) -> ValidationReport:
         if cat.invert(action.eta.at(x)) is None:
             report.add("invertibility", f"eta not invertible at {x}")
     e = grp.identity
+    eta = action.eta
     for g in grp.elements:
         rho_g = action.rho(g)
         t_eg = action.theta_at(e, g)
         t_ge = action.theta_at(g, e)
         for x in cat.objects:
-            if not t_eg.at(x) == action.eta.at(rho_g.apply_obj(x)):
+            rx = rho_g.apply_obj(x)
+            if placed(t_eg, x) and placed(eta, rx) and not t_eg.at(x) == eta.at(rx):
                 report.add("condition_i", f"(theta[e,{g}])_{x} != eta at rho_{g}({x})")
-            if not t_ge.at(x) == rho_g.apply(action.eta.at(x)):
+            if placed(t_ge, x) and placed(eta, x) and not t_ge.at(x) == rho_g.apply(eta.at(x)):
                 report.add("condition_i", f"(theta[{g},e])_{x} != rho_{g}(eta_{x})")
     for g, h, k in itertools.product(grp.elements, repeat=3):
         kh = grp.mul(k, h)
@@ -333,8 +346,11 @@ def validate_action(action: GroupAction) -> ValidationReport:
         rho_g = action.rho(g)
         rho_k = action.rho(k)
         for x in cat.objects:
+            kx = rho_k.apply_obj(x)
+            if not all(placed(t, y) for t, y in ((t_g_kh, x), (t_hk, x), (t_hg_k, x), (t_gh, kx))):
+                continue
             top = cat.compose(t_g_kh.at(x), rho_g.apply(t_hk.at(x)))
-            left = cat.compose(t_hg_k.at(x), t_gh.at(rho_k.apply_obj(x)))
+            left = cat.compose(t_hg_k.at(x), t_gh.at(kx))
             if not top == left:
                 report.add(
                     "condition_ii", f"coherence square fails at ({g},{h},{k}), object {x}"

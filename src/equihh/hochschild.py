@@ -51,6 +51,18 @@ certificates and the decomposition run on standard windows.
 Everything downstream (induced maps, their composition and conjugation
 laws, homotopy certificates, the trace decomposition, the shuffle map and
 the centralizer action) operates on these windows with exact arithmetic.
+
+An induced map (φ,η)_* sends a0[a1|...|am] to (η_{c0}∘φ(a0))[φ(a1)|...|
+φ(am)], expanded multilinearly over the slot images.  So the chain-level
+functoriality (ψ,ε)_*∘(φ,η)_* = (ψφ, ε⋆η)_* follows from two identities
+on basis keys, (ψφ)(a) = ψ(φ(a)) on every hom pair and (ε⋆η)_{c0}∘(ψφ)(a0)
+= ε_{φc0}∘ψ(η_{c0}∘φ(a0)) at slot 0, once every image chain is known to
+lie in the middle and target windows: the windows are standard, hold the
+source's degrees and bar degrees, and each slot image is a combination
+of basis keys of its hom pair in the key's degree.  ``compose_induced``
+checks these preconditions and identities on the tables and compares
+chain by chain only when one fails; that comparison gives the
+mismatches.
 """
 
 from __future__ import annotations
@@ -69,7 +81,7 @@ from .dgcat import (
     parity_sign,
     unit_violations,
 )
-from .errors import InputError, StructureError, TruncationError, WindowError
+from .errors import EquihhError, InputError, StructureError, TruncationError, WindowError
 from .linalg import (
     Echelon,
     SparseMatrix,
@@ -651,8 +663,38 @@ def compose_induced(outer: InducedMap, inner: InducedMap):
     Returns (``induced_composite(outer, inner)``, mismatches), the
     mismatches being the (degree, index) of every basis chain of the
     source on which the two differ.
+
+    An induced map applies one map per slot and ``_add_image`` expands the
+    slot images multilinearly, so the identity is certified from the
+    tables (``_slot_tables_agree``) when, for (ψ,ε) after (φ,η),
+
+        (ψφ)(a) = ψ(φ(a))                          on every basis key a,
+        (ε⋆η)_{c0}∘(ψφ)(a0) = ε_{φc0}∘ψ(η_{c0}∘φ(a0))  on every key a0
+                                                    of Hom(c1, F c0),
+
+    and ψφ agrees with ψ after φ on objects.  Its preconditions put every
+    image chain of inner in the middle window, and every chain of either
+    side in the target window: outer starts where inner ends, no window is
+    normalized, the middle and target windows hold the source's degrees
+    and bar degrees, every slot image is a combination of basis keys of
+    its hom pair in the key's degree, and η_{c0}∘φ(a0) runs between the
+    ends of the middle window's slot-0 pair.  A failed precondition or
+    identity, or a package error on the way (say a key no chain uses that
+    a functor does not map), falls back to the chain-by-chain comparison
+    ``_chain_mismatches``, whose result is returned as it is.
     """
     combined = induced_composite(outer, inner)
+    try:
+        if _slot_tables_agree(outer, inner, combined):
+            return combined, []
+    except EquihhError:
+        pass
+    return combined, _chain_mismatches(outer, inner, combined)
+
+
+def _chain_mismatches(outer: InducedMap, inner: InducedMap, combined: InducedMap):
+    """The (degree, index) of every basis chain of inner's source on which
+    ``combined`` and outer∘inner differ."""
     mismatches = []
     for k in range(inner.src.lo, inner.src.hi + 1):
         for j in range(inner.src.dim(k)):
@@ -660,7 +702,90 @@ def compose_induced(outer: InducedMap, inner: InducedMap):
             b = outer.apply_vec(k, inner.apply_chain(k, j))
             if not vec_is_zero(vec_sub(a, b)):
                 mismatches.append((k, j))
-    return combined, mismatches
+    return mismatches
+
+
+def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMap):
+    """True when the preconditions and slot identities of
+    ``compose_induced`` hold, which proves ``combined`` = outer∘inner on
+    every chain of inner's source; False when one fails.  Each side is
+    evaluated as its chain map evaluates it: a slot-1..m key through
+    ``image`` at the hom pair of its window, slot 0 composed with the twist
+    there."""
+    w0, w1, w2 = inner.src, inner.tgt, outer.tgt
+    if outer.src is not w1 or any(w.pivots for w in (w0, w1, w2)):
+        return False
+    for w in (w1, w2):
+        if not (w.lo <= w0.lo and w0.hi <= w.hi):
+            return False
+        if w.certification.bound < w0.certification.bound:
+            return False
+    cat0, cat1, cat2 = w0.category, w1.category, w2.category
+    phi, psi, both = inner.phi, outer.phi, combined.phi
+    objs1, objs2 = set(cat1.objects), set(cat2.objects)
+    for c in cat0.objects:
+        if phi.apply_obj(c) not in objs1 or both.apply_obj(c) not in objs2:
+            return False
+        if both.apply_obj(c) != psi.apply_obj(phi.apply_obj(c)):
+            return False
+    bases = {}
+
+    def lands(cat, x, y, coeffs, degree):
+        """Every key of ``coeffs`` is a basis key of Hom(x, y) of degree
+        ``degree``."""
+        basis = bases.get((cat, x, y))
+        if basis is None:
+            basis = bases[(cat, x, y)] = set(cat.basis_keys(x, y))
+        return all(key in basis and key[0] == degree for key in coeffs)
+
+    def outer_side(mid, slot, x, y):
+        """outer's slot map (``slot`` of each basis key) summed over the
+        middle slot image ``mid``, or None when an image leaves the basis
+        of the target hom pair (x, y)."""
+        out = {}
+        for b, c in mid.items():
+            img = slot(b).coeffs
+            if not lands(cat2, x, y, img, b[0]):
+                return None
+            vec_axpy(out, c, img)
+        return out
+
+    f0, f1, f2 = w0.functor, w1.functor, w2.functor
+    for x, y in itertools.product(cat0.objects, repeat=2):
+        px, py = phi.apply_obj(x), phi.apply_obj(y)
+        qx, qy = psi.apply_obj(px), psi.apply_obj(py)
+        for a in cat0.basis_keys(x, y):
+            mid = phi.image(x, y, a).coeffs
+            if not lands(cat1, px, py, mid, a[0]):
+                return False
+            rhs = outer_side(mid, lambda b: psi.image(px, py, b), qx, qy)
+            if rhs is None or both.image(x, y, a).coeffs != rhs:
+                return False
+    for c0 in cat0.objects:
+        fc0 = f0.apply_obj(c0)
+        p0 = phi.apply_obj(c0)
+        fp0 = f1.apply_obj(p0)
+        fq0 = f2.apply_obj(psi.apply_obj(p0))
+        eps_p0 = outer.eps.at(p0)
+        star = combined.eps.at(c0)
+        for c1 in cat0.objects:
+            p1 = phi.apply_obj(c1)
+            for a0 in cat0.basis_keys(c1, fc0):
+                head = cat1.compose(inner.eps.at(c0), phi.image(c1, fc0, a0))
+                if (head.src, head.tgt) != (p1, fp0):
+                    return False
+                if not lands(cat1, p1, fp0, head.coeffs, a0[0]):
+                    return False
+                rhs = outer_side(
+                    head.coeffs,
+                    lambda b: cat2.compose(eps_p0, psi.image(p1, fp0, b)),
+                    psi.apply_obj(p1),
+                    fq0,
+                )
+                lhs = cat2.compose(star, both.image(c1, fc0, a0))
+                if rhs is None or lhs.coeffs != rhs:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -169,3 +169,16 @@ def test_centralizer_transform_identity_for_trivial():
     c2 = scaled.centralizer_transform("s", "s")
     # theta[s,s]^{-1} ∘ theta[s,s] = id regardless of scaling
     assert c2.at("pt") == cat.unit("pt")
+
+
+def test_misplaced_theta_component_is_reported_not_raised():
+    # theta[s,s] at x1 must run x1 -> x1; the unit of x2 has the wrong
+    # endpoints, and the coherence conditions reading it are skipped
+    from equihh.examples import example_e2
+
+    action = example_e2().action
+    action.theta[("s", "s")].components["x1"] = action.category.unit("x2")
+    report = validate_action(action)
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("structure", "theta[s,s]: component at x1 has wrong endpoints")
+    ]
