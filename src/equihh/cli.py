@@ -32,14 +32,23 @@ EXIT_INTERNAL = 4
 def _parse_degrees(text, default=(0, 0)):
     if text is None:
         return default
+    lo, sep, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return (int(lo), int(hi))
-        value = int(text)
-        return (value, value)
+        degrees = (int(lo), int(hi) if sep else int(lo))
     except ValueError as exc:
         raise InputError(f"bad degree range {text!r}", "--degrees") from exc
+    if degrees[0] > degrees[1]:
+        raise InputError(f"degree range {text!r} is empty (LO > HI)", "--degrees")
+    return degrees
+
+
+def _bar_cap(args, bundle):
+    """--bar-cap if given, else the document's; a negative cap is an input error."""
+    if args.bar_cap is None:
+        return bundle.bar_cap
+    if args.bar_cap < 0:
+        raise InputError(f"must be a non-negative integer, not {args.bar_cap}", "--bar-cap")
+    return args.bar_cap
 
 
 def _load_document(args):
@@ -128,7 +137,7 @@ def cmd_hh(args):
         if bundle.action is None or functor_name not in bundle.action.functors:
             raise InputError(f"unknown endofunctor {functor_name!r}", "--functor")
         fun = bundle.action.rho(functor_name)
-    bar_cap = args.bar_cap if args.bar_cap is not None else bundle.bar_cap
+    bar_cap = _bar_cap(args, bundle)
     try:
         res = hh_dimensions(cat, fun, list(range(degrees[0], degrees[1] + 1)), bar_cap=bar_cap)
     except TruncationError as exc:
@@ -175,7 +184,7 @@ def cmd_decompose(args):
         hh_names=bundle.hh_names or None,
         representations=bundle.representations,
         degrees=degrees,
-        bar_cap=args.bar_cap if args.bar_cap is not None else bundle.bar_cap,
+        bar_cap=_bar_cap(args, bundle),
         certificates=not args.no_certificates,
     )
     if not report.certification.startswith("Exact") and not args.allow_truncated:
@@ -193,7 +202,7 @@ def cmd_kunneth(args):
     degrees = _parse_degrees(args.degrees, default=bundle.degrees)
     lo, hi = degrees[0] - 1, degrees[1] + 1
     cat = bundle.base
-    bar_cap = args.bar_cap if args.bar_cap is not None else bundle.bar_cap
+    bar_cap = _bar_cap(args, bundle)
     try:
         win = build_window(cat, identity_functor(cat), lo, hi, bar_cap=bar_cap)
         square = tensor_category(cat, cat)

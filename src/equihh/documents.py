@@ -371,9 +371,11 @@ def parse_document(doc) -> ExampleBundle:
     degrees = _expect(params.get("degrees", [0, 0]), list, "params.degrees")
     if not degrees or any(type(d) is not int for d in degrees):
         raise InputError("must be a non-empty array of integers", "params.degrees")
+    if degrees[0] > degrees[-1]:
+        raise InputError(f"{degrees} is an empty range (first > last)", "params.degrees")
     for key in ("bar_cap", "hull_cap"):
-        if key in params:
-            _expect_int(params[key], f"params.{key}")
+        if key in params and _expect_int(params[key], f"params.{key}") < 0:
+            raise InputError("must be a non-negative integer", f"params.{key}")
     return ExampleBundle(
         name=doc.get("name", "document"),
         description=doc.get("description", ""),

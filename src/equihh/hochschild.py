@@ -23,6 +23,14 @@ morphism.  Homology stops adding boundaries to its echelon once the
 echelon is as large as the cycle space, provided every boundary column
 is a cycle; the skipped columns would reduce to zero.
 
+A window stores a table entry whose coefficients are all integral
+Fractions as {key: int} and any other entry as it is, so the d∘d check
+and the ranks mod P run on ints wherever the tables are integral (as in
+every bundled example).  Callers still see field scalars: reps, kernels
+and class coordinates come out of ``Echelon``, and induced and shuffle
+maps read the tables.  A window of more than ``WINDOW_CHAIN_BUDGET``
+chains is a TruncationError.
+
 Most degrees of a window are acyclic, and homology proves it without a
 rational elimination.  With d_k∘d_{k-1} = 0 checked exactly,
 
@@ -69,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .dgcat import (
@@ -94,6 +103,12 @@ from .linalg import (
     vec_sub,
 )
 from .scalars import QQ
+
+
+# A build retains 300-450 bytes per chain (E5's W_big, k[Z/6] at -4..1):
+# about 200 MB here, 14 times E5's W_big (34,410 chains), the largest
+# window of a bundled example at its default degrees.
+WINDOW_CHAIN_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -291,7 +306,7 @@ class HochschildWindow(WindowBase):
 
     def _enumerate(self):
         cat = self.category
-        objects = cat.objects
+        count = 0
         for k in range(self.lo, self.hi + 1):
             self._chains[k] = []
         for m in self.bar_degrees:
@@ -318,9 +333,16 @@ class HochschildWindow(WindowBase):
                     suffix_max[i] = suffix_max[i + 1] + maxs[i]
 
                 def emit(pos, acc, chosen):
+                    nonlocal count
                     if pos == len(keylists):
                         k = acc - m
                         if self.in_window(k):
+                            count += 1
+                            if count > WINDOW_CHAIN_BUDGET:
+                                raise TruncationError(
+                                    f"window [{self.lo}, {self.hi}] has more than"
+                                    f" {WINDOW_CHAIN_BUDGET} chains; narrow the degrees"
+                                )
                             self._chains[k].append(Chain(objs, chosen))
                         return
                     for key in keylists[pos]:
@@ -403,17 +425,17 @@ class HochschildWindow(WindowBase):
         elif prev is not None:
             del out[idx]
 
-    def _normal_form(self, pair, entry):
+    def _normal_form(self, pair, entry, read):
         """A table entry {key: c} written into a slot of hom pair ``pair``,
         with the pivot of End(x) replaced by its class in End(x)/k·id_x
-        when pair is (x, x)."""
+        when pair is (x, x); the class is taken through ``read``."""
         x, y = pair
         pivot = self.pivots.get(x) if x == y else None
         if pivot is None or pivot[0] not in entry:
             return entry
         p, rest = pivot
         out = {key: c for key, c in entry.items() if key != p}
-        return vec_axpy(out, entry[p], rest)
+        return vec_axpy(out, entry[p], read(rest))
 
     def _differentials(self):
         """The total differential d2 + (-1)^m d1 column by column, read off
@@ -426,10 +448,21 @@ class HochschildWindow(WindowBase):
         table.  A face changes one slot; in a normalized window, the d1
         faces at slots t >= 1 and the d2 faces i >= 1 write a slot that may
         be normalized, so their entries are put in normal form there.  The
-        twist face and the d2 face i = 0 write slot 0, which never is."""
+        twist face and the d2 face i = 0 write slot 0, which never is.
+
+        Every entry is read through ``read`` (see ``_integral_entry``), so
+        the columns hold ints wherever the tables are integral."""
         cat = self.category
         fun = self.functor
         normalized = bool(self.pivots)
+        memo = {}  # id -> (entry, as stored); holding the entry keeps its id
+
+        def read(entry):
+            got = memo.get(id(entry))
+            if got is None:
+                got = memo[id(entry)] = (entry, _integral_entry(entry))
+            return got[1]
+
         for k in range(self.lo, self.hi):
             n = self.dim(k)
             nt = self.dim(k + 1)
@@ -442,8 +475,9 @@ class HochschildWindow(WindowBase):
                 for t, key in enumerate(keys):
                     img = cat.diff.get(pairs[t], {}).get(key)
                     if img:
+                        img = read(img)
                         if t and normalized:
-                            img = self._normal_form(pairs[t], img)
+                            img = self._normal_form(pairs[t], img, read)
                         for hk, c in img.items():
                             if c:
                                 new_keys = keys[:t] + (hk,) + keys[t + 1 :]
@@ -455,8 +489,9 @@ class HochschildWindow(WindowBase):
                     x, y = pairs[i + 1]
                     prod = cat.comp_table(x, y, pairs[i][1]).get((keys[i + 1], keys[i]))
                     if prod:
+                        prod = read(prod)
                         if i and normalized:
-                            prod = self._normal_form((x, pairs[i][1]), prod)
+                            prod = self._normal_form((x, pairs[i][1]), prod, read)
                         new_objs = objs[: i + 1] + objs[i + 2 :]
                         for hk, c in prod.items():
                             if c:
@@ -467,10 +502,10 @@ class HochschildWindow(WindowBase):
                     # summed in compose's order; vec_axpy leaves no zeros
                     table = cat.comp_table(*pairs[0], fun.apply_obj(objs[m]))
                     prod = {}
-                    for fk, cf in fun.image(*pairs[m], keys[m]).coeffs.items():
+                    for fk, cf in read(fun.image(*pairs[m], keys[m]).coeffs).items():
                         entry = table.get((keys[0], fk))
                         if entry:
-                            vec_axpy(prod, cf, entry)
+                            vec_axpy(prod, cf, read(entry))
                     odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
                     new_objs = (objs[m],) + objs[1:m]
                     for hk, c in prod.items():
@@ -481,9 +516,25 @@ class HochschildWindow(WindowBase):
     # -- interface --------------------------------------------------------
 
     def differential(self, k) -> SparseMatrix:
+        """d_k: C_k → C_{k+1}, an int where each table entry it sums is
+        integral, else a field scalar; a vector pushed through it (as in
+        ``DHPlusHD``) may carry ints.  Field scalars come back out of
+        ``Echelon`` (reps, kernels, class coordinates)."""
         if k in self._total:
             return self._total[k]
         return SparseMatrix(self.dim(k + 1), self.dim(k))
+
+
+def _integral_entry(entry):
+    """A structure-table entry {key: c} as the window stores it: {key: int}
+    when every c is an integral Fraction, else ``entry`` itself (an entry
+    with a denominator or a cyclotomic coefficient)."""
+    out = {}
+    for key, c in entry.items():
+        if type(c) is not Fraction or c.denominator != 1:
+            return entry
+        out[key] = c.numerator
+    return out
 
 
 def _unit_pivots(category, functor):

@@ -396,8 +396,6 @@ def _mod_p(x):
     if not isinstance(x, Fraction):
         return None
     den = x.denominator
-    if den == 1:
-        return x.numerator % P
     if den % P == 0:
         return None
     return x.numerator * pow(den, -1, P) % P

@@ -180,6 +180,8 @@ MALFORMED = [
     _case("generators", "x"),
     _case("generators", ["x"]),
     _nested_case(("params", "degrees"), 1, "params.degrees"),
+    _nested_case(("params", "degrees"), [0, -3], "params.degrees"),
+    *[_nested_case(("params", key), -1, f"params.{key}") for key in ("hull_cap", "bar_cap")],
     _nested_case(("group", "elements"), 1, "group.elements"),
     pytest.param(lambda doc: doc["roster"].insert(0, 1), "roster[0]", id="roster[0]=1"),
     _nested_case(("representations", "x"), 1, "representations[x]"),
@@ -299,3 +301,32 @@ def test_malformed_functors_are_input_errors(tmp_path, capsys, mutate, message):
     path = write_doc(tmp_path, "E2", mutate=mutate)
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("hh", "--degrees=0..-3"),
+        ("kunneth", "--degrees=0..-1"),
+        ("decompose", "--degrees=1..0"),
+        *[(command, "--bar-cap=-1") for command in ("hh", "kunneth", "decompose")],
+    ],
+)
+def test_reversed_degrees_and_negative_caps_are_input_errors(tmp_path, capsys, command, option):
+    path = write_doc(tmp_path, "E1")
+    assert main([command, path, option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {option.split('=')[0]}: ")
+
+
+def test_window_chain_budget_exits_truncated(tmp_path, capsys, monkeypatch):
+    import equihh.hochschild as hochschild
+
+    monkeypatch.setattr(hochschild, "WINDOW_CHAIN_BUDGET", 0)
+    path = write_doc(tmp_path, "E1")
+    for command in ("hh", "kunneth", "decompose"):
+        assert main([command, path, "--allow-truncated"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has more than 0 chains" in captured.err and "Traceback" not in captured.err

@@ -344,6 +344,17 @@ def columns(mat):
     return [typed(col) for col in mat.cols]
 
 
+def stored(mat):
+    """A reference matrix as a window stores it: each integral Fraction
+    entry becomes an int, every other entry is unchanged."""
+    out = SparseMatrix(mat.nrows, mat.ncols)
+    out.cols = [
+        {i: x.numerator if type(x) is Fraction and x.denominator == 1 else x for i, x in col.items()}
+        for col in mat.cols
+    ]
+    return out
+
+
 def reference_total(win, k):
     """d2 + (-1)^m d1 of degree k, column by column on the reference path."""
     d1 = reference_matrix(win, k, reference_d1_chain)
@@ -360,7 +371,7 @@ def test_table_differentials_match_mor_reference():
     for win in reference_windows():
         for k in range(win.lo, win.hi):
             want, nnz = reference_total(win, k)
-            assert columns(win.differential(k)) == columns(want), (win.category.objects, k)
+            assert columns(win.differential(k)) == columns(stored(want)), (win.category.objects, k)
             d1_nonzero += nnz
     assert d1_nonzero  # the Leibniz category has an internal differential
 
@@ -368,16 +379,19 @@ def test_table_differentials_match_mor_reference():
 def test_elimination_matches_two_pass_reference():
     """Differentials, kernels, echelons and homology reps of the E1-E5
     windows, the k[Z/n] ladder and two windows over Q(zeta_3) equal the
-    two-pass path entry by entry, in key order and in scalar type; every
-    entry of a differential, a kernel vector and a rep is a Fraction over
-    Q and a Cyc over Q(zeta_3)."""
+    two-pass path entry by entry, in key order and in scalar type (the
+    reference differential stored as the window stores it); every entry
+    of a differential is an int over Q and a Cyc over Q(zeta_3), and
+    every entry of a kernel vector and a rep is a Fraction over Q and a
+    Cyc over Q(zeta_3)."""
     windows = [*example_windows(), *ladder_windows(), *cyclotomic_windows()]
     for win in windows:
         scalar = Fraction if win.field == QQ else Cyc
+        entry_type = int if win.field == QQ else Cyc
         for k in range(win.lo, win.hi):
             total = win.differential(k)
-            assert columns(total) == columns(reference_total(win, k)[0])
-            assert all(type(x) is scalar for _, _, x in total.entries())
+            assert columns(total) == columns(stored(reference_total(win, k)[0]))
+            assert all(type(x) is entry_type for _, _, x in total.entries())
             assert_elimination_matches_reference(total, win.field)
         for k in range(win.lo + 1, win.hi):
             reps, ech = reference_homology(win, k)
@@ -389,6 +403,75 @@ def test_elimination_matches_two_pass_reference():
             assert list(got._ech.pivots.items()) == list(ech.pivots.items())
             assert normalized_columns(got._ech, win.field) == reference_columns(ech)
             assert all(type(x) is scalar for rep in got.reps for x in rep.values())
+
+
+def quarter_z2():
+    """k[Z/2] on the basis u = 1, h = g/2, twisted by g -> -g: h·h = u/4 is
+    its one non-integral structure constant."""
+    products = {("h", "h"): {"u": Fraction(1, 4)}}
+    cat = algebra_category(QQ, "pt", [("u", 0), ("h", 0)], products, unit="u")
+    table = {(0, lab): Mor("pt", "pt", {(0, lab): Fraction(c)}) for lab, c in [("u", 1), ("h", -1)]}
+    return cat, DgFunctor(cat, cat, {"pt": "pt"}, {("pt", "pt"): table}, name="sign")
+
+
+def test_non_integral_entries_stay_fractions():
+    """A column that reads the entry h·h = u/4 keeps its Fraction entries;
+    a column that reads only integral entries holds ints.  Values and key
+    order equal the Mor reference."""
+    cat, sign = quarter_z2()
+    win = build_window(cat, sign, -3, 1)
+    h = (0, "h")
+    fractional = 0
+    for k in range(win.lo, win.hi):
+        got = win.differential(k)
+        want = reference_total(win, k)[0]
+        assert [list(col.items()) for col in got.cols] == [list(col.items()) for col in want.cols]
+        for chain, col in zip(win.chains_at(k), got.cols):
+            keys = chain.keys  # the faces multiply cyclically adjacent slots
+            reads_quarter = len(keys) > 1 and any(a == b == h for a, b in zip(keys, keys[1:] + keys[:1]))
+            types = {type(x) for x in col.values()}
+            if reads_quarter and col:
+                assert Fraction in types, chain
+                fractional += any(x.denominator != 1 for x in col.values())
+            elif not reads_quarter:
+                assert types <= {int}, chain
+    assert fractional
+
+
+def test_api_outputs_keep_field_scalars():
+    """Reps, class coordinates, homology matrices and chain-map images are
+    field scalars on every reference window, though the differentials hold
+    ints."""
+    for win in [*reference_windows(), *cyclotomic_windows()]:
+        scalar = Fraction if win.field == QQ else Cyc
+        ident = identity_functor(win.category)
+        ident_map = InducedMap(win, win, ident, identity_nat(win.functor), name="id*")
+        doubled = LinearComboMap(win, win, [(win.field.one, ident_map)] * 2)
+        for k in range(win.lo, win.hi + 1):
+            for j in range(win.dim(k)):
+                for m in (ident_map, doubled):
+                    assert all(type(x) is scalar for x in m.apply_chain(k, j).values())
+        for k in range(win.lo + 1, win.hi):
+            basis = win.homology_basis(k)
+            vecs = [*basis.reps, *win.differential(k - 1).cols, {0: 1} if win.dim(k) else {}]
+            for vec in vecs:
+                coords = basis.express(vec)
+                assert coords is None or all(type(x) is scalar for x in coords.values())
+            assert all(type(x) is scalar for rep in basis.reps for x in rep.values())
+            assert all(type(x) is scalar for _, _, x in ident_map.homology_matrix(k).entries())
+
+
+def test_window_chain_budget(monkeypatch):
+    """A window may enumerate WINDOW_CHAIN_BUDGET chains; one more is a
+    TruncationError."""
+    kz2 = group_algebra_z2_category()
+    win = window_for(kz2, (-2, 0))
+    total = sum(win.dim(k) for k in range(win.lo, win.hi + 1))
+    monkeypatch.setattr(hochschild, "WINDOW_CHAIN_BUDGET", total)
+    assert window_for(kz2, (-2, 0)).dim(-2) == win.dim(-2)
+    monkeypatch.setattr(hochschild, "WINDOW_CHAIN_BUDGET", total - 1)
+    with pytest.raises(TruncationError, match=f"more than {total - 1} chains"):
+        window_for(kz2, (-2, 0))
 
 
 def test_chain_index_accepts_plain_pairs():
