@@ -275,30 +275,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_doc=True):
-        if with_doc:
-            p.add_argument("document", help="input document path, or - for stdin")
+    def add_common(p):
+        p.add_argument("document", help="input document path, or - for stdin")
+        p.add_argument("--output", choices=["json", "text"], default="text")
+
+    def add_window(p):
+        add_common(p)
         p.add_argument("--degrees", help="degree range LO..HI (cohomological)")
         p.add_argument("--bar-cap", type=int, default=None)
         p.add_argument("--allow-truncated", action="store_true")
-        p.add_argument("--output", choices=["json", "text"], default="text")
 
     p = sub.add_parser("validate", help="run all structural validators")
     add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("hh", help="Hochschild homology dimension table")
-    add_common(p)
+    add_window(p)
     p.add_argument("--functor", default="id", help="id or a group element name")
     p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("decompose", help="verify the equivariant decomposition")
-    add_common(p)
+    add_window(p)
     p.add_argument("--no-certificates", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("kunneth", help="verify the shuffle quasi-isomorphism")
-    add_common(p)
+    add_window(p)
     p.set_defaults(func=cmd_kunneth)
 
     p = sub.add_parser("examples", help="emit a bundled example document")

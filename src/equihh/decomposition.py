@@ -11,7 +11,12 @@ The pipeline builds four window families over one ambient hull:
 and the chain maps between them: the inclusion isos mu and lambda, the
 projection (forget, alpha_g), the inclusion (symmetrize, phi_g), the
 one-shot composite (symmetrize∘forget, phi_g ⋆ alpha_g), the centralizer
-actions, and the representation tensor.  Five checks, all as exact
+actions, and the representation tensor.  The one-shot composite is
+``(compose_functors(S, forget), eps_star(S, phi_g, forget, alpha_g))_*``
+with S the symmetrization functor on the covering objects' underlying
+objects, and every centralizer or conjugation twist
+theta[g,h]^{-1}∘theta[h,g2] is ``GroupAction.conjugation_transform``,
+passed to the induced map as it is.  Five checks, all as exact
 homology-matrix identities (with chain-level certificates where windows
 are small enough):
 
@@ -52,7 +57,6 @@ from fractions import Fraction
 
 from .dgcat import (
     DgFunctor,
-    LazyDict,
     Mor,
     NatTransform,
     compose_functors,
@@ -60,8 +64,6 @@ from .dgcat import (
     functors_equal,
     hull_inclusion,
     identity_functor,
-    nat_inverse,
-    nat_vertical,
 )
 from .equivariant import (
     build_equivariant_category,
@@ -84,6 +86,7 @@ from .hochschild import (
     build_window,
     compose_induced,
     conjugate_transport,
+    eps_star,
     induced_composite,
     insertion_homotopy,
     verify_trace_decomposition,
@@ -94,17 +97,14 @@ CERTIFICATE_CHAIN_BUDGET = 6000  # skip homotopy certificates above this window 
 
 
 def restrict_endofunctor(fun: DgFunctor, sub) -> DgFunctor:
-    """View of an ambient endofunctor on a full subcategory closed under it."""
+    """View of an ambient endofunctor on a full subcategory closed under it;
+    the subcategory keeps the ambient basis keys, so it shares the
+    ambient morphism table."""
     obj_map = {x: fun.apply_obj(x) for x in sub.objects}
     for x, img in obj_map.items():
         if img not in sub.objects:
             raise StructureError(f"subcategory not closed under {fun.name}: {x} -> {img}")
-
-    def build(pair):
-        x, y = pair
-        return {key: fun.apply(sub.basis_mor(x, y, *key)) for key in sub.basis_keys(x, y)}
-
-    return DgFunctor(sub, sub, obj_map, LazyDict(build), name=fun.name)
+    return DgFunctor(sub, sub, obj_map, fun.mor_map, name=fun.name)
 
 
 @dataclass
@@ -289,12 +289,11 @@ class DecompositionPipeline:
         if hh_decl is None:
             hh_decl = [sym_of[t] for t in gen_tuples]
         self.hh_names = hh_decl
-        for name in list(self.hh_names):
+        for name in self.hh_names:
             entry = next(o for o in roster if o.name == name)
             for t in sorted(closure_under_action(base, [entry.underlying]), key=repr):
                 if t not in sym_of:
-                    sym_obj = symmetrize(self.laction, t)
-                    sym_of[t] = add(sym_obj)
+                    sym_of[t] = add(symmetrize(self.laction, t))
         for rep in self.representations.values():
             for name in self.hh_names:
                 entry = next(o for o in roster if o.name == name)
@@ -309,6 +308,9 @@ class DecompositionPipeline:
         self.big_objs = sorted(big, key=repr)
         self.cat_small = full_subcategory(ambient, self.small_objs)
         self.cat_big = full_subcategory(ambient, self.big_objs)
+        # the covering objects' underlying tuples, closed under the action
+        cover = [self.eqcat.roster[name].underlying for name in self.hh_names]
+        self.cat_cover = full_subcategory(ambient, closure_under_action(base, cover))
         self.cat_hh = full_subcategory(self.eqcat.category, self.hh_names)
         self.cat_full = self.eqcat.category
 
@@ -330,14 +332,13 @@ class DecompositionPipeline:
 
         # canonical functors and transformations
         self.forget_full = self.eqcat.forgetful_functor(self.cat_full, self.cat_big)
+        self.forget_hh = self.eqcat.forgetful_functor(self.cat_hh, self.cat_cover)
         self.s_small = self.eqcat.symmetrization_functor(self.cat_small)
-        self.s_forget = self._s_forget_functor()
-        self.mu = InducedMap(
-            self.w_hh,
-            self.w_full,
-            hull_inclusion(self.cat_hh, self.cat_full, name="incl"),
-            _twist(self.cat_hh, {x: self.cat_full.unit(x) for x in self.cat_hh.objects}, "1"),
-            name="mu",
+        self.s_cover = self.eqcat.symmetrization_functor(self.cat_cover)
+        self.s_forget = compose_functors(self.s_cover, self.forget_hh, name="S∘forget")
+        self.incl_small = hull_inclusion(self.cat_small, self.cat_big)
+        self.mu = _unit_twisted(
+            self.w_hh, self.w_full, hull_inclusion(self.cat_hh, self.cat_full), "mu"
         )
 
     def _window_for(self, cat, rho_table, g):
@@ -388,62 +389,25 @@ class DecompositionPipeline:
             raise StructureError(f"phi[{g}] at {c} is not equivariant")
         return restricted
 
-    def phi_nat(self, g) -> NatTransform:
-        """phi_g on the generator objects (used by the inclusion map)."""
-        comps = {c: self._phi_component(g, c) for c in self.cat_small.objects}
-        return _twist(self.cat_small, comps, f"phi[{g}]")
-
-    def _sym_mor(self, f: Mor) -> Mor:
-        """S(f) for an ambient morphism f: the diagonal blocks rho_h(f),
-        h in G, between the symmetrizations of its ends."""
-        coeffs = {}
-        for i, h in enumerate(self.group.elements):
-            img = self.laction.rho(h).apply(f)
-            coeffs.update(_shift_blocks(img.coeffs, i * len(f.tgt), i * len(f.src)))
-        return Mor(
-            symmetrize_tuple(self.laction, f.src), symmetrize_tuple(self.laction, f.tgt), coeffs
-        )
-
-    def _s_forget_functor(self) -> DgFunctor:
-        """S∘forget from the covering objects into the roster."""
-        eq = self.eqcat
-        src = self.cat_hh
-        obj_map = {name: self._sym_name(eq.roster[name].underlying) for name in self.hh_names}
-
-        def build(pair):
-            sn, tn = pair
-            table = {}
-            for key in src.basis_keys(sn, tn):
-                amb = eq.embed(Mor(sn, tn, {key: eq.ambient.field.one}), sn, tn)
-                restricted = eq.restrict(self._sym_mor(amb), obj_map[sn], obj_map[tn])
-                if restricted is None:
-                    raise StructureError("symmetrized-forgotten morphism not equivariant")
-                table[key] = restricted
-            return table
-
-        return DgFunctor(src, self.cat_full, obj_map, LazyDict(build), name="S∘forget")
+    def phi_nat(self, g, cat) -> NatTransform:
+        """phi_g on the objects of the hull subcategory ``cat``."""
+        comps = {c: self._phi_component(g, c) for c in cat.objects}
+        return _twist(cat, comps, f"phi[{g}]")
 
     def k_twist(self, g) -> NatTransform:
-        """phi_g ⋆ alpha_g: S∘forget ⇒ S∘forget at each covering object:
-        phi_g at the underlying object composed with S(alpha_g)."""
-        eq = self.eqcat
-        comps = {}
-        for name in self.hh_names:
-            obj = eq.roster[name]
-            u = obj.underlying
-            sname = self._sym_name(u)
-            mname = self._sym_name(self.laction.rho(g).apply_obj(u))
-            s_alpha = eq.restrict(self._sym_mor(obj.alpha[g]), sname, mname)
-            if s_alpha is None:
-                raise StructureError(f"S(alpha[{g}]) at {name} is not equivariant")
-            comps[name] = self.cat_full.compose(self._phi_component(g, u), s_alpha)
-        return _twist(self.cat_hh, comps, f"phi⋆alpha[{g}]")
+        """phi_g ⋆ alpha_g: S∘forget ⇒ S∘forget, phi_g at each covering
+        object's underlying object composed with S(alpha_g)."""
+        return eps_star(
+            self.s_cover,
+            self.phi_nat(g, self.cat_cover),
+            self.forget_hh,
+            self.alpha_nat(g),
+            name=f"phi⋆alpha[{g}]",
+        )
 
     def centralizer_map(self, window, rho_table, h, g) -> InducedMap:
         c_nat = self.laction.centralizer_transform(h, g)
-        comps = {x: c_nat.at(x) for x in window.category.objects}
-        nat = _twist(window.category, comps, f"C[{h},{g}]")
-        return InducedMap(window, window, rho_table[h], nat, name=f"(rho[{h}],C[{h},{g}])*")
+        return InducedMap(window, window, rho_table[h], c_nat, name=f"(rho[{h}],C[{h},{g}])*")
 
     # -- the main maps -------------------------------------------------------
 
@@ -459,18 +423,11 @@ class DecompositionPipeline:
 
     def inclusion(self, g) -> InducedMap:
         """(symmetrize, phi_g)_*: W_small -> W_full."""
-        return InducedMap(
-            self.w_small[g], self.w_full, self.s_small, self.phi_nat(g), name=f"iota[{g}]"
-        )
+        phi = self.phi_nat(g, self.cat_small)
+        return InducedMap(self.w_small[g], self.w_full, self.s_small, phi, name=f"iota[{g}]")
 
     def lam(self, g) -> InducedMap:
-        incl = hull_inclusion(self.cat_small, self.cat_big, name="incl")
-        comps = {
-            c: self.cat_big.unit(self._rho_small[g].apply_obj(c))
-            for c in self.cat_small.objects
-        }
-        nat = _twist(self.cat_small, comps, "1")
-        return InducedMap(self.w_small[g], self.w_big[g], incl, nat, name=f"lambda[{g}]")
+        return _unit_twisted(self.w_small[g], self.w_big[g], self.incl_small, f"lambda[{g}]")
 
     def projector_map(self, g) -> InducedMap:
         """(S∘forget, phi_g ⋆ alpha_g)_*: W_hh -> W_full, the one-shot
@@ -486,6 +443,14 @@ def _twist(cat, comps, name) -> NatTransform:
     source and target (an induced map reads only the components)."""
     fun = identity_functor(cat)
     return NatTransform(fun, fun, comps, name=name)
+
+
+def _unit_twisted(src, tgt, phi, name) -> InducedMap:
+    """(phi, 1)_*: src -> tgt for a functor phi that commutes with the
+    windows' twists F, G on objects; the twist is the unit at phi(F c)."""
+    unit = tgt.category.unit
+    comps = {c: unit(phi.apply_obj(src.functor.apply_obj(c))) for c in src.category.objects}
+    return InducedMap(src, tgt, phi, _twist(src.category, comps, "1"), name=name)
 
 
 def _is_idempotent(m: SparseMatrix) -> bool:
@@ -794,10 +759,7 @@ def _representation_failures(pipe, data, mu_inv, rname, rep, chi):
     degree on which rep does not act on the class projector by its
     character chi."""
     t_fun = pipe.eqcat.rep_tensor_functor(rep, source_names=pipe.hh_names)
-    comps = {name: pipe.cat_full.unit(t_fun.apply_obj(name)) for name in pipe.hh_names}
-    t_map = InducedMap(
-        pipe.w_hh, pipe.w_full, t_fun, _twist(pipe.cat_hh, comps, "1"), name=f"T[{rname}]"
-    )
+    t_map = _unit_twisted(pipe.w_hh, pipe.w_full, t_fun, f"T[{rname}]")
     for k in pipe.degree_list:
         if mu_inv[k] is None:
             yield None
@@ -879,7 +841,7 @@ def _check23_certificates(pipe, data):
             summands = [
                 (
                     _embedded_rho(pipe, h),
-                    _lifted_centralizer_block(pipe, h, g, g2)
+                    pipe.laction.conjugation_transform(h, g, g2)
                     if grp.mul(h, g) == grp.mul(g2, h)
                     else None,
                 )
@@ -908,19 +870,7 @@ def _check23_certificates(pipe, data):
 
 def _embedded_rho(pipe, h):
     """lambda∘rho_h: the summand functor of forget∘symmetrize."""
-    incl = hull_inclusion(pipe.cat_small, pipe.cat_big, name="incl")
-    return compose_functors(incl, pipe._rho_small[h], name=f"rho[{h}]")
-
-
-def _lifted_centralizer_block(pipe, h, g, g2):
-    """The (h, h)-diagonal twist of alpha_g ⋆ phi_g2 when hg = g2 h:
-    theta[g,h]^{-1} ∘ theta[h,g2] componentwise on the small objects."""
-    t_hg2 = pipe.laction.theta_at(h, g2)
-    t_gh_inv = nat_inverse(pipe.laction.theta_at(g, h))
-    comps = {}
-    for c in pipe.cat_small.objects:
-        comps[c] = pipe.cat_big.compose(t_gh_inv.at(c), t_hg2.at(c))
-    return _twist(pipe.cat_small, comps, f"C[{h};{g},{g2}]")
+    return compose_functors(pipe.incl_small, pipe._rho_small[h], name=f"rho[{h}]")
 
 
 # ---------------------------------------------------------------------------
@@ -1019,10 +969,7 @@ def _check4_transports(pipe, data):
         h, g2 = data[g]["conjugate"]
         try:
             proj_g2 = pipe.projection(g2)
-            tau_base = nat_vertical(
-                nat_inverse(pipe.laction.theta_at(g2, h)), pipe.laction.theta_at(h, g)
-            )
-            tau = _twist(pipe.cat_big, {x: tau_base.at(x) for x in pipe.cat_big.objects}, "tau")
+            tau = pipe.laction.conjugation_transform(h, g2, g)
             m_tau = InducedMap(
                 pipe.w_big[g], proj_g2.tgt, pipe._rho_big[h], tau, name=f"(rho[{h}],tau)*"
             )

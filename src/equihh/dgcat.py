@@ -134,9 +134,6 @@ class DgCategory:
     def basis_mor(self, x, y, deg, label):
         return Mor(x, y, {(deg, label): self.field.one})
 
-    def mor(self, x, y, coeffs):
-        return Mor(x, y, coeffs)
-
     def unit(self, x):
         return Mor(x, x, self.units[x])
 

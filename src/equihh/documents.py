@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .dgcat import DgCategory, DgFunctor, NatTransform, identity_functor
+from .dgcat import DgCategory, DgFunctor, Mor, NatTransform, identity_functor
 from .errors import FieldMismatchError, InputError, StructureError
 from .examples import DeclaredObject, ExampleBundle
 from .groups import FiniteGroup, GroupAction, Representation
@@ -220,7 +220,7 @@ def parse_document(doc) -> ExampleBundle:
                     raise InputError(f"unknown label {from_label!r}", mloc)
                 isrc, itgt = obj_map[src], obj_map[tgt]
                 img = _coeffs(m.get("image", {}), field, label_degrees.get((isrc, itgt), {}), mloc)
-                mor_map.setdefault((src, tgt), {})[(dg[from_label], from_label)] = category.mor(
+                mor_map.setdefault((src, tgt), {})[(dg[from_label], from_label)] = Mor(
                     isrc, itgt, img
                 )
             for x, y in homs:
@@ -259,7 +259,7 @@ def parse_document(doc) -> ExampleBundle:
                             )
                         sobj = comp_fun.apply_obj(x)
                         tobj = target.apply_obj(x)
-                        comps[x] = category.mor(
+                        comps[x] = Mor(
                             sobj,
                             tobj,
                             _coeffs(raw_comp, field, label_degrees.get((sobj, tobj), {}), "action.theta"),
@@ -286,7 +286,7 @@ def parse_document(doc) -> ExampleBundle:
                 if raw_comp is None:
                     raise InputError(f"eta missing a component at {x!r}", "action.eta")
                 sobj = rho_e.apply_obj(x)
-                eta_comps[x] = category.mor(
+                eta_comps[x] = Mor(
                     sobj, x, _coeffs(raw_comp, field, label_degrees.get((sobj, x), {}), "action.eta")
                 )
         eta = NatTransform(rho_e, identity_functor(category), eta_comps, name="eta")

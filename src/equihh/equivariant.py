@@ -180,7 +180,7 @@ def symmetrize_tuple(laction: GroupAction, c):
     return out
 
 
-def symmetrize(laction: GroupAction, c, name=None) -> EquivariantObject:
+def symmetrize(laction: GroupAction, c) -> EquivariantObject:
     """The symmetrization of a hull object: underlying ⊕_h rho_h(c) with
     alpha_g placing theta[g,h]^{-1} at block (h, hg)."""
     grp = laction.group
@@ -200,10 +200,10 @@ def symmetrize(laction: GroupAction, c, name=None) -> EquivariantObject:
             coeffs.update(_shift_blocks(block.coeffs, slots[h], slots[h2]))
         tgt = laction.rho(g).apply_obj(underlying)
         alpha[g] = Mor(underlying, tgt, coeffs)
-    return EquivariantObject(name or f"S({c})", underlying, alpha)
+    return EquivariantObject(f"S({c})", underlying, alpha)
 
 
-def rep_tensor(laction: GroupAction, rep, obj: EquivariantObject, name=None) -> EquivariantObject:
+def rep_tensor(laction: GroupAction, rep, obj: EquivariantObject) -> EquivariantObject:
     """Tensor a roster object by a representation: dim(V) copies of the
     underlying object with alpha blocks rho_V(g)_{ij}·alpha_g."""
     cat = laction.category
@@ -224,7 +224,7 @@ def rep_tensor(laction: GroupAction, rep, obj: EquivariantObject, name=None) -> 
                         _shift_blocks(base.scale(entry).coeffs, i * ell, j * ell)
                     )
         alpha[g] = Mor(underlying, laction.rho(g).apply_obj(underlying), coeffs)
-    return EquivariantObject(name or f"{rep.name}⊗{obj.name}", underlying, alpha)
+    return EquivariantObject(f"{rep.name}⊗{obj.name}", underlying, alpha)
 
 
 class EquivariantCategory:
@@ -417,13 +417,11 @@ class EquivariantCategory:
             cat.field, list(names), homs, diff, {}, units, comp_builder=comp_builder
         )
 
-    def embed(self, mor: Mor, src_name=None, tgt_name=None) -> Mor:
+    def embed(self, mor: Mor, src_name, tgt_name) -> Mor:
         """Roster morphism -> ambient morphism."""
-        sn = src_name if src_name is not None else mor.src
-        tn = tgt_name if tgt_name is not None else mor.tgt
-        table = self._solved[(sn, tn)]
-        src = self.roster[sn]
-        tgt = self.roster[tn]
+        table = self._solved[(src_name, tgt_name)]
+        src = self.roster[src_name]
+        tgt = self.roster[tgt_name]
         out = {}
         for key, c in mor.coeffs.items():
             vec_axpy(out, c, table[key])
@@ -485,7 +483,7 @@ class EquivariantCategory:
             ellx = len(xs)
             elly = len(ys)
             for key in small.basis_keys(xs, ys):
-                f = self.ambient.mor(tuple(xs), tuple(ys), {key: self.ambient.field.one})
+                f = Mor(tuple(xs), tuple(ys), {key: self.ambient.field.one})
                 coeffs = {}
                 for hi, h in enumerate(grp.elements):
                     img = laction.rho(h).apply(f)

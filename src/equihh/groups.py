@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .dgcat import (
     DgCategory,
     DgFunctor,
+    Mor,
     NatTransform,
     ValidationReport,
     compose_functors,
@@ -247,14 +248,18 @@ class GroupAction:
         except KeyError as exc:
             raise StructureError(f"missing theta component for ({g}, {g2})") from exc
 
-    def centralizer_transform(self, h, g) -> NatTransform:
-        """theta[g,h]^{-1} ∘ theta[h,g]: rho_h∘rho_g ⇒ rho_g∘rho_h for
-        commuting g, h."""
-        if self.group.mul(h, g) != self.group.mul(g, h):
-            raise StructureError(f"{h} does not centralize {g}")
-        t_hg = self.theta_at(h, g)
+    def conjugation_transform(self, h, g, g2) -> NatTransform:
+        """theta[g,h]^{-1} ∘ theta[h,g2]: rho_h∘rho_g2 ⇒ rho_g∘rho_h, for
+        g2·h = h·g (both thetas then end at rho_{h g})."""
+        if self.group.mul(g2, h) != self.group.mul(h, g):
+            raise StructureError(f"{g2}·{h} != {h}·{g}: {h} does not conjugate {g} to {g2}")
+        t_hg2 = self.theta_at(h, g2)
         t_gh_inv = nat_inverse(self.theta_at(g, h))
-        return nat_vertical(t_gh_inv, t_hg, name=f"C[{h},{g}]")
+        return nat_vertical(t_gh_inv, t_hg2, name=f"C[{h};{g},{g2}]")
+
+    def centralizer_transform(self, h, g) -> NatTransform:
+        """rho_h∘rho_g ⇒ rho_g∘rho_h for commuting g, h."""
+        return self.conjugation_transform(h, g, g)
 
 
 def strict_action(group: FiniteGroup, category: DgCategory, functors, name="strict") -> GroupAction:
@@ -382,7 +387,7 @@ def permutation_action(category: DgCategory, n: int):
                     for j in range(i):
                         if perm[j] > perm[i]:
                             sign_exp += keys[perm[j]][0] * keys[perm[i]][0]
-                table[(deg, keys)] = power.mor(
+                table[(deg, keys)] = Mor(
                     obj_map[xs],
                     obj_map[ys],
                     {(deg, new_keys): power.field.one * parity_sign(sign_exp)},

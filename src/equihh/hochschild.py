@@ -558,7 +558,10 @@ def _unit_pivots(category, functor):
 
 
 def build_window(category, functor, lo, hi, bar_cap=None, normalized=False) -> HochschildWindow:
-    """Spec entry point: the windowed total complex with its flag."""
+    """Spec entry point: the windowed total complex with its flag; an empty
+    range (lo > hi) is an input error."""
+    if lo > hi:
+        raise InputError(f"degree range {lo}..{hi} is empty (LO > HI)", "degrees")
     if functor.src is not category or functor.tgt is not category:
         raise StructureError("twist functor must be an endofunctor of the category")
     return HochschildWindow(category, functor, lo, hi, bar_cap=bar_cap, normalized=normalized)
@@ -569,8 +572,11 @@ def hh_dimensions(category, functor, degrees, bar_cap=None):
     normalized window.
 
     Reported degrees are cohomological; the homological index is the
-    negative (HH_i is the degree -i entry).
+    negative (HH_i is the degree -i entry).  An empty degree list is an
+    input error.
     """
+    if not degrees:
+        raise InputError(f"degree list {list(degrees)} is empty", "degrees")
     lo, hi = min(degrees) - 1, max(degrees) + 1
     win = build_window(category, functor, lo, hi, bar_cap=bar_cap, normalized=True)
     dims = {}

@@ -310,16 +310,36 @@ def test_criterion_7_main_theorem(reports, tmp_path):
 
 # sha256 of each report's canonical JSON without ``runtime_seconds``: any
 # change to a matrix entry, check, certificate or witness order shows here.
+# "NAME@LO..HI" is the example at that degree range instead of its own;
+# E2 at -1..0 runs W_big at degree -1 with matrices only.
 REPORT_DIGESTS = {
     "E1": "4948ac183f0b7e5d213b4393c68d52fd09def9998b04910ad6111e7a20cc4353",
     "E2": "af6a394eaea95987281153c513e3e31f0ae7c5d560e99e4c6723b9393fbe8655",
+    "E2@-1..0": "e7042f93e42da989686ee119bdf1f446f00390c643963cf37b4bacc971e9f66a",
     "E5": "c54e854485148ff0fc2f84802860bdef3620115e9bae93b0df715b14e0eb7e2b",
 }
 
 
+def digest_report(reports, name):
+    example, _, window = name.partition("@")
+    if not window:
+        return reports[example][1]
+    lo, hi = (int(d) for d in window.split(".."))
+    b = get_example(example)
+    return decompose(
+        b.action,
+        b.declared,
+        b.generators,
+        hh_names=b.hh_names or None,
+        representations=b.representations,
+        degrees=(lo, hi),
+        certificates=True,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_report_digests(reports, name):
-    payload = reports[name][1].to_dict()
+    payload = digest_report(reports, name).to_dict()
     del payload["runtime_seconds"]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]

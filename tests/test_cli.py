@@ -330,3 +330,12 @@ def test_window_chain_budget_exits_truncated(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "has more than 0 chains" in captured.err and "Traceback" not in captured.err
+
+
+def test_validate_takes_no_window_options(tmp_path, capsys):
+    path = write_doc(tmp_path, "E1")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", path, "--bar-cap=-1", "--degrees=5..9"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["validate", path]) == 0

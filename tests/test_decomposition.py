@@ -412,3 +412,20 @@ def test_wrong_transport_homotopy_fails_checks_1_and_4(monkeypatch):
         # the other certificates do not transport and still pass
         others = [c for c in rep.certificates if c not in hit]
         assert others and all(ok for _, _, ok in others), others
+
+
+def test_restrict_endofunctor_views_the_ambient_functor():
+    from equihh.decomposition import restrict_endofunctor
+    from equihh.dgcat import full_subcategory
+
+    pipe = bundle_pipeline(example_e2())
+    sub = pipe.cat_small
+    for g in pipe.group.elements:
+        fun = pipe.laction.rho(g)
+        view = restrict_endofunctor(fun, sub)
+        for x, y, key in sub.all_basis_morphisms():
+            assert view.apply_obj(x) == fun.apply_obj(x)
+            assert view.image(x, y, key) == fun.apply(sub.basis_mor(x, y, *key))
+    lone = full_subcategory(pipe.laction.category, [("x1",)])
+    with pytest.raises(StructureError, match="not closed"):
+        restrict_endofunctor(pipe.laction.rho("s"), lone)

@@ -173,7 +173,7 @@ def test_sfor_iso_e1():
     minus = realize_declared(la, b.declared[1])
     spt = symmetrize(la, ("pt",))
     reg = b.representations["regular"]
-    t_minus = rep_tensor(la, reg, minus, name="reg⊗minus")
+    t_minus = rep_tensor(la, reg, minus)
     eq = build_equivariant_category(la, [plus, minus, spt, t_minus])
     mor, report = sfor_iso(eq, "plus")
     assert report.ok, report.summary()
@@ -188,7 +188,7 @@ def test_sfor_iso_natural_e1():
     minus = realize_declared(la, b.declared[1])
     spt = symmetrize(la, ("pt",))
     reg = b.representations["regular"]
-    t_minus = rep_tensor(la, reg, minus, name="reg⊗minus")
+    t_minus = rep_tensor(la, reg, minus)
     eq = build_equivariant_category(la, [plus, minus, spt, t_minus])
     isos = {}
     for name in ["plus", "minus"]:
@@ -222,13 +222,12 @@ def test_scaled_action_equivariant_objects():
     la = lift_action(act, [("pt",), ("pt", "pt")])
     from equihh.equivariant import EquivariantObject
 
-    amb = la.category
     good = EquivariantObject(
         "good",
         ("pt",),
         {
-            "e": amb.mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(4)}),
-            "s": amb.mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(2)}),
+            "e": Mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(4)}),
+            "s": Mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(2)}),
         },
     )
     assert validate_equivariant(la, good).ok
@@ -236,8 +235,8 @@ def test_scaled_action_equivariant_objects():
         "naive",
         ("pt",),
         {
-            "e": amb.mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(1)}),
-            "s": amb.mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(1)}),
+            "e": Mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(1)}),
+            "s": Mor(("pt",), ("pt",), {(0, (0, 0, "1")): Fraction(1)}),
         },
     )
     report = validate_equivariant(la, naive)

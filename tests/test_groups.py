@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from equihh.dgcat import algebra_category, validate_dgcat
+from equihh.dgcat import algebra_category, nat_inverse, nat_vertical, validate_dgcat
 from equihh.errors import StructureError
 from equihh.groups import (
     FiniteGroup,
@@ -182,3 +182,41 @@ def test_misplaced_theta_component_is_reported_not_raised():
     assert [(v.rule, v.witness) for v in report.violations] == [
         ("structure", "theta[s,s]: component at x1 has wrong endpoints")
     ]
+
+
+def _conjugation_reference(act, h, g, g2):
+    return nat_vertical(nat_inverse(act.theta_at(g, h)), act.theta_at(h, g2))
+
+
+def test_conjugation_transform_on_lifted_e5():
+    from equihh.equivariant import lift_action
+    from equihh.examples import example_e5
+
+    act = lift_action(example_e5().action, [("pt",), ("pt", "pt")])
+    grp = act.group
+    cat = act.category
+    for h in grp.elements:
+        for g in grp.elements:
+            g2 = grp.mul(grp.mul(h, g), grp.inv(h))  # g2·h = h·g
+            tau = act.conjugation_transform(h, g, g2)
+            ref = _conjugation_reference(act, h, g, g2)
+            for x in cat.objects:
+                comp = tau.at(x)
+                assert comp.src == act.rho(h).apply_obj(act.rho(g2).apply_obj(x))
+                assert comp.tgt == act.rho(g).apply_obj(act.rho(h).apply_obj(x))
+                assert comp == ref.at(x)
+    h, g = "213", "132"
+    assert grp.mul(g, h) != grp.mul(h, g)
+    with pytest.raises(StructureError):
+        act.conjugation_transform(h, g, g)
+
+
+def test_conjugation_transform_on_scaled_action():
+    from tests_support import scaled_action
+
+    act = scaled_action()
+    for h in act.group.elements:
+        for g in act.group.elements:
+            tau = act.conjugation_transform(h, g, g)
+            assert tau.at("pt") == _conjugation_reference(act, h, g, g).at("pt")
+            assert act.centralizer_transform(h, g).at("pt") == tau.at("pt")

@@ -13,7 +13,7 @@ from equihh.dgcat import (
     tensor_category,
     validate_dgcat,
 )
-from equihh.errors import StructureError, TruncationError, WindowError
+from equihh.errors import InputError, StructureError, TruncationError, WindowError
 from equihh.examples import (
     example_e1,
     example_e2,
@@ -172,6 +172,15 @@ def test_window_error_and_structural_error():
     other = group_algebra_z2_category()
     with pytest.raises(StructureError):
         build_window(pt, identity_functor(other), -1, 0)
+
+
+def test_empty_degree_ranges_are_input_errors():
+    base = example_e1().base
+    ident = identity_functor(base)
+    with pytest.raises(InputError, match=r"degree range 0\.\.-3 is empty"):
+        build_window(base, ident, 0, -3)
+    with pytest.raises(InputError, match=r"degree list \[\] is empty"):
+        hh_dimensions(base, ident, [])
 
 
 def test_identity_induced_map_is_identity():
