@@ -73,7 +73,6 @@ from .equivariant import (
     rep_tensor,
     symmetrize,
     symmetrize_tuple,
-    validate_equivariant,
     _shift_blocks,
 )
 from .errors import EquihhError as EquihhErrorBase
@@ -275,13 +274,9 @@ class DecompositionPipeline:
             roster.append(obj)
             return obj.name
 
-        declared_names = []
         for d in self.declared:
-            obj = realize_declared(self.laction, d)
-            report = validate_equivariant(self.laction, obj)
-            if not report.ok:
-                raise StructureError(report.summary())
-            declared_names.append(add(obj))
+            # validated with the whole roster by build_equivariant_category
+            add(realize_declared(self.laction, d))
         sym_of = {}
         for t in small:
             obj = symmetrize(self.laction, t)

@@ -13,6 +13,11 @@ sums the alpha coefficients against the ambient composition tables and
 rho_g's image of φ (``DgFunctor.image``), and the product of two solved
 basis morphisms is one bilinear sum of their ambient coefficients
 against the ambient composition table, restricted to the solved basis.
+Both read each table entry, alpha, image and solved basis vector whose
+coefficients are integral as {key: int} (``linalg.integral_reader``), so
+the sums run on ints where the tables are integral, as in every bundled
+example.  The solved bases and the restricted products still come out of
+``Echelon``, so the category's tables hold field scalars.
 
 Also here: the symmetrization functor (left adjoint to the forgetful
 functor), tensoring a roster object by a representation, the adjunction
@@ -39,7 +44,14 @@ from .dgcat import (
 )
 from .errors import CapacityError, StructureError
 from .groups import GroupAction
-from .linalg import Echelon, GradedSpace, SparseMatrix, rank_kernel_image, vec_axpy
+from .linalg import (
+    Echelon,
+    GradedSpace,
+    SparseMatrix,
+    integral_reader,
+    rank_kernel_image,
+    vec_axpy,
+)
 
 
 def closure_under_action(action: GroupAction, tuples):
@@ -142,7 +154,6 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> Valida
     cat = laction.category
     grp = laction.group
     c = obj.underlying
-    inverses = {}
     for g in grp.elements:
         if g not in obj.alpha:
             raise StructureError(f"{obj.name}: alpha missing for {g}")
@@ -155,10 +166,8 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> Valida
             report.add("degree", f"alpha[{g}] not degree 0")
         if not cat.d(a).is_zero():
             report.add("closedness", f"alpha[{g}] not closed")
-        inv = cat.invert(a)
-        if inv is None:
+        if cat.invert(a) is None:
             report.add("invertibility", f"alpha[{g}] not invertible")
-        inverses[g] = inv
     if not report.ok:
         return report
     for g, h in itertools.product(grp.elements, repeat=2):
@@ -276,12 +285,16 @@ class EquivariantCategory:
         (c, c2, rho_g c2) and (c, rho_g c, rho_g c2), the coefficients of
         both alphas and rho_g's image of φ.  Both sides are summed in
         ``compose``'s loop order, and rows are numbered in first-seen
-        (g index, key) order."""
+        (g index, key) order.  Every table entry, alpha and image is read
+        through ``linalg.integral_reader``, so the conditions are ints
+        where the tables are integral; the kernel comes out of ``Echelon``
+        as field scalars."""
         cat = self.laction.category
         c, c2 = src.underlying, tgt.underlying
         space = cat.hom(c, c2)
         if not space.total_dim():
             return {}
+        read = integral_reader()
         per_g = []
         for g in self.laction.group.elements:
             rho = self.laction.rho(g)
@@ -291,9 +304,9 @@ class EquivariantCategory:
             per_g.append((
                 rho,
                 cat.comp_table(c, c2, a_tgt.tgt),
-                list(a_tgt.coeffs.items()),
+                list(read(a_tgt.coeffs).items()),
                 cat.comp_table(a_src.src, a_src.tgt, rho.apply_obj(c2)),
-                list(a_src.coeffs.items()),
+                list(read(a_src.coeffs).items()),
             ))
         solved = {}
         for deg in space.degrees():
@@ -307,14 +320,14 @@ class EquivariantCategory:
                     for ak, ca in a_tgt:
                         prod = lhs_table.get((key, ak))
                         if prod:
-                            vec_axpy(lhs, ca, prod)
+                            vec_axpy(lhs, ca, read(prod))
                     rhs = {}
-                    image = rho.image(c, c2, key).coeffs.items()
+                    image = read(rho.image(c, c2, key).coeffs).items()
                     for ak, ca in a_src:
                         for rk, cr in image:
                             prod = rhs_table.get((ak, rk))
                             if prod:
-                                vec_axpy(rhs, ca * cr, prod)
+                                vec_axpy(rhs, ca * cr, read(prod))
                     for dkey, val in vec_axpy(lhs, -1, rhs).items():
                         row = rows.setdefault((gi, dkey), len(rows))
                         col[row] = val
@@ -389,21 +402,25 @@ class EquivariantCategory:
 
         def comp_builder(xn, yn, zn):
             # each product is one bilinear sum of the solved ambient
-            # coefficients against the ambient table, in compose's order
+            # coefficients against the ambient table, in compose's order,
+            # on ints where they are integral; restrict gives field scalars
             gs, fs = self._solved[(xn, yn)], self._solved[(yn, zn)]
             if not (gs and fs):
                 return {}
             x, z = self.roster[xn].underlying, self.roster[zn].underlying
             amb = cat.comp_table(x, self.roster[yn].underlying, z)
+            read = integral_reader()
+            fs = [(fkey, read(fcoeffs)) for fkey, fcoeffs in fs.items()]
             table = {}
             for gkey, gcoeffs in gs.items():
-                for fkey, fcoeffs in fs.items():
+                gcoeffs = read(gcoeffs)
+                for fkey, fcoeffs in fs:
                     prod = {}
                     for gk, cg in gcoeffs.items():
                         for fk, cf in fcoeffs.items():
                             entry = amb.get((gk, fk))
                             if entry:
-                                vec_axpy(prod, cg * cf, entry)
+                                vec_axpy(prod, cg * cf, read(entry))
                     restricted = self.restrict(Mor(x, z, prod), xn, zn)
                     if restricted is None:
                         raise StructureError(

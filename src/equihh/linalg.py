@@ -14,6 +14,11 @@ multiplied: for ``c == 1`` it adds the entries of ``v`` as they are, for
 unchanged; only other scalars are multiplied.  Most scalars in
 elimination and chain-map evaluation are ±1.
 
+``integral_reader`` reads structure-table entries whose coefficients are
+all integral Fractions as {key: int}, so window differentials and the
+equivariant solve add ints where the tables are integral.  ``Echelon``
+takes ints and Fractions alike and returns field scalars.
+
 ``Echelon`` eliminates without fractions.  It clears the denominators of
 each vector it is given and stores every column as an integer multiple of
 the reduced column, with that multiple as its pivot entry; cyclotomic
@@ -79,6 +84,33 @@ def vec_axpy(u, c, v):
             elif y is not None:
                 del u[k]
     return u
+
+
+def integral_entry(entry):
+    """A structure-table entry {key: c} as {key: int} when every c is an
+    integral Fraction, else ``entry`` itself (an entry with a denominator
+    or a cyclotomic coefficient)."""
+    out = {}
+    for key, c in entry.items():
+        if type(c) is not Fraction or c.denominator != 1:
+            return entry
+        out[key] = c.numerator
+    return out
+
+
+def integral_reader():
+    """A function reading table entries through ``integral_entry``, each
+    converted once: the memo is keyed by id and holds the entry, so an id
+    is never reused while the reader lives.  Keep a reader to one build."""
+    memo = {}
+
+    def read(entry):
+        got = memo.get(id(entry))
+        if got is None:
+            got = memo[id(entry)] = (entry, integral_entry(entry))
+        return got[1]
+
+    return read
 
 
 def vec_add(u, v):

@@ -17,6 +17,9 @@ from equihh.examples import (
     group_algebra_z2_category,
     point_category,
 )
+import equihh.cli as cli
+import equihh.decomposition as decomposition
+import equihh.equivariant as equivariant
 from equihh.errors import StructureError
 from equihh.groups import permutation_action
 from equihh.hochschild import HomotopyCertificate, LinearComboMap
@@ -123,6 +126,25 @@ def test_sabotaged_alpha_fails_with_witness():
             degrees=(0, 0),
         )
     assert "cocycle" in str(err.value) or "invertib" in str(err.value)
+
+
+def test_each_roster_object_is_validated_once(monkeypatch):
+    """decompose on E5 validates each of its 8 roster objects once, the 3
+    declared ones included."""
+    names = []
+    validate = equivariant.validate_equivariant
+
+    def counting(laction, obj):
+        names.append(obj.name)
+        return validate(laction, obj)
+
+    monkeypatch.setattr(equivariant, "validate_equivariant", counting)
+    # and wherever it is imported by name
+    for module in (decomposition, cli):
+        monkeypatch.setattr(module, "validate_equivariant", counting, raising=False)
+    report = run_bundle(example_e5())
+    assert report.theorem_holds
+    assert len(names) == len(set(names)) == len(report.roster_names) == 8
 
 
 def test_graded_sym_power_function():

@@ -3,19 +3,32 @@ morphism-by-morphism references, on the E1, E2 and E5 pipelines: the
 same numbers in the same key order and of the same scalar type."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from equihh.decomposition import DecompositionPipeline
-from equihh.dgcat import Mor
+from equihh.dgcat import Mor, algebra_category
 from equihh.documents import canonical_json, parse_document, serialize_bundle
-from equihh.equivariant import EquivariantCategory
+from equihh.equivariant import (
+    EquivariantCategory,
+    EquivariantObject,
+    build_equivariant_category,
+    lift_action,
+    symmetrize,
+)
 from equihh.errors import StructureError
-from equihh.examples import example_e1, example_e2, example_e5, get_example
+from equihh.examples import DeclaredObject, example_e1, example_e2, example_e5, get_example
+from equihh.groups import FiniteGroup, trivial_action
+from equihh.linalg import integral_entry
+from equihh.scalars import QQ
 from tests_support import (
+    fraction_comp_table,
+    fraction_solve_pair,
     reference_equivariant_comp_table,
     reference_induced_chain,
     reference_solve_pair,
+    scaled_action,
     typed,
 )
 
@@ -72,6 +85,65 @@ def test_equivariant_category_matches_reference(name):
         ), triple
         nonzero += len(table)
     assert nonzero
+
+
+def scaled_eqcat():
+    """The two equivariant structures alpha_s = ±2 on the point under the
+    scaled action (nontrivial theta and eta), with the symmetrization."""
+    declared = [
+        DeclaredObject(name, ("pt",), {"e": {(0, 0, 0, "1"): Fraction(4)}, "s": {(0, 0, 0, "1"): s}})
+        for name, s in [("plus2", Fraction(2)), ("minus2", Fraction(-2))]
+    ]
+    return DecompositionPipeline(
+        scaled_action(), declared, ["pt"], hh_names=["plus2", "minus2"], representations={}
+    ).eqcat
+
+
+def half_basis_eqcat():
+    """k[Z/2] on the basis 1, h = g/2, so h∘h = (1/4)·1, under the trivial
+    Z/2 action: the sign objects and the symmetrization of the point."""
+    base = algebra_category(QQ, "pt", [("1", 0), ("h", 0)], {("h", "h"): {"1": Fraction(1, 4)}})
+    la = lift_action(trivial_action(FiniteGroup.cyclic(2, names=["e", "s"]), base), [("pt",), ("pt", "pt")])
+    unit = la.category.unit(("pt",))
+    signs = [
+        EquivariantObject(name, ("pt",), {"e": unit, "s": unit.scale(c)})
+        for name, c in [("plus", 1), ("minus", -1)]
+    ]
+    return build_equivariant_category(la, [*signs, symmetrize(la, ("pt",))])
+
+
+EQCATS = {
+    **{name: lambda name=name: pipeline(name).eqcat for name in BUILDERS},
+    "scaled": scaled_eqcat,
+    "half-basis-z2": half_basis_eqcat,
+}
+
+
+def typed_solved(solved):
+    return [(deg, [typed(vec) for vec in basis]) for deg, basis in solved.items()]
+
+
+@pytest.mark.parametrize("name", sorted(EQCATS))
+def test_int_reads_match_fraction_loops(name):
+    """The hom solve and the composition tables, which read integral
+    entries as ints, against the same loops on the stored field scalars:
+    equal values, scalar types and key order.  On the half basis of
+    k[Z/2] the entry h∘h = 1/4 is read as it is stored."""
+    eq = EQCATS[name]()
+    roster = [eq.roster[n] for n in eq.order]
+    for src, tgt in itertools.product(roster, repeat=2):
+        assert typed_solved(eq._solve_pair(src, tgt)) == typed_solved(
+            fraction_solve_pair(eq, src, tgt)
+        ), (src.name, tgt.name)
+    nonzero = 0
+    for triple in itertools.product(eq.order, repeat=3):
+        table = eq.category.comp_table(*triple)
+        assert typed_table(table) == typed_table(fraction_comp_table(eq, *triple)), triple
+        nonzero += len(table)
+    assert nonzero
+    if name == "half-basis-z2":
+        amb = eq.ambient.comp_table(("pt",), ("pt",), ("pt",))
+        assert any(integral_entry(entry) is entry for entry in amb.values())
 
 
 def induced_maps(pipe):

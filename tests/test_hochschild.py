@@ -518,10 +518,17 @@ def boundary_adds(monkeypatch):
     [
         # exact at 0: the ranks mod P certify it, so no boundary is added
         ({-1: 3, 0: 2, 1: 2, 2: 1}, {-1: [[1, 2, -1], [-1, -2, 1]], 0: [[1, 1], [0, 0]], 1: [[0, 0]]}, 0, 0),
-        # H^1 is one-dimensional: the echelon never reaches the cycles
-        ({-1: 3, 0: 2, 1: 2, 2: 1}, {-1: [[1, 2, -1], [-1, -2, 1]], 0: [[1, 1], [0, 0]], 1: [[0, 0]]}, 1, 2),
+        # H^1 is one-dimensional: the echelon never reaches the cycles; the
+        # two boundaries are equal, so the second is skipped
+        ({-1: 3, 0: 2, 1: 2, 2: 1}, {-1: [[1, 2, -1], [-1, -2, 1]], 0: [[1, 1], [0, 0]], 1: [[0, 0]]}, 1, 1),
         # d∘d != 0: the second boundary is no cycle, so every one is added
         ({-1: 3, 0: 2, 1: 1}, {-1: [[1, 1, 0], [-1, 0, 1]], 0: [[1, 1]]}, 0, 3),
+        # a zero, a repeated and a negated boundary are skipped: v, v, -v, w
+        # and 0 add v and w only
+        ({-1: 5, 0: 3, 1: 1}, {-1: [[0, 1, 1, -1, 0], [0, 1, 1, -1, 0], [0, 0, 0, 0, 1]]}, 0, 2),
+        # d∘d != 0 with a repeated boundary: a, a, b and a + b add a, b and
+        # a + b, every distinct column, although a + b lies in their span
+        ({-1: 4, 0: 2, 1: 1}, {-1: [[1, 1, 0, 1], [0, 0, 1, 1]], 0: [[1, 1]]}, 0, 3),
     ],
 )
 def test_early_stop_matches_full_elimination(monkeypatch, dims, rows, k, adds):
@@ -537,6 +544,32 @@ def test_early_stop_matches_full_elimination(monkeypatch, dims, rows, k, adds):
         assert got._ech.combos == want._ech.combos
     for vec in unit_vectors(dims[k]) + win.differential(k - 1).cols:
         assert got.express(vec) == want.express(vec)
+
+
+def test_skipped_boundaries_match_full_elimination_on_e5(monkeypatch):
+    """E5 at 0..0: at degree 0 of W_full and W_big (one window, shared by
+    every class under the trivial action), most boundary columns are zero
+    or repeat one up to sign; skipping them leaves the reps, echelon
+    columns and combinations of adding every column."""
+    b = get_example("E5")
+    pipe = DecompositionPipeline(
+        b.action, b.declared, b.generators, hh_names=b.hh_names or None,
+        representations=b.representations, degrees=(0, 0),
+    )
+    calls = boundary_adds(monkeypatch)
+    assert len({id(w) for w in pipe.w_big.values()}) == 1
+    for win in [pipe.w_full, pipe.w_big["123"]]:
+        cols = win.differential(-1).cols
+        distinct = {frozenset(c.items()) for c in cols if c}
+        calls.clear()
+        got = win.homology_basis(0)
+        assert 0 < len(calls) <= len(distinct) < len(cols)
+        want = full_elimination_basis(win, 0)
+        assert got._ech is not None and got.reps
+        assert [typed(v) for v in got.reps] == [typed(v) for v in want.reps]
+        assert got._ech.columns == want._ech.columns
+        assert got._ech.combos == want._ech.combos
+        assert got._ech.pivots == want._ech.pivots
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from equihh.dgcat import Mor, NatTransform, algebra_category, identity_functor, 
 from equihh.equivariant import _shift_blocks, symmetrize
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
-from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_is_zero
+from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_axpy, vec_is_zero
 from equihh.scalars import QQ, Cyc, invert_scalar
 
 
@@ -555,6 +555,85 @@ def reference_equivariant_comp_table(eqcat, xn, yn, zn):
         for fkey in eqcat._solved[(yn, zn)]:
             fmor = eqcat.embed(Mor(yn, zn, {fkey: cat.field.one}), yn, zn)
             restricted = eqcat.restrict(cat.compose(fmor, gmor), xn, zn)
+            assert restricted is not None
+            if not restricted.is_zero():
+                table[(gkey, fkey)] = restricted.coeffs
+    return table
+
+
+# The same two equivariant loops on the tables as they are stored, with
+# field scalars throughout, against which the int reads are checked.
+
+
+def fraction_solve_pair(eqcat, src, tgt):
+    """EquivariantCategory._solve_pair on the tables as stored (field
+    scalars throughout): the same loops, summation order and first-seen
+    row numbering, with no entry read as ints."""
+    cat = eqcat.laction.category
+    c, c2 = src.underlying, tgt.underlying
+    space = cat.hom(c, c2)
+    if not space.total_dim():
+        return {}
+    per_g = []
+    for g in eqcat.laction.group.elements:
+        rho = eqcat.laction.rho(g)
+        a_src, a_tgt = src.alpha[g], tgt.alpha[g]
+        per_g.append((
+            rho,
+            cat.comp_table(c, c2, a_tgt.tgt),
+            list(a_tgt.coeffs.items()),
+            cat.comp_table(a_src.src, a_src.tgt, rho.apply_obj(c2)),
+            list(a_src.coeffs.items()),
+        ))
+    solved = {}
+    for deg in space.degrees():
+        keys = [(deg, lab) for lab in space.labels(deg)]
+        rows = {}
+        matrix_cols = []
+        for key in keys:
+            col = {}
+            for gi, (rho, lhs_table, a_tgt, rhs_table, a_src) in enumerate(per_g):
+                lhs = {}
+                for ak, ca in a_tgt:
+                    prod = lhs_table.get((key, ak))
+                    if prod:
+                        vec_axpy(lhs, ca, prod)
+                rhs = {}
+                image = rho.image(c, c2, key).coeffs.items()
+                for ak, ca in a_src:
+                    for rk, cr in image:
+                        prod = rhs_table.get((ak, rk))
+                        if prod:
+                            vec_axpy(rhs, ca * cr, prod)
+                for dkey, val in vec_axpy(lhs, -1, rhs).items():
+                    col[rows.setdefault((gi, dkey), len(rows))] = val
+            matrix_cols.append(col)
+        _, kernel = rank_kernel_image(SparseMatrix(len(rows), len(keys), matrix_cols), cat.field)
+        basis = [{keys[i]: v for i, v in vec.items()} for vec in kernel]
+        if basis:
+            solved[deg] = basis
+    return solved
+
+
+def fraction_comp_table(eqcat, xn, yn, zn):
+    """The equivariant composition table on (xn, yn, zn) as the category's
+    comp_builder forms it, on the tables as stored (field scalars)."""
+    cat = eqcat.ambient
+    gs, fs = eqcat._solved[(xn, yn)], eqcat._solved[(yn, zn)]
+    if not (gs and fs):
+        return {}
+    x, z = eqcat.roster[xn].underlying, eqcat.roster[zn].underlying
+    amb = cat.comp_table(x, eqcat.roster[yn].underlying, z)
+    table = {}
+    for gkey, gcoeffs in gs.items():
+        for fkey, fcoeffs in fs.items():
+            prod = {}
+            for gk, cg in gcoeffs.items():
+                for fk, cf in fcoeffs.items():
+                    entry = amb.get((gk, fk))
+                    if entry:
+                        vec_axpy(prod, cg * cf, entry)
+            restricted = eqcat.restrict(Mor(x, z, prod), xn, zn)
             assert restricted is not None
             if not restricted.is_zero():
                 table[(gkey, fkey)] = restricted.coeffs
