@@ -51,6 +51,12 @@ def _bar_cap(args, bundle):
     return args.bar_cap
 
 
+def _require_exact(certification, args):
+    """An uncertified (truncated) window is an error unless --allow-truncated."""
+    if not certification.startswith("Exact") and not args.allow_truncated:
+        raise TruncationError(f"window is {certification}; rerun with --allow-truncated to accept")
+
+
 def _load_document(args):
     if args.document == "-":
         text = sys.stdin.read()
@@ -138,18 +144,9 @@ def cmd_hh(args):
             raise InputError(f"unknown endofunctor {functor_name!r}", "--functor")
         fun = bundle.action.rho(functor_name)
     bar_cap = _bar_cap(args, bundle)
-    try:
-        res = hh_dimensions(cat, fun, list(range(degrees[0], degrees[1] + 1)), bar_cap=bar_cap)
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATED
+    res = hh_dimensions(cat, fun, list(range(degrees[0], degrees[1] + 1)), bar_cap=bar_cap)
     cert = res["certification"]
-    if not cert.exact and not args.allow_truncated:
-        print(
-            f"window is {cert.describe()}; rerun with --allow-truncated to accept",
-            file=sys.stderr,
-        )
-        return EXIT_TRUNCATED
+    _require_exact(cert.describe(), args)
     payload = {
         "document": bundle.name,
         "functor": functor_name or "id",
@@ -187,12 +184,7 @@ def cmd_decompose(args):
         bar_cap=_bar_cap(args, bundle),
         certificates=not args.no_certificates,
     )
-    if not report.certification.startswith("Exact") and not args.allow_truncated:
-        print(
-            f"window is {report.certification}; rerun with --allow-truncated to accept",
-            file=sys.stderr,
-        )
-        return EXIT_TRUNCATED
+    _require_exact(report.certification, args)
     _emit(report.to_dict(), args, report.to_text)
     return EXIT_OK if report.theorem_holds else EXIT_MATH
 
@@ -203,21 +195,12 @@ def cmd_kunneth(args):
     lo, hi = degrees[0] - 1, degrees[1] + 1
     cat = bundle.base
     bar_cap = _bar_cap(args, bundle)
-    try:
-        win = build_window(cat, identity_functor(cat), lo, hi, bar_cap=bar_cap)
-        square = tensor_category(cat, cat)
-        tw, tgt, sh = shuffle_map(
-            win, win, square, lo, hi, bar_cap=None if bar_cap is None else 2 * bar_cap
-        )
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATED
-    if not win.certification.exact and not args.allow_truncated:
-        print(
-            f"window is {win.certification.describe()}; rerun with --allow-truncated",
-            file=sys.stderr,
-        )
-        return EXIT_TRUNCATED
+    win = build_window(cat, identity_functor(cat), lo, hi, bar_cap=bar_cap)
+    square = tensor_category(cat, cat)
+    tw, tgt, sh = shuffle_map(
+        win, win, square, lo, hi, bar_cap=None if bar_cap is None else 2 * bar_cap
+    )
+    _require_exact(win.certification.describe(), args)
     checked, failures = sh.verify_chain_map()
     rows = {}
     bijective = True

@@ -59,6 +59,7 @@ from .dgcat import (
     DgFunctor,
     Mor,
     NatTransform,
+    block_mor,
     compose_functors,
     full_subcategory,
     functors_equal,
@@ -72,8 +73,7 @@ from .equivariant import (
     realize_declared,
     rep_tensor,
     symmetrize,
-    symmetrize_tuple,
-    _shift_blocks,
+    symmetrize_parts,
 )
 from .errors import EquihhError as EquihhErrorBase
 from .errors import StructureError
@@ -85,6 +85,7 @@ from .hochschild import (
     build_window,
     compose_induced,
     conjugate_transport,
+    degree_bounds,
     eps_star,
     induced_composite,
     insertion_homotopy,
@@ -220,7 +221,7 @@ class DecompositionPipeline:
         self.declared = list(declared)
         self.generators = list(generators)
         self.representations = dict(representations or {})
-        self.dlo, self.dhi = min(degrees), max(degrees)
+        self.dlo, self.dhi = degree_bounds(degrees)
         self.degree_list = list(range(self.dlo, self.dhi + 1))
         self.bar_cap = bar_cap
         self.certificates_wanted = certificates
@@ -369,16 +370,17 @@ class DecompositionPipeline:
         eq = self.eqcat
         grp = self.group
         c = tuple(c)
-        ell = len(c)
-        slots = {h: i * ell for i, h in enumerate(grp.elements)}
-        coeffs = {}
-        for h2 in grp.elements:
-            h = grp.mul(g, h2)
-            block = self.laction.theta_at(h2, g).at(c)
-            coeffs.update(_shift_blocks(block.coeffs, slots[h], slots[h2]))
-        sname = self._sym_name(self.laction.rho(g).apply_obj(c))
+        gc = self.laction.rho(g).apply_obj(c)
+        index = grp.elements.index
+        blocks = {
+            (index(grp.mul(g, h2)), index(h2)): self.laction.theta_at(h2, g).at(c)
+            for h2 in grp.elements
+        }
+        amb = block_mor(
+            symmetrize_parts(self.laction, gc), symmetrize_parts(self.laction, c), blocks
+        )
+        sname = self._sym_name(gc)
         tname = self._sym_name(c)
-        amb = Mor(eq.roster[sname].underlying, eq.roster[tname].underlying, coeffs)
         restricted = eq.restrict(amb, sname, tname)
         if restricted is None:
             raise StructureError(f"phi[{g}] at {c} is not equivariant")
@@ -868,88 +870,6 @@ def _embedded_rho(pipe, h):
     return compose_functors(pipe.incl_small, pipe._rho_small[h], name=f"rho[{h}]")
 
 
-# ---------------------------------------------------------------------------
-# symmetric powers
-
-
-def graded_sym_power(dims: dict, n: int) -> dict:
-    """Dimensions of the graded-symmetric n-th power of a graded vector
-    space: multisets of basis elements where odd-degree elements may not
-    repeat (the Koszul sign kills squares of odd classes)."""
-    import itertools as it
-
-    degrees = sorted(dims)
-    basis = [d for d in degrees for _ in range(dims[d])]
-    out = {}
-    for combo in it.combinations_with_replacement(range(len(basis)), n):
-        if any(
-            combo.count(i) > 1 and basis[i] % 2 != 0 for i in set(combo)
-        ):
-            continue
-        total = sum(basis[i] for i in combo)
-        out[total] = out.get(total, 0) + 1
-    return out
-
-
-def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
-    """Compare the graded-symmetric power of HH(category) with the
-    invariants of the symmetric-group action on HH(category^{⊗n}).
-
-    Returns a report dict with both dimension tables and their equality;
-    the invariants are the image of the averaged permutation action, the
-    symmetric power uses the Koszul rule on odd classes.
-    """
-    from .groups import permutation_action
-    from .hochschild import hh_dimensions
-
-    if n < 1:
-        raise StructureError("symmetric power needs n >= 1")
-    dlo, dhi = min(degrees), max(degrees)
-    base_res = hh_dimensions(
-        category,
-        identity_functor(category),
-        list(range(n * dlo, dhi + 1)),
-        bar_cap=bar_cap,
-    )
-    sym_dims_all = graded_sym_power(base_res["dims"], n)
-    sym_dims = {k: sym_dims_all.get(k, 0) for k in range(dlo, dhi + 1)}
-
-    action, power = permutation_action(category, n)
-    win = build_window(
-        power, identity_functor(power), dlo - 1, dhi + 1, bar_cap=bar_cap
-    )
-    field = category.field
-    ident = action.group.identity
-    invariant_dims = {}
-    power_dims = {}
-    for k in range(dlo, dhi + 1):
-        hdim = win.homology(k)[0]
-        power_dims[k] = hdim
-        total = SparseMatrix(hdim, hdim)
-        for s in action.group.elements:
-            m = InducedMap(
-                win,
-                win,
-                action.rho(s),
-                action.centralizer_transform(s, ident),
-                name=f"perm[{s}]*",
-            )
-            total = total + m.homology_matrix(k)
-        avg = total.scale(field.embed(Fraction(1, len(action.group))))
-        if not _is_idempotent(avg):
-            raise StructureError("averaged permutation action is not idempotent")
-        rank, _ = rank_kernel_image(avg)
-        invariant_dims[k] = rank
-    return {
-        "sym_dims": sym_dims,
-        "invariant_dims": invariant_dims,
-        "power_dims": power_dims,
-        "base_dims": base_res["dims"],
-        "certification": base_res["certification"].describe(),
-        "match": sym_dims == invariant_dims,
-    }
-
-
 def _check4_transports(pipe, data):
     """Record whether the printed intermediate transports of the
     representative-independence argument certify: the twist
@@ -995,18 +915,13 @@ def _check5_certificate(pipe, data):
     for name in pipe.hh_names:
         obj = eq.roster[name]
         u = obj.underlying
-        ell = len(u)
         sname = pipe.sym_of[u]
-        i_coeffs = {}
-        p_coeffs = {}
-        for hi, h in enumerate(grp.elements):
-            alpha = obj.alpha[h]
-            i_coeffs.update(_shift_blocks(alpha.coeffs, hi * ell, 0))
-            inv = pipe.laction.category.invert(alpha)
-            p_coeffs.update(_shift_blocks(inv.coeffs, 0, hi * ell))
-        s_u = symmetrize_tuple(pipe.laction, u)
-        i_mor = eq.restrict(Mor(u, s_u, i_coeffs), name, sname)
-        p_mor = eq.restrict(Mor(s_u, u, p_coeffs), sname, name)
+        parts = symmetrize_parts(pipe.laction, u)
+        alphas = [obj.alpha[h] for h in grp.elements]
+        i_amb = block_mor([u], parts, {(hi, 0): a for hi, a in enumerate(alphas)})
+        invs = {(0, hi): pipe.laction.category.invert(a) for hi, a in enumerate(alphas)}
+        i_mor = eq.restrict(i_amb, name, sname)
+        p_mor = eq.restrict(block_mor(parts, [u], invs), sname, name)
         if i_mor is None or p_mor is None:
             yield "projector sum", "error: I/P not equivariant", False
             return
@@ -1053,3 +968,85 @@ def _check5_certificate(pipe, data):
         agree &= sum_map.homology_matrix(k) == sum(parts[1:], parts[0])
     yield "projector sum over the group", "matrix", agree
     yield "projector sum homotopy", "formula", ok
+
+
+# ---------------------------------------------------------------------------
+# symmetric powers
+
+
+def graded_sym_power(dims: dict, n: int) -> dict:
+    """Dimensions of the graded-symmetric n-th power of a graded vector
+    space: multisets of basis elements where odd-degree elements may not
+    repeat (the Koszul sign kills squares of odd classes)."""
+    import itertools as it
+
+    degrees = sorted(dims)
+    basis = [d for d in degrees for _ in range(dims[d])]
+    out = {}
+    for combo in it.combinations_with_replacement(range(len(basis)), n):
+        if any(
+            combo.count(i) > 1 and basis[i] % 2 != 0 for i in set(combo)
+        ):
+            continue
+        total = sum(basis[i] for i in combo)
+        out[total] = out.get(total, 0) + 1
+    return out
+
+
+def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
+    """Compare the graded-symmetric power of HH(category) with the
+    invariants of the symmetric-group action on HH(category^{⊗n}).
+
+    Returns a report dict with both dimension tables and their equality;
+    the invariants are the image of the averaged permutation action, the
+    symmetric power uses the Koszul rule on odd classes.
+    """
+    from .groups import permutation_action
+    from .hochschild import hh_dimensions
+
+    if n < 1:
+        raise StructureError("symmetric power needs n >= 1")
+    dlo, dhi = degree_bounds(degrees)
+    base_res = hh_dimensions(
+        category,
+        identity_functor(category),
+        list(range(n * dlo, dhi + 1)),
+        bar_cap=bar_cap,
+    )
+    sym_dims_all = graded_sym_power(base_res["dims"], n)
+    sym_dims = {k: sym_dims_all.get(k, 0) for k in range(dlo, dhi + 1)}
+
+    action, power = permutation_action(category, n)
+    win = build_window(
+        power, identity_functor(power), dlo - 1, dhi + 1, bar_cap=bar_cap
+    )
+    field = category.field
+    ident = action.group.identity
+    invariant_dims = {}
+    power_dims = {}
+    for k in range(dlo, dhi + 1):
+        hdim = win.homology(k)[0]
+        power_dims[k] = hdim
+        total = SparseMatrix(hdim, hdim)
+        for s in action.group.elements:
+            m = InducedMap(
+                win,
+                win,
+                action.rho(s),
+                action.centralizer_transform(s, ident),
+                name=f"perm[{s}]*",
+            )
+            total = total + m.homology_matrix(k)
+        avg = total.scale(field.embed(Fraction(1, len(action.group))))
+        if not _is_idempotent(avg):
+            raise StructureError("averaged permutation action is not idempotent")
+        rank, _ = rank_kernel_image(avg)
+        invariant_dims[k] = rank
+    return {
+        "sym_dims": sym_dims,
+        "invariant_dims": invariant_dims,
+        "power_dims": power_dims,
+        "base_dims": base_res["dims"],
+        "certification": base_res["certification"].describe(),
+        "match": sym_dims == invariant_dims,
+    }

@@ -10,6 +10,12 @@ Conventions:
     base objects for additive-hull objects, with the empty tuple as the
     zero object).
 
+This module owns the additive hull's block layout.  A hull basis key is
+(deg, (row, col, base_label)); ``hull_entries`` places base coefficients
+at one entry, ``block_mor`` assembles a morphism between concatenated
+tuples from blocks between their parts, and ``block_of`` reads one block
+back.  Callers name blocks by part index and never compute an offset.
+
 Categories are immutable once validated; validation returns a report of
 violated axioms with witnesses rather than raising.
 """
@@ -627,6 +633,52 @@ def tensor_category(c: DgCategory, b: DgCategory) -> DgCategory:
 # additive hulls
 
 
+def hull_entries(coeffs, i, j):
+    """A dict keyed by base keys (deg, label), such as base coefficients,
+    rekeyed to hull entry (i, j)."""
+    return {(deg, (i, j, lab)): c for (deg, lab), c in coeffs.items()}
+
+
+def _starts(parts):
+    """Where each part of a concatenated hull tuple starts."""
+    return list(itertools.accumulate(map(len, parts), initial=0))
+
+
+def block_mor(src_parts, tgt_parts, blocks) -> Mor:
+    """The hull morphism concat(src_parts) → concat(tgt_parts) whose block
+    (row, col) is ``blocks[(row, col)]``, a hull morphism src_parts[col] →
+    tgt_parts[row]; absent blocks are zero.  Coefficients come in the
+    order of ``blocks`` and of each block's own coefficients.  A block
+    whose endpoints are not its parts raises StructureError."""
+    rows, cols = _starts(tgt_parts), _starts(src_parts)
+    coeffs = {}
+    for (row, col), block in blocks.items():
+        if block.src != src_parts[col] or block.tgt != tgt_parts[row]:
+            raise StructureError(
+                f"block ({row}, {col}) runs {block.src}->{block.tgt},"
+                f" not {src_parts[col]}->{tgt_parts[row]}"
+            )
+        r, c = rows[row], cols[col]
+        for (deg, (i, j, lab)), v in block.coeffs.items():
+            coeffs[(deg, (i + r, j + c, lab))] = v
+    return Mor(sum(src_parts, ()), sum(tgt_parts, ()), coeffs)
+
+
+def block_of(mor: Mor, src_parts, tgt_parts, row, col) -> Mor:
+    """Block (row, col) of a hull morphism concat(src_parts) →
+    concat(tgt_parts): the morphism src_parts[col] → tgt_parts[row]."""
+    src, tgt = src_parts[col], tgt_parts[row]
+    if mor.src != sum(src_parts, ()) or mor.tgt != sum(tgt_parts, ()):
+        raise StructureError(f"{mor.src}->{mor.tgt} is not a morphism between the parts")
+    r, c = _starts(tgt_parts)[row], _starts(src_parts)[col]
+    coeffs = {
+        (deg, (i - r, j - c, lab)): v
+        for (deg, (i, j, lab)), v in mor.coeffs.items()
+        if r <= i < r + len(tgt) and c <= j < c + len(src)
+    }
+    return Mor(src, tgt, coeffs)
+
+
 def hull_objects_up_to_cap(cat: DgCategory, cap: int):
     """All tuples of base objects with each multiplicity at most cap,
     ordered by length then componentwise object index."""
@@ -681,11 +733,9 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
                     for deg in space.degrees():
                         for lab in space.labels(deg):
                             basis.setdefault(deg, []).append((i, j, lab))
-                    dt = cat.diff.get((xb, yb), {})
-                    for (deg, lab), img in dt.items():
-                        table[(deg, (i, j, lab))] = {
-                            (dd, (i, j, ll)): c for (dd, ll), c in img.items()
-                        }
+                    dt = hull_entries(cat.diff.get((xb, yb), {}), i, j)
+                    for key, img in dt.items():
+                        table[key] = hull_entries(img, i, j)
             space = GradedSpace(basis)
             if space.total_dim():
                 homs[(xs, ys)] = space
@@ -694,8 +744,7 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
     for xs in objects:
         coeffs = {}
         for i, xb in enumerate(xs):
-            for (deg, lab), c in cat.units[xb].items():
-                coeffs[(deg, (i, i, lab))] = c
+            coeffs.update(hull_entries(cat.units[xb], i, i))
         units[xs] = coeffs
 
     def comp_builder(xs, ys, zs):
@@ -745,13 +794,10 @@ def lift_functor_to_hull(fun: DgFunctor, src_hull: DgCategory, tgt_hull: DgCateg
     def build(pair):
         xs, ys = pair
         table = {}
-        for (deg, (i, j, lab)) in src_hull.basis_keys(xs, ys):
+        for key in src_hull.basis_keys(xs, ys):
+            deg, (i, j, lab) = key
             base = fun.apply(fun.src.basis_mor(xs[j], ys[i], deg, lab))
-            table[(deg, (i, j, lab))] = Mor(
-                obj_map[xs],
-                obj_map[ys],
-                {(dd, (i, j, ll)): c for (dd, ll), c in base.coeffs.items()},
-            )
+            table[key] = Mor(obj_map[xs], obj_map[ys], hull_entries(base.coeffs, i, j))
         return table
 
     return DgFunctor(src_hull, tgt_hull, obj_map, LazyDict(build), name=name or f"hull({fun.name})")

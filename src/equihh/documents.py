@@ -373,9 +373,8 @@ def parse_document(doc) -> ExampleBundle:
         raise InputError("must be a non-empty array of integers", "params.degrees")
     if degrees[0] > degrees[-1]:
         raise InputError(f"{degrees} is an empty range (first > last)", "params.degrees")
-    for key in ("bar_cap", "hull_cap"):
-        if key in params and _expect_int(params[key], f"params.{key}") < 0:
-            raise InputError("must be a non-negative integer", f"params.{key}")
+    if "bar_cap" in params and _expect_int(params["bar_cap"], "params.bar_cap") < 0:
+        raise InputError("must be a non-negative integer", "params.bar_cap")
     return ExampleBundle(
         name=doc.get("name", "document"),
         description=doc.get("description", ""),
@@ -388,7 +387,6 @@ def parse_document(doc) -> ExampleBundle:
         representations=representations,
         degrees=(int(degrees[0]), int(degrees[-1])),
         bar_cap=params.get("bar_cap"),
-        hull_cap=params.get("hull_cap", 2),
     )
 
 
@@ -554,7 +552,6 @@ def serialize_bundle(bundle: ExampleBundle):
     params = {"degrees": list(bundle.degrees)}
     if bundle.bar_cap is not None:
         params["bar_cap"] = bundle.bar_cap
-    params["hull_cap"] = bundle.hull_cap
     doc["params"] = params
     return doc
 

@@ -22,7 +22,10 @@ example.  The solved bases and the restricted products still come out of
 Also here: the symmetrization functor (left adjoint to the forgetful
 functor), tensoring a roster object by a representation, the adjunction
 correspondences, and the comparison isomorphism between the regular-
-representation tensor and symmetrize-after-forget.
+representation tensor and symmetrize-after-forget.  Each of these is a
+block matrix over the parts of S(c) = ⊕_h rho_h(c) or V⊗X = X^{⊕dim V};
+``dgcat`` owns the hull block layout, so they name blocks by part index
+(``block_mor``, ``block_of``, ``hull_entries``) and compute no offsets.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ from .dgcat import (
     Mor,
     NatTransform,
     ValidationReport,
+    block_mor,
+    block_of,
     compose_functors,
     full_subcategory,
+    hull_entries,
     hull_subcategory,
     identity_functor,
     lift_functor_to_hull,
@@ -71,13 +77,6 @@ def closure_under_action(action: GroupAction, tuples):
     return sorted(seen, key=lambda t: (len(t), [index[x] for x in t]))
 
 
-def _shift_blocks(coeffs, row_off, col_off):
-    return {
-        (deg, (i + row_off, j + col_off, lab)): c
-        for (deg, (i, j, lab)), c in coeffs.items()
-    }
-
-
 def lift_action(action: GroupAction, tuples) -> GroupAction:
     """Lift a base action to the hull subcategory on the closure of the
     given tuples under the action."""
@@ -90,23 +89,11 @@ def lift_action(action: GroupAction, tuples) -> GroupAction:
 
     def lift_components(base_nat):
         def build(xs):
-            blocks = {}
-            srcs = []
-            tgts = []
-            for j, x in enumerate(xs):
-                comp = base_nat.at(x)
-                blocks[(j, j)] = comp
-                srcs.append(comp.src)
-                tgts.append(comp.tgt)
+            comps = [base_nat.at(x) for x in xs]
             coeffs = {}
-            for (j, _), comp in blocks.items():
-                coeffs.update(
-                    {
-                        (deg, (j, j, lab)): c
-                        for (deg, lab), c in comp.coeffs.items()
-                    }
-                )
-            return Mor(tuple(srcs), tuple(tgts), coeffs)
+            for j, comp in enumerate(comps):
+                coeffs.update(hull_entries(comp.coeffs, j, j))
+            return Mor(tuple(m.src for m in comps), tuple(m.tgt for m in comps), coeffs)
 
         return LazyDict(build)
 
@@ -180,13 +167,15 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> Valida
     return report
 
 
+def symmetrize_parts(laction: GroupAction, c):
+    """The parts rho_h(c) of the symmetrization, in group element order
+    (applied through the lifted object maps)."""
+    return [laction.rho(h).apply_obj(tuple(c)) for h in laction.group.elements]
+
+
 def symmetrize_tuple(laction: GroupAction, c):
-    """Underlying tuple of the symmetrization: concat of rho_h(c) in group
-    element order (applied through the lifted object maps)."""
-    out = ()
-    for h in laction.group.elements:
-        out = out + laction.rho(h).apply_obj(tuple(c))
-    return out
+    """Underlying tuple of the symmetrization: concat of its parts."""
+    return sum(symmetrize_parts(laction, c), ())
 
 
 def symmetrize(laction: GroupAction, c) -> EquivariantObject:
@@ -195,20 +184,19 @@ def symmetrize(laction: GroupAction, c) -> EquivariantObject:
     grp = laction.group
     cat = laction.category
     c = tuple(c)
-    ell = len(c)
-    slots = {h: i * ell for i, h in enumerate(grp.elements)}
     underlying = symmetrize_tuple(laction, c)
     if underlying not in cat.objects:
         raise CapacityError(f"symmetrization of {c} not materialized")
+    parts = symmetrize_parts(laction, c)
+    index = grp.elements.index
     alpha = {}
     for g in grp.elements:
-        coeffs = {}
-        for h in grp.elements:
-            h2 = grp.mul(h, g)
-            block = cat.invert(laction.theta_at(g, h).at(c))
-            coeffs.update(_shift_blocks(block.coeffs, slots[h], slots[h2]))
-        tgt = laction.rho(g).apply_obj(underlying)
-        alpha[g] = Mor(underlying, tgt, coeffs)
+        blocks = {
+            (index(h), index(grp.mul(h, g))): cat.invert(laction.theta_at(g, h).at(c))
+            for h in grp.elements
+        }
+        tgt_parts = [laction.rho(g).apply_obj(part) for part in parts]
+        alpha[g] = block_mor(parts, tgt_parts, blocks)
     return EquivariantObject(f"S({c})", underlying, alpha)
 
 
@@ -217,22 +205,19 @@ def rep_tensor(laction: GroupAction, rep, obj: EquivariantObject) -> Equivariant
     underlying object with alpha blocks rho_V(g)_{ij}·alpha_g."""
     cat = laction.category
     c = obj.underlying
-    ell = len(c)
     underlying = c * rep.dim
     if underlying not in cat.objects:
         raise CapacityError(f"{rep.name}⊗{obj.name} not materialized")
     alpha = {}
     for g in laction.group.elements:
-        coeffs = {}
-        base = obj.alpha[g]
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                entry = rep.entry(g, i, j)
-                if entry:
-                    coeffs.update(
-                        _shift_blocks(base.scale(entry).coeffs, i * ell, j * ell)
-                    )
-        alpha[g] = Mor(underlying, laction.rho(g).apply_obj(underlying), coeffs)
+        blocks = {
+            (i, j): obj.alpha[g].scale(entry)
+            for i in range(rep.dim)
+            for j in range(rep.dim)
+            if (entry := rep.entry(g, i, j))
+        }
+        tgt_parts = [laction.rho(g).apply_obj(c)] * rep.dim
+        alpha[g] = block_mor([c] * rep.dim, tgt_parts, blocks)
     return EquivariantObject(f"{rep.name}⊗{obj.name}", underlying, alpha)
 
 
@@ -497,19 +482,14 @@ class EquivariantCategory:
         def build(pair):
             xs, ys = pair
             table = {}
-            ellx = len(xs)
-            elly = len(ys)
+            src_parts = symmetrize_parts(laction, xs)
+            tgt_parts = symmetrize_parts(laction, ys)
             for key in small.basis_keys(xs, ys):
-                f = Mor(tuple(xs), tuple(ys), {key: self.ambient.field.one})
-                coeffs = {}
-                for hi, h in enumerate(grp.elements):
-                    img = laction.rho(h).apply(f)
-                    coeffs.update(_shift_blocks(img.coeffs, hi * elly, hi * ellx))
-                amb = Mor(
-                    symmetrize_tuple(laction, xs),
-                    symmetrize_tuple(laction, ys),
-                    coeffs,
-                )
+                f = Mor(xs, ys, {key: self.ambient.field.one})
+                blocks = {
+                    (hi, hi): laction.rho(h).apply(f) for hi, h in enumerate(grp.elements)
+                }
+                amb = block_mor(src_parts, tgt_parts, blocks)
                 restricted = self.restrict(amb, obj_map[xs], obj_map[ys])
                 if restricted is None:
                     raise StructureError("symmetrized morphism is not equivariant")
@@ -532,17 +512,12 @@ class EquivariantCategory:
 
         def build(pair):
             sn, tn = pair
-            src, tgt = self.roster[sn], self.roster[tn]
-            ells, ellt = len(src.underlying), len(tgt.underlying)
+            src_parts = [self.roster[sn].underlying] * rep.dim
+            tgt_parts = [self.roster[tn].underlying] * rep.dim
             table = {}
             for key in source.basis_keys(sn, tn):
                 amb = self.embed(Mor(sn, tn, {key: self.ambient.field.one}), sn, tn)
-                coeffs = {}
-                for i in range(rep.dim):
-                    coeffs.update(_shift_blocks(amb.coeffs, i * ellt, i * ells))
-                big = Mor(
-                    src.underlying * rep.dim, tgt.underlying * rep.dim, coeffs
-                )
+                big = block_mor(src_parts, tgt_parts, {(i, i): amb for i in range(rep.dim)})
                 restricted = self.restrict(big, obj_map[sn], obj_map[tn])
                 if restricted is None:
                     raise StructureError("tensored morphism is not equivariant")
@@ -560,7 +535,9 @@ def realize_declared(laction: GroupAction, decl) -> EquivariantObject:
     underlying = tuple(decl.underlying)
     alpha = {}
     for g, entries in decl.alpha_entries.items():
-        coeffs = {(deg, (i, j, lab)): c for (i, j, deg, lab), c in entries.items()}
+        coeffs = {}
+        for (i, j, deg, lab), c in entries.items():
+            coeffs.update(hull_entries({(deg, lab): c}, i, j))
         alpha[g] = Mor(underlying, laction.rho(g).apply_obj(underlying), coeffs)
     missing = set(laction.group.elements) - set(alpha)
     if missing:
@@ -602,28 +579,22 @@ def adjunction_maps(eqcat: EquivariantCategory, cprime, oname):
     sname = eqcat.find(sym.underlying, sym.alpha)
     if sname is None:
         raise CapacityError(f"symmetrization of {cprime} is not in the roster")
-    ell = len(cprime)
-    slots = {h: i * ell for i, h in enumerate(grp.elements)}
+    parts = symmetrize_parts(laction, cprime)
     alpha_inv = {g: cat.invert(obj.alpha[g]) for g in grp.elements}
     eta_c = laction.eta.at(c)
     eta_cprime_inv = cat.invert(laction.eta.at(cprime))
     alpha_e = obj.alpha[e]
 
     def forward(phi: Mor) -> Mor | None:
-        coeffs = {}
-        for g in grp.elements:
-            block = cat.compose(alpha_inv[g], laction.rho(g).apply(phi))
-            coeffs.update(_shift_blocks(block.coeffs, 0, slots[g]))
-        amb = Mor(sym.underlying, c, coeffs)
-        return eqcat.restrict(amb, sname, oname)
+        blocks = {
+            (0, gi): cat.compose(alpha_inv[g], laction.rho(g).apply(phi))
+            for gi, g in enumerate(grp.elements)
+        }
+        return eqcat.restrict(block_mor(parts, [c], blocks), sname, oname)
 
     def backward(psi: Mor) -> Mor:
         amb = eqcat.embed(psi, sname, oname)
-        e_coeffs = {}
-        for (deg, (i, j, lab)), v in amb.coeffs.items():
-            if slots[e] <= j < slots[e] + ell:
-                e_coeffs[(deg, (i, j - slots[e], lab))] = v
-        psi_e = Mor(laction.rho(e).apply_obj(cprime), c, e_coeffs)
+        psi_e = block_of(amb, parts, [c], 0, grp.elements.index(e))
         return cat.compose(
             eta_c, cat.compose(alpha_e, cat.compose(psi_e, eta_cprime_inv))
         )
@@ -674,7 +645,6 @@ def sfor_iso(eqcat: EquivariantCategory, oname):
     grp = laction.group
     obj = eqcat.roster[oname]
     c = obj.underlying
-    ell = len(c)
     reg = regular_representation(grp, field=cat.field)
     tensored = rep_tensor(laction, reg, obj)
     tname = eqcat.find(tensored.underlying, tensored.alpha)
@@ -682,12 +652,9 @@ def sfor_iso(eqcat: EquivariantCategory, oname):
     sname = eqcat.find(sym.underlying, sym.alpha)
     if tname is None or sname is None:
         raise CapacityError(f"comparison endpoints for {oname} are not rostered")
-    slots = {h: i * ell for i, h in enumerate(grp.elements)}
-    coeffs = {}
-    for g in grp.elements:
-        gprime = grp.inv(g)
-        coeffs.update(_shift_blocks(obj.alpha[g].coeffs, slots[g], slots[gprime]))
-    amb = Mor(tensored.underlying, sym.underlying, coeffs)
+    index = grp.elements.index
+    blocks = {(index(g), index(grp.inv(g))): obj.alpha[g] for g in grp.elements}
+    amb = block_mor([c] * len(grp), symmetrize_parts(laction, c), blocks)
     report = ValidationReport(f"comparison iso at {oname}")
     mor = eqcat.restrict(amb, tname, sname)
     if mor is None:

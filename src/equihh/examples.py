@@ -59,7 +59,6 @@ class ExampleBundle:
     representations: dict = dc_field(default_factory=dict)
     degrees: tuple = (0, 0)
     bar_cap: int = None
-    hull_cap: int = 2
     expected_lhs_dim0: int = None
     expected_summands_dim0: dict = dc_field(default_factory=dict)
 
@@ -138,7 +137,6 @@ def example_e1() -> ExampleBundle:
             "regular": regular_representation(group),
         },
         degrees=(-1, 0),
-        hull_cap=2,
         expected_lhs_dim0=2,
         expected_summands_dim0={"e": 1, "s": 1},
     )
@@ -160,7 +158,6 @@ def example_e2() -> ExampleBundle:
             "regular": regular_representation(group),
         },
         degrees=(0, 0),
-        hull_cap=2,
         expected_lhs_dim0=1,
         expected_summands_dim0={"e": 1, "s": 0},
     )
@@ -223,7 +220,6 @@ def example_e5() -> ExampleBundle:
             "regular": regular_representation(group),
         },
         degrees=(0, 0),
-        hull_cap=6,
         expected_lhs_dim0=3,
         expected_summands_dim0={"123": 1, "132": 1, "231": 1},
     )

@@ -90,6 +90,8 @@ from .dgcat import (
     DgFunctor,
     Mor,
     NatTransform,
+    block_mor,
+    block_of,
     compose_functors,
     functor_unit_violations,
     parity_sign,
@@ -576,6 +578,13 @@ def build_window(category, functor, lo, hi, bar_cap=None, normalized=False) -> H
     return HochschildWindow(category, functor, lo, hi, bar_cap=bar_cap, normalized=normalized)
 
 
+def degree_bounds(degrees):
+    """(lowest, highest) of a degree list; an empty list is an input error."""
+    if not degrees:
+        raise InputError(f"degree list {list(degrees)} is empty", "degrees")
+    return min(degrees), max(degrees)
+
+
 def hh_dimensions(category, functor, degrees, bar_cap=None):
     """Dimension table {degree: dim} plus cycle bases and the flag, on the
     normalized window.
@@ -584,10 +593,8 @@ def hh_dimensions(category, functor, degrees, bar_cap=None):
     negative (HH_i is the degree -i entry).  An empty degree list is an
     input error.
     """
-    if not degrees:
-        raise InputError(f"degree list {list(degrees)} is empty", "degrees")
-    lo, hi = min(degrees) - 1, max(degrees) + 1
-    win = build_window(category, functor, lo, hi, bar_cap=bar_cap, normalized=True)
+    lo, hi = degree_bounds(degrees)
+    win = build_window(category, functor, lo - 1, hi + 1, bar_cap=bar_cap, normalized=True)
     dims = {}
     reps = {}
     for k in sorted(degrees):
@@ -994,28 +1001,19 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
 # trace decomposition (direct sums of functors)
 
 
+def _summand_unit(cat: DgCategory, summands, i):
+    """The unit of summands[i], read off the unit of concat(summands)."""
+    return block_of(cat.unit(sum(summands, ())), summands, summands, i, i)
+
+
 def block_projection(cat: DgCategory, summands, i):
-    """pi_i: concat(summands) -> summands[i] as a hull morphism; entries
-    are the component units read off the whole object's unit."""
-    whole = sum(summands, ())
-    off = sum(len(s) for s in summands[:i])
-    part = summands[i]
-    coeffs = {}
-    for (deg, (a, b, lab)), c in cat.units[whole].items():
-        if a == b and off <= a < off + len(part):
-            coeffs[(deg, (a - off, a, lab))] = c
-    return Mor(whole, part, coeffs)
+    """pi_i: concat(summands) -> summands[i] as a hull morphism."""
+    return block_mor(summands, [summands[i]], {(0, i): _summand_unit(cat, summands, i)})
 
 
 def block_inclusion(cat: DgCategory, summands, i):
-    whole = sum(summands, ())
-    off = sum(len(s) for s in summands[:i])
-    part = summands[i]
-    coeffs = {}
-    for (deg, (a, b, lab)), c in cat.units[whole].items():
-        if a == b and off <= a < off + len(part):
-            coeffs[(deg, (a, a - off, lab))] = c
-    return Mor(part, whole, coeffs)
+    """iota_i: summands[i] -> concat(summands) as a hull morphism."""
+    return block_mor([summands[i]], summands, {(i, 0): _summand_unit(cat, summands, i)})
 
 
 def nat_block(cat: DgCategory, eps: NatTransform, summands, i, j, f_twist, f_prime):

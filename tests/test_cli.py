@@ -104,6 +104,26 @@ def test_truncation_exit_codes(tmp_path, capsys):
     assert main(["hh", path, "--degrees=-2..0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "example, argv, message",
+    [
+        ("E4", ["hh", "--degrees=-2..0", "--bar-cap=6"], "window is TruncatedAt(6); rerun with"),
+        ("E4", ["kunneth", "--degrees=-1..0", "--bar-cap=2"], "window is TruncatedAt(2); rerun with"),
+        ("E1", ["hh", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
+        ("E1", ["kunneth", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
+        ("E1", ["decompose", "--bar-cap=1"], "window is exact up to bar degree 2 but the cap is 1"),
+    ],
+    ids=["hh-truncated", "kunneth-truncated", "hh-cap", "kunneth-cap", "decompose-cap"],
+)
+def test_truncation_is_reported_once_with_exit_3(tmp_path, capsys, example, argv, message):
+    path = write_doc(tmp_path, example)
+    assert main([argv[0], path, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"truncation: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_decompose_e1_cli(tmp_path, capsys):
     path = write_doc(tmp_path, "E1")
     assert main(["decompose", path, "--output", "json"]) == 0
@@ -181,7 +201,7 @@ MALFORMED = [
     _case("generators", ["x"]),
     _nested_case(("params", "degrees"), 1, "params.degrees"),
     _nested_case(("params", "degrees"), [0, -3], "params.degrees"),
-    *[_nested_case(("params", key), -1, f"params.{key}") for key in ("hull_cap", "bar_cap")],
+    _nested_case(("params", "bar_cap"), -1, "params.bar_cap"),
     _nested_case(("group", "elements"), 1, "group.elements"),
     pytest.param(lambda doc: doc["roster"].insert(0, 1), "roster[0]", id="roster[0]=1"),
     _nested_case(("representations", "x"), 1, "representations[x]"),
@@ -192,11 +212,7 @@ MALFORMED = [
     _nested_case(("category", "objects"), 1, "category.objects"),
     _nested_case(("category", "homs"), 1, "category.homs"),
     _nested_case(("category", "homs", 0), 1, "category.homs[0]"),
-    *[
-        _nested_case(("params", key), value, f"params.{key}")
-        for key in ("hull_cap", "bar_cap")
-        for value in ("x", 1.5, True)
-    ],
+    *[_nested_case(("params", "bar_cap"), value, "params.bar_cap") for value in ("x", 1.5, True)],
     _nested_case(("group", "table", "e"), 1, "group.table[e]"),
     _nested_case(("representations", "regular", "matrices", "s"), 1, "representations[regular].matrices[s]"),
     _nested_case(("representations", "regular", "dim"), "x", "representations[regular].dim"),
@@ -330,6 +346,7 @@ def test_window_chain_budget_exits_truncated(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "has more than 0 chains" in captured.err and "Traceback" not in captured.err
+        assert captured.err.startswith("truncation: ")
 
 
 def test_validate_takes_no_window_options(tmp_path, capsys):

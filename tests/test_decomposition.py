@@ -20,7 +20,7 @@ from equihh.examples import (
 import equihh.cli as cli
 import equihh.decomposition as decomposition
 import equihh.equivariant as equivariant
-from equihh.errors import StructureError
+from equihh.errors import InputError, StructureError
 from equihh.groups import permutation_action
 from equihh.hochschild import HomotopyCertificate, LinearComboMap
 from equihh.linalg import SparseMatrix
@@ -145,6 +145,19 @@ def test_each_roster_object_is_validated_once(monkeypatch):
     report = run_bundle(example_e5())
     assert report.theorem_holds
     assert len(names) == len(set(names)) == len(report.roster_names) == 8
+
+
+def test_pipeline_with_no_degrees_is_an_input_error():
+    b = example_e1()
+    with pytest.raises(InputError) as exc:
+        DecompositionPipeline(b.action, b.declared, b.generators, degrees=())
+    assert exc.value.location == "degrees"
+
+
+def test_sym_power_with_no_degrees_is_an_input_error():
+    with pytest.raises(InputError) as exc:
+        sym_power_summand(point_category(), 2, degrees=())
+    assert exc.value.location == "degrees"
 
 
 def test_graded_sym_power_function():

@@ -8,6 +8,8 @@ from equihh.dgcat import (
     NatTransform,
     additive_hull,
     algebra_category,
+    block_mor,
+    block_of,
     disjoint_points_category,
     hull_objects_up_to_cap,
     hull_subcategory,
@@ -18,7 +20,9 @@ from equihh.dgcat import (
     validate_functor,
     validate_nat,
 )
-from equihh.errors import EmptyCategoryError
+from equihh.errors import EmptyCategoryError, StructureError
+from equihh.examples import example_e1, example_e2
+from equihh.hochschild import block_inclusion, block_projection
 from equihh.scalars import QQ
 from tests_support import identity_nat, zero_mor
 
@@ -245,3 +249,67 @@ def test_invert_morphism():
     proj = (cat.unit("pt") + g).scale(Fraction(1, 2))  # idempotent, not a unit
     assert cat.invert(proj) is None
     assert cat.invert(zero_mor("pt", "pt")) is None
+
+
+# block layout: E1 (k[Z/2] on one point) and E2 (two objects) hulls, with
+# source and target split into parts of different lengths
+BLOCK_CASES = {
+    "E1": (example_e1, [("pt",), ("pt", "pt")], [("pt", "pt"), ("pt",), ("pt",)]),
+    "E2": (example_e2, [("x1",), ("x2", "x1")], [("x2", "x1"), ("x2",)]),
+}
+
+
+def block_case(name):
+    builder, src_parts, tgt_parts = BLOCK_CASES[name]
+    parts = src_parts + tgt_parts
+    objects = set(parts) | {sum(src_parts, ()), sum(tgt_parts, ())}
+    return hull_subcategory(builder().base, sorted(objects)), src_parts, tgt_parts
+
+
+def sample_mor(hull, x, y, seed):
+    """A morphism x -> y with a distinct coefficient on every basis key."""
+    keys = hull.basis_keys(x, y)
+    return Mor(x, y, {key: seed + n for n, key in enumerate(keys)})
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_of_reads_back_block_mor(name):
+    hull, src_parts, tgt_parts = block_case(name)
+    blocks = {
+        (row, col): sample_mor(hull, x, y, 10 * row + col + 1)
+        for row, y in enumerate(tgt_parts)
+        for col, x in enumerate(src_parts)
+    }
+    assert any(not b.is_zero() for b in blocks.values())
+    whole = block_mor(src_parts, tgt_parts, blocks)
+    assert (whole.src, whole.tgt) == (sum(src_parts, ()), sum(tgt_parts, ()))
+    assert len(whole.coeffs) == sum(len(b.coeffs) for b in blocks.values())
+    for (row, col), block in blocks.items():
+        assert block_of(whole, src_parts, tgt_parts, row, col) == block
+    # the layout is the hull's own: the block-diagonal of units is the unit
+    units = {(k, k): hull.unit(part) for k, part in enumerate(src_parts)}
+    assert block_mor(src_parts, src_parts, units) == hull.unit(sum(src_parts, ()))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_with_wrong_endpoints_is_a_structure_error(name):
+    hull, src_parts, tgt_parts = block_case(name)
+    wrong = sample_mor(hull, src_parts[1], tgt_parts[0], 1)  # runs from the wrong part
+    with pytest.raises(StructureError):
+        block_mor(src_parts, tgt_parts, {(0, 0): wrong})
+    whole = block_mor(src_parts, tgt_parts, {})
+    with pytest.raises(StructureError):
+        block_of(whole, tgt_parts, src_parts, 0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_projection_after_inclusion_is_the_unit(name):
+    hull, src_parts, tgt_parts = block_case(name)
+    for parts in (src_parts, tgt_parts):
+        for i, part in enumerate(parts):
+            proj = block_projection(hull, parts, i)
+            incl = block_inclusion(hull, parts, i)
+            assert hull.compose(proj, incl) == hull.unit(part)
+            for j in range(len(parts)):
+                if j != i:
+                    assert hull.compose(proj, block_inclusion(hull, parts, j)).is_zero()

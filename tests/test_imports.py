@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+no module imports a sibling's private (underscore-prefixed) name."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,35 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_sibling_imports(source):
+    """(line, module, name) for each underscore-prefixed name imported from
+    another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("equihh")
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, node.module, alias.name))
+    return found
+
+
+def test_checker_finds_private_sibling_names():
+    source = (
+        "from .equivariant import symmetrize, _shift\n"
+        "from equihh.linalg import _echelon\n"
+        "from os import _exit\n"
+        "from __future__ import annotations\n"
+    )
+    assert private_sibling_imports(source) == [
+        (1, "equivariant", "_shift"),
+        (2, "equihh.linalg", "_echelon"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_sibling_imports(path):
+    assert private_sibling_imports(path.read_text(encoding="utf-8")) == []

@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from equihh.dgcat import Mor, NatTransform, algebra_category, identity_functor, parity_sign
-from equihh.equivariant import _shift_blocks, symmetrize
+from equihh.dgcat import Mor, NatTransform, algebra_category, block_mor, identity_functor, parity_sign
+from equihh.equivariant import symmetrize
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_axpy, vec_is_zero
@@ -175,16 +175,16 @@ def sfor_iso_natural(eqcat, phi, iso_by_name):
     sn, tn = phi.src, phi.tgt
     t_reg = eqcat.rep_tensor_functor(reg, source_names=[sn, tn] if sn != tn else [sn])
     amb = eqcat.embed(phi, sn, tn)
-    grp = laction.group
-    ells, ellt = len(eqcat.roster[sn].underlying), len(eqcat.roster[tn].underlying)
-    coeffs = {}
-    for hi, h in enumerate(grp.elements):
-        img = laction.rho(h).apply(amb)
-        coeffs.update(_shift_blocks(img.coeffs, hi * ellt, hi * ells))
+    images = [laction.rho(h).apply(amb) for h in laction.group.elements]
+    s_amb = block_mor(
+        [img.src for img in images],
+        [img.tgt for img in images],
+        {(hi, hi): img for hi, img in enumerate(images)},
+    )
     sym_src = symmetrize(laction, eqcat.roster[sn].underlying)
     sym_tgt = symmetrize(laction, eqcat.roster[tn].underlying)
     s_for_phi = eqcat.restrict(
-        Mor(sym_src.underlying, sym_tgt.underlying, coeffs),
+        s_amb,
         eqcat.find(sym_src.underlying, sym_src.alpha),
         eqcat.find(sym_tgt.underlying, sym_tgt.alpha),
     )
