@@ -35,9 +35,10 @@ The checks read one record per conjugacy class, built once by
 ordered stream of (check name, witness or None) pairs, one per failed
 instance in report order; ``run_checks`` starts every name in ``CHECKS``
 as passed and fails it on each pair.  With ``certificates=False``
-(``--no-certificates``) no certificate runs; otherwise the homotopy
-certificates run only while every window fits the chain budget, and the
-representative transports while W_full does.
+(``--no-certificates``) no certificate runs; otherwise none runs on a
+truncated window, the homotopy certificates run only while every window
+fits the chain budget, and the representative transports while W_full
+does.
 
 The transport certificates of checks 1 and 4 compose a map with the
 projection (check 1 verifying the composite chain by chain) and then run
@@ -773,10 +774,14 @@ def _representation_failures(pipe, data, mu_inv, rname, rep, chi):
 
 def _certificates(pipe, data):
     """The chain-level certificates, in report order: none unless wanted,
-    and only the representative transports unless every window fits the
-    budget."""
+    one skipped entry when a window is truncated (a homotopy raises the
+    bar degree past the cap), and only the representative transports
+    unless every window fits the budget."""
     if not pipe.certificates_wanted:
         return []
+    windows = [pipe.w_hh, pipe.w_full, *pipe.w_small.values(), *pipe.w_big.values()]
+    if not all(w.certification.exact for w in windows):
+        return [("homotopy certificates", "skipped: window truncated", True)]
     if not all(_fits_budget(w) for w in [pipe.w_full, *pipe.w_big.values()]):
         skipped = ("homotopy certificates", "skipped: window too large", True)
         return [skipped, *_check4_transports(pipe, data)]
@@ -845,17 +850,11 @@ def _check23_certificates(pipe, data):
                 for h in grp.elements
             ]
             try:
-                result = verify_trace_decomposition(
-                    pipe.w_small[g2],
-                    pipe.w_big[g],
-                    combined.phi,
-                    combined.eps,
-                    summands,
-                    pipe.degree_list,
+                matrices_equal, mode = verify_trace_decomposition(
+                    combined, summands, pipe.degree_list
                 )
-                mats_ok = all(result["matrices_equal"].values())
-                cert_ok = result["certificate"] is not None
-                mode = result["certificate_mode"]
+                mats_ok = all(matrices_equal.values())
+                cert_ok = mode != "failed"
             except StructureError as exc:
                 mats_ok = cert_ok = False
                 mode = f"error: {exc}"
@@ -947,14 +946,7 @@ def _check5_certificate(pipe, data):
         return cat.compose(p_comps[c0], s_for.apply(a0))
 
     h_map = insertion_homotopy(
-        pipe.w_hh,
-        pipe.w_full,
-        first,
-        s_for.apply,
-        i_comps.__getitem__,
-        lambda a: a,
-        s_for.apply_obj,
-        lambda c: c,
+        pipe.w_hh, pipe.w_full, first, s_for.apply, i_comps.__getitem__, lambda a: a
     )
 
     # the insertion homotopy contracts |G|·mu onto the summed projector map
@@ -997,9 +989,11 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
     """Compare the graded-symmetric power of HH(category) with the
     invariants of the symmetric-group action on HH(category^{⊗n}).
 
-    Returns a report dict with both dimension tables and their equality;
-    the invariants are the image of the averaged permutation action, the
-    symmetric power uses the Koszul rule on odd classes.
+    Returns a report dict: both dimension tables (``sym_dims``,
+    ``invariant_dims``), their equality (``match``), HH of the power
+    (``power_dims``) and the base window's flag.  The invariants are the
+    image of the averaged permutation action, the symmetric power uses the
+    Koszul rule on odd classes.
     """
     from .groups import permutation_action
     from .hochschild import hh_dimensions
@@ -1046,7 +1040,6 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
         "sym_dims": sym_dims,
         "invariant_dims": invariant_dims,
         "power_dims": power_dims,
-        "base_dims": base_res["dims"],
         "certification": base_res["certification"].describe(),
         "match": sym_dims == invariant_dims,
     }

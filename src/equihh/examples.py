@@ -59,8 +59,6 @@ class ExampleBundle:
     representations: dict = dc_field(default_factory=dict)
     degrees: tuple = (0, 0)
     bar_cap: int = None
-    expected_lhs_dim0: int = None
-    expected_summands_dim0: dict = dc_field(default_factory=dict)
 
 
 def point_category():
@@ -137,8 +135,6 @@ def example_e1() -> ExampleBundle:
             "regular": regular_representation(group),
         },
         degrees=(-1, 0),
-        expected_lhs_dim0=2,
-        expected_summands_dim0={"e": 1, "s": 1},
     )
 
 
@@ -158,8 +154,6 @@ def example_e2() -> ExampleBundle:
             "regular": regular_representation(group),
         },
         degrees=(0, 0),
-        expected_lhs_dim0=1,
-        expected_summands_dim0={"e": 1, "s": 0},
     )
 
 
@@ -220,8 +214,6 @@ def example_e5() -> ExampleBundle:
             "regular": regular_representation(group),
         },
         degrees=(0, 0),
-        expected_lhs_dim0=3,
-        expected_summands_dim0={"123": 1, "132": 1, "231": 1},
     )
 
 

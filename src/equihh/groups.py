@@ -117,9 +117,6 @@ class ClassData:
     class_of: dict  # element -> representative
     centralizers: dict  # element -> sorted list of names
 
-    def centralizer_order(self, g):
-        return len(self.centralizers[g])
-
 
 def conjugacy_data(group: FiniteGroup) -> ClassData:
     """Conjugacy classes with deterministic representatives and per-element

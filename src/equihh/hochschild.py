@@ -77,6 +77,16 @@ of basis keys of its hom pair in the key's degree.  ``compose_induced``
 checks these preconditions and identities on the tables and compares
 chain by chain only when one fails; that comparison gives the
 mismatches.
+
+A chain map writes each image term as one morphism per slot, and
+``_add_image`` reads the term's object cycle off the slots' endpoints: c0
+is the source of the last slot and c_t the target of slot t >= 1.  So
+induced maps, the shuffle map and insertion homotopies build no object
+tuples.  A ``HomotopyCertificate`` owns dH + Hd and the residual
+f - g - (dH + Hd); its check and ``solve_homotopy`` share its cached H.
+One routine, ``_differing_chains``, compares two maps chain by chain for
+the certificate check, ``ChainMap.verify_chain_map`` and the
+functoriality fallback.
 """
 
 from __future__ import annotations
@@ -107,7 +117,6 @@ from .linalg import (
     vec_add,
     vec_axpy,
     vec_eq,
-    vec_is_zero,
     vec_sub,
 )
 from .scalars import QQ
@@ -402,13 +411,16 @@ class HochschildWindow(WindowBase):
             if (nxt, path[-1]) in nonzero:
                 yield from self._walk_cycle(c0, path + [nxt], m, nonzero)
 
-    def _add_image(self, out, objs, mors, sign):
+    def _add_image(self, out, mors, sign):
         """Accumulate ``sign`` (±1) times the multilinear expansion of
         per-slot morphisms into the chain-index vector ``out``; unseen
-        in-window targets are an error."""
+        in-window targets are an error.  The object cycle is read off the
+        slots: c0 is the source of the last slot, c_t the target of slot
+        t >= 1."""
         items = [list(m.coeffs.items()) for m in mors]
         if any(not it for it in items):
             return
+        objs = (mors[-1].src,) + tuple(m.tgt for m in mors[1:])
         for combo in itertools.product(*items):
             keys = tuple(k for k, _ in combo)
             coeff = None
@@ -541,8 +553,8 @@ class HochschildWindow(WindowBase):
     def differential(self, k) -> SparseMatrix:
         """d_k: C_k → C_{k+1}, an int where each table entry it sums is
         integral, else a field scalar; a vector pushed through it (as in
-        ``DHPlusHD``) may carry ints.  Field scalars come back out of
-        ``Echelon`` (reps, kernels, class coordinates)."""
+        ``HomotopyCertificate.dh_hd``) may carry ints.  Field scalars come
+        back out of ``Echelon`` (reps, kernels, class coordinates)."""
         if k in self._total:
             return self._total[k]
         return SparseMatrix(self.dim(k + 1), self.dim(k))
@@ -586,7 +598,7 @@ def degree_bounds(degrees):
 
 
 def hh_dimensions(category, functor, degrees, bar_cap=None):
-    """Dimension table {degree: dim} plus cycle bases and the flag, on the
+    """Dimension table {degree: dim}, the window and its flag, on the
     normalized window.
 
     Reported degrees are cohomological; the homological index is the
@@ -595,11 +607,8 @@ def hh_dimensions(category, functor, degrees, bar_cap=None):
     """
     lo, hi = degree_bounds(degrees)
     win = build_window(category, functor, lo - 1, hi + 1, bar_cap=bar_cap, normalized=True)
-    dims = {}
-    reps = {}
-    for k in sorted(degrees):
-        dims[k], reps[k] = win.homology(k)
-    return {"dims": dims, "reps": reps, "window": win, "certification": win.certification}
+    dims = {k: win.homology(k)[0] for k in sorted(degrees)}
+    return {"dims": dims, "window": win, "certification": win.certification}
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +640,6 @@ class ChainMap:
             vec_axpy(out, c, self.apply_chain(k, idx))
         return out
 
-    def matrix(self, k) -> SparseMatrix:
-        m = SparseMatrix(self.tgt.dim(k), self.src.dim(k))
-        for j in range(self.src.dim(k)):
-            col = self.apply_chain(k, j)
-            if col:
-                m.cols[j] = col
-        return m
-
     def homology_matrix(self, k) -> SparseMatrix:
         hb_src = self.src.homology_basis(k)
         hb_tgt = self.tgt.homology_basis(k)
@@ -656,19 +657,27 @@ class ChainMap:
     def verify_chain_map(self):
         """Check T(Dx) = D'(Tx) on every basis chain of the stored degrees:
         (chains checked, failures (degree, index))."""
-        failures = []
-        checked = 0
-        for k in range(self.src.lo, self.src.hi):
-            if not (self.tgt.lo <= k and k + 1 <= self.tgt.hi):
-                continue
-            d_src = self.src.differential(k)
-            for j in range(self.src.dim(k)):
-                lhs = self.apply_vec(k + 1, d_src.cols[j])
-                rhs = self.tgt.differential(k).apply(self.apply_chain(k, j))
-                if not vec_is_zero(vec_sub(lhs, rhs)):
-                    failures.append((k, j))
-                checked += 1
-        return checked, failures
+        src, tgt = self.src, self.tgt
+        degrees = [k for k in range(src.lo, src.hi) if tgt.lo <= k and k + 1 <= tgt.hi]
+        failures = _differing_chains(
+            src,
+            degrees,
+            lambda k, j: self.apply_vec(k + 1, src.differential(k).cols[j]),
+            lambda k, j: tgt.differential(k).apply(self.apply_chain(k, j)),
+        )
+        return sum(src.dim(k) for k in degrees), failures
+
+
+def _differing_chains(window, degrees, left, right):
+    """The (degree, index) of every basis chain of ``window`` in
+    ``degrees`` on which the column functions ``left`` and ``right``
+    (each (degree, index) -> vector, ``left`` evaluated first) differ."""
+    return [
+        (k, j)
+        for k in degrees
+        for j in range(window.dim(k))
+        if not vec_eq(left(k, j), right(k, j))
+    ]
 
 
 class InducedMap(ChainMap):
@@ -687,9 +696,8 @@ class InducedMap(ChainMap):
         pairs = self.src._slot_pairs(objs)
         imgs = [self.phi.image(x, y, key) for (x, y), key in zip(pairs, chain.keys)]
         imgs[0] = cat_t.compose(self.eps.at(objs[0]), imgs[0])
-        new_objs = tuple(self.phi.apply_obj(c) for c in objs)
         out = {}
-        self.tgt._add_image(out, new_objs, imgs, 1)
+        self.tgt._add_image(out, imgs, 1)
         return out
 
 
@@ -768,14 +776,12 @@ def compose_induced(outer: InducedMap, inner: InducedMap):
 def _chain_mismatches(outer: InducedMap, inner: InducedMap, combined: InducedMap):
     """The (degree, index) of every basis chain of inner's source on which
     ``combined`` and outer∘inner differ."""
-    mismatches = []
-    for k in range(inner.src.lo, inner.src.hi + 1):
-        for j in range(inner.src.dim(k)):
-            a = combined.apply_chain(k, j)
-            b = outer.apply_vec(k, inner.apply_chain(k, j))
-            if not vec_is_zero(vec_sub(a, b)):
-                mismatches.append((k, j))
-    return mismatches
+    return _differing_chains(
+        inner.src,
+        range(inner.src.lo, inner.src.hi + 1),
+        combined.apply_chain,
+        lambda k, j: outer.apply_vec(k, inner.apply_chain(k, j)),
+    )
 
 
 def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMap):
@@ -876,26 +882,13 @@ class FormulaHomotopy(ChainMap):
         return self._fn(k, idx)
 
 
-class DHPlusHD(ChainMap):
-    """dH + Hd of a degree -1 map, as a chain map."""
-
-    def __init__(self, src, tgt, h_map: ChainMap):
-        super().__init__(src, tgt, name=f"d{h_map.name}+{h_map.name}d")
-        self.h_map = h_map
-
-    def _compute(self, k, idx):
-        dh = self.tgt.differential(k - 1).apply(self.h_map.apply_chain(k, idx))
-        if k < self.src.hi:
-            return vec_axpy(dh, 1, self.h_map.apply_vec(k + 1, self.src.differential(k).cols[idx]))
-        return dh
-
-
 class HomotopyCertificate:
     """A degree -1 map H with dH + Hd = f - g, checked entry-exactly on
     every basis chain of each source degree k with k + 1 stored in the
     source and k - 1, k in the target; ``checked_degrees`` and
     ``failures`` (degree, index) record the check.  ``h`` caches H, so each
-    value is computed once."""
+    value is computed once, by the check and by ``solve_homotopy`` on the
+    ``residual`` alike."""
 
     def __init__(self, f: ChainMap, g: ChainMap, h_map, name=""):
         self.f = f
@@ -905,23 +898,34 @@ class HomotopyCertificate:
         self.checked_degrees = []
         self.failures = []
 
+    def dh_hd(self, k, idx):
+        """dH + Hd on basis chain ``idx`` of source degree k."""
+        src, h = self.f.src, self.h
+        dh = self.f.tgt.differential(k - 1).apply(h.apply_chain(k, idx))
+        if k < src.hi:
+            return vec_axpy(dh, 1, h.apply_vec(k + 1, src.differential(k).cols[idx]))
+        return dh
+
+    def difference(self, k, idx):
+        """f - g on basis chain ``idx`` of source degree k."""
+        return vec_sub(self.f.apply_chain(k, idx), self.g.apply_chain(k, idx))
+
+    def residual(self, k, idx):
+        """f - g - (dH + Hd) on basis chain ``idx`` of source degree k."""
+        return vec_sub(self.difference(k, idx), self.dh_hd(k, idx))
+
     def check(self):
         src, tgt = self.f.src, self.f.tgt
-        dh_hd = DHPlusHD(src, tgt, self.h)
-        ok = True
-        for k in range(src.lo, src.hi + 1):
-            if not (k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi):
-                continue
-            for j in range(src.dim(k)):
-                want = vec_sub(self.f.apply_chain(k, j), self.g.apply_chain(k, j))
-                if not vec_eq(dh_hd.apply_chain(k, j), want):
-                    self.failures.append((k, j))
-                    ok = False
-            self.checked_degrees.append(k)
-        return ok
+        self.checked_degrees = [
+            k
+            for k in range(src.lo, src.hi + 1)
+            if k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi
+        ]
+        self.failures = _differing_chains(src, self.checked_degrees, self.difference, self.dh_hd)
+        return not self.failures
 
 
-def insertion_homotopy(src, tgt, first, middle, cut, tail, middle_obj, tail_obj):
+def insertion_homotopy(src, tgt, first, middle, cut, tail):
     """The insertion homotopy as a callable (k, chain index) -> vector of
     ``tgt`` at degree k - 1:
 
@@ -929,9 +933,8 @@ def insertion_homotopy(src, tgt, first, middle, cut, tail, middle_obj, tail_obj)
                                     cut(c_{i+1})|tail(a_{i+1})|...|tail(am)]
 
     with c_{m+1} = c0.  ``first`` takes (a0, c0), ``cut`` an object and the
-    other slot maps a basis morphism.  Object 0 of each term is
-    tail_obj(c0), object t is middle_obj(c_{t mod (m+1)}) for 1 <= t <= i+1
-    and tail_obj(c_{t-1}) after that."""
+    other slot maps a basis morphism; each term's objects are the
+    endpoints of its slots."""
 
     def h(k, idx):
         objs, keys = src.chains_at(k)[idx]
@@ -941,13 +944,10 @@ def insertion_homotopy(src, tgt, first, middle, cut, tail, middle_obj, tail_obj)
         head = first(slots[0], objs[0])
         middles = [middle(a) for a in slots[1:]]
         tails = [tail(a) for a in slots[1:]]
-        middle_objs = tuple(middle_obj(objs[t % (m + 1)]) for t in range(1, m + 2))
-        tail_objs = tuple(tail_obj(c) for c in objs)
         out = {}
         for i in range(m + 1):
             mors = [head] + middles[:i] + [cut(objs[(i + 1) % (m + 1)])] + tails[i:]
-            new_objs = tail_objs[:1] + middle_objs[: i + 1] + tail_objs[i + 1 :]
-            tgt._add_image(out, new_objs, mors, parity_sign(i))
+            tgt._add_image(out, mors, parity_sign(i))
         return out
 
     return h
@@ -990,9 +990,7 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
             eta.at(c0), cat_t.compose(alpha_inv(f_twist.apply_obj(c0)), psi.apply(a0))
         )
 
-    h_map = insertion_homotopy(
-        src, tgt, first, psi.apply, alpha.at, phi.apply, psi.apply_obj, phi.apply_obj
-    )
+    h_map = insertion_homotopy(src, tgt, first, psi.apply, alpha.at, phi.apply)
     cert = HomotopyCertificate(induced, transported, h_map, name=f"transport along {alpha.name}")
     return transported, cert
 
@@ -1016,31 +1014,26 @@ def block_inclusion(cat: DgCategory, summands, i):
     return block_mor([summands[i]], summands, {(i, 0): _summand_unit(cat, summands, i)})
 
 
-def nat_block(cat: DgCategory, eps: NatTransform, summands, i, j, f_twist, f_prime):
-    """Block (i, j) of a twist eps: (⊕A)∘F ⇒ F'∘(⊕A), per object:
-    pi_i ∘ eps_c ∘ iota_j, where the source decomposes at F(c) and the
-    target under F'."""
+def nat_block(eps: NatTransform, summands, i, j, f_twist, f_prime):
+    """Block (i, j) of a twist eps: (⊕A)∘F ⇒ F'∘(⊕A), per object: the
+    block of eps_c from part j of the source, decomposed at F(c), to part
+    i of the target, decomposed under F'."""
 
     def at(c):
         src_parts = [f.apply_obj(f_twist.apply_obj(c)) for f in summands]
         tgt_parts = [f_prime.apply_obj(f.apply_obj(c)) for f in summands]
-        return cat.compose(
-            block_projection(cat, tgt_parts, i),
-            cat.compose(eps.at(c), block_inclusion(cat, src_parts, j)),
-        )
+        return block_of(eps.at(c), src_parts, tgt_parts, i, j)
 
     return at
 
 
-def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, total_functor, i):
+def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, i):
     """The insertion homotopy for one diagonal summand of a direct-sum
     functor: conjugated prefix on total-functor objects, a pure inclusion
     slot, then the plain summand tail."""
     cat_t = window_tgt.category
     a_i = summand_functors[i]
-    eta_block = nat_block(
-        cat_t, eta, summand_functors, i, i, window_src.functor, window_tgt.functor
-    )
+    eta_block = nat_block(eta, summand_functors, i, i, window_src.functor, window_tgt.functor)
 
     def parts_at(c):
         return [f.apply_obj(c) for f in summand_functors]
@@ -1058,26 +1051,17 @@ def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, total_
     def cut(c):
         return block_inclusion(cat_t, parts_at(c), i)
 
-    return insertion_homotopy(
-        window_src,
-        window_tgt,
-        first,
-        middle,
-        cut,
-        a_i.apply,
-        total_functor.apply_obj,
-        a_i.apply_obj,
-    )
+    return insertion_homotopy(window_src, window_tgt, first, middle, cut, a_i.apply)
 
 
-def solve_homotopy(residual: ChainMap, name="H_solved"):
-    """Find H with dH + Hd = residual by exact linear solving, on the
-    source degrees k with k ± 1 stored in the source and k - 1, k in the
-    target (top degree downward, a joint solve at the top step).
+def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):
+    """Find H' with dH' + H'd = ``cert.residual`` by exact linear solving,
+    on the source degrees k with k ± 1 stored in the source and k - 1, k
+    in the target (top degree downward, a joint solve at the top step).
 
     Returns a FormulaHomotopy or None when no windowed homotopy exists.
     """
-    src, tgt = residual.src, residual.tgt
+    src, tgt = cert.f.src, cert.f.tgt
     degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
     if not degrees:
         return FormulaHomotopy(src, tgt, lambda k, idx: {}, name=name)
@@ -1115,7 +1099,7 @@ def solve_homotopy(residual: ChainMap, name="H_solved"):
                 ech.add(col, tag=(top + 1, xu, t))
     rhs = {}
     for x in range(n_top):
-        rhs.update(eq_rows_of(x, residual.apply_chain(top, x)))
+        rhs.update(eq_rows_of(x, cert.residual(top, x)))
     sol = ech.solve(rhs)
     if sol is None:
         return None
@@ -1135,7 +1119,7 @@ def solve_homotopy(residual: ChainMap, name="H_solved"):
         upper = h_cols.get(k + 1)
         d_src_k = src.differential(k)
         for x in range(n_k):
-            target = residual.apply_chain(k, x)
+            target = cert.residual(k, x)
             if upper is not None:
                 carried = {}
                 for xu, c in d_src_k.cols[x].items():
@@ -1156,29 +1140,26 @@ def solve_homotopy(residual: ChainMap, name="H_solved"):
     return FormulaHomotopy(src, tgt, h, name=name)
 
 
-def verify_trace_decomposition(
-    window_src, window_tgt, total_functor, eta: NatTransform, summands, degrees
-):
+def verify_trace_decomposition(total_map: InducedMap, summands, degrees):
     """Check (⊕A_i, eta)_* ≃ Σ_i (A_i, eta_ii)_* as homology matrices on
-    ``degrees`` and look for a homotopy certificate.
+    ``degrees`` and look for a homotopy certificate, given the induced map
+    ``total_map`` = (⊕A_i, eta)_*.
 
     ``summands`` is a list of (functor A_i, eta_ii NatTransform or None);
     a None diagonal twist means the block must be zero and the summand is
     dropped from the sum.  The homotopy is the per-summand insertion
     formula, plus an exactly solved correction for the off-diagonal terms
-    when the formula alone fails.  ``certificate_mode`` is "formula",
-    "formula+solved" or "failed"; ``certificate`` is the passing
-    HomotopyCertificate, or None when it failed.
+    when the formula alone fails.  Returns ({degree: homology matrices
+    equal}, certificate mode), the mode being "formula", "formula+solved"
+    or "failed".
     """
-    cat_t = window_tgt.category
-    field = cat_t.field
-    total_map = InducedMap(window_src, window_tgt, total_functor, eta, name="(⊕A,η)*")
+    window_src, window_tgt = total_map.src, total_map.tgt
+    eta = total_map.eps
+    field = window_tgt.category.field
     parts = []
     functors_only = [f for f, _ in summands]
     for i, (a_i, eta_ii) in enumerate(summands):
-        blk = nat_block(
-            cat_t, eta, functors_only, i, i, window_src.functor, window_tgt.functor
-        )
+        blk = nat_block(eta, functors_only, i, i, window_src.functor, window_tgt.functor)
         if eta_ii is None:
             for c in window_src.category.objects:
                 if not blk(c).is_zero():
@@ -1191,11 +1172,11 @@ def verify_trace_decomposition(
             (field.one, InducedMap(window_src, window_tgt, a_i, eta_ii, name=f"(A{i},η{i}{i})*"))
         )
     summand_sum = LinearComboMap(window_src, window_tgt, parts, name="Σ(Ai,ηii)*")
-    matrices_equal = {}
-    for k in degrees:
-        matrices_equal[k] = total_map.homology_matrix(k) == summand_sum.homology_matrix(k)
+    matrices_equal = {
+        k: total_map.homology_matrix(k) == summand_sum.homology_matrix(k) for k in degrees
+    }
     h_parts = [
-        trace_summand_homotopy(window_src, window_tgt, functors_only, eta, total_functor, i)
+        trace_summand_homotopy(window_src, window_tgt, functors_only, eta, i)
         for i, (a_i, eta_ii) in enumerate(summands)
         if eta_ii is not None
     ]
@@ -1207,36 +1188,18 @@ def verify_trace_decomposition(
         return out
 
     cert = HomotopyCertificate(total_map, summand_sum, h_formula, name="trace decomposition")
-    mode = "formula"
-    if not cert.check():
-        formula = cert.h
-        residual = LinearComboMap(
-            window_src,
-            window_tgt,
-            [
-                (field.one, total_map),
-                (-field.one, summand_sum),
-                (-field.one, DHPlusHD(window_src, window_tgt, formula)),
-            ],
-            name="residual",
-        )
-        solved = solve_homotopy(residual, name="H_offdiag")
-        mode = "failed"
-        if solved is not None:
+    if cert.check():
+        return matrices_equal, "formula"
+    formula = cert.h
+    solved = solve_homotopy(cert, name="H_offdiag")
+    if solved is None:
+        return matrices_equal, "failed"
 
-            def h_total(k, idx):
-                return vec_add(formula.apply_chain(k, idx), solved.apply_chain(k, idx))
+    def h_total(k, idx):
+        return vec_add(formula.apply_chain(k, idx), solved.apply_chain(k, idx))
 
-            cert = HomotopyCertificate(total_map, summand_sum, h_total, name="trace decomposition")
-            if cert.check():
-                mode = "formula+solved"
-    return {
-        "total": total_map,
-        "sum": summand_sum,
-        "matrices_equal": matrices_equal,
-        "certificate": None if mode == "failed" else cert,
-        "certificate_mode": mode,
-    }
+    cert = HomotopyCertificate(total_map, summand_sum, h_total, name="trace decomposition")
+    return matrices_equal, "formula+solved" if cert.check() else "failed"
 
 
 # ---------------------------------------------------------------------------
@@ -1348,11 +1311,9 @@ class ShuffleMap(ChainMap):
             sign_exp = global_exp
             ai, bj = 1, 1
             slots = [self._tensor_mor(xm[0], ym[0])]
-            objs = [(cobj[0], bobj[0])]
             for p in range(1, kx + ly + 1):
                 cur_c = cobj[ai % (kx + 1)]
                 cur_b = bobj[bj % (ly + 1)]
-                objs.append((cur_c, cur_b))
                 if p in fset:
                     # every g already placed contributes an inversion pair
                     for b in range(1, bj):
@@ -1362,7 +1323,7 @@ class ShuffleMap(ChainMap):
                 else:
                     slots.append(self._tensor_mor(ca.unit(cur_c), ym[bj]))
                     bj += 1
-            self.tgt._add_image(out, tuple(objs), slots, parity_sign(sign_exp))
+            self.tgt._add_image(out, slots, parity_sign(sign_exp))
         return out
 
 

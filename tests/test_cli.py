@@ -104,24 +104,55 @@ def test_truncation_exit_codes(tmp_path, capsys):
     assert main(["hh", path, "--degrees=-2..0"]) == 3
 
 
+def _degree_one_endomorphism(doc):
+    """E1's point gains a degree-1 endomorphism e with e∘e = 0, so every
+    window of the pipeline is truncated."""
+    doc["category"]["homs"][0]["basis"].append({"degree": 1, "label": "e"})
+
+
 @pytest.mark.parametrize(
-    "example, argv, message",
+    "example, mutate, argv, message",
     [
-        ("E4", ["hh", "--degrees=-2..0", "--bar-cap=6"], "window is TruncatedAt(6); rerun with"),
-        ("E4", ["kunneth", "--degrees=-1..0", "--bar-cap=2"], "window is TruncatedAt(2); rerun with"),
-        ("E1", ["hh", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
-        ("E1", ["kunneth", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
-        ("E1", ["decompose", "--bar-cap=1"], "window is exact up to bar degree 2 but the cap is 1"),
+        ("E4", None, ["hh", "--degrees=-2..0", "--bar-cap=6"], "window is TruncatedAt(6); rerun with"),
+        ("E4", None, ["kunneth", "--degrees=-1..0", "--bar-cap=2"], "window is TruncatedAt(2); rerun with"),
+        ("E1", None, ["hh", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
+        ("E1", None, ["kunneth", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
+        ("E1", None, ["decompose", "--bar-cap=1"], "window is exact up to bar degree 2 but the cap is 1"),
+        (
+            "E1",
+            _degree_one_endomorphism,
+            ["decompose", "--bar-cap=2"],
+            "window is TruncatedAt(2); rerun with",
+        ),
     ],
-    ids=["hh-truncated", "kunneth-truncated", "hh-cap", "kunneth-cap", "decompose-cap"],
+    ids=[
+        "hh-truncated",
+        "kunneth-truncated",
+        "hh-cap",
+        "kunneth-cap",
+        "decompose-cap",
+        "decompose-truncated",
+    ],
 )
-def test_truncation_is_reported_once_with_exit_3(tmp_path, capsys, example, argv, message):
-    path = write_doc(tmp_path, example)
+def test_truncation_is_reported_once_with_exit_3(tmp_path, capsys, example, mutate, argv, message):
+    path = write_doc(tmp_path, example, mutate)
     assert main([argv[0], path, *argv[1:]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"truncation: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_decompose_on_truncated_windows_skips_every_certificate(tmp_path, capsys):
+    path = write_doc(tmp_path, "E1", _degree_one_endomorphism)
+    argv = ["decompose", path, "--bar-cap", "2", "--allow-truncated", "--output", "json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certification"] == "TruncatedAt(2)"
+    assert not payload["theorem_holds"] and payload["witnesses"]
+    assert payload["certificates"] == [
+        {"name": "homotopy certificates", "mode": "skipped: window truncated", "passed": True}
+    ]
 
 
 def test_decompose_e1_cli(tmp_path, capsys):

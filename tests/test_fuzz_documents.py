@@ -1,10 +1,12 @@
 """Fuzzing the input boundary: bundled documents with one scalar, key or
-unit changed must make `hh` and `validate` exit with a documented code,
-print no traceback, and back every failed check (exit 1) with a witness."""
+unit changed must make `validate`, `hh` and `decompose` exit with a
+documented code, print no traceback, and back every failed check (exit 1)
+with a witness."""
 
 import contextlib
 import io
 import json
+import re
 import sys
 
 from hypothesis import given, settings
@@ -89,13 +91,32 @@ def witnesses(payload):
     return found
 
 
+# The form of a validation report raised as an error: a subject, a count and
+# one "[rule] witness" line per violation.
+VIOLATION_ERROR = re.compile(r"error: .+: \d+ violation\(s\)(\n  \[[a-z_-]+\] .+)+\n?")
+
+
+def decompose_witness(out, err):
+    """Whether a decompose run that exited 1 says why: a report whose theorem
+    fails, or an ``error:`` line listing the violated rules of an input."""
+    if out.strip():
+        return json.loads(out)["theorem_holds"] is False
+    return VIOLATION_ERROR.fullmatch(err) is not None
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=mutated_documents())
 def test_mutated_documents_exit_with_a_documented_code(doc):
     text = json.dumps(doc)
-    for argv in (["validate", "-"], ["hh", "-", "--degrees=-1..0"]):
+    for argv in (
+        ["validate", "-"],
+        ["hh", "-", "--degrees=-1..0"],
+        ["decompose", "-", "--degrees=0..0", "--no-certificates"],
+    ):
         code, out, err = run_cli(argv + ["--output", "json"], text)
         assert code in (EXIT_OK, EXIT_MATH, EXIT_INPUT, EXIT_TRUNCATED), (argv, err)
         assert "Traceback" not in err and "internal error" not in err, (argv, err)
-        if code == EXIT_MATH:
+        if code == EXIT_MATH and argv[0] == "decompose":
+            assert decompose_witness(out, err), (argv, out, err)
+        elif code == EXIT_MATH:
             assert out.strip() and witnesses(json.loads(out)), (argv, err)

@@ -69,28 +69,30 @@ def doubled_point_setup(eta_rows):
 
 def test_trace_decomposition_diagonal():
     w_src, w_tgt, total, eta, summands = doubled_point_setup([[1, 0], [0, 1]])
-    result = verify_trace_decomposition(w_src, w_tgt, total, eta, summands, degrees=[-1, 0])
-    assert all(result["matrices_equal"].values())
-    assert result["certificate"] is not None
+    total_map = InducedMap(w_src, w_tgt, total, eta)
+    matrices_equal, mode = verify_trace_decomposition(total_map, summands, degrees=[-1, 0])
+    assert all(matrices_equal.values())
     # the per-summand insertion formula needs the exactly solved
     # off-diagonal correction whenever there are >= 2 summands
-    assert result["certificate_mode"] in ("formula", "formula+solved")
+    assert mode in ("formula", "formula+solved")
 
 
 def test_trace_decomposition_mixed():
     w_src, w_tgt, total, eta, summands = doubled_point_setup([[3, 5], [7, 2]])
-    result = verify_trace_decomposition(w_src, w_tgt, total, eta, summands, degrees=[-1, 0])
-    assert all(result["matrices_equal"].values())
-    assert result["certificate"] is not None
+    total_map = InducedMap(w_src, w_tgt, total, eta)
+    matrices_equal, mode = verify_trace_decomposition(total_map, summands, degrees=[-1, 0])
+    assert all(matrices_equal.values())
+    assert mode != "failed"
 
 
 def test_trace_decomposition_offdiagonal_only_gives_zero():
     w_src, w_tgt, total, eta, summands = doubled_point_setup([[0, 1], [1, 0]])
-    result = verify_trace_decomposition(w_src, w_tgt, total, eta, summands, degrees=[-1, 0])
-    assert all(result["matrices_equal"].values())
+    total_map = InducedMap(w_src, w_tgt, total, eta)
+    matrices_equal, mode = verify_trace_decomposition(total_map, summands, degrees=[-1, 0])
+    assert all(matrices_equal.values())
     # both diagonal blocks are zero, so the total map vanishes on homology
-    assert result["total"].homology_matrix(0).is_zero()
-    assert result["certificate"] is not None
+    assert total_map.homology_matrix(0).is_zero()
+    assert mode != "failed"
 
 
 def test_trace_decomposition_degenerate_single_summand():
@@ -106,9 +108,10 @@ def test_trace_decomposition_degenerate_single_summand():
     eta = NatTransform(a1, a1, {"pt": hull.unit(one)}, name="eta")
     w_src = build_window(pt, identity_functor(pt), -2, 1)
     w_tgt = build_window(hull, identity_functor(hull), -2, 1)
-    result = verify_trace_decomposition(w_src, w_tgt, a1, eta, [(a1, eta)], degrees=[-1, 0])
-    assert all(result["matrices_equal"].values())
-    assert result["certificate_mode"] == "formula"
+    total_map = InducedMap(w_src, w_tgt, a1, eta)
+    matrices_equal, mode = verify_trace_decomposition(total_map, [(a1, eta)], degrees=[-1, 0])
+    assert all(matrices_equal.values())
+    assert mode == "formula"
 
 
 def test_trace_decomposition_graded_source():
@@ -135,11 +138,12 @@ def test_trace_decomposition_graded_source():
     eta22 = NatTransform(a2, a2, {"pt": Mor(one, one, {(0, (0, 0, "1")): Fraction(3)})}, name="eta22")
     w_src = build_window(lam, identity_functor(lam), -3, 0)
     w_tgt = build_window(hull, identity_functor(hull), -3, 0)
-    result = verify_trace_decomposition(
-        w_src, w_tgt, total, eta, [(a1, eta11), (a2, eta22)], degrees=[-2, -1]
+    total_map = InducedMap(w_src, w_tgt, total, eta)
+    matrices_equal, mode = verify_trace_decomposition(
+        total_map, [(a1, eta11), (a2, eta22)], degrees=[-2, -1]
     )
-    assert all(result["matrices_equal"].values())
-    assert result["certificate"] is not None, result["certificate_mode"]
+    assert all(matrices_equal.values())
+    assert mode != "failed"
 
 
 # ---------------------------------------------------------------------------

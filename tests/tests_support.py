@@ -646,8 +646,12 @@ def reference_induced_chain(induced, k, idx):
     objs = chain.objects
     imgs = [induced.phi.apply(s) for s in _basis_slots(induced.src, chain)]
     imgs[0] = induced.tgt.category.compose(induced.eps.at(objs[0]), imgs[0])
+    # _add_image reads the object cycle off the slots; check it against phi
+    assert (imgs[-1].src,) + tuple(m.tgt for m in imgs[1:]) == tuple(
+        induced.phi.apply_obj(c) for c in objs
+    )
     out = {}
-    induced.tgt._add_image(out, tuple(induced.phi.apply_obj(c) for c in objs), imgs, 1)
+    induced.tgt._add_image(out, imgs, 1)
     return out
 
 
@@ -665,7 +669,7 @@ class NormalizationMap(ChainMap):
             coeffs = pivot[1] if pivot is not None and key == pivot[0] else {key: one}
             mors.append(Mor(x, y, coeffs))
         out = {}
-        self.tgt._add_image(out, objs, mors, 1)
+        self.tgt._add_image(out, mors, 1)
         return out
 
 
