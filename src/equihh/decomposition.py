@@ -16,7 +16,11 @@ actions, and the representation tensor.  The one-shot composite is
 with S the symmetrization functor on the covering objects' underlying
 objects, and every centralizer or conjugation twist
 theta[g,h]^{-1}∘theta[h,g2] is ``GroupAction.conjugation_transform``,
-passed to the induced map as it is.  Five checks, all as exact
+passed to the induced map as it is.  Every piece of S comes from the
+equivariant category: the roster name of S(c), S on morphisms, the
+components of phi_g and the pair I, P of the projector-sum certificate;
+this module names objects and composes functors, and lays out no block
+matrix.  Five checks, all as exact
 homology-matrix identities (with chain-level certificates where windows
 are small enough):
 
@@ -52,15 +56,14 @@ records how its homotopy was found: "formula", "formula+solved" or
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgcat import (
     DgFunctor,
-    Mor,
     NatTransform,
-    block_mor,
     compose_functors,
     full_subcategory,
     functors_equal,
@@ -74,11 +77,10 @@ from .equivariant import (
     realize_declared,
     rep_tensor,
     symmetrize,
-    symmetrize_parts,
 )
 from .errors import EquihhError as EquihhErrorBase
 from .errors import StructureError
-from .groups import GroupAction, character, conjugacy_data
+from .groups import GroupAction, character, conjugacy_data, permutation_action
 from .hochschild import (
     HomotopyCertificate,
     InducedMap,
@@ -88,11 +90,13 @@ from .hochschild import (
     conjugate_transport,
     degree_bounds,
     eps_star,
+    hh_dimensions,
     induced_composite,
     insertion_homotopy,
     verify_trace_decomposition,
 )
 from .linalg import SparseMatrix, matrix_inverse, rank_kernel_image
+from .scalars import format_scalar
 
 CERTIFICATE_CHAIN_BUDGET = 6000  # skip homotopy certificates above this window size
 
@@ -279,25 +283,21 @@ class DecompositionPipeline:
         for d in self.declared:
             # validated with the whole roster by build_equivariant_category
             add(realize_declared(self.laction, d))
-        sym_of = {}
-        for t in small:
-            obj = symmetrize(self.laction, t)
-            sym_of[t] = add(obj)
+        symmetrized = {t: add(symmetrize(self.laction, t)) for t in small}
         if hh_decl is None:
-            hh_decl = [sym_of[t] for t in gen_tuples]
+            hh_decl = [symmetrized[t] for t in gen_tuples]
         self.hh_names = hh_decl
         for name in self.hh_names:
             entry = next(o for o in roster if o.name == name)
             for t in sorted(closure_under_action(base, [entry.underlying]), key=repr):
-                if t not in sym_of:
-                    sym_of[t] = add(symmetrize(self.laction, t))
+                if t not in symmetrized:
+                    symmetrized[t] = add(symmetrize(self.laction, t))
         for rep in self.representations.values():
             for name in self.hh_names:
                 entry = next(o for o in roster if o.name == name)
                 add(rep_tensor(self.laction, rep, entry))
         self.eqcat = build_equivariant_category(self.laction, roster)
         self.roster_names = list(self.eqcat.order)
-        self.sym_of = sym_of
 
         # window categories
         self.small_objs = small
@@ -351,13 +351,6 @@ class DecompositionPipeline:
                 return win
         return build_window(cat, fun, self.dlo - 1, self.dhi + 1, self.bar_cap)
 
-    def _sym_name(self, c):
-        """Roster name of the symmetrization of the hull object c."""
-        try:
-            return self.sym_of[c]
-        except KeyError:
-            raise StructureError(f"the symmetrization of {c} is not rostered") from None
-
     # -- transformations per class rep --------------------------------------
 
     def alpha_nat(self, g) -> NatTransform:
@@ -365,31 +358,9 @@ class DecompositionPipeline:
         comps = {name: self.eqcat.roster[name].alpha[g] for name in self.cat_full.objects}
         return _twist(self.cat_full, comps, f"alpha[{g}]")
 
-    def _phi_component(self, g, c) -> Mor:
-        """phi_g at one hull object: S(rho_g(c)) -> S(c) with blocks
-        theta[h2, g] at (mul(g, h2), h2), restricted to the roster."""
-        eq = self.eqcat
-        grp = self.group
-        c = tuple(c)
-        gc = self.laction.rho(g).apply_obj(c)
-        index = grp.elements.index
-        blocks = {
-            (index(grp.mul(g, h2)), index(h2)): self.laction.theta_at(h2, g).at(c)
-            for h2 in grp.elements
-        }
-        amb = block_mor(
-            symmetrize_parts(self.laction, gc), symmetrize_parts(self.laction, c), blocks
-        )
-        sname = self._sym_name(gc)
-        tname = self._sym_name(c)
-        restricted = eq.restrict(amb, sname, tname)
-        if restricted is None:
-            raise StructureError(f"phi[{g}] at {c} is not equivariant")
-        return restricted
-
     def phi_nat(self, g, cat) -> NatTransform:
-        """phi_g on the objects of the hull subcategory ``cat``."""
-        comps = {c: self._phi_component(g, c) for c in cat.objects}
+        """phi_g: S∘rho_g ⇒ S on the objects of the hull subcategory ``cat``."""
+        comps = {c: self.eqcat.phi_component(g, c) for c in cat.objects}
         return _twist(cat, comps, f"phi[{g}]")
 
     def k_twist(self, g) -> NatTransform:
@@ -544,8 +515,6 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
 
 
 def _rows(matrix: SparseMatrix):
-    from .scalars import format_scalar
-
     return [[format_scalar(v) for v in row] for row in matrix.to_rows()]
 
 
@@ -905,27 +874,16 @@ def _check4_transports(pipe, data):
 def _check5_certificate(pipe, data):
     """The explicit homotopy for the projector sum: inserting the unit
     component of the comparison isomorphism."""
-    eq = pipe.eqcat
     grp = pipe.group
-    field = eq.ambient.field
+    field = pipe.eqcat.ambient.field
     # I and P: the inclusion/projection of the identity block, unnormalized
     i_comps = {}
     p_comps = {}
     for name in pipe.hh_names:
-        obj = eq.roster[name]
-        u = obj.underlying
-        sname = pipe.sym_of[u]
-        parts = symmetrize_parts(pipe.laction, u)
-        alphas = [obj.alpha[h] for h in grp.elements]
-        i_amb = block_mor([u], parts, {(hi, 0): a for hi, a in enumerate(alphas)})
-        invs = {(0, hi): pipe.laction.category.invert(a) for hi, a in enumerate(alphas)}
-        i_mor = eq.restrict(i_amb, name, sname)
-        p_mor = eq.restrict(block_mor(parts, [u], invs), sname, name)
-        if i_mor is None or p_mor is None:
+        i_comps[name], p_comps[name] = pipe.eqcat.unit_counit(name)
+        if i_comps[name] is None or p_comps[name] is None:
             yield "projector sum", "error: I/P not equivariant", False
             return
-        i_comps[name] = i_mor
-        p_comps[name] = p_mor
     # sum of the twists over the whole group equals I∘P
     twists = [pipe.k_twist(g) for g in grp.elements]
     twist_sum = {n: sum((tw.at(n) for tw in twists[1:]), twists[0].at(n)) for n in pipe.hh_names}
@@ -970,12 +928,10 @@ def graded_sym_power(dims: dict, n: int) -> dict:
     """Dimensions of the graded-symmetric n-th power of a graded vector
     space: multisets of basis elements where odd-degree elements may not
     repeat (the Koszul sign kills squares of odd classes)."""
-    import itertools as it
-
     degrees = sorted(dims)
     basis = [d for d in degrees for _ in range(dims[d])]
     out = {}
-    for combo in it.combinations_with_replacement(range(len(basis)), n):
+    for combo in itertools.combinations_with_replacement(range(len(basis)), n):
         if any(
             combo.count(i) > 1 and basis[i] % 2 != 0 for i in set(combo)
         ):
@@ -995,9 +951,6 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
     image of the averaged permutation action, the symmetric power uses the
     Koszul rule on odd classes.
     """
-    from .groups import permutation_action
-    from .hochschild import hh_dimensions
-
     if n < 1:
         raise StructureError("symmetric power needs n >= 1")
     dlo, dhi = degree_bounds(degrees)

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapacityError, EmptyCategoryError, StructureError
-from .linalg import GradedSpace, vec_add, vec_axpy, vec_sub
+from .linalg import Echelon, GradedSpace, vec_add, vec_axpy, vec_sub
 
 
 def parity_sign(n: int) -> int:
@@ -206,8 +206,6 @@ class DgCategory:
         Found by solving the linear system g∘f = id on the degree-0 part
         of the candidate hom and checking the other composite.
         """
-        from .linalg import Echelon
-
         x, y = f.src, f.tgt
         if x == y and f.coeffs == _clean(self.units.get(x, {})):
             return self.unit(x)
@@ -366,13 +364,7 @@ class DgFunctor:
 
 
 def identity_functor(cat: DgCategory, name="id") -> DgFunctor:
-    obj_map = {x: x for x in cat.objects}
-
-    def build(pair):
-        x, y = pair
-        return {key: cat.basis_mor(x, y, *key) for key in cat.basis_keys(x, y)}
-
-    return DgFunctor(cat, cat, obj_map, LazyDict(build), name=name)
+    return hull_inclusion(cat, cat, name)
 
 
 def compose_functors(f: DgFunctor, g: DgFunctor, name=None) -> DgFunctor:

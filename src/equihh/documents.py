@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import json
 
-from .dgcat import DgCategory, DgFunctor, Mor, NatTransform, identity_functor
+from .dgcat import (
+    DgCategory,
+    DgFunctor,
+    Mor,
+    NatTransform,
+    compose_functors,
+    functors_equal,
+    identity_functor,
+)
 from .errors import FieldMismatchError, InputError, StructureError
 from .examples import DeclaredObject, ExampleBundle
 from .groups import FiniteGroup, GroupAction, Representation
@@ -234,8 +242,6 @@ def parse_document(doc) -> ExampleBundle:
             tloc = f"action.theta[{i}]"
             pair = (_name(_expect(t, dict, tloc).get("g"), tloc), _name(t.get("g2"), tloc))
             theta_doc[pair] = _expect(t.get("components") or {}, dict, f"{tloc}.components")
-        from .dgcat import compose_functors
-
         for g in group.elements:
             for g2 in group.elements:
                 comp_fun = compose_functors(functors[g], functors[g2])
@@ -467,8 +473,6 @@ def serialize_bundle(bundle: ExampleBundle):
     if bundle.action is not None:
         functors = {}
         ident = identity_functor(bundle.base)
-        from .dgcat import functors_equal
-
         for g in bundle.group.elements:
             rho = bundle.action.rho(g)
             if functors_equal(rho, ident):

@@ -19,13 +19,18 @@ the sums run on ints where the tables are integral, as in every bundled
 example.  The solved bases and the restricted products still come out of
 ``Echelon``, so the category's tables hold field scalars.
 
-Also here: the symmetrization functor (left adjoint to the forgetful
-functor), tensoring a roster object by a representation, the adjunction
-correspondences, and the comparison isomorphism between the regular-
-representation tensor and symmetrize-after-forget.  Each of these is a
-block matrix over the parts of S(c) = ⊕_h rho_h(c) or V⊗X = X^{⊕dim V};
-``dgcat`` owns the hull block layout, so they name blocks by part index
-(``block_mor``, ``block_of``, ``hull_entries``) and compute no offsets.
+Also here, and nowhere else: every piece of the symmetrization S and
+its adjunctions with forget.  The category names S(c) in its roster
+(``sym_name``) and builds S on morphisms (``symmetrization_functor``),
+the natural isomorphism phi_g: S∘rho_g ⇒ S (``phi_component``) and the
+pair I_X: X → S(forget X), P_X: S(forget X) → X (``unit_counit``).
+Beside them: tensoring a roster object by a representation, the
+adjunction correspondences, and the comparison isomorphism between the
+regular-representation tensor and symmetrize-after-forget.  Each of
+these is a block matrix over the parts of S(c) = ⊕_h rho_h(c) or
+V⊗X = X^{⊕dim V}; ``dgcat`` owns the hull block layout, so they name
+blocks by part index (``block_mor``, ``block_of``, ``hull_entries``) and
+compute no offsets.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .dgcat import (
     lift_functor_to_hull,
 )
 from .errors import CapacityError, StructureError
-from .groups import GroupAction
+from .groups import GroupAction, regular_representation
 from .linalg import (
     Echelon,
     GradedSpace,
@@ -245,13 +250,25 @@ class EquivariantCategory:
         self._solved = {}  # (src_name, tgt_name) -> dict[(deg,label) -> ambient coeffs]
         self._echelons = {}  # (src_name, tgt_name, deg) -> Echelon over flat ambient idx
         self._flat = {}  # (x_tuple, y_tuple, deg) -> (key list, key index)
+        self._sym_names = {}  # hull tuple c -> roster name of S(c)
         self.category = self._build()
 
     # -- plumbing --------------------------------------------------------
 
-    def find(self, underlying, alpha) -> str | None:
-        probe = EquivariantObject("?", underlying, alpha)
-        return self._signatures.get(probe.signature())
+    def find(self, obj: EquivariantObject, what) -> str:
+        """Roster name of the entry with obj's underlying tuple and alpha;
+        CapacityError naming ``what`` if there is none."""
+        name = self._signatures.get(obj.signature())
+        if name is None:
+            raise CapacityError(f"{what} is not in the roster")
+        return name
+
+    def sym_name(self, c) -> str:
+        """Roster name of the symmetrization S(c) of the hull tuple c."""
+        c = tuple(c)
+        if c not in self._sym_names:
+            self._sym_names[c] = self.find(symmetrize(self.laction, c), f"symmetrization of {c}")
+        return self._sym_names[c]
 
     def _flatten_space(self, x, y, deg):
         key = (x, y, deg)
@@ -471,13 +488,7 @@ class EquivariantCategory:
         """S on a hull subcategory whose symmetrizations are all rostered."""
         laction = self.laction
         grp = laction.group
-        obj_map = {}
-        for c in small.objects:
-            target = symmetrize(laction, c)
-            name = self.find(target.underlying, target.alpha)
-            if name is None:
-                raise CapacityError(f"symmetrization of {c} is not in the roster")
-            obj_map[c] = name
+        obj_map = {c: self.sym_name(c) for c in small.objects}
 
         def build(pair):
             xs, ys = pair
@@ -498,17 +509,56 @@ class EquivariantCategory:
 
         return DgFunctor(small, self.category, obj_map, LazyDict(build), name="symmetrize")
 
+    def phi_component(self, g, c) -> Mor:
+        """The component at the hull tuple c of phi_g: S∘rho_g ⇒ S, that is
+        S(rho_g(c)) -> S(c) with blocks theta[h2, g] at (mul(g, h2), h2),
+        restricted to the roster."""
+        laction = self.laction
+        grp = laction.group
+        c = tuple(c)
+        gc = laction.rho(g).apply_obj(c)
+        index = grp.elements.index
+        blocks = {
+            (index(grp.mul(g, h2)), index(h2)): laction.theta_at(h2, g).at(c)
+            for h2 in grp.elements
+        }
+        amb = block_mor(symmetrize_parts(laction, gc), symmetrize_parts(laction, c), blocks)
+        restricted = self.restrict(amb, self.sym_name(gc), self.sym_name(c))
+        if restricted is None:
+            raise StructureError(f"phi[{g}] at {c} is not equivariant")
+        return restricted
+
+    def _alpha_inverses(self, obj: EquivariantObject):
+        """alpha_h^{-1}: rho_h(c) -> c for each h in group order: the blocks
+        of P_X for X = obj on c = forget X."""
+        return [self.ambient.invert(obj.alpha[h]) for h in self.laction.group.elements]
+
+    def unit_counit(self, name):
+        """(I_X, P_X) for the roster entry X on c = forget X, as roster
+        morphisms: I_X: X -> S(c) with blocks alpha_h at (h, 0) and
+        P_X: S(c) -> X with blocks alpha_h^{-1} at (0, h), so that
+        I_X∘P_X is the sum of the twists phi_g ⋆ alpha_g and P_X∘I_X is
+        |G|·id_X.  Either is None where it is not equivariant."""
+        obj = self.roster[name]
+        c = obj.underlying
+        sname = self.sym_name(c)
+        parts = symmetrize_parts(self.laction, c)
+        alphas = [obj.alpha[h] for h in self.laction.group.elements]
+        i_amb = block_mor([c], parts, {(hi, 0): a for hi, a in enumerate(alphas)})
+        p_blocks = {(0, hi): inv for hi, inv in enumerate(self._alpha_inverses(obj))}
+        return (
+            self.restrict(i_amb, name, sname),
+            self.restrict(block_mor(parts, [c], p_blocks), sname, name),
+        )
+
     def rep_tensor_functor(self, rep, source_names) -> DgFunctor:
         """T_V = V⊗(-) from the full subcategory on ``source_names`` into
         the roster category; all images must be rostered."""
         source = full_subcategory(self.category, source_names)
         obj_map = {}
         for name in source_names:
-            target = rep_tensor(self.laction, rep, self.roster[name])
-            found = self.find(target.underlying, target.alpha)
-            if found is None:
-                raise CapacityError(f"{rep.name}⊗{name} is not in the roster")
-            obj_map[name] = found
+            tensored = rep_tensor(self.laction, rep, self.roster[name])
+            obj_map[name] = self.find(tensored, f"{rep.name}⊗{name}")
 
         def build(pair):
             sn, tn = pair
@@ -575,19 +625,16 @@ def adjunction_maps(eqcat: EquivariantCategory, cprime, oname):
     cprime = tuple(cprime)
     obj = eqcat.roster[oname]
     c = obj.underlying
-    sym = symmetrize(laction, cprime)
-    sname = eqcat.find(sym.underlying, sym.alpha)
-    if sname is None:
-        raise CapacityError(f"symmetrization of {cprime} is not in the roster")
+    sname = eqcat.sym_name(cprime)
     parts = symmetrize_parts(laction, cprime)
-    alpha_inv = {g: cat.invert(obj.alpha[g]) for g in grp.elements}
+    alpha_inv = eqcat._alpha_inverses(obj)
     eta_c = laction.eta.at(c)
     eta_cprime_inv = cat.invert(laction.eta.at(cprime))
     alpha_e = obj.alpha[e]
 
     def forward(phi: Mor) -> Mor | None:
         blocks = {
-            (0, gi): cat.compose(alpha_inv[g], laction.rho(g).apply(phi))
+            (0, gi): cat.compose(alpha_inv[gi], laction.rho(g).apply(phi))
             for gi, g in enumerate(grp.elements)
         }
         return eqcat.restrict(block_mor(parts, [c], blocks), sname, oname)
@@ -632,20 +679,14 @@ def sfor_iso(eqcat: EquivariantCategory, oname):
     """The comparison isomorphism (regular rep)⊗o → S(For(o)) given by the
     block matrix with alpha_g at (g, g^{-1}); returned as a roster
     morphism plus a verification report."""
-    from .groups import regular_representation
-
     laction = eqcat.laction
     cat = laction.category
     grp = laction.group
     obj = eqcat.roster[oname]
     c = obj.underlying
     reg = regular_representation(grp, field=cat.field)
-    tensored = rep_tensor(laction, reg, obj)
-    tname = eqcat.find(tensored.underlying, tensored.alpha)
-    sym = symmetrize(laction, c)
-    sname = eqcat.find(sym.underlying, sym.alpha)
-    if tname is None or sname is None:
-        raise CapacityError(f"comparison endpoints for {oname} are not rostered")
+    tname = eqcat.find(rep_tensor(laction, reg, obj), f"{reg.name}⊗{oname}")
+    sname = eqcat.sym_name(c)
     index = grp.elements.index
     blocks = {(index(g), index(grp.inv(g))): obj.alpha[g] for g in grp.elements}
     amb = block_mor([c] * len(grp), symmetrize_parts(laction, c), blocks)

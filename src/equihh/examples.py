@@ -22,7 +22,9 @@ from .dgcat import (
     DgFunctor,
     algebra_category,
     disjoint_points_category,
+    identity_functor,
 )
+from .errors import InputError
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -83,8 +85,6 @@ def swap_points_action():
         mor_map[(x, other)] = {}
     swap = DgFunctor(base, base, swap_obj, mor_map, name="swap")
     group = FiniteGroup.cyclic(2, names=["e", "s"])
-    from .dgcat import identity_functor
-
     action = strict_action(
         group, base, {"e": identity_functor(base), "s": swap}, name="swap points"
     )
@@ -230,6 +230,4 @@ def get_example(name: str) -> ExampleBundle:
     try:
         return BUILDERS[name]()
     except KeyError as exc:
-        from .errors import InputError
-
         raise InputError(f"unknown example {name!r}") from exc

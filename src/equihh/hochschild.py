@@ -104,6 +104,7 @@ from .dgcat import (
     block_of,
     compose_functors,
     functor_unit_violations,
+    identity_functor,
     parity_sign,
     unit_violations,
 )
@@ -1331,7 +1332,5 @@ def shuffle_map(window_a, window_b, tensor_cat, lo, hi, bar_cap=None):
     """Build the paired window, the target window over the tensor category
     and the shuffle chain map between them."""
     tw = TensorWindow(window_a, window_b, lo, hi)
-    from .dgcat import identity_functor
-
     tgt = HochschildWindow(tensor_cat, identity_functor(tensor_cat), lo, hi, bar_cap=bar_cap)
     return tw, tgt, ShuffleMap(tw, tgt)

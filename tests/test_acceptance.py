@@ -250,7 +250,7 @@ def test_criterion_6_symmetrize_forget(pipelines):
             expected = ()
             for h in pipe.group.elements:
                 expected = expected + pipe.laction.rho(h).apply_obj(tuple(c))
-            sname = pipe.sym_of[tuple(c)]
+            sname = pipe.eqcat.sym_name(c)
             if pipe.eqcat.roster[sname].underlying != expected:
                 ok = False
         for oname in pipe.hh_names:

@@ -15,9 +15,9 @@ from equihh.equivariant import (
 )
 from equihh.errors import CapacityError
 from equihh.examples import example_e1, example_e2, example_e5
-from equihh.groups import regular_representation, trivial_representation
+from equihh.groups import regular_representation, trivial_representation, validate_action
 from equihh.scalars import QQ
-from tests_support import sfor_iso_natural
+from tests_support import coboundary_action, sfor_iso_natural
 
 
 def lifted_e1(extra=()):
@@ -167,6 +167,14 @@ def test_adjunction_capacity_error():
         adjunction_maps(eq, ("pt",), "plus")  # S(pt) not rostered
 
 
+def test_rep_tensor_functor_capacity_error():
+    b, la = lifted_e1()
+    plus = realize_declared(la, b.declared[0])
+    eq = build_equivariant_category(la, [plus])
+    with pytest.raises(CapacityError, match="regular⊗plus is not in the roster"):
+        eq.rep_tensor_functor(b.representations["regular"], ["plus"])
+
+
 def test_sfor_iso_e1():
     b, la = lifted_e1()
     plus = realize_declared(la, b.declared[0])
@@ -251,5 +259,21 @@ def test_scaled_action_symmetrize_and_adjunction():
     s = symmetrize(la, ("pt",))
     assert validate_equivariant(la, s).ok
     eq = build_equivariant_category(la, [s])
+    result = adjunction_maps(eq, ("pt",), s.name)
+    assert result["chain_map"] and result["mutually_inverse"]
+
+
+def test_coboundary_action_phi_and_adjunction():
+    """On an S3 action whose theta is not symmetric in its two elements,
+    phi_g at the point is an equivariant isomorphism for every g, and both
+    adjunction correspondences hold."""
+    act = coboundary_action()
+    assert validate_action(act).ok
+    la = lift_action(act, [("pt",), ("pt",) * 6])
+    s = symmetrize(la, ("pt",))
+    assert validate_equivariant(la, s).ok
+    eq = build_equivariant_category(la, [s])
+    for g in act.group.elements:
+        assert eq.category.invert(eq.phi_component(g, ("pt",))) is not None, g
     result = adjunction_maps(eq, ("pt",), s.name)
     assert result["chain_map"] and result["mutually_inverse"]

@@ -1,6 +1,8 @@
 """The table-driven equivariant layer and induced maps against their
 morphism-by-morphism references, on the E1, E2 and E5 pipelines: the
-same numbers in the same key order and of the same scalar type."""
+same numbers in the same key order and of the same scalar type.  Also
+the category's symmetrization pieces on the same pipelines: S(c)'s roster
+name and the unit/counit pair I, P."""
 
 import itertools
 from fractions import Fraction
@@ -175,6 +177,30 @@ def test_induced_maps_match_reference(name):
                 assert typed(got) == typed(reference_induced_chain(m, k, j)), (m.name, k, j)
                 columns += bool(got)
     assert columns
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_sym_name_names_the_sum_of_translates(name):
+    """sym_name(c) is the roster entry on ⊕_h rho_h(c), built here from the
+    object maps, with the alphas of S(c)."""
+    pipe = pipeline(name)
+    for c in pipe.small_objs:
+        expected = sum((pipe.laction.rho(h).apply_obj(c) for h in pipe.group.elements), ())
+        entry = pipe.eqcat.roster[pipe.eqcat.sym_name(c)]
+        assert entry.underlying == expected
+        assert entry.signature() == symmetrize(pipe.laction, c).signature()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_counit_after_unit_is_the_group_order(name):
+    """P_X∘I_X = Σ_h alpha_h^{-1}∘alpha_h = |G|·id_X on every covering
+    object X."""
+    pipe = pipeline(name)
+    cat = pipe.eqcat.category
+    order = cat.field.embed(len(pipe.group))
+    for x in pipe.hh_names:
+        i_x, p_x = pipe.eqcat.unit_counit(x)
+        assert cat.compose(p_x, i_x) == cat.unit(x).scale(order), x
 
 
 def test_functor_image_of_an_unmapped_key_is_a_structure_error():

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-no module imports a sibling's private (underscore-prefixed) name."""
+"""Every name a module of the package imports is used in that module, no
+module imports a sibling's private (underscore-prefixed) name, and no
+function body imports a module of the package."""
 
 import ast
 from pathlib import Path
@@ -38,14 +39,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def from_package(node):
+    """Whether ``node`` is a ``from ... import`` of a module of the package."""
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").startswith("equihh")
+    )
+
+
 def private_sibling_imports(source):
     """(line, module, name) for each underscore-prefixed name imported from
     another module of the package."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (
-            node.level > 0 or (node.module or "").startswith("equihh")
-        ):
+        if from_package(node):
             for alias in node.names:
                 if alias.name.startswith("_"):
                     found.append((node.lineno, node.module, alias.name))
@@ -68,3 +74,49 @@ def test_checker_finds_private_sibling_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports_in_functions(source):
+    """(line, module) for each import of a module of the package inside a
+    function or method body, nested ones included, each reported once."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if from_package(node):
+                found.add((node.lineno, "." * node.level + (node.module or "")))
+            elif isinstance(node, ast.Import):
+                found.update(
+                    (node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "equihh"
+                )
+    return sorted(found)
+
+
+def test_checker_finds_package_imports_in_functions():
+    source = (
+        "from .dgcat import Mor\n"
+        "import itertools\n"
+        "def f():\n"
+        "    from .scalars import QQ\n"
+        "    import itertools as it\n"
+        "    def g():\n"
+        "        import equihh.linalg\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        from equihh.groups import FiniteGroup\n"
+        "        from . import errors\n"
+    )
+    assert package_imports_in_functions(source) == [
+        (4, ".scalars"),
+        (7, "equihh.linalg"),
+        (10, "equihh.groups"),
+        (11, "."),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_package_imports_in_functions(path):
+    assert package_imports_in_functions(path.read_text(encoding="utf-8")) == []

@@ -6,7 +6,6 @@ from fractions import Fraction
 from math import gcd
 
 from equihh.dgcat import Mor, NatTransform, algebra_category, block_mor, identity_functor, parity_sign
-from equihh.equivariant import symmetrize
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
 from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_axpy, vec_is_zero
@@ -33,6 +32,30 @@ def scaled_action():
     }
     eta = NatTransform(ident, ident, {"pt": cat.unit("pt").scale(lam)}, name="eta")
     return GroupAction(z2, cat, {g: ident for g in z2.elements}, theta, eta, name="scaled")
+
+
+def coboundary_action():
+    """Non-strict S3 action on the point: identity functors, eta = id and
+    theta[g,g2] = f(g)·f(g2)/f(g2·g) for f(e) = 1 and f = 2..6 on the other
+    elements in order.  S3 is not abelian, so theta[g,g2] != theta[g2,g]
+    for some pairs: a formula that reads theta with its arguments swapped
+    gives a different morphism."""
+    cat = algebra_category(QQ, "pt", [("1", 0)], {})
+    s3 = FiniteGroup.symmetric(3)
+    ident = identity_functor(cat)
+    f = {g: Fraction(i + 1) for i, g in enumerate(s3.elements)}
+    f[s3.identity] = Fraction(1)
+    theta = {
+        (g, g2): NatTransform(
+            ident,
+            ident,
+            {"pt": cat.unit("pt").scale(f[g] * f[g2] / f[s3.mul(g2, g)])},
+            name=f"theta[{g},{g2}]",
+        )
+        for g, g2 in itertools.product(s3.elements, repeat=2)
+    }
+    eta = NatTransform(ident, ident, {"pt": cat.unit("pt")}, name="eta")
+    return GroupAction(s3, cat, {g: ident for g in s3.elements}, theta, eta, name="coboundary")
 
 
 # -- helpers only the tests use ----------------------------------------------
@@ -181,12 +204,10 @@ def sfor_iso_natural(eqcat, phi, iso_by_name):
         [img.tgt for img in images],
         {(hi, hi): img for hi, img in enumerate(images)},
     )
-    sym_src = symmetrize(laction, eqcat.roster[sn].underlying)
-    sym_tgt = symmetrize(laction, eqcat.roster[tn].underlying)
     s_for_phi = eqcat.restrict(
         s_amb,
-        eqcat.find(sym_src.underlying, sym_src.alpha),
-        eqcat.find(sym_tgt.underlying, sym_tgt.alpha),
+        eqcat.sym_name(eqcat.roster[sn].underlying),
+        eqcat.sym_name(eqcat.roster[tn].underlying),
     )
     lhs = cat.compose(iso_by_name[tn], t_reg.apply(phi))
     rhs = cat.compose(s_for_phi, iso_by_name[sn])
