@@ -196,11 +196,11 @@ def cmd_kunneth(args):
     cat = bundle.base
     bar_cap = _bar_cap(args, bundle)
     win = build_window(cat, identity_functor(cat), lo, hi, bar_cap=bar_cap)
+    _require_exact(win.certification.describe(), args)
     square = tensor_category(cat, cat)
     tw, tgt, sh = shuffle_map(
         win, win, square, lo, hi, bar_cap=None if bar_cap is None else 2 * bar_cap
     )
-    _require_exact(win.certification.describe(), args)
     checked, failures = sh.verify_chain_map()
     rows = {}
     bijective = True

@@ -84,6 +84,7 @@ from .groups import GroupAction, character, conjugacy_data, permutation_action
 from .hochschild import (
     HomotopyCertificate,
     InducedMap,
+    InsertionHomotopy,
     LinearComboMap,
     build_window,
     compose_induced,
@@ -92,7 +93,6 @@ from .hochschild import (
     eps_star,
     hh_dimensions,
     induced_composite,
-    insertion_homotopy,
     verify_trace_decomposition,
 )
 from .linalg import SparseMatrix, matrix_inverse, rank_kernel_image
@@ -903,7 +903,7 @@ def _check5_certificate(pipe, data):
     def first(a0, c0):
         return cat.compose(p_comps[c0], s_for.apply(a0))
 
-    h_map = insertion_homotopy(
+    h_map = InsertionHomotopy(
         pipe.w_hh, pipe.w_full, first, s_for.apply, i_comps.__getitem__, lambda a: a
     )
 

@@ -87,6 +87,16 @@ f - g - (dH + Hd); its check and ``solve_homotopy`` share its cached H.
 One routine, ``_differing_chains``, compares two maps chain by chain for
 the certificate check, ``ChainMap.verify_chain_map`` and the
 functoriality fallback.
+
+The insertion homotopy of a natural transformation (``InsertionHomotopy``)
+also applies one map per slot, so the certificate check proves
+dH + Hd = f - g between two induced maps from identities on basis keys,
+as ``compose_induced`` proves functoriality (``_insertion_identities_hold``
+states the lemma): the cut is of degree 0 and closed, first∘cut and
+F'(cut)∘first give the two twists at slot 0, the cut is natural from tail
+to middle, the slot maps commute with d and with products of adjacent
+keys, and first carries the twist face.  The windows must be standard and
+exact.  The chain-by-chain comparison runs only when this proof fails.
 """
 
 from __future__ import annotations
@@ -886,17 +896,29 @@ class FormulaHomotopy(ChainMap):
 class HomotopyCertificate:
     """A degree -1 map H with dH + Hd = f - g, checked entry-exactly on
     every basis chain of each source degree k with k + 1 stored in the
-    source and k - 1, k in the target; ``checked_degrees`` and
-    ``failures`` (degree, index) record the check.  ``h`` caches H, so each
+    source and k - 1, k in the target (``checked_degrees``); ``failures``
+    (degree, index) records the check.  ``h`` caches H, so each
     value is computed once, by the check and by ``solve_homotopy`` on the
-    ``residual`` alike."""
+    ``residual`` alike.
+
+    When H is an ``InsertionHomotopy`` and f, g are induced maps, the check
+    first tries to prove the identity from the slot maps on basis keys
+    (``_insertion_identities_hold`` states the lemma).  The chain-by-chain
+    comparison runs only when that proof fails, and its failures are the
+    certificate's."""
 
     def __init__(self, f: ChainMap, g: ChainMap, h_map, name=""):
         self.f = f
         self.g = g
+        self.h_map = h_map
         self.h = FormulaHomotopy(f.src, f.tgt, h_map)
         self.name = name
-        self.checked_degrees = []
+        src, tgt = f.src, f.tgt
+        self.checked_degrees = [
+            k
+            for k in range(src.lo, src.hi + 1)
+            if k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi
+        ]
         self.failures = []
 
     def dh_hd(self, k, idx):
@@ -915,43 +937,226 @@ class HomotopyCertificate:
         """f - g - (dH + Hd) on basis chain ``idx`` of source degree k."""
         return vec_sub(self.difference(k, idx), self.dh_hd(k, idx))
 
+    def slot_identities_hold(self):
+        """True when H is an insertion homotopy whose slot maps prove
+        dH + Hd = f - g on ``checked_degrees``; False when it is not one,
+        a precondition or identity fails, or a package error is raised on
+        the way."""
+        if not isinstance(self.h_map, InsertionHomotopy):
+            return False
+        try:
+            return _insertion_identities_hold(self.f, self.g, self.h_map, self.checked_degrees)
+        except EquihhError:
+            return False
+
+    def chain_failures(self):
+        """The (degree, index) of every basis chain of ``checked_degrees``
+        on which f - g and dH + Hd differ, compared chain by chain."""
+        return _differing_chains(self.f.src, self.checked_degrees, self.difference, self.dh_hd)
+
     def check(self):
-        src, tgt = self.f.src, self.f.tgt
-        self.checked_degrees = [
-            k
-            for k in range(src.lo, src.hi + 1)
-            if k - 1 >= tgt.lo and k + 1 <= src.hi and k <= tgt.hi
-        ]
-        self.failures = _differing_chains(src, self.checked_degrees, self.difference, self.dh_hd)
+        self.failures = [] if self.slot_identities_hold() else self.chain_failures()
         return not self.failures
 
 
-def insertion_homotopy(src, tgt, first, middle, cut, tail):
-    """The insertion homotopy as a callable (k, chain index) -> vector of
-    ``tgt`` at degree k - 1:
+class InsertionHomotopy:
+    """The insertion homotopy of a natural transformation, a callable
+    (k, chain index) -> vector of ``tgt`` at degree k - 1:
 
         a0[a1|...|am] -> Σ_i (-1)^i first(a0)[middle(a1)|...|middle(ai)|
                                     cut(c_{i+1})|tail(a_{i+1})|...|tail(am)]
 
-    with c_{m+1} = c0.  ``first`` takes (a0, c0), ``cut`` an object and the
-    other slot maps a basis morphism; each term's objects are the
-    endpoints of its slots."""
+    with c_{m+1} = c0 (Loday, *Cyclic Homology*, §1.2 and §4.1).  ``first``
+    takes (a0, c0), ``cut`` an object and the other slot maps a basis
+    morphism; each term's objects are the endpoints of its slots.  The four
+    slot maps stay readable, so a ``HomotopyCertificate`` can prove
+    dH + Hd = f - g from them on basis keys."""
 
-    def h(k, idx):
+    def __init__(self, src, tgt, first, middle, cut, tail):
+        self.src = src
+        self.tgt = tgt
+        self.first = first
+        self.middle = middle
+        self.cut = cut
+        self.tail = tail
+
+    def __call__(self, k, idx):
+        src = self.src
         objs, keys = src.chains_at(k)[idx]
         m = len(keys) - 1
         pairs = src._slot_pairs(objs)
         slots = [src.category.basis_mor(x, y, *key) for (x, y), key in zip(pairs, keys)]
-        head = first(slots[0], objs[0])
-        middles = [middle(a) for a in slots[1:]]
-        tails = [tail(a) for a in slots[1:]]
+        head = self.first(slots[0], objs[0])
+        middles = [self.middle(a) for a in slots[1:]]
+        tails = [self.tail(a) for a in slots[1:]]
         out = {}
         for i in range(m + 1):
-            mors = [head] + middles[:i] + [cut(objs[(i + 1) % (m + 1)])] + tails[i:]
-            tgt._add_image(out, mors, parity_sign(i))
+            mors = [head] + middles[:i] + [self.cut(objs[(i + 1) % (m + 1)])] + tails[i:]
+            self.tgt._add_image(out, mors, parity_sign(i))
         return out
 
-    return h
+
+def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
+    """True when the preconditions and identities below hold, which proves
+    dH + Hd = f - g on every chain of the source degrees ``degrees`` (as
+    ``HomotopyCertificate.check`` chooses them); False when one fails.
+
+    The lemma.  Let f = (T, ε_f)_* and g = (M, ε_g)_* be induced maps from
+    the window of C with twist F to the window of D with twist F', and H
+    the insertion homotopy between the same windows with slots first,
+    middle, cut = K and tail.  Both windows are standard and exact, so
+    every chain the check meets in the degrees involved is a basis chain
+    of its window.  Call a slot value typed when it runs between the
+    images of its key's ends (first(a0, c0) from M(c1) to F'(T(c0)), K_c
+    from T(c) to M(c), middle through M and tail through T) and is a
+    combination of basis keys in its key's degree (K_c in degree 0).  Then
+    dH + Hd = f - g on a chain a0[a1|...|am] with objects (c0, ..., cm)
+    when every slot value below is typed and
+
+        d K_c = 0                                for each object c,
+        d first(a0) = first(d a0),
+        first(a0)∘K_{c1} = ε_f(c0)∘T(a0),
+        F'(K_{c0})∘first(a0) = ε_g(c0)∘M(a0)     for the slot-0 key a0,
+        middle(a) = M(a),  tail(a) = T(a),
+        K_x∘tail(a) = middle(a)∘K_y,
+        d middle(a) = middle(d a),
+        d tail(a) = tail(d a)                    for each key a: y → x of
+                                                 a slot 1..m,
+        first(a0 a1) = first(a0)∘middle(a1),
+        middle(a_t a_t+1) = middle(a_t)∘middle(a_t+1),
+        tail(a_t a_t+1) = tail(a_t)∘tail(a_t+1)  for adjacent slots,
+        first(F(am) a0) = F'(tail(am))∘first(a0) for m >= 1, first taken
+                                                 at c_m on the left and at
+                                                 c0 on the right,
+
+    each slot map extended linearly over a combination of keys, as H
+    applies it to each chain of a sum.  In dH(x) + H(dx), the d1 terms
+    cancel slot by slot (K is closed of degree 0, and the other slots keep
+    their keys' degrees); the face joining K to the tail after it at
+    insertion position i cancels the face joining the middle before K to K
+    at position i + 1 (naturality); every other face, and every twist face
+    but the last, cancels a term of H(dx); and the two terms left,
+    first(a0)∘K_{c1} at position 0 and F'(K_{c0})∘first(a0) at position m,
+    are f(x) and -g(x).  Each
+    identity is checked once per distinct object, key or pair of keys of
+    the chains in ``degrees``; a slot value that is not typed is a
+    StructureError."""
+    src, tgt = h.src, h.tgt
+    if not all(isinstance(m, InducedMap) and m.src is src and m.tgt is tgt for m in (f, g)):
+        return False
+    if src.pivots or tgt.pivots or not (src.certification.exact and tgt.certification.exact):
+        return False
+    cat, cat_t = src.category, tgt.category
+    twist, twist_t = src.functor, tgt.functor
+    big_t, big_m = f.phi, g.phi
+    objects, heads, slots, head_links, links, loops = set(), set(), set(), set(), set(), set()
+    cycle = None
+    for k in degrees:
+        for objs, keys in src.chains_at(k):
+            if objs != cycle:
+                cycle, pairs = objs, src._slot_pairs(objs)
+                objects.update(objs)
+            m = len(keys) - 1
+            heads.add((objs[0], pairs[0], keys[0]))
+            slots.update(zip(pairs[1:], keys[1:]))
+            links.update((pairs[t], keys[t], pairs[t + 1], keys[t + 1]) for t in range(1, m))
+            if m:
+                head_links.add((objs[0], pairs[0], keys[0], pairs[1], keys[1]))
+                loops.add((objs[0], pairs[0], keys[0], pairs[m], keys[m]))
+    bases, values = {}, {}
+
+    def typed(memo, make, x, y, degree):
+        """The slot value ``make()``, computed once per ``memo`` and checked
+        to run x → y as a combination of basis keys of degree ``degree``."""
+        if memo not in values:
+            mor = make()
+            basis = bases.get((x, y))
+            if basis is None:
+                basis = bases[(x, y)] = set(cat_t.basis_keys(x, y))
+            if (mor.src, mor.tgt) != (x, y) or any(
+                key not in basis or key[0] != degree for key in mor.coeffs
+            ):
+                raise StructureError(f"slot value {mor} is not in degree {degree} of {x}->{y}")
+            values[memo] = mor
+        return values[memo]
+
+    def first(c0, c1, key):
+        return typed(
+            ("first", c0, c1, key),
+            lambda: h.first(cat.basis_mor(c1, twist.apply_obj(c0), *key), c0),
+            big_m.apply_obj(c1),
+            twist_t.apply_obj(big_t.apply_obj(c0)),
+            key[0],
+        )
+
+    def middle(x, y, key):
+        return typed(
+            ("middle", x, y, key),
+            lambda: h.middle(cat.basis_mor(x, y, *key)),
+            big_m.apply_obj(x),
+            big_m.apply_obj(y),
+            key[0],
+        )
+
+    def tail(x, y, key):
+        return typed(
+            ("tail", x, y, key),
+            lambda: h.tail(cat.basis_mor(x, y, *key)),
+            big_t.apply_obj(x),
+            big_t.apply_obj(y),
+            key[0],
+        )
+
+    def cut(c):
+        return typed(("cut", c), lambda: h.cut(c), big_t.apply_obj(c), big_m.apply_obj(c), 0)
+
+    def spread(value, mor):
+        """Σ c·value(key) over the terms c·key of ``mor``, as coefficients."""
+        out = {}
+        for key, c in mor.coeffs.items():
+            vec_axpy(out, c, value(key).coeffs)
+        return out
+
+    compose, d = cat_t.compose, cat_t.d
+    if any(d(cut(c)).coeffs for c in objects):
+        return False
+    for c0, (c1, fc0), a0 in heads:
+        head = first(c0, c1, a0)
+        da0 = cat.d(cat.basis_mor(c1, fc0, *a0))
+        if d(head).coeffs != spread(lambda b: first(c0, c1, b), da0):
+            return False
+        if compose(head, cut(c1)) != compose(f.eps.at(c0), big_t.image(c1, fc0, a0)):
+            return False
+        if compose(twist_t.apply(cut(c0)), head) != compose(g.eps.at(c0), big_m.image(c1, fc0, a0)):
+            return False
+    for (y, x), a in slots:
+        mid, end = middle(y, x, a), tail(y, x, a)
+        if mid != big_m.image(y, x, a) or end != big_t.image(y, x, a):
+            return False
+        if compose(cut(x), end) != compose(mid, cut(y)):
+            return False
+        da = cat.d(cat.basis_mor(y, x, *a))
+        if d(mid).coeffs != spread(lambda b: middle(y, x, b), da):
+            return False
+        if d(end).coeffs != spread(lambda b: tail(y, x, b), da):
+            return False
+    for c0, (c1, fc0), a0, (c2, _), a1 in head_links:
+        prod = cat.compose(cat.basis_mor(c1, fc0, *a0), cat.basis_mor(c2, c1, *a1))
+        rhs = compose(first(c0, c1, a0), middle(c2, c1, a1))
+        if spread(lambda b: first(c0, c2, b), prod) != rhs.coeffs:
+            return False
+    for (y, x), a, (z, _), b in links:
+        prod = cat.compose(cat.basis_mor(y, x, *a), cat.basis_mor(z, y, *b))
+        for value in (middle, tail):
+            rhs = compose(value(y, x, a), value(z, y, b))
+            if spread(lambda e: value(z, x, e), prod) != rhs.coeffs:
+                return False
+    for c0, (c1, fc0), a0, (_, cm), am in loops:
+        prod = cat.compose(twist.apply(cat.basis_mor(c0, cm, *am)), cat.basis_mor(c1, fc0, *a0))
+        rhs = compose(twist_t.apply(tail(c0, cm, am)), first(c0, c1, a0))
+        if spread(lambda b: first(cm, c1, b), prod) != rhs.coeffs:
+            return False
+    return True
 
 
 def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor):
@@ -991,7 +1196,7 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
             eta.at(c0), cat_t.compose(alpha_inv(f_twist.apply_obj(c0)), psi.apply(a0))
         )
 
-    h_map = insertion_homotopy(src, tgt, first, psi.apply, alpha.at, phi.apply)
+    h_map = InsertionHomotopy(src, tgt, first, psi.apply, alpha.at, phi.apply)
     cert = HomotopyCertificate(induced, transported, h_map, name=f"transport along {alpha.name}")
     return transported, cert
 
@@ -1052,7 +1257,7 @@ def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, i):
     def cut(c):
         return block_inclusion(cat_t, parts_at(c), i)
 
-    return insertion_homotopy(window_src, window_tgt, first, middle, cut, a_i.apply)
+    return InsertionHomotopy(window_src, window_tgt, first, middle, cut, a_i.apply)
 
 
 def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):

@@ -115,6 +115,7 @@ def _degree_one_endomorphism(doc):
     [
         ("E4", None, ["hh", "--degrees=-2..0", "--bar-cap=6"], "window is TruncatedAt(6); rerun with"),
         ("E4", None, ["kunneth", "--degrees=-1..0", "--bar-cap=2"], "window is TruncatedAt(2); rerun with"),
+        ("E4", None, ["kunneth"], "window is TruncatedAt(8); rerun with"),
         ("E1", None, ["hh", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
         ("E1", None, ["kunneth", "--bar-cap=0"], "window is exact up to bar degree 2 but the cap is 0"),
         ("E1", None, ["decompose", "--bar-cap=1"], "window is exact up to bar degree 2 but the cap is 1"),
@@ -128,6 +129,7 @@ def _degree_one_endomorphism(doc):
     ids=[
         "hh-truncated",
         "kunneth-truncated",
+        "kunneth-own-cap",
         "hh-cap",
         "kunneth-cap",
         "decompose-cap",
