@@ -79,13 +79,12 @@ from .equivariant import (
     symmetrize,
 )
 from .errors import EquihhError as EquihhErrorBase
-from .errors import StructureError
+from .errors import InputError, StructureError
 from .groups import GroupAction, character, conjugacy_data, permutation_action
 from .hochschild import (
     HomotopyCertificate,
     InducedMap,
     InsertionHomotopy,
-    LinearComboMap,
     build_window,
     compose_induced,
     conjugate_transport,
@@ -287,15 +286,16 @@ class DecompositionPipeline:
         if hh_decl is None:
             hh_decl = [symmetrized[t] for t in gen_tuples]
         self.hh_names = hh_decl
+        by_name = {o.name: o for o in roster}
         for name in self.hh_names:
-            entry = next(o for o in roster if o.name == name)
-            for t in sorted(closure_under_action(base, [entry.underlying]), key=repr):
+            if name not in by_name:  # add() merged it into an equal roster object
+                raise InputError(f"{name!r} duplicates another roster object", "covering")
+            for t in sorted(closure_under_action(base, [by_name[name].underlying]), key=repr):
                 if t not in symmetrized:
                     symmetrized[t] = add(symmetrize(self.laction, t))
         for rep in self.representations.values():
             for name in self.hh_names:
-                entry = next(o for o in roster if o.name == name)
-                add(rep_tensor(self.laction, rep, entry))
+                add(rep_tensor(self.laction, rep, by_name[name]))
         self.eqcat = build_equivariant_category(self.laction, roster)
         self.roster_names = list(self.eqcat.order)
 
@@ -895,8 +895,12 @@ def _check5_certificate(pipe, data):
     s_for = pipe.s_forget
     sum_nat = _twist(pipe.cat_hh, twist_sum, "Σ twists")
     sum_map = InducedMap(pipe.w_hh, pipe.w_full, s_for, sum_nat, name="(S∘forget,Σ)*")
+    # |G|·mu as the induced map (mu.phi, |G|·1)_*, so that the certificate
+    # below relates two induced maps and takes the table pass
     order = field.embed(len(grp))
-    scaled_mu = LinearComboMap(pipe.w_hh, pipe.w_full, [(order, pipe.mu)], name="|G|·mu")
+    units = {c: unit.scale(order) for c, unit in pipe.mu.eps.components.items()}
+    scaled = _twist(pipe.cat_hh, units, "|G|·1")
+    scaled_mu = InducedMap(pipe.w_hh, pipe.w_full, pipe.mu.phi, scaled, name="|G|·mu")
 
     cat = pipe.cat_full
 

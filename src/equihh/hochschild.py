@@ -66,43 +66,35 @@ Everything downstream (induced maps, their composition and conjugation
 laws, homotopy certificates, the trace decomposition, the shuffle map and
 the centralizer action) operates on these windows with exact arithmetic.
 
-An induced map (φ,η)_* sends a0[a1|...|am] to (η_{c0}∘φ(a0))[φ(a1)|...|
-φ(am)], expanded multilinearly over the slot images.  So the chain-level
-functoriality (ψ,ε)_*∘(φ,η)_* = (ψφ, ε⋆η)_* follows from two identities
-on basis keys, (ψφ)(a) = ψ(φ(a)) on every hom pair and (ε⋆η)_{c0}∘(ψφ)(a0)
-= ε_{φc0}∘ψ(η_{c0}∘φ(a0)) at slot 0, once every image chain is known to
-lie in the middle and target windows: the windows are standard, hold the
-source's degrees and bar degrees, and each slot image is a combination
-of basis keys of its hom pair in the key's degree.  ``compose_induced``
-checks these preconditions and identities on the tables and compares
-chain by chain only when one fails; that comparison gives the
-mismatches.
-
 A chain map writes each image term as one morphism per slot, and
 ``_add_image`` reads the term's object cycle off the slots' endpoints: c0
 is the source of the last slot and c_t the target of slot t >= 1.  So
 induced maps, the shuffle map and insertion homotopies build no object
-tuples.  A ``HomotopyCertificate`` owns dH + Hd and the residual
-f - g - (dH + Hd); its check and ``solve_homotopy`` share its cached H.
-One routine, ``_differing_chains``, compares two maps chain by chain for
-the certificate check, ``ChainMap.verify_chain_map`` and the
-functoriality fallback.
+tuples.  The caller names the degree it writes, and a term of another
+degree (from a slot value that mixes degrees) is a StructureError.  A
+``HomotopyCertificate`` owns dH + Hd and the residual f - g - (dH + Hd);
+its check and ``solve_homotopy`` share its cached H.  One routine,
+``_differing_chains``, compares two maps chain by chain for the
+certificate check, ``ChainMap.verify_chain_map`` and the functoriality
+fallback.
 
-The insertion homotopy of a natural transformation (``InsertionHomotopy``)
-also applies one map per slot, so the certificate check proves
-dH + Hd = f - g between two induced maps from identities on basis keys,
-as ``compose_induced`` proves functoriality (``_insertion_identities_hold``
-states the lemma): the cut is of degree 0 and closed, first∘cut and
-F'(cut)∘first give the two twists at slot 0, the cut is natural from tail
-to middle, the slot maps commute with d and with products of adjacent
-keys, and first carries the twist face.  The windows must be standard and
-exact.  The chain-by-chain comparison runs only when this proof fails.
+An induced map (φ,η)_*: a0[a1|...|am] -> (η_{c0}∘φ(a0))[φ(a1)|...|φ(am)]
+and an insertion homotopy apply one map per slot, so ``compose_induced``
+(functoriality) and ``HomotopyCertificate.check`` (dH + Hd = f - g) first
+prove their identity on basis keys, by one route: a key walk
+(``_KeyWalk``) gathers the objects, keys and adjacent key pairs that the
+compared chains put in their slots, a typed reader (``_typed``) reads
+each slot value once and checks its ends and its keys' degree,
+``_spread`` extends a slot map linearly, and ``_proved_else_compared``
+compares chain by chain when a precondition or identity fails or a
+package error is raised.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .dgcat import (
@@ -422,12 +414,12 @@ class HochschildWindow(WindowBase):
             if (nxt, path[-1]) in nonzero:
                 yield from self._walk_cycle(c0, path + [nxt], m, nonzero)
 
-    def _add_image(self, out, mors, sign):
+    def _add_image(self, out, degree, mors, sign):
         """Accumulate ``sign`` (±1) times the multilinear expansion of
-        per-slot morphisms into the chain-index vector ``out``; unseen
-        in-window targets are an error.  The object cycle is read off the
-        slots: c0 is the source of the last slot, c_t the target of slot
-        t >= 1."""
+        per-slot morphisms into the degree-``degree`` chain-index vector
+        ``out``; unseen in-window targets and terms of another degree are
+        errors.  The object cycle is read off the slots: c0 is the source
+        of the last slot, c_t the target of slot t >= 1."""
         items = [list(m.coeffs.items()) for m in mors]
         if any(not it for it in items):
             return
@@ -449,13 +441,17 @@ class HochschildWindow(WindowBase):
                     coeff = -c
                 else:
                     coeff = coeff * c
-            self._add_term(out, objs, keys, coeff if sign > 0 else -coeff)
+            self._add_term(out, degree, objs, keys, coeff if sign > 0 else -coeff)
 
-    def _add_term(self, out, objs, keys, c):
-        """Add c times the chain (objs, keys) to ``out``."""
-        k = sum(key[0] for key in keys) - len(keys) + 1
-        idx = self._index.get(k, {}).get((objs, keys))
+    def _add_term(self, out, degree, objs, keys, c):
+        """Add c times the chain (objs, keys) to the degree-``degree``
+        vector ``out``; a term of another degree is a StructureError, as its
+        index would belong to another degree's chain list."""
+        idx = self._index.get(degree, {}).get((objs, keys))
         if idx is None:
+            k = sum(key[0] for key in keys) - len(keys) + 1
+            if k != degree:
+                raise StructureError(f"term {Chain(objs, keys)} has degree {k}, not {degree}")
             if self.in_window(k):
                 raise StructureError(f"image chain missing from window: {Chain(objs, keys)}")
             return
@@ -529,7 +525,7 @@ class HochschildWindow(WindowBase):
                         for hk, c in img.items():
                             if c:
                                 new_keys = keys[:t] + (hk,) + keys[t + 1 :]
-                                self._add_term(col1, objs, new_keys, -c if prefix % 2 else c)
+                                self._add_term(col1, k + 1, objs, new_keys, -c if prefix % 2 else c)
                     prefix += key[0]
                 col2 = {}
                 # a_i a_{i+1} with sign (-1)^i, i = 0 included
@@ -543,7 +539,7 @@ class HochschildWindow(WindowBase):
                         for hk, c in prod.items():
                             if c:
                                 new_keys = keys[:i] + (hk,) + keys[i + 2 :]
-                                self._add_term(col2, new_objs, new_keys, -c if i % 2 else c)
+                                self._add_term(col2, k + 1, new_objs, new_keys, -c if i % 2 else c)
                 if m:
                     # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)},
                     # summed in compose's order; vec_axpy leaves no zeros
@@ -555,7 +551,7 @@ class HochschildWindow(WindowBase):
                     odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
                     new_objs = (objs[m],) + objs[1:m]
                     for hk, c in prod.items():
-                        self._add_term(col2, new_objs, (hk,) + keys[1:m], -c if odd else c)
+                        self._add_term(col2, k + 1, new_objs, (hk,) + keys[1:m], -c if odd else c)
                 total.cols[j] = vec_axpy(col2, parity_sign(m), col1)
             self._total[k] = total
 
@@ -691,6 +687,94 @@ def _differing_chains(window, degrees, left, right):
     ]
 
 
+# ---------------------------------------------------------------------------
+# table proofs, shared by compose_induced and HomotopyCertificate.check
+
+
+class _KeyWalk:
+    """The objects, keys and key pairs that the chains of ``window`` in
+    ``degrees`` put in their slots, a slot read as its hom pair and key.
+    The chains of a run share an object cycle, hence slot pairs, so a run
+    is kept as its cycle and, per slot, its pair and its column of keys;
+    each family is gathered from the columns when a proof asks for it."""
+
+    def __init__(self, window, degrees):
+        self.runs = [
+            (objs, list(zip(window._slot_pairs(objs), zip(*map(itemgetter(1), run)))))
+            for k in degrees
+            for objs, run in itertools.groupby(window.chains_at(k), key=itemgetter(0))
+        ]
+        self.objects = {c for objs, _ in self.runs for c in objs}
+
+    def heads(self, joined=None):
+        """(c0, slot-0 pair, key), followed by the pair and key of slot
+        ``joined`` (1, or -1 for m) of the same chain if given, m >= 1."""
+        if joined is None:
+            return {(objs[0], slots[0][0], a0) for objs, slots in self.runs for a0 in slots[0][1]}
+        return {
+            (objs[0], slots[0][0], a0, slots[joined][0], a)
+            for objs, slots in self.runs
+            if len(slots) > 1
+            for a0, a in zip(slots[0][1], slots[joined][1])
+        }
+
+    def slots(self):
+        """(pair, key) of each key of a slot 1..m."""
+        return {(pair, a) for _, slots in self.runs for pair, col in slots[1:] for a in col}
+
+    def links(self):
+        """(pair, key, pair, key) of adjacent slots t, t + 1 >= 1."""
+        return {
+            (pair, a, other, b)
+            for _, slots in self.runs
+            for (pair, col), (other, next_col) in zip(slots[1:], slots[2:])
+            for a, b in zip(col, next_col)
+        }
+
+
+def _typed(cat, make, ends):
+    """The typed slot reader: the slot map ``make(*args)`` into ``cat``,
+    each value computed once and checked to run x → y as a combination of
+    basis keys of Hom(x, y) in degree d, for (x, y, d) = ``ends(*args)``;
+    an untyped value is a StructureError."""
+    values = {}
+
+    def value(*args):
+        if args not in values:
+            mor = make(*args)
+            x, y, degree = ends(*args)
+            labels = set(cat.hom(x, y).labels(degree))
+            if (mor.src, mor.tgt) != (x, y) or any(
+                key[0] != degree or key[1] not in labels for key in mor.coeffs
+            ):
+                raise StructureError(f"slot value {mor} is not in degree {degree} of {x}->{y}")
+            values[args] = mor
+        return values[args]
+
+    return value
+
+
+def _spread(value, mor):
+    """Σ c·value(key) over the terms c·key of ``mor``, as coefficients:
+    the slot map ``value`` extended linearly."""
+    out = {}
+    for key, c in mor.coeffs.items():
+        vec_axpy(out, c, value(key).coeffs)
+    return out
+
+
+def _proved_else_compared(prove, compare):
+    """[] when the table proof ``prove()`` holds, else ``compare()``, the
+    chain-by-chain differences.  A package error raised during the proof
+    (say a functor without an action on a key) counts as a failed proof."""
+    try:
+        if prove():
+            return []
+    except EquihhError:
+        pass
+    return compare()
+
+
 class InducedMap(ChainMap):
     """(phi, eps)_*: applies phi to every slot and eps at the twist slot:
     a0[a1|...|an] -> eps_{c0} phi(a0)[phi(a1)|...|phi(an)]."""
@@ -700,15 +784,30 @@ class InducedMap(ChainMap):
         self.phi = phi
         self.eps = eps
 
+    def head(self, c0, c1, a0):
+        """The slot-0 value eps_{c0}∘phi(a0) at the basis key a0 of
+        Hom(c1, F c0)."""
+        fc0 = self.src.functor.apply_obj(c0)
+        return self.tgt.category.compose(self.eps.at(c0), self.phi.image(c1, fc0, a0))
+
+    def head_ends(self, c0, c1, a0):
+        """(source, target, degree) of ``head(c0, c1, a0)``: phi(c1) →
+        F'(phi(c0)) in a0's degree, F' the target window's twist."""
+        phi = self.phi
+        return phi.apply_obj(c1), self.tgt.functor.apply_obj(phi.apply_obj(c0)), a0[0]
+
+    def slot_ends(self, x, y, a):
+        """(source, target, degree) of the slot value at a key a of
+        Hom(x, y) in a slot 1..m: phi(x) → phi(y) in a's degree."""
+        return self.phi.apply_obj(x), self.phi.apply_obj(y), a[0]
+
     def _compute(self, k, idx):
-        chain = self.src.chains_at(k)[idx]
-        cat_t = self.tgt.category
-        objs = chain.objects
+        objs, keys = self.src.chains_at(k)[idx]
         pairs = self.src._slot_pairs(objs)
-        imgs = [self.phi.image(x, y, key) for (x, y), key in zip(pairs, chain.keys)]
-        imgs[0] = cat_t.compose(self.eps.at(objs[0]), imgs[0])
+        imgs = [self.head(objs[0], pairs[0][0], keys[0])]
+        imgs += [self.phi.image(x, y, key) for (x, y), key in zip(pairs[1:], keys[1:])]
         out = {}
-        self.tgt._add_image(out, imgs, 1)
+        self.tgt._add_image(out, k, imgs, 1)
         return out
 
 
@@ -760,28 +859,26 @@ def compose_induced(outer: InducedMap, inner: InducedMap):
     slot images multilinearly, so the identity is certified from the
     tables (``_slot_tables_agree``) when, for (ψ,ε) after (φ,η),
 
-        (ψφ)(a) = ψ(φ(a))                          on every basis key a,
-        (ε⋆η)_{c0}∘(ψφ)(a0) = ε_{φc0}∘ψ(η_{c0}∘φ(a0))  on every key a0
-                                                    of Hom(c1, F c0),
+        (ψφ)(a) = ψ(φ(a))                          on every slot-1..m key a,
+        (ε⋆η)_{c0}∘(ψφ)(a0) = ε_{φc0}∘ψ(η_{c0}∘φ(a0))  on every slot-0 key
+                                                    a0 of Hom(c1, F c0),
 
-    and ψφ agrees with ψ after φ on objects.  Its preconditions put every
+    on the keys and objects the source's chains use (``_KeyWalk``), and
+    ψφ agrees with ψ after φ on those objects.  Its preconditions put every
     image chain of inner in the middle window, and every chain of either
     side in the target window: outer starts where inner ends, no window is
     normalized, the middle and target windows hold the source's degrees
-    and bar degrees, every slot image is a combination of basis keys of
-    its hom pair in the key's degree, and η_{c0}∘φ(a0) runs between the
-    ends of the middle window's slot-0 pair.  A failed precondition or
-    identity, or a package error on the way (say a key no chain uses that
-    a functor does not map), falls back to the chain-by-chain comparison
+    and bar degrees, and every slot value read is typed (``_typed``): it
+    runs between the images of its key's ends as a combination of basis
+    keys in the key's degree.  A failed precondition or identity, or a
+    package error on the way, falls back to the chain-by-chain comparison
     ``_chain_mismatches``, whose result is returned as it is.
     """
     combined = induced_composite(outer, inner)
-    try:
-        if _slot_tables_agree(outer, inner, combined):
-            return combined, []
-    except EquihhError:
-        pass
-    return combined, _chain_mismatches(outer, inner, combined)
+    return combined, _proved_else_compared(
+        lambda: _slot_tables_agree(outer, inner, combined),
+        lambda: _chain_mismatches(outer, inner, combined),
+    )
 
 
 def _chain_mismatches(outer: InducedMap, inner: InducedMap, combined: InducedMap):
@@ -799,9 +896,8 @@ def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMa
     """True when the preconditions and slot identities of
     ``compose_induced`` hold, which proves ``combined`` = outer∘inner on
     every chain of inner's source; False when one fails.  Each side is
-    evaluated as its chain map evaluates it: a slot-1..m key through
-    ``image`` at the hom pair of its window, slot 0 composed with the twist
-    there."""
+    evaluated as its chain map evaluates it: ``image`` at slots 1..m,
+    ``InducedMap.head`` at slot 0."""
     w0, w1, w2 = inner.src, inner.tgt, outer.tgt
     if outer.src is not w1 or any(w.pivots for w in (w0, w1, w2)):
         return False
@@ -810,71 +906,29 @@ def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMa
             return False
         if w.certification.bound < w0.certification.bound:
             return False
-    cat0, cat1, cat2 = w0.category, w1.category, w2.category
+    cat1, cat2 = w1.category, w2.category
     phi, psi, both = inner.phi, outer.phi, combined.phi
+    walk = _KeyWalk(w0, range(w0.lo, w0.hi + 1))
     objs1, objs2 = set(cat1.objects), set(cat2.objects)
-    for c in cat0.objects:
+    for c in walk.objects:
         if phi.apply_obj(c) not in objs1 or both.apply_obj(c) not in objs2:
             return False
         if both.apply_obj(c) != psi.apply_obj(phi.apply_obj(c)):
             return False
-    bases = {}
-
-    def lands(cat, x, y, coeffs, degree):
-        """Every key of ``coeffs`` is a basis key of Hom(x, y) of degree
-        ``degree``."""
-        basis = bases.get((cat, x, y))
-        if basis is None:
-            basis = bases[(cat, x, y)] = set(cat.basis_keys(x, y))
-        return all(key in basis and key[0] == degree for key in coeffs)
-
-    def outer_side(mid, slot, x, y):
-        """outer's slot map (``slot`` of each basis key) summed over the
-        middle slot image ``mid``, or None when an image leaves the basis
-        of the target hom pair (x, y)."""
-        out = {}
-        for b, c in mid.items():
-            img = slot(b).coeffs
-            if not lands(cat2, x, y, img, b[0]):
-                return None
-            vec_axpy(out, c, img)
-        return out
-
-    f0, f1, f2 = w0.functor, w1.functor, w2.functor
-    for x, y in itertools.product(cat0.objects, repeat=2):
+    inner_slot = _typed(cat1, phi.image, inner.slot_ends)
+    outer_slot = _typed(cat2, psi.image, outer.slot_ends)
+    for (x, y), a in walk.slots():
         px, py = phi.apply_obj(x), phi.apply_obj(y)
-        qx, qy = psi.apply_obj(px), psi.apply_obj(py)
-        for a in cat0.basis_keys(x, y):
-            mid = phi.image(x, y, a).coeffs
-            if not lands(cat1, px, py, mid, a[0]):
-                return False
-            rhs = outer_side(mid, lambda b: psi.image(px, py, b), qx, qy)
-            if rhs is None or both.image(x, y, a).coeffs != rhs:
-                return False
-    for c0 in cat0.objects:
-        fc0 = f0.apply_obj(c0)
-        p0 = phi.apply_obj(c0)
-        fp0 = f1.apply_obj(p0)
-        fq0 = f2.apply_obj(psi.apply_obj(p0))
-        eps_p0 = outer.eps.at(p0)
-        star = combined.eps.at(c0)
-        for c1 in cat0.objects:
-            p1 = phi.apply_obj(c1)
-            for a0 in cat0.basis_keys(c1, fc0):
-                head = cat1.compose(inner.eps.at(c0), phi.image(c1, fc0, a0))
-                if (head.src, head.tgt) != (p1, fp0):
-                    return False
-                if not lands(cat1, p1, fp0, head.coeffs, a0[0]):
-                    return False
-                rhs = outer_side(
-                    head.coeffs,
-                    lambda b: cat2.compose(eps_p0, psi.image(p1, fp0, b)),
-                    psi.apply_obj(p1),
-                    fq0,
-                )
-                lhs = cat2.compose(star, both.image(c1, fc0, a0))
-                if rhs is None or lhs.coeffs != rhs:
-                    return False
+        rhs = _spread(lambda b: outer_slot(px, py, b), inner_slot(x, y, a))
+        if both.image(x, y, a).coeffs != rhs:
+            return False
+    inner_head = _typed(cat1, inner.head, inner.head_ends)
+    outer_head = _typed(cat2, outer.head, outer.head_ends)
+    for c0, (c1, _), a0 in walk.heads():
+        p0, p1 = phi.apply_obj(c0), phi.apply_obj(c1)
+        rhs = _spread(lambda b: outer_head(p0, p1, b), inner_head(c0, c1, a0))
+        if combined.head(c0, c1, a0).coeffs != rhs:
+            return False
     return True
 
 
@@ -902,10 +956,10 @@ class HomotopyCertificate:
     ``residual`` alike.
 
     When H is an ``InsertionHomotopy`` and f, g are induced maps, the check
-    first tries to prove the identity from the slot maps on basis keys
-    (``_insertion_identities_hold`` states the lemma).  The chain-by-chain
-    comparison runs only when that proof fails, and its failures are the
-    certificate's."""
+    first proves the identity from the slot maps on the keys the chains of
+    ``checked_degrees`` use (``_insertion_identities_hold``), by the route
+    of ``compose_induced``; the chain-by-chain comparison runs only when
+    that proof fails, and its failures are the certificate's."""
 
     def __init__(self, f: ChainMap, g: ChainMap, h_map, name=""):
         self.f = f
@@ -937,17 +991,13 @@ class HomotopyCertificate:
         """f - g - (dH + Hd) on basis chain ``idx`` of source degree k."""
         return vec_sub(self.difference(k, idx), self.dh_hd(k, idx))
 
+    def _slot_proof(self):
+        return _insertion_identities_hold(self.f, self.g, self.h_map, self.checked_degrees)
+
     def slot_identities_hold(self):
-        """True when H is an insertion homotopy whose slot maps prove
-        dH + Hd = f - g on ``checked_degrees``; False when it is not one,
-        a precondition or identity fails, or a package error is raised on
-        the way."""
-        if not isinstance(self.h_map, InsertionHomotopy):
-            return False
-        try:
-            return _insertion_identities_hold(self.f, self.g, self.h_map, self.checked_degrees)
-        except EquihhError:
-            return False
+        """Whether ``check`` proves its identity from the slot maps, and so
+        compares no chain."""
+        return _proved_else_compared(self._slot_proof, lambda: None) == []
 
     def chain_failures(self):
         """The (degree, index) of every basis chain of ``checked_degrees``
@@ -955,7 +1005,7 @@ class HomotopyCertificate:
         return _differing_chains(self.f.src, self.checked_degrees, self.difference, self.dh_hd)
 
     def check(self):
-        self.failures = [] if self.slot_identities_hold() else self.chain_failures()
+        self.failures = _proved_else_compared(self._slot_proof, self.chain_failures)
         return not self.failures
 
 
@@ -992,7 +1042,7 @@ class InsertionHomotopy:
         out = {}
         for i in range(m + 1):
             mors = [head] + middles[:i] + [self.cut(objs[(i + 1) % (m + 1)])] + tails[i:]
-            self.tgt._add_image(out, mors, parity_sign(i))
+            self.tgt._add_image(out, k - 1, mors, parity_sign(i))
         return out
 
 
@@ -1039,8 +1089,10 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
     first(a0)∘K_{c1} at position 0 and F'(K_{c0})∘first(a0) at position m,
     are f(x) and -g(x).  Each
     identity is checked once per distinct object, key or pair of keys of
-    the chains in ``degrees``; a slot value that is not typed is a
-    StructureError."""
+    the chains in ``degrees`` (``_KeyWalk``); a slot value that is not
+    typed (``_typed``) is a StructureError."""
+    if not isinstance(h, InsertionHomotopy):
+        return False
     src, tgt = h.src, h.tgt
     if not all(isinstance(m, InducedMap) and m.src is src and m.tgt is tgt for m in (f, g)):
         return False
@@ -1049,112 +1101,53 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
     cat, cat_t = src.category, tgt.category
     twist, twist_t = src.functor, tgt.functor
     big_t, big_m = f.phi, g.phi
-    objects, heads, slots, head_links, links, loops = set(), set(), set(), set(), set(), set()
-    cycle = None
-    for k in degrees:
-        for objs, keys in src.chains_at(k):
-            if objs != cycle:
-                cycle, pairs = objs, src._slot_pairs(objs)
-                objects.update(objs)
-            m = len(keys) - 1
-            heads.add((objs[0], pairs[0], keys[0]))
-            slots.update(zip(pairs[1:], keys[1:]))
-            links.update((pairs[t], keys[t], pairs[t + 1], keys[t + 1]) for t in range(1, m))
-            if m:
-                head_links.add((objs[0], pairs[0], keys[0], pairs[1], keys[1]))
-                loops.add((objs[0], pairs[0], keys[0], pairs[m], keys[m]))
-    bases, values = {}, {}
-
-    def typed(memo, make, x, y, degree):
-        """The slot value ``make()``, computed once per ``memo`` and checked
-        to run x → y as a combination of basis keys of degree ``degree``."""
-        if memo not in values:
-            mor = make()
-            basis = bases.get((x, y))
-            if basis is None:
-                basis = bases[(x, y)] = set(cat_t.basis_keys(x, y))
-            if (mor.src, mor.tgt) != (x, y) or any(
-                key not in basis or key[0] != degree for key in mor.coeffs
-            ):
-                raise StructureError(f"slot value {mor} is not in degree {degree} of {x}->{y}")
-            values[memo] = mor
-        return values[memo]
-
-    def first(c0, c1, key):
-        return typed(
-            ("first", c0, c1, key),
-            lambda: h.first(cat.basis_mor(c1, twist.apply_obj(c0), *key), c0),
-            big_m.apply_obj(c1),
-            twist_t.apply_obj(big_t.apply_obj(c0)),
-            key[0],
-        )
-
-    def middle(x, y, key):
-        return typed(
-            ("middle", x, y, key),
-            lambda: h.middle(cat.basis_mor(x, y, *key)),
-            big_m.apply_obj(x),
-            big_m.apply_obj(y),
-            key[0],
-        )
-
-    def tail(x, y, key):
-        return typed(
-            ("tail", x, y, key),
-            lambda: h.tail(cat.basis_mor(x, y, *key)),
-            big_t.apply_obj(x),
-            big_t.apply_obj(y),
-            key[0],
-        )
-
-    def cut(c):
-        return typed(("cut", c), lambda: h.cut(c), big_t.apply_obj(c), big_m.apply_obj(c), 0)
-
-    def spread(value, mor):
-        """Σ c·value(key) over the terms c·key of ``mor``, as coefficients."""
-        out = {}
-        for key, c in mor.coeffs.items():
-            vec_axpy(out, c, value(key).coeffs)
-        return out
-
+    walk = _KeyWalk(src, degrees)
+    first = _typed(
+        cat_t,
+        lambda c0, c1, a0: h.first(cat.basis_mor(c1, twist.apply_obj(c0), *a0), c0),
+        lambda c0, c1, a0: (big_m.apply_obj(c1), twist_t.apply_obj(big_t.apply_obj(c0)), a0[0]),
+    )
+    middle = _typed(cat_t, lambda x, y, a: h.middle(cat.basis_mor(x, y, *a)), g.slot_ends)
+    tail = _typed(cat_t, lambda x, y, a: h.tail(cat.basis_mor(x, y, *a)), f.slot_ends)
+    cut = _typed(cat_t, h.cut, lambda c: (big_t.apply_obj(c), big_m.apply_obj(c), 0))
     compose, d = cat_t.compose, cat_t.d
-    if any(d(cut(c)).coeffs for c in objects):
+    if any(d(cut(c)).coeffs for c in walk.objects):
         return False
-    for c0, (c1, fc0), a0 in heads:
+    for c0, (c1, fc0), a0 in walk.heads():
         head = first(c0, c1, a0)
         da0 = cat.d(cat.basis_mor(c1, fc0, *a0))
-        if d(head).coeffs != spread(lambda b: first(c0, c1, b), da0):
+        if d(head).coeffs != _spread(lambda b: first(c0, c1, b), da0):
             return False
-        if compose(head, cut(c1)) != compose(f.eps.at(c0), big_t.image(c1, fc0, a0)):
+        if compose(head, cut(c1)) != f.head(c0, c1, a0):
             return False
-        if compose(twist_t.apply(cut(c0)), head) != compose(g.eps.at(c0), big_m.image(c1, fc0, a0)):
+        if compose(twist_t.apply(cut(c0)), head) != g.head(c0, c1, a0):
             return False
-    for (y, x), a in slots:
+    for (y, x), a in walk.slots():
         mid, end = middle(y, x, a), tail(y, x, a)
         if mid != big_m.image(y, x, a) or end != big_t.image(y, x, a):
             return False
         if compose(cut(x), end) != compose(mid, cut(y)):
             return False
         da = cat.d(cat.basis_mor(y, x, *a))
-        if d(mid).coeffs != spread(lambda b: middle(y, x, b), da):
+        if d(mid).coeffs != _spread(lambda b: middle(y, x, b), da):
             return False
-        if d(end).coeffs != spread(lambda b: tail(y, x, b), da):
+        if d(end).coeffs != _spread(lambda b: tail(y, x, b), da):
             return False
-    for c0, (c1, fc0), a0, (c2, _), a1 in head_links:
+    for c0, (c1, fc0), a0, (c2, _), a1 in walk.heads(joined=1):
         prod = cat.compose(cat.basis_mor(c1, fc0, *a0), cat.basis_mor(c2, c1, *a1))
         rhs = compose(first(c0, c1, a0), middle(c2, c1, a1))
-        if spread(lambda b: first(c0, c2, b), prod) != rhs.coeffs:
+        if _spread(lambda b: first(c0, c2, b), prod) != rhs.coeffs:
             return False
-    for (y, x), a, (z, _), b in links:
+    for (y, x), a, (z, _), b in walk.links():
         prod = cat.compose(cat.basis_mor(y, x, *a), cat.basis_mor(z, y, *b))
         for value in (middle, tail):
             rhs = compose(value(y, x, a), value(z, y, b))
-            if spread(lambda e: value(z, x, e), prod) != rhs.coeffs:
+            if _spread(lambda e: value(z, x, e), prod) != rhs.coeffs:
                 return False
-    for c0, (c1, fc0), a0, (_, cm), am in loops:
+    for c0, (c1, fc0), a0, (_, cm), am in walk.heads(joined=-1):
         prod = cat.compose(twist.apply(cat.basis_mor(c0, cm, *am)), cat.basis_mor(c1, fc0, *a0))
         rhs = compose(twist_t.apply(tail(c0, cm, am)), first(c0, c1, a0))
-        if spread(lambda b: first(cm, c1, b), prod) != rhs.coeffs:
+        if _spread(lambda b: first(cm, c1, b), prod) != rhs.coeffs:
             return False
     return True
 
@@ -1486,7 +1479,7 @@ class ShuffleMap(ChainMap):
         ka, i, j = self.src.chains_at(k)[idx]
         xchain = self.src.left.chains_at(ka)[i]
         ychain = self.src.right.chains_at(k - ka)[j]
-        return self._shuffle(xchain, ychain)
+        return self._shuffle(k, xchain, ychain)
 
     def _tensor_mor(self, f: Mor, g: Mor):
         """f⊗g as a morphism of the tensor category (labels are key pairs)."""
@@ -1496,7 +1489,7 @@ class ShuffleMap(ChainMap):
                 coeffs[(da + db, ((da, la), (db, lb)))] = ca * cb
         return Mor((f.src, g.src), (f.tgt, g.tgt), coeffs)
 
-    def _shuffle(self, x: Chain, y: Chain):
+    def _shuffle(self, k, x: Chain, y: Chain):
         ca = self.cat_a
         cb = self.cat_b
         kx = x.bar_degree
@@ -1529,7 +1522,7 @@ class ShuffleMap(ChainMap):
                 else:
                     slots.append(self._tensor_mor(ca.unit(cur_c), ym[bj]))
                     bj += 1
-            self.tgt._add_image(out, slots, parity_sign(sign_exp))
+            self.tgt._add_image(out, k, slots, parity_sign(sign_exp))
         return out
 
 

@@ -205,6 +205,19 @@ def test_decompose_without_generators_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_covering_object_equal_to_another_is_input_error(tmp_path, capsys):
+    """E1 with minus given plus's alpha: the roster keeps one of the two
+    equal objects, so the covering names an object it does not hold."""
+
+    def duplicate(doc):
+        doc["roster"][1]["alpha"] = doc["roster"][0]["alpha"]
+
+    path = write_doc(tmp_path, "E1", mutate=duplicate)
+    assert main(["decompose", path, "--no-certificates"]) == 2
+    err = capsys.readouterr().err
+    assert "covering: 'minus' duplicates another roster object" in err
+
+
 def _case(key, value, location=None):
     def mutate(doc):
         doc[key] = value

@@ -7,10 +7,17 @@ import pytest
 
 import equihh.hochschild as hochschild
 from equihh.decomposition import DecompositionPipeline, _fits_budget
-from equihh.dgcat import DgFunctor, identity_functor
+from equihh.dgcat import (
+    DgFunctor,
+    GradedSpace,
+    NatTransform,
+    disjoint_points_category,
+    identity_functor,
+)
 from equihh.errors import StructureError
 from equihh.examples import example_e1, example_e2, example_e5
 from equihh.hochschild import InducedMap, build_window, compose_induced, induced_composite
+from equihh.scalars import QQ
 
 
 @pytest.fixture
@@ -128,3 +135,40 @@ def test_package_error_in_table_pass_falls_back(monkeypatch):
     monkeypatch.setattr(hochschild, "_slot_tables_agree", raising)
     combined, mismatches = compose_induced(outer, inner)
     assert mismatches and mismatches == hochschild._chain_mismatches(outer, inner, combined)
+
+
+def one_way_category():
+    """E2's two points with one more basis morphism t: x1 -> x2 of degree
+    -3 and nothing back, so no object cycle passes through t and no chain
+    of any window uses it."""
+    cat = disjoint_points_category(QQ, ["x1", "x2"])
+    t, one = (-3, "t"), (0, "1")
+    cat.homs[("x1", "x2")] = GradedSpace({-3: ["t"]})
+    cat.comp[("x1", "x1", "x2")] = {(one, t): {t: QQ.one}}
+    cat.comp[("x1", "x2", "x2")] = {(t, one): {t: QQ.one}}
+    return cat
+
+
+def test_key_no_chain_uses_needs_no_table_entry(table_verdicts):
+    """outer's functor has no action on t, a key no chain of the source
+    window uses: the table pass reads only the keys the chains use, so it
+    certifies the composite instead of falling back."""
+    cat = one_way_category()
+    ident = identity_functor(cat)
+    without_t = DgFunctor(
+        cat,
+        cat,
+        dict(ident.obj_map),
+        {(x, x): {(0, "1"): cat.unit(x)} for x in cat.objects},
+        name="id without t",
+    )
+    win = build_window(cat, ident, -2, 1)
+    units = {x: cat.unit(x) for x in cat.objects}
+    inner = InducedMap(win, win, ident, NatTransform(ident, ident, units))
+    outer = InducedMap(win, win, without_t, NatTransform(without_t, without_t, units))
+    with pytest.raises(StructureError, match="no action"):
+        without_t.image("x1", "x2", (-3, "t"))
+    combined, mismatches = compose_induced(outer, inner)
+    assert table_verdicts == [True]
+    assert mismatches == []
+    assert hochschild._chain_mismatches(outer, inner, combined) == []

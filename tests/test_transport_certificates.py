@@ -32,6 +32,7 @@ from equihh.hochschild import (
     HomotopyCertificate,
     InducedMap,
     InsertionHomotopy,
+    LinearComboMap,
     build_window,
     conjugate_transport,
 )
@@ -119,8 +120,9 @@ def test_table_pass_certifies_every_transport(pipeline, lifted, count, transport
     ids=["E1-wide", "E5"],
 )
 def test_transports_skip_the_chain_comparison(builder, degrees, traces, monkeypatch):
-    """No transport certificate of the run compares chain by chain; the
-    trace certificates, whose H is a sum, still do."""
+    """No transport certificate of the run compares chain by chain, nor
+    does the projector sum homotopy where it runs (its f = |G|·mu is an
+    induced map); the trace certificates, whose H is a sum, still do."""
     checked, compared = [], []
     check, compare = HomotopyCertificate.check, hochschild._differing_chains
 
@@ -139,6 +141,9 @@ def test_transports_skip_the_chain_comparison(builder, degrees, traces, monkeypa
     assert sum(name.startswith("transport along") for name in checked) == 2
     assert not any(name and name.startswith("transport along") for name in compared)
     assert ("trace decomposition" in compared) == traces
+    # E5's windows exceed the certificate budget, which skips check 5
+    assert ("projector sum homotopy" in checked) == traces
+    assert "projector sum homotopy" not in compared
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,10 @@ def with_twist(cert, which, scale):
     return HomotopyCertificate(maps["f"], maps["g"], cert.h_map)
 
 
+def mixed_degree_cut():
+    return with_slots(transport(), cut=lambda c: X + element(-1, u=1))
+
+
 def doubled_first():
     cert = transport()
     return with_slots(cert, first=lambda a0, c0: cert.h_map.first(a0, c0).scale(2))
@@ -280,7 +289,7 @@ def outcome(run):
         # the cut's endpoints, degree and closedness (a degree-0 cut is
         # closed on exact windows: they hold no degree-1 morphism)
         lambda: with_slots(transport(), cut=lambda c: Mor("elsewhere", "pt", X.coeffs)),
-        lambda: with_slots(transport(), cut=lambda c: X + element(-1, u=1)),
+        mixed_degree_cut,
         # naturality, K_x∘tail(a) = middle(a)∘K_y (breaks ε_f and ε_g too)
         lambda: with_slots(transport(), cut=lambda c: element(**{"1": 1, "e": 2})),
         # ε_f and ε_g at slot 0
@@ -325,6 +334,26 @@ def test_broken_certificate_fails_table_pass_and_falls_back(broken):
     assert outcome(lambda: (cert.check(), cert.failures)) == outcome(
         lambda: (False, cert.chain_failures())
     )
+
+
+def test_certificate_of_a_map_that_is_not_induced_takes_the_chain_comparison():
+    """f as a linear combination of induced maps (as check 5's |G|·mu once
+    was) has no slot tables: the table pass declines, and the chain
+    comparison certifies the homotopy."""
+    cert = transport()
+    combo = LinearComboMap(cert.f.src, cert.f.tgt, [(QQ.one, cert.f)])
+    cert = HomotopyCertificate(combo, cert.g, cert.h_map)
+    assert not cert.slot_identities_hold()
+    assert cert.check() and cert.failures == []
+
+
+def test_mixed_degree_slot_value_is_a_structure_error():
+    """[cut-degree]'s cut of mixed degree (X + u) writes terms of degree k - 2 into H's
+    degree-(k - 1) vector; the chain loop reports the term and the degree
+    it was written into instead of indexing another degree's chains."""
+    cert = mixed_degree_cut()
+    with pytest.raises(StructureError, match=r"has degree -?\d+, not -?\d+"):
+        cert.chain_failures()
 
 
 def test_package_error_in_table_pass_falls_back(monkeypatch):

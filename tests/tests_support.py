@@ -429,7 +429,7 @@ def assert_classes_match_reference(win, k, got, ref_ech):
         assert got.express(non_cycle) is None
 
 
-def reference_add_image(win, out, objs, mors, sign):
+def reference_add_image(win, out, degree, objs, mors, sign):
     """HochschildWindow._add_image multiplying every slot coefficient and
     the sign."""
     items = [list(m.coeffs.items()) for m in mors]
@@ -440,7 +440,12 @@ def reference_add_image(win, out, objs, mors, sign):
         coeff = None
         for _, c in combo:
             coeff = c if coeff is None else coeff * c
-        win._add_term(out, objs, keys, sign * coeff)
+        win._add_term(out, degree, objs, keys, sign * coeff)
+
+
+def face_degree(chain):
+    """The degree of the faces of ``chain``: one above its own."""
+    return sum(key[0] for key in chain.keys) - chain.bar_degree + 1
 
 
 def _basis_slots(win, chain):
@@ -460,7 +465,8 @@ def reference_d1_chain(win, chain):
         if not dslot.is_zero():
             mors = list(slots)
             mors[t] = dslot
-            reference_add_image(win, out, chain.objects, mors, parity_sign(prefix))
+            sign = parity_sign(prefix)
+            reference_add_image(win, out, face_degree(chain), chain.objects, mors, sign)
         prefix += chain.keys[t][0]
     return out
 
@@ -478,10 +484,14 @@ def reference_d2_chain(win, chain):
     for i in range(m):
         prod = cat.compose(slots[i], slots[i + 1])
         mors = slots[:i] + [prod] + slots[i + 2 :]
-        reference_add_image(win, out, objs[: i + 1] + objs[i + 2 :], mors, parity_sign(i))
+        reference_add_image(
+            win, out, face_degree(chain), objs[: i + 1] + objs[i + 2 :], mors, parity_sign(i)
+        )
     prod = cat.compose(win.functor.apply(slots[m]), slots[0])
     sign = parity_sign(m + degs[m] * sum(degs[:m]))
-    reference_add_image(win, out, (objs[m],) + objs[1:m], [prod] + slots[1:m], sign)
+    reference_add_image(
+        win, out, face_degree(chain), (objs[m],) + objs[1:m], [prod] + slots[1:m], sign
+    )
     return out
 
 
@@ -672,7 +682,7 @@ def reference_induced_chain(induced, k, idx):
         induced.phi.apply_obj(c) for c in objs
     )
     out = {}
-    induced.tgt._add_image(out, imgs, 1)
+    induced.tgt._add_image(out, k, imgs, 1)
     return out
 
 
@@ -690,7 +700,7 @@ class NormalizationMap(ChainMap):
             coeffs = pivot[1] if pivot is not None and key == pivot[0] else {key: one}
             mors.append(Mor(x, y, coeffs))
         out = {}
-        self.tgt._add_image(out, mors, 1)
+        self.tgt._add_image(out, k, mors, 1)
         return out
 
 
