@@ -70,15 +70,12 @@ def _load_document(args):
 
 
 def _emit(payload, args, text_renderer=None):
-    if args.output == "json":
-        print(canonical_json(payload) if isinstance(payload, (dict, list)) else payload)
+    """Print the payload dict as canonical JSON, or its text rendering when
+    the output is text and there is one."""
+    if args.output == "text" and text_renderer is not None:
+        print(text_renderer())
     else:
-        if text_renderer is not None:
-            print(text_renderer())
-        elif isinstance(payload, (dict, list)):
-            print(canonical_json(payload))
-        else:
-            print(payload)
+        print(canonical_json(payload))
 
 
 def cmd_validate(args):

@@ -16,6 +16,14 @@ at one entry, ``block_mor`` assembles a morphism between concatenated
 tuples from blocks between their parts, and ``block_of`` reads one block
 back.  Callers name blocks by part index and never compute an offset.
 
+It also owns the two sums over structure tables.  ``compose_terms`` is
+the bilinear sum Σ c_g·c_f·table[(g key, f key)] that expands f∘g from a
+composition table; ``spread`` is the linear sum Σ c·value(key) that
+extends a key map (a differential table, a functor's morphism table, a
+solved basis, a slot map) linearly.  ``compose``, ``d``,
+``DgFunctor.apply`` and every other module sum through them, so each
+sum has one loop and one term order.
+
 Categories are immutable once validated; validation returns a report of
 violated axioms with witnesses rather than raising.
 """
@@ -35,6 +43,30 @@ def parity_sign(n: int) -> int:
 
 def _clean(coeffs):
     return {k: v for k, v in coeffs.items() if v}
+
+
+def compose_terms(table, g_terms, f_terms, read=None):
+    """Σ c_g·c_f·table[(g key, f key)] over the terms (key, c) of g and of
+    f: the coefficients of f∘g, read off the composition table of their
+    hom triple.  g's terms are the outer loop and f's (iterated once per
+    g term) the inner one, so every caller sums in one order.  Each entry
+    is read through ``read`` when given (``linalg.integral_reader``)."""
+    out = {}
+    for gk, cg in g_terms:
+        for fk, cf in f_terms:
+            entry = table.get((gk, fk))
+            if entry:
+                vec_axpy(out, cg * cf, entry if read is None else read(entry))
+    return out
+
+
+def spread(value, coeffs):
+    """Σ c·value(key) over the items (key, c) of ``coeffs``: the key map
+    ``value`` (a basis key -> a coefficient dict) extended linearly."""
+    out = {}
+    for key, c in coeffs.items():
+        vec_axpy(out, c, value(key))
+    return out
 
 
 class Mor:
@@ -183,22 +215,11 @@ class DgCategory:
         if g.tgt != f.src:
             raise StructureError(f"cannot compose {f.src}<-{g.tgt}")
         table = self.comp_table(g.src, g.tgt, f.tgt)
-        out = {}
-        for gk, cg in g.coeffs.items():
-            for fk, cf in f.coeffs.items():
-                prod = table.get((gk, fk))
-                if prod:
-                    vec_axpy(out, cg * cf, prod)
-        return Mor(g.src, f.tgt, out)
+        return Mor(g.src, f.tgt, compose_terms(table, g.coeffs.items(), f.coeffs.items()))
 
     def d(self, f: Mor) -> Mor:
         table = self.diff.get((f.src, f.tgt), {})
-        out = {}
-        for key, c in f.coeffs.items():
-            img = table.get(key)
-            if img:
-                vec_axpy(out, c, img)
-        return Mor(f.src, f.tgt, out)
+        return Mor(f.src, f.tgt, spread(lambda key: table.get(key, {}), f.coeffs))
 
     def invert(self, f: Mor):
         """Two-sided inverse of a degree-0 morphism, or None.
@@ -354,10 +375,7 @@ class DgFunctor:
 
     def apply(self, f: Mor) -> Mor:
         src, tgt = self.apply_obj(f.src), self.apply_obj(f.tgt)
-        out = {}
-        for key, c in f.coeffs.items():
-            vec_axpy(out, c, self.image(f.src, f.tgt, key).coeffs)
-        return Mor(src, tgt, out)
+        return Mor(src, tgt, spread(lambda key: self.image(f.src, f.tgt, key).coeffs, f.coeffs))
 
     def __repr__(self):
         return f"DgFunctor({self.name or hex(id(self))})"

@@ -13,10 +13,10 @@ sums the alpha coefficients against the ambient composition tables and
 rho_g's image of φ (``DgFunctor.image``), and the product of two solved
 basis morphisms is one bilinear sum of their ambient coefficients
 against the ambient composition table, restricted to the solved basis.
-Both read each table entry, alpha, image and solved basis vector whose
-coefficients are integral as {key: int} (``linalg.integral_reader``), so
-the sums run on ints where the tables are integral, as in every bundled
-example.  The solved bases and the restricted products still come out of
+Each is a ``dgcat.compose_terms`` sum, and each reads every table entry,
+alpha, image and solved basis vector whose coefficients are integral as
+{key: int} (``linalg.integral_reader``), so the sums run on ints where
+the tables are integral, as in every bundled example.  The solved bases and the restricted products still come out of
 ``Echelon``, so the category's tables hold field scalars.
 
 Also here, and nowhere else: every piece of the symmetrization S and
@@ -47,11 +47,13 @@ from .dgcat import (
     block_mor,
     block_of,
     compose_functors,
+    compose_terms,
     full_subcategory,
     hull_entries,
     hull_subcategory,
     identity_functor,
     lift_functor_to_hull,
+    spread,
 )
 from .errors import CapacityError, StructureError
 from .groups import GroupAction, regular_representation
@@ -285,12 +287,12 @@ class EquivariantCategory:
         The condition alpha'_g∘φ - rho_g(φ)∘alpha_g on a basis key φ is
         read from the tables: per g, the composition tables of
         (c, c2, rho_g c2) and (c, rho_g c, rho_g c2), the coefficients of
-        both alphas and rho_g's image of φ.  Both sides are summed in
-        ``compose``'s loop order, and rows are numbered in first-seen
-        (g index, key) order.  Every table entry, alpha and image is read
-        through ``linalg.integral_reader``, so the conditions are ints
-        where the tables are integral; the kernel comes out of ``Echelon``
-        as field scalars."""
+        both alphas and rho_g's image of φ, each side one ``compose_terms``
+        sum.  Rows are numbered in first-seen (g index, key) order.  Every
+        table entry, alpha and image is read through
+        ``linalg.integral_reader``, so the conditions are ints where the
+        tables are integral; the kernel comes out of ``Echelon`` as field
+        scalars."""
         cat = self.laction.category
         c, c2 = src.underlying, tgt.underlying
         space = cat.hom(c, c2)
@@ -318,18 +320,9 @@ class EquivariantCategory:
             for key in keys:
                 col = {}
                 for gi, (rho, lhs_table, a_tgt, rhs_table, a_src) in enumerate(per_g):
-                    lhs = {}
-                    for ak, ca in a_tgt:
-                        prod = lhs_table.get((key, ak))
-                        if prod:
-                            vec_axpy(lhs, ca, read(prod))
-                    rhs = {}
+                    lhs = compose_terms(lhs_table, ((key, 1),), a_tgt, read)
                     image = read(rho.image(c, c2, key).coeffs).items()
-                    for ak, ca in a_src:
-                        for rk, cr in image:
-                            prod = rhs_table.get((ak, rk))
-                            if prod:
-                                vec_axpy(rhs, ca * cr, read(prod))
+                    rhs = compose_terms(rhs_table, a_src, image, read)
                     for dkey, val in vec_axpy(lhs, -1, rhs).items():
                         row = rows.setdefault((gi, dkey), len(rows))
                         col[row] = val
@@ -403,26 +396,20 @@ class EquivariantCategory:
             units[sn] = restricted.coeffs
 
         def comp_builder(xn, yn, zn):
-            # each product is one bilinear sum of the solved ambient
-            # coefficients against the ambient table, in compose's order,
-            # on ints where they are integral; restrict gives field scalars
+            # the solved ambient coefficients on ints where they are
+            # integral; restrict gives field scalars
             gs, fs = self._solved[(xn, yn)], self._solved[(yn, zn)]
             if not (gs and fs):
                 return {}
             x, z = self.roster[xn].underlying, self.roster[zn].underlying
             amb = cat.comp_table(x, self.roster[yn].underlying, z)
             read = integral_reader()
-            fs = [(fkey, read(fcoeffs)) for fkey, fcoeffs in fs.items()]
+            fs = [(fkey, read(fcoeffs).items()) for fkey, fcoeffs in fs.items()]
             table = {}
             for gkey, gcoeffs in gs.items():
-                gcoeffs = read(gcoeffs)
-                for fkey, fcoeffs in fs:
-                    prod = {}
-                    for gk, cg in gcoeffs.items():
-                        for fk, cf in fcoeffs.items():
-                            entry = amb.get((gk, fk))
-                            if entry:
-                                vec_axpy(prod, cg * cf, read(entry))
+                gterms = read(gcoeffs).items()
+                for fkey, fterms in fs:
+                    prod = compose_terms(amb, gterms, fterms, read)
                     restricted = self.restrict(Mor(x, z, prod), xn, zn)
                     if restricted is None:
                         raise StructureError(
@@ -441,10 +428,7 @@ class EquivariantCategory:
         table = self._solved[(src_name, tgt_name)]
         src = self.roster[src_name]
         tgt = self.roster[tgt_name]
-        out = {}
-        for key, c in mor.coeffs.items():
-            vec_axpy(out, c, table[key])
-        return Mor(src.underlying, tgt.underlying, out)
+        return Mor(src.underlying, tgt.underlying, spread(table.__getitem__, mor.coeffs))
 
     def restrict(self, amb: Mor, src_name, tgt_name) -> Mor | None:
         """Ambient morphism -> roster morphism, or None if it is not

@@ -18,10 +18,11 @@ Windows are assembled from the structure tables: a face of a basis chain
 replaces one slot key by the entries of its differential (d1) or two
 adjacent keys by the entries of their product (d2).  The twist face
 F(a_n) a0 takes F(a_n) from the functor's morphism table and multiplies
-it with a0 through the composition table, so no face builds a new
-morphism.  Homology stops adding boundaries to its echelon once the
-echelon is as large as the cycle space, provided every boundary column
-is a cycle; the skipped columns would reduce to zero.  It also skips a
+it with a0 through the composition table (``dgcat.compose_terms``, the
+sum ``compose`` makes), so no face builds a new morphism.  Homology
+stops adding boundaries to its echelon once the echelon is as large as
+the cycle space, provided every boundary column is a cycle; the skipped
+columns would reduce to zero.  It also skips a
 zero boundary column and one equal to ± a column already added: such a
 column lies in the span, so the echelon's columns, pivots and
 combinations, and with them the representatives and class coordinates,
@@ -82,12 +83,12 @@ An induced map (φ,η)_*: a0[a1|...|am] -> (η_{c0}∘φ(a0))[φ(a1)|...|φ(am)]
 and an insertion homotopy apply one map per slot, so ``compose_induced``
 (functoriality) and ``HomotopyCertificate.check`` (dH + Hd = f - g) first
 prove their identity on basis keys, by one route: a key walk
-(``_KeyWalk``) gathers the objects, keys and adjacent key pairs that the
-compared chains put in their slots, a typed reader (``_typed``) reads
-each slot value once and checks its ends and its keys' degree,
-``_spread`` extends a slot map linearly, and ``_proved_else_compared``
-compares chain by chain when a precondition or identity fails or a
-package error is raised.
+(``_KeyWalk``) gathers the keys and adjacent key pairs that the compared
+chains put in their slots, a typed reader (``_typed``) reads each slot
+value once and checks its ends and its keys' degree, ``dgcat.spread``
+extends a slot map linearly, and ``_proved_else_compared`` compares
+chain by chain when a precondition or identity fails or a package error
+is raised.
 """
 
 from __future__ import annotations
@@ -105,9 +106,11 @@ from .dgcat import (
     block_mor,
     block_of,
     compose_functors,
+    compose_terms,
     functor_unit_violations,
     identity_functor,
     parity_sign,
+    spread,
     unit_violations,
 )
 from .errors import EquihhError, InputError, StructureError, TruncationError, WindowError
@@ -541,13 +544,9 @@ class HochschildWindow(WindowBase):
                                 new_keys = keys[:i] + (hk,) + keys[i + 2 :]
                                 self._add_term(col2, k + 1, new_objs, new_keys, -c if i % 2 else c)
                 if m:
-                    # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)},
-                    # summed in compose's order; vec_axpy leaves no zeros
-                    prod = {}
-                    for fk, cf in read(fun.image(*pairs[m], keys[m]).coeffs).items():
-                        entry = twist_table.get((keys[0], fk))
-                        if entry:
-                            vec_axpy(prod, cf, read(entry))
+                    # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
+                    image = read(fun.image(*pairs[m], keys[m]).coeffs).items()
+                    prod = compose_terms(twist_table, ((keys[0], 1),), image, read)
                     odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
                     new_objs = (objs[m],) + objs[1:m]
                     for hk, c in prod.items():
@@ -692,11 +691,11 @@ def _differing_chains(window, degrees, left, right):
 
 
 class _KeyWalk:
-    """The objects, keys and key pairs that the chains of ``window`` in
-    ``degrees`` put in their slots, a slot read as its hom pair and key.
-    The chains of a run share an object cycle, hence slot pairs, so a run
-    is kept as its cycle and, per slot, its pair and its column of keys;
-    each family is gathered from the columns when a proof asks for it."""
+    """The keys and key pairs that the chains of ``window`` in ``degrees``
+    put in their slots, a slot read as its hom pair and key.  The chains of
+    a run share an object cycle, hence slot pairs, so a run is kept as its
+    cycle and, per slot, its pair and its column of keys; each family is
+    gathered from the columns when a proof asks for it."""
 
     def __init__(self, window, degrees):
         self.runs = [
@@ -704,7 +703,6 @@ class _KeyWalk:
             for k in degrees
             for objs, run in itertools.groupby(window.chains_at(k), key=itemgetter(0))
         ]
-        self.objects = {c for objs, _ in self.runs for c in objs}
 
     def heads(self, joined=None):
         """(c0, slot-0 pair, key), followed by the pair and key of slot
@@ -752,15 +750,6 @@ def _typed(cat, make, ends):
         return values[args]
 
     return value
-
-
-def _spread(value, mor):
-    """Σ c·value(key) over the terms c·key of ``mor``, as coefficients:
-    the slot map ``value`` extended linearly."""
-    out = {}
-    for key, c in mor.coeffs.items():
-        vec_axpy(out, c, value(key).coeffs)
-    return out
 
 
 def _proved_else_compared(prove, compare):
@@ -859,20 +848,25 @@ def compose_induced(outer: InducedMap, inner: InducedMap):
     slot images multilinearly, so the identity is certified from the
     tables (``_slot_tables_agree``) when, for (ψ,ε) after (φ,η),
 
-        (ψφ)(a) = ψ(φ(a))                          on every slot-1..m key a,
         (ε⋆η)_{c0}∘(ψφ)(a0) = ε_{φc0}∘ψ(η_{c0}∘φ(a0))  on every slot-0 key
-                                                    a0 of Hom(c1, F c0),
+                                                    a0 of Hom(c1, F c0)
 
-    on the keys and objects the source's chains use (``_KeyWalk``), and
-    ψφ agrees with ψ after φ on those objects.  Its preconditions put every
-    image chain of inner in the middle window, and every chain of either
-    side in the target window: outer starts where inner ends, no window is
-    normalized, the middle and target windows hold the source's degrees
-    and bar degrees, and every slot value read is typed (``_typed``): it
-    runs between the images of its key's ends as a combination of basis
-    keys in the key's degree.  A failed precondition or identity, or a
-    package error on the way, falls back to the chain-by-chain comparison
-    ``_chain_mismatches``, whose result is returned as it is.
+    the source's chains use (``_KeyWalk``).  At slots 1..m the identity
+    (ψφ)(a) = ψ(φ(a)) holds by construction, as does ψφ(c) = ψ(φ(c)) on
+    objects: the composite's functor is ``compose_functors(ψ, φ)``, whose
+    tables are ψ applied to φ's.  Its preconditions put every image chain
+    of inner in the middle window, and every chain of either side in the
+    target window: outer starts where inner ends, no window is normalized,
+    the middle and target windows hold the source's degrees and bar
+    degrees, and every slot value read is typed (``_typed``): it runs
+    between the images of its key's ends as a combination of basis keys in
+    the key's degree.  That puts the objects of every image chain in the
+    middle and target categories, with no check of its own: a chain with a
+    nonzero coefficient has nonzero slot values, and a nonzero typed value
+    names a basis key of a hom of its category.  A failed precondition or
+    identity, or a package error on the way, falls back to the
+    chain-by-chain comparison ``_chain_mismatches``, whose result is
+    returned as it is.
     """
     combined = induced_composite(outer, inner)
     return combined, _proved_else_compared(
@@ -895,9 +889,9 @@ def _chain_mismatches(outer: InducedMap, inner: InducedMap, combined: InducedMap
 def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMap):
     """True when the preconditions and slot identities of
     ``compose_induced`` hold, which proves ``combined`` = outer∘inner on
-    every chain of inner's source; False when one fails.  Each side is
-    evaluated as its chain map evaluates it: ``image`` at slots 1..m,
-    ``InducedMap.head`` at slot 0."""
+    every chain of inner's source; False when one fails.  Slots 1..m are
+    only typed; slot 0 is compared as each side's chain map evaluates it
+    (``InducedMap.head``)."""
     w0, w1, w2 = inner.src, inner.tgt, outer.tgt
     if outer.src is not w1 or any(w.pivots for w in (w0, w1, w2)):
         return False
@@ -907,26 +901,19 @@ def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMa
         if w.certification.bound < w0.certification.bound:
             return False
     cat1, cat2 = w1.category, w2.category
-    phi, psi, both = inner.phi, outer.phi, combined.phi
+    phi, psi = inner.phi, outer.phi
     walk = _KeyWalk(w0, range(w0.lo, w0.hi + 1))
-    objs1, objs2 = set(cat1.objects), set(cat2.objects)
-    for c in walk.objects:
-        if phi.apply_obj(c) not in objs1 or both.apply_obj(c) not in objs2:
-            return False
-        if both.apply_obj(c) != psi.apply_obj(phi.apply_obj(c)):
-            return False
     inner_slot = _typed(cat1, phi.image, inner.slot_ends)
     outer_slot = _typed(cat2, psi.image, outer.slot_ends)
     for (x, y), a in walk.slots():
         px, py = phi.apply_obj(x), phi.apply_obj(y)
-        rhs = _spread(lambda b: outer_slot(px, py, b), inner_slot(x, y, a))
-        if both.image(x, y, a).coeffs != rhs:
-            return False
+        for b in inner_slot(x, y, a).coeffs:
+            outer_slot(px, py, b)
     inner_head = _typed(cat1, inner.head, inner.head_ends)
     outer_head = _typed(cat2, outer.head, outer.head_ends)
     for c0, (c1, _), a0 in walk.heads():
         p0, p1 = phi.apply_obj(c0), phi.apply_obj(c1)
-        rhs = _spread(lambda b: outer_head(p0, p1, b), inner_head(c0, c1, a0))
+        rhs = spread(lambda b: outer_head(p0, p1, b).coeffs, inner_head(c0, c1, a0).coeffs)
         if combined.head(c0, c1, a0).coeffs != rhs:
             return False
     return True
@@ -1063,7 +1050,6 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
     dH + Hd = f - g on a chain a0[a1|...|am] with objects (c0, ..., cm)
     when every slot value below is typed and
 
-        d K_c = 0                                for each object c,
         d first(a0) = first(d a0),
         first(a0)∘K_{c1} = ε_f(c0)∘T(a0),
         F'(K_{c0})∘first(a0) = ε_g(c0)∘M(a0)     for the slot-0 key a0,
@@ -1081,16 +1067,18 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
 
     each slot map extended linearly over a combination of keys, as H
     applies it to each chain of a sum.  In dH(x) + H(dx), the d1 terms
-    cancel slot by slot (K is closed of degree 0, and the other slots keep
-    their keys' degrees); the face joining K to the tail after it at
+    cancel slot by slot: the slots keep their keys' degrees, and K_c is
+    closed with no check of its own, since d K_c lies in degree 1 of a hom
+    of D and D has none where the target window has chains (an Exact
+    window over a category with a hom in degree 1 starts above degree 1
+    and holds no chain).  The face joining K to the tail after it at
     insertion position i cancels the face joining the middle before K to K
     at position i + 1 (naturality); every other face, and every twist face
     but the last, cancels a term of H(dx); and the two terms left,
     first(a0)∘K_{c1} at position 0 and F'(K_{c0})∘first(a0) at position m,
-    are f(x) and -g(x).  Each
-    identity is checked once per distinct object, key or pair of keys of
-    the chains in ``degrees`` (``_KeyWalk``); a slot value that is not
-    typed (``_typed``) is a StructureError."""
+    are f(x) and -g(x).  Each identity is checked once per distinct key or
+    pair of keys of the chains in ``degrees`` (``_KeyWalk``); a slot value
+    that is not typed (``_typed``) is a StructureError."""
     if not isinstance(h, InsertionHomotopy):
         return False
     src, tgt = h.src, h.tgt
@@ -1111,12 +1099,10 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
     tail = _typed(cat_t, lambda x, y, a: h.tail(cat.basis_mor(x, y, *a)), f.slot_ends)
     cut = _typed(cat_t, h.cut, lambda c: (big_t.apply_obj(c), big_m.apply_obj(c), 0))
     compose, d = cat_t.compose, cat_t.d
-    if any(d(cut(c)).coeffs for c in walk.objects):
-        return False
     for c0, (c1, fc0), a0 in walk.heads():
         head = first(c0, c1, a0)
         da0 = cat.d(cat.basis_mor(c1, fc0, *a0))
-        if d(head).coeffs != _spread(lambda b: first(c0, c1, b), da0):
+        if d(head).coeffs != spread(lambda b: first(c0, c1, b).coeffs, da0.coeffs):
             return False
         if compose(head, cut(c1)) != f.head(c0, c1, a0):
             return False
@@ -1129,25 +1115,25 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
         if compose(cut(x), end) != compose(mid, cut(y)):
             return False
         da = cat.d(cat.basis_mor(y, x, *a))
-        if d(mid).coeffs != _spread(lambda b: middle(y, x, b), da):
+        if d(mid).coeffs != spread(lambda b: middle(y, x, b).coeffs, da.coeffs):
             return False
-        if d(end).coeffs != _spread(lambda b: tail(y, x, b), da):
+        if d(end).coeffs != spread(lambda b: tail(y, x, b).coeffs, da.coeffs):
             return False
     for c0, (c1, fc0), a0, (c2, _), a1 in walk.heads(joined=1):
         prod = cat.compose(cat.basis_mor(c1, fc0, *a0), cat.basis_mor(c2, c1, *a1))
         rhs = compose(first(c0, c1, a0), middle(c2, c1, a1))
-        if _spread(lambda b: first(c0, c2, b), prod) != rhs.coeffs:
+        if spread(lambda b: first(c0, c2, b).coeffs, prod.coeffs) != rhs.coeffs:
             return False
     for (y, x), a, (z, _), b in walk.links():
         prod = cat.compose(cat.basis_mor(y, x, *a), cat.basis_mor(z, y, *b))
         for value in (middle, tail):
             rhs = compose(value(y, x, a), value(z, y, b))
-            if _spread(lambda e: value(z, x, e), prod) != rhs.coeffs:
+            if spread(lambda e: value(z, x, e).coeffs, prod.coeffs) != rhs.coeffs:
                 return False
     for c0, (c1, fc0), a0, (_, cm), am in walk.heads(joined=-1):
         prod = cat.compose(twist.apply(cat.basis_mor(c0, cm, *am)), cat.basis_mor(c1, fc0, *a0))
         rhs = compose(twist_t.apply(tail(c0, cm, am)), first(c0, c1, a0))
-        if _spread(lambda b: first(cm, c1, b), prod) != rhs.coeffs:
+        if spread(lambda b: first(cm, c1, b).coeffs, prod.coeffs) != rhs.coeffs:
             return False
     return True
 
@@ -1347,8 +1333,11 @@ def verify_trace_decomposition(total_map: InducedMap, summands, degrees):
     ``summands`` is a list of (functor A_i, eta_ii NatTransform or None);
     a None diagonal twist means the block must be zero and the summand is
     dropped from the sum.  The homotopy is the per-summand insertion
-    formula, plus an exactly solved correction for the off-diagonal terms
-    when the formula alone fails.  Returns ({degree: homology matrices
+    formula, plus an exactly solved correction (``solve_homotopy``) when
+    the formula alone fails.  The correction adds the off-diagonal terms;
+    it also fixes the formula's sign at degree 0 (on the bundled examples
+    the formula's dH + Hd there is -(f - g)), and when every eta_ii is None (a cross-class certificate),
+    so that the formula is empty, it is the whole homotopy.  Returns ({degree: homology matrices
     equal}, certificate mode), the mode being "formula", "formula+solved"
     or "failed".
     """

@@ -24,6 +24,14 @@ def test_examples_emits_parseable_documents(capsys):
     assert main(["examples", "nope"]) == 2
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_examples_lists_every_bundled_example(output, capsys):
+    assert main(["examples", "--output", output]) == 0
+    listing = json.loads(capsys.readouterr().out)
+    assert sorted(listing) == ["E1", "E2", "E3", "E4", "E5"]
+    assert listing["E3"] == "one-object group algebra k[Z/2]"
+
+
 def test_validate_e1(tmp_path, capsys):
     path = write_doc(tmp_path, "E1")
     assert main(["validate", path]) == 0
@@ -174,6 +182,16 @@ def test_kunneth_e3_cli(tmp_path, capsys):
     assert payload["kunneth_isomorphism"]
     assert payload["degrees"]["0"]["tensor_dim"] == 4
     assert payload["degrees"]["0"]["bijective"]
+
+
+def test_kunneth_e3_text(tmp_path, capsys):
+    path = write_doc(tmp_path, "E3")
+    assert main(["kunneth", path, "--degrees=-1..0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "E3: shuffle map [Exact], chain map ok (68 chains)",
+        "  degree -1: 0 -> 0 rank 0 bijective",
+        "  degree 0: 4 -> 4 rank 4 bijective",
+    ]
 
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5"])

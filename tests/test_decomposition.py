@@ -401,6 +401,145 @@ def test_witness_order_with_doubled_inclusion():
     assert rep.dims_match and all(ok for ok, _ in rep.rep_checks.values())
 
 
+def sabotaged_class_data(monkeypatch, change):
+    """Let ``change(g, data)`` alter the class data of g after it is built
+    and before any check reads it."""
+    build = decomposition._build_class_data
+
+    def changed(pipe, g, degs, mu_mat, mu_inv):
+        data = build(pipe, g, degs, mu_mat, mu_inv)
+        change(g, data)
+        return data
+
+    monkeypatch.setattr(decomposition, "_build_class_data", changed)
+
+
+def doubled(matrices, key):
+    matrices[key] = {k: m.scale(Fraction(2)) for k, m in matrices[key].items()}
+
+
+def class_witnesses(text):
+    return [text.format(g=g) for g in ("e", "s")]
+
+
+def set_projector(g, data, projectors):
+    """Replace the class projector of g at degree 0 where ``projectors``
+    names one."""
+    if g in projectors:
+        rows = [[Fraction(x) for x in row] for row in projectors[g]]
+        data["E"][0] = SparseMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "change, failed, witnesses",
+    [
+        (
+            lambda g, data: data.update(mismatches=[(0, 0)]),
+            "chain_functoriality",
+            class_witnesses("chain-level functoriality fails for pi∘mu at {g}"),
+        ),
+        (
+            lambda g, data: doubled(data["M_small"], "s"),
+            "centralizer_right_action",
+            class_witnesses("centralizer right-action law fails for (s,s) at {g}, degree 0"),
+        ),
+        (
+            lambda g, data: doubled(data["M_big"], "s"),
+            "projection_invariance",
+            class_witnesses("projection not invariant under s in the class of {g} at degree 0"),
+        ),
+        (
+            lambda g, data: doubled(data, "avg"),
+            "averaging_idempotent",
+            class_witnesses("averaging projector for {g} not idempotent at degree 0"),
+        ),
+        # E_s = 0: both projectors stay idempotent and orthogonal, and every
+        # representation still acts on them by its character
+        (
+            lambda g, data: set_projector(g, data, {"s": [[0, 0], [0, 0]]}),
+            "projector_sum_identity",
+            ["projectors do not sum to the identity at degree 0"],
+        ),
+    ],
+    ids=[
+        "chain-functoriality",
+        "centralizer-right-action",
+        "projection-invariance",
+        "averaging",
+        "projector-sum",
+    ],
+)
+def test_witness_of_each_sabotaged_check(change, failed, witnesses, monkeypatch):
+    """E1 with one piece of its class data changed: only the check that
+    reads it fails, with its witnesses."""
+    sabotaged_class_data(monkeypatch, change)
+    rep = run_checks(bundle_pipeline(example_e1(), certificates=False))
+    assert [name for name, ok in rep.checks.items() if not ok] == [failed]
+    assert rep.witnesses == witnesses
+    assert not rep.theorem_holds
+
+
+def test_witness_of_projectors_that_are_not_orthogonal_idempotents(monkeypatch):
+    """E1's projectors E_e ± X with X = [[0, 1], [0, 0]] still sum to the
+    identity; no representation acts on both by its character (the sign
+    would need X = -X), so this run has none."""
+    projectors = {"e": [["1/2", "3/2"], ["1/2", "1/2"]], "s": [["1/2", "-3/2"], ["-1/2", "1/2"]]}
+    sabotaged_class_data(monkeypatch, lambda g, data: set_projector(g, data, projectors))
+    pipe = bundle_pipeline(example_e1(), certificates=False)
+    pipe.representations = {}
+    rep = run_checks(pipe)
+    assert [name for name, ok in rep.checks.items() if not ok] == [
+        "projectors_orthogonal_idempotent"
+    ]
+    assert rep.witnesses == [
+        *class_witnesses("projector of {g} not idempotent at degree 0"),
+        "projectors of e, s not orthogonal at degree 0",
+        "projectors of s, e not orthogonal at degree 0",
+    ]
+    assert not rep.theorem_holds
+
+
+def test_witness_of_conjugate_representatives_that_disagree(monkeypatch):
+    # S3's transpositions and 3-cycles have conjugate representatives
+    sabotaged_class_data(
+        monkeypatch, lambda g, data: data["K_alt"] and doubled(data, "K_alt")
+    )
+    rep = run_checks(bundle_pipeline(example_e5(), certificates=False))
+    assert [name for name, ok in rep.checks.items() if not ok] == ["representative_independence"]
+    assert rep.witnesses == [
+        f"projector differs between conjugate representatives of {g} at 0" for g in ("132", "231")
+    ]
+    assert not rep.theorem_holds
+
+
+def test_witness_of_a_representation_acting_by_another_character(monkeypatch):
+    """The sign representation's character read with s -> +1: T[sign] acts
+    on E_s by -1, not by the character."""
+    read = decomposition.character
+
+    def wrong_sign(rep, classes):
+        chi = read(rep, classes)
+        return {**chi, "s": abs(chi["s"])} if rep.name == "sign" else chi
+
+    monkeypatch.setattr(decomposition, "character", wrong_sign)
+    rep = run_checks(bundle_pipeline(example_e1(), certificates=False))
+    assert all(rep.checks.values())
+    assert rep.witnesses == [
+        "representation sign does not act by its character on the class of s at degree 0"
+    ]
+    assert [name for name, (ok, _) in rep.rep_checks.items() if not ok] == ["sign"]
+    assert not rep.theorem_holds
+
+
+def test_full_window_over_the_budget_skips_every_certificate(monkeypatch):
+    """E5's W_full (and every W_big) exceeds a budget of one chain, so not
+    even the representative transports run."""
+    monkeypatch.setattr(decomposition, "CERTIFICATE_CHAIN_BUDGET", 1)
+    rep = run_checks(bundle_pipeline(example_e5()))
+    assert rep.certificates == [("homotopy certificates", "skipped: window too large", True)]
+    assert rep.theorem_holds
+
+
 def transport_with_wrong_homotopy(transport):
     """``transport`` whose certificate's H is off by one target chain b
     with db != 0 on every source chain of the lowest checked degree k, so

@@ -15,9 +15,10 @@ from equihh.dgcat import (
     identity_functor,
 )
 from equihh.errors import StructureError
-from equihh.examples import example_e1, example_e2, example_e5
+from equihh.examples import example_e1, example_e2, example_e5, exterior_category
 from equihh.hochschild import InducedMap, build_window, compose_induced, induced_composite
 from equihh.scalars import QQ
+from tests_support import collapsing_twist, identity_but_e, reversed_window
 
 
 @pytest.fixture
@@ -172,3 +173,77 @@ def test_key_no_chain_uses_needs_no_table_entry(table_verdicts):
     assert table_verdicts == [True]
     assert mismatches == []
     assert hochschild._chain_mismatches(outer, inner, combined) == []
+
+
+# ---------------------------------------------------------------------------
+# composites that only one precondition of the table pass rejects
+
+
+def identity_induced(src, tgt, phi=None):
+    """(phi, 1)_* from ``src`` to ``tgt``, phi the identity of their
+    category by default: the twist is the unit of F(c) at each object c."""
+    cat, twist = src.category, src.functor
+    phi = phi or identity_functor(cat)
+    units = {c: cat.unit(twist.apply_obj(c)) for c in cat.objects}
+    return InducedMap(src, tgt, phi, NatTransform(phi, phi, units))
+
+
+def test_middle_window_built_twice_takes_the_fallback(table_verdicts):
+    # outer starts at a second build of the middle window, its chains in
+    # another order, so outer reads inner's chain indices as other chains
+    cat, twist = collapsing_twist()
+    win = build_window(cat, twist, -3, 1)
+    inner, outer = identity_induced(win, win), identity_induced(reversed_window(win), win)
+    combined, mismatches = compose_induced(outer, inner)
+    assert table_verdicts == [False]
+    assert mismatches and mismatches == hochschild._chain_mismatches(outer, inner, combined)
+
+
+def test_normalized_middle_window_takes_the_fallback(table_verdicts):
+    # inner writes u[1] into a window without identities in slots 1..m
+    cat, twist = collapsing_twist()
+    win = build_window(cat, twist, -3, 1)
+    normalized = build_window(cat, twist, -3, 1, normalized=True)
+    inner, outer = identity_induced(win, normalized), identity_induced(normalized, win)
+    with pytest.raises(StructureError, match="image chain missing from window"):
+        compose_induced(outer, inner)
+    assert table_verdicts == [False]
+
+
+def test_middle_window_without_the_top_degree_takes_the_fallback(table_verdicts):
+    # both windows reach bar degree 3; the middle one stops at degree -1,
+    # so inner sends the degree-0 chains to 0
+    cat, twist = collapsing_twist()
+    win, lower = build_window(cat, twist, -3, 0), build_window(cat, twist, -3, -1)
+    assert win.certification == lower.certification
+    inner, outer = identity_induced(win, lower), identity_induced(lower, win)
+    combined, mismatches = compose_induced(outer, inner)
+    assert table_verdicts == [False]
+    assert mismatches == [(0, 0), (0, 1)] == hochschild._chain_mismatches(outer, inner, combined)
+
+
+def test_middle_window_with_a_lower_bar_cap_takes_the_fallback(table_verdicts):
+    # the same degrees, but the middle window stops at bar degree 1
+    ext = exterior_category(1)
+    ident = identity_functor(ext)
+    win = build_window(ext, ident, -2, 1, bar_cap=2)
+    capped = build_window(ext, ident, -2, 1, bar_cap=1)
+    inner, outer = identity_induced(win, capped), identity_induced(capped, win)
+    with pytest.raises(StructureError, match="image chain missing from window"):
+        compose_induced(outer, inner)
+    assert table_verdicts == [False]
+
+
+def test_slot_value_of_another_degree_takes_the_fallback():
+    """phi sends e, which only slots 1..m hold, to 1_x of degree 0: the
+    slot identities hold (the slot-0 keys keep their images), so only the
+    typed reader rejects, and the chain loop reports the term of another
+    degree."""
+    cat, twist = collapsing_twist()
+    phi = identity_but_e(cat, cat.unit("x"), "e->1")
+    win = build_window(cat, twist, -3, 1)
+    inner, outer = identity_induced(win, win, phi), identity_induced(win, win)
+    with pytest.raises(StructureError, match="slot value"):
+        hochschild._slot_tables_agree(outer, inner, induced_composite(outer, inner))
+    with pytest.raises(StructureError, match=r"has degree -2, not -3"):
+        compose_induced(outer, inner)

@@ -34,6 +34,7 @@ from equihh.hochschild import (
     compose_induced,
     conjugate_transport,
     hh_dimensions,
+    solve_homotopy,
 )
 from equihh.linalg import P, Echelon, SparseMatrix, rank_mod_p, vec_is_zero
 from equihh.scalars import QQ, CyclotomicField, Cyc
@@ -621,3 +622,31 @@ def test_nonzero_square_is_never_certified():
     assert rank_mod_p(win.differential(-1)) + rank_mod_p(win.differential(0)) == 2
     assert 0 not in certified_degrees(win)
     assert win.homology(0) == (1, [{1: Fraction(1)}])
+
+
+class IdentityMap(ChainMap):
+    def _compute(self, k, idx):
+        return {idx: Fraction(1)}
+
+
+def identity_versus_zero(win):
+    """The certificate of id ≃ 0 on ``win`` with H = 0."""
+    zero = LinearComboMap(win, win, [])
+    return HomotopyCertificate(IdentityMap(win, win), zero, lambda k, idx: {})
+
+
+def test_solver_uses_the_unknowns_above_the_top_degree():
+    # 0 -> Q -(1)-> Q -> 0 in degrees 1, 2 is acyclic; the solved degrees
+    # stop at 1, where C_0 = 0, so only H_2: C_2 -> C_1 can give dH + Hd = id
+    win = MatrixWindow({-1: 0, 0: 0, 1: 1, 2: 1}, {1: [[1]]})
+    cert = identity_versus_zero(win)
+    assert not cert.check()
+    solved = solve_homotopy(cert)
+    assert solved.apply_chain(1, 0) == {} and solved.apply_chain(2, 0) == {0: 1}
+    assert HomotopyCertificate(cert.f, cert.g, solved.apply_chain).check()
+
+
+def test_solver_finds_no_homotopy_where_homology_differs():
+    # id and 0 differ on H_0 = Q, so no H solves dH + Hd = id
+    win = MatrixWindow({-1: 0, 0: 1, 1: 0}, {})
+    assert solve_homotopy(identity_versus_zero(win)) is None

@@ -17,6 +17,7 @@ from equihh.examples import (
     point_category,
 )
 from equihh.groups import permutation_action
+import equihh.hochschild as hochschild
 from equihh.hochschild import (
     HochschildWindow,
     InducedMap,
@@ -72,9 +73,23 @@ def test_trace_decomposition_diagonal():
     total_map = InducedMap(w_src, w_tgt, total, eta)
     matrices_equal, mode = verify_trace_decomposition(total_map, summands, degrees=[-1, 0])
     assert all(matrices_equal.values())
-    # the per-summand insertion formula needs the exactly solved
-    # off-diagonal correction whenever there are >= 2 summands
+    # the per-summand insertion formula alone does not certify here: the
+    # solver adds the off-diagonal terms and fixes the formula's sign at
+    # degree 0 (where the formula's dH + Hd is -(f - g) on the bundled
+    # examples); where every diagonal twist is None it builds the whole
+    # homotopy
     assert mode in ("formula", "formula+solved")
+
+
+def test_trace_decomposition_without_a_solved_homotopy_fails(monkeypatch):
+    # the formula alone does not certify this setting, so a solver that
+    # finds nothing leaves the certificate failed
+    monkeypatch.setattr(hochschild, "solve_homotopy", lambda cert, name=None: None)
+    w_src, w_tgt, total, eta, summands = doubled_point_setup([[1, 0], [0, 1]])
+    total_map = InducedMap(w_src, w_tgt, total, eta)
+    matrices_equal, mode = verify_trace_decomposition(total_map, summands, degrees=[-1, 0])
+    assert all(matrices_equal.values())
+    assert mode == "failed"
 
 
 def test_trace_decomposition_mixed():

@@ -37,7 +37,17 @@ from equihh.hochschild import (
     conjugate_transport,
 )
 from equihh.scalars import QQ
-from tests_support import scaled_action
+from tests_support import (
+    collapsing_twist,
+    doubled,
+    doubled_v,
+    graded,
+    identity_but_e,
+    projecting_cut,
+    same,
+    scaled_action,
+    zero,
+)
 
 
 def bundle_pipeline(builder, degrees):
@@ -268,8 +278,36 @@ def truncated_target():
     return conjugate_transport(f, alpha, incl)[1]
 
 
+def collapsing(m_e=1, t_e=1, middle_e=1, tail_e=1):
+    """The insertion homotopy of the identity cut between (T, 1)_* and
+    (M, 1)_* on the window [-3, 1] of ``collapsing_twist``, with slot maps
+    middle and tail.  Each of T, M, middle and tail is the identity but for
+    e -> (its scale)·e; e never reaches slot 0, so slot 0 holds whatever
+    the scales."""
+    cat, twist = collapsing_twist()
+    win = build_window(cat, twist, -3, 1)
+
+    def scaling(scale):
+        return identity_but_e(cat, cat.basis_mor("x", "x", -1, "e").scale(scale), f"e->{scale}e")
+
+    def induced(fun):
+        return InducedMap(win, win, fun, NatTransform(fun, fun, {c: cat.unit("y") for c in "xy"}))
+
+    h = InsertionHomotopy(
+        win, win, lambda a0, c0: a0, scaling(middle_e).apply, cat.unit, scaling(tail_e).apply
+    )
+    return HomotopyCertificate(induced(scaling(t_e)), induced(scaling(m_e)), h)
+
+
 def test_unbroken_settings_pass_the_table_pass():
-    for cert in (transport(), transport(twist=PROJECTING)):
+    for cert in (
+        transport(),
+        transport(twist=PROJECTING),
+        collapsing(),
+        collapsing(2, 2, 2, 2),
+        projecting_cut(),
+        projecting_cut(first_bottom=same),
+    ):
         assert cert.chain_failures() == []
         assert cert.slot_identities_hold()
 
@@ -308,6 +346,19 @@ def outcome(run):
         lambda: transport(table_functor(scaled_images({"u": 2, "eu": 2, "pu": 2}), "T")),
         normalized_source,
         truncated_target,
+        # on a key no slot 0 holds, so every slot-0 identity holds: middle
+        # or tail is not M or T, or K is not natural from tail to middle
+        lambda: collapsing(m_e=2),
+        lambda: collapsing(t_e=2),
+        lambda: collapsing(m_e=2, middle_e=2),
+        # behind a cut that is not invertible: d middle(a) != middle(d a)
+        # alone, d tail(a) != tail(d a) alone, middle not multiplicative,
+        # first(a0 a1) != first(a0)∘middle(a1), d first(v) != first(d v)
+        lambda: projecting_cut(m_bottom=graded),
+        lambda: projecting_cut(t_bottom=graded),
+        lambda: projecting_cut(m_bottom=doubled),
+        lambda: projecting_cut(m_bottom=zero, first_bottom=same),
+        lambda: projecting_cut(first_bottom=doubled_v),
     ],
     ids=[
         "cut-endpoints",
@@ -322,6 +373,14 @@ def outcome(run):
         "differential",
         "normalized-source",
         "truncated-target",
+        "middle-not-M",
+        "tail-not-T",
+        "naturality-off-slot-0",
+        "projected-d-middle",
+        "projected-d-tail",
+        "projected-multiplicativity",
+        "projected-first-multiplicativity",
+        "projected-d-first",
     ],
 )
 def test_broken_certificate_fails_table_pass_and_falls_back(broken):

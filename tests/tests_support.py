@@ -5,10 +5,36 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from equihh.dgcat import Mor, NatTransform, algebra_category, block_mor, identity_functor, parity_sign
+from equihh.dgcat import (
+    DgCategory,
+    DgFunctor,
+    Mor,
+    NatTransform,
+    algebra_category,
+    block_mor,
+    hull_entries,
+    hull_subcategory,
+    identity_functor,
+    parity_sign,
+)
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
-from equihh.hochschild import ChainMap, HomologyBasis, InducedMap, WindowBase
-from equihh.linalg import Echelon, SparseMatrix, rank_kernel_image, vec_axpy, vec_is_zero
+from equihh.hochschild import (
+    ChainMap,
+    HomologyBasis,
+    HomotopyCertificate,
+    InducedMap,
+    InsertionHomotopy,
+    WindowBase,
+    build_window,
+)
+from equihh.linalg import (
+    Echelon,
+    GradedSpace,
+    SparseMatrix,
+    rank_kernel_image,
+    vec_axpy,
+    vec_is_zero,
+)
 from equihh.scalars import QQ, Cyc, invert_scalar
 
 
@@ -100,6 +126,125 @@ def leibniz_sabotage_pair():
         differential={"t": {"s": 1}, "xt": {"xs": -1}},
     )
     return good, bad
+
+
+def collapsing_twist():
+    """(Q, F): objects x and y, End(x) = k{1, e} with |e| = -1 and e∘e = 0,
+    End(y) = k{1}, Hom(x, y) = k{u} and nothing back; the twist F sends
+    both objects to y, u and the units to 1_y and e to 0.  A slot-0 key
+    a0: c1 -> F(c0) ends at y, so e, an endomorphism of x, never reaches
+    slot 0, while the chain u[e] holds it in slot 1."""
+    one, e, u = (0, "1"), (-1, "e"), (0, "u")
+    homs = {
+        ("x", "x"): GradedSpace({0: ["1"], -1: ["e"]}),
+        ("y", "y"): GradedSpace({0: ["1"]}),
+        ("x", "y"): GradedSpace({0: ["u"]}),
+    }
+    comp = {
+        ("x", "x", "x"): {(one, one): {one: QQ.one}, (one, e): {e: QQ.one}, (e, one): {e: QQ.one}},
+        ("x", "x", "y"): {(one, u): {u: QQ.one}},
+        ("x", "y", "y"): {(u, one): {u: QQ.one}},
+        ("y", "y", "y"): {(one, one): {one: QQ.one}},
+    }
+    cat = DgCategory(QQ, ["x", "y"], homs, {}, comp, {x: {one: QQ.one} for x in "xy"})
+    to_y = {
+        ("x", "x"): {one: cat.unit("y"), e: Mor("y", "y", {})},
+        ("y", "y"): {one: cat.unit("y")},
+        ("x", "y"): {u: cat.unit("y")},
+    }
+    return cat, DgFunctor(cat, cat, {"x": "y", "y": "y"}, to_y, name="F")
+
+
+def identity_but_e(cat, image, name):
+    """The identity of ``collapsing_twist``'s category but for e -> image."""
+    table = {pair: dict(identity_functor(cat).mor_map[pair]) for pair in cat.homs}
+    table[("x", "x")][(-1, "e")] = image
+    return DgFunctor(cat, cat, {"x": "x", "y": "y"}, table, name=name)
+
+
+# the bottom entries of projecting_cut's slot maps, on a basis morphism a
+def same(a):
+    return a.coeffs
+
+
+def zero(a):
+    return {}
+
+
+def doubled(a):
+    """a -> 2a: a chain map that is not multiplicative."""
+    return {key: 2 * c for key, c in a.coeffs.items()}
+
+
+def graded(a):
+    """a -> 2^{-|a|}·a: multiplicative, but not a chain map (du = 1)."""
+    return {key: c * 2 ** -key[0] for key, c in a.coeffs.items()}
+
+
+def doubled_v(a):
+    """v -> 2v, the other keys fixed: no chain map (dv = x)."""
+    return {key: c * (2 if key[1] == "v" else 1) for key, c in a.coeffs.items()}
+
+
+def projecting_cut(m_bottom=same, t_bottom=same, first_bottom=zero):
+    """An insertion homotopy whose cut is not invertible.
+
+    From the window [-3, 0] of Λ = k[u, x]/(u², x²) (|u| = |x| = -1,
+    du = 1, v = ux = -xu, dv = x) to that of the hull object (pt, pt),
+    both untwisted: T and M send a to diag(a, t_bottom(a)) and diag(a,
+    m_bottom(a)), the cut and both twists are the projection e11, and
+    first(a0) = diag(a0, first_bottom(a0)).  e11 hides the bottom entries
+    from naturality and from the slot-0 identities, so each bottom map
+    breaks only the identities that read it without e11: d-compatibility,
+    multiplicativity, first(a0 a1) = first(a0)∘middle(a1).  v reaches
+    slot 0 only in the chain v of the lowest checked degree, -2, and no
+    checked pair multiplies to it, so first reads it only for d first.
+    Every identity holds with the defaults."""
+    lam = algebra_category(
+        QQ,
+        "pt",
+        [("1", 0), ("u", -1), ("x", -1), ("v", -2)],
+        {
+            ("u", "x"): {"v": 1}, ("x", "u"): {"v": -1}, ("u", "u"): {}, ("x", "x"): {},
+            ("u", "v"): {}, ("v", "u"): {}, ("x", "v"): {}, ("v", "x"): {}, ("v", "v"): {},
+        },
+        differential={"u": {"1": 1}, "v": {"x": 1}},
+    )
+    pp = ("pt", "pt")
+    pair = hull_subcategory(lam, [pp])
+    e11 = Mor(pp, pp, hull_entries({(0, "1"): QQ.one}, 0, 0))
+
+    def diagonal(bottom):
+        return lambda a: Mor(
+            pp, pp, {**hull_entries(a.coeffs, 0, 0), **hull_entries(bottom(a), 1, 1)}
+        )
+
+    def functor(bottom, name):
+        value = diagonal(bottom)
+        table = {key: value(lam.basis_mor("pt", "pt", *key)) for key in lam.basis_keys("pt", "pt")}
+        return DgFunctor(lam, pair, {"pt": pp}, {("pt", "pt"): table}, name=name)
+
+    src = build_window(lam, identity_functor(lam), -3, 0)
+    tgt = build_window(pair, identity_functor(pair), -3, 0)
+    big_t, big_m = functor(t_bottom, "T"), functor(m_bottom, "M")
+    f = InducedMap(src, tgt, big_t, NatTransform(big_t, big_t, {"pt": e11}))
+    g = InducedMap(src, tgt, big_m, NatTransform(big_m, big_m, {"pt": e11}))
+    first = diagonal(first_bottom)
+    h = InsertionHomotopy(
+        src, tgt, lambda a0, c0: first(a0), big_m.apply, lambda c: e11, big_t.apply
+    )
+    return HomotopyCertificate(f, g, h)
+
+
+def reversed_window(win):
+    """A second build of the window ``win``, with each degree's chains
+    listed in reverse order: the same complex on another basis order."""
+    other = build_window(win.category, win.functor, win.lo, win.hi, bar_cap=win.bar_cap)
+    for k, chains in other._chains.items():
+        chains.reverse()
+        other._index[k] = {chain: i for i, chain in enumerate(chains)}
+    other._differentials()
+    return other
 
 
 def zero_mor(x, y):
