@@ -62,10 +62,13 @@ def compose_terms(table, g_terms, f_terms, read=None):
 
 def spread(value, coeffs):
     """Σ c·value(key) over the items (key, c) of ``coeffs``: the key map
-    ``value`` (a basis key -> a coefficient dict) extended linearly."""
+    ``value`` (a basis key -> a coefficient dict, or None for zero)
+    extended linearly."""
     out = {}
     for key, c in coeffs.items():
-        vec_axpy(out, c, value(key))
+        vec = value(key)
+        if vec:
+            vec_axpy(out, c, vec)
     return out
 
 
@@ -218,8 +221,10 @@ class DgCategory:
         return Mor(g.src, f.tgt, compose_terms(table, g.coeffs.items(), f.coeffs.items()))
 
     def d(self, f: Mor) -> Mor:
-        table = self.diff.get((f.src, f.tgt), {})
-        return Mor(f.src, f.tgt, spread(lambda key: table.get(key, {}), f.coeffs))
+        table = self.diff.get((f.src, f.tgt))
+        if not table:
+            return Mor(f.src, f.tgt, {})
+        return Mor(f.src, f.tgt, spread(table.get, f.coeffs))
 
     def invert(self, f: Mor):
         """Two-sided inverse of a degree-0 morphism, or None.
@@ -374,8 +379,21 @@ class DgFunctor:
             ) from exc
 
     def apply(self, f: Mor) -> Mor:
+        """F(f): the images of f's keys summed, the hom pair's table read
+        once.  An unmapped hom pair or key raises StructureError, naming
+        it, unless f is zero."""
         src, tgt = self.apply_obj(f.src), self.apply_obj(f.tgt)
-        return Mor(src, tgt, spread(lambda key: self.image(f.src, f.tgt, key).coeffs, f.coeffs))
+        out = {}
+        if f.coeffs:
+            try:
+                table = self.mor_map[(f.src, f.tgt)]
+                for key, c in f.coeffs.items():
+                    vec_axpy(out, c, table[key].coeffs)
+            except KeyError as exc:
+                raise StructureError(
+                    f"functor {self.name} has no action on {exc.args[0]} in {f.src}->{f.tgt}"
+                ) from exc
+        return Mor(src, tgt, out)
 
     def __repr__(self):
         return f"DgFunctor({self.name or hex(id(self))})"

@@ -149,6 +149,12 @@ def parse_document(doc) -> ExampleBundle:
         if gl not in dg or fl not in df:
             raise InputError(f"unknown composition labels {gl!r}, {fl!r}", loc)
         result = _coeffs(c.get("result", {}), field, label_degrees.get((x, z), {}), loc)
+        for deg, label in result:
+            if deg != dg[gl] + df[fl]:
+                raise InputError(
+                    f"{fl!r}∘{gl!r} has degree {dg[gl] + df[fl]}, but {label!r} has degree {deg}",
+                    loc,
+                )
         comp.setdefault((x, y, z), {})[((dg[gl], gl), (df[fl], fl))] = result
     for x, entry in _expect(cat_doc.get("units") or {}, dict, "category.units").items():
         if x not in objects:

@@ -6,6 +6,8 @@ coherence square theta[g,h]^{-1} ∘ alpha_{hg} = rho_g(alpha_h) ∘ alpha_g.
 The equivariant category on a finite roster has hom complexes carved out
 of the ambient hull homs by the linear condition
 alpha'_g ∘ φ = rho_g(φ) ∘ alpha_g for every g, solved exactly per degree.
+When the base category and action validate, the conditions of a
+generating set of G are stacked; they imply the others.
 
 Both the conditions and the compositions are read from the structure
 tables, not built one morphism at a time: the condition on a basis key φ
@@ -54,9 +56,10 @@ from .dgcat import (
     identity_functor,
     lift_functor_to_hull,
     spread,
+    validate_dgcat,
 )
-from .errors import CapacityError, StructureError
-from .groups import GroupAction, regular_representation
+from .errors import CapacityError, EquihhError, StructureError
+from .groups import GroupAction, regular_representation, validate_action
 from .linalg import (
     Echelon,
     GradedSpace,
@@ -235,7 +238,11 @@ class EquivariantCategory:
     ambient homs; basis labels are "q<deg>_0", "q<deg>_1", ... per degree
     in solving order.  A subspace whose differential leaves it raises
     StructureError.  ``embed``/``restrict`` convert between roster
-    morphisms and ambient morphisms.
+    morphisms and ambient morphisms.  The roster's objects are taken to
+    satisfy the coherence square (``build_equivariant_category`` checks
+    it): the homs are solved from the conditions of a generating set of
+    G, which cut out the same subspace only for such objects (see
+    ``_solve_pair``).
     """
 
     def __init__(self, laction: GroupAction, roster):
@@ -253,6 +260,7 @@ class EquivariantCategory:
         self._echelons = {}  # (src_name, tgt_name, deg) -> Echelon over flat ambient idx
         self._flat = {}  # (x_tuple, y_tuple, deg) -> (key list, key index)
         self._sym_names = {}  # hull tuple c -> roster name of S(c)
+        self._conditions = self._condition_elements()
         self.category = self._build()
 
     # -- plumbing --------------------------------------------------------
@@ -272,6 +280,24 @@ class EquivariantCategory:
             self._sym_names[c] = self.find(symmetrize(self.laction, c), f"symmetrization of {c}")
         return self._sym_names[c]
 
+    def _condition_elements(self):
+        """The elements whose equivariance conditions ``_solve_pair``
+        stacks: G's generating set when the base category and the base
+        action of a lifted action both validate, every element otherwise
+        (a validator that raises counts as failing, as does an action that
+        was not lifted).  The hull's composition, its rho_g and its theta
+        are built blockwise from the base's, so they inherit its
+        associativity, functoriality and naturality."""
+        grp = self.laction.group
+        base = getattr(self.laction, "base", None)
+        if base is not None:
+            try:
+                if validate_dgcat(base.category).ok and validate_action(base).ok:
+                    return grp.generating_set()
+            except EquihhError:
+                pass
+        return list(grp.elements)
+
     def _flatten_space(self, x, y, deg):
         key = (x, y, deg)
         if key not in self._flat:
@@ -284,6 +310,21 @@ class EquivariantCategory:
         """Kernel of the stacked equivariance conditions, one matrix per
         degree; deterministic elimination order gives reproducible bases.
 
+        Only the elements of ``_condition_elements`` are stacked: a
+        generating set of G when the base validates.  The lemma: if φ
+        satisfies alpha'_g∘φ = rho_g(φ)∘alpha_g at g and at h, it does at
+        hg = mul(h, g).  With the coherence square of both objects,
+        alpha_{hg} = theta[g,h]∘rho_g(alpha_h)∘alpha_g, and associativity
+        throughout:
+
+            alpha'_{hg}∘φ = theta[g,h]∘rho_g(alpha'_h)∘alpha'_g∘φ
+                = theta[g,h]∘rho_g(alpha'_h∘φ)∘alpha_g       (at g; rho_g a functor)
+                = theta[g,h]∘rho_g(rho_h(φ))∘rho_g(alpha_h)∘alpha_g    (at h)
+                = rho_{hg}(φ)∘alpha_{hg}               (theta[g,h] natural)
+
+        A finite group is the monoid its generators generate, so their
+        conditions cut out the kernel of all |G|.
+
         The condition alpha'_g∘φ - rho_g(φ)∘alpha_g on a basis key φ is
         read from the tables: per g, the composition tables of
         (c, c2, rho_g c2) and (c, rho_g c, rho_g c2), the coefficients of
@@ -292,7 +333,11 @@ class EquivariantCategory:
         table entry, alpha and image is read through
         ``linalg.integral_reader``, so the conditions are ints where the
         tables are integral; the kernel comes out of ``Echelon`` as field
-        scalars."""
+        scalars.  It is the reduced kernel basis (1 on a column that is a
+        combination of earlier ones, the combination's coefficients on the
+        earlier independent columns), which depends only on the subspace;
+        each vector lists its keys in hom-key order (``_flatten_space``),
+        so neither depends on the rows the elimination saw."""
         cat = self.laction.category
         c, c2 = src.underlying, tgt.underlying
         space = cat.hom(c, c2)
@@ -300,7 +345,7 @@ class EquivariantCategory:
             return {}
         read = integral_reader()
         per_g = []
-        for g in self.laction.group.elements:
+        for g in self._conditions:
             rho = self.laction.rho(g)
             a_src, a_tgt = src.alpha[g], tgt.alpha[g]
             if a_tgt.src != c2 or a_src.tgt != rho.apply_obj(c):
@@ -331,10 +376,7 @@ class EquivariantCategory:
             for j, col in enumerate(matrix_cols):
                 mat.cols[j] = col
             _, kernel = rank_kernel_image(mat, cat.field)
-            basis = []
-            for vec in kernel:
-                coeffs = {keys[i]: v for i, v in vec.items()}
-                basis.append(coeffs)
+            basis = [{keys[i]: vec[i] for i in sorted(vec)} for vec in kernel]
             if basis:
                 solved[deg] = basis
         return solved

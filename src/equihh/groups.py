@@ -79,6 +79,27 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
+    def generating_set(self):
+        """Generators in element order: each element that the ones kept
+        before it do not generate.  Never e, except that the trivial group
+        returns [e].  In a finite group the products of generators (the
+        monoid they generate) are the whole group."""
+        gens = []
+        reached = {self.identity}
+        for g in self.elements:
+            if g in reached:
+                continue
+            gens.append(g)
+            todo = list(reached)
+            while todo:
+                x = todo.pop()
+                for s in gens:
+                    y = self.mul(x, s)
+                    if y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+        return gens or [self.identity]
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {len(self)})"
 

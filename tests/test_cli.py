@@ -314,6 +314,21 @@ MALFORMED = [
 ]
 
 
+@pytest.mark.parametrize("command", ["validate", "hh", "decompose"])
+def test_composite_of_the_wrong_degree_is_input_error(tmp_path, capsys, command):
+    """E3 with g moved to degree -1: the table's g∘g = 1 has degree 0, not
+    -2.  Every command rejects the document where it is read; hh used to
+    fail inside the window (exit 1, no report)."""
+
+    def shift_g(doc):
+        doc["category"]["homs"][0]["basis"][1]["degree"] = -1
+
+    path = write_doc(tmp_path, "E3", mutate=shift_g)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert "input error: category.compositions[0]: 'g'∘'g' has degree -2, but '1' has degree 0" in err
+
+
 @pytest.mark.parametrize("mutate, location", MALFORMED)
 def test_malformed_blocks_are_input_errors(tmp_path, capsys, mutate, location):
     path = write_doc(tmp_path, "E1", mutate=mutate)

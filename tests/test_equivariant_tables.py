@@ -1,30 +1,60 @@
 """The table-driven equivariant layer and induced maps against their
 morphism-by-morphism references, on the E1, E2 and E5 pipelines: the
-same numbers in the same key order and of the same scalar type.  Also
-the category's symmetrization pieces on the same pipelines: S(c)'s roster
-name and the unit/counit pair I, P."""
+same numbers in the same key order and of the same scalar type.  The
+category, which stacks the equivariance conditions of a generating set
+of G on a validated base, also against the all-element reference on
+actions with nontrivial theta or rho, and on one that fails validation.
+Also the category's symmetrization pieces on the same pipelines: S(c)'s
+roster name and the unit/counit pair I, P."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from equihh import equivariant
 from equihh.decomposition import DecompositionPipeline
-from equihh.dgcat import Mor, algebra_category
+from equihh.dgcat import (
+    DgFunctor,
+    Mor,
+    NatTransform,
+    algebra_category,
+    block_mor,
+    disjoint_points_category,
+    identity_functor,
+    validate_dgcat,
+)
 from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.equivariant import (
     EquivariantCategory,
     EquivariantObject,
     build_equivariant_category,
     lift_action,
+    rep_tensor,
     symmetrize,
 )
 from equihh.errors import StructureError
-from equihh.examples import DeclaredObject, example_e1, example_e2, example_e5, get_example
-from equihh.groups import FiniteGroup, trivial_action
+from equihh.examples import (
+    DeclaredObject,
+    example_e1,
+    example_e2,
+    example_e5,
+    get_example,
+    s3_standard_representation,
+)
+from equihh.groups import (
+    FiniteGroup,
+    GroupAction,
+    sign_representation_s,
+    strict_action,
+    trivial_action,
+    validate_action,
+)
 from equihh.linalg import integral_entry
 from equihh.scalars import QQ
 from tests_support import (
+    coboundary_action,
+    coboundary_weights,
     fraction_comp_table,
     fraction_solve_pair,
     reference_equivariant_comp_table,
@@ -63,11 +93,10 @@ def typed_table(table):
     return [(key, typed(vec)) for key, vec in table.items()]
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_equivariant_category_matches_reference(name):
+def assert_matches_reference(eq):
     """Solved bases (with their q labels), differentials, units and every
-    composition table."""
-    eq = pipeline(name).eqcat
+    composition table equal those of the category that stacks every
+    element's conditions."""
     ref = ReferenceEquivariantCategory(eq.laction, [eq.roster[n] for n in eq.order])
     got, want = eq.category, ref.category
     assert got.objects == want.objects
@@ -114,11 +143,175 @@ def half_basis_eqcat():
     return build_equivariant_category(la, [*signs, symmetrize(la, ("pt",))])
 
 
+def coboundary_eqcat():
+    """The coboundary S3 action on the point, whose theta is not symmetric
+    in its two elements: the point with alpha_g = 1/f(g), its sign and
+    standard twists, and the symmetrizations of the point and of pt⊕pt."""
+    act = coboundary_action()
+    s3 = act.group
+    pt = ("pt",)
+    la = lift_action(act, [pt, pt * 2, pt * 6, pt * 12])
+    unit = la.category.unit(pt)
+    f = coboundary_weights(s3)
+    weighted = EquivariantObject("f", pt, {g: unit.scale(1 / f[g]) for g in s3.elements})
+    return build_equivariant_category(la, [
+        weighted,
+        rep_tensor(la, sign_representation_s(s3), weighted),
+        rep_tensor(la, s3_standard_representation(s3), weighted),
+        symmetrize(la, pt),
+        symmetrize(la, pt * 2),
+    ])
+
+
+def permuted_points_action():
+    """S3 permuting three disjoint points: a strict action whose rho_g
+    sends x_i to x_j for p_g(j) = i, so rho_g∘rho_h = rho_{hg}."""
+    names = ["x1", "x2", "x3"]
+    base = disjoint_points_category(QQ, names)
+    s3 = FiniteGroup.symmetric(3)
+    functors = {}
+    for g in s3.elements:
+        perm = s3.perm_of[g]
+        obj_map = {names[perm[i]]: names[i] for i in range(3)}
+        mor_map = {
+            (x, y): {(0, "1"): base.basis_mor(obj_map[x], obj_map[x], 0, "1")} if x == y else {}
+            for x, y in itertools.product(names, repeat=2)
+        }
+        functors[g] = DgFunctor(base, base, obj_map, mor_map, name=f"permute[{g}]")
+    return strict_action(s3, base, functors, name="permute points")
+
+
+def permuted_points_eqcat():
+    """Under S3 permuting three points: x1⊕x2⊕x3 with alpha_g the
+    permutation of its parts, its sign twist, and the symmetrization of
+    x1 (each point twice)."""
+    act = permuted_points_action()
+    s3 = act.group
+    c = ("x1", "x2", "x3")
+    sym = tuple(act.rho(h).apply_obj("x1") for h in s3.elements)
+    parts = [(x,) for x in c]
+    la = lift_action(act, [c, sym, *parts])
+    unit = la.category.unit
+    alpha = {}
+    for g in s3.elements:
+        tgt = [(y,) for y in la.rho(g).apply_obj(c)]
+        alpha[g] = block_mor(parts, tgt, {(tgt.index(x), i): unit(x) for i, x in enumerate(parts)})
+    perm = EquivariantObject("perm", c, alpha)
+    return build_equivariant_category(la, [
+        perm, rep_tensor(la, sign_representation_s(s3), perm), symmetrize(la, ("x1",)),
+    ])
+
+
+def upper_triangular_category():
+    """Upper triangular 2×2 matrices on the basis 1, e11, e12."""
+    return algebra_category(
+        QQ,
+        "pt",
+        [("1", 0), ("e11", 0), ("e12", 0)],
+        {("e11", "e11"): {"e11": 1}, ("e11", "e12"): {"e12": 1}},
+    )
+
+
+def noncentral_theta_eqcat():
+    """Z/2 acting on the upper triangular matrices by identity functors,
+    with theta[s,s] = a = 1 + e12 and eta and every other theta a^{-1}.
+    a is not central, so theta is not natural and the action fails
+    validate_action.  The point with alpha_e = a and alpha_s = ±1 still
+    satisfies the coherence square at every pair.  The s condition alone
+    puts no constraint on End, while the e condition asks φ to commute
+    with a."""
+    cat = upper_triangular_category()
+    z2 = FiniteGroup.cyclic(2, names=["e", "s"])
+    ident = identity_functor(cat)
+    a = Mor("pt", "pt", {(0, "1"): 1, (0, "e12"): 1})
+    a_inv = Mor("pt", "pt", {(0, "1"): 1, (0, "e12"): -1})
+    comps = {("e", "e"): a_inv, ("e", "s"): a_inv, ("s", "e"): a_inv, ("s", "s"): a}
+    theta = {
+        pair: NatTransform(ident, ident, {"pt": m}, name=f"theta{pair}")
+        for pair, m in comps.items()
+    }
+    eta = NatTransform(ident, ident, {"pt": a_inv}, name="eta")
+    act = GroupAction(z2, cat, {g: ident for g in z2.elements}, theta, eta, name="noncentral")
+    la = lift_action(act, [("pt",)])
+    unit = la.category.unit(("pt",))
+    a_hull = la.theta_at("s", "s").at(("pt",))
+    return build_equivariant_category(la, [
+        EquivariantObject(name, ("pt",), {"e": a_hull, "s": unit.scale(c)})
+        for name, c in [("plus", 1), ("minus", -1)]
+    ])
+
+
 EQCATS = {
     **{name: lambda name=name: pipeline(name).eqcat for name in BUILDERS},
     "scaled": scaled_eqcat,
     "half-basis-z2": half_basis_eqcat,
+    "coboundary-s3": coboundary_eqcat,
+    "permuted-points-s3": permuted_points_eqcat,
+    "noncentral-theta-z2": noncentral_theta_eqcat,
 }
+VALID = sorted(set(EQCATS) - {"noncentral-theta-z2"})
+
+
+@pytest.mark.parametrize("name", sorted(EQCATS))
+def test_equivariant_category_matches_reference(name):
+    assert_matches_reference(EQCATS[name]())
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_valid_actions_stack_a_generating_set(name):
+    """On a validated base only the generators' conditions are stacked:
+    two of S3's six elements, one of Z/2's two."""
+    eq = EQCATS[name]()
+    grp = eq.laction.group
+    assert eq._conditions == grp.generating_set()
+    assert len(eq._conditions) == {2: 1, 6: 2}[len(grp)]
+
+
+class GeneratorsOnly(EquivariantCategory):
+    """Stacks the generators' conditions whatever the base."""
+
+    def _condition_elements(self):
+        return self.laction.group.generating_set()
+
+
+def solved_dims(eq):
+    return {pair: sum(map(len, eq._solve_pair(*map(eq.roster.get, pair)).values()))
+            for pair in itertools.product(eq.order, repeat=2)}
+
+
+def test_invalid_action_stacks_every_element():
+    """Where the action fails validate_action the generators' conditions
+    can cut out too much: End(plus) has dimension 3 under the s condition
+    alone and 2 under both.  The category stacks every element there and
+    matches the reference."""
+    eq = noncentral_theta_eqcat()
+    assert validate_dgcat(eq.laction.base.category).ok
+    assert not validate_action(eq.laction.base).ok
+    assert eq._conditions == ["e", "s"]
+    roster = [eq.roster[n] for n in eq.order]
+    assert solved_dims(eq)[("plus", "plus")] == 2
+    assert solved_dims(GeneratorsOnly(eq.laction, roster))[("plus", "plus")] == 3
+    assert_matches_reference(eq)
+
+
+@pytest.mark.parametrize("validator", ["validate_dgcat", "validate_action"])
+def test_raising_validator_stacks_every_element(monkeypatch, validator):
+    """A validator that raises a package error counts as failing."""
+
+    def raising(_):
+        raise StructureError("malformed")
+
+    monkeypatch.setattr(equivariant, validator, raising)
+    eq = coboundary_eqcat()
+    assert eq._conditions == eq.laction.group.elements
+    assert_matches_reference(eq)
+
+
+def test_action_that_was_not_lifted_stacks_every_element():
+    eq = coboundary_eqcat()
+    del eq.laction.base
+    rebuilt = EquivariantCategory(eq.laction, [eq.roster[n] for n in eq.order])
+    assert rebuilt._conditions == eq.laction.group.elements
 
 
 def typed_solved(solved):
@@ -129,14 +322,21 @@ def typed_solved(solved):
 def test_int_reads_match_fraction_loops(name):
     """The hom solve and the composition tables, which read integral
     entries as ints, against the same loops on the stored field scalars:
-    equal values, scalar types and key order.  On the half basis of
+    equal values, scalar types and key order.  Solved vectors list their
+    keys in hom-key order.  On the half basis of
     k[Z/2] the entry h∘h = 1/4 is read as it is stored."""
     eq = EQCATS[name]()
     roster = [eq.roster[n] for n in eq.order]
     for src, tgt in itertools.product(roster, repeat=2):
-        assert typed_solved(eq._solve_pair(src, tgt)) == typed_solved(
+        solved = eq._solve_pair(src, tgt)
+        assert typed_solved(solved) == typed_solved(
             fraction_solve_pair(eq, src, tgt)
         ), (src.name, tgt.name)
+        for deg, basis in solved.items():
+            keys, _ = eq._flatten_space(src.underlying, tgt.underlying, deg)
+            assert [list(vec) for vec in basis] == [
+                [k for k in keys if k in vec] for vec in basis
+            ], (src.name, tgt.name, deg)
     nonzero = 0
     for triple in itertools.product(eq.order, repeat=3):
         table = eq.category.comp_table(*triple)
@@ -205,7 +405,8 @@ def test_counit_after_unit_is_the_group_order(name):
 
 def test_functor_image_of_an_unmapped_key_is_a_structure_error():
     """A document functor's tables are plain dicts: a hom pair or a key
-    it does not map is a StructureError, not a KeyError."""
+    it does not map is a StructureError, not a KeyError.  The zero
+    morphism maps to zero without reading a table."""
     bundle = parse_document(canonical_json(serialize_bundle(get_example("E2"))))
     rho = bundle.action.rho("s")
     assert not hasattr(rho.mor_map, "__missing__")
@@ -217,3 +418,4 @@ def test_functor_image_of_an_unmapped_key_is_a_structure_error():
         assert "no action on" in str(err.value)
         with pytest.raises(StructureError):
             rho.apply(Mor(*pair, {key: bundle.base.field.one}))
+    assert rho.apply(Mor("x1", "x2", {})).is_zero()

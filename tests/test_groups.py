@@ -32,6 +32,48 @@ def test_trivial_group_single_class():
     assert len(conjugacy_data(g).classes) == 1
 
 
+def words_closure(group, gens):
+    """Every product of generators, grown by multiplying on the left."""
+    reached = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        frontier = [
+            y for y in {group.mul(s, x) for s in gens for x in frontier} if y not in reached
+        ]
+        reached.update(frontier)
+    return reached
+
+
+GENERATED = [
+    *((FiniteGroup.cyclic(n), ["e"] if n == 1 else ["r1"]) for n in range(1, 7)),
+    (FiniteGroup.symmetric(3), ["132", "213"]),
+    (FiniteGroup.symmetric(4), ["1243", "1324", "2134"]),
+]
+
+
+@pytest.mark.parametrize("group, expected", GENERATED, ids=[g.name for g, _ in GENERATED])
+def test_generating_set(group, expected):
+    """Deterministic, generates the whole group as a monoid, and holds e
+    only for the trivial group; beyond it, each generator is new to the
+    ones before."""
+    gens = group.generating_set()
+    assert gens == expected
+    assert FiniteGroup(group.elements, group.table).generating_set() == gens
+    assert words_closure(group, gens) == set(group.elements)
+    assert (group.identity in gens) == (len(group) == 1)
+    if len(group) > 1:
+        for i, g in enumerate(gens):
+            assert g not in words_closure(group, gens[:i])
+
+
+def test_generating_set_skips_generated_elements():
+    """Z/6 listed as e, r2, r4, r3, r1, r5: r2 generates r4, and r3 with
+    r2 generates the rest."""
+    z6 = FiniteGroup.cyclic(6)
+    reordered = FiniteGroup(["e", "r2", "r4", "r3", "r1", "r5"], z6.table)
+    assert reordered.generating_set() == ["r2", "r3"]
+
+
 def test_s3_classes_oracle():
     # oracle: enumerate conjugations by hand -> sizes 1, 3, 2
     s3 = FiniteGroup.symmetric(3)

@@ -60,17 +60,25 @@ def scaled_action():
     return GroupAction(z2, cat, {g: ident for g in z2.elements}, theta, eta, name="scaled")
 
 
+def coboundary_weights(group):
+    """f(e) = 1 and f = 2, 3, ... on the other elements in order: the
+    cochain whose coboundary is coboundary_action's theta."""
+    f = {g: Fraction(i + 1) for i, g in enumerate(group.elements)}
+    f[group.identity] = Fraction(1)
+    return f
+
+
 def coboundary_action():
     """Non-strict S3 action on the point: identity functors, eta = id and
-    theta[g,g2] = f(g)·f(g2)/f(g2·g) for f(e) = 1 and f = 2..6 on the other
-    elements in order.  S3 is not abelian, so theta[g,g2] != theta[g2,g]
-    for some pairs: a formula that reads theta with its arguments swapped
-    gives a different morphism."""
+    theta[g,g2] = f(g)·f(g2)/f(g2·g) for f = coboundary_weights(S3).  S3
+    is not abelian, so theta[g,g2] != theta[g2,g] for some pairs: a
+    formula that reads theta with its arguments swapped gives a different
+    morphism.  The point with alpha_g = chi(g)/f(g) is an equivariant
+    object for every representation chi."""
     cat = algebra_category(QQ, "pt", [("1", 0)], {})
     s3 = FiniteGroup.symmetric(3)
     ident = identity_functor(cat)
-    f = {g: Fraction(i + 1) for i, g in enumerate(s3.elements)}
-    f[s3.identity] = Fraction(1)
+    f = coboundary_weights(s3)
     theta = {
         (g, g2): NatTransform(
             ident,
@@ -694,7 +702,8 @@ class MatrixWindow(WindowBase):
 
 def reference_solve_pair(eqcat, src, tgt):
     """The solved equivariance subspace of Hom(src, tgt), per degree, with
-    alpha'_g∘φ - rho_g(φ)∘alpha_g composed as morphisms."""
+    alpha'_g∘φ - rho_g(φ)∘alpha_g composed as morphisms for every element
+    of G; each vector lists its keys in hom-key order."""
     cat = eqcat.laction.category
     grp = eqcat.laction.group
     c, c2 = src.underlying, tgt.underlying
@@ -714,7 +723,7 @@ def reference_solve_pair(eqcat, src, tgt):
                     col[rows.setdefault((gi, dkey), len(rows))] = val
             cols.append(col)
         _, kernel = rank_kernel_image(SparseMatrix(len(rows), len(keys), cols))
-        basis = [{keys[i]: v for i, v in vec.items()} for vec in kernel]
+        basis = [{keys[i]: vec[i] for i in sorted(vec)} for vec in kernel]
         if basis:
             solved[deg] = basis
     return solved
@@ -743,15 +752,16 @@ def reference_equivariant_comp_table(eqcat, xn, yn, zn):
 
 def fraction_solve_pair(eqcat, src, tgt):
     """EquivariantCategory._solve_pair on the tables as stored (field
-    scalars throughout): the same loops, summation order and first-seen
-    row numbering, with no entry read as ints."""
+    scalars throughout): the same stacked elements, loops, summation order,
+    first-seen row numbering and hom-key order, with no entry read as
+    ints."""
     cat = eqcat.laction.category
     c, c2 = src.underlying, tgt.underlying
     space = cat.hom(c, c2)
     if not space.total_dim():
         return {}
     per_g = []
-    for g in eqcat.laction.group.elements:
+    for g in eqcat._conditions:
         rho = eqcat.laction.rho(g)
         a_src, a_tgt = src.alpha[g], tgt.alpha[g]
         per_g.append((
@@ -785,7 +795,7 @@ def fraction_solve_pair(eqcat, src, tgt):
                     col[rows.setdefault((gi, dkey), len(rows))] = val
             matrix_cols.append(col)
         _, kernel = rank_kernel_image(SparseMatrix(len(rows), len(keys), matrix_cols), cat.field)
-        basis = [{keys[i]: v for i, v in vec.items()} for vec in kernel]
+        basis = [{keys[i]: vec[i] for i in sorted(vec)} for vec in kernel]
         if basis:
             solved[deg] = basis
     return solved
