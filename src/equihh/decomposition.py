@@ -71,6 +71,7 @@ from .dgcat import (
     identity_functor,
 )
 from .equivariant import (
+    base_violation,
     build_equivariant_category,
     closure_under_action,
     lift_action,
@@ -235,6 +236,9 @@ class DecompositionPipeline:
 
     def _plan_and_build(self, hh_names):
         base = self.base_action
+        violation = base_violation(base)
+        if violation is not None:
+            raise InputError(f"the action does not validate: {violation}", "action")
 
         def base_s_tuple(c):
             out = ()
@@ -296,7 +300,7 @@ class DecompositionPipeline:
         for rep in self.representations.values():
             for name in self.hh_names:
                 add(rep_tensor(self.laction, rep, by_name[name]))
-        self.eqcat = build_equivariant_category(self.laction, roster)
+        self.eqcat = build_equivariant_category(self.laction, roster, base_valid=True)
         self.roster_names = list(self.eqcat.order)
 
         # window categories

@@ -18,11 +18,13 @@ back.  Callers name blocks by part index and never compute an offset.
 
 It also owns the two sums over structure tables.  ``compose_terms`` is
 the bilinear sum Σ c_g·c_f·table[(g key, f key)] that expands f∘g from a
-composition table; ``spread`` is the linear sum Σ c·value(key) that
-extends a key map (a differential table, a functor's morphism table, a
-solved basis, a slot map) linearly.  ``compose``, ``d``,
-``DgFunctor.apply`` and every other module sum through them, so each
-sum has one loop and one term order.
+composition table; ``compose_families`` is its family form, every
+product of two families of vectors (two solved bases) from one walk of
+the table, each entry added into every pair whose terms it meets.
+``spread`` is the linear sum Σ c·value(key) that extends a key map (a
+differential table, a functor's morphism table, a solved basis, a slot
+map) linearly.  ``compose``, ``d``, ``DgFunctor.apply`` and every other
+module sum through them, so each sum has one loop and one term order.
 
 Categories are immutable once validated; validation returns a report of
 violated axioms with witnesses rather than raising.
@@ -57,6 +59,39 @@ def compose_terms(table, g_terms, f_terms, read=None):
             entry = table.get((gk, fk))
             if entry:
                 vec_axpy(out, cg * cf, entry if read is None else read(entry))
+    return out
+
+
+def compose_families(table, g_family, f_family, read=None):
+    """``compose_terms`` for every pair of a family of g's and a family of
+    f's at once: {(g name, f name): coefficients of f∘g}, from one walk of
+    the table.  Each family is a list of (name, terms); both are indexed by
+    key, and each table entry is added into the product of every pair
+    whose terms it meets.  A product that cancels stays as {}; a pair no
+    entry meets is absent."""
+
+    def by_key(family):
+        index = {}
+        for name, terms in family:
+            for key, c in terms:
+                index.setdefault(key, []).append((name, c))
+        return index
+
+    g_index, f_index = by_key(g_family), by_key(f_family)
+    out = {}
+    for (gk, fk), entry in table.items():
+        g_hits = g_index.get(gk)
+        f_hits = f_index.get(fk)
+        if not (g_hits and f_hits and entry):
+            continue
+        if read is not None:
+            entry = read(entry)
+        for gname, cg in g_hits:
+            for fname, cf in f_hits:
+                prod = out.get((gname, fname))
+                if prod is None:
+                    prod = out[(gname, fname)] = {}
+                vec_axpy(prod, cg * cf, entry)
     return out
 
 

@@ -12,14 +12,16 @@ generating set of G are stacked; they imply the others.
 Both the conditions and the compositions are read from the structure
 tables, not built one morphism at a time: the condition on a basis key φ
 sums the alpha coefficients against the ambient composition tables and
-rho_g's image of φ (``DgFunctor.image``), and the product of two solved
-basis morphisms is one bilinear sum of their ambient coefficients
-against the ambient composition table, restricted to the solved basis.
-Each is a ``dgcat.compose_terms`` sum, and each reads every table entry,
-alpha, image and solved basis vector whose coefficients are integral as
-{key: int} (``linalg.integral_reader``), so the sums run on ints where
-the tables are integral, as in every bundled example.  The solved bases and the restricted products still come out of
-``Echelon``, so the category's tables hold field scalars.
+rho_g's image of φ (``DgFunctor.image``), each a ``dgcat.compose_terms``
+sum.  The products of two solved bases come from one walk of the ambient
+composition table (``dgcat.compose_families``), each entry added into
+every pair of basis vectors it touches, and each product is restricted
+to the solved basis.  Every table entry, alpha, image and solved basis
+vector whose coefficients are integral is read as {key: int}
+(``linalg.integral_reader``), so the sums run on ints where the tables
+are integral, as in every bundled example.  The solved bases and the
+restricted products still come out of ``Echelon``, so the category's
+tables hold field scalars.
 
 Also here, and nowhere else: every piece of the symmetrization S and
 its adjunctions with forget.  The category names S(c) in its roster
@@ -48,6 +50,7 @@ from .dgcat import (
     ValidationReport,
     block_mor,
     block_of,
+    compose_families,
     compose_functors,
     compose_terms,
     full_subcategory,
@@ -146,7 +149,9 @@ class EquivariantObject:
 
 def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> ValidationReport:
     """Closedness, degree, invertibility and the coherence square per
-    pair (g, h), each instance checked exactly."""
+    pair (g, h), each instance checked exactly.  The square is checked as
+    alpha_{hg} = theta[g,h]_c ∘ rho_g(alpha_h) ∘ alpha_g, which needs no
+    inverse and says the same wherever theta is invertible."""
     report = ValidationReport(f"equivariant object {obj.name}")
     cat = laction.category
     grp = laction.group
@@ -169,10 +174,8 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> Valida
         return report
     for g, h in itertools.product(grp.elements, repeat=2):
         hg = grp.mul(h, g)
-        theta_inv_at_c = cat.invert(laction.theta_at(g, h).at(c))
-        lhs = cat.compose(theta_inv_at_c, obj.alpha[hg])
         rhs = cat.compose(laction.rho(g).apply(obj.alpha[h]), obj.alpha[g])
-        if not lhs == rhs:
+        if not obj.alpha[hg] == cat.compose(laction.theta_at(g, h).at(c), rhs):
             report.add("cocycle", f"coherence square fails at ({g}, {h})")
     return report
 
@@ -201,10 +204,12 @@ def symmetrize(laction: GroupAction, c) -> EquivariantObject:
     index = grp.elements.index
     alpha = {}
     for g in grp.elements:
-        blocks = {
-            (index(h), index(grp.mul(h, g))): cat.invert(laction.theta_at(g, h).at(c))
-            for h in grp.elements
-        }
+        blocks = {}
+        for h in grp.elements:
+            inv = cat.invert(laction.theta_at(g, h).at(c))
+            if inv is None:
+                raise StructureError(f"theta[{g},{h}] is not invertible at {c}")
+            blocks[(index(h), index(grp.mul(h, g)))] = inv
         tgt_parts = [laction.rho(g).apply_obj(part) for part in parts]
         alpha[g] = block_mor(parts, tgt_parts, blocks)
     return EquivariantObject(f"S({c})", underlying, alpha)
@@ -245,7 +250,7 @@ class EquivariantCategory:
     ``_solve_pair``).
     """
 
-    def __init__(self, laction: GroupAction, roster):
+    def __init__(self, laction: GroupAction, roster, base_valid=None):
         self.laction = laction
         self.ambient = laction.category
         self.roster = {}
@@ -260,6 +265,7 @@ class EquivariantCategory:
         self._echelons = {}  # (src_name, tgt_name, deg) -> Echelon over flat ambient idx
         self._flat = {}  # (x_tuple, y_tuple, deg) -> (key list, key index)
         self._sym_names = {}  # hull tuple c -> roster name of S(c)
+        self._base_valid = base_valid
         self._conditions = self._condition_elements()
         self.category = self._build()
 
@@ -282,21 +288,19 @@ class EquivariantCategory:
 
     def _condition_elements(self):
         """The elements whose equivariance conditions ``_solve_pair``
-        stacks: G's generating set when the base category and the base
-        action of a lifted action both validate, every element otherwise
-        (a validator that raises counts as failing, as does an action that
-        was not lifted).  The hull's composition, its rho_g and its theta
-        are built blockwise from the base's, so they inherit its
-        associativity, functoriality and naturality."""
+        stacks: G's generating set when the base of a lifted action is
+        valid (``base_violation`` finds nothing), every element otherwise,
+        as for an action that was not lifted.  A caller that has already
+        run ``base_violation`` passes its verdict as ``base_valid``.  The
+        hull's composition, its rho_g and its theta are built blockwise
+        from the base's, so they inherit its associativity, functoriality
+        and naturality."""
         grp = self.laction.group
-        base = getattr(self.laction, "base", None)
-        if base is not None:
-            try:
-                if validate_dgcat(base.category).ok and validate_action(base).ok:
-                    return grp.generating_set()
-            except EquihhError:
-                pass
-        return list(grp.elements)
+        valid = self._base_valid
+        if valid is None:
+            base = getattr(self.laction, "base", None)
+            valid = base is not None and base_violation(base) is None
+        return grp.generating_set() if valid else list(grp.elements)
 
     def _flatten_space(self, x, y, deg):
         key = (x, y, deg)
@@ -438,20 +442,26 @@ class EquivariantCategory:
             units[sn] = restricted.coeffs
 
         def comp_builder(xn, yn, zn):
-            # the solved ambient coefficients on ints where they are
-            # integral; restrict gives field scalars
+            # every product of the two solved bases from one walk of the
+            # ambient table, on ints where they are integral; restrict
+            # gives field scalars
             gs, fs = self._solved[(xn, yn)], self._solved[(yn, zn)]
             if not (gs and fs):
                 return {}
             x, z = self.roster[xn].underlying, self.roster[zn].underlying
-            amb = cat.comp_table(x, self.roster[yn].underlying, z)
             read = integral_reader()
-            fs = [(fkey, read(fcoeffs).items()) for fkey, fcoeffs in fs.items()]
+            prods = compose_families(
+                cat.comp_table(x, self.roster[yn].underlying, z),
+                [(gkey, read(gcoeffs).items()) for gkey, gcoeffs in gs.items()],
+                [(fkey, read(fcoeffs).items()) for fkey, fcoeffs in fs.items()],
+                read,
+            )
             table = {}
-            for gkey, gcoeffs in gs.items():
-                gterms = read(gcoeffs).items()
-                for fkey, fterms in fs:
-                    prod = compose_terms(amb, gterms, fterms, read)
+            for gkey in gs:
+                for fkey in fs:
+                    prod = prods.get((gkey, fkey))
+                    if not prod:
+                        continue
                     restricted = self.restrict(Mor(x, z, prod), xn, zn)
                     if restricted is None:
                         raise StructureError(
@@ -621,14 +631,30 @@ def realize_declared(laction: GroupAction, decl) -> EquivariantObject:
     return EquivariantObject(decl.name, underlying, alpha)
 
 
-def build_equivariant_category(laction: GroupAction, roster) -> EquivariantCategory:
+def build_equivariant_category(laction: GroupAction, roster, base_valid=None) -> EquivariantCategory:
     """The equivariant category of ``roster`` after validating each object;
-    an invalid object raises StructureError with its report."""
+    an invalid object raises StructureError with its report.  ``base_valid``
+    is the verdict of ``base_violation`` on the base, if already known."""
     for obj in roster:
         report = validate_equivariant(laction, obj)
         if not report.ok:
             raise StructureError(report.summary())
-    return EquivariantCategory(laction, roster)
+    return EquivariantCategory(laction, roster, base_valid)
+
+
+def base_violation(action: GroupAction):
+    """The first violation of ``validate_dgcat`` on the action's category,
+    else of ``validate_action``, as one line; None when both validate.  A
+    validator that raises a package error fails with that error's text."""
+    try:
+        for validate, subject in ((validate_dgcat, action.category), (validate_action, action)):
+            report = validate(subject)
+            if not report.ok:
+                v = report.violations[0]
+                return f"{report.subject}: [{v.rule}] {v.witness}"
+    except EquihhError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -493,7 +493,9 @@ class HochschildWindow(WindowBase):
         Chains come in runs that share an object cycle, so the tables a
         face reads (the slot pairs, the d1 tables, the product tables and
         the twist face's table) are fetched when the cycle changes, in the
-        order a chain reads them.
+        order a chain reads them.  Within the run, the twist face's image
+        F(a_m) is read once per slot-m key, and the d1 faces are skipped
+        when every d1 table of the cycle is empty.
 
         Every entry is read through ``read`` (``linalg.integral_reader``),
         so the columns hold ints wherever the tables are integral."""
@@ -517,19 +519,24 @@ class HochschildWindow(WindowBase):
                     ]
                     if m:
                         twist_table = cat.comp_table(*pairs[0], fun.apply_obj(objs[m]))
+                    has_d1 = any(d1_tables)
+                    twist_images = {}  # slot-m key -> items of F(a_m)
                 col1 = {}
-                prefix = 0
-                for t, key in enumerate(keys):
-                    img = d1_tables[t].get(key)
-                    if img:
-                        img = read(img)
-                        if t and normalized:
-                            img = self._normal_form(pairs[t], img, read)
-                        for hk, c in img.items():
-                            if c:
-                                new_keys = keys[:t] + (hk,) + keys[t + 1 :]
-                                self._add_term(col1, k + 1, objs, new_keys, -c if prefix % 2 else c)
-                    prefix += key[0]
+                if has_d1:
+                    prefix = 0
+                    for t, key in enumerate(keys):
+                        img = d1_tables[t].get(key)
+                        if img:
+                            img = read(img)
+                            if t and normalized:
+                                img = self._normal_form(pairs[t], img, read)
+                            for hk, c in img.items():
+                                if c:
+                                    new_keys = keys[:t] + (hk,) + keys[t + 1 :]
+                                    self._add_term(col1, k + 1, objs, new_keys, -c if prefix % 2 else c)
+                        prefix += key[0]
+                else:
+                    prefix = sum(key[0] for key in keys)
                 col2 = {}
                 # a_i a_{i+1} with sign (-1)^i, i = 0 included
                 for i in range(m):
@@ -545,13 +552,17 @@ class HochschildWindow(WindowBase):
                                 self._add_term(col2, k + 1, new_objs, new_keys, -c if i % 2 else c)
                 if m:
                     # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
-                    image = read(fun.image(*pairs[m], keys[m]).coeffs).items()
+                    image = twist_images.get(keys[m])
+                    if image is None:
+                        image = twist_images[keys[m]] = read(
+                            fun.image(*pairs[m], keys[m]).coeffs
+                        ).items()
                     prod = compose_terms(twist_table, ((keys[0], 1),), image, read)
                     odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
                     new_objs = (objs[m],) + objs[1:m]
                     for hk, c in prod.items():
                         self._add_term(col2, k + 1, new_objs, (hk,) + keys[1:m], -c if odd else c)
-                total.cols[j] = vec_axpy(col2, parity_sign(m), col1)
+                total.cols[j] = vec_axpy(col2, parity_sign(m), col1) if col1 else col2
             self._total[k] = total
 
     # -- interface --------------------------------------------------------

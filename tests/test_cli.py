@@ -88,6 +88,41 @@ def test_decompose_broken_alpha_fails(tmp_path, capsys):
     assert "cocycle" in err
 
 
+def zero_theta(doc):
+    doc["action"]["theta"] = [{"g": "s", "g2": "s", "components": {"pt": {}}}]
+
+
+def test_validate_zero_theta_component(tmp_path, capsys):
+    """A zero theta[s,s] is reported by the action's validator; the roster's
+    coherence squares are checked without inverting it."""
+    path = write_doc(tmp_path, "E1", mutate=zero_theta)
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert "[invertibility] theta[s,s] not invertible at pt" in captured.out
+    assert "internal error" not in captured.err
+
+
+def test_decompose_zero_theta_component(tmp_path, capsys):
+    """The action's first violation is an input error, not exit 4."""
+    path = write_doc(tmp_path, "E1", mutate=zero_theta)
+    assert main(["decompose", path]) == 2
+    assert "[invertibility] theta[s,s] not invertible at pt" in capsys.readouterr().err
+
+
+def test_decompose_rejects_an_action_that_does_not_validate(tmp_path, capsys):
+    """E2 with eta scaled by 2 is not a group action (condition i fails):
+    decompose names the first violation as an input error."""
+
+    def scale_eta(doc):
+        doc["action"]["eta"] = {"components": {x: {"1": "2"} for x in ("x1", "x2")}}
+
+    path = write_doc(tmp_path, "E2", mutate=scale_eta)
+    assert main(["decompose", path, "--no-certificates"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: action: the action does not validate:")
+    assert "[condition_i] (theta[e,e])_x1 != eta at rho_e(x1)" in err
+
+
 def test_hh_command(tmp_path, capsys):
     path = write_doc(tmp_path, "E1")
     assert main(["hh", path, "--degrees=-1..0", "--output", "json"]) == 0

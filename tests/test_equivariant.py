@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from equihh.dgcat import Mor, validate_dgcat
+from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.equivariant import (
     adjunction_maps,
     build_equivariant_category,
@@ -13,7 +14,7 @@ from equihh.equivariant import (
     symmetrize,
     validate_equivariant,
 )
-from equihh.errors import CapacityError
+from equihh.errors import CapacityError, StructureError
 from equihh.examples import example_e1, example_e2, example_e5
 from equihh.groups import regular_representation, trivial_representation, validate_action
 from equihh.scalars import QQ
@@ -277,3 +278,18 @@ def test_coboundary_action_phi_and_adjunction():
         assert eq.category.invert(eq.phi_component(g, ("pt",))) is not None, g
     result = adjunction_maps(eq, ("pt",), s.name)
     assert result["chain_map"] and result["mutually_inverse"]
+
+
+def test_zero_theta_component():
+    """E1 with theta[s,s] = 0 at the point: symmetrize names the theta it
+    cannot invert, and the coherence squares of the declared objects fail
+    without an inversion."""
+    doc = serialize_bundle(example_e1())
+    doc["action"]["theta"] = [{"g": "s", "g2": "s", "components": {"pt": {}}}]
+    bundle = parse_document(canonical_json(doc))
+    la = lift_action(bundle.action, [("pt",), ("pt", "pt")])
+    with pytest.raises(StructureError, match=r"theta\[s,s\] is not invertible at \('pt',\)"):
+        symmetrize(la, ("pt",))
+    for decl in bundle.declared:
+        report = validate_equivariant(la, realize_declared(la, decl))
+        assert [v.witness for v in report.violations] == ["coherence square fails at (s, s)"]

@@ -8,6 +8,7 @@ Also the category's symmetrization pieces on the same pipelines: S(c)'s
 roster name and the unit/counit pair I, P."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,20 @@ VALID = sorted(set(EQCATS) - {"noncentral-theta-z2"})
 @pytest.mark.parametrize("name", sorted(EQCATS))
 def test_equivariant_category_matches_reference(name):
     assert_matches_reference(EQCATS[name]())
+
+
+def test_composite_outside_the_solved_subspace_is_a_structure_error():
+    """A solved vector of End(S(pt)) replaced after the build by E_00, which
+    does not commute with the swap of S(pt)'s parts: its square leaves the
+    span that restrict solves in, and the lazily built table raises
+    StructureError naming the triple."""
+    eq = half_basis_eqcat()
+    s = eq.sym_name(("pt",))
+    solved = eq._solved[(s, s)]
+    solved[next(iter(solved))] = {(0, (0, 0, "1")): Fraction(1)}
+    message = f"composite of ({s},{s},{s}) leaves the solved subspace"
+    with pytest.raises(StructureError, match=re.escape(message)):
+        eq.category.comp_table(s, s, s)
 
 
 @pytest.mark.parametrize("name", VALID)

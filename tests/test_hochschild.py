@@ -317,6 +317,18 @@ def cyclotomic_windows():
     return [build_window(cat, identity_functor(cat), -3, 1), build_window(cat, character, -3, 1)]
 
 
+def square_zero_twist():
+    """The square-zero algebra k<1, a, b>/(a, b)^2 in degree 0, twisted by
+    the automorphism a -> a + 2b, b -> b: the twist face reads an image of
+    two terms, one of them with coefficient 2."""
+    cat = algebra_category(QQ, "pt", [("1", 0), ("a", 0), ("b", 0)], {})
+    images = {(0, "1"): {(0, "1"): 1}, (0, "a"): {(0, "a"): 1, (0, "b"): 2}, (0, "b"): {(0, "b"): 1}}
+    table = {
+        key: Mor("pt", "pt", {k: Fraction(c) for k, c in img.items()}) for key, img in images.items()
+    }
+    return cat, DgFunctor(cat, cat, {"pt": "pt"}, {("pt", "pt"): table}, name="a+2b")
+
+
 def example_windows():
     for name in ["E1", "E2", "E3", "E4", "E5"]:
         b = get_example(name)
@@ -348,6 +360,9 @@ def reference_windows():
     good, _ = leibniz_sabotage_pair()
     yield window_for(good, (-2, 2), cap=3)
     yield from ladder_windows()
+    cat, twist = square_zero_twist()
+    yield build_window(cat, twist, -3, 1)
+    yield build_window(cat, twist, -3, 1, normalized=True)
 
 
 def columns(mat):

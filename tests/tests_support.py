@@ -582,10 +582,22 @@ def assert_classes_match_reference(win, k, got, ref_ech):
         assert got.express(non_cycle) is None
 
 
+def reference_normal_form(win, t, mor):
+    """The coefficients of ``mor`` written into slot t: in a normalized
+    window a slot t >= 1 of End(x) has its pivot key replaced by the
+    pivot's class in End(x)/k·id_x, as ``NormalizationMap`` does."""
+    pivot = win.pivots.get(mor.src) if t and mor.src == mor.tgt else None
+    if pivot is None or pivot[0] not in mor.coeffs:
+        return mor.coeffs
+    p, rest = pivot
+    kept = {key: c for key, c in mor.coeffs.items() if key != p}
+    return reference_vec_add(kept, reference_vec_scale(mor.coeffs[p], rest))
+
+
 def reference_add_image(win, out, degree, objs, mors, sign):
     """HochschildWindow._add_image multiplying every slot coefficient and
-    the sign."""
-    items = [list(m.coeffs.items()) for m in mors]
+    the sign, each slot in normal form."""
+    items = [list(reference_normal_form(win, t, m).items()) for t, m in enumerate(mors)]
     if any(not it for it in items):
         return
     for combo in itertools.product(*items):
