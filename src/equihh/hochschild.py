@@ -14,21 +14,23 @@ A window stores the degrees [lo, hi]; the certification flag is Exact when
 the hom-degree bounds prove only finitely many bar degrees reach the
 window, else TruncatedAt(cap).
 
-Windows are assembled from the structure tables: a face of a basis chain
-replaces one slot key by the entries of its differential (d1) or two
-adjacent keys by the entries of their product (d2).  The twist face
-F(a_n) a0 takes F(a_n) from the functor's morphism table and multiplies
-it with a0 through the composition table (``dgcat.compose_terms``, the
-sum ``compose`` makes), so no face builds a new morphism.  Homology
+Windows are built one object cycle at a time; a cycle's chains are the
+product of its slots' key lists.  A face replaces slot keys by a table
+entry: d1 one key by its differential, d2 two adjacent keys by their
+product, the twist face a0 and a_n by F(a_n) a0, F(a_n) read from the
+functor's morphism table and summed against a0, in ``compose_terms``
+order, from the composition table indexed by its second key.  Each face
+walks its table: a nonzero entry, with each choice of the other slots'
+keys, names a chain, whose column the chain index gives; so no face
+builds a morphism, and the cost follows the nonzero faces.  Homology
 stops adding boundaries to its echelon once the echelon is as large as
 the cycle space, provided every boundary column is a cycle; the skipped
-columns would reduce to zero.  It also skips a
-zero boundary column and one equal to ± a column already added: such a
-column lies in the span, so the echelon's columns, pivots and
-combinations, and with them the representatives and class coordinates,
-are those of adding every column.  (On E5's largest window, 374 of the
-34,225 boundary columns at degree -1 are nonzero and distinct up to
-sign.)
+columns would reduce to zero.  It also skips a zero boundary column and
+one equal to ± a column already added: such a column lies in the span,
+so the echelon's columns, pivots and combinations, and with them the
+representatives and class coordinates, are those of adding every column.
+(On E5's largest window, 374 of the 34,225 boundary columns at degree -1
+are nonzero and distinct up to sign.)
 
 A window stores a table entry whose coefficients are all integral
 Fractions as {key: int} and any other entry as it is, so the d∘d check
@@ -95,6 +97,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -106,7 +109,6 @@ from .dgcat import (
     block_mor,
     block_of,
     compose_functors,
-    compose_terms,
     functor_unit_violations,
     identity_functor,
     parity_sign,
@@ -282,12 +284,10 @@ class HochschildWindow(WindowBase):
         self.bar_cap = bar_cap
         self._chains = {}
         self._index = {}
-        self._total = {}
         self._homology = {}
         self.certification, self.bar_degrees = self._certify()
         self.pivots = _unit_pivots(category, functor) if normalized else {}
-        self._enumerate()
-        self._differentials()
+        self._total = self._differentials(self._enumerate())
 
     # -- construction ---------------------------------------------------
 
@@ -326,96 +326,62 @@ class HochschildWindow(WindowBase):
         return cert, [m for m in range(cert.bound + 1) if touches(m)]
 
     def _slot_pairs(self, objs):
-        """Hom pairs for the slots of an object cycle (c0, ..., cm)."""
-        m = len(objs) - 1
-        fobj = self.functor.apply_obj(objs[0])
-        if m == 0:
-            return [(objs[0], fobj)]
-        pairs = [(objs[1], fobj)]
-        for i in range(1, m):
-            pairs.append((objs[i + 1], objs[i]))
-        pairs.append((objs[0], objs[m]))
-        return pairs
+        """Hom pairs of the slots of (c0, ..., cm): (c1, F c0), (c_{i+1}, c_i), (c0, cm)."""
+        return list(zip(objs[1:] + objs[:1], (self.functor.apply_obj(objs[0]),) + objs[1:]))
 
     def _enumerate(self):
-        cat = self.category
+        """Fill the chain lists, each cycle's in ``itertools.product`` order
+        and counted against the budget before any is built; return the
+        cycles with a column as (objects, slot pairs, slot key lists)."""
+        cat, lo, hi = self.category, self.lo, self.hi
         count = 0
-        for k in range(self.lo, self.hi + 1):
-            self._chains[k] = []
+        cycles = []
+        self._chains = {k: [] for k in range(lo, hi + 1)}
         for m in self.bar_degrees:
             for objs in self._object_cycles(m):
                 pairs = self._slot_pairs(objs)
                 keylists = []
-                ok = True
                 for t, (x, y) in enumerate(pairs):
                     keys = list(cat.basis_keys(x, y))
                     if t and x == y and x in self.pivots:
                         keys.remove(self.pivots[x][0])
-                    if not keys:
-                        ok = False
-                        break
                     keylists.append(keys)
-                if not ok:
-                    continue
-                mins = [min(k[0] for k in keys) for keys in keylists]
-                maxs = [max(k[0] for k in keys) for keys in keylists]
-                suffix_min = [0] * (len(keylists) + 1)
-                suffix_max = [0] * (len(keylists) + 1)
-                for i in range(len(keylists) - 1, -1, -1):
-                    suffix_min[i] = suffix_min[i + 1] + mins[i]
-                    suffix_max[i] = suffix_max[i + 1] + maxs[i]
-
-                def emit(pos, acc, chosen):
-                    nonlocal count
-                    if pos == len(keylists):
-                        k = acc - m
-                        if self.in_window(k):
-                            count += 1
-                            if count > WINDOW_CHAIN_BUDGET:
-                                raise TruncationError(
-                                    f"window [{self.lo}, {self.hi}] has more than"
-                                    f" {WINDOW_CHAIN_BUDGET} chains; narrow the degrees"
-                                )
-                            self._chains[k].append(Chain(objs, chosen))
-                        return
-                    for key in keylists[pos]:
-                        lo_rest = acc + key[0] + suffix_min[pos + 1]
-                        hi_rest = acc + key[0] + suffix_max[pos + 1]
-                        if lo_rest - m > self.hi or hi_rest - m < self.lo:
-                            continue
-                        emit(pos + 1, acc + key[0], chosen + (key,))
-
-                emit(0, 0, ())
+                counts = _degree_counts(keylists)
+                inside = [s - m for s in counts if lo <= s - m <= hi]
+                count += sum(counts[k + m] for k in inside)
+                if count > WINDOW_CHAIN_BUDGET:
+                    raise TruncationError(
+                        f"window [{lo}, {hi}] has more than {WINDOW_CHAIN_BUDGET} chains;"
+                        " narrow the degrees"
+                    )
+                if any(k < hi for k in inside):
+                    cycles.append((objs, pairs, keylists))
+                product = itertools.product(*keylists)
+                if len(inside) == len(counts) == 1:  # one degree; tuple.__new__ runs in C
+                    rows = zip(repeat(objs), product)
+                    self._chains[inside[0]].extend(map(tuple.__new__, repeat(Chain), rows))
+                elif inside:
+                    for keys in product:
+                        k = sum(key[0] for key in keys) - m
+                        if lo <= k <= hi:
+                            self._chains[k].append(Chain(objs, keys))
         for k, chains in self._chains.items():
             self._index[k] = {c: i for i, c in enumerate(chains)}
+        return cycles
 
     def _object_cycles(self, m):
+        """The object cycles (c0, ..., cm) whose slots' hom pairs are
+        nonzero, in lexicographic order."""
         cat = self.category
-        if not cat.objects:
-            return
-        nonzero = {}
-        for x, y in itertools.product(cat.objects, repeat=2):
-            if cat.hom(x, y).total_dim():
-                nonzero[(x, y)] = True
-        for c0 in cat.objects:
-            fc0 = self.functor.apply_obj(c0)
-            if m == 0:
-                if (c0, fc0) in nonzero:
-                    yield (c0,)
-                continue
-            for c1 in cat.objects:
-                if (c1, fc0) in nonzero:
-                    yield from self._walk_cycle(c0, [c1], m, nonzero)
-
-    def _walk_cycle(self, c0, path, m, nonzero):
-        i = len(path)  # path holds c_1..c_i
-        if i == m:
-            if (c0, path[-1]) in nonzero:
-                yield tuple([c0] + path)
-            return
-        for nxt in self.category.objects:
-            if (nxt, path[-1]) in nonzero:
-                yield from self._walk_cycle(c0, path + [nxt], m, nonzero)
+        pairs = itertools.product(cat.objects, repeat=2)
+        nonzero = {(x, y) for x, y in pairs if cat.hom(x, y).total_dim()}
+        cycles = [(c0,) for c0 in cat.objects]
+        for _ in range(m):
+            cycles = [
+                c + (x,) for c in cycles for x in cat.objects
+                if (x, c[-1] if len(c) > 1 else self.functor.apply_obj(c[0])) in nonzero
+            ]
+        return [c for c in cycles if self._slot_pairs(c)[-1] in nonzero]
 
     def _add_image(self, out, degree, mors, sign):
         """Accumulate ``sign`` (±1) times the multilinear expansion of
@@ -465,105 +431,96 @@ class HochschildWindow(WindowBase):
         elif prev is not None:
             del out[idx]
 
-    def _normal_form(self, pair, entry, read):
-        """A table entry {key: c} written into a slot of hom pair ``pair``,
-        with the pivot of End(x) replaced by its class in End(x)/k·id_x
-        when pair is (x, x); the class is taken through ``read``."""
+    def _normal_form(self, t, pair, entry, read):
+        """A table entry {key: c}, read through ``read``, written into slot
+        t of hom pair ``pair``: for t >= 1 and pair (x, x), the pivot of
+        End(x) is replaced by its class in End(x)/k·id_x."""
+        entry = read(entry)
         x, y = pair
-        pivot = self.pivots.get(x) if x == y else None
+        pivot = self.pivots.get(x) if t and x == y else None
         if pivot is None or pivot[0] not in entry:
             return entry
         p, rest = pivot
         out = {key: c for key, c in entry.items() if key != p}
         return vec_axpy(out, entry[p], read(rest))
 
-    def _differentials(self):
-        """The total differential d2 + (-1)^m d1 column by column, read off
-        the structure tables.
-
-        Each face of a basis chain replaces one key (d1: the differential
-        of a slot) or two adjacent keys (d2: their product) by a table
-        entry.  The twist face F(a_m)∘a0 reads F(a_m) from the functor's
-        morphism table and multiplies it with a0 through the composition
-        table.  A face changes one slot; in a normalized window, the d1
-        faces at slots t >= 1 and the d2 faces i >= 1 write a slot that may
-        be normalized, so their entries are put in normal form there.  The
-        twist face and the d2 face i = 0 write slot 0, which never is.
-
-        Chains come in runs that share an object cycle, so the tables a
-        face reads (the slot pairs, the d1 tables, the product tables and
-        the twist face's table) are fetched when the cycle changes, in the
-        order a chain reads them.  Within the run, the twist face's image
-        F(a_m) is read once per slot-m key, and the d1 faces are skipped
-        when every d1 table of the cycle is empty.
-
-        Every entry is read through ``read`` (``linalg.integral_reader``),
-        so the columns hold ints wherever the tables are integral."""
-        cat = self.category
-        fun = self.functor
-        normalized = bool(self.pivots)
+    def _differentials(self, cycles):
+        """{k: d_k} for lo <= k < hi, d2 + (-1)^m d1, one object cycle at a
+        time (see the module docstring).  Faces run in one order (d1 into
+        side columns, d2 for i = 0..m-1, the twist face, the side columns
+        added with sign (-1)^m) and meet a column at one entry each, so its
+        terms come in the order of a chain-by-chain build."""
+        cat, fun, lo, hi = self.category, self.functor, self.lo, self.hi
         read = integral_reader()
-        cycle = None
-        for k in range(self.lo, self.hi):
-            n = self.dim(k)
-            nt = self.dim(k + 1)
-            total = SparseMatrix(nt, n)
-            for j, (objs, keys) in enumerate(self.chains_at(k)):
-                m = len(keys) - 1
-                if objs != cycle:
-                    cycle = objs
-                    pairs = self._slot_pairs(objs)
-                    d1_tables = [cat.diff.get(pair, {}) for pair in pairs]
-                    prod_tables = [
-                        cat.comp_table(*pairs[i + 1], pairs[i][1]) for i in range(m)
+        totals = {k: SparseMatrix(self.dim(k + 1), self.dim(k)) for k in range(lo, hi)}
+        splits = {}  # (left, right slot pairs) -> [(degree, left degree, [(left, right)])]
+        for objs, pairs, keylists in cycles:
+            m = len(objs) - 1
+            col1 = {}  # (k, j) -> the d1 part of column j of d_k
+
+            def walk(entries, a, b, e, new_objs, odd, side=False):
+                """Add each entry's image, as left + (key,) + right on new_objs with sign
+                (-1)^odd(k, |left|), to the column of left + before + right + after, left
+                from slots 0..a-1 and right from slots b..e-1."""
+                if not entries:
+                    return
+                key = (tuple(pairs[:a]), tuple(pairs[b:e]))
+                groups = splits.get(key)
+                if groups is None:
+                    lefts, rights = _key_tuples(keylists[:a]), _key_tuples(keylists[b:e])
+                    groups = splits[key] = [
+                        (pre + rest, pre, list(itertools.product(ls, rs)))
+                        for pre, ls in lefts.items() for rest, rs in rights.items()
                     ]
-                    if m:
-                        twist_table = cat.comp_table(*pairs[0], fun.apply_obj(objs[m]))
-                    has_d1 = any(d1_tables)
-                    twist_images = {}  # slot-m key -> items of F(a_m)
-                col1 = {}
-                if has_d1:
-                    prefix = 0
-                    for t, key in enumerate(keys):
-                        img = d1_tables[t].get(key)
-                        if img:
-                            img = read(img)
-                            if t and normalized:
-                                img = self._normal_form(pairs[t], img, read)
-                            for hk, c in img.items():
+                for before, after, hit, image in entries:
+                    for degree, pre, lr in groups:
+                        k = hit + degree - m
+                        if not lo <= k < hi:
+                            continue
+                        at, flip = self._index[k], odd(k, pre)
+                        for left, right in lr:
+                            j = at.get((objs, left + before + right + after))
+                            if j is None:  # a pivot key
+                                continue
+                            col = col1.setdefault((k, j), {}) if side else totals[k].cols[j]
+                            for hk, c in image.items():
                                 if c:
-                                    new_keys = keys[:t] + (hk,) + keys[t + 1 :]
-                                    self._add_term(col1, k + 1, objs, new_keys, -c if prefix % 2 else c)
-                        prefix += key[0]
-                else:
-                    prefix = sum(key[0] for key in keys)
-                col2 = {}
-                # a_i a_{i+1} with sign (-1)^i, i = 0 included
-                for i in range(m):
-                    prod = prod_tables[i].get((keys[i + 1], keys[i]))
-                    if prod:
-                        prod = read(prod)
-                        if i and normalized:
-                            prod = self._normal_form((pairs[i + 1][0], pairs[i][1]), prod, read)
-                        new_objs = objs[: i + 1] + objs[i + 2 :]
-                        for hk, c in prod.items():
-                            if c:
-                                new_keys = keys[:i] + (hk,) + keys[i + 2 :]
-                                self._add_term(col2, k + 1, new_objs, new_keys, -c if i % 2 else c)
-                if m:
-                    # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
-                    image = twist_images.get(keys[m])
-                    if image is None:
-                        image = twist_images[keys[m]] = read(
-                            fun.image(*pairs[m], keys[m]).coeffs
-                        ).items()
-                    prod = compose_terms(twist_table, ((keys[0], 1),), image, read)
-                    odd = (m + keys[m][0] * (prefix - keys[m][0])) % 2
-                    new_objs = (objs[m],) + objs[1:m]
-                    for hk, c in prod.items():
-                        self._add_term(col2, k + 1, new_objs, (hk,) + keys[1:m], -c if odd else c)
-                total.cols[j] = vec_axpy(col2, parity_sign(m), col1) if col1 else col2
-            self._total[k] = total
+                                    keys = left + (hk,) + right
+                                    self._add_term(col, k + 1, new_objs, keys, -c if flip else c)
+
+            for t in range(m + 1):
+                table = cat.diff.get(pairs[t])
+                if not table:
+                    continue
+                entries = [((key,), (), key[0], self._normal_form(t, pairs[t], table[key], read))
+                           for key in keylists[t] if table.get(key)]
+                walk(entries, t, t + 1, m + 1, objs, lambda k, pre: pre % 2, side=True)
+            for i in range(m):  # a_i a_{i+1} with sign (-1)^i
+                pair = (pairs[i + 1][0], pairs[i][1])
+                table = cat.comp_table(*pairs[i + 1], pair[1])
+                entries = [((ka, kb), (), ka[0] + kb[0], self._normal_form(i, pair, prod, read))
+                           for (kb, ka), prod in table.items() if prod]
+                walk(entries, i, i + 2, m + 1, objs[: i + 1] + objs[i + 2 :], lambda k, pre: i % 2)
+            if m:  # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
+                by_second = {}
+                for (gk, fk), entry in cat.comp_table(*pairs[0], fun.apply_obj(objs[m])).items():
+                    if entry:
+                        by_second.setdefault(fk, []).append((gk, entry))
+                heads = _degree_counts(keylists[:m])
+                for km in keylists[m]:
+                    if not any(lo <= s + km[0] - m < hi for s in heads):
+                        continue
+                    prods = {}
+                    for fk, cf in read(fun.image(*pairs[m], km).coeffs).items():
+                        for gk, entry in by_second.get(fk, ()):
+                            vec_axpy(prods.setdefault(gk, {}), cf, read(entry))
+                    entries = [((gk,), (km,), gk[0] + km[0], prod) for gk, prod in prods.items()]
+                    walk(entries, 0, 1, m, (objs[m],) + objs[1:m],
+                         lambda k, pre: (m + km[0] * (k + m - km[0])) % 2)
+            for (k, j), c1 in col1.items():
+                if c1:
+                    vec_axpy(totals[k].cols[j], parity_sign(m), c1)
+        return totals
 
     # -- interface --------------------------------------------------------
 
@@ -575,6 +532,26 @@ class HochschildWindow(WindowBase):
         if k in self._total:
             return self._total[k]
         return SparseMatrix(self.dim(k + 1), self.dim(k))
+
+
+def _degree_counts(keylists):
+    """{degree sum: number of key tuples} over the product of ``keylists``."""
+    counts = {0: 1}
+    for keys in keylists:
+        nxt = {}
+        for s, n in counts.items():
+            for key in keys:
+                nxt[s + key[0]] = nxt.get(s + key[0], 0) + n
+        counts = nxt
+    return counts
+
+
+def _key_tuples(keylists):
+    """{degree sum: key tuples} over the product of ``keylists``."""
+    out = {}
+    for keys in itertools.product(*keylists):
+        out.setdefault(sum(key[0] for key in keys), []).append(keys)
+    return out
 
 
 def _unit_pivots(category, functor):

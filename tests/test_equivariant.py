@@ -5,7 +5,9 @@ import pytest
 from equihh.dgcat import Mor, validate_dgcat
 from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.equivariant import (
+    EquivariantObject,
     adjunction_maps,
+    alpha_inverse,
     build_equivariant_category,
     lift_action,
     realize_declared,
@@ -278,6 +280,24 @@ def test_coboundary_action_phi_and_adjunction():
         assert eq.category.invert(eq.phi_component(g, ("pt",))) is not None, g
     result = adjunction_maps(eq, ("pt",), s.name)
     assert result["chain_map"] and result["mutually_inverse"]
+
+
+def test_alpha_inverse_where_the_square_fails():
+    """On E1's lifted action, X with alpha_e = 2·id and alpha_s = id fails
+    the coherence square: the square's left inverse of alpha_s, (1/2)·id,
+    is no inverse, so invert decides, and X is reported for its square
+    only.  A zero alpha_s is still reported not invertible."""
+    _, la = lifted_e1()
+    pt = ("pt",)
+    unit = la.category.unit(pt)
+    doubled = EquivariantObject("X", pt, {"e": unit.scale(2), "s": unit})
+    for g in ("e", "s"):
+        assert alpha_inverse(la, doubled, g) == la.category.invert(doubled.alpha[g])
+    report = validate_equivariant(la, doubled)
+    assert report.violations and {v.rule for v in report.violations} == {"cocycle"}
+    zero = EquivariantObject("Z", pt, {"e": unit, "s": Mor(pt, pt, {})})
+    assert alpha_inverse(la, zero, "s") is None
+    assert "alpha[s] not invertible" in [v.witness for v in validate_equivariant(la, zero).violations]
 
 
 def test_zero_theta_component():

@@ -258,6 +258,25 @@ def test_equivariant_category_matches_reference(name):
     assert_matches_reference(EQCATS[name]())
 
 
+@pytest.mark.parametrize("name", sorted(EQCATS))
+def test_alpha_inverse_matches_invert(monkeypatch, name):
+    """alpha_inverse equals DgCategory.invert on every roster alpha.  On the
+    E1, E2 and E5 pipelines the coherence square proves every alpha_g with
+    g != e: invert is called on none of them."""
+    eq = EQCATS[name]()
+    la = eq.laction
+    invert = la.category.invert
+    inverted = []
+    monkeypatch.setattr(la.category, "invert", lambda f: inverted.append(f) or invert(f))
+    for obj in eq.roster.values():
+        for g in la.group.elements:
+            assert equivariant.alpha_inverse(la, obj, g) == invert(obj.alpha[g]), (obj.name, g)
+    if name in BUILDERS:
+        e = la.group.identity
+        alphas = [a for obj in eq.roster.values() for g, a in obj.alpha.items() if g != e]
+        assert not [f for f in inverted if any(f is a for a in alphas)]
+
+
 def test_composite_outside_the_solved_subspace_is_a_structure_error():
     """A solved vector of End(S(pt)) replaced after the build by E_00, which
     does not commute with the swap of S(pt)'s parts: its square leaves the

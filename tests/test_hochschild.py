@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from equihh.examples import (
 from equihh.groups import permutation_action
 import equihh.hochschild as hochschild
 from equihh.hochschild import (
+    Chain,
     ChainMap,
     HochschildWindow,
     HomotopyCertificate,
@@ -48,6 +50,7 @@ from tests_support import (
     leibniz_sabotage_pair,
     negative_degree_exterior_category,
     normalized_columns,
+    reference_chains,
     reference_columns,
     reference_d1_chain,
     reference_d2_chain,
@@ -329,6 +332,29 @@ def square_zero_twist():
     return cat, DgFunctor(cat, cat, {"pt": "pt"}, {("pt", "pt"): table}, name="a+2b")
 
 
+def two_object_twist():
+    """Two copies x, y of the square-zero algebra k<1, a, b>/(a, b)^2 with
+    no morphisms between them, twisted by a -> a + 2b on End(x) and by
+    a -> a - b on End(y): the key (0, "a") sits in slot m of the cycles of
+    both objects and has a different image on each hom pair."""
+    one = algebra_category(QQ, "x", [("1", 0), ("a", 0), ("b", 0)], {})
+    objs = ["x", "y"]
+    cat = DgCategory(
+        QQ, objs, {(o, o): one.hom("x", "x") for o in objs}, {},
+        {(o, o, o): dict(one.comp[("x", "x", "x")]) for o in objs},
+        {o: dict(one.units["x"]) for o in objs},
+    )
+    images = {"x": {"a": 1, "b": 2}, "y": {"a": 1, "b": -1}}
+    table = {
+        (o, o): {
+            (0, lab): Mor(o, o, {(0, k): Fraction(c) for k, c in (images[o] if lab == "a" else {lab: 1}).items()})
+            for lab in ("1", "a", "b")
+        }
+        for o in objs
+    }
+    return cat, DgFunctor(cat, cat, {o: o for o in objs}, table, name="a+2b|a-b")
+
+
 def example_windows():
     for name in ["E1", "E2", "E3", "E4", "E5"]:
         b = get_example(name)
@@ -360,9 +386,9 @@ def reference_windows():
     good, _ = leibniz_sabotage_pair()
     yield window_for(good, (-2, 2), cap=3)
     yield from ladder_windows()
-    cat, twist = square_zero_twist()
-    yield build_window(cat, twist, -3, 1)
-    yield build_window(cat, twist, -3, 1, normalized=True)
+    for cat, twist in (square_zero_twist(), two_object_twist()):
+        yield build_window(cat, twist, -3, 1)
+        yield build_window(cat, twist, -3, 1, normalized=True)
 
 
 def columns(mat):
@@ -497,6 +523,80 @@ def test_window_chain_budget(monkeypatch):
     monkeypatch.setattr(hochschild, "WINDOW_CHAIN_BUDGET", total - 1)
     with pytest.raises(TruncationError, match=f"more than {total - 1} chains"):
         window_for(kz2, (-2, 0))
+
+
+def test_budget_is_checked_before_a_cycle_is_built(monkeypatch):
+    """k[Z/6] at degree -3 is one object cycle of 6^4 = 1,296 chains: over
+    a budget of 1,000 it is the window's TruncationError, raised before
+    any chain is built; at a budget of 1,296 the window is built."""
+    started = []
+
+    class Probe(HochschildWindow):
+        def _enumerate(self):
+            started.append(self)
+            return super()._enumerate()
+
+    cat = cyclic_group_algebra(6)
+    monkeypatch.setattr(hochschild, "WINDOW_CHAIN_BUDGET", 1000)
+    message = "window [-3, -3] has more than 1000 chains; narrow the degrees"
+    with pytest.raises(TruncationError, match=re.escape(message)):
+        Probe(cat, identity_functor(cat), -3, -3)
+    assert started[0]._chains == {-3: []}
+    monkeypatch.setattr(hochschild, "WINDOW_CHAIN_BUDGET", 6**4)
+    assert window_for(cat, (-3, -3)).dim(-3) == 6**4
+
+
+def test_chains_match_reference_enumeration():
+    """Each degree's chains, in order, equal those of the chain-by-chain
+    recursion, on the reference windows (two of them normalized) and over
+    Q(zeta_3)."""
+    for win in [*reference_windows(), *cyclotomic_windows()]:
+        want = reference_chains(win)
+        assert {k: win.chains_at(k) for k in want} == want, win.category.objects
+
+
+def test_twist_images_are_read_only_for_chains_with_a_column():
+    """A twist that leaves e (|e| = 1) unmapped: on the window [-2, -1] the
+    chains with e in slot m lie in the top degree, which has no column, so
+    the window is built; on [-1, 0] the chain 1[1|e] has a column, and its
+    twist face names the missing image."""
+    cat = exterior_category(1)
+    table = {("pt", "pt"): {(0, "1"): cat.unit("pt")}}
+    partial = DgFunctor(cat, cat, {"pt": "pt"}, table, name="no e")
+    win = build_window(cat, partial, -2, -1, bar_cap=2)
+    assert Chain(("pt",) * 3, ((0, "1"), (0, "1"), (1, "e"))) in win.chains_at(-1)
+    for k in range(win.lo, win.hi):
+        assert columns(win.differential(k)) == columns(stored(reference_total(win, k)[0]))
+    with pytest.raises(StructureError, match=re.escape("functor no e has no action on (1, 'e')")):
+        build_window(cat, partial, -1, 0, bar_cap=2)
+
+
+def test_face_on_a_chain_missing_from_the_window():
+    """a∘a = z with z outside the basis: a d2 face that multiplies a with a
+    (of a[a], 1[a|a], ...) lands on a chain holding z, of a window degree,
+    which the window does not hold.  Which such face is met first depends
+    on the order the faces are walked in."""
+    cat = algebra_category(QQ, "pt", [("1", 0), ("a", 0)], {("a", "a"): {"z": 1}})
+    message = r"image chain missing from window: Chain\(\('pt',.*\(0, 'z'\)"
+    with pytest.raises(StructureError, match=message):
+        window_for(cat, (-2, 0))
+
+
+def test_face_of_another_degree():
+    """A twist sending a (degree 0) to b (degree 1): the twist face of 1[a],
+    of degree -1, writes the chain b of degree 1 into degree 0."""
+    cat = algebra_category(QQ, "pt", [("1", 0), ("a", 0), ("b", 1)], {})
+    table = {
+        ("pt", "pt"): {
+            (0, "1"): cat.unit("pt"),
+            (0, "a"): Mor("pt", "pt", {(1, "b"): QQ.one}),
+            (1, "b"): Mor("pt", "pt", {(1, "b"): QQ.one}),
+        }
+    }
+    shift = DgFunctor(cat, cat, {"pt": "pt"}, table, name="a->b")
+    message = "term Chain(('pt',), ((1, 'b'),)) has degree 1, not 0"
+    with pytest.raises(StructureError, match=re.escape(message)):
+        build_window(cat, shift, -1, 0, bar_cap=1)
 
 
 def test_chain_index_accepts_plain_pairs():

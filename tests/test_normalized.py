@@ -22,6 +22,7 @@ from tests_support import (
     NormalizationMap,
     cyclic_group_document,
     negative_degree_exterior_category,
+    reference_chains,
 )
 
 
@@ -65,6 +66,16 @@ CASES = list(window_cases())
 def window_pair(cat, fun, lo, hi, cap):
     standard = build_window(cat, fun, lo, hi, bar_cap=cap)
     return standard, build_window(cat, fun, lo, hi, bar_cap=cap, normalized=True)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_normalized_chains_match_reference_enumeration(case):
+    """Each degree's chains, in order, equal those of the chain-by-chain
+    recursion, which enumerates no pivot in a slot t >= 1."""
+    _, cat, fun, (lo, hi), cap = case
+    win = build_window(cat, fun, lo, hi, bar_cap=cap, normalized=True)
+    want = reference_chains(win)
+    assert {k: win.chains_at(k) for k in want} == want
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])

@@ -19,6 +19,7 @@ from equihh.dgcat import (
 )
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import (
+    Chain,
     ChainMap,
     HomologyBasis,
     HomotopyCertificate,
@@ -248,10 +249,11 @@ def reversed_window(win):
     """A second build of the window ``win``, with each degree's chains
     listed in reverse order: the same complex on another basis order."""
     other = build_window(win.category, win.functor, win.lo, win.hi, bar_cap=win.bar_cap)
+    cycles = other._enumerate()
     for k, chains in other._chains.items():
         chains.reverse()
         other._index[k] = {chain: i for i, chain in enumerate(chains)}
-    other._differentials()
+    other._total = other._differentials(cycles)
     return other
 
 
@@ -658,6 +660,45 @@ def reference_d2_chain(win, chain):
         win, out, face_degree(chain), (objs[m],) + objs[1:m], [prod] + slots[1:m], sign
     )
     return out
+
+
+def reference_chains(win):
+    """{degree: chains} of ``win``, enumerated chain by chain: per bar
+    degree and object cycle, a recursion over the slots (keys in basis
+    order, no pivot in a slot t >= 1 of a normalized window) that drops a
+    branch once no choice of the remaining keys reaches the window."""
+    cat = win.category
+    chains = {k: [] for k in range(win.lo, win.hi + 1)}
+    for m in win.bar_degrees:
+        for objs in win._object_cycles(m):
+            keylists = []
+            for t, (x, y) in enumerate(win._slot_pairs(objs)):
+                keys = list(cat.basis_keys(x, y))
+                if t and x == y and x in win.pivots:
+                    keys.remove(win.pivots[x][0])
+                keylists.append(keys)
+            if not all(keylists):
+                continue
+            lows = [0] * (m + 2)
+            highs = [0] * (m + 2)
+            for i in range(m, -1, -1):
+                lows[i] = lows[i + 1] + min(key[0] for key in keylists[i])
+                highs[i] = highs[i + 1] + max(key[0] for key in keylists[i])
+
+            def emit(pos, acc, chosen):
+                if pos == len(keylists):
+                    if win.in_window(acc - m):
+                        chains[acc - m].append(Chain(objs, chosen))
+                    return
+                for key in keylists[pos]:
+                    if acc + key[0] + lows[pos + 1] - m > win.hi:
+                        continue
+                    if acc + key[0] + highs[pos + 1] - m < win.lo:
+                        continue
+                    emit(pos + 1, acc + key[0], chosen + (key,))
+
+            emit(0, 0, ())
+    return chains
 
 
 def reference_matrix(win, k, column):
