@@ -15,14 +15,16 @@ the hom-degree bounds prove only finitely many bar degrees reach the
 window, else TruncatedAt(cap).
 
 Windows are built one object cycle at a time; a cycle's chains are the
-product of its slots' key lists.  A face replaces slot keys by a table
-entry: d1 one key by its differential, d2 two adjacent keys by their
-product, the twist face a0 and a_n by F(a_n) a0, F(a_n) read from the
-functor's morphism table and summed against a0, in ``compose_terms``
-order, from the composition table indexed by its second key.  Each face
-walks its table: a nonzero entry, with each choice of the other slots'
-keys, names a chain, whose column the chain index gives; so no face
-builds a morphism, and the cost follows the nonzero faces.  Homology
+product of its slots' key lists, built slot by slot, and a prefix is
+dropped once no choice of the remaining keys reaches the window.  A face
+replaces slot keys by a table entry: d1 one key by its differential, d2
+two adjacent keys by their product, the twist face a0 and a_n by
+F(a_n) a0, F(a_n) read from the functor's morphism table and summed
+against a0, in ``compose_terms`` order, from the composition table
+indexed by its second key.  Each face walks its table: a nonzero entry,
+with each choice of the other slots' keys that reaches the window, names
+a chain, whose column the chain index gives; so no face builds a
+morphism, and the cost follows the nonzero faces.  Homology
 stops adding boundaries to its echelon once the echelon is as large as
 the cycle space, provided every boundary column is a cycle; the skipped
 columns would reduce to zero.  It also skips a zero boundary column and
@@ -97,7 +99,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -326,62 +327,79 @@ class HochschildWindow(WindowBase):
         return cert, [m for m in range(cert.bound + 1) if touches(m)]
 
     def _slot_pairs(self, objs):
-        """Hom pairs of the slots of (c0, ..., cm): (c1, F c0), (c_{i+1}, c_i), (c0, cm)."""
-        return list(zip(objs[1:] + objs[:1], (self.functor.apply_obj(objs[0]),) + objs[1:]))
+        """Hom pairs for the slots of an object cycle (c0, ..., cm)."""
+        m = len(objs) - 1
+        fobj = self.functor.apply_obj(objs[0])
+        if m == 0:
+            return [(objs[0], fobj)]
+        pairs = [(objs[1], fobj)]
+        for i in range(1, m):
+            pairs.append((objs[i + 1], objs[i]))
+        pairs.append((objs[0], objs[m]))
+        return pairs
 
     def _enumerate(self):
         """Fill the chain lists, each cycle's in ``itertools.product`` order
-        and counted against the budget before any is built; return the
-        cycles with a column as (objects, slot pairs, slot key lists)."""
+        (``_tuples_within``) and counted against the budget before any is
+        built; return the cycles with a column as (objects, slot pairs,
+        slot key lists)."""
         cat, lo, hi = self.category, self.lo, self.hi
         count = 0
         cycles = []
+        slots = {}  # (hom pair, t > 0) -> the key list of a slot t, shared by the cycles
         self._chains = {k: [] for k in range(lo, hi + 1)}
         for m in self.bar_degrees:
             for objs in self._object_cycles(m):
                 pairs = self._slot_pairs(objs)
                 keylists = []
                 for t, (x, y) in enumerate(pairs):
-                    keys = list(cat.basis_keys(x, y))
-                    if t and x == y and x in self.pivots:
-                        keys.remove(self.pivots[x][0])
-                    keylists.append(keys)
+                    if ((x, y), t > 0) not in slots:
+                        keys = slots[((x, y), t > 0)] = list(cat.basis_keys(x, y))
+                        if t and x == y and x in self.pivots:
+                            keys.remove(self.pivots[x][0])
+                    keylists.append(slots[((x, y), t > 0)])
                 counts = _degree_counts(keylists)
-                inside = [s - m for s in counts if lo <= s - m <= hi]
-                count += sum(counts[k + m] for k in inside)
+                count += sum(n for s, n in counts.items() if lo <= s - m <= hi)
                 if count > WINDOW_CHAIN_BUDGET:
                     raise TruncationError(
                         f"window [{lo}, {hi}] has more than {WINDOW_CHAIN_BUDGET} chains;"
                         " narrow the degrees"
                     )
-                if any(k < hi for k in inside):
+                if any(lo <= s - m < hi for s in counts):
                     cycles.append((objs, pairs, keylists))
-                product = itertools.product(*keylists)
-                if len(inside) == len(counts) == 1:  # one degree; tuple.__new__ runs in C
-                    rows = zip(repeat(objs), product)
-                    self._chains[inside[0]].extend(map(tuple.__new__, repeat(Chain), rows))
-                elif inside:
-                    for keys in product:
-                        k = sum(key[0] for key in keys) - m
-                        if lo <= k <= hi:
-                            self._chains[k].append(Chain(objs, keys))
+                for s, tuples in _tuples_within(keylists, lo + m, hi + m).items():
+                    self._chains[s - m].extend(Chain(objs, keys) for keys in tuples)
         for k, chains in self._chains.items():
             self._index[k] = {c: i for i, c in enumerate(chains)}
         return cycles
 
     def _object_cycles(self, m):
-        """The object cycles (c0, ..., cm) whose slots' hom pairs are
-        nonzero, in lexicographic order."""
         cat = self.category
-        pairs = itertools.product(cat.objects, repeat=2)
-        nonzero = {(x, y) for x, y in pairs if cat.hom(x, y).total_dim()}
-        cycles = [(c0,) for c0 in cat.objects]
-        for _ in range(m):
-            cycles = [
-                c + (x,) for c in cycles for x in cat.objects
-                if (x, c[-1] if len(c) > 1 else self.functor.apply_obj(c[0])) in nonzero
-            ]
-        return [c for c in cycles if self._slot_pairs(c)[-1] in nonzero]
+        if not cat.objects:
+            return
+        nonzero = {}
+        for x, y in itertools.product(cat.objects, repeat=2):
+            if cat.hom(x, y).total_dim():
+                nonzero[(x, y)] = True
+        for c0 in cat.objects:
+            fc0 = self.functor.apply_obj(c0)
+            if m == 0:
+                if (c0, fc0) in nonzero:
+                    yield (c0,)
+                continue
+            for c1 in cat.objects:
+                if (c1, fc0) in nonzero:
+                    yield from self._walk_cycle(c0, [c1], m, nonzero)
+
+    def _walk_cycle(self, c0, path, m, nonzero):
+        i = len(path)  # path holds c_1..c_i
+        if i == m:
+            if (c0, path[-1]) in nonzero:
+                yield tuple([c0] + path)
+            return
+        for nxt in self.category.objects:
+            if (nxt, path[-1]) in nonzero:
+                yield from self._walk_cycle(c0, path + [nxt], m, nonzero)
 
     def _add_image(self, out, degree, mors, sign):
         """Accumulate ``sign`` (±1) times the multilinear expansion of
@@ -449,36 +467,39 @@ class HochschildWindow(WindowBase):
         time (see the module docstring).  Faces run in one order (d1 into
         side columns, d2 for i = 0..m-1, the twist face, the side columns
         added with sign (-1)^m) and meet a column at one entry each, so its
-        terms come in the order of a chain-by-chain build."""
+        terms come in the order of a chain-by-chain build.  A face keeps the
+        other slots' key tuples only for the degree sums that its own keys,
+        of any hom degree of the category, can bring into a column
+        (``_split_tuples``), memoized per slot-pair sequence and sum range
+        for the build."""
         cat, fun, lo, hi = self.category, self.functor, self.lo, self.hi
         read = integral_reader()
         totals = {k: SparseMatrix(self.dim(k + 1), self.dim(k)) for k in range(lo, hi)}
-        splits = {}  # (left, right slot pairs) -> [(degree, left degree, [(left, right)])]
+        splits = {}  # (left, right slot pairs, sum range) -> _split_tuples
+        dmin, dmax = cat.min_max_degree()
         for objs, pairs, keylists in cycles:
             m = len(objs) - 1
             col1 = {}  # (k, j) -> the d1 part of column j of d_k
 
             def walk(entries, a, b, e, new_objs, odd, side=False):
                 """Add each entry's image, as left + (key,) + right on new_objs with sign
-                (-1)^odd(k, |left|), to the column of left + before + right + after, left
-                from slots 0..a-1 and right from slots b..e-1."""
-                if not entries:
-                    return
-                key = (tuple(pairs[:a]), tuple(pairs[b:e]))
+                (-1)^odd(k, |left|), to the column of left + before + right + after.
+                Left (slots 0..a-1) and right (slots b..e-1) come from
+                ``_split_tuples``, for the degree sums that r keys of hom degrees in
+                [dmin, dmax], in the slots a..b-1 and e..m, can bring into a column."""
+                r = b - a + m + 1 - e
+                low, high = lo + m - r * dmax, hi - 1 + m - r * dmin
+                key = (tuple(pairs[:a]), tuple(pairs[b:e]), low, high)
                 groups = splits.get(key)
                 if groups is None:
-                    lefts, rights = _key_tuples(keylists[:a]), _key_tuples(keylists[b:e])
-                    groups = splits[key] = [
-                        (pre + rest, pre, list(itertools.product(ls, rs)))
-                        for pre, ls in lefts.items() for rest, rs in rights.items()
-                    ]
+                    groups = splits[key] = _split_tuples(keylists[:a], keylists[b:e], low, high)
                 for before, after, hit, image in entries:
-                    for degree, pre, lr in groups:
+                    for degree, pre, lefts, rights in groups:
                         k = hit + degree - m
                         if not lo <= k < hi:
                             continue
                         at, flip = self._index[k], odd(k, pre)
-                        for left, right in lr:
+                        for left, right in itertools.product(lefts, rights):
                             j = at.get((objs, left + before + right + after))
                             if j is None:  # a pivot key
                                 continue
@@ -492,29 +513,31 @@ class HochschildWindow(WindowBase):
                 table = cat.diff.get(pairs[t])
                 if not table:
                     continue
-                entries = [((key,), (), key[0], self._normal_form(t, pairs[t], table[key], read))
-                           for key in keylists[t] if table.get(key)]
+                entries = (((key,), (), key[0], self._normal_form(t, pairs[t], table[key], read))
+                           for key in keylists[t] if table.get(key))
                 walk(entries, t, t + 1, m + 1, objs, lambda k, pre: pre % 2, side=True)
             for i in range(m):  # a_i a_{i+1} with sign (-1)^i
                 pair = (pairs[i + 1][0], pairs[i][1])
                 table = cat.comp_table(*pairs[i + 1], pair[1])
-                entries = [((ka, kb), (), ka[0] + kb[0], self._normal_form(i, pair, prod, read))
-                           for (kb, ka), prod in table.items() if prod]
-                walk(entries, i, i + 2, m + 1, objs[: i + 1] + objs[i + 2 :], lambda k, pre: i % 2)
+                entries = (((ka, kb), (), ka[0] + kb[0], self._normal_form(i, pair, prod, read))
+                           for (kb, ka), prod in table.items() if prod)
+                new_objs = objs[: i + 1] + objs[i + 2 :]
+                walk(entries, i, i + 2, m + 1, new_objs, lambda k, pre: i % 2)
             if m:  # F(a_m) a0 with sign (-1)^{m + |a_m|(|a_0|+...+|a_{m-1}|)}
-                by_second = {}
-                for (gk, fk), entry in cat.comp_table(*pairs[0], fun.apply_obj(objs[m])).items():
+                table = cat.comp_table(*pairs[0], fun.apply_obj(objs[m]))
+                by_second = {}  # f key -> the g keys of its nonzero entries
+                for (gk, fk), entry in table.items():
                     if entry:
-                        by_second.setdefault(fk, []).append((gk, entry))
+                        by_second.setdefault(fk, []).append(gk)
                 heads = _degree_counts(keylists[:m])
                 for km in keylists[m]:
                     if not any(lo <= s + km[0] - m < hi for s in heads):
                         continue
                     prods = {}
                     for fk, cf in read(fun.image(*pairs[m], km).coeffs).items():
-                        for gk, entry in by_second.get(fk, ()):
-                            vec_axpy(prods.setdefault(gk, {}), cf, read(entry))
-                    entries = [((gk,), (km,), gk[0] + km[0], prod) for gk, prod in prods.items()]
+                        for gk in by_second.get(fk, ()):
+                            vec_axpy(prods.setdefault(gk, {}), cf, read(table[(gk, fk)]))
+                    entries = (((gk,), (km,), gk[0] + km[0], prod) for gk, prod in prods.items())
                     walk(entries, 0, 1, m, (objs[m],) + objs[1:m],
                          lambda k, pre: (m + km[0] * (k + m - km[0])) % 2)
             for (k, j), c1 in col1.items():
@@ -546,12 +569,48 @@ def _degree_counts(keylists):
     return counts
 
 
-def _key_tuples(keylists):
-    """{degree sum: key tuples} over the product of ``keylists``."""
+def _sum_range(keylists):
+    """(least, greatest) degree sum over the product of ``keylists``, each
+    in degree order, as ``basis_keys`` lists a hom's keys."""
+    return sum(keys[0][0] for keys in keylists), sum(keys[-1][0] for keys in keylists)
+
+
+def _tuples_within(keylists, lo, hi):
+    """{degree sum: key tuples} over the product of ``keylists`` (each in
+    degree order), for the sums in [lo, hi], each list in
+    ``itertools.product`` order.  The product is built slot by slot, and a
+    prefix is dropped once no choice of the remaining slots' keys brings
+    its sum into [lo, hi]."""
+    if not all(keylists):
+        return {}
+    least, greatest = _sum_range(keylists)
+    if least == greatest:  # one sum: the whole product or nothing
+        return {least: list(itertools.product(*keylists))} if lo <= least <= hi else {}
+    level = [(0, ())]
+    for t, keys in enumerate(keylists):
+        least, greatest = _sum_range(keylists[t + 1 :])
+        level = [
+            (s + key[0], prefix + (key,)) for s, prefix in level for key in keys
+            if lo - greatest <= s + key[0] <= hi - least
+        ]
     out = {}
-    for keys in itertools.product(*keylists):
-        out.setdefault(sum(key[0] for key in keys), []).append(keys)
+    for s, keys in level:
+        out.setdefault(s, []).append(keys)
     return out
+
+
+def _split_tuples(left, right, low, high):
+    """[(sum, left sum, left tuples, right tuples)] over the products of the
+    key lists ``left`` and ``right``, for each pair of degree sums whose
+    total lies in [low, high]."""
+    lmin, lmax = _sum_range(left)
+    rmin, rmax = _sum_range(right)
+    lefts = _tuples_within(left, low - rmax, high - rmin)
+    rights = _tuples_within(right, low - lmax, high - lmin)
+    return [
+        (pre + rest, pre, ls, rs) for pre, ls in lefts.items() for rest, rs in rights.items()
+        if low <= pre + rest <= high
+    ]
 
 
 def _unit_pivots(category, functor):

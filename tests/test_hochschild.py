@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -553,6 +554,26 @@ def test_chains_match_reference_enumeration():
     for win in [*reference_windows(), *cyclotomic_windows()]:
         want = reference_chains(win)
         assert {k: win.chains_at(k) for k in want} == want, win.category.objects
+
+
+def test_wide_degree_window_builds_only_what_reaches_it():
+    """The exterior algebra on u (|u| = -1) at [-15, -14] certifies bar
+    degrees 7..15, whose cycles hold 2^(m+1) key tuples, 130,816 in all,
+    against 2,584 chains in the window.  Enumeration and the face walk keep
+    only the key tuples that can reach the window, so the build's peak
+    memory stays within 2 kB a chain."""
+    lam = negative_degree_exterior_category()
+    tracemalloc.start()
+    try:
+        win = build_window(lam, identity_functor(lam), -15, -14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert win.bar_degrees == list(range(7, 16))
+    chains = win.dim(-15) + win.dim(-14)
+    assert chains == 2584
+    assert {k: win.chains_at(k) for k in (-15, -14)} == reference_chains(win)
+    assert peak < 2000 * chains
 
 
 def test_twist_images_are_read_only_for_chains_with_a_column():
