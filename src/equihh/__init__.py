@@ -25,7 +25,6 @@ from .equivariant import (
     EquivariantCategory,
     EquivariantObject,
     adjunction_maps,
-    build_equivariant_category,
     lift_action,
     rep_tensor,
     sfor_iso,

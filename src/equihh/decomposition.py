@@ -71,8 +71,8 @@ from .dgcat import (
     identity_functor,
 )
 from .equivariant import (
+    EquivariantCategory,
     base_violation,
-    build_equivariant_category,
     closure_under_action,
     lift_action,
     realize_declared,
@@ -284,7 +284,7 @@ class DecompositionPipeline:
             return obj.name
 
         for d in self.declared:
-            # validated with the whole roster by build_equivariant_category
+            # validated with the whole roster by EquivariantCategory
             add(realize_declared(self.laction, d))
         symmetrized = {t: add(symmetrize(self.laction, t)) for t in small}
         if hh_decl is None:
@@ -300,7 +300,7 @@ class DecompositionPipeline:
         for rep in self.representations.values():
             for name in self.hh_names:
                 add(rep_tensor(self.laction, rep, by_name[name]))
-        self.eqcat = build_equivariant_category(self.laction, roster, base_valid=True)
+        self.eqcat = EquivariantCategory(self.laction, roster, base_valid=True)
         self.roster_names = list(self.eqcat.order)
 
         # window categories

@@ -266,14 +266,19 @@ class EquivariantCategory:
     ambient homs; basis labels are "q<deg>_0", "q<deg>_1", ... per degree
     in solving order.  A subspace whose differential leaves it raises
     StructureError.  ``embed``/``restrict`` convert between roster
-    morphisms and ambient morphisms.  The roster's objects are taken to
-    satisfy the coherence square (``build_equivariant_category`` checks
-    it): the homs are solved from the conditions of a generating set of
-    G, which cut out the same subspace only for such objects (see
-    ``_solve_pair``).
+    morphisms and ambient morphisms.  Each roster object is validated
+    first, and an invalid one raises StructureError with its report: the
+    homs are solved from the conditions of a generating set of G, which
+    cut out the same subspace only for objects that satisfy the coherence
+    square (see ``_solve_pair``).  ``base_valid`` is the verdict of
+    ``base_violation`` on the base, if already known.
     """
 
     def __init__(self, laction: GroupAction, roster, base_valid=None):
+        for obj in roster:
+            report = validate_equivariant(laction, obj)
+            if not report.ok:
+                raise StructureError(report.summary())
         self.laction = laction
         self.ambient = laction.category
         self.roster = {}
@@ -652,17 +657,6 @@ def realize_declared(laction: GroupAction, decl) -> EquivariantObject:
     if missing:
         raise StructureError(f"{decl.name}: alpha missing for {sorted(missing)}")
     return EquivariantObject(decl.name, underlying, alpha)
-
-
-def build_equivariant_category(laction: GroupAction, roster, base_valid=None) -> EquivariantCategory:
-    """The equivariant category of ``roster`` after validating each object;
-    an invalid object raises StructureError with its report.  ``base_valid``
-    is the verdict of ``base_violation`` on the base, if already known."""
-    for obj in roster:
-        report = validate_equivariant(laction, obj)
-        if not report.ok:
-            raise StructureError(report.summary())
-    return EquivariantCategory(laction, roster, base_valid)
 
 
 def base_violation(action: GroupAction):

@@ -1,6 +1,6 @@
 """Sparse exact linear algebra and graded spaces.
 
-Everything here is deterministic: elimination processes columns in
+Everything here is deterministic: ``Echelon`` processes columns in
 ascending index and pivots on the lowest nonzero row, so bases and
 reports are reproducible run to run.  Vectors are dicts ``{row: scalar}``
 with no explicit zeros; matrices store columns the same way.
@@ -35,7 +35,9 @@ n·d^-1 mod P, the entry of the matrix whose columns are cleared of
 denominators, times a unit mod P; a minor of that integer matrix that is
 nonzero mod P is nonzero over Q, so the rank mod P never exceeds the rank
 over Q.  Cyclotomic entries and denominators divisible by P have no such
-image, and it returns None for them.
+image, and it returns None for them.  It pivots on a row that no stored
+column holds wherever it can, so no stored column needs clearing; a rank
+does not depend on the pivots, so neither does the count it returns.
 """
 
 from __future__ import annotations
@@ -448,13 +450,18 @@ def rank_mod_p(matrix: SparseMatrix, stop=None):
     when an entry it reads has no image mod P (a Cyc, or a denominator
     divisible by P).
 
-    Same elimination as ``Echelon`` on plain ints: columns in order, empty
-    ones skipped, pivot on the lowest row, stored columns mutually reduced.
+    Gauss-Jordan on plain ints: columns in order, empty ones skipped,
+    stored columns mutually reduced with pivot entry 1.  A reduced column
+    pivots on its highest row that no stored column has held, so no stored
+    column needs clearing; a column with no such row pivots on its highest
+    row and is cleared from the stored columns.  A rank does not depend on
+    the pivots, so neither does the count.
     Elimination ends once the rank reaches ``stop``, leaving the remaining
     columns unread, so the result is then ``stop``.
     """
     columns = []  # reduced columns {row: int}, pivot entry 1
     pivots = {}  # pivot row -> column position
+    touched = set()  # every row a stored column has held
     for col in matrix.cols:
         if stop is not None and len(columns) >= stop:
             break
@@ -462,24 +469,29 @@ def rank_mod_p(matrix: SparseMatrix, stop=None):
             continue
         vec = {}
         for i, x in col.items():
-            y = _mod_p(x)
+            y = x % P if type(x) is int else _mod_p(x)
             if y is None:
                 return None
             if y:
                 vec[i] = y
-        for row in sorted(vec.keys() & pivots.keys()):
+        # stored columns vanish at each other's pivots, so no subtraction
+        # changes vec at another pivot row and their order does not matter
+        for row in vec.keys() & pivots.keys():
             c = vec.get(row)
             if c:
                 _sub_mod_p(vec, c, columns[pivots[row]])
         if not vec:
             continue
-        pivot = min(vec)
+        fresh = vec.keys() - touched
+        pivot = max(fresh or vec)
         inv = pow(vec[pivot], -1, P)
         vec = {i: x * inv % P for i, x in vec.items()}
-        for other in columns:
-            c = other.get(pivot)
-            if c:
-                _sub_mod_p(other, c, vec)
+        if not fresh:
+            for other in columns:
+                c = other.get(pivot)
+                if c:
+                    _sub_mod_p(other, c, vec)
+        touched.update(vec)
         pivots[pivot] = len(columns)
         columns.append(vec)
     return len(columns)

@@ -5,10 +5,10 @@ import pytest
 from equihh.dgcat import Mor, validate_dgcat
 from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.equivariant import (
+    EquivariantCategory,
     EquivariantObject,
     adjunction_maps,
     alpha_inverse,
-    build_equivariant_category,
     lift_action,
     realize_declared,
     rep_tensor,
@@ -87,7 +87,7 @@ def test_e1_equivariant_category_homs():
     plus = realize_declared(la, b.declared[0])
     minus = realize_declared(la, b.declared[1])
     spt = symmetrize(la, ("pt",))
-    eq = build_equivariant_category(la, [plus, minus, spt])
+    eq = EquivariantCategory(la, [plus, minus, spt])
     cat = eq.category
     assert cat.hom("plus", "plus").total_dim() == 1
     assert cat.hom("plus", "minus").total_dim() == 0
@@ -97,11 +97,25 @@ def test_e1_equivariant_category_homs():
     assert validate_dgcat(cat).ok
 
 
+def test_category_validates_its_roster():
+    """X with alpha_e = 2·id and alpha_s = id fails the coherence square.
+    The homs solved from the generators' conditions alone would give
+    Hom(X, plus) dimension 1, against 0 with every element stacked, so
+    the category rejects X when built directly too."""
+    b, la = lifted_e1()
+    plus = realize_declared(la, b.declared[0])
+    unit = la.category.unit(plus.underlying)
+    x = EquivariantObject("X", plus.underlying, {"e": unit.scale(2), "s": unit})
+    assert not validate_equivariant(la, x).ok
+    with pytest.raises(StructureError, match="coherence square"):
+        EquivariantCategory(la, [x, plus])
+
+
 def test_e2_equivariant_category_homs():
     b, la = lifted_e2()
     s1 = symmetrize(la, ("x1",))
     s2 = symmetrize(la, ("x2",))
-    eq = build_equivariant_category(la, [s1, s2])
+    eq = EquivariantCategory(la, [s1, s2])
     assert eq.category.hom(s1.name, s1.name).total_dim() == 1
     assert eq.category.hom(s1.name, s2.name).total_dim() == 1
     assert validate_dgcat(eq.category).ok
@@ -109,7 +123,7 @@ def test_e2_equivariant_category_homs():
 
 def test_empty_roster_category():
     b, la = lifted_e1()
-    eq = build_equivariant_category(la, [])
+    eq = EquivariantCategory(la, [])
     assert eq.category.objects == []
     assert validate_dgcat(eq.category).ok
 
@@ -143,7 +157,7 @@ def test_adjunction_e1():
     plus = realize_declared(la, b.declared[0])
     minus = realize_declared(la, b.declared[1])
     spt = symmetrize(la, ("pt",))
-    eq = build_equivariant_category(la, [plus, minus, spt])
+    eq = EquivariantCategory(la, [plus, minus, spt])
     for oname in ["plus", "minus", spt.name]:
         result = adjunction_maps(eq, ("pt",), oname)
         assert result["chain_map"]
@@ -155,7 +169,7 @@ def test_adjunction_e2():
     b, la = lifted_e2([("x2", "x1")])
     s1 = symmetrize(la, ("x1",))
     s2 = symmetrize(la, ("x2",))
-    eq = build_equivariant_category(la, [s1, s2])
+    eq = EquivariantCategory(la, [s1, s2])
     for c in [("x1",), ("x2",)]:
         for oname in [s1.name, s2.name]:
             result = adjunction_maps(eq, c, oname)
@@ -165,7 +179,7 @@ def test_adjunction_e2():
 def test_adjunction_capacity_error():
     b, la = lifted_e1()
     plus = realize_declared(la, b.declared[0])
-    eq = build_equivariant_category(la, [plus])
+    eq = EquivariantCategory(la, [plus])
     with pytest.raises(CapacityError):
         adjunction_maps(eq, ("pt",), "plus")  # S(pt) not rostered
 
@@ -173,7 +187,7 @@ def test_adjunction_capacity_error():
 def test_rep_tensor_functor_capacity_error():
     b, la = lifted_e1()
     plus = realize_declared(la, b.declared[0])
-    eq = build_equivariant_category(la, [plus])
+    eq = EquivariantCategory(la, [plus])
     with pytest.raises(CapacityError, match="regular⊗plus is not in the roster"):
         eq.rep_tensor_functor(b.representations["regular"], ["plus"])
 
@@ -185,7 +199,7 @@ def test_sfor_iso_e1():
     spt = symmetrize(la, ("pt",))
     reg = b.representations["regular"]
     t_minus = rep_tensor(la, reg, minus)
-    eq = build_equivariant_category(la, [plus, minus, spt, t_minus])
+    eq = EquivariantCategory(la, [plus, minus, spt, t_minus])
     mor, report = sfor_iso(eq, "plus")
     assert report.ok, report.summary()
     assert mor is not None
@@ -200,7 +214,7 @@ def test_sfor_iso_natural_e1():
     spt = symmetrize(la, ("pt",))
     reg = b.representations["regular"]
     t_minus = rep_tensor(la, reg, minus)
-    eq = build_equivariant_category(la, [plus, minus, spt, t_minus])
+    eq = EquivariantCategory(la, [plus, minus, spt, t_minus])
     isos = {}
     for name in ["plus", "minus"]:
         isos[name], _ = sfor_iso(eq, name)
@@ -218,7 +232,7 @@ def test_e5_roster_solves():
     objs = [realize_declared(la, d) for d in b.declared]
     for o in objs:
         assert validate_equivariant(la, o).ok
-    eq = build_equivariant_category(la, objs)
+    eq = EquivariantCategory(la, objs)
     # three orthogonal irreducible objects
     for a in b.hh_names:
         for c in b.hh_names:
@@ -261,7 +275,7 @@ def test_scaled_action_symmetrize_and_adjunction():
     la = lift_action(act, [("pt",), ("pt", "pt")])
     s = symmetrize(la, ("pt",))
     assert validate_equivariant(la, s).ok
-    eq = build_equivariant_category(la, [s])
+    eq = EquivariantCategory(la, [s])
     result = adjunction_maps(eq, ("pt",), s.name)
     assert result["chain_map"] and result["mutually_inverse"]
 
@@ -275,7 +289,7 @@ def test_coboundary_action_phi_and_adjunction():
     la = lift_action(act, [("pt",), ("pt",) * 6])
     s = symmetrize(la, ("pt",))
     assert validate_equivariant(la, s).ok
-    eq = build_equivariant_category(la, [s])
+    eq = EquivariantCategory(la, [s])
     for g in act.group.elements:
         assert eq.category.invert(eq.phi_component(g, ("pt",))) is not None, g
     result = adjunction_maps(eq, ("pt",), s.name)

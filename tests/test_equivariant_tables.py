@@ -29,7 +29,6 @@ from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.equivariant import (
     EquivariantCategory,
     EquivariantObject,
-    build_equivariant_category,
     lift_action,
     rep_tensor,
     symmetrize,
@@ -141,7 +140,7 @@ def half_basis_eqcat():
         EquivariantObject(name, ("pt",), {"e": unit, "s": unit.scale(c)})
         for name, c in [("plus", 1), ("minus", -1)]
     ]
-    return build_equivariant_category(la, [*signs, symmetrize(la, ("pt",))])
+    return EquivariantCategory(la, [*signs, symmetrize(la, ("pt",))])
 
 
 def coboundary_eqcat():
@@ -155,7 +154,7 @@ def coboundary_eqcat():
     unit = la.category.unit(pt)
     f = coboundary_weights(s3)
     weighted = EquivariantObject("f", pt, {g: unit.scale(1 / f[g]) for g in s3.elements})
-    return build_equivariant_category(la, [
+    return EquivariantCategory(la, [
         weighted,
         rep_tensor(la, sign_representation_s(s3), weighted),
         rep_tensor(la, s3_standard_representation(s3), weighted),
@@ -198,7 +197,7 @@ def permuted_points_eqcat():
         tgt = [(y,) for y in la.rho(g).apply_obj(c)]
         alpha[g] = block_mor(parts, tgt, {(tgt.index(x), i): unit(x) for i, x in enumerate(parts)})
     perm = EquivariantObject("perm", c, alpha)
-    return build_equivariant_category(la, [
+    return EquivariantCategory(la, [
         perm, rep_tensor(la, sign_representation_s(s3), perm), symmetrize(la, ("x1",)),
     ])
 
@@ -236,7 +235,7 @@ def noncentral_theta_eqcat():
     la = lift_action(act, [("pt",)])
     unit = la.category.unit(("pt",))
     a_hull = la.theta_at("s", "s").at(("pt",))
-    return build_equivariant_category(la, [
+    return EquivariantCategory(la, [
         EquivariantObject(name, ("pt",), {"e": a_hull, "s": unit.scale(c)})
         for name, c in [("plus", 1), ("minus", -1)]
     ])

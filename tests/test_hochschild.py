@@ -57,6 +57,7 @@ from tests_support import (
     reference_d2_chain,
     reference_homology,
     reference_matrix,
+    reference_rank_mod_p,
     reference_vec_add,
     reference_vec_scale,
     typed,
@@ -683,16 +684,20 @@ def test_early_stop_matches_full_elimination(monkeypatch, dims, rows, k, adds):
         assert got.express(vec) == want.express(vec)
 
 
+def e5_pipeline():
+    b = get_example("E5")
+    return DecompositionPipeline(
+        b.action, b.declared, b.generators, hh_names=b.hh_names or None,
+        representations=b.representations, degrees=(0, 0),
+    )
+
+
 def test_skipped_boundaries_match_full_elimination_on_e5(monkeypatch):
     """E5 at 0..0: at degree 0 of W_full and W_big (one window, shared by
     every class under the trivial action), most boundary columns are zero
     or repeat one up to sign; skipping them leaves the reps, echelon
     columns and combinations of adding every column."""
-    b = get_example("E5")
-    pipe = DecompositionPipeline(
-        b.action, b.declared, b.generators, hh_names=b.hh_names or None,
-        representations=b.representations, degrees=(0, 0),
-    )
+    pipe = e5_pipeline()
     calls = boundary_adds(monkeypatch)
     assert len({id(w) for w in pipe.w_big.values()}) == 1
     for win in [pipe.w_full, pipe.w_big["123"]]:
@@ -758,6 +763,27 @@ def test_nonzero_square_is_never_certified():
     assert rank_mod_p(win.differential(-1)) + rank_mod_p(win.differential(0)) == 2
     assert 0 not in certified_degrees(win)
     assert win.homology(0) == (1, [{1: Fraction(1)}])
+
+
+def test_rank_mod_p_matches_lowest_row_reference():
+    """On every differential of the reference windows (the k[Z/n] ladder
+    and the E1 and E2 pipeline windows among them), of E5's pipeline
+    windows and of the cyclotomic windows (None on both sides), the
+    fresh-row pivot rule gives the rank of the lowest-row reference, in
+    full and up to the stop that ``_acyclic_mod_p`` passes."""
+    pipe = e5_pipeline()
+    e5 = [pipe.w_hh, pipe.w_full, *pipe.w_small.values(), *pipe.w_big.values()]
+    windows = [*reference_windows(), *{id(w): w for w in e5}.values(), *cyclotomic_windows()]
+    for win in windows:
+        ranks = {}
+        for k in range(win.lo, win.hi):
+            ranks[k] = rank_mod_p(win.differential(k))
+            assert ranks[k] == reference_rank_mod_p(win.differential(k))
+        for k in range(win.lo + 1, win.hi):
+            if ranks[k] is not None:
+                need = win.differential(k).ncols - ranks[k]
+                d_prev = win.differential(k - 1)
+                assert rank_mod_p(d_prev, stop=need) == reference_rank_mod_p(d_prev, stop=need)
 
 
 class IdentityMap(ChainMap):

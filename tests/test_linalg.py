@@ -25,6 +25,7 @@ from tests_support import (
     assert_elimination_matches_reference,
     assert_integral_content_one,
     normalized_columns,
+    reference_rank_mod_p,
     reference_columns,
     reference_vec_add,
     reference_vec_scale,
@@ -215,6 +216,51 @@ def test_rank_mod_p_equals_exact_rank(rows, coeffs, stop):
     rank, _ = rank_kernel_image(m)
     assert rank_mod_p(m) == rank
     assert rank_mod_p(m, stop=stop) == min(rank, stop)
+
+
+@st.composite
+def planted_matrices(draw):
+    """Sparse integer matrices of up to 8 rows and 12 columns: up to 8
+    drawn columns and integer combinations of them, in a random order."""
+    nrows = draw(st.integers(1, 8))
+    column = st.dictionaries(
+        st.integers(0, nrows - 1), st.integers(-3, 3).filter(bool), max_size=3
+    )
+    drawn = draw(st.lists(column, min_size=1, max_size=8))
+    planted = []
+    for _ in range(draw(st.integers(0, 12 - len(drawn)))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(drawn), max_size=len(drawn)))
+        vec = {}
+        for c, col in zip(coeffs, drawn):
+            vec_axpy(vec, c, col)
+        planted.append(vec)
+    cols = draw(st.permutations(drawn + planted))
+    return SparseMatrix(nrows, len(cols), cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_matrices(), st.integers(0, 12))
+def test_rank_mod_p_matches_exact_and_lowest_row_ranks(m, stop):
+    rank, _ = rank_kernel_image(m)
+    assert rank_mod_p(m) == reference_rank_mod_p(m) == rank
+    assert rank_mod_p(m, stop=stop) == reference_rank_mod_p(m, stop=stop) == min(rank, stop)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        # the second column pivots on the touched row 0, which must be
+        # cleared from the first column, or the third reduces to row 0
+        [{0: 1, 1: 1}, {0: 1}, {1: 1}],
+        # the second column has the fresh row 0 below its touched row 1; a
+        # pivot on row 1 leaves the first column unreduced there
+        [{2: 1, 1: 1}, {1: 1, 0: 1}, {2: 1, 0: -1}],
+    ],
+    ids=["touched-pivot", "fresh-row"],
+)
+def test_rank_mod_p_keeps_stored_columns_reduced(cols):
+    m = SparseMatrix(3, 3, cols)
+    assert rank_mod_p(m) == rank_kernel_image(m)[0] == 2
 
 
 def test_rank_mod_p_reads_ints_and_rejects_cyclotomic():

@@ -87,11 +87,11 @@ def test_trivial_group_adjunction_identity():
     action = trivial_action(group, base)
     laction = lift_action(action, [("pt",)])
     decl = DeclaredObject("obj", ("pt",), {"e": {(0, 0, 0, "1"): QQ.one}})
-    from equihh.equivariant import build_equivariant_category
+    from equihh.equivariant import EquivariantCategory
 
     obj = realize_declared(laction, decl)
     sym = symmetrize(laction, ("pt",))
-    eq = build_equivariant_category(laction, [obj, sym])
+    eq = EquivariantCategory(laction, [obj, sym])
     result = adjunction_maps(eq, ("pt",), "obj")
     assert result["chain_map"] and result["mutually_inverse"]
     assert result["hom_dimension"] == 1

@@ -29,9 +29,12 @@ from equihh.hochschild import (
     build_window,
 )
 from equihh.linalg import (
+    P,
     Echelon,
     GradedSpace,
     SparseMatrix,
+    _mod_p,
+    _sub_mod_p,
     rank_kernel_image,
     vec_axpy,
     vec_is_zero,
@@ -476,6 +479,41 @@ def reference_rank_kernel_image(matrix, field=QQ):
         if not residual:
             kernel.append(combo)
     return ech.rank, kernel, ech
+
+
+def reference_rank_mod_p(matrix, stop=None):
+    """``linalg.rank_mod_p`` with the lowest-row pivot: every new pivot is
+    cleared from the stored columns."""
+    columns = []  # reduced columns {row: int}, pivot entry 1
+    pivots = {}  # pivot row -> column position
+    for col in matrix.cols:
+        if stop is not None and len(columns) >= stop:
+            break
+        if not col:
+            continue
+        vec = {}
+        for i, x in col.items():
+            y = _mod_p(x)
+            if y is None:
+                return None
+            if y:
+                vec[i] = y
+        for row in sorted(vec.keys() & pivots.keys()):
+            c = vec.get(row)
+            if c:
+                _sub_mod_p(vec, c, columns[pivots[row]])
+        if not vec:
+            continue
+        pivot = min(vec)
+        inv = pow(vec[pivot], -1, P)
+        vec = {i: x * inv % P for i, x in vec.items()}
+        for other in columns:
+            c = other.get(pivot)
+            if c:
+                _sub_mod_p(other, c, vec)
+        pivots[pivot] = len(columns)
+        columns.append(vec)
+    return len(columns)
 
 
 def reference_homology(win, k):
