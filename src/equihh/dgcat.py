@@ -26,6 +26,11 @@ differential table, a functor's morphism table, a solved basis, a slot
 map) linearly.  ``compose``, ``d``, ``DgFunctor.apply`` and every other
 module sum through them, so each sum has one loop and one term order.
 
+Every functor built from the images of basis keys (composites, hull
+inclusions, hull lifts, forget, S, T_V, the permutation action) is one
+``image(x, y, key)`` passed to ``keyed_functor``, the one constructor of
+such functors; a hom pair's table is filled the first time it is read.
+
 Categories are immutable once validated; validation returns a report of
 violated axioms with witnesses rather than raising.
 """
@@ -372,8 +377,9 @@ def unit_violations(cat: DgCategory):
 class LazyDict(dict):
     """Dict filling missing keys from a builder closure (lookup via []).
 
-    Used for functor morphism tables so that composites and hull lifts
-    only materialize the hom pairs that are actually traversed.
+    Two users: ``keyed_functor``'s morphism tables, so that a functor only
+    materializes the hom pairs that are actually traversed, and the
+    lifted coherence components of ``equivariant.lift_action``.
     """
 
     def __init__(self, builder):
@@ -434,6 +440,16 @@ class DgFunctor:
         return f"DgFunctor({self.name or hex(id(self))})"
 
 
+def keyed_functor(src: DgCategory, tgt: DgCategory, obj_map, image, name="") -> DgFunctor:
+    """The functor src → tgt on ``obj_map`` whose table at (x, y) is
+    {key: image(x, y, key)} over Hom(x, y)'s keys, filled when first read."""
+
+    def build(pair):
+        return {key: image(*pair, key) for key in src.basis_keys(*pair)}
+
+    return DgFunctor(src, tgt, obj_map, LazyDict(build), name=name)
+
+
 def identity_functor(cat: DgCategory, name="id") -> DgFunctor:
     return hull_inclusion(cat, cat, name)
 
@@ -444,16 +460,10 @@ def compose_functors(f: DgFunctor, g: DgFunctor, name=None) -> DgFunctor:
         raise StructureError("functor composition mismatch")
     obj_map = {x: f.apply_obj(g.apply_obj(x)) for x in g.src.objects}
 
-    def build(pair):
-        x, y = pair
-        return {
-            key: f.apply(g.apply(g.src.basis_mor(x, y, *key)))
-            for key in g.src.basis_keys(x, y)
-        }
+    def image(x, y, key):
+        return f.apply(g.apply(g.src.basis_mor(x, y, *key)))
 
-    return DgFunctor(
-        g.src, f.tgt, obj_map, LazyDict(build), name=name or f"{f.name}∘{g.name}"
-    )
+    return keyed_functor(g.src, f.tgt, obj_map, image, name=name or f"{f.name}∘{g.name}")
 
 
 def functors_equal(f: DgFunctor, g: DgFunctor) -> bool:
@@ -854,16 +864,12 @@ def lift_functor_to_hull(fun: DgFunctor, src_hull: DgCategory, tgt_hull: DgCateg
             raise CapacityError(f"hull image {image} not materialized")
         obj_map[xs] = image
 
-    def build(pair):
-        xs, ys = pair
-        table = {}
-        for key in src_hull.basis_keys(xs, ys):
-            deg, (i, j, lab) = key
-            base = fun.apply(fun.src.basis_mor(xs[j], ys[i], deg, lab))
-            table[key] = Mor(obj_map[xs], obj_map[ys], hull_entries(base.coeffs, i, j))
-        return table
+    def image(xs, ys, key):
+        deg, (i, j, lab) = key
+        base = fun.apply(fun.src.basis_mor(xs[j], ys[i], deg, lab))
+        return Mor(obj_map[xs], obj_map[ys], hull_entries(base.coeffs, i, j))
 
-    return DgFunctor(src_hull, tgt_hull, obj_map, LazyDict(build), name=name or f"hull({fun.name})")
+    return keyed_functor(src_hull, tgt_hull, obj_map, image, name=name or f"hull({fun.name})")
 
 
 def full_subcategory(cat: DgCategory, objects) -> DgCategory:
@@ -951,11 +957,5 @@ def hull_inclusion(sub: DgCategory, sup: DgCategory, name="incl") -> DgFunctor:
         if xs not in sup.objects:
             raise StructureError(f"{xs} missing from the larger category")
         obj_map[xs] = xs
-
-    def build(pair):
-        xs, ys = pair
-        return {
-            key: Mor(xs, ys, {key: sub.field.one}) for key in sub.basis_keys(xs, ys)
-        }
-
-    return DgFunctor(sub, sup, obj_map, LazyDict(build), name=name)
+    one = sub.field.one
+    return keyed_functor(sub, sup, obj_map, lambda xs, ys, key: Mor(xs, ys, {key: one}), name=name)

@@ -80,6 +80,26 @@ def _coeffs(entry, field, degrees_of, location):
     return out
 
 
+def _transformation(src, tgt, components, name, location, label_degrees):
+    """The transformation ``name``: src ⇒ tgt from a document's {object:
+    coefficients}, or of units (src, tgt agreeing) where ``components`` is None."""
+    cat = src.src
+    comps = {}
+    for x in cat.objects:
+        sobj, tobj = src.apply_obj(x), tgt.apply_obj(x)
+        if components is None:
+            if sobj != tobj:
+                raise InputError(f"{name} is not an identity at {x!r}; give its components", location)
+            comps[x] = cat.unit(sobj)
+            continue
+        raw_comp = components.get(x)
+        if raw_comp is None:
+            raise InputError(f"{name} missing a component at {x!r}", location)
+        degrees_of = label_degrees.get((sobj, tobj), {})
+        comps[x] = Mor(sobj, tobj, _coeffs(raw_comp, cat.field, degrees_of, location))
+    return NatTransform(src, tgt, comps, name=name)
+
+
 def parse_document(doc) -> ExampleBundle:
     if isinstance(doc, str):
         try:
@@ -250,58 +270,20 @@ def parse_document(doc) -> ExampleBundle:
             theta_doc[pair] = _expect(t.get("components") or {}, dict, f"{tloc}.components")
         for g in group.elements:
             for g2 in group.elements:
-                comp_fun = compose_functors(functors[g], functors[g2])
-                target = functors[group.mul(g2, g)]
-                components = theta_doc.get((g, g2))
-                if components is None:
-                    for x in objects:
-                        if comp_fun.apply_obj(x) != target.apply_obj(x):
-                            raise InputError(
-                                f"theta[{g},{g2}] is not an identity at {x!r}; give its components",
-                                "action.theta",
-                            )
-                    comps = {x: category.unit(comp_fun.apply_obj(x)) for x in objects}
-                else:
-                    comps = {}
-                    for x in objects:
-                        raw_comp = components.get(x)
-                        if raw_comp is None:
-                            raise InputError(
-                                f"theta[{g},{g2}] missing a component at {x!r}", "action.theta"
-                            )
-                        sobj = comp_fun.apply_obj(x)
-                        tobj = target.apply_obj(x)
-                        comps[x] = Mor(
-                            sobj,
-                            tobj,
-                            _coeffs(raw_comp, field, label_degrees.get((sobj, tobj), {}), "action.theta"),
-                        )
-                theta[(g, g2)] = NatTransform(comp_fun, target, comps, name=f"theta[{g},{g2}]")
-        eta_doc = adoc.get("eta")
-        rho_e = functors[group.identity]
-        if eta_doc is None:
-            for x in objects:
-                if rho_e.apply_obj(x) != x:
-                    raise InputError(
-                        f"eta is not an identity at {x!r}; give its components", "action.eta"
-                    )
-            eta_comps = {x: category.unit(rho_e.apply_obj(x)) for x in objects}
-        else:
-            components = _expect(
-                _expect(eta_doc, dict, "action.eta").get("components") or {},
-                dict,
-                "action.eta.components",
-            )
-            eta_comps = {}
-            for x in objects:
-                raw_comp = components.get(x)
-                if raw_comp is None:
-                    raise InputError(f"eta missing a component at {x!r}", "action.eta")
-                sobj = rho_e.apply_obj(x)
-                eta_comps[x] = Mor(
-                    sobj, x, _coeffs(raw_comp, field, label_degrees.get((sobj, x), {}), "action.eta")
+                theta[(g, g2)] = _transformation(
+                    compose_functors(functors[g], functors[g2]),
+                    functors[group.mul(g2, g)],
+                    theta_doc.get((g, g2)),
+                    f"theta[{g},{g2}]",
+                    "action.theta",
+                    label_degrees,
                 )
-        eta = NatTransform(rho_e, identity_functor(category), eta_comps, name="eta")
+        eta_doc = adoc.get("eta")
+        if eta_doc is not None:
+            eta_doc = _expect(eta_doc, dict, "action.eta").get("components") or {}
+            eta_doc = _expect(eta_doc, dict, "action.eta.components")
+        rho_e, ident = functors[group.identity], identity_functor(category)
+        eta = _transformation(rho_e, ident, eta_doc, "eta", "action.eta", label_degrees)
         action = GroupAction(group, category, functors, theta, eta, name=doc.get("name", "action"))
 
     declared = []
@@ -410,6 +392,15 @@ def _coeffs_out(coeffs):
     return {label: format_scalar(c) for (deg, label), c in sorted(coeffs.items(), key=repr)}
 
 
+def _components_out(nat: NatTransform, cat: DgCategory):
+    """A transformation's components {object: coefficients} as written in
+    a document, or None when every component is the unit of its source."""
+    comps = {x: nat.at(x) for x in cat.objects}
+    if all(comp == cat.unit(comp.src) for comp in comps.values()):
+        return None
+    return {x: _coeffs_out(comp.coeffs) for x, comp in comps.items()}
+
+
 def serialize_category(cat: DgCategory):
     homs = []
     for (src, tgt), space in sorted(cat.homs.items(), key=repr):
@@ -504,25 +495,13 @@ def serialize_bundle(bundle: ExampleBundle):
         doc["action"] = {"functors": functors}
         theta_entries = []
         for (g, g2), nat in sorted(bundle.action.theta.items(), key=repr):
-            comps = {}
-            nontrivial = False
-            for x in bundle.base.objects:
-                comp = nat.at(x)
-                comps[x] = _coeffs_out(comp.coeffs)
-                if not comp == bundle.base.unit(comp.src):
-                    nontrivial = True
-            if nontrivial:
+            comps = _components_out(nat, bundle.base)
+            if comps is not None:
                 theta_entries.append({"g": g, "g2": g2, "components": comps})
         if theta_entries:
             doc["action"]["theta"] = theta_entries
-        eta_comps = {}
-        eta_nontrivial = False
-        for x in bundle.base.objects:
-            comp = bundle.action.eta.at(x)
-            eta_comps[x] = _coeffs_out(comp.coeffs)
-            if not comp == bundle.base.unit(comp.src):
-                eta_nontrivial = True
-        if eta_nontrivial:
+        eta_comps = _components_out(bundle.action.eta, bundle.base)
+        if eta_comps is not None:
             doc["action"]["eta"] = {"components": eta_comps}
     if bundle.declared:
         roster = []

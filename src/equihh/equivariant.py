@@ -34,7 +34,8 @@ regular-representation tensor and symmetrize-after-forget.  Each of
 these is a block matrix over the parts of S(c) = ⊕_h rho_h(c) or
 V⊗X = X^{⊕dim V}; ``dgcat`` owns the hull block layout, so they name
 blocks by part index (``block_mor``, ``block_of``, ``hull_entries``) and
-compute no offsets.
+compute no offsets.  Each one that must be equivariant (S and T_V on a
+morphism, phi_g, a unit) is restricted through ``_restricted``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .dgcat import (
     hull_entries,
     hull_subcategory,
     identity_functor,
+    keyed_functor,
     lift_functor_to_hull,
     spread,
     validate_dgcat,
@@ -464,10 +466,7 @@ class EquivariantCategory:
         for sn in names:
             obj = self.roster[sn]
             unit = cat.unit(obj.underlying)
-            restricted = self.restrict(unit, sn, sn)
-            if restricted is None:
-                raise StructureError(f"unit of {sn} is not equivariant")
-            units[sn] = restricted.coeffs
+            units[sn] = self._restricted(unit, sn, sn, f"unit of {sn}").coeffs
 
         def comp_builder(xn, yn, zn):
             # every product of the two solved bases from one walk of the
@@ -532,6 +531,13 @@ class EquivariantCategory:
                 out[(deg, f"q{deg}_{tag}")] = c
         return Mor(src_name, tgt_name, out)
 
+    def _restricted(self, amb: Mor, src_name, tgt_name, what) -> Mor:
+        """``restrict``, raising StructureError "<what> is not equivariant" on None."""
+        restricted = self.restrict(amb, src_name, tgt_name)
+        if restricted is None:
+            raise StructureError(f"{what} is not equivariant")
+        return restricted
+
     # -- canonical functors ----------------------------------------------
 
     def forgetful_functor(self, src: DgCategory, tgt: DgCategory) -> DgFunctor:
@@ -539,39 +545,24 @@ class EquivariantCategory:
         hull subcategory holding every underlying object."""
         obj_map = {name: self.roster[name].underlying for name in src.objects}
 
-        def build(pair):
-            sn, tn = pair
-            return {
-                key: self.embed(Mor(sn, tn, {key: self.ambient.field.one}), sn, tn)
-                for key in src.basis_keys(sn, tn)
-            }
+        def image(sn, tn, key):
+            return self.embed(Mor(sn, tn, {key: self.ambient.field.one}), sn, tn)
 
-        return DgFunctor(src, tgt, obj_map, LazyDict(build), name="forget")
+        return keyed_functor(src, tgt, obj_map, image, name="forget")
 
     def symmetrization_functor(self, small: DgCategory) -> DgFunctor:
         """S on a hull subcategory whose symmetrizations are all rostered."""
-        laction = self.laction
-        grp = laction.group
+        laction, grp = self.laction, self.laction.group
         obj_map = {c: self.sym_name(c) for c in small.objects}
+        parts = {c: symmetrize_parts(laction, c) for c in small.objects}
 
-        def build(pair):
-            xs, ys = pair
-            table = {}
-            src_parts = symmetrize_parts(laction, xs)
-            tgt_parts = symmetrize_parts(laction, ys)
-            for key in small.basis_keys(xs, ys):
-                f = Mor(xs, ys, {key: self.ambient.field.one})
-                blocks = {
-                    (hi, hi): laction.rho(h).apply(f) for hi, h in enumerate(grp.elements)
-                }
-                amb = block_mor(src_parts, tgt_parts, blocks)
-                restricted = self.restrict(amb, obj_map[xs], obj_map[ys])
-                if restricted is None:
-                    raise StructureError("symmetrized morphism is not equivariant")
-                table[key] = restricted
-            return table
+        def image(xs, ys, key):
+            f = Mor(xs, ys, {key: self.ambient.field.one})
+            blocks = {(hi, hi): laction.rho(h).apply(f) for hi, h in enumerate(grp.elements)}
+            amb = block_mor(parts[xs], parts[ys], blocks)
+            return self._restricted(amb, obj_map[xs], obj_map[ys], "symmetrized morphism")
 
-        return DgFunctor(small, self.category, obj_map, LazyDict(build), name="symmetrize")
+        return keyed_functor(small, self.category, obj_map, image, name="symmetrize")
 
     def phi_component(self, g, c) -> Mor:
         """The component at the hull tuple c of phi_g: S∘rho_g ⇒ S, that is
@@ -587,10 +578,7 @@ class EquivariantCategory:
             for h2 in grp.elements
         }
         amb = block_mor(symmetrize_parts(laction, gc), symmetrize_parts(laction, c), blocks)
-        restricted = self.restrict(amb, self.sym_name(gc), self.sym_name(c))
-        if restricted is None:
-            raise StructureError(f"phi[{g}] at {c} is not equivariant")
-        return restricted
+        return self._restricted(amb, self.sym_name(gc), self.sym_name(c), f"phi[{g}] at {c}")
 
     def _alpha_inverses(self, obj: EquivariantObject):
         """alpha_h^{-1}: rho_h(c) -> c for each h in group order: the blocks
@@ -624,23 +612,13 @@ class EquivariantCategory:
             tensored = rep_tensor(self.laction, rep, self.roster[name])
             obj_map[name] = self.find(tensored, f"{rep.name}⊗{name}")
 
-        def build(pair):
-            sn, tn = pair
-            src_parts = [self.roster[sn].underlying] * rep.dim
-            tgt_parts = [self.roster[tn].underlying] * rep.dim
-            table = {}
-            for key in source.basis_keys(sn, tn):
-                amb = self.embed(Mor(sn, tn, {key: self.ambient.field.one}), sn, tn)
-                big = block_mor(src_parts, tgt_parts, {(i, i): amb for i in range(rep.dim)})
-                restricted = self.restrict(big, obj_map[sn], obj_map[tn])
-                if restricted is None:
-                    raise StructureError("tensored morphism is not equivariant")
-                table[key] = restricted
-            return table
+        def image(sn, tn, key):
+            amb = self.embed(Mor(sn, tn, {key: self.ambient.field.one}), sn, tn)
+            blocks = {(i, i): amb for i in range(rep.dim)}
+            big = block_mor([amb.src] * rep.dim, [amb.tgt] * rep.dim, blocks)
+            return self._restricted(big, obj_map[sn], obj_map[tn], "tensored morphism")
 
-        return DgFunctor(
-            source, self.category, obj_map, LazyDict(build), name=f"T[{rep.name}]"
-        )
+        return keyed_functor(source, self.category, obj_map, image, name=f"T[{rep.name}]")
 
 
 def realize_declared(laction: GroupAction, decl) -> EquivariantObject:

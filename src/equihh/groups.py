@@ -20,6 +20,7 @@ from .dgcat import (
     compose_functors,
     functors_equal,
     identity_functor,
+    keyed_functor,
     misplaced_components,
     nat_inverse,
     nat_vertical,
@@ -391,25 +392,19 @@ def permutation_action(category: DgCategory, n: int):
         raise StructureError("tensor power needs n >= 1")
     power = tensor_product_many([category] * n)
     group = FiniteGroup.symmetric(n)
-    functors = {}
-    for gname in group.elements:
+
+    def swap(gname):
         perm = group.perm_of[gname]
-        obj_map = {xs: tuple(xs[perm[i]] for i in range(n)) for xs in power.objects}
-        mor_map = {}
-        for xs, ys in itertools.product(power.objects, repeat=2):
-            table = {}
-            for (deg, keys) in power.basis_keys(xs, ys):
-                new_keys = tuple(keys[perm[i]] for i in range(n))
-                sign_exp = 0
-                for i in range(n):
-                    for j in range(i):
-                        if perm[j] > perm[i]:
-                            sign_exp += keys[perm[j]][0] * keys[perm[i]][0]
-                table[(deg, keys)] = Mor(
-                    obj_map[xs],
-                    obj_map[ys],
-                    {(deg, new_keys): power.field.one * parity_sign(sign_exp)},
-                )
-            mor_map[(xs, ys)] = table
-        functors[gname] = DgFunctor(power, power, obj_map, mor_map, name=f"swap[{gname}]")
+        obj_map = {xs: tuple(xs[p] for p in perm) for xs in power.objects}
+        inversions = [(perm[j], perm[i]) for i in range(n) for j in range(i) if perm[j] > perm[i]]
+
+        def image(xs, ys, key):
+            deg, keys = key
+            sign = parity_sign(sum(keys[a][0] * keys[b][0] for a, b in inversions))
+            new_keys = tuple(keys[p] for p in perm)
+            return Mor(obj_map[xs], obj_map[ys], {(deg, new_keys): power.field.one * sign})
+
+        return keyed_functor(power, power, obj_map, image, name=f"swap[{gname}]")
+
+    functors = {gname: swap(gname) for gname in group.elements}
     return strict_action(group, power, functors, name=f"S{n} permutation"), power

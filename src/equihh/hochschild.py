@@ -198,22 +198,27 @@ class WindowBase:
             d_k = self.differential(k)
             d_prev = self.differential(k - 1)
             closed = all(not d_k.apply(col) for col in d_prev.cols)
-            if closed and _acyclic_mod_p(d_k, d_prev):
+            if closed and self._acyclic_mod_p(k):
                 reps, ech = [], None
             else:
                 reps, ech = _exact_homology(d_k, d_prev, closed, self.field)
             self._homology[k] = HomologyBasis(self, k, reps, ech)
         return self._homology[k]
 
-
-def _acyclic_mod_p(d_k, d_prev):
-    """True when ranks mod P prove H = 0 between d_prev and d_k, given
-    d_k∘d_prev = 0: rank_P(d_prev) reaches dim C_k - rank_P(d_k)."""
-    rank = rank_mod_p(d_k)
-    if rank is None:
-        return False
-    need = d_k.ncols - rank
-    return rank_mod_p(d_prev, stop=need) == need
+    def _acyclic_mod_p(self, k):
+        """True when ranks mod P prove H_k = 0, given d_k∘d_{k-1} = 0:
+        rank_P(d_{k-1}) reaches dim C_k - rank_P(d_k).  Each full rank is kept,
+        None included, so no differential is ranked twice; d_{k-1} is ranked
+        up to the need only when no full rank of it is kept."""
+        d_k = self.differential(k)
+        rank = self._ranks[k] = rank_mod_p(d_k)
+        if rank is None:
+            return False
+        need = d_k.ncols - rank
+        if k - 1 in self._ranks:
+            kept = self._ranks[k - 1]
+            return kept is not None and kept >= need
+        return rank_mod_p(self.differential(k - 1), stop=need) == need
 
 
 def _exact_homology(d_k, d_prev, closed, field):
@@ -286,6 +291,7 @@ class HochschildWindow(WindowBase):
         self._chains = {}
         self._index = {}
         self._homology = {}
+        self._ranks = {}  # degree k -> rank_mod_p of d_k, None included
         self.certification, self.bar_degrees = self._certify()
         self.pivots = _unit_pivots(category, functor) if normalized else {}
         self._total = self._differentials(self._enumerate())
@@ -1454,6 +1460,7 @@ class TensorWindow(WindowBase):
         self._chains = {}
         self._index = {}
         self._homology = {}
+        self._ranks = {}  # degree k -> rank_mod_p of d_k, None included
         self._dmat = {}
         for k in range(lo, hi + 1):
             chains = []

@@ -786,6 +786,26 @@ def test_rank_mod_p_matches_lowest_row_reference():
                 assert rank_mod_p(d_prev, stop=need) == reference_rank_mod_p(d_prev, stop=need)
 
 
+def test_each_differential_is_ranked_once(monkeypatch):
+    """hh on k[Z/6] at -3..0 ranks each differential mod P once: degree
+    k+1 compares the full rank of d_k kept at degree k with its need, and
+    only d_{-4}, below the first degree asked for, is ranked with a stop."""
+    calls = []
+
+    def spy(matrix, stop=None):
+        calls.append((matrix, stop))
+        return rank_mod_p(matrix, stop)
+
+    monkeypatch.setattr(hochschild, "rank_mod_p", spy)
+    cat = cyclic_group_algebra(6)
+    res = hh_dimensions(cat, identity_functor(cat), [-3, -2, -1, 0])
+    assert res["dims"] == {0: 6, -1: 0, -2: 0, -3: 0}
+    win = res["window"]
+    degree = {id(win.differential(k)): k for k in range(win.lo, win.hi)}
+    ranked = [(degree[id(matrix)], stop is not None) for matrix, stop in calls]
+    assert sorted(ranked) == [(-4, True), (-3, False), (-2, False), (-1, False), (0, False)]
+
+
 class IdentityMap(ChainMap):
     def _compute(self, k, idx):
         return {idx: Fraction(1)}

@@ -769,6 +769,7 @@ class MatrixWindow(WindowBase):
         self.hi = max(dims)
         self._chains = {k: list(range(n)) for k, n in dims.items()}
         self._homology = {}
+        self._ranks = {}
         self._mats = {}
         for k, rows in rows_by_degree.items():
             mat = SparseMatrix(dims[k + 1], dims[k])
