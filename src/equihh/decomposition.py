@@ -911,12 +911,12 @@ def _check5_certificate(pipe, data):
     def first(a0, c0):
         return cat.compose(p_comps[c0], s_for.apply(a0))
 
-    h_map = InsertionHomotopy(
+    h = InsertionHomotopy(
         pipe.w_hh, pipe.w_full, first, s_for.apply, i_comps.__getitem__, lambda a: a
     )
 
     # the insertion homotopy contracts |G|·mu onto the summed projector map
-    cert = HomotopyCertificate(scaled_mu, sum_map, h_map, name="projector sum homotopy")
+    cert = HomotopyCertificate(scaled_mu, sum_map, h, name="projector sum homotopy")
     ok = cert.check()
     # the summed twist map must also agree with the per-class matrices
     classes = list(zip(pipe.classes.representatives, pipe.classes.classes))

@@ -150,13 +150,6 @@ class Mor:
     def degrees(self):
         return sorted({deg for (deg, _) in self.coeffs})
 
-    def degree(self):
-        """The degree if homogeneous (zero morphism counts as any degree)."""
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise ValueError("morphism is not homogeneous")
-        return degs[0] if degs else None
-
     def __repr__(self):
         return f"Mor({self.src}->{self.tgt}, {self.coeffs})"
 

@@ -76,12 +76,15 @@ A chain map writes each image term as one morphism per slot, and
 is the source of the last slot and c_t the target of slot t >= 1.  So
 induced maps, the shuffle map and insertion homotopies build no object
 tuples.  The caller names the degree it writes, and a term of another
-degree (from a slot value that mixes degrees) is a StructureError.  A
-``HomotopyCertificate`` owns dH + Hd and the residual f - g - (dH + Hd);
-its check and ``solve_homotopy`` share its cached H.  One routine,
-``_differing_chains``, compares two maps chain by chain for the
-certificate check, ``ChainMap.verify_chain_map`` and the functoriality
-fallback.
+degree (from a slot value that mixes degrees) is a StructureError.
+Every map on windows is a ``ChainMap``, computed once per chain and
+cached: induced maps, their sums (``LinearComboMap``), insertion
+homotopies and a solved homotopy (``ColumnMap``).  A
+``HomotopyCertificate`` holds its H as one, owns dH + Hd and the residual
+f - g - (dH + Hd), and its check and ``solve_homotopy`` share H's cache.
+One routine, ``_differing_chains``, compares two maps chain by chain for
+the certificate check, ``ChainMap.verify_chain_map`` and the
+functoriality fallback.
 
 An induced map (φ,η)_*: a0[a1|...|am] -> (η_{c0}∘φ(a0))[φ(a1)|...|φ(am)]
 and an insertion homotopy apply one map per slot, so ``compose_induced``
@@ -123,12 +126,10 @@ from .linalg import (
     integral_reader,
     rank_kernel_image,
     rank_mod_p,
-    vec_add,
     vec_axpy,
     vec_eq,
     vec_sub,
 )
-from .scalars import QQ
 
 
 # A build retains 300-450 bytes per chain (E5's W_big, k[Z/6] at -4..1):
@@ -168,10 +169,20 @@ class Chain(NamedTuple):
 
 
 class WindowBase:
-    """Shared homology machinery over per-degree chain bases, over
-    ``field``."""
+    """The state of a window over degrees [lo, hi] and ``field``, and the
+    homology machinery on it: per degree k, the chain list, the chain
+    index and d_k: C_k → C_{k+1} once a subclass stores it, the homology
+    bases and ranks mod P as homology computes them."""
 
-    field = QQ
+    def __init__(self, lo, hi, field):
+        self.lo = lo
+        self.hi = hi
+        self.field = field
+        self._chains = {}
+        self._index = {}
+        self._d = {}  # degree k -> d_k
+        self._homology = {}
+        self._ranks = {}  # degree k -> rank_mod_p of d_k, None included
 
     def chains_at(self, k):
         return self._chains.get(k, [])
@@ -180,7 +191,10 @@ class WindowBase:
         return len(self.chains_at(k))
 
     def differential(self, k) -> SparseMatrix:
-        raise NotImplementedError
+        """d_k as stored, or the zero matrix where none was built."""
+        if k in self._d:
+            return self._d[k]
+        return SparseMatrix(self.dim(k + 1), self.dim(k))
 
     def in_window(self, k):
         return self.lo <= k <= self.hi
@@ -282,19 +296,13 @@ class HochschildWindow(WindowBase):
     complex when ``normalized`` (see the module docstring)."""
 
     def __init__(self, category, functor, lo, hi, bar_cap=None, normalized=False):
+        super().__init__(lo, hi, category.field)
         self.category = category
-        self.field = category.field
         self.functor = functor
-        self.lo = lo
-        self.hi = hi
         self.bar_cap = bar_cap
-        self._chains = {}
-        self._index = {}
-        self._homology = {}
-        self._ranks = {}  # degree k -> rank_mod_p of d_k, None included
         self.certification, self.bar_degrees = self._certify()
         self.pivots = _unit_pivots(category, functor) if normalized else {}
-        self._total = self._differentials(self._enumerate())
+        self._d = self._differentials(self._enumerate())
 
     # -- construction ---------------------------------------------------
 
@@ -308,17 +316,12 @@ class HochschildWindow(WindowBase):
         def touches(m):
             return (m + 1) * a - m <= hi and (m + 1) * b - m >= lo
 
+        # A chain of bar degree m lies in degrees (m+1)a - m .. (m+1)b - m.
+        # For b <= 0 the top falls by 1 - b per bar degree, so no m beyond
+        # (b - lo) // (1 - b) reaches lo; for b = 1 the top is 1 < lo.
         if b <= 0 or (b == 1 and lo > 1):
-            m = 0
-            m_max = -1
-            while True:
-                if touches(m):
-                    m_max = m
-                if b <= 0 and (m + 1) * b - m < lo:
-                    break
-                if b == 1 and m > max(0, hi - a) + 1:
-                    break
-                m += 1
+            top = (b - lo) // (1 - b) if b <= 0 else -1
+            m_max = max((m for m in range(top + 1) if touches(m)), default=-1)
             if self.bar_cap is not None and m_max > self.bar_cap:
                 raise TruncationError(
                     f"window is exact up to bar degree {m_max} but the cap is {self.bar_cap}"
@@ -380,32 +383,22 @@ class HochschildWindow(WindowBase):
         return cycles
 
     def _object_cycles(self, m):
-        cat = self.category
-        if not cat.objects:
-            return
-        nonzero = {}
-        for x, y in itertools.product(cat.objects, repeat=2):
-            if cat.hom(x, y).total_dim():
-                nonzero[(x, y)] = True
-        for c0 in cat.objects:
-            fc0 = self.functor.apply_obj(c0)
-            if m == 0:
-                if (c0, fc0) in nonzero:
-                    yield (c0,)
-                continue
-            for c1 in cat.objects:
-                if (c1, fc0) in nonzero:
-                    yield from self._walk_cycle(c0, [c1], m, nonzero)
+        """The object cycles (c0, ..., cm) whose slot hom pairs are all
+        nonzero, in lexicographic order: each path (c0, ..., ci) is extended
+        by every x with Hom(x, tip) nonzero, the tip being F(c0) for i = 0
+        and ci after, and a path of length m + 1 is kept when Hom(c0, tip)
+        is nonzero."""
+        objects = self.category.objects
+        hom = self.category.hom
+        nonzero = {(x, y) for x, y in itertools.product(objects, repeat=2) if hom(x, y).total_dim()}
 
-    def _walk_cycle(self, c0, path, m, nonzero):
-        i = len(path)  # path holds c_1..c_i
-        if i == m:
-            if (c0, path[-1]) in nonzero:
-                yield tuple([c0] + path)
-            return
-        for nxt in self.category.objects:
-            if (nxt, path[-1]) in nonzero:
-                yield from self._walk_cycle(c0, path + [nxt], m, nonzero)
+        def tip(path):
+            return path[-1] if len(path) > 1 else self.functor.apply_obj(path[0])
+
+        paths = [(c0,) for c0 in objects]
+        for _ in range(m):
+            paths = [path + (x,) for path in paths for x in objects if (x, tip(path)) in nonzero]
+        return [path for path in paths if (path[0], tip(path)) in nonzero]
 
     def _add_image(self, out, degree, mors, sign):
         """Accumulate ``sign`` (±1) times the multilinear expansion of
@@ -470,7 +463,8 @@ class HochschildWindow(WindowBase):
 
     def _differentials(self, cycles):
         """{k: d_k} for lo <= k < hi, d2 + (-1)^m d1, one object cycle at a
-        time (see the module docstring).  Faces run in one order (d1 into
+        time (see the module docstring); an entry is an int where each
+        table entry it sums is integral.  Faces run in one order (d1 into
         side columns, d2 for i = 0..m-1, the twist face, the side columns
         added with sign (-1)^m) and meet a column at one entry each, so its
         terms come in the order of a chain-by-chain build.  A face keeps the
@@ -550,17 +544,6 @@ class HochschildWindow(WindowBase):
                 if c1:
                     vec_axpy(totals[k].cols[j], parity_sign(m), c1)
         return totals
-
-    # -- interface --------------------------------------------------------
-
-    def differential(self, k) -> SparseMatrix:
-        """d_k: C_k → C_{k+1}, an int where each table entry it sums is
-        integral, else a field scalar; a vector pushed through it (as in
-        ``HomotopyCertificate.dh_hd``) may carry ints.  Field scalars come
-        back out of ``Echelon`` (reps, kernels, class coordinates)."""
-        if k in self._total:
-            return self._total[k]
-        return SparseMatrix(self.dim(k + 1), self.dim(k))
 
 
 def _degree_counts(keylists):
@@ -675,8 +658,8 @@ def hh_dimensions(category, functor, degrees, bar_cap=None):
 
 
 class ChainMap:
-    """Degree-preserving linear map between windows, evaluated lazily on
-    basis chains and cached."""
+    """Linear map between windows, evaluated lazily on basis chains and
+    cached: a chain map keeps the degree, a homotopy lowers it by one."""
 
     def __init__(self, src: WindowBase, tgt: WindowBase, name=""):
         self.src = src
@@ -865,6 +848,18 @@ class LinearComboMap(ChainMap):
         return out
 
 
+class ColumnMap(ChainMap):
+    """The map of a table {degree: [column of each source chain]}; the
+    chains of a degree the table lacks map to zero."""
+
+    def __init__(self, src, tgt, columns, name=""):
+        super().__init__(src, tgt, name=name)
+        self.columns = columns
+
+    def _compute(self, k, idx):
+        return self.columns[k][idx] if k in self.columns else {}
+
+
 def eps_star(outer_phi, outer_eps, inner_phi, inner_eps, name=None) -> NatTransform:
     """The composite twist for (psi,eps)∘(phi,eta): eps_phi ∘ psi(eta)."""
     cat = outer_phi.tgt
@@ -976,24 +971,13 @@ def _slot_tables_agree(outer: InducedMap, inner: InducedMap, combined: InducedMa
 # homotopies
 
 
-class FormulaHomotopy(ChainMap):
-    """Wrapper giving homotopy callables the ChainMap caching interface."""
-
-    def __init__(self, src, tgt, fn, name="H"):
-        super().__init__(src, tgt, name=name)
-        self._fn = fn
-
-    def _compute(self, k, idx):
-        return self._fn(k, idx)
-
-
 class HomotopyCertificate:
     """A degree -1 map H with dH + Hd = f - g, checked entry-exactly on
     every basis chain of each source degree k with k + 1 stored in the
     source and k - 1, k in the target (``checked_degrees``); ``failures``
-    (degree, index) records the check.  ``h`` caches H, so each
-    value is computed once, by the check and by ``solve_homotopy`` on the
-    ``residual`` alike.
+    (degree, index) records the check.  H is a ``ChainMap`` ``h``, whose
+    cache computes each value once, for the check and for
+    ``solve_homotopy`` on the ``residual`` alike.
 
     When H is an ``InsertionHomotopy`` and f, g are induced maps, the check
     first proves the identity from the slot maps on the keys the chains of
@@ -1001,11 +985,10 @@ class HomotopyCertificate:
     of ``compose_induced``; the chain-by-chain comparison runs only when
     that proof fails, and its failures are the certificate's."""
 
-    def __init__(self, f: ChainMap, g: ChainMap, h_map, name=""):
+    def __init__(self, f: ChainMap, g: ChainMap, h: ChainMap, name=""):
         self.f = f
         self.g = g
-        self.h_map = h_map
-        self.h = FormulaHomotopy(f.src, f.tgt, h_map)
+        self.h = h
         self.name = name
         src, tgt = f.src, f.tgt
         self.checked_degrees = [
@@ -1032,7 +1015,7 @@ class HomotopyCertificate:
         return vec_sub(self.difference(k, idx), self.dh_hd(k, idx))
 
     def _slot_proof(self):
-        return _insertion_identities_hold(self.f, self.g, self.h_map, self.checked_degrees)
+        return _insertion_identities_hold(self.f, self.g, self.h, self.checked_degrees)
 
     def slot_identities_hold(self):
         """Whether ``check`` proves its identity from the slot maps, and so
@@ -1049,9 +1032,9 @@ class HomotopyCertificate:
         return not self.failures
 
 
-class InsertionHomotopy:
-    """The insertion homotopy of a natural transformation, a callable
-    (k, chain index) -> vector of ``tgt`` at degree k - 1:
+class InsertionHomotopy(ChainMap):
+    """The insertion homotopy of a natural transformation, the map from
+    degree k of ``src`` to degree k - 1 of ``tgt``:
 
         a0[a1|...|am] -> Σ_i (-1)^i first(a0)[middle(a1)|...|middle(ai)|
                                     cut(c_{i+1})|tail(a_{i+1})|...|tail(am)]
@@ -1062,15 +1045,14 @@ class InsertionHomotopy:
     slot maps stay readable, so a ``HomotopyCertificate`` can prove
     dH + Hd = f - g from them on basis keys."""
 
-    def __init__(self, src, tgt, first, middle, cut, tail):
-        self.src = src
-        self.tgt = tgt
+    def __init__(self, src, tgt, first, middle, cut, tail, name="H"):
+        super().__init__(src, tgt, name=name)
         self.first = first
         self.middle = middle
         self.cut = cut
         self.tail = tail
 
-    def __call__(self, k, idx):
+    def _compute(self, k, idx):
         src = self.src
         objs, keys = src.chains_at(k)[idx]
         m = len(keys) - 1
@@ -1228,8 +1210,8 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
             eta.at(c0), cat_t.compose(alpha_inv(f_twist.apply_obj(c0)), psi.apply(a0))
         )
 
-    h_map = InsertionHomotopy(src, tgt, first, psi.apply, alpha.at, phi.apply)
-    cert = HomotopyCertificate(induced, transported, h_map, name=f"transport along {alpha.name}")
+    h = InsertionHomotopy(src, tgt, first, psi.apply, alpha.at, phi.apply)
+    cert = HomotopyCertificate(induced, transported, h, name=f"transport along {alpha.name}")
     return transported, cert
 
 
@@ -1297,12 +1279,13 @@ def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):
     on the source degrees k with k ± 1 stored in the source and k - 1, k
     in the target (top degree downward, a joint solve at the top step).
 
-    Returns a FormulaHomotopy or None when no windowed homotopy exists.
+    Returns H' as a ``ColumnMap``, zero when no degree is solved, or None
+    when no windowed homotopy exists.
     """
     src, tgt = cert.f.src, cert.f.tgt
     degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
     if not degrees:
-        return FormulaHomotopy(src, tgt, lambda k, idx: {}, name=name)
+        return ColumnMap(src, tgt, {}, name=name)
     h_cols = {}  # degree k -> list of vectors (per source chain) at k-1
 
     top = max(degrees)
@@ -1368,14 +1351,7 @@ def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):
                 return None
             cols.append(col)
         h_cols[k] = cols
-
-    def h(k, idx):
-        cols = h_cols.get(k)
-        if cols is None or idx >= len(cols):
-            return {}
-        return cols[idx]
-
-    return FormulaHomotopy(src, tgt, h, name=name)
+    return ColumnMap(src, tgt, h_cols, name=name)
 
 
 def verify_trace_decomposition(total_map: InducedMap, summands, degrees):
@@ -1417,28 +1393,18 @@ def verify_trace_decomposition(total_map: InducedMap, summands, degrees):
         k: total_map.homology_matrix(k) == summand_sum.homology_matrix(k) for k in degrees
     }
     h_parts = [
-        trace_summand_homotopy(window_src, window_tgt, functors_only, eta, i)
+        (field.one, trace_summand_homotopy(window_src, window_tgt, functors_only, eta, i))
         for i, (a_i, eta_ii) in enumerate(summands)
         if eta_ii is not None
     ]
-
-    def h_formula(k, idx):
-        out = {}
-        for h in h_parts:
-            vec_axpy(out, 1, h(k, idx))
-        return out
-
-    cert = HomotopyCertificate(total_map, summand_sum, h_formula, name="trace decomposition")
+    formula = LinearComboMap(window_src, window_tgt, h_parts, name="ΣH_i")
+    cert = HomotopyCertificate(total_map, summand_sum, formula, name="trace decomposition")
     if cert.check():
         return matrices_equal, "formula"
-    formula = cert.h
     solved = solve_homotopy(cert, name="H_offdiag")
     if solved is None:
         return matrices_equal, "failed"
-
-    def h_total(k, idx):
-        return vec_add(formula.apply_chain(k, idx), solved.apply_chain(k, idx))
-
+    h_total = LinearComboMap(window_src, window_tgt, [(field.one, formula), (field.one, solved)])
     cert = HomotopyCertificate(total_map, summand_sum, h_total, name="trace decomposition")
     return matrices_equal, "formula+solved" if cert.check() else "failed"
 
@@ -1452,16 +1418,9 @@ class TensorWindow(WindowBase):
     D⊗1 + (-1)^{deg} 1⊗D."""
 
     def __init__(self, left: WindowBase, right: WindowBase, lo, hi):
+        super().__init__(lo, hi, left.field)
         self.left = left
-        self.field = left.field
         self.right = right
-        self.lo = lo
-        self.hi = hi
-        self._chains = {}
-        self._index = {}
-        self._homology = {}
-        self._ranks = {}  # degree k -> rank_mod_p of d_k, None included
-        self._dmat = {}
         for k in range(lo, hi + 1):
             chains = []
             for ka in range(left.lo, left.hi + 1):
@@ -1473,29 +1432,23 @@ class TensorWindow(WindowBase):
                         chains.append((ka, i, j))
             self._chains[k] = chains
             self._index[k] = {c: i for i, c in enumerate(chains)}
-
-    def differential(self, k) -> SparseMatrix:
-        if k in self._dmat:
-            return self._dmat[k]
-        mat = SparseMatrix(self.dim(k + 1), self.dim(k))
-        idx_up = self._index.get(k + 1, {})
-        for col, (ka, i, j) in enumerate(self.chains_at(k)):
-            kb = k - ka
-            out = {}
-            if ka < self.left.hi:
-                for i2, c in self.left.differential(ka).cols[i].items():
-                    pos = idx_up.get((ka + 1, i2, j))
-                    if pos is not None:
-                        out[pos] = out.get(pos, 0) + c
-            if kb < self.right.hi:
-                s = parity_sign(ka)
-                for j2, c in self.right.differential(kb).cols[j].items():
-                    pos = idx_up.get((ka, i, j2))
-                    if pos is not None:
-                        out[pos] = out.get(pos, 0) + s * c
-            mat.cols[col] = {p: v for p, v in out.items() if v}
-        self._dmat[k] = mat
-        return mat
+        for k in range(lo, hi):
+            mat = self._d[k] = SparseMatrix(self.dim(k + 1), self.dim(k))
+            for col, (ka, i, j) in enumerate(self.chains_at(k)):
+                kb = k - ka
+                out = {}
+                if ka < left.hi:
+                    for i2, c in left.differential(ka).cols[i].items():
+                        pos = self._index[k + 1].get((ka + 1, i2, j))
+                        if pos is not None:
+                            out[pos] = out.get(pos, 0) + c
+                if kb < right.hi:
+                    s = parity_sign(ka)
+                    for j2, c in right.differential(kb).cols[j].items():
+                        pos = self._index[k + 1].get((ka, i, j2))
+                        if pos is not None:
+                            out[pos] = out.get(pos, 0) + s * c
+                mat.cols[col] = {p: v for p, v in out.items() if v}
 
 
 class ShuffleMap(ChainMap):

@@ -22,7 +22,7 @@ import equihh.decomposition as decomposition
 import equihh.equivariant as equivariant
 from equihh.errors import InputError, StructureError
 from equihh.groups import permutation_action
-from equihh.hochschild import HomotopyCertificate, LinearComboMap
+from equihh.hochschild import ColumnMap, HomotopyCertificate, LinearComboMap
 from equihh.linalg import SparseMatrix
 from tests_support import negative_degree_exterior_category
 from equihh.scalars import QQ
@@ -555,14 +555,9 @@ def transport_with_wrong_homotopy(transport):
             for b, col in enumerate(tgt.differential(k - 1).cols)
             if col
         )
-        right = cert.h
-
-        def h(k2, idx):
-            out = dict(right.apply_chain(k2, idx))
-            if k2 == k:
-                out[b] = out.get(b, 0) + tgt.field.one
-            return {i: c for i, c in out.items() if c}
-
+        one = tgt.field.one
+        off = ColumnMap(src, tgt, {k: [{b: one}] * src.dim(k)})
+        h = LinearComboMap(src, tgt, [(one, cert.h), (one, off)])
         return transported, HomotopyCertificate(cert.f, cert.g, h, name=cert.name)
 
     return wrong

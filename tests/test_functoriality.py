@@ -188,6 +188,21 @@ def identity_induced(src, tgt, phi=None):
     return InducedMap(src, tgt, phi, NatTransform(phi, phi, units))
 
 
+def test_reversed_window_rebuilds_its_differentials():
+    """Chain n_k - 1 - j of the reversed window is chain j of the original,
+    so column n_k - 1 - j of its d_k is column j of the original d_k with
+    row i moved to n_{k+1} - 1 - i."""
+    cat, twist = collapsing_twist()
+    win = build_window(cat, twist, -3, 1)
+    other = reversed_window(win)
+    for k in range(win.lo, win.hi):
+        n, n_up = win.dim(k), win.dim(k + 1)
+        assert other.chains_at(k) == win.chains_at(k)[::-1]
+        for j, col in enumerate(win.differential(k).cols):
+            assert other.differential(k).cols[n - 1 - j] == {n_up - 1 - i: c for i, c in col.items()}
+    assert any(win.differential(k).nnz() for k in range(win.lo, win.hi))
+
+
 def test_middle_window_built_twice_takes_the_fallback(table_verdicts):
     # outer starts at a second build of the middle window, its chains in
     # another order, so outer reads inner's chain indices as other chains

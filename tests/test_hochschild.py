@@ -1,6 +1,8 @@
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +31,7 @@ import equihh.hochschild as hochschild
 from equihh.hochschild import (
     Chain,
     ChainMap,
+    ColumnMap,
     HochschildWindow,
     HomotopyCertificate,
     InducedMap,
@@ -51,12 +54,14 @@ from tests_support import (
     leibniz_sabotage_pair,
     negative_degree_exterior_category,
     normalized_columns,
+    reference_certify,
     reference_chains,
     reference_columns,
     reference_d1_chain,
     reference_d2_chain,
     reference_homology,
     reference_matrix,
+    reference_object_cycles,
     reference_rank_mod_p,
     reference_vec_add,
     reference_vec_scale,
@@ -283,12 +288,39 @@ def test_homotopy_certificate_lists_failures():
     # C^-1 -(id)-> C^0, C^1 = Q: id ≃ 0 in degree 0 through H_0 = id
     win = MatrixWindow({-1: 1, 0: 1, 1: 1}, {-1: [[1]]})
     ident, zero = Identity(win, win), LinearComboMap(win, win, [])
-    good = HomotopyCertificate(ident, zero, lambda k, idx: {0: Fraction(1)} if k == 0 else {})
+    good = HomotopyCertificate(ident, zero, ColumnMap(win, win, {0: [{0: Fraction(1)}]}))
     assert good.check() and good.failures == [] and good.checked_degrees == [0]
     for wrong in ({}, {0: Fraction(2)}):
-        bad = HomotopyCertificate(ident, zero, lambda k, idx: wrong if k == 0 else {})
+        bad = HomotopyCertificate(ident, zero, ColumnMap(win, win, {0: [wrong]}))
         assert not bad.check()
         assert bad.failures == [(0, 0)] and bad.checked_degrees == [0]
+
+
+def test_closed_form_certification_matches_the_bar_degree_loop():
+    """The bound on the bar degrees that reach a window gives the
+    Certification, bar degrees and TruncationError text of the loop over
+    bar degrees, on every range a <= b of hom degrees in -6..3, window
+    lo <= hi in -25..5 and cap; b = 1 with lo > 1 has no bar degree."""
+    cases = 0
+    for a, b in itertools.combinations_with_replacement(range(-6, 4), 2):
+        category = SimpleNamespace(min_max_degree=lambda a=a, b=b: (a, b))
+        for lo, hi in itertools.combinations_with_replacement(range(-25, 6), 2):
+            for cap in (None, 0, 1, 3, 7):
+                win = SimpleNamespace(category=category, lo=lo, hi=hi, bar_cap=cap)
+                try:
+                    want = reference_certify((a, b), lo, hi, cap)
+                except TruncationError as error:
+                    want = str(error)
+                try:
+                    got = HochschildWindow._certify(win)
+                except TruncationError as error:
+                    got = str(error)
+                assert got == want, (a, b, lo, hi, cap)
+                cases += 1
+    assert cases == 136_400
+    empty = SimpleNamespace(min_max_degree=lambda: (None, None))
+    win = SimpleNamespace(category=empty, lo=-1, hi=0, bar_cap=None)
+    assert HochschildWindow._certify(win) == reference_certify((None, None), -1, 0, None)
 
 
 def test_empty_category_window_is_exact_and_zero():
@@ -557,6 +589,22 @@ def test_chains_match_reference_enumeration():
         assert {k: win.chains_at(k) for k in want} == want, win.category.objects
 
 
+def test_object_cycles_match_reference_recursion():
+    """The object cycles built level by level equal, in order, those of the
+    recursion over c1, ..., cm, at every bar degree of the reference
+    windows (E1's and E2's pipeline windows among them) and of E5's
+    pipeline windows."""
+    pipe = e5_pipeline()
+    e5 = [pipe.w_hh, pipe.w_full, *pipe.w_small.values(), *pipe.w_big.values()]
+    checked = 0
+    for win in [*reference_windows(), *{id(w): w for w in e5}.values()]:
+        for m in win.bar_degrees:
+            want = list(reference_object_cycles(win, m))
+            assert win._object_cycles(m) == want, (win.category.objects, m)
+            checked += bool(want)
+    assert checked
+
+
 def test_wide_degree_window_builds_only_what_reaches_it():
     """The exterior algebra on u (|u| = -1) at [-15, -14] certifies bar
     degrees 7..15, whose cycles hold 2^(m+1) key tuples, 130,816 in all,
@@ -814,7 +862,7 @@ class IdentityMap(ChainMap):
 def identity_versus_zero(win):
     """The certificate of id ≃ 0 on ``win`` with H = 0."""
     zero = LinearComboMap(win, win, [])
-    return HomotopyCertificate(IdentityMap(win, win), zero, lambda k, idx: {})
+    return HomotopyCertificate(IdentityMap(win, win), zero, ColumnMap(win, win, {}))
 
 
 def test_solver_uses_the_unknowns_above_the_top_degree():
@@ -825,7 +873,7 @@ def test_solver_uses_the_unknowns_above_the_top_degree():
     assert not cert.check()
     solved = solve_homotopy(cert)
     assert solved.apply_chain(1, 0) == {} and solved.apply_chain(2, 0) == {0: 1}
-    assert HomotopyCertificate(cert.f, cert.g, solved.apply_chain).check()
+    assert HomotopyCertificate(cert.f, cert.g, solved).check()
 
 
 def test_solver_finds_no_homotopy_where_homology_differs():

@@ -156,6 +156,23 @@ def test_transports_skip_the_chain_comparison(builder, degrees, traces, monkeypa
     assert "projector sum homotopy" not in compared
 
 
+def test_insertion_homotopies_compute_each_chain_once(monkeypatch):
+    """On E1 at -2..0 every certificate runs; an insertion homotopy, summed
+    into the trace formula or not, computes each (map, degree, chain) at
+    most once across ``check`` and ``solve_homotopy``."""
+    computed = []
+    compute = InsertionHomotopy._compute
+
+    def spy(h, k, idx):
+        computed.append((id(h), k, idx))
+        return compute(h, k, idx)
+
+    monkeypatch.setattr(InsertionHomotopy, "_compute", spy)
+    rep = run_checks(bundle_pipeline(example_e1, (-2, 0)))
+    assert rep.theorem_holds
+    assert computed and len(set(computed)) == len(computed)
+
+
 # ---------------------------------------------------------------------------
 # certificates built to break one identity family each
 
@@ -231,7 +248,7 @@ def transport(tail=None, twist=CONJUGATING, target_twist=None):
 
 def with_slots(cert, **slots):
     """``cert`` with some slot maps of its insertion homotopy replaced."""
-    h = cert.h_map
+    h = cert.h
     maps = {name: getattr(h, name) for name in ("first", "middle", "cut", "tail")}
     maps.update(slots)
     return HomotopyCertificate(cert.f, cert.g, InsertionHomotopy(h.src, h.tgt, **maps))
@@ -243,7 +260,7 @@ def with_twist(cert, which, scale):
     twist = NatTransform(induced.phi, induced.phi, {"pt": induced.eps.at("pt").scale(scale)})
     maps = {"f": cert.f, "g": cert.g}
     maps[which] = InducedMap(induced.src, induced.tgt, induced.phi, twist)
-    return HomotopyCertificate(maps["f"], maps["g"], cert.h_map)
+    return HomotopyCertificate(maps["f"], maps["g"], cert.h)
 
 
 def mixed_degree_cut():
@@ -252,7 +269,7 @@ def mixed_degree_cut():
 
 def doubled_first():
     cert = transport()
-    return with_slots(cert, first=lambda a0, c0: cert.h_map.first(a0, c0).scale(2))
+    return with_slots(cert, first=lambda a0, c0: cert.h.first(a0, c0).scale(2))
 
 
 def normalized_source():
@@ -260,7 +277,7 @@ def normalized_source():
     src = build_window(A, CONJUGATING, -3, 1, normalized=True)
     f = InducedMap(src, cert.f.tgt, cert.f.phi, cert.f.eps)
     g = InducedMap(src, cert.g.tgt, cert.g.phi, cert.g.eps)
-    h = cert.h_map
+    h = cert.h
     slots = InsertionHomotopy(src, h.tgt, h.first, h.middle, h.cut, h.tail)
     return HomotopyCertificate(f, g, slots)
 
@@ -401,7 +418,7 @@ def test_certificate_of_a_map_that_is_not_induced_takes_the_chain_comparison():
     comparison certifies the homotopy."""
     cert = transport()
     combo = LinearComboMap(cert.f.src, cert.f.tgt, [(QQ.one, cert.f)])
-    cert = HomotopyCertificate(combo, cert.g, cert.h_map)
+    cert = HomotopyCertificate(combo, cert.g, cert.h)
     assert not cert.slot_identities_hold()
     assert cert.check() and cert.failures == []
 

@@ -17,8 +17,10 @@ from equihh.dgcat import (
     identity_functor,
     parity_sign,
 )
+from equihh.errors import TruncationError
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import (
+    Certification,
     Chain,
     ChainMap,
     HomologyBasis,
@@ -256,7 +258,7 @@ def reversed_window(win):
     for k, chains in other._chains.items():
         chains.reverse()
         other._index[k] = {chain: i for i, chain in enumerate(chains)}
-    other._total = other._differentials(cycles)
+    other._d.update(other._differentials(cycles))
     return other
 
 
@@ -700,6 +702,69 @@ def reference_d2_chain(win, chain):
     return out
 
 
+def reference_object_cycles(win, m):
+    """The object cycles (c0, ..., cm) of ``win`` whose slot hom pairs are
+    all nonzero, by a recursion over c1, ..., cm for each c0."""
+    cat = win.category
+    nonzero = {
+        (x, y) for x, y in itertools.product(cat.objects, repeat=2) if cat.hom(x, y).total_dim()
+    }
+
+    def walk(c0, path):
+        if len(path) == m:
+            if (c0, path[-1]) in nonzero:
+                yield (c0, *path)
+            return
+        for nxt in cat.objects:
+            if (nxt, path[-1]) in nonzero:
+                yield from walk(c0, path + [nxt])
+
+    for c0 in cat.objects:
+        fc0 = win.functor.apply_obj(c0)
+        if m == 0:
+            if (c0, fc0) in nonzero:
+                yield (c0,)
+            continue
+        for c1 in cat.objects:
+            if (c1, fc0) in nonzero:
+                yield from walk(c0, [c1])
+
+
+def reference_certify(degree_range, lo, hi, bar_cap):
+    """(Certification, bar degrees) of a window [lo, hi] over a category
+    whose hom degrees span ``degree_range`` = (a, b), by a loop over the
+    bar degrees m that stops for b <= 0 once the top degree (m+1)b - m of
+    a chain falls below lo, and for b = 1 once m passes hi - a + 1."""
+    a, b = degree_range
+    if a is None:
+        return Certification("exact", -1), []
+
+    def touches(m):
+        return (m + 1) * a - m <= hi and (m + 1) * b - m >= lo
+
+    if b <= 0 or (b == 1 and lo > 1):
+        m = 0
+        m_max = -1
+        while True:
+            if touches(m):
+                m_max = m
+            if b <= 0 and (m + 1) * b - m < lo:
+                break
+            if b == 1 and m > max(0, hi - a) + 1:
+                break
+            m += 1
+        if bar_cap is not None and m_max > bar_cap:
+            raise TruncationError(
+                f"window is exact up to bar degree {m_max} but the cap is {bar_cap}"
+            )
+        cert = Certification("exact", m_max)
+    elif bar_cap is None:
+        raise TruncationError("window has unbounded bar degrees; a bar cap is required")
+    else:
+        cert = Certification("truncated", bar_cap)
+    return cert, [m for m in range(cert.bound + 1) if touches(m)]
+
+
 def reference_chains(win):
     """{degree: chains} of ``win``, enumerated chain by chain: per bar
     degree and object cycle, a recursion over the slots (keys in basis
@@ -708,7 +773,7 @@ def reference_chains(win):
     cat = win.category
     chains = {k: [] for k in range(win.lo, win.hi + 1)}
     for m in win.bar_degrees:
-        for objs in win._object_cycles(m):
+        for objs in reference_object_cycles(win, m):
             keylists = []
             for t, (x, y) in enumerate(win._slot_pairs(objs)):
                 keys = list(cat.basis_keys(x, y))
@@ -765,23 +830,13 @@ class MatrixWindow(WindowBase):
     without rows get a zero differential."""
 
     def __init__(self, dims, rows_by_degree):
-        self.lo = min(dims)
-        self.hi = max(dims)
+        super().__init__(min(dims), max(dims), QQ)
         self._chains = {k: list(range(n)) for k, n in dims.items()}
-        self._homology = {}
-        self._ranks = {}
-        self._mats = {}
         for k, rows in rows_by_degree.items():
-            mat = SparseMatrix(dims[k + 1], dims[k])
+            mat = self._d[k] = SparseMatrix(dims[k + 1], dims[k])
             for i, row in enumerate(rows):
                 for j, x in enumerate(row):
                     mat.set(i, j, Fraction(x))
-            self._mats[k] = mat
-
-    def differential(self, k):
-        if k in self._mats:
-            return self._mats[k]
-        return SparseMatrix(self.dim(k + 1), self.dim(k))
 
 
 # -- reference paths for the table-driven equivariant layer ------------------
