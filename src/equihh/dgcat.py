@@ -42,6 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapacityError, EmptyCategoryError, StructureError
 from .linalg import Echelon, GradedSpace, vec_add, vec_axpy, vec_sub
+from .scalars import Cyc, rational
 
 
 def parity_sign(n: int) -> int:
@@ -52,28 +53,40 @@ def _clean(coeffs):
     return {k: v for k, v in coeffs.items() if v}
 
 
-def compose_terms(table, g_terms, f_terms, read=None):
+def _make_canonical(vectors):
+    """Make every rational value of each coefficient dict in ``vectors``
+    canonical (``scalars.rational``), in place: an integral Fraction
+    becomes an int."""
+    for vec in vectors:
+        for k, c in vec.items():
+            if not isinstance(c, (int, Cyc)):
+                vec[k] = rational(c)
+
+
+def compose_terms(table, g_terms, f_terms):
     """Σ c_g·c_f·table[(g key, f key)] over the terms (key, c) of g and of
     f: the coefficients of f∘g, read off the composition table of their
     hom triple.  g's terms are the outer loop and f's (iterated once per
-    g term) the inner one, so every caller sums in one order.  Each entry
-    is read through ``read`` when given (``linalg.integral_reader``)."""
+    g term) the inner one, so every caller sums in one order.  Tables and
+    terms hold canonical scalars (``scalars.rational``), so the sum runs
+    on ints where they are integral."""
     out = {}
     for gk, cg in g_terms:
         for fk, cf in f_terms:
             entry = table.get((gk, fk))
             if entry:
-                vec_axpy(out, cg * cf, entry if read is None else read(entry))
+                vec_axpy(out, cg * cf, entry)
     return out
 
 
-def compose_families(table, g_family, f_family, read=None):
+def compose_families(table, g_family, f_family):
     """``compose_terms`` for every pair of a family of g's and a family of
     f's at once: {(g name, f name): coefficients of f∘g}, from one walk of
     the table.  Each family is a list of (name, terms); both are indexed by
     key, and each table entry is added into the product of every pair
-    whose terms it meets.  A product that cancels stays as {}; a pair no
-    entry meets is absent."""
+    whose terms it meets, on ints where the entries and terms are
+    integral.  A product that cancels stays as {}; a pair no entry meets
+    is absent."""
 
     def by_key(family):
         index = {}
@@ -89,8 +102,6 @@ def compose_families(table, g_family, f_family, read=None):
         f_hits = f_index.get(fk)
         if not (g_hits and f_hits and entry):
             continue
-        if read is not None:
-            entry = read(entry)
         for gname, cg in g_hits:
             for fname, cf in f_hits:
                 prod = out.get((gname, fname))
@@ -189,9 +200,14 @@ class DgCategory:
     the expansion of f∘g for g: x→y, f: y→z.  A ``comp_builder(x, y, z)``
     closure may fill composition tables lazily (hulls and tensor products
     use this so large homs are only multiplied when actually composed).
+    The given tables and units are made canonical (``scalars.rational``);
+    a builder makes its tables from canonical ones, so they are too.
     """
 
     def __init__(self, field, objects, homs, diff, comp, units, comp_builder=None):
+        for table in (*diff.values(), *comp.values()):
+            _make_canonical(table.values())
+        _make_canonical(units.values())
         self.field = field
         self.objects = list(objects)
         self.homs = homs
@@ -387,9 +403,13 @@ class LazyDict(dict):
 
 class DgFunctor:
     """Dg functor between explicit categories: an object map plus a
-    degree-0 linear action on each hom basis."""
+    degree-0 linear action on each hom basis.  The images already in
+    ``mor_map`` are made canonical (``scalars.rational``); a table that
+    ``keyed_functor`` fills is summed from canonical ones."""
 
     def __init__(self, src: DgCategory, tgt: DgCategory, obj_map, mor_map, name=""):
+        for table in mor_map.values():
+            _make_canonical(mor.coeffs for mor in table.values())
         self.src = src
         self.tgt = tgt
         self.obj_map = obj_map

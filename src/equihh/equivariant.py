@@ -16,12 +16,10 @@ rho_g's image of φ (``DgFunctor.image``), each a ``dgcat.compose_terms``
 sum.  The products of two solved bases come from one walk of the ambient
 composition table (``dgcat.compose_families``), each entry added into
 every pair of basis vectors it touches, and each product is restricted
-to the solved basis.  Every table entry, alpha, image and solved basis
-vector whose coefficients are integral is read as {key: int}
-(``linalg.integral_reader``), so the sums run on ints where the tables
-are integral, as in every bundled example.  The solved bases and the
-restricted products still come out of ``Echelon``, so the category's
-tables hold field scalars.
+to the solved basis.  Tables, alphas, images and solved bases hold
+canonical scalars (``scalars.rational``), so the sums run on ints where
+the tables are integral, as in every bundled example; the solved bases
+and the restricted products come out of ``Echelon``, canonical too.
 
 Also here, and nowhere else: every piece of the symmetrization S and
 its adjunctions with forget.  The category names S(c) in its roster
@@ -69,7 +67,6 @@ from .linalg import (
     Echelon,
     GradedSpace,
     SparseMatrix,
-    integral_reader,
     rank_kernel_image,
     vec_axpy,
 )
@@ -363,10 +360,10 @@ class EquivariantCategory:
         read from the tables: per g, the composition tables of
         (c, c2, rho_g c2) and (c, rho_g c, rho_g c2), the coefficients of
         both alphas and rho_g's image of φ, each side one ``compose_terms``
-        sum.  Rows are numbered in first-seen (g index, key) order.  Every
-        table entry, alpha and image is read through
-        ``linalg.integral_reader``, so the conditions are ints where the
-        tables are integral; the kernel comes out of ``Echelon`` as field
+        sum.  Rows are numbered in first-seen (g index, key) order.  Table
+        entries, alphas and images hold canonical scalars
+        (``scalars.rational``), so the conditions are ints where the tables
+        are integral; the kernel comes out of ``Echelon`` as canonical field
         scalars.  It is the reduced kernel basis (1 on a column that is a
         combination of earlier ones, the combination's coefficients on the
         earlier independent columns), which depends only on the subspace;
@@ -377,7 +374,6 @@ class EquivariantCategory:
         space = cat.hom(c, c2)
         if not space.total_dim():
             return {}
-        read = integral_reader()
         per_g = []
         for g in self._conditions:
             rho = self.laction.rho(g)
@@ -387,9 +383,9 @@ class EquivariantCategory:
             per_g.append((
                 rho,
                 cat.comp_table(c, c2, a_tgt.tgt),
-                list(read(a_tgt.coeffs).items()),
+                list(a_tgt.coeffs.items()),
                 cat.comp_table(a_src.src, a_src.tgt, rho.apply_obj(c2)),
-                list(read(a_src.coeffs).items()),
+                list(a_src.coeffs.items()),
             ))
         solved = {}
         for deg in space.degrees():
@@ -399,9 +395,9 @@ class EquivariantCategory:
             for key in keys:
                 col = {}
                 for gi, (rho, lhs_table, a_tgt, rhs_table, a_src) in enumerate(per_g):
-                    lhs = compose_terms(lhs_table, ((key, 1),), a_tgt, read)
-                    image = read(rho.image(c, c2, key).coeffs).items()
-                    rhs = compose_terms(rhs_table, a_src, image, read)
+                    lhs = compose_terms(lhs_table, ((key, 1),), a_tgt)
+                    image = rho.image(c, c2, key).coeffs.items()
+                    rhs = compose_terms(rhs_table, a_src, image)
                     for dkey, val in vec_axpy(lhs, -1, rhs).items():
                         row = rows.setdefault((gi, dkey), len(rows))
                         col[row] = val
@@ -470,18 +466,15 @@ class EquivariantCategory:
 
         def comp_builder(xn, yn, zn):
             # every product of the two solved bases from one walk of the
-            # ambient table, on ints where they are integral; restrict
-            # gives field scalars
+            # ambient table, on ints where they are integral
             gs, fs = self._solved[(xn, yn)], self._solved[(yn, zn)]
             if not (gs and fs):
                 return {}
             x, z = self.roster[xn].underlying, self.roster[zn].underlying
-            read = integral_reader()
             prods = compose_families(
                 cat.comp_table(x, self.roster[yn].underlying, z),
-                [(gkey, read(gcoeffs).items()) for gkey, gcoeffs in gs.items()],
-                [(fkey, read(fcoeffs).items()) for fkey, fcoeffs in fs.items()],
-                read,
+                [(gkey, gcoeffs.items()) for gkey, gcoeffs in gs.items()],
+                [(fkey, fcoeffs.items()) for fkey, fcoeffs in fs.items()],
             )
             table = {}
             for gkey in gs:

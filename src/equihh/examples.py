@@ -15,7 +15,6 @@ document forms used by the CLI are produced in ``documents``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .dgcat import (
     DgCategory,
@@ -100,8 +99,7 @@ def s3_standard_representation(group):
         "312": [[-1, 1], [-1, 0]],
         "321": [[0, -1], [-1, 0]],
     }
-    frac = lambda m: [[Fraction(x) for x in row] for row in m]
-    return Representation(group, 2, {g: frac(m) for g, m in mats.items()}, name="standard")
+    return Representation(group, 2, mats, name="standard")
 
 
 def example_e1() -> ExampleBundle:

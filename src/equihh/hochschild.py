@@ -34,12 +34,11 @@ representatives and class coordinates, are those of adding every column.
 (On E5's largest window, 374 of the 34,225 boundary columns at degree -1
 are nonzero and distinct up to sign.)
 
-A window stores a table entry whose coefficients are all integral
-Fractions as {key: int} and any other entry as it is, so the d∘d check
-and the ranks mod P run on ints wherever the tables are integral (as in
-every bundled example).  Callers still see field scalars: reps, kernels
-and class coordinates come out of ``Echelon``, and induced and shuffle
-maps read the tables.  A window of more than ``WINDOW_CHAIN_BUDGET``
+Structure tables hold canonical scalars (``scalars.rational``: an int
+when integral), so window differentials, the d∘d check and the ranks
+mod P run on ints wherever the tables are integral (as in every bundled
+example); reps, kernels and class coordinates come out of ``Echelon``,
+canonical too.  A window of more than ``WINDOW_CHAIN_BUDGET``
 chains is a TruncationError.
 
 Most degrees of a window are acyclic, and homology proves it without a
@@ -123,7 +122,6 @@ from .errors import EquihhError, InputError, StructureError, TruncationError, Wi
 from .linalg import (
     Echelon,
     SparseMatrix,
-    integral_reader,
     rank_kernel_image,
     rank_mod_p,
     vec_axpy,
@@ -448,32 +446,30 @@ class HochschildWindow(WindowBase):
         elif prev is not None:
             del out[idx]
 
-    def _normal_form(self, t, pair, entry, read):
-        """A table entry {key: c}, read through ``read``, written into slot
-        t of hom pair ``pair``: for t >= 1 and pair (x, x), the pivot of
-        End(x) is replaced by its class in End(x)/k·id_x."""
-        entry = read(entry)
+    def _normal_form(self, t, pair, entry):
+        """A table entry {key: c} written into slot t of hom pair ``pair``:
+        for t >= 1 and pair (x, x), the pivot of End(x) is replaced by its
+        class in End(x)/k·id_x."""
         x, y = pair
         pivot = self.pivots.get(x) if t and x == y else None
         if pivot is None or pivot[0] not in entry:
             return entry
         p, rest = pivot
         out = {key: c for key, c in entry.items() if key != p}
-        return vec_axpy(out, entry[p], read(rest))
+        return vec_axpy(out, entry[p], rest)
 
     def _differentials(self, cycles):
         """{k: d_k} for lo <= k < hi, d2 + (-1)^m d1, one object cycle at a
-        time (see the module docstring); an entry is an int where each
-        table entry it sums is integral.  Faces run in one order (d1 into
-        side columns, d2 for i = 0..m-1, the twist face, the side columns
-        added with sign (-1)^m) and meet a column at one entry each, so its
-        terms come in the order of a chain-by-chain build.  A face keeps the
-        other slots' key tuples only for the degree sums that its own keys,
-        of any hom degree of the category, can bring into a column
-        (``_split_tuples``), memoized per slot-pair sequence and sum range
-        for the build."""
+        time (see the module docstring); the tables hold canonical scalars,
+        so an entry is an int where each table entry it sums is integral.
+        Faces run in one order (d1 into side columns, d2 for i = 0..m-1, the
+        twist face, the side columns added with sign (-1)^m) and meet a
+        column at one entry each, so its terms come in the order of a
+        chain-by-chain build.  A face keeps the other slots' key tuples only
+        for the degree sums that its own keys, of any hom degree of the
+        category, can bring into a column (``_split_tuples``), memoized per
+        slot-pair sequence and sum range for the build."""
         cat, fun, lo, hi = self.category, self.functor, self.lo, self.hi
-        read = integral_reader()
         totals = {k: SparseMatrix(self.dim(k + 1), self.dim(k)) for k in range(lo, hi)}
         splits = {}  # (left, right slot pairs, sum range) -> _split_tuples
         dmin, dmax = cat.min_max_degree()
@@ -513,13 +509,13 @@ class HochschildWindow(WindowBase):
                 table = cat.diff.get(pairs[t])
                 if not table:
                     continue
-                entries = (((key,), (), key[0], self._normal_form(t, pairs[t], table[key], read))
+                entries = (((key,), (), key[0], self._normal_form(t, pairs[t], table[key]))
                            for key in keylists[t] if table.get(key))
                 walk(entries, t, t + 1, m + 1, objs, lambda k, pre: pre % 2, side=True)
             for i in range(m):  # a_i a_{i+1} with sign (-1)^i
                 pair = (pairs[i + 1][0], pairs[i][1])
                 table = cat.comp_table(*pairs[i + 1], pair[1])
-                entries = (((ka, kb), (), ka[0] + kb[0], self._normal_form(i, pair, prod, read))
+                entries = (((ka, kb), (), ka[0] + kb[0], self._normal_form(i, pair, prod))
                            for (kb, ka), prod in table.items() if prod)
                 new_objs = objs[: i + 1] + objs[i + 2 :]
                 walk(entries, i, i + 2, m + 1, new_objs, lambda k, pre: i % 2)
@@ -534,9 +530,9 @@ class HochschildWindow(WindowBase):
                     if not any(lo <= s + km[0] - m < hi for s in heads):
                         continue
                     prods = {}
-                    for fk, cf in read(fun.image(*pairs[m], km).coeffs).items():
+                    for fk, cf in fun.image(*pairs[m], km).coeffs.items():
                         for gk in by_second.get(fk, ()):
-                            vec_axpy(prods.setdefault(gk, {}), cf, read(table[(gk, fk)]))
+                            vec_axpy(prods.setdefault(gk, {}), cf, table[(gk, fk)])
                     entries = (((gk,), (km,), gk[0] + km[0], prod) for gk, prod in prods.items())
                     walk(entries, 0, 1, m, (objs[m],) + objs[1:m],
                          lambda k, pre: (m + km[0] * (k + m - km[0])) % 2)
@@ -1195,20 +1191,19 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
             alpha_inv_at[c] = inv
         return alpha_inv_at[c]
 
-    conj_comps = {}
-    for c in phi.src.objects:
-        fc = f_twist.apply_obj(c)
-        ftgt = induced.tgt.functor
-        conj_comps[c] = cat_t.compose(
-            ftgt.apply(alpha.at(c)), cat_t.compose(eta.at(c), alpha_inv(fc))
-        )
+    # eta_c∘alpha^{-1}_{F c}, shared by the conjugated twist and the first slot
+    eta_alpha_inv = {
+        c: cat_t.compose(eta.at(c), alpha_inv(f_twist.apply_obj(c))) for c in phi.src.objects
+    }
+    ftgt = induced.tgt.functor
+    conj_comps = {
+        c: cat_t.compose(ftgt.apply(alpha.at(c)), eta_ai) for c, eta_ai in eta_alpha_inv.items()
+    }
     conj = NatTransform(eta.src, eta.tgt, conj_comps, name=f"{alpha.name}·{eta.name}·{alpha.name}^-1")
     transported = InducedMap(src, tgt, psi, conj, name=f"({psi.name},conj)*")
 
     def first(a0, c0):
-        return cat_t.compose(
-            eta.at(c0), cat_t.compose(alpha_inv(f_twist.apply_obj(c0)), psi.apply(a0))
-        )
+        return cat_t.compose(eta_alpha_inv[c0], psi.apply(a0))
 
     h = InsertionHomotopy(src, tgt, first, psi.apply, alpha.at, phi.apply)
     cert = HomotopyCertificate(induced, transported, h, name=f"transport along {alpha.name}")

@@ -14,20 +14,21 @@ multiplied: for ``c == 1`` it adds the entries of ``v`` as they are, for
 unchanged; only other scalars are multiplied.  Most scalars in
 elimination and chain-map evaluation are ±1.
 
-``integral_reader`` reads structure-table entries whose coefficients are
-all integral Fractions as {key: int}, so window differentials and the
-equivariant solve add ints where the tables are integral.  ``Echelon``
-takes ints and Fractions alike and returns field scalars.
+Rational scalars are canonical (``scalars.rational``): an int when
+integral, a Fraction otherwise.  The matrices built here and every value
+``Echelon`` returns are canonical, and the structure tables are too, so
+window differentials and the equivariant solve add plain ints wherever
+the tables are integral.
 
 ``Echelon`` eliminates without fractions.  It clears the denominators of
 each vector it is given and stores every column as an integer multiple of
 the reduced column, with that multiple as its pivot entry; cyclotomic
-entries keep integer coefficients.  Callers see field scalars only: each
-entry ``add`` or ``solve`` returns is divided back once, and ``add``
-returns a combination only for a vector already in the span.  A nonzero
-scaling cancels the same entries as the rational elimination, so the
-returned values, their scalar types and their key order are those of the
-rational elimination.
+entries keep integer coefficients.  Callers see canonical field scalars
+only: each entry ``add`` or ``solve`` returns is divided back once, and
+``add`` returns a combination only for a vector already in the span.  A
+nonzero scaling cancels the same entries as the rational elimination, so
+the returned values and their key order are those of the rational
+elimination.
 
 ``rank_mod_p`` eliminates plain ints mod the prime P = 2^31 - 1 and
 proves only a lower bound for the rank over Q.  It reads an entry n/d as
@@ -45,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import QQ, Cyc, invert_scalar
+from .scalars import QQ, Cyc, invert_scalar, rational
 
 
 def vec_axpy(u, c, v):
@@ -88,33 +89,6 @@ def vec_axpy(u, c, v):
     return u
 
 
-def integral_entry(entry):
-    """A structure-table entry {key: c} as {key: int} when every c is an
-    integral Fraction, else ``entry`` itself (an entry with a denominator
-    or a cyclotomic coefficient)."""
-    out = {}
-    for key, c in entry.items():
-        if type(c) is not Fraction or c.denominator != 1:
-            return entry
-        out[key] = c.numerator
-    return out
-
-
-def integral_reader():
-    """A function reading table entries through ``integral_entry``, each
-    converted once: the memo is keyed by id and holds the entry, so an id
-    is never reused while the reader lives.  Keep a reader to one build."""
-    memo = {}
-
-    def read(entry):
-        got = memo.get(id(entry))
-        if got is None:
-            got = memo[id(entry)] = (entry, integral_entry(entry))
-        return got[1]
-
-    return read
-
-
 def vec_add(u, v):
     return vec_axpy(dict(u), 1, v)
 
@@ -155,11 +129,11 @@ class SparseMatrix:
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if x:
-                    m.cols[j][i] = Fraction(x) if isinstance(x, int) else x
+                    m.cols[j][i] = x if isinstance(x, Cyc) else rational(x)
         return m
 
     @classmethod
-    def identity(cls, n, one=Fraction(1)):
+    def identity(cls, n, one=1):
         m = cls(n, n)
         for i in range(n):
             m.cols[i][i] = one
@@ -172,7 +146,7 @@ class SparseMatrix:
             self.cols[j].pop(i, None)
 
     def get(self, i, j):
-        return self.cols[j].get(i, Fraction(0))
+        return self.cols[j].get(i, 0)
 
     def entries(self):
         for j, col in enumerate(self.cols):
@@ -230,7 +204,7 @@ class SparseMatrix:
         return all(vec_eq(a, b) for a, b in zip(self.cols, other.cols))
 
     def to_rows(self):
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
         for i, j, x in self.entries():
             rows[i][j] = x
         return rows
@@ -255,10 +229,11 @@ class Echelon:
     their key order are those of the rational elimination up to one factor
     each.  Cyclotomic entries are stored with integer coefficients.
 
-    Callers see field scalars only: ``add`` (for a vector already in the
-    span) and ``solve`` divide each entry they return once, into
-    ``field``.  The field becomes the cyclotomic field of the first
-    cyclotomic entry met, if it was Q.
+    Callers see canonical field scalars only: ``add`` (for a vector
+    already in the span) and ``solve`` divide each entry they return once,
+    into ``field``; over Q an integral quotient is an int.  The field
+    becomes the cyclotomic field of the first cyclotomic entry met, if it
+    was Q.
     """
 
     def __init__(self, field=QQ):
@@ -373,11 +348,12 @@ class Echelon:
                     v[k] = Cyc(x.field, tuple(c / g for c in x.coeffs)) if isinstance(x, Cyc) else x // g
 
     def _divide(self, vec, d):
-        """vec / d entrywise, one division per entry, as field scalars."""
+        """vec / d entrywise, one division per entry, as canonical field
+        scalars; over Q with d == 1 that is vec itself."""
         if self.field == QQ:
             if d == 1:
-                return {k: Fraction(x) for k, x in vec.items()}
-            return {k: Fraction(x, d) for k, x in vec.items()}
+                return vec
+            return {k: rational(Fraction(x, d)) for k, x in vec.items()}
         inv = invert_scalar(d)
         field = self.field
         out = {}
@@ -507,7 +483,7 @@ def matrix_inverse(m: SparseMatrix):
             return None
     inv = SparseMatrix(m.ncols, m.nrows)
     for i in range(m.nrows):
-        inv.cols[i] = ech.solve({i: Fraction(1)})
+        inv.cols[i] = ech.solve({i: 1})
     return inv
 
 

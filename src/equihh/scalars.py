@@ -1,11 +1,17 @@
 """Exact scalar arithmetic: rationals and cyclotomic extensions.
 
-A scalar is either a ``fractions.Fraction`` (the rational variant) or a
-``Cyc`` element of ``CyclotomicField(m)`` (coefficients in the power basis
-of a primitive m-th root of unity, always reduced modulo the m-th
-cyclotomic polynomial).  Rationals embed into every cyclotomic field and
+A scalar is either a rational (the rational variant) or a ``Cyc``
+element of ``CyclotomicField(m)`` (coefficients in the power basis of a
+primitive m-th root of unity, always reduced modulo the m-th cyclotomic
+polynomial).  Rationals embed into every cyclotomic field and
 mixed arithmetic lifts them automatically; mixing two different cyclotomic
 orders raises ``FieldMismatchError`` instead of guessing an embedding.
+
+A rational is canonical (``rational``): an ``int`` when it is integral,
+a ``fractions.Fraction`` only otherwise.  Every place that makes one
+(parsing, ``QQ``, ``invert_scalar``, ``linalg``'s matrices and
+eliminations) makes it canonical, so integral tables compute on small
+ints; an int and the Fraction of its value compare and hash alike.
 
 All values are immutable and safe to share between threads.
 """
@@ -18,6 +24,16 @@ from .errors import DivisionError, FieldMismatchError, InputError
 
 Q_ZERO = Fraction(0)
 Q_ONE = Fraction(1)
+
+
+def rational(q):
+    """q (anything ``Fraction`` takes) as an int when it is integral, else
+    as a Fraction."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _poly_trim(coeffs):
@@ -229,25 +245,25 @@ class Cyc:
 
 
 class RationalField:
-    """The field Q, operating on fractions.Fraction values."""
+    """The field Q, operating on canonical rationals (``rational``)."""
 
     m = None
 
     @property
     def zero(self):
-        return Q_ZERO
+        return 0
 
     @property
     def one(self):
-        return Q_ONE
+        return 1
 
     def embed(self, q):
-        return Fraction(q)
+        return rational(q)
 
     def inv(self, x):
         if not x:
             raise DivisionError("inversion of zero")
-        return 1 / Fraction(x)
+        return rational(1 / Fraction(x))
 
     def __repr__(self):
         return "QQ"
@@ -266,9 +282,7 @@ def invert_scalar(x):
     """Multiplicative inverse of a nonzero scalar of either variant."""
     if isinstance(x, Cyc):
         return x.inverse()
-    if not x:
-        raise DivisionError("inversion of zero")
-    return 1 / Fraction(x)
+    return QQ.inv(x)
 
 
 def format_scalar(x) -> str:
@@ -296,7 +310,7 @@ def parse_scalar(text: str, field=QQ):
         coeffs = [Fraction(part) for part in tail.split(",")] if tail else []
         return field.element(coeffs)
     try:
-        return Fraction(text)
+        return rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {text!r}") from exc
 

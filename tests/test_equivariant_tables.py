@@ -50,7 +50,6 @@ from equihh.groups import (
     trivial_action,
     validate_action,
 )
-from equihh.linalg import integral_entry
 from equihh.scalars import QQ
 from tests_support import (
     coboundary_action,
@@ -353,11 +352,11 @@ def typed_solved(solved):
 
 @pytest.mark.parametrize("name", sorted(EQCATS))
 def test_int_reads_match_fraction_loops(name):
-    """The hom solve and the composition tables, which read integral
-    entries as ints, against the same loops on the stored field scalars:
-    equal values, scalar types and key order.  Solved vectors list their
-    keys in hom-key order.  On the half basis of
-    k[Z/2] the entry h∘h = 1/4 is read as it is stored."""
+    """The hom solve and the composition tables, which sum the canonical
+    tables (ints where integral), against the same loops with every entry
+    read as a Fraction: equal values, scalar types and key order.  Solved
+    vectors list their keys in hom-key order.  On the half basis of
+    k[Z/2] the entry h∘h = 1/4 stays a Fraction."""
     eq = EQCATS[name]()
     roster = [eq.roster[n] for n in eq.order]
     for src, tgt in itertools.product(roster, repeat=2):
@@ -378,7 +377,7 @@ def test_int_reads_match_fraction_loops(name):
     assert nonzero
     if name == "half-basis-z2":
         amb = eq.ambient.comp_table(("pt",), ("pt",), ("pt",))
-        assert any(integral_entry(entry) is entry for entry in amb.values())
+        assert any(type(c) is Fraction for entry in amb.values() for c in entry.values())
 
 
 def induced_maps(pipe):

@@ -48,6 +48,7 @@ from tests_support import (
     MatrixWindow,
     assert_classes_match_reference,
     assert_elimination_matches_reference,
+    canonical_type,
     centralizer_action_map,
     full_elimination_basis,
     identity_nat,
@@ -467,11 +468,10 @@ def test_elimination_matches_two_pass_reference():
     two-pass path entry by entry, in key order and in scalar type (the
     reference differential stored as the window stores it); every entry
     of a differential is an int over Q and a Cyc over Q(zeta_3), and
-    every entry of a kernel vector and a rep is a Fraction over Q and a
-    Cyc over Q(zeta_3)."""
+    every entry of a kernel vector and a rep is canonical: over Q an int
+    when integral and a Fraction otherwise, a Cyc over Q(zeta_3)."""
     windows = [*example_windows(), *ladder_windows(), *cyclotomic_windows()]
     for win in windows:
-        scalar = Fraction if win.field == QQ else Cyc
         entry_type = int if win.field == QQ else Cyc
         for k in range(win.lo, win.hi):
             total = win.differential(k)
@@ -487,7 +487,9 @@ def test_elimination_matches_two_pass_reference():
                 continue
             assert list(got._ech.pivots.items()) == list(ech.pivots.items())
             assert normalized_columns(got._ech, win.field) == reference_columns(ech)
-            assert all(type(x) is scalar for rep in got.reps for x in rep.values())
+            assert all(
+                type(x) is canonical_type(x, win.field) for rep in got.reps for x in rep.values()
+            )
 
 
 def quarter_z2():
@@ -525,25 +527,28 @@ def test_non_integral_entries_stay_fractions():
 
 def test_api_outputs_keep_field_scalars():
     """Reps, class coordinates, homology matrices and chain-map images are
-    field scalars on every reference window, though the differentials hold
-    ints."""
+    canonical field scalars on every reference window: over Q an int when
+    integral and a Fraction otherwise, a Cyc over Q(zeta_3)."""
     for win in [*reference_windows(), *cyclotomic_windows()]:
-        scalar = Fraction if win.field == QQ else Cyc
+
+        def scalar(x):
+            return canonical_type(x, win.field)
+
         ident = identity_functor(win.category)
         ident_map = InducedMap(win, win, ident, identity_nat(win.functor), name="id*")
         doubled = LinearComboMap(win, win, [(win.field.one, ident_map)] * 2)
         for k in range(win.lo, win.hi + 1):
             for j in range(win.dim(k)):
                 for m in (ident_map, doubled):
-                    assert all(type(x) is scalar for x in m.apply_chain(k, j).values())
+                    assert all(type(x) is scalar(x) for x in m.apply_chain(k, j).values())
         for k in range(win.lo + 1, win.hi):
             basis = win.homology_basis(k)
             vecs = [*basis.reps, *win.differential(k - 1).cols, {0: 1} if win.dim(k) else {}]
             for vec in vecs:
                 coords = basis.express(vec)
-                assert coords is None or all(type(x) is scalar for x in coords.values())
-            assert all(type(x) is scalar for rep in basis.reps for x in rep.values())
-            assert all(type(x) is scalar for _, _, x in ident_map.homology_matrix(k).entries())
+                assert coords is None or all(type(x) is scalar(x) for x in coords.values())
+            assert all(type(x) is scalar(x) for rep in basis.reps for x in rep.values())
+            assert all(type(x) is scalar(x) for _, _, x in ident_map.homology_matrix(k).entries())
 
 
 def test_window_chain_budget(monkeypatch):

@@ -41,7 +41,7 @@ from equihh.linalg import (
     vec_axpy,
     vec_is_zero,
 )
-from equihh.scalars import QQ, Cyc, invert_scalar
+from equihh.scalars import QQ, Cyc, invert_scalar, rational
 
 
 def scaled_action():
@@ -410,10 +410,24 @@ def reference_apply(mat, vec):
     return out
 
 
+def canonical(vec):
+    """vec with every rational entry canonical (``scalars.rational``)."""
+    return {k: x if isinstance(x, Cyc) else rational(x) for k, x in vec.items()}
+
+
+def canonical_type(x, field):
+    """The type of the canonical scalar of value x in field: Cyc over a
+    cyclotomic field; over Q int when x is integral, else Fraction."""
+    if field != QQ:
+        return Cyc
+    return int if Fraction(x).denominator == 1 else Fraction
+
+
 class ReferenceEchelon:
     """Rational echelon with the two-pass update vec - c·col: same
     pivoting, pivots normalized to 1, no in-place change and no unit
-    shortcut; combinations are seeded with the field's one."""
+    shortcut; combinations are seeded with the field's one.  Every vector
+    it stores or returns is canonical (``canonical``)."""
 
     def __init__(self, field=QQ):
         self.one = field.one
@@ -431,8 +445,8 @@ class ReferenceEchelon:
             if not c:
                 continue
             pos = self.pivots[row]
-            vec = reference_vec_sub(vec, reference_vec_scale(c, self.columns[pos]))
-            combo = reference_vec_sub(combo, reference_vec_scale(c, self.combos[pos]))
+            vec = canonical(reference_vec_sub(vec, reference_vec_scale(c, self.columns[pos])))
+            combo = canonical(reference_vec_sub(combo, reference_vec_scale(c, self.combos[pos])))
         return vec, combo
 
     def add(self, vec, tag=None):
@@ -442,15 +456,15 @@ class ReferenceEchelon:
             return {}, combo
         pivot = min(vec)
         inv = invert_scalar(vec[pivot])
-        vec = reference_vec_scale(inv, vec)
-        combo = reference_vec_scale(inv, combo)
+        vec = canonical(reference_vec_scale(inv, vec))
+        combo = canonical(reference_vec_scale(inv, combo))
         for pos, col in enumerate(self.columns):
             c = col.get(pivot)
             if c:
-                self.columns[pos] = reference_vec_sub(col, reference_vec_scale(c, vec))
-                self.combos[pos] = reference_vec_sub(
+                self.columns[pos] = canonical(reference_vec_sub(col, reference_vec_scale(c, vec)))
+                self.combos[pos] = canonical(reference_vec_sub(
                     self.combos[pos], reference_vec_scale(c, combo)
-                )
+                ))
         self.pivots[pivot] = len(self.columns)
         self.columns.append(vec)
         self.combos.append(combo)
@@ -463,13 +477,13 @@ class ReferenceEchelon:
             if not c:
                 continue
             pos = self.pivots[row]
-            vec = reference_vec_sub(vec, reference_vec_scale(c, self.columns[pos]))
+            vec = canonical(reference_vec_sub(vec, reference_vec_scale(c, self.columns[pos])))
             coords[pos] = c
         if any(vec.values()):
             return None
         out = {}
         for pos, c in coords.items():
-            out = reference_vec_add(out, reference_vec_scale(c, self.combos[pos]))
+            out = canonical(reference_vec_add(out, reference_vec_scale(c, self.combos[pos])))
         return out
 
 
@@ -545,7 +559,9 @@ def typed(vec):
 
 def _quotient(x, d, field):
     q = Fraction(x) / d if isinstance(x, int) else x / d
-    return q if field == QQ or isinstance(q, Cyc) else field.embed(q)
+    if field == QQ:
+        return rational(q)
+    return q if isinstance(q, Cyc) else field.embed(q)
 
 
 def normalized_columns(ech, field=QQ):
@@ -893,15 +909,21 @@ def reference_equivariant_comp_table(eqcat, xn, yn, zn):
     return table
 
 
-# The same two equivariant loops on the tables as they are stored, with
-# field scalars throughout, against which the int reads are checked.
+# The same two equivariant loops with every table entry, alpha, image and
+# solved vector read as Fractions, against which the loops on canonical
+# (int) tables are checked; elimination and restriction make both results
+# canonical.
+
+
+def as_fractions(vec):
+    """vec with every rational entry a Fraction, integral or not."""
+    return {k: x if isinstance(x, Cyc) else Fraction(x) for k, x in vec.items()}
 
 
 def fraction_solve_pair(eqcat, src, tgt):
-    """EquivariantCategory._solve_pair on the tables as stored (field
-    scalars throughout): the same stacked elements, loops, summation order,
-    first-seen row numbering and hom-key order, with no entry read as
-    ints."""
+    """EquivariantCategory._solve_pair with every entry read as a Fraction:
+    the same stacked elements, loops, summation order, first-seen row
+    numbering and hom-key order."""
     cat = eqcat.laction.category
     c, c2 = src.underlying, tgt.underlying
     space = cat.hom(c, c2)
@@ -914,9 +936,9 @@ def fraction_solve_pair(eqcat, src, tgt):
         per_g.append((
             rho,
             cat.comp_table(c, c2, a_tgt.tgt),
-            list(a_tgt.coeffs.items()),
+            list(as_fractions(a_tgt.coeffs).items()),
             cat.comp_table(a_src.src, a_src.tgt, rho.apply_obj(c2)),
-            list(a_src.coeffs.items()),
+            list(as_fractions(a_src.coeffs).items()),
         ))
     solved = {}
     for deg in space.degrees():
@@ -930,14 +952,14 @@ def fraction_solve_pair(eqcat, src, tgt):
                 for ak, ca in a_tgt:
                     prod = lhs_table.get((key, ak))
                     if prod:
-                        vec_axpy(lhs, ca, prod)
+                        vec_axpy(lhs, ca, as_fractions(prod))
                 rhs = {}
-                image = rho.image(c, c2, key).coeffs.items()
+                image = as_fractions(rho.image(c, c2, key).coeffs).items()
                 for ak, ca in a_src:
                     for rk, cr in image:
                         prod = rhs_table.get((ak, rk))
                         if prod:
-                            vec_axpy(rhs, ca * cr, prod)
+                            vec_axpy(rhs, ca * cr, as_fractions(prod))
                 for dkey, val in vec_axpy(lhs, -1, rhs).items():
                     col[rows.setdefault((gi, dkey), len(rows))] = val
             matrix_cols.append(col)
@@ -950,7 +972,7 @@ def fraction_solve_pair(eqcat, src, tgt):
 
 def fraction_comp_table(eqcat, xn, yn, zn):
     """The equivariant composition table on (xn, yn, zn) as the category's
-    comp_builder forms it, on the tables as stored (field scalars)."""
+    comp_builder forms it, with every entry read as a Fraction."""
     cat = eqcat.ambient
     gs, fs = eqcat._solved[(xn, yn)], eqcat._solved[(yn, zn)]
     if not (gs and fs):
@@ -961,11 +983,11 @@ def fraction_comp_table(eqcat, xn, yn, zn):
     for gkey, gcoeffs in gs.items():
         for fkey, fcoeffs in fs.items():
             prod = {}
-            for gk, cg in gcoeffs.items():
-                for fk, cf in fcoeffs.items():
+            for gk, cg in as_fractions(gcoeffs).items():
+                for fk, cf in as_fractions(fcoeffs).items():
                     entry = amb.get((gk, fk))
                     if entry:
-                        vec_axpy(prod, cg * cf, entry)
+                        vec_axpy(prod, cg * cf, as_fractions(entry))
             restricted = eqcat.restrict(Mor(x, z, prod), xn, zn)
             assert restricted is not None
             if not restricted.is_zero():
