@@ -10,6 +10,7 @@ unexpected exception, reported in one line without a traceback).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .decomposition import decompose
@@ -71,11 +72,17 @@ def _load_document(args):
 
 def _emit(payload, args, text_renderer=None):
     """Print the payload dict as canonical JSON, or its text rendering when
-    the output is text and there is one."""
+    the output is text and there is one.  If the reader has closed the
+    pipe, the rest of the output goes to the null device, silently."""
     if args.output == "text" and text_renderer is not None:
-        print(text_renderer())
+        out = text_renderer()
     else:
-        print(canonical_json(payload))
+        out = canonical_json(payload)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_validate(args):
@@ -244,7 +251,7 @@ def cmd_examples(args):
         _emit(payload, args)
         return EXIT_OK
     bundle = get_example(args.name)
-    print(canonical_json(serialize_bundle(bundle)))
+    _emit(serialize_bundle(bundle), args)
     return EXIT_OK
 
 

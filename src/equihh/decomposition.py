@@ -362,6 +362,12 @@ class DecompositionPipeline:
         comps = {name: self.eqcat.roster[name].alpha[g] for name in self.cat_full.objects}
         return _twist(self.cat_full, comps, f"alpha[{g}]")
 
+    def alpha_inv_nat(self, g) -> NatTransform:
+        """alpha_g^{-1}: rho_g∘forget ⇒ forget, the inverses the roster's
+        validation found."""
+        comps = {name: self.eqcat.inverses[name][g] for name in self.cat_full.objects}
+        return _twist(self.cat_full, comps, f"alpha[{g}]^-1")
+
     def phi_nat(self, g, cat) -> NatTransform:
         """phi_g: S∘rho_g ⇒ S on the objects of the hull subcategory ``cat``."""
         comps = {c: self.eqcat.phi_component(g, c) for c in cat.objects}
@@ -774,7 +780,9 @@ def _transport_certificate(pipe, combined, target, h, agree):
     alpha_h · eta · alpha_h^{-1} componentwise, the site's own homology
     comparison ``agree(transported)`` holds, and the transport homotopy
     checks; each part runs only if the ones before it passed."""
-    transported, cert = conjugate_transport(target, pipe.alpha_nat(h), combined.phi)
+    transported, cert = conjugate_transport(
+        target, pipe.alpha_nat(h), pipe.alpha_inv_nat(h), combined.phi
+    )
     same_twist = all(
         combined.eps.at(name) == transported.eps.at(name) for name in pipe.cat_full.objects
     )

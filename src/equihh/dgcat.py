@@ -854,7 +854,7 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
                                     for (pd, pl), c in prod.items():
                                         key = (pd, (i, j, pl))
                                         out[key] = out.get(key, field.zero) + c
-        return {k: _clean(v) for k, v in table.items() if _clean(v)}
+        return {k: prod for k, v in table.items() if (prod := _clean(v))}
 
     return DgCategory(field, objects, homs, diff, {}, units, comp_builder=comp_builder)
 

@@ -18,8 +18,10 @@ composition table (``dgcat.compose_families``), each entry added into
 every pair of basis vectors it touches, and each product is restricted
 to the solved basis.  Tables, alphas, images and solved bases hold
 canonical scalars (``scalars.rational``), so the sums run on ints where
-the tables are integral, as in every bundled example; the solved bases
-and the restricted products come out of ``Echelon``, canonical too.
+the tables are integral, as in every bundled example.  Each solved
+vector has 1 at its last key, its free key, where no other vector of its
+degree is nonzero, so ``restrict`` reads coordinates at the free keys and
+keeps a morphism they leave no residual of.
 
 Also here, and nowhere else: every piece of the symmetrization S and
 its adjunctions with forget.  The category names S(c) in its roster
@@ -63,13 +65,8 @@ from .dgcat import (
 )
 from .errors import CapacityError, EquihhError, StructureError
 from .groups import GroupAction, regular_representation, validate_action
-from .linalg import (
-    Echelon,
-    GradedSpace,
-    SparseMatrix,
-    rank_kernel_image,
-    vec_axpy,
-)
+from .linalg import GradedSpace, SparseMatrix, rank_kernel_image, vec_axpy
+from .scalars import Cyc
 
 
 def closure_under_action(action: GroupAction, tuples):
@@ -146,16 +143,19 @@ class EquivariantObject:
         return f"EquivariantObject({self.name}, {self.underlying})"
 
 
-def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> ValidationReport:
+def validate_equivariant(laction: GroupAction, obj: EquivariantObject, inverses=None) -> ValidationReport:
     """Closedness, degree, invertibility and the coherence square per
     pair (g, h), each instance checked exactly.  The square is checked as
     alpha_{hg} = theta[g,h]_c ∘ rho_g(alpha_h) ∘ alpha_g, which needs no
     inverse and says the same wherever theta is invertible; invertibility
-    is decided by ``alpha_inverse``."""
+    is judged on ``inverses`` (``alpha_inverses`` unless the caller keeps
+    its own)."""
     report = ValidationReport(f"equivariant object {obj.name}")
     cat = laction.category
     grp = laction.group
     c = obj.underlying
+    if inverses is None:
+        inverses = alpha_inverses(laction, obj)
     for g in grp.elements:
         if g not in obj.alpha:
             raise StructureError(f"{obj.name}: alpha missing for {g}")
@@ -168,7 +168,7 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> Valida
             report.add("degree", f"alpha[{g}] not degree 0")
         if not cat.d(a).is_zero():
             report.add("closedness", f"alpha[{g}] not closed")
-        if alpha_inverse(laction, obj, g) is None:
+        if inverses[g] is None:
             report.add("invertibility", f"alpha[{g}] not invertible")
     if not report.ok:
         return report
@@ -180,17 +180,26 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject) -> Valida
     return report
 
 
-def alpha_inverse(laction: GroupAction, obj: EquivariantObject, g):
+def alpha_inverses(laction: GroupAction, obj: EquivariantObject) -> LazyDict:
+    """g -> alpha_g^{-1} (or None), each found by ``alpha_inverse`` on its
+    first lookup; the others read alpha_e^{-1} from here, so it is found
+    once too."""
+    inverses = LazyDict(lambda g: alpha_inverse(laction, obj, g, inverses))
+    return inverses
+
+
+def alpha_inverse(laction: GroupAction, obj: EquivariantObject, g, inverses=None):
     """alpha_g^{-1}: rho_g(c) -> c, or None.  The coherence square at
     (g, g^{-1}) makes L = alpha_e^{-1}∘theta[g,g^{-1}]_c∘rho_g(alpha_{g^{-1}})
     a left inverse of alpha_g.  L is returned when it is a two-sided inverse
     of degree 0, hence the one ``DgCategory.invert`` finds; otherwise
-    ``invert`` decides, so the verdict never rests on the square."""
+    ``invert`` decides, so the verdict never rests on the square.
+    alpha_e^{-1} is read from ``inverses`` when given (``alpha_inverses``)."""
     cat, grp, c, a = laction.category, laction.group, obj.underlying, obj.alpha[g]
     e, gi = grp.identity, grp.inv(g)
     if g != e and {e, gi} <= obj.alpha.keys():
         try:
-            e_inv = cat.invert(obj.alpha[e])
+            e_inv = cat.invert(obj.alpha[e]) if inverses is None else inverses[e]
             if e_inv is not None:
                 back = laction.rho(g).apply(obj.alpha[gi])
                 back = cat.compose(e_inv, cat.compose(laction.theta_at(g, gi).at(c), back))
@@ -270,27 +279,28 @@ class EquivariantCategory:
     homs are solved from the conditions of a generating set of G, which
     cut out the same subspace only for objects that satisfy the coherence
     square (see ``_solve_pair``).  ``base_valid`` is the verdict of
-    ``base_violation`` on the base, if already known.
+    ``base_violation`` on the base, if already known.  The alpha_g^{-1}
+    that validation finds are kept in ``inverses``.
     """
 
     def __init__(self, laction: GroupAction, roster, base_valid=None):
-        for obj in roster:
-            report = validate_equivariant(laction, obj)
-            if not report.ok:
-                raise StructureError(report.summary())
         self.laction = laction
         self.ambient = laction.category
         self.roster = {}
         self.order = []
+        self.inverses = {}  # name -> g -> alpha_g^{-1}
         for obj in roster:
             if obj.name in self.roster:
                 raise StructureError(f"duplicate roster name {obj.name}")
+            inverses = self.inverses[obj.name] = alpha_inverses(laction, obj)
+            report = validate_equivariant(laction, obj, inverses)
+            if not report.ok:
+                raise StructureError(report.summary())
             self.roster[obj.name] = obj
             self.order.append(obj.name)
         self._signatures = {o.signature(): name for name, o in self.roster.items()}
         self._solved = {}  # (src_name, tgt_name) -> dict[(deg,label) -> ambient coeffs]
-        self._echelons = {}  # (src_name, tgt_name, deg) -> Echelon over flat ambient idx
-        self._flat = {}  # (x_tuple, y_tuple, deg) -> (key list, key index)
+        self._free = {}  # (src_name, tgt_name, deg) -> [(free key, label, ambient coeffs)]
         self._sym_names = {}  # hull tuple c -> roster name of S(c)
         self._base_valid = base_valid
         self._conditions = self._condition_elements()
@@ -329,14 +339,6 @@ class EquivariantCategory:
             valid = base is not None and base_violation(base) is None
         return grp.generating_set() if valid else list(grp.elements)
 
-    def _flatten_space(self, x, y, deg):
-        key = (x, y, deg)
-        if key not in self._flat:
-            space = self.laction.category.hom(x, y)
-            keys = [(deg, lab) for lab in space.labels(deg)]
-            self._flat[key] = (keys, {k: i for i, k in enumerate(keys)})
-        return self._flat[key]
-
     def _solve_pair(self, src: EquivariantObject, tgt: EquivariantObject):
         """Kernel of the stacked equivariance conditions, one matrix per
         degree; deterministic elimination order gives reproducible bases.
@@ -367,8 +369,9 @@ class EquivariantCategory:
         scalars.  It is the reduced kernel basis (1 on a column that is a
         combination of earlier ones, the combination's coefficients on the
         earlier independent columns), which depends only on the subspace;
-        each vector lists its keys in hom-key order (``_flatten_space``),
-        so neither depends on the rows the elimination saw."""
+        each vector lists its keys in hom-key order, so neither depends on
+        the rows the elimination saw.  A vector's last key is its free
+        column, where no other vector of its degree is nonzero."""
         cat = self.laction.category
         c, c2 = src.underlying, tgt.underlying
         space = cat.hom(c, c2)
@@ -389,7 +392,7 @@ class EquivariantCategory:
             ))
         solved = {}
         for deg in space.degrees():
-            keys, _ = self._flatten_space(c, c2, deg)
+            keys = [(deg, lab) for lab in space.labels(deg)]
             rows = {}
             matrix_cols = []
             for key in keys:
@@ -415,54 +418,38 @@ class EquivariantCategory:
         cat = self.laction.category
         homs = {}
         diff = {}
-        units = {}
         names = self.order
         for sn in names:
             for tn in names:
                 src, tgt = self.roster[sn], self.roster[tn]
-                solved = self._solve_pair(src, tgt)
                 table = {}
                 space_basis = {}
-                for deg, basis in solved.items():
-                    labels = [f"q{deg}_{i}" for i in range(len(basis))]
-                    space_basis[deg] = labels
-                    ech = Echelon(cat.field)
-                    keys, keyidx = self._flatten_space(
-                        src.underlying, tgt.underlying, deg
-                    )
-                    for i, coeffs in enumerate(basis):
-                        flat = {keyidx[k]: v for k, v in coeffs.items()}
-                        ech.add(flat, tag=i)
-                    self._echelons[(sn, tn, deg)] = ech
-                    for lab, coeffs in zip(labels, basis):
+                for deg, basis in self._solve_pair(src, tgt).items():
+                    space_basis[deg] = [f"q{deg}_{i}" for i in range(len(basis))]
+                    free = self._free[(sn, tn, deg)] = []
+                    for lab, coeffs in zip(space_basis[deg], basis):
                         table[(deg, lab)] = coeffs
+                        free.append((next(reversed(coeffs)), (deg, lab), coeffs))
                 self._solved[(sn, tn)] = table
                 space = GradedSpace(space_basis)
                 if space.total_dim():
                     homs[(sn, tn)] = space
-        # differentials: d of a solved vector must lie in the solved space
-        for sn in names:
-            for tn in names:
-                table = self._solved[(sn, tn)]
-                src, tgt = self.roster[sn], self.roster[tn]
+                # d of a solved vector must lie in the solved space
                 dtable = {}
-                for (deg, lab), coeffs in table.items():
-                    amb = Mor(src.underlying, tgt.underlying, coeffs)
-                    damb = cat.d(amb)
+                for key, coeffs in table.items():
+                    damb = cat.d(Mor(src.underlying, tgt.underlying, coeffs))
                     if damb.is_zero():
                         continue
                     restricted = self.restrict(damb, sn, tn)
                     if restricted is None:
-                        raise StructureError(
-                            f"equivariance subspace of ({sn}, {tn}) not d-stable"
-                        )
-                    dtable[(deg, lab)] = restricted.coeffs
+                        raise StructureError(f"equivariance subspace of ({sn}, {tn}) not d-stable")
+                    dtable[key] = restricted.coeffs
                 if dtable:
                     diff[(sn, tn)] = dtable
-        for sn in names:
-            obj = self.roster[sn]
-            unit = cat.unit(obj.underlying)
-            units[sn] = self._restricted(unit, sn, sn, f"unit of {sn}").coeffs
+        units = {
+            sn: self._restricted(cat.unit(self.roster[sn].underlying), sn, sn, f"unit of {sn}").coeffs
+            for sn in names
+        }
 
         def comp_builder(xn, yn, zn):
             # every product of the two solved bases from one walk of the
@@ -504,24 +491,26 @@ class EquivariantCategory:
 
     def restrict(self, amb: Mor, src_name, tgt_name) -> Mor | None:
         """Ambient morphism -> roster morphism, or None if it is not
-        equivariant (not in the solved span)."""
+        equivariant (not in the solved span).  A coordinate is the value at
+        its vector's free key, as a canonical field scalar; the morphism is
+        in the span exactly when those multiples leave no residual."""
         out = {}
-        src = self.roster[src_name]
-        tgt = self.roster[tgt_name]
+        embed = self.ambient.field.embed
         by_deg = {}
         for (deg, lab), c in amb.coeffs.items():
             by_deg.setdefault(deg, {})[(deg, lab)] = c
-        for deg, coeffs in by_deg.items():
-            ech = self._echelons.get((src_name, tgt_name, deg))
-            if ech is None:
+        for deg, residual in by_deg.items():
+            free = self._free.get((src_name, tgt_name, deg))
+            if free is None:
                 return None
-            keys, keyidx = self._flatten_space(src.underlying, tgt.underlying, deg)
-            flat = {keyidx[k]: v for k, v in coeffs.items()}
-            sol = ech.solve(flat)
-            if sol is None:
+            for key, label, coeffs in free:
+                # no other vector of the degree touches key
+                c = residual.get(key)
+                if c:
+                    vec_axpy(residual, -c, coeffs)
+                    out[label] = c if isinstance(c, Cyc) else embed(c)
+            if residual:
                 return None
-            for tag, c in sol.items():
-                out[(deg, f"q{deg}_{tag}")] = c
         return Mor(src_name, tgt_name, out)
 
     def _restricted(self, amb: Mor, src_name, tgt_name, what) -> Mor:
@@ -573,11 +562,6 @@ class EquivariantCategory:
         amb = block_mor(symmetrize_parts(laction, gc), symmetrize_parts(laction, c), blocks)
         return self._restricted(amb, self.sym_name(gc), self.sym_name(c), f"phi[{g}] at {c}")
 
-    def _alpha_inverses(self, obj: EquivariantObject):
-        """alpha_h^{-1}: rho_h(c) -> c for each h in group order: the blocks
-        of P_X for X = obj on c = forget X."""
-        return [alpha_inverse(self.laction, obj, h) for h in self.laction.group.elements]
-
     def unit_counit(self, name):
         """(I_X, P_X) for the roster entry X on c = forget X, as roster
         morphisms: I_X: X -> S(c) with blocks alpha_h at (h, 0) and
@@ -588,9 +572,9 @@ class EquivariantCategory:
         c = obj.underlying
         sname = self.sym_name(c)
         parts = symmetrize_parts(self.laction, c)
-        alphas = [obj.alpha[h] for h in self.laction.group.elements]
-        i_amb = block_mor([c], parts, {(hi, 0): a for hi, a in enumerate(alphas)})
-        p_blocks = {(0, hi): inv for hi, inv in enumerate(self._alpha_inverses(obj))}
+        elements = self.laction.group.elements
+        i_amb = block_mor([c], parts, {(hi, 0): obj.alpha[h] for hi, h in enumerate(elements)})
+        p_blocks = {(0, hi): self.inverses[name][h] for hi, h in enumerate(elements)}
         return (
             self.restrict(i_amb, name, sname),
             self.restrict(block_mor(parts, [c], p_blocks), sname, name),
@@ -667,14 +651,14 @@ def adjunction_maps(eqcat: EquivariantCategory, cprime, oname):
     c = obj.underlying
     sname = eqcat.sym_name(cprime)
     parts = symmetrize_parts(laction, cprime)
-    alpha_inv = eqcat._alpha_inverses(obj)
+    alpha_inv = eqcat.inverses[oname]
     eta_c = laction.eta.at(c)
     eta_cprime_inv = cat.invert(laction.eta.at(cprime))
     alpha_e = obj.alpha[e]
 
     def forward(phi: Mor) -> Mor | None:
         blocks = {
-            (0, gi): cat.compose(alpha_inv[gi], laction.rho(g).apply(phi))
+            (0, gi): cat.compose(alpha_inv[g], laction.rho(g).apply(phi))
             for gi, g in enumerate(grp.elements)
         }
         return eqcat.restrict(block_mor(parts, [c], blocks), sname, oname)

@@ -209,7 +209,7 @@ class WindowBase:
         if k not in self._homology:
             d_k = self.differential(k)
             d_prev = self.differential(k - 1)
-            closed = all(not d_k.apply(col) for col in d_prev.cols)
+            closed = not any(d_k.cols) or all(not d_k.apply(col) for col in d_prev.cols)
             if closed and self._acyclic_mod_p(k):
                 reps, ech = [], None
             else:
@@ -1169,8 +1169,11 @@ def _insertion_identities_hold(f, g, h: InsertionHomotopy, degrees):
     return True
 
 
-def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor):
-    """Transport (phi, eta)_* along an isomorphism alpha: phi ⇒ psi.
+def conjugate_transport(
+    induced: InducedMap, alpha: NatTransform, alpha_inv: NatTransform, psi: DgFunctor
+):
+    """Transport (phi, eta)_* along an isomorphism alpha: phi ⇒ psi whose
+    inverse components the caller gives (``alpha_inv``); none is computed.
 
     Returns (transported InducedMap for (psi, alpha·eta·alpha^{-1}),
     HomotopyCertificate with the explicit insertion homotopy).
@@ -1181,19 +1184,15 @@ def conjugate_transport(induced: InducedMap, alpha: NatTransform, psi: DgFunctor
     eta = induced.eps
     f_twist = induced.src.functor
 
-    alpha_inv_at = {}
-
-    def alpha_inv(c):
-        if c not in alpha_inv_at:
-            inv = cat_t.invert(alpha.at(c))
-            if inv is None:
-                raise StructureError(f"transport isomorphism not invertible at {c}")
-            alpha_inv_at[c] = inv
-        return alpha_inv_at[c]
+    def inverse_at(c):
+        inv = alpha_inv.components.get(c)
+        if inv is None:
+            raise StructureError(f"transport isomorphism not invertible at {c}")
+        return inv
 
     # eta_c∘alpha^{-1}_{F c}, shared by the conjugated twist and the first slot
     eta_alpha_inv = {
-        c: cat_t.compose(eta.at(c), alpha_inv(f_twist.apply_obj(c))) for c in phi.src.objects
+        c: cat_t.compose(eta.at(c), inverse_at(f_twist.apply_obj(c))) for c in phi.src.objects
     }
     ftgt = induced.tgt.functor
     conj_comps = {

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,32 @@ def test_decompose_on_truncated_windows_skips_every_certificate(tmp_path, capsys
     assert payload["certificates"] == [
         {"name": "homotopy certificates", "mode": "skipped: window truncated", "passed": True}
     ]
+
+
+def run_into_closed_pipe(argv):
+    """The command line in a fresh interpreter whose standard output is a
+    pipe the reader has already closed, as after ``| head``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "equihh.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+
+
+def test_closed_output_pipe_keeps_the_exit_code(tmp_path):
+    """A reader that stops early ends the output silently: examples still
+    exits 0, and a decompose whose checks fail still exits 1."""
+    done = run_into_closed_pipe(["examples", "E1"])
+    assert (done.returncode, done.stderr) == (0, b"")
+    path = write_doc(tmp_path, "E1", _degree_one_endomorphism)
+    done = run_into_closed_pipe(["decompose", path, "--bar-cap", "2", "--allow-truncated"])
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_decompose_e1_cli(tmp_path, capsys):

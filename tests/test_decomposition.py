@@ -20,6 +20,7 @@ from equihh.examples import (
 import equihh.cli as cli
 import equihh.decomposition as decomposition
 import equihh.equivariant as equivariant
+from equihh.dgcat import DgCategory
 from equihh.errors import InputError, StructureError
 from equihh.groups import permutation_action
 from equihh.hochschild import ColumnMap, HomotopyCertificate, LinearComboMap
@@ -134,9 +135,9 @@ def test_each_roster_object_is_validated_once(monkeypatch):
     names = []
     validate = equivariant.validate_equivariant
 
-    def counting(laction, obj):
+    def counting(laction, obj, *inverses):
         names.append(obj.name)
-        return validate(laction, obj)
+        return validate(laction, obj, *inverses)
 
     monkeypatch.setattr(equivariant, "validate_equivariant", counting)
     # and wherever it is imported by name
@@ -145,6 +146,43 @@ def test_each_roster_object_is_validated_once(monkeypatch):
     report = run_bundle(example_e5())
     assert report.theorem_holds
     assert len(names) == len(set(names)) == len(report.roster_names) == 8
+
+
+def test_each_alpha_is_inverted_once(monkeypatch):
+    """Over one decompose on E5, alpha_inverse runs at most once per
+    (roster object, g).  DgCategory.invert takes no roster alpha outside
+    alpha_inverse, and inside it only alpha_e, once per object: the check-4
+    transports and P_X read the inverses validation found."""
+    found = []
+    inside = []
+    inverted = []
+    alpha_inverse = equivariant.alpha_inverse
+    invert = DgCategory.invert
+
+    def counting(laction, obj, g, *rest):
+        found.append((obj, g))
+        inside.append(obj)
+        try:
+            return alpha_inverse(laction, obj, g, *rest)
+        finally:
+            inside.pop()
+
+    def spying(cat, f):
+        inverted.append((f, bool(inside)))
+        return invert(cat, f)
+
+    monkeypatch.setattr(equivariant, "alpha_inverse", counting)
+    monkeypatch.setattr(DgCategory, "invert", spying)
+    report = run_bundle(example_e5())
+    assert report.theorem_holds
+    keys = [(obj.name, g) for obj, g in found]
+    assert keys and len(keys) == len(set(keys))
+    roster = {id(obj): obj for obj, _ in found}.values()
+    assert {obj.name for obj in roster} == set(report.roster_names)
+    e = example_e5().action.group.identity
+    for obj in roster:
+        hits = [(g, within) for f, within in inverted for g, a in obj.alpha.items() if f is a]
+        assert hits == [(e, True)], obj.name
 
 
 def test_pipeline_with_no_degrees_is_an_input_error():
@@ -545,8 +583,8 @@ def transport_with_wrong_homotopy(transport):
     with db != 0 on every source chain of the lowest checked degree k, so
     dH + Hd misses f - g by db on each chain of degree k."""
 
-    def wrong(induced, alpha, psi):
-        transported, cert = transport(induced, alpha, psi)
+    def wrong(induced, alpha, alpha_inv, psi):
+        transported, cert = transport(induced, alpha, alpha_inv, psi)
         src, tgt = cert.f.src, cert.f.tgt
         k, b = next(
             (k, b)

@@ -21,6 +21,7 @@ from equihh.dgcat import (
     NatTransform,
     algebra_category,
     block_mor,
+    compose_families,
     disjoint_points_category,
     identity_functor,
     validate_dgcat,
@@ -50,7 +51,8 @@ from equihh.groups import (
     trivial_action,
     validate_action,
 )
-from equihh.scalars import QQ
+from equihh.linalg import vec_axpy
+from equihh.scalars import QQ, Cyc, CyclotomicField
 from tests_support import (
     coboundary_action,
     coboundary_weights,
@@ -58,6 +60,7 @@ from tests_support import (
     fraction_solve_pair,
     reference_equivariant_comp_table,
     reference_induced_chain,
+    reference_restrict,
     reference_solve_pair,
     scaled_action,
     typed,
@@ -240,6 +243,25 @@ def noncentral_theta_eqcat():
     ])
 
 
+def cyclotomic_z3_eqcat():
+    """Z/3 acting trivially on the point over Q(zeta_3): the point with
+    alpha_{r_i} = zeta^{ik} for each character k, and the symmetrization
+    of the point, whose End splits over the three characters."""
+    field = CyclotomicField(3)
+    z3 = FiniteGroup.cyclic(3)
+    base = algebra_category(field, "pt", [("1", 0)], {})
+    la = lift_action(trivial_action(z3, base), [("pt",), ("pt",) * 3])
+    unit = la.category.unit(("pt",))
+    powers = [field.one, field.zeta(), field.zeta() * field.zeta()]
+    chars = [
+        EquivariantObject(
+            f"chi{k}", ("pt",), {g: unit.scale(powers[i * k % 3]) for i, g in enumerate(z3.elements)}
+        )
+        for k in range(3)
+    ]
+    return EquivariantCategory(la, [*chars, symmetrize(la, ("pt",))])
+
+
 EQCATS = {
     **{name: lambda name=name: pipeline(name).eqcat for name in BUILDERS},
     "scaled": scaled_eqcat,
@@ -247,6 +269,7 @@ EQCATS = {
     "coboundary-s3": coboundary_eqcat,
     "permuted-points-s3": permuted_points_eqcat,
     "noncentral-theta-z2": noncentral_theta_eqcat,
+    "cyclotomic-z3": cyclotomic_z3_eqcat,
 }
 VALID = sorted(set(EQCATS) - {"noncentral-theta-z2"})
 
@@ -275,6 +298,93 @@ def test_alpha_inverse_matches_invert(monkeypatch, name):
         assert not [f for f in inverted if any(f is a for a in alphas)]
 
 
+def as_rationals(vec):
+    """vec with every rational value read as a Fraction, a cyclotomic one
+    with no irrational part included."""
+    return {
+        k: x if isinstance(x, Cyc) and any(x.coeffs[1:]) else Fraction(x.coeffs[0] if isinstance(x, Cyc) else x)
+        for k, x in vec.items()
+    }
+
+
+def exact(mor):
+    return {k: (x, type(x)) for k, x in mor.coeffs.items()}
+
+
+def restrict_cases(eq):
+    """(pair, ambient coefficients, in the span) for every product of two
+    solved vectors as the composition tables form it, each unit, each
+    d-image, each product with 1 added at a key that is no vector's free
+    key, and a vector in a degree with no solved basis."""
+    cat = eq.ambient
+    one = cat.field.one
+    for xn, yn, zn in itertools.product(eq.order, repeat=3):
+        gs, fs = eq._solved[(xn, yn)], eq._solved[(yn, zn)]
+        x, z = eq.roster[xn].underlying, eq.roster[zn].underlying
+        prods = compose_families(
+            cat.comp_table(x, eq.roster[yn].underlying, z),
+            [(key, vec.items()) for key, vec in gs.items()],
+            [(key, vec.items()) for key, vec in fs.items()],
+        )
+        free = {next(reversed(vec)) for vec in eq._solved[(xn, zn)].values()}
+        for prod in prods.values():
+            yield (xn, zn), prod, True
+            if prod:
+                deg = next(iter(prod))[0]
+                outside = [(deg, lab) for lab in cat.hom(x, z).labels(deg) if (deg, lab) not in free]
+                if outside:
+                    yield (xn, zn), vec_axpy(dict(prod), 1, {outside[0]: one}), False
+    for name in eq.order:
+        yield (name, name), cat.unit(eq.roster[name].underlying).coeffs, True
+    for pair in itertools.product(eq.order, repeat=2):
+        x, y = (eq.roster[n].underlying for n in pair)
+        for vec in eq._solved[pair].values():
+            yield pair, cat.d(Mor(x, y, vec)).coeffs, True
+        solved = {deg for deg, _ in eq._solved[pair]}
+        space = cat.hom(x, y)
+        for deg in space.degrees():
+            if deg not in solved:
+                yield pair, {(deg, space.labels(deg)[0]): one}, False
+
+
+@pytest.mark.parametrize("name", sorted(EQCATS))
+def test_restrict_matches_echelon_reference(name):
+    """restrict reads coordinates at the free keys and checks the residual;
+    Echelon.solve against the flattened basis gives the same coordinates
+    with the same scalar types, or None with it, also when every rational
+    value comes as a Fraction: an int over Q, an embedded cyclotomic
+    scalar over Q(zeta_3).  Only the key order may differ."""
+    eq = EQCATS[name]()
+    seen = {True: 0, False: 0}
+    for (sn, tn), coeffs, inside in restrict_cases(eq):
+        x, y = eq.roster[sn].underlying, eq.roster[tn].underlying
+        got = eq.restrict(Mor(x, y, coeffs), sn, tn)
+        want = reference_restrict(eq, Mor(x, y, coeffs), sn, tn)
+        if got is None or want is None:
+            assert got is want is None and not inside, (sn, tn, coeffs)
+        else:
+            assert inside and exact(got) == exact(want), (sn, tn, coeffs)
+            again = eq.restrict(Mor(x, y, as_rationals(coeffs)), sn, tn)
+            assert exact(again) == exact(want), (sn, tn, coeffs)
+        seen[inside] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("name", sorted(EQCATS))
+def test_solved_vectors_are_reduced(name):
+    """What restrict relies on: each solved vector has coefficient 1 at
+    its last key, and no other vector of its pair and degree is nonzero
+    there."""
+    eq = EQCATS[name]()
+    one = eq.ambient.field.one
+    for table in eq._solved.values():
+        for (deg, lab), vec in table.items():
+            last = next(reversed(vec))
+            assert typed({last: vec[last]}) == typed({last: one}), (deg, lab)
+            others = [v for (d, l), v in table.items() if d == deg and l != lab]
+            assert not any(v.get(last) for v in others), (deg, lab)
+
+
 def test_composite_outside_the_solved_subspace_is_a_structure_error():
     """A solved vector of End(S(pt)) replaced after the build by E_00, which
     does not commute with the swap of S(pt)'s parts: its square leaves the
@@ -292,11 +402,11 @@ def test_composite_outside_the_solved_subspace_is_a_structure_error():
 @pytest.mark.parametrize("name", VALID)
 def test_valid_actions_stack_a_generating_set(name):
     """On a validated base only the generators' conditions are stacked:
-    two of S3's six elements, one of Z/2's two."""
+    two of S3's six elements, one of Z/2's two and one of Z/3's three."""
     eq = EQCATS[name]()
     grp = eq.laction.group
     assert eq._conditions == grp.generating_set()
-    assert len(eq._conditions) == {2: 1, 6: 2}[len(grp)]
+    assert len(eq._conditions) == {2: 1, 3: 1, 6: 2}[len(grp)]
 
 
 class GeneratorsOnly(EquivariantCategory):
@@ -365,7 +475,7 @@ def test_int_reads_match_fraction_loops(name):
             fraction_solve_pair(eq, src, tgt)
         ), (src.name, tgt.name)
         for deg, basis in solved.items():
-            keys, _ = eq._flatten_space(src.underlying, tgt.underlying, deg)
+            keys = [(deg, lab) for lab in eq.ambient.hom(src.underlying, tgt.underlying).labels(deg)]
             assert [list(vec) for vec in basis] == [
                 [k for k in keys if k in vec] for vec in basis
             ], (src.name, tgt.name, deg)

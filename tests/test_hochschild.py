@@ -13,6 +13,7 @@ from equihh.dgcat import (
     Mor,
     algebra_category,
     identity_functor,
+    nat_inverse,
     parity_sign,
     tensor_category,
     validate_dgcat,
@@ -262,7 +263,7 @@ def test_conjugate_transport_certificate():
 
     base_map = InducedMap(win, win, ident, identity_nat(ident), name="id*")
     alpha = NatTransform(ident, ident, {"pt": kz2.unit("pt").scale(Fraction(-1))}, name="-1")
-    transported, cert = conjugate_transport(base_map, alpha, ident)
+    transported, cert = conjugate_transport(base_map, alpha, nat_inverse(alpha), ident)
     assert cert.check(), cert.failures[:3]
     assert transported.homology_matrix(-1).is_zero()
     assert transported.homology_matrix(0) == base_map.homology_matrix(0)
@@ -274,7 +275,8 @@ def test_conjugate_transport_identity_alpha_trivial():
     win = window_for(kz2, (-2, 1))
 
     base_map = InducedMap(win, win, ident, identity_nat(ident), name="id*")
-    transported, cert = conjugate_transport(base_map, identity_nat(ident), ident)
+    alpha = identity_nat(ident)
+    transported, cert = conjugate_transport(base_map, alpha, nat_inverse(alpha), ident)
     assert cert.check()
     for k in [-1, 0]:
         assert transported.homology_matrix(k) == base_map.homology_matrix(k)

@@ -18,6 +18,7 @@ from equihh.dgcat import (
     algebra_category,
     compose_functors,
     identity_functor,
+    nat_inverse,
 )
 from equihh.errors import StructureError
 from equihh.examples import (
@@ -82,8 +83,8 @@ def transports(monkeypatch):
     """Every transport certificate the pipeline builds."""
     certs = []
 
-    def recorded(induced, alpha, psi):
-        transported, cert = conjugate_transport(induced, alpha, psi)
+    def recorded(induced, alpha, alpha_inv, psi):
+        transported, cert = conjugate_transport(induced, alpha, alpha_inv, psi)
         certs.append(cert)
         return transported, cert
 
@@ -242,7 +243,8 @@ def transport(tail=None, twist=CONJUGATING, target_twist=None):
     tgt = src if target_twist is None else build_window(A, target_twist, -3, 1)
     f = InducedMap(src, tgt, tail, NatTransform(tail, tail, {"pt": A.unit("pt")}, name="1"))
     middle = compose_functors(inner(X, X_INV, "conj X"), tail)
-    _, cert = conjugate_transport(f, NatTransform(tail, middle, {"pt": X}, name="X"), middle)
+    alpha = NatTransform(tail, middle, {"pt": X}, name="X")
+    _, cert = conjugate_transport(f, alpha, nat_inverse(alpha), middle)
     return cert
 
 
@@ -292,7 +294,7 @@ def truncated_target():
     tgt = build_window(ext, identity_functor(ext), -3, 1, bar_cap=2)
     f = InducedMap(src, tgt, incl, NatTransform(incl, incl, {"pt": ext.unit("pt")}))
     alpha = NatTransform(incl, incl, {"pt": ext.unit("pt").scale(2)}, name="2")
-    return conjugate_transport(f, alpha, incl)[1]
+    return conjugate_transport(f, alpha, nat_inverse(alpha), incl)[1]
 
 
 def collapsing(m_e=1, t_e=1, middle_e=1, tail_e=1):

@@ -885,7 +885,7 @@ def reference_solve_pair(eqcat, src, tgt):
                 for dkey, val in (lhs - rhs).coeffs.items():
                     col[rows.setdefault((gi, dkey), len(rows))] = val
             cols.append(col)
-        _, kernel = rank_kernel_image(SparseMatrix(len(rows), len(keys), cols))
+        _, kernel = rank_kernel_image(SparseMatrix(len(rows), len(keys), cols), cat.field)
         basis = [{keys[i]: vec[i] for i in sorted(vec)} for vec in kernel]
         if basis:
             solved[deg] = basis
@@ -907,6 +907,33 @@ def reference_equivariant_comp_table(eqcat, xn, yn, zn):
             if not restricted.is_zero():
                 table[(gkey, fkey)] = restricted.coeffs
     return table
+
+
+def reference_restrict(eqcat, amb, src_name, tgt_name):
+    """EquivariantCategory.restrict by elimination: per degree, the
+    coordinates ``Echelon.solve`` finds for the morphism against that
+    degree's solved vectors, keys flattened to hom-key positions; None
+    outside their span or in a degree with none."""
+    space = eqcat.ambient.hom(eqcat.roster[src_name].underlying, eqcat.roster[tgt_name].underlying)
+    basis = {}
+    for (deg, lab), vec in eqcat._solved[(src_name, tgt_name)].items():
+        basis.setdefault(deg, []).append(((deg, lab), vec))
+    by_deg = {}
+    for (deg, lab), c in amb.coeffs.items():
+        by_deg.setdefault(deg, {})[(deg, lab)] = c
+    out = {}
+    for deg, coeffs in by_deg.items():
+        if deg not in basis:
+            return None
+        index = {(deg, lab): i for i, lab in enumerate(space.labels(deg))}
+        ech = Echelon(eqcat.ambient.field)
+        for label, vec in basis[deg]:
+            ech.add({index[k]: c for k, c in vec.items()}, tag=label)
+        sol = ech.solve({index[k]: c for k, c in coeffs.items()})
+        if sol is None:
+            return None
+        out.update(sol)
+    return Mor(src_name, tgt_name, out)
 
 
 # The same two equivariant loops with every table entry, alpha, image and
