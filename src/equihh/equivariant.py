@@ -66,7 +66,6 @@ from .dgcat import (
 from .errors import CapacityError, EquihhError, StructureError
 from .groups import GroupAction, regular_representation, validate_action
 from .linalg import GradedSpace, SparseMatrix, rank_kernel_image, vec_axpy
-from .scalars import Cyc
 
 
 def closure_under_action(action: GroupAction, tuples):
@@ -188,18 +187,18 @@ def alpha_inverses(laction: GroupAction, obj: EquivariantObject) -> LazyDict:
     return inverses
 
 
-def alpha_inverse(laction: GroupAction, obj: EquivariantObject, g, inverses=None):
-    """alpha_g^{-1}: rho_g(c) -> c, or None.  The coherence square at
-    (g, g^{-1}) makes L = alpha_e^{-1}∘theta[g,g^{-1}]_c∘rho_g(alpha_{g^{-1}})
-    a left inverse of alpha_g.  L is returned when it is a two-sided inverse
-    of degree 0, hence the one ``DgCategory.invert`` finds; otherwise
-    ``invert`` decides, so the verdict never rests on the square.
-    alpha_e^{-1} is read from ``inverses`` when given (``alpha_inverses``)."""
+def alpha_inverse(laction: GroupAction, obj: EquivariantObject, g, inverses):
+    """alpha_g^{-1}: rho_g(c) -> c, or None; builds ``alpha_inverses``,
+    which it reads alpha_e^{-1} from.  The coherence square at (g, g^{-1})
+    makes L = alpha_e^{-1}∘theta[g,g^{-1}]_c∘rho_g(alpha_{g^{-1}}) a left
+    inverse of alpha_g.  L is returned when it is a two-sided inverse of
+    degree 0, hence the one ``DgCategory.invert`` finds; otherwise
+    ``invert`` decides, so the verdict never rests on the square."""
     cat, grp, c, a = laction.category, laction.group, obj.underlying, obj.alpha[g]
     e, gi = grp.identity, grp.inv(g)
     if g != e and {e, gi} <= obj.alpha.keys():
         try:
-            e_inv = cat.invert(obj.alpha[e]) if inverses is None else inverses[e]
+            e_inv = inverses[e]
             if e_inv is not None:
                 back = laction.rho(g).apply(obj.alpha[gi])
                 back = cat.compose(e_inv, cat.compose(laction.theta_at(g, gi).at(c), back))
@@ -290,12 +289,13 @@ class EquivariantCategory:
         self.order = []
         self.inverses = {}  # name -> g -> alpha_g^{-1}
         for obj in roster:
-            if obj.name in self.roster:
-                raise StructureError(f"duplicate roster name {obj.name}")
             inverses = self.inverses[obj.name] = alpha_inverses(laction, obj)
             report = validate_equivariant(laction, obj, inverses)
             if not report.ok:
                 raise StructureError(report.summary())
+        for obj in roster:
+            if obj.name in self.roster:
+                raise StructureError(f"duplicate roster name {obj.name}")
             self.roster[obj.name] = obj
             self.order.append(obj.name)
         self._signatures = {o.signature(): name for name, o in self.roster.items()}
@@ -495,7 +495,7 @@ class EquivariantCategory:
         its vector's free key, as a canonical field scalar; the morphism is
         in the span exactly when those multiples leave no residual."""
         out = {}
-        embed = self.ambient.field.embed
+        canonical = self.ambient.field.canonical
         by_deg = {}
         for (deg, lab), c in amb.coeffs.items():
             by_deg.setdefault(deg, {})[(deg, lab)] = c
@@ -508,7 +508,7 @@ class EquivariantCategory:
                 c = residual.get(key)
                 if c:
                     vec_axpy(residual, -c, coeffs)
-                    out[label] = c if isinstance(c, Cyc) else embed(c)
+                    out[label] = canonical(c)
             if residual:
                 return None
         return Mor(src_name, tgt_name, out)

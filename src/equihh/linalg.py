@@ -355,12 +355,7 @@ class Echelon:
                 return vec
             return {k: rational(Fraction(x, d)) for k, x in vec.items()}
         inv = invert_scalar(d)
-        field = self.field
-        out = {}
-        for k, x in vec.items():
-            q = x * inv
-            out[k] = q if isinstance(q, Cyc) else field.embed(q)
-        return out
+        return {k: self.field.canonical(x * inv) for k, x in vec.items()}
 
 
 def _coprime(a, c):

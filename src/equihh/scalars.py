@@ -107,6 +107,10 @@ class CyclotomicField:
         q = Fraction(q)
         return Cyc(self, (q,) + (Q_ZERO,) * (self.degree - 1) if self.degree else ())
 
+    def canonical(self, x) -> "Cyc":
+        """x, a Cyc of this field or a rational, as a Cyc."""
+        return x if isinstance(x, Cyc) else self.embed(x)
+
     def zeta(self) -> "Cyc":
         """A primitive m-th root of unity (the power-basis generator)."""
         if self.degree == 1:
@@ -259,6 +263,8 @@ class RationalField:
 
     def embed(self, q):
         return rational(q)
+
+    canonical = embed  # x as a canonical rational
 
     def inv(self, x):
         if not x:

@@ -8,7 +8,7 @@ from equihh.equivariant import (
     EquivariantCategory,
     EquivariantObject,
     adjunction_maps,
-    alpha_inverse,
+    alpha_inverses,
     lift_action,
     realize_declared,
     rep_tensor,
@@ -109,6 +109,18 @@ def test_category_validates_its_roster():
     assert not validate_equivariant(la, x).ok
     with pytest.raises(StructureError, match="coherence square"):
         EquivariantCategory(la, [x, plus])
+
+
+def test_roster_is_validated_before_its_names_are_checked():
+    """An invalid object is reported even after a duplicate name."""
+    b, la = lifted_e1()
+    plus = realize_declared(la, b.declared[0])
+    unit = la.category.unit(plus.underlying)
+    x = EquivariantObject("X", plus.underlying, {"e": unit.scale(2), "s": unit})
+    with pytest.raises(StructureError, match="coherence square"):
+        EquivariantCategory(la, [plus, plus, x])
+    with pytest.raises(StructureError, match="duplicate roster name plus"):
+        EquivariantCategory(la, [plus, plus])
 
 
 def test_e2_equivariant_category_homs():
@@ -306,11 +318,11 @@ def test_alpha_inverse_where_the_square_fails():
     unit = la.category.unit(pt)
     doubled = EquivariantObject("X", pt, {"e": unit.scale(2), "s": unit})
     for g in ("e", "s"):
-        assert alpha_inverse(la, doubled, g) == la.category.invert(doubled.alpha[g])
+        assert alpha_inverses(la, doubled)[g] == la.category.invert(doubled.alpha[g])
     report = validate_equivariant(la, doubled)
     assert report.violations and {v.rule for v in report.violations} == {"cocycle"}
     zero = EquivariantObject("Z", pt, {"e": unit, "s": Mor(pt, pt, {})})
-    assert alpha_inverse(la, zero, "s") is None
+    assert alpha_inverses(la, zero)["s"] is None
     assert "alpha[s] not invertible" in [v.witness for v in validate_equivariant(la, zero).violations]
 
 

@@ -291,7 +291,7 @@ def test_alpha_inverse_matches_invert(monkeypatch, name):
     monkeypatch.setattr(la.category, "invert", lambda f: inverted.append(f) or invert(f))
     for obj in eq.roster.values():
         for g in la.group.elements:
-            assert equivariant.alpha_inverse(la, obj, g) == invert(obj.alpha[g]), (obj.name, g)
+            assert equivariant.alpha_inverses(la, obj)[g] == invert(obj.alpha[g]), (obj.name, g)
     if name in BUILDERS:
         e = la.group.identity
         alphas = [a for obj in eq.roster.values() for g, a in obj.alpha.items() if g != e]
