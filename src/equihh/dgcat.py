@@ -31,6 +31,12 @@ inclusions, hull lifts, forget, S, T_V, the permutation action) is one
 ``image(x, y, key)`` passed to ``keyed_functor``, the one constructor of
 such functors; a hom pair's table is filled the first time it is read.
 
+Derived tables are read off their parts' nonzero entries.  A hull's
+composition table places each nonzero base entry at one hull key pair,
+and a tensor product's takes one nonzero entry per factor with its
+Koszul sign, so neither table sums; a tensor product's differential and
+units come from one pass over the factors' keys and terms.
+
 Categories are immutable once validated; validation returns a report of
 violated axioms with witnesses rather than raising.
 """
@@ -51,6 +57,19 @@ def parity_sign(n: int) -> int:
 
 def _clean(coeffs):
     return {k: v for k, v in coeffs.items() if v}
+
+
+def _term_products(lead, factors):
+    """{(Σ degrees, key tuple): lead·Π c} over each choice of one term
+    ((deg, label), c) from every coefficient dict in ``factors``: the
+    coefficients of a tensor product of vectors, one per factor."""
+    out = {}
+    for combo in itertools.product(*[f.items() for f in factors]):
+        coeff = lead
+        for _, c in combo:
+            coeff = coeff * c
+        out[(sum(k[0] for k, _ in combo), tuple(k for k, _ in combo))] = coeff
+    return out
 
 
 def _make_canonical(vectors):
@@ -622,90 +641,59 @@ def tensor_product_many(cats) -> DgCategory:
     objects = [tuple(p) for p in itertools.product(*[c.objects for c in cats])]
     homs = {}
     diff = {}
-    units = {}
-
-    def hom_basis(xs, ys):
-        factor_keys = [
-            list(cats[i].basis_keys(xs[i], ys[i])) for i in range(len(cats))
-        ]
-        return [tuple(p) for p in itertools.product(*factor_keys)]
-
     for xs in objects:
         for ys in objects:
+            pairs = list(zip(cats, xs, ys))
             basis = {}
-            for keys in hom_basis(xs, ys):
+            table = {}
+            for keys in itertools.product(*[c.basis_keys(x, y) for c, x, y in pairs]):
                 deg = sum(k[0] for k in keys)
                 basis.setdefault(deg, []).append(keys)
+                # differential: Leibniz over the factors
+                img = {}
+                prefix = 0
+                for i, (k, (c, x, y)) in enumerate(zip(keys, pairs)):
+                    dpart = c.diff.get((x, y), {}).get(k)
+                    if dpart:
+                        terms = {
+                            (deg + 1, keys[:i] + (dk,) + keys[i + 1 :]): v for dk, v in dpart.items()
+                        }
+                        vec_axpy(img, parity_sign(prefix), terms)
+                    prefix += k[0]
+                if img:
+                    table[(deg, keys)] = img
             space = GradedSpace(basis)
             if space.total_dim():
                 homs[(xs, ys)] = space
-            # differential: Leibniz over the factors
-            table = {}
-            for keys in hom_basis(xs, ys):
-                deg = sum(k[0] for k in keys)
-                img = {}
-                prefix = 0
-                for i, k in enumerate(keys):
-                    dpart = cats[i].diff.get((xs[i], ys[i]), {}).get(k)
-                    if dpart:
-                        s = parity_sign(prefix)
-                        for dk, c in dpart.items():
-                            nk = keys[:i] + (dk,) + keys[i + 1 :]
-                            img[(deg + 1, nk)] = img.get((deg + 1, nk), field.zero) + s * c
-                    prefix += k[0]
-                img = _clean(img)
-                if img:
-                    table[(deg, keys)] = img
             if table:
                 diff[(xs, ys)] = table
-    for xs in objects:
-        unit_coeffs = {}
-        factor_units = [cats[i].units[xs[i]] for i in range(len(cats))]
-        for combo in itertools.product(*[u.items() for u in factor_units]):
-            keys = tuple(k for k, _ in combo)
-            coeff = field.one
-            for _, c in combo:
-                coeff = coeff * c
-            unit_coeffs[(0, keys)] = coeff
-        units[xs] = _clean(unit_coeffs)
+    units = {
+        xs: _term_products(field.one, [_clean(c.units[x]) for c, x in zip(cats, xs)])
+        for xs in objects
+    }
 
     def comp_builder(xs, ys, zs):
+        factors = []
+        for c, x, y, z in zip(cats, xs, ys, zs):
+            entries = [
+                (gk, fk, prod)
+                for (gk, fk), coeffs in c.comp_table(x, y, z).items()
+                if (prod := _clean(coeffs))
+            ]
+            if not entries:
+                return {}
+            factors.append(entries)
         table = {}
-        gs = [list(cats[i].basis_keys(xs[i], ys[i])) for i in range(len(cats))]
-        fs = [list(cats[i].basis_keys(ys[i], zs[i])) for i in range(len(cats))]
-        for gkeys in itertools.product(*gs):
-            gdeg = sum(k[0] for k in gkeys)
-            for fkeys in itertools.product(*fs):
-                fdeg = sum(k[0] for k in fkeys)
-                sign_exp = 0
-                for i in range(len(cats)):
-                    for j in range(i):
-                        sign_exp += fkeys[i][0] * gkeys[j][0]
-                parts = []
-                ok = True
-                for i in range(len(cats)):
-                    prod = (
-                        cats[i]
-                        .comp_table(xs[i], ys[i], zs[i])
-                        .get((gkeys[i], fkeys[i]))
-                    )
-                    if not prod:
-                        ok = False
-                        break
-                    parts.append(prod)
-                if not ok:
-                    continue
-                out = {}
-                for combo in itertools.product(*[p.items() for p in parts]):
-                    keys = tuple(k for k, _ in combo)
-                    coeff = field.one * parity_sign(sign_exp)
-                    for _, c in combo:
-                        coeff = coeff * c
-                    hk = (gdeg + fdeg, keys)
-                    out[hk] = out.get(hk, field.zero) + coeff
-                out = _clean(out)
-                if out:
-                    table[((gdeg, gkeys), (fdeg, fkeys))] = out
+        for combo in itertools.product(*factors):
+            sign_exp = gdeg = fdeg = 0
+            for gk, fk, _ in combo:
+                sign_exp += fk[0] * gdeg
+                gdeg += gk[0]
+                fdeg += fk[0]
+            gkeys = tuple(gk for gk, _, _ in combo)
+            fkeys = tuple(fk for _, fk, _ in combo)
+            lead = field.one * parity_sign(sign_exp)
+            table[((gdeg, gkeys), (fdeg, fkeys))] = _term_products(lead, [p for _, _, p in combo])
         return table
 
     return DgCategory(field, objects, homs, diff, {}, units, comp_builder=comp_builder)
@@ -770,26 +758,12 @@ def hull_objects_up_to_cap(cat: DgCategory, cap: int):
     ordered by length then componentwise object index."""
     if cap < 1:
         raise EmptyCategoryError("additive hull needs cap >= 1")
-    index = {x: i for i, x in enumerate(cat.objects)}
-    out = [()]
-    frontier = [()]
-    max_len = cap * len(cat.objects)
-    for _ in range(max_len):
-        new = []
-        for tup in frontier:
-            for x in cat.objects:
-                cand = tup + (x,)
-                if sum(1 for t in cand if t == x) <= cap:
-                    new.append(cand)
-        frontier = new
-        out.extend(new)
-    seen = set()
-    uniq = []
-    for tup in sorted(out, key=lambda t: (len(t), [index[x] for x in t])):
-        if tup not in seen:
-            seen.add(tup)
-            uniq.append(tup)
-    return uniq
+    return [
+        tup
+        for n in range(cap * len(cat.objects) + 1)
+        for tup in itertools.product(cat.objects, repeat=n)
+        if all(tup.count(x) <= cap for x in cat.objects)
+    ]
 
 
 def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
@@ -815,13 +789,10 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
             table = {}
             for i, yb in enumerate(ys):
                 for j, xb in enumerate(xs):
-                    space = cat.hom(xb, yb)
-                    for deg in space.degrees():
-                        for lab in space.labels(deg):
-                            basis.setdefault(deg, []).append((i, j, lab))
-                    dt = hull_entries(cat.diff.get((xb, yb), {}), i, j)
-                    for key, img in dt.items():
-                        table[key] = hull_entries(img, i, j)
+                    for deg, lab in cat.basis_keys(xb, yb):
+                        basis.setdefault(deg, []).append((i, j, lab))
+                    for (deg, lab), img in cat.diff.get((xb, yb), {}).items():
+                        table[(deg, (i, j, lab))] = hull_entries(img, i, j)
             space = GradedSpace(basis)
             if space.total_dim():
                 homs[(xs, ys)] = space
@@ -834,27 +805,16 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
         units[xs] = coeffs
 
     def comp_builder(xs, ys, zs):
+        # each hull key pair names one base entry, so nothing sums
         table = {}
-        for mid in range(len(ys)):
-            for j in range(len(xs)):
-                gspace = cat.hom(xs[j], ys[mid])
-                for gdeg in gspace.degrees():
-                    for glab in gspace.labels(gdeg):
-                        for i in range(len(zs)):
-                            fspace = cat.hom(ys[mid], zs[i])
-                            base = cat.comp_table(xs[j], ys[mid], zs[i])
-                            for fdeg in fspace.degrees():
-                                for flab in fspace.labels(fdeg):
-                                    prod = base.get(((gdeg, glab), (fdeg, flab)))
-                                    if not prod:
-                                        continue
-                                    gk = (gdeg, (mid, j, glab))
-                                    fk = (fdeg, (i, mid, flab))
-                                    out = table.setdefault((gk, fk), {})
-                                    for (pd, pl), c in prod.items():
-                                        key = (pd, (i, j, pl))
-                                        out[key] = out.get(key, field.zero) + c
-        return {k: prod for k, v in table.items() if (prod := _clean(v))}
+        for mid, yb in enumerate(ys):
+            for j, xb in enumerate(xs):
+                for i, zb in enumerate(zs):
+                    for ((gdeg, glab), (fdeg, flab)), coeffs in cat.comp_table(xb, yb, zb).items():
+                        if prod := _clean(coeffs):
+                            key = ((gdeg, (mid, j, glab)), (fdeg, (i, mid, flab)))
+                            table[key] = hull_entries(prod, i, j)
+        return table
 
     return DgCategory(field, objects, homs, diff, {}, units, comp_builder=comp_builder)
 
@@ -879,7 +839,7 @@ def lift_functor_to_hull(fun: DgFunctor, src_hull: DgCategory, tgt_hull: DgCateg
 
     def image(xs, ys, key):
         deg, (i, j, lab) = key
-        base = fun.apply(fun.src.basis_mor(xs[j], ys[i], deg, lab))
+        base = fun.image(xs[j], ys[i], (deg, lab))
         return Mor(obj_map[xs], obj_map[ys], hull_entries(base.coeffs, i, j))
 
     return keyed_functor(src_hull, tgt_hull, obj_map, image, name=name or f"hull({fun.name})")

@@ -55,10 +55,14 @@ def _expect_int(value, location):
     return value
 
 
-def _name(value, location):
-    """An object, basis label or group element name: a JSON string."""
+def _name(value, location, required=False):
+    """An object, basis label or group element name: a JSON string.  A
+    required name (of the document, its group or a roster entry) is not
+    empty."""
     if not isinstance(value, str):
         raise InputError(f"name {value!r} must be a string", location)
+    if required and not value:
+        raise InputError("name must not be empty", location)
     return value
 
 
@@ -67,7 +71,7 @@ def _scalar(value, field, location):
         raise InputError(f"scalar {value!r} must be a string", location)
     try:
         return parse_scalar(value, field)
-    except FieldMismatchError as exc:
+    except (FieldMismatchError, InputError) as exc:
         raise InputError(str(exc), location) from exc
 
 
@@ -222,8 +226,9 @@ def parse_document(doc) -> ExampleBundle:
                 if b not in row:
                     raise InputError(f"entry ({a},{b}) missing", "group.table")
                 table[(a, b)] = _name(row[b], "group.table")
+        name = _name(gdoc.get("name", "G"), "group.name", required=True)
         try:
-            group = FiniteGroup(elements, table, name=gdoc.get("name", "G"))
+            group = FiniteGroup(elements, table, name=name)
         except StructureError as exc:
             raise InputError(str(exc), "group.table") from exc
     if "action" in doc:
@@ -289,10 +294,8 @@ def parse_document(doc) -> ExampleBundle:
     declared = []
     for i, r in enumerate(doc.get("roster", [])):
         loc = f"roster[{i}]"
-        name = _expect(r, dict, loc).get("name")
+        name = _name(_expect(r, dict, loc).get("name"), f"{loc}.name", required=True)
         underlying = tuple(_expect(r.get("objects", []), list, f"{loc}.objects"))
-        if not name:
-            raise InputError("roster entry without a name", loc)
         for x in underlying:
             if x not in objects:
                 raise InputError(f"unknown component {x!r}", loc)
@@ -370,7 +373,7 @@ def parse_document(doc) -> ExampleBundle:
     if "bar_cap" in params and _expect_int(params["bar_cap"], "params.bar_cap") < 0:
         raise InputError("must be a non-negative integer", "params.bar_cap")
     return ExampleBundle(
-        name=doc.get("name", "document"),
+        name=_name(doc.get("name", "document"), "name", required=True),
         description=doc.get("description", ""),
         base=category,
         group=group,

@@ -13,11 +13,17 @@ a ``fractions.Fraction`` only otherwise.  Every place that makes one
 eliminations) makes it canonical, so integral tables compute on small
 ints; an int and the Fraction of its value compare and hash alike.
 
+A document names its field as "q" (also "Q", "rational" or absent) for
+Q, or as {"cyclotomic": m} or "cyc:m" for Q(zeta_m), where m is a JSON
+integer >= 1 (not a bool) or, in the string form, its decimal digits.
+Any other spec is an input error located at "field".
+
 All values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DivisionError, FieldMismatchError, InputError
@@ -128,8 +134,9 @@ class CyclotomicField:
         coeffs += [Q_ZERO] * (self.degree - len(coeffs))
         return Cyc(self, tuple(coeffs[: self.degree]))
 
-    def inv(self, x: "Cyc") -> "Cyc":
-        return x.inverse()
+    def inv(self, x) -> "Cyc":
+        """1/x for x a nonzero Cyc of this field or rational."""
+        return self.canonical(x).inverse()
 
 
 class Cyc:
@@ -313,8 +320,10 @@ def parse_scalar(text: str, field=QQ):
             raise FieldMismatchError(
                 f"scalar of order {m} cannot live in field {field!r}"
             )
-        coeffs = [Fraction(part) for part in tail.split(",")] if tail else []
-        return field.element(coeffs)
+        try:
+            return field.element(tail.split(",") if tail else [])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad scalar {text!r}") from exc
     try:
         return rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -322,14 +331,15 @@ def parse_scalar(text: str, field=QQ):
 
 
 def parse_field(spec):
-    """Field from a document spec: "q" or {"cyclotomic": m} or "cyc:M"."""
+    """Field from a document spec (see the module docstring)."""
     if spec in (None, "q", "Q", "rational"):
         return QQ
-    if isinstance(spec, str) and spec.startswith("cyc:"):
-        return CyclotomicField(int(spec.split(":", 1)[1]))
-    if isinstance(spec, dict) and "cyclotomic" in spec:
-        return CyclotomicField(int(spec["cyclotomic"]))
-    raise InputError(f"unknown field spec {spec!r}", location="field")
+    m = spec.get("cyclotomic") if isinstance(spec, dict) else None
+    if isinstance(spec, str) and re.fullmatch("cyc:[0-9]+", spec):
+        m = int(spec[4:])
+    if type(m) is not int or m < 1:
+        raise InputError(f"unknown field spec {spec!r}", location="field")
+    return CyclotomicField(m)
 
 
 def field_spec(field):

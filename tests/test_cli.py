@@ -403,6 +403,67 @@ def test_malformed_blocks_are_input_errors(tmp_path, capsys, mutate, location):
     assert "Traceback" not in err
 
 
+def _cyclotomic_unit(value):
+    """E1 over Q(zeta_3) with the unit's coefficient replaced by ``value``."""
+
+    def mutate(doc):
+        doc["field"] = {"cyclotomic": 3}
+        doc["category"]["units"]["pt"] = {"1": value}
+
+    return pytest.param(mutate, "category.units", id=f"cyc3-unit={value}")
+
+
+def _roster_name(value):
+    """E1 with its last roster entry, which nothing covers, named ``value``."""
+
+    def mutate(doc):
+        doc.pop("covering")
+        doc["roster"][-1]["name"] = value
+
+    return pytest.param(mutate, "roster[1].name", id=f"roster-name={json.dumps(value)}")
+
+
+# fields, scalars and names that used to exit 4, or to be read as something else
+MISREAD = [
+    *[
+        _case("field", value)
+        for value in (
+            {"cyclotomic": 0}, {"cyclotomic": -2}, {"cyclotomic": None}, {"cyclotomic": True},
+            {"cyclotomic": 1.5}, "cyc:x", "cyc:-1", "cyc:0",
+        )
+    ],
+    *[_cyclotomic_unit(value) for value in ("cyc3:x", "cyc3:1/0", "1/0")],
+    *[_roster_name(value) for value in (["a"], {"x": 1}, 5, "")],
+    _case("name", ["E1"]),
+    _case("name", ""),
+    _nested_case(("group", "name"), ["Z/2"], "group.name"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+@pytest.mark.parametrize("mutate, location", MISREAD)
+def test_malformed_fields_scalars_and_names_are_located_input_errors(
+    tmp_path, capsys, command, mutate, location
+):
+    path = write_doc(tmp_path, "E1", mutate=mutate)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {location}:" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("name", ["E1", "E3", "E5"])
+def test_hh_over_a_cyclotomic_field(tmp_path, capsys, name):
+    """A bundled document re-declared over Q(zeta_3) has the HH dims it has
+    over Q; hh used to fail inverting the document's rational unit."""
+    dims = {}
+    for field in ("q", {"cyclotomic": 3}):
+        path = write_doc(tmp_path, name, mutate=lambda doc: doc.update(field=field))
+        assert main(["hh", "--output", "json", path]) == 0
+        dims[json.dumps(field)] = json.loads(capsys.readouterr().out)["dims"]
+    assert dims['"q"'] == dims['{"cyclotomic": 3}']
+
+
 @pytest.mark.parametrize(
     "exc", [RuntimeError("boom"), MemoryError("out of memory")], ids=lambda e: type(e).__name__
 )

@@ -46,7 +46,7 @@ LABELS = {
     for name, doc in DOCUMENTS.items()
 }
 SCALARS = ["0", "1", "2", "-1", "1/2", "1/0", "x", "", "cyc3:1,0"]
-VALUES = SCALARS + [7, -3, None, [], {}, "pt", "s"]
+VALUES = SCALARS + [7, -3, None, [], {}, "pt", "s", ["pt"], {"cyclotomic": 0}]
 
 
 @st.composite

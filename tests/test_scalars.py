@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equihh.errors import DivisionError, FieldMismatchError
+from equihh.errors import DivisionError, FieldMismatchError, InputError
 from equihh.scalars import (
     QQ,
+    Cyc,
     CyclotomicField,
     cyclotomic_polynomial,
     format_scalar,
+    parse_field,
     parse_scalar,
 )
 from tests_support import euler_phi
@@ -96,6 +98,34 @@ def test_format_parse_roundtrip():
     assert parse_scalar(s, F) == z + 2
     with pytest.raises(FieldMismatchError):
         parse_scalar("cyc4:0,1", CyclotomicField(5))
+
+
+def test_cyclotomic_inv_takes_a_rational():
+    """A document's "1" is a rational even over Q(zeta_m); inv embeds it."""
+    F = CyclotomicField(3)
+    assert F.inv(2) == F.embed(Fraction(1, 2)) and type(F.inv(1)) is Cyc
+    with pytest.raises(DivisionError):
+        F.inv(0)
+
+
+def test_field_specs():
+    for spec in (None, "q", "Q", "rational"):
+        assert parse_field(spec) == QQ
+    assert parse_field({"cyclotomic": 3}) == parse_field("cyc:3") == CyclotomicField(3)
+    assert parse_field({"cyclotomic": 1}) == CyclotomicField(1)
+    for spec in (
+        {"cyclotomic": 0}, {"cyclotomic": -2}, {"cyclotomic": None}, {"cyclotomic": True},
+        {"cyclotomic": 1.5}, {"cyclotomic": "3"}, {}, "cyc:x", "cyc:-1", "cyc:0", "cyc:", "cyc:²", 3, [],
+    ):
+        with pytest.raises(InputError) as exc:
+            parse_field(spec)
+        assert exc.value.location == "field"
+
+
+@pytest.mark.parametrize("text", ["cyc3:x", "cyc3:1/0", "cyc3:1,", "cycx:1", "1/0", "x"])
+def test_malformed_scalars_are_input_errors(text):
+    with pytest.raises(InputError, match="bad"):
+        parse_scalar(text, CyclotomicField(3))
 
 
 scalars3 = st.tuples(

@@ -1093,3 +1093,135 @@ def cyclic_group_document(seed, n=6):
         },
         "params": {"degrees": [-3, 0]},
     }
+
+
+# ---------------------------------------------------------------------------
+# The additive hull's and the tensor product's tables built by scanning
+# every pair of basis keys and summing from field.zero, as ``dgcat`` did
+# before it read them off their parts' nonzero entries; the references of
+# tests/test_derived_tables.py.
+
+
+def reference_hull_objects_up_to_cap(cat, cap):
+    """hull_objects_up_to_cap grown one object at a time from a frontier,
+    then sorted by length and object index, and deduplicated."""
+    index = {x: i for i, x in enumerate(cat.objects)}
+    out = [()]
+    frontier = [()]
+    for _ in range(cap * len(cat.objects)):
+        new = []
+        for tup in frontier:
+            for x in cat.objects:
+                cand = tup + (x,)
+                if sum(1 for t in cand if t == x) <= cap:
+                    new.append(cand)
+        frontier = new
+        out.extend(new)
+    seen = set()
+    uniq = []
+    for tup in sorted(out, key=lambda t: (len(t), [index[x] for x in t])):
+        if tup not in seen:
+            seen.add(tup)
+            uniq.append(tup)
+    return uniq
+
+
+def reference_hull_comp_table(cat, xs, ys, zs):
+    """The composition table of (xs, ys, zs) in a hull subcategory of
+    ``cat``: every base label pair looked up, each product summed."""
+    field = cat.field
+    table = {}
+    for mid in range(len(ys)):
+        for j in range(len(xs)):
+            gspace = cat.hom(xs[j], ys[mid])
+            for gdeg in gspace.degrees():
+                for glab in gspace.labels(gdeg):
+                    for i in range(len(zs)):
+                        fspace = cat.hom(ys[mid], zs[i])
+                        base = cat.comp_table(xs[j], ys[mid], zs[i])
+                        for fdeg in fspace.degrees():
+                            for flab in fspace.labels(fdeg):
+                                prod = base.get(((gdeg, glab), (fdeg, flab)))
+                                if not prod:
+                                    continue
+                                gk = (gdeg, (mid, j, glab))
+                                fk = (fdeg, (i, mid, flab))
+                                out = table.setdefault((gk, fk), {})
+                                for (pd, pl), c in prod.items():
+                                    key = (pd, (i, j, pl))
+                                    out[key] = out.get(key, field.zero) + c
+    return {k: prod for k, v in table.items() if (prod := {a: c for a, c in v.items() if c})}
+
+
+def _reference_tensor_keys(cats, xs, ys):
+    factor_keys = [list(cats[i].basis_keys(xs[i], ys[i])) for i in range(len(cats))]
+    return [tuple(p) for p in itertools.product(*factor_keys)]
+
+
+def reference_tensor_hom(cats, xs, ys):
+    """(basis {degree: key tuples}, differential table) of Hom(xs, ys) in
+    the tensor product of ``cats``, the differential by the Leibniz rule."""
+    field = cats[0].field
+    basis = {}
+    for keys in _reference_tensor_keys(cats, xs, ys):
+        basis.setdefault(sum(k[0] for k in keys), []).append(keys)
+    table = {}
+    for keys in _reference_tensor_keys(cats, xs, ys):
+        deg = sum(k[0] for k in keys)
+        img = {}
+        prefix = 0
+        for i, k in enumerate(keys):
+            dpart = cats[i].diff.get((xs[i], ys[i]), {}).get(k)
+            if dpart:
+                s = parity_sign(prefix)
+                for dk, c in dpart.items():
+                    nk = keys[:i] + (dk,) + keys[i + 1 :]
+                    img[(deg + 1, nk)] = img.get((deg + 1, nk), field.zero) + s * c
+            prefix += k[0]
+        img = {key: c for key, c in img.items() if c}
+        if img:
+            table[(deg, keys)] = img
+    return basis, table
+
+
+def reference_tensor_unit(cats, xs):
+    field = cats[0].field
+    unit = {}
+    for combo in itertools.product(*[cats[i].units[xs[i]].items() for i in range(len(cats))]):
+        coeff = field.one
+        for _, c in combo:
+            coeff = coeff * c
+        unit[(0, tuple(k for k, _ in combo))] = coeff
+    return {key: c for key, c in unit.items() if c}
+
+
+def reference_tensor_comp_table(cats, xs, ys, zs):
+    """The composition table of (xs, ys, zs) in the tensor product of
+    ``cats``: every pair of key tuples looked up, with the Koszul sign
+    (-1)^{Σ_{i>j} |f_i||g_j|}, each product summed."""
+    field = cats[0].field
+    table = {}
+    gs = [list(cats[i].basis_keys(xs[i], ys[i])) for i in range(len(cats))]
+    fs = [list(cats[i].basis_keys(ys[i], zs[i])) for i in range(len(cats))]
+    for gkeys in itertools.product(*gs):
+        gdeg = sum(k[0] for k in gkeys)
+        for fkeys in itertools.product(*fs):
+            fdeg = sum(k[0] for k in fkeys)
+            sign_exp = sum(fkeys[i][0] * gkeys[j][0] for i in range(len(cats)) for j in range(i))
+            parts = [
+                cats[i].comp_table(xs[i], ys[i], zs[i]).get((gkeys[i], fkeys[i]))
+                for i in range(len(cats))
+            ]
+            if not all(parts):
+                continue
+            out = {}
+            for combo in itertools.product(*[p.items() for p in parts]):
+                coeff = field.one * parity_sign(sign_exp)
+                for _, c in combo:
+                    coeff = coeff * c
+                hk = (gdeg + fdeg, tuple(k for k, _ in combo))
+                out[hk] = out.get(hk, field.zero) + coeff
+            out = {key: c for key, c in out.items() if c}
+            if out:
+                table[((gdeg, gkeys), (fdeg, fkeys))] = out
+    return table
