@@ -344,16 +344,16 @@ class DecompositionPipeline:
 
     def _window_for(self, cat, rho_table, g):
         """The window of rho_g on ``cat``: a representative's own, else the
-        window of a representative with the same rho, else a new one."""
+        window of a representative whose base rho equals rho_g, else a new
+        one."""
         table = self.w_small if cat is self.cat_small else self.w_big
         if g in table:
             return table[g]
-        fun = rho_table[g]
         base = self.base_action
         for g2, win in table.items():
-            if base.rho(g2) is base.rho(g) or functors_equal(rho_table[g2], fun):
+            if functors_equal(base.rho(g2), base.rho(g)):
                 return win
-        return build_window(cat, fun, self.dlo - 1, self.dhi + 1, self.bar_cap)
+        return build_window(cat, rho_table[g], self.dlo - 1, self.dhi + 1, self.bar_cap)
 
     # -- transformations per class rep --------------------------------------
 

@@ -38,7 +38,11 @@ Koszul sign, so neither table sums; a tensor product's differential and
 units come from one pass over the factors' keys and terms.
 
 Categories are immutable once validated; validation returns a report of
-violated axioms with witnesses rather than raising.
+violated axioms with witnesses rather than raising.  Every check over
+composable basis morphisms (d², Leibniz, associativity, a functor's
+degree, differential and composition laws, naturality) and
+``functors_equal`` read one walk, ``DgCategory.composable(n)``, which
+yields each run of n composable basis morphisms in nested-loop order.
 """
 
 from __future__ import annotations
@@ -252,10 +256,20 @@ class DgCategory:
             for label in space.labels(deg):
                 yield (deg, label)
 
-    def all_basis_morphisms(self):
-        for x, y in itertools.product(self.objects, repeat=2):
-            for key in self.basis_keys(x, y):
-                yield x, y, key
+    def composable(self, n):
+        """Every run of n composable basis morphisms x₀ → x₁ → … → xₙ, as
+        ((x₀, …, xₙ), keys, morphisms), first morphism first: object
+        tuples in ``itertools.product`` order, then keys in ``basis_keys``
+        order with the first morphism's outermost.  Each hom pair's basis
+        morphisms are built once per walk, and shared by its runs."""
+        basis = {
+            (x, y): [(k, self.basis_mor(x, y, *k)) for k in self.basis_keys(x, y)]
+            for x, y in itertools.product(self.objects, repeat=2)
+        }
+        for xs in itertools.product(self.objects, repeat=n + 1):
+            for run in itertools.product(*[basis[pair] for pair in zip(xs, xs[1:])]):
+                keys, mors = zip(*run)
+                yield xs, keys, mors
 
     def min_max_degree(self):
         """Global hom degree bounds (None, None) when there are no homs."""
@@ -338,37 +352,19 @@ def validate_dgcat(cat: DgCategory) -> ValidationReport:
                     )
                 elif limg not in space.labels(dimg):
                     report.add("structure", f"differential hits unknown label {limg}")
-    # d^2 = 0
-    for x, y in itertools.product(cat.objects, repeat=2):
-        for key in cat.basis_keys(x, y):
-            f = cat.basis_mor(x, y, *key)
-            if not cat.d(cat.d(f)).is_zero():
-                report.add("d_squared", f"d^2 != 0 on {key} in {x}->{y}")
-    # Leibniz and associativity need composable pairs/triples
-    for x, y, z in itertools.product(cat.objects, repeat=3):
-        for gk in cat.basis_keys(x, y):
-            g = cat.basis_mor(x, y, *gk)
-            for fk in cat.basis_keys(y, z):
-                f = cat.basis_mor(y, z, *fk)
-                lhs = cat.d(cat.compose(f, g))
-                rhs = cat.compose(cat.d(f), g) + cat.compose(f, cat.d(g)).scale(
-                    parity_sign(fk[0])
-                )
-                if not lhs == rhs:
-                    report.add("leibniz", f"d(f∘g) mismatch for f={fk}, g={gk} at {x},{y},{z}")
-    for w, x, y, z in itertools.product(cat.objects, repeat=4):
-        for hk in cat.basis_keys(w, x):
-            h = cat.basis_mor(w, x, *hk)
-            for gk in cat.basis_keys(x, y):
-                g = cat.basis_mor(x, y, *gk)
-                gh = cat.compose(g, h)
-                for fk in cat.basis_keys(y, z):
-                    f = cat.basis_mor(y, z, *fk)
-                    if not cat.compose(cat.compose(f, g), h) == cat.compose(f, gh):
-                        report.add(
-                            "associativity",
-                            f"(f∘g)∘h != f∘(g∘h) for f={fk}, g={gk}, h={hk}",
-                        )
+    for (x, y), (key,), (f,) in cat.composable(1):
+        if not cat.d(cat.d(f)).is_zero():
+            report.add("d_squared", f"d^2 != 0 on {key} in {x}->{y}")
+    composites = {}  # f∘g of each composable pair, for associativity
+    for (x, y, z), (gk, fk), (g, f) in cat.composable(2):
+        composites[(x, y, z), (gk, fk)] = fg = cat.compose(f, g)
+        rhs = cat.compose(cat.d(f), g) + cat.compose(f, cat.d(g)).scale(parity_sign(fk[0]))
+        if not cat.d(fg) == rhs:
+            report.add("leibniz", f"d(f∘g) mismatch for f={fk}, g={gk} at {x},{y},{z}")
+    for (w, x, y, z), (hk, gk, fk), (h, g, f) in cat.composable(3):
+        lhs = cat.compose(composites[(x, y, z), (gk, fk)], h)
+        if not lhs == cat.compose(f, composites[(w, x, y), (hk, gk)]):
+            report.add("associativity", f"(f∘g)∘h != f∘(g∘h) for f={fk}, g={gk}, h={hk}")
     for witness in unit_violations(cat):
         report.add("unit", witness)
     return report
@@ -504,11 +500,7 @@ def functors_equal(f: DgFunctor, g: DgFunctor) -> bool:
     for x in f.src.objects:
         if f.apply_obj(x) != g.apply_obj(x):
             return False
-    for x, y, key in f.src.all_basis_morphisms():
-        b = f.src.basis_mor(x, y, *key)
-        if not f.apply(b) == g.apply(b):
-            return False
-    return True
+    return all(f.apply(b) == g.apply(b) for _, _, (b,) in f.src.composable(1))
 
 
 def validate_functor(fun: DgFunctor) -> ValidationReport:
@@ -516,24 +508,17 @@ def validate_functor(fun: DgFunctor) -> ValidationReport:
     for x in fun.src.objects:
         if fun.obj_map.get(x) not in fun.tgt.objects:
             raise StructureError(f"object map of {fun.name} misses {x}")
-    for x, y in itertools.product(fun.src.objects, repeat=2):
-        for key in fun.src.basis_keys(x, y):
-            f = fun.src.basis_mor(x, y, *key)
-            img = fun.apply(f)
-            if img.coeffs and img.degrees() != [key[0]]:
-                report.add("degree", f"image of {key} not concentrated in degree {key[0]}")
-            if not fun.apply(fun.src.d(f)) == fun.tgt.d(img):
-                report.add("differential", f"F(df) != dF(f) for {key} in {x}->{y}")
-    for x, y, z in itertools.product(fun.src.objects, repeat=3):
-        for gk in fun.src.basis_keys(x, y):
-            g = fun.src.basis_mor(x, y, *gk)
-            fg_img = fun.apply(g)
-            for fk in fun.src.basis_keys(y, z):
-                f = fun.src.basis_mor(y, z, *fk)
-                lhs = fun.apply(fun.src.compose(f, g))
-                rhs = fun.tgt.compose(fun.apply(f), fg_img)
-                if not lhs == rhs:
-                    report.add("composition", f"F(f∘g) != F(f)∘F(g) for f={fk}, g={gk}")
+    images = {}  # F of each basis morphism, for the composition law
+    for (x, y), (key,), (f,) in fun.src.composable(1):
+        images[(x, y), key] = img = fun.apply(f)
+        if img.coeffs and img.degrees() != [key[0]]:
+            report.add("degree", f"image of {key} not concentrated in degree {key[0]}")
+        if not fun.apply(fun.src.d(f)) == fun.tgt.d(img):
+            report.add("differential", f"F(df) != dF(f) for {key} in {x}->{y}")
+    for (x, y, z), (gk, fk), (g, f) in fun.src.composable(2):
+        rhs = fun.tgt.compose(images[(y, z), fk], images[(x, y), gk])
+        if not fun.apply(fun.src.compose(f, g)) == rhs:
+            report.add("composition", f"F(f∘g) != F(f)∘F(g) for f={fk}, g={gk}")
     for witness in functor_unit_violations(fun):
         report.add("unit", witness)
     return report
@@ -611,15 +596,12 @@ def validate_nat(eps: NatTransform) -> ValidationReport:
             report.add("degree", f"component at {x} not degree 0")
         if not cat.d(comp).is_zero():
             report.add("closedness", f"component at {x} not closed")
-    for x, y in itertools.product(eps.src.src.objects, repeat=2):
+    for (x, y), (key,), (f,) in eps.src.src.composable(1):
         if x in misplaced or y in misplaced:
             continue
-        for key in eps.src.src.basis_keys(x, y):
-            f = eps.src.src.basis_mor(x, y, *key)
-            lhs = cat.compose(eps.at(y), eps.src.apply(f))
-            rhs = cat.compose(eps.tgt.apply(f), eps.at(x))
-            if not lhs == rhs:
-                report.add("naturality", f"square fails at {key} in {x}->{y}")
+        lhs = cat.compose(eps.at(y), eps.src.apply(f))
+        if not lhs == cat.compose(eps.tgt.apply(f), eps.at(x)):
+            report.add("naturality", f"square fails at {key} in {x}->{y}")
     return report
 
 

@@ -3,8 +3,11 @@
 A document carries a base category, optionally a group with its action,
 declared equivariant objects, generator objects, representations and
 command parameters.  Scalars are strings ("p/q", or "cycM:c0,c1,...").
-Basis labels must be strings, unique within each hom complex.  Every parse
-error carries a location path.
+Basis labels must be strings, unique within each hom complex, and no
+entry of a keyed list (objects, group elements, homs, differential
+sources, compositions, functor morphisms, theta pairs, roster, covering
+and generator names) repeats an earlier entry's key.  Every parse error
+carries a location path.
 """
 
 from __future__ import annotations
@@ -66,6 +69,15 @@ def _name(value, location, required=False):
     return value
 
 
+def _new(key, earlier, location, what):
+    """``key``, the key of a document entry (a name, a hom pair, a
+    composition, ...), unless ``earlier`` entries hold it: a repeated key
+    is an input error at the repeat's own location."""
+    if key in earlier:
+        raise InputError(f"repeats {what}", location)
+    return key
+
+
 def _scalar(value, field, location):
     if not isinstance(value, str):
         raise InputError(f"scalar {value!r} must be a string", location)
@@ -122,10 +134,10 @@ def parse_document(doc) -> ExampleBundle:
     cat_doc = doc.get("category")
     if cat_doc is None:
         raise InputError("missing category block", "category")
-    objects = [
-        _name(x, "category.objects")
-        for x in _expect(cat_doc.get("objects", []), list, "category.objects")
-    ]
+    objects = []
+    for i, x in enumerate(_expect(cat_doc.get("objects", []), list, "category.objects")):
+        x = _name(x, "category.objects")
+        objects.append(_new(x, objects, f"category.objects[{i}]", f"object {x!r}"))
     if not objects:
         raise InputError("category has no objects", "category.objects")
     homs = {}
@@ -138,6 +150,7 @@ def parse_document(doc) -> ExampleBundle:
         src, tgt = _expect(hom, dict, loc).get("source"), hom.get("target")
         if src not in objects or tgt not in objects:
             raise InputError(f"hom between unknown objects {src!r}, {tgt!r}", loc)
+        _new((src, tgt), homs, loc, f"the hom {src}->{tgt}")
         basis = {}
         degrees_of = {}
         for k, b in enumerate(_expect(hom.get("basis", []), list, f"{loc}.basis")):
@@ -157,7 +170,9 @@ def parse_document(doc) -> ExampleBundle:
             if from_label not in degrees_of:
                 raise InputError(f"unknown label {from_label!r}", dloc)
             img = _coeffs(d.get("image", {}), field, degrees_of, dloc)
-            dtable[(degrees_of[from_label], from_label)] = img
+            what = f"the differential of {from_label!r}"
+            key = _new((degrees_of[from_label], from_label), dtable, dloc, what)
+            dtable[key] = img
         if dtable:
             diff[(src, tgt)] = dtable
     for i, c in enumerate(_expect(cat_doc.get("compositions", []), list, "category.compositions")):
@@ -179,7 +194,9 @@ def parse_document(doc) -> ExampleBundle:
                     f"{fl!r}∘{gl!r} has degree {dg[gl] + df[fl]}, but {label!r} has degree {deg}",
                     loc,
                 )
-        comp.setdefault((x, y, z), {})[((dg[gl], gl), (df[fl], fl))] = result
+        table = comp.setdefault((x, y, z), {})
+        key = _new(((dg[gl], gl), (df[fl], fl)), table, loc, f"{fl!r}∘{gl!r} in {x}->{y}->{z}")
+        table[key] = result
     for x, entry in _expect(cat_doc.get("units") or {}, dict, "category.units").items():
         if x not in objects:
             raise InputError(f"unit for unknown object {x!r}", "category.units")
@@ -211,10 +228,10 @@ def parse_document(doc) -> ExampleBundle:
     action = None
     if "group" in doc:
         gdoc = doc["group"]
-        elements = [
-            _name(a, "group.elements")
-            for a in _expect(gdoc.get("elements", []), list, "group.elements")
-        ]
+        elements = []
+        for i, a in enumerate(_expect(gdoc.get("elements", []), list, "group.elements")):
+            a = _name(a, "group.elements")
+            elements.append(_new(a, elements, f"group.elements[{i}]", f"element {a!r}"))
         table = {}
         raw = _expect(gdoc.get("table", {}), dict, "group.table")
         for a in elements:
@@ -259,9 +276,10 @@ def parse_document(doc) -> ExampleBundle:
                     raise InputError(f"unknown label {from_label!r}", mloc)
                 isrc, itgt = obj_map[src], obj_map[tgt]
                 img = _coeffs(m.get("image", {}), field, label_degrees.get((isrc, itgt), {}), mloc)
-                mor_map.setdefault((src, tgt), {})[(dg[from_label], from_label)] = Mor(
-                    isrc, itgt, img
-                )
+                table = mor_map[(src, tgt)]
+                what = f"the image of {from_label!r} in {src}->{tgt}"
+                key = _new((dg[from_label], from_label), table, mloc, what)
+                table[key] = Mor(isrc, itgt, img)
             for x, y in homs:
                 for key in category.basis_keys(x, y):
                     if key not in mor_map[(x, y)]:
@@ -272,6 +290,7 @@ def parse_document(doc) -> ExampleBundle:
         for i, t in enumerate(_expect(adoc.get("theta", []), list, "action.theta")):
             tloc = f"action.theta[{i}]"
             pair = (_name(_expect(t, dict, tloc).get("g"), tloc), _name(t.get("g2"), tloc))
+            _new(pair, theta_doc, tloc, f"theta[{pair[0]},{pair[1]}]")
             theta_doc[pair] = _expect(t.get("components") or {}, dict, f"{tloc}.components")
         for g in group.elements:
             for g2 in group.elements:
@@ -295,6 +314,7 @@ def parse_document(doc) -> ExampleBundle:
     for i, r in enumerate(doc.get("roster", [])):
         loc = f"roster[{i}]"
         name = _name(_expect(r, dict, loc).get("name"), f"{loc}.name", required=True)
+        _new(name, [d.name for d in declared], f"{loc}.name", f"roster name {name!r}")
         underlying = tuple(_expect(r.get("objects", []), list, f"{loc}.objects"))
         for x in underlying:
             if x not in objects:
@@ -356,14 +376,16 @@ def parse_document(doc) -> ExampleBundle:
             raise InputError(str(exc), rloc) from exc
 
     generators = doc.get("generators", [])
-    for x in generators:
+    for i, x in enumerate(generators):
         if x not in objects:
             raise InputError(f"unknown object {x!r}", "generators")
+        _new(x, generators[:i], f"generators[{i}]", f"generator {x!r}")
     roster_names = [d.name for d in declared]
     covering = doc.get("covering", [])
-    for name in covering:
+    for i, name in enumerate(covering):
         if name not in roster_names:
             raise InputError(f"{name!r} is not a roster name", "covering")
+        _new(name, covering[:i], f"covering[{i}]", f"covering name {name!r}")
     params = doc.get("params", {})
     degrees = _expect(params.get("degrees", [0, 0]), list, "params.degrees")
     if not degrees or any(type(d) is not int for d in degrees):

@@ -494,10 +494,6 @@ class GradedSpace:
                     if len(set(labels)) != len(labels):
                         raise ValueError(f"duplicate labels in degree {deg}")
                     self.basis[int(deg)] = labels
-        self._index = {
-            deg: {lab: i for i, lab in enumerate(labels)}
-            for deg, labels in self.basis.items()
-        }
 
     def degrees(self):
         return sorted(self.basis)
@@ -507,9 +503,6 @@ class GradedSpace:
 
     def labels(self, deg):
         return self.basis.get(deg, [])
-
-    def index(self, deg, label):
-        return self._index[deg][label]
 
     def total_dim(self):
         return sum(len(v) for v in self.basis.values())

@@ -63,18 +63,41 @@ def _poly_divmod(num, den):
     return q, _poly_trim(num)
 
 
+def _moebius(n: int) -> int:
+    """μ(n): 0 when a square divides n, else (-1)^(number of prime factors)."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 def cyclotomic_polynomial(m: int) -> list[Fraction]:
-    """Coefficients of the m-th cyclotomic polynomial, lowest degree first."""
+    """Coefficients of the m-th cyclotomic polynomial, lowest degree first:
+    the product of (x^d - 1)^μ(m/d) over the divisors d of m, computed on
+    ints by multiplying by each factor with exponent +1, then dividing
+    exactly by each factor with exponent -1."""
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    # x^m - 1 divided by the product of the proper cyclotomic divisors
-    poly = [-Q_ONE] + [Q_ZERO] * (m - 1) + [Q_ONE]
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not r
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _moebius(m // d) == 1:  # poly·x^d - poly
+            shifted = [0] * d + poly
+            for i, c in enumerate(poly):
+                shifted[i] -= c
+            poly = shifted
+    for d in divisors:
+        if _moebius(m // d) == -1:  # q with q·x^d - q = poly
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
             poly = q
-    return poly
+    return [Fraction(c) for c in poly]
 
 
 class CyclotomicField:

@@ -452,6 +452,64 @@ def test_malformed_fields_scalars_and_names_are_located_input_errors(
     assert "internal error" not in err
 
 
+def _repeat(path, index=-1):
+    """A mutation appending a copy of entry ``index`` of the list at
+    ``path`` (keys from the document's root)."""
+
+    def mutate(doc):
+        entries = doc
+        for step in path:
+            entries = entries[step]
+        entries.append(json.loads(json.dumps(entries[index])))
+
+    return mutate
+
+
+def _theta_twice(doc):
+    unit = {"x1": {"1": "1"}, "x2": {"1": "1"}}
+    doc["action"]["theta"] = [{"g": "s", "g2": "s", "components": unit} for _ in range(2)]
+
+
+def _differential_twice(doc):
+    doc["category"]["homs"][0]["differential"] = [{"from": "g", "image": {}} for _ in range(2)]
+
+
+def _two_rosters_named_plus(doc):
+    doc.pop("covering")
+    doc["roster"][1]["name"] = "plus"
+
+
+def _empty_g_squared(doc):
+    doc["category"]["compositions"].append({**doc["category"]["compositions"][0], "result": {}})
+
+
+# a repeated key in a keyed list: (example, command, mutation, the repeat's location)
+REPEATED = [
+    ("E3", "hh", lambda doc: doc["category"]["objects"].append("pt"), "category.objects[1]"),
+    ("E3", "hh", _empty_g_squared, "category.compositions[1]"),
+    ("E3", "hh", _repeat(("category", "homs")), "category.homs[1]"),
+    ("E3", "hh", _differential_twice, "category.homs[0].differential[1]"),
+    ("E2", "validate", _theta_twice, "action.theta[1]"),
+    ("E2", "validate", _repeat(("action", "functors", "s", "morphisms"), 0), "action.functors[s].morphisms[2]"),
+    ("E2", "validate", _repeat(("group", "elements")), "group.elements[2]"),
+    ("E2", "decompose", _repeat(("generators",), 0), "generators[2]"),
+    ("E1", "decompose", _two_rosters_named_plus, "roster[1].name"),
+    ("E1", "decompose", _repeat(("covering",), 0), "covering[2]"),
+]
+
+
+@pytest.mark.parametrize("name, command, mutate, location", REPEATED, ids=[r[3] for r in REPEATED])
+def test_a_repeated_key_is_an_input_error_at_the_repeat(tmp_path, capsys, name, command, mutate, location):
+    """An entry whose key repeats an earlier one's used to replace or
+    duplicate it silently: E3 with objects ["pt", "pt"] printed hh dims
+    14, 6, 4 and exited 0."""
+    path = write_doc(tmp_path, name, mutate=mutate)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {location}: repeats ")
+
+
 @pytest.mark.parametrize("name", ["E1", "E3", "E5"])
 def test_hh_over_a_cyclotomic_field(tmp_path, capsys, name):
     """A bundled document re-declared over Q(zeta_3) has the HH dims it has

@@ -630,7 +630,7 @@ def test_restrict_endofunctor_views_the_ambient_functor():
     for g in pipe.group.elements:
         fun = pipe.laction.rho(g)
         view = restrict_endofunctor(fun, sub)
-        for x, y, key in sub.all_basis_morphisms():
+        for (x, y), (key,), _ in sub.composable(1):
             assert view.apply_obj(x) == fun.apply_obj(x)
             assert view.image(x, y, key) == fun.apply(sub.basis_mor(x, y, *key))
     lone = full_subcategory(pipe.laction.category, [("x1",)])

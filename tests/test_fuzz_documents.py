@@ -1,9 +1,9 @@
 """Fuzzing the input boundary: bundled documents with one scalar, key or
 unit changed must make `validate`, `hh` and `decompose` exit with a
 documented code, print no traceback, and back every failed check (exit 1)
-with a witness.  E5, the one non-abelian roster, is fuzzed in a test of
-its own with fewer examples, as each of its decompose runs takes about
-half a second."""
+with a witness; with one entry of a keyed list repeated they must exit 2.
+E5, the one non-abelian roster, is fuzzed in a test of its own with fewer
+examples, as each of its decompose runs takes about half a second."""
 
 import contextlib
 import io
@@ -45,15 +45,42 @@ LABELS = {
     name: sorted({b["label"] for h in doc["category"]["homs"] for b in h["basis"]})
     for name, doc in DOCUMENTS.items()
 }
+def keyed_lists(doc):
+    """Paths of the non-empty lists of ``doc`` whose entries have distinct
+    keys: names, hom pairs, differential sources, compositions, functor
+    morphisms and theta pairs."""
+    cat, action = doc["category"], doc.get("action", {})
+    paths = [("category", key) for key in ("objects", "homs", "compositions") if cat.get(key)]
+    paths += [
+        ("category", "homs", i, "differential")
+        for i, h in enumerate(cat["homs"])
+        if h.get("differential")
+    ]
+    paths += [("group", "elements")] if "group" in doc else []
+    paths += [
+        ("action", "functors", g, "morphisms")
+        for g, f in action.get("functors", {}).items()
+        if f.get("morphisms")
+    ]
+    paths += [("action", "theta")] if action.get("theta") else []
+    return paths + [(key,) for key in ("roster", "covering", "generators") if doc.get(key)]
+
+
 SCALARS = ["0", "1", "2", "-1", "1/2", "1/0", "x", "", "cyc3:1,0"]
 VALUES = SCALARS + [7, -3, None, [], {}, "pt", "s", ["pt"], {"cyclotomic": 0}]
 
 
 @st.composite
-def mutated_documents(draw, names):
+def mutated_documents(draw, names, kinds=("value", "key", "unit")):
     name = draw(st.sampled_from(names))
     doc = json.loads(json.dumps(DOCUMENTS[name]))
-    kind = draw(st.sampled_from(["value", "key", "unit"]))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeat":
+        entries = doc
+        for step in draw(st.sampled_from(keyed_lists(doc))):
+            entries = entries[step]
+        entries.append(json.loads(json.dumps(draw(st.sampled_from(entries)))))
+        return doc
     if kind == "unit":
         x = draw(st.sampled_from(doc["category"]["objects"]))
         label = draw(st.sampled_from(LABELS[name] + ["nope"]))
@@ -133,3 +160,13 @@ def test_mutated_documents_exit_with_a_documented_code(doc):
 @given(doc=mutated_documents(["E5"]))
 def test_mutated_e5_documents_exit_with_a_documented_code(doc):
     assert_documented_exits(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_documents(list(DOCUMENTS), kinds=("repeat",)))
+def test_a_repeated_entry_of_a_keyed_list_is_an_input_error(doc):
+    text = json.dumps(doc)
+    for argv in (["validate", "-"], ["hh", "-", "--degrees=-1..0"], ["decompose", "-", "--degrees=0..0"]):
+        code, out, err = run_cli(argv, text)
+        assert code == EXIT_INPUT and out == "", (argv, err)
+        assert re.fullmatch(r"input error: \S+\[\d+\](\.name)?: repeats .+\n", err), (argv, err)

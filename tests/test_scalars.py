@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from equihh.scalars import (
     parse_field,
     parse_scalar,
 )
-from tests_support import euler_phi
+from tests_support import euler_phi, reference_cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials_small():
@@ -25,6 +26,25 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(5) == [1, 1, 1, 1, 1]
     assert cyclotomic_polynomial(6) == [1, -1, 1]
     assert len(cyclotomic_polynomial(12)) - 1 == euler_phi(12) == 4
+
+
+def test_cyclotomic_polynomials_match_the_divisor_quotients():
+    """The Möbius product equals x^m - 1 divided by every proper divisor's
+    polynomial, coefficient by coefficient and as Fractions, for m <= 120."""
+    for m in range(1, 121):
+        got = cyclotomic_polynomial(m)
+        assert got == reference_cyclotomic_polynomial(m), m
+        assert all(type(c) is Fraction for c in got), m
+
+
+def test_a_large_cyclotomic_order_parses_without_a_stall():
+    """Q(zeta_5040) has degree phi(5040) = 1152; the divisor recursion took
+    tens of seconds on it, the product milliseconds."""
+    start = time.perf_counter()
+    field = parse_field({"cyclotomic": 5040})
+    assert time.perf_counter() - start < 5
+    assert field.degree == euler_phi(5040) == 1152
+    assert field.modulus[0] == 1 and field.modulus[-1] == 1
 
 
 def test_zeta4_squares_to_minus_one():

@@ -10,14 +10,18 @@ from equihh.dgcat import (
     DgFunctor,
     Mor,
     NatTransform,
+    ValidationReport,
     algebra_category,
     block_mor,
+    functor_unit_violations,
     hull_entries,
     hull_subcategory,
     identity_functor,
+    misplaced_components,
     parity_sign,
+    unit_violations,
 )
-from equihh.errors import TruncationError
+from equihh.errors import StructureError, TruncationError
 from equihh.groups import FiniteGroup, GroupAction, regular_representation
 from equihh.hochschild import (
     Certification,
@@ -41,7 +45,7 @@ from equihh.linalg import (
     vec_axpy,
     vec_is_zero,
 )
-from equihh.scalars import QQ, Cyc, invert_scalar, rational
+from equihh.scalars import QQ, Cyc, _poly_divmod, invert_scalar, rational
 
 
 def scaled_action():
@@ -1225,3 +1229,133 @@ def reference_tensor_comp_table(cats, xs, ys, zs):
             if out:
                 table[((gdeg, gkeys), (fdeg, fkeys))] = out
     return table
+
+
+# ---------------------------------------------------------------------------
+# The m-th cyclotomic polynomial as ``scalars`` computed it before the
+# Möbius product: x^m - 1 divided over Fractions by the polynomial of every
+# proper divisor, each computed again recursively; the reference of
+# tests/test_scalars.py for m <= 120.
+
+
+def reference_cyclotomic_polynomial(m):
+    poly = [-Fraction(1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            q, r = _poly_divmod(poly, reference_cyclotomic_polynomial(d))
+            assert not r
+            poly = q
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# The validators' hand-nested loops over composable basis morphisms, as
+# ``dgcat`` wrote them before ``DgCategory.composable`` walked the runs;
+# the references of tests/test_composable.py.
+
+
+def reference_validate_dgcat(cat: DgCategory) -> ValidationReport:
+    """Check d², Leibniz, associativity and unit axioms on every basis
+    instance; violations carry witness basis keys."""
+    report = ValidationReport("dg category")
+    # structural: differential degree and label references
+    for (x, y), table in cat.diff.items():
+        space = cat.hom(x, y)
+        for (deg, label), img in table.items():
+            for (dimg, limg), c in img.items():
+                if dimg != deg + 1:
+                    report.add(
+                        "structure",
+                        f"differential of {label} in {x}->{y} hits degree {dimg}, expected {deg + 1}",
+                    )
+                elif limg not in space.labels(dimg):
+                    report.add("structure", f"differential hits unknown label {limg}")
+    # d^2 = 0
+    for x, y in itertools.product(cat.objects, repeat=2):
+        for key in cat.basis_keys(x, y):
+            f = cat.basis_mor(x, y, *key)
+            if not cat.d(cat.d(f)).is_zero():
+                report.add("d_squared", f"d^2 != 0 on {key} in {x}->{y}")
+    # Leibniz and associativity need composable pairs/triples
+    for x, y, z in itertools.product(cat.objects, repeat=3):
+        for gk in cat.basis_keys(x, y):
+            g = cat.basis_mor(x, y, *gk)
+            for fk in cat.basis_keys(y, z):
+                f = cat.basis_mor(y, z, *fk)
+                lhs = cat.d(cat.compose(f, g))
+                rhs = cat.compose(cat.d(f), g) + cat.compose(f, cat.d(g)).scale(
+                    parity_sign(fk[0])
+                )
+                if not lhs == rhs:
+                    report.add("leibniz", f"d(f∘g) mismatch for f={fk}, g={gk} at {x},{y},{z}")
+    for w, x, y, z in itertools.product(cat.objects, repeat=4):
+        for hk in cat.basis_keys(w, x):
+            h = cat.basis_mor(w, x, *hk)
+            for gk in cat.basis_keys(x, y):
+                g = cat.basis_mor(x, y, *gk)
+                gh = cat.compose(g, h)
+                for fk in cat.basis_keys(y, z):
+                    f = cat.basis_mor(y, z, *fk)
+                    if not cat.compose(cat.compose(f, g), h) == cat.compose(f, gh):
+                        report.add(
+                            "associativity",
+                            f"(f∘g)∘h != f∘(g∘h) for f={fk}, g={gk}, h={hk}",
+                        )
+    for witness in unit_violations(cat):
+        report.add("unit", witness)
+    return report
+
+
+def reference_validate_functor(fun: DgFunctor) -> ValidationReport:
+    report = ValidationReport(f"functor {fun.name or ''}".strip())
+    for x in fun.src.objects:
+        if fun.obj_map.get(x) not in fun.tgt.objects:
+            raise StructureError(f"object map of {fun.name} misses {x}")
+    for x, y in itertools.product(fun.src.objects, repeat=2):
+        for key in fun.src.basis_keys(x, y):
+            f = fun.src.basis_mor(x, y, *key)
+            img = fun.apply(f)
+            if img.coeffs and img.degrees() != [key[0]]:
+                report.add("degree", f"image of {key} not concentrated in degree {key[0]}")
+            if not fun.apply(fun.src.d(f)) == fun.tgt.d(img):
+                report.add("differential", f"F(df) != dF(f) for {key} in {x}->{y}")
+    for x, y, z in itertools.product(fun.src.objects, repeat=3):
+        for gk in fun.src.basis_keys(x, y):
+            g = fun.src.basis_mor(x, y, *gk)
+            fg_img = fun.apply(g)
+            for fk in fun.src.basis_keys(y, z):
+                f = fun.src.basis_mor(y, z, *fk)
+                lhs = fun.apply(fun.src.compose(f, g))
+                rhs = fun.tgt.compose(fun.apply(f), fg_img)
+                if not lhs == rhs:
+                    report.add("composition", f"F(f∘g) != F(f)∘F(g) for f={fk}, g={gk}")
+    for witness in functor_unit_violations(fun):
+        report.add("unit", witness)
+    return report
+
+
+def reference_validate_nat(eps: NatTransform) -> ValidationReport:
+    report = ValidationReport(f"transformation {eps.name or ''}".strip())
+    if eps.src.src is not eps.tgt.src or eps.src.tgt is not eps.tgt.tgt:
+        raise StructureError("transformation between non-parallel functors")
+    cat = eps.src.tgt
+    misplaced = misplaced_components(eps)  # they compose with nothing
+    for x in eps.src.src.objects:
+        if x in misplaced:
+            report.add("structure", f"component at {x} has wrong endpoints")
+            continue
+        comp = eps.at(x)
+        if comp.coeffs and comp.degrees() != [0]:
+            report.add("degree", f"component at {x} not degree 0")
+        if not cat.d(comp).is_zero():
+            report.add("closedness", f"component at {x} not closed")
+    for x, y in itertools.product(eps.src.src.objects, repeat=2):
+        if x in misplaced or y in misplaced:
+            continue
+        for key in eps.src.src.basis_keys(x, y):
+            f = eps.src.src.basis_mor(x, y, *key)
+            lhs = cat.compose(eps.at(y), eps.src.apply(f))
+            rhs = cat.compose(eps.tgt.apply(f), eps.at(x))
+            if not lhs == rhs:
+                report.add("naturality", f"square fails at {key} in {x}->{y}")
+    return report
