@@ -34,15 +34,16 @@ The averaged centralizer action realizes the invariant subspaces; the
 per-class projectors are pairwise orthogonal idempotents.  A
 representation acts on the class projector image by its character value.
 
-The checks read one record per conjugacy class, built once by
-``_build_class_data`` and never written afterwards.  ``_failures`` is one
-ordered stream of (check name, witness or None) pairs, one per failed
-instance in report order; ``run_checks`` starts every name in ``CHECKS``
-as passed and fails it on each pair.  With ``certificates=False``
-(``--no-certificates``) no certificate runs; otherwise none runs on a
-truncated window, the homotopy certificates run only while every window
-fits the chain budget, and the representative transports while W_full
-does.
+The checks read one ``ClassRecord`` per conjugacy class, whose
+constructor computes each field once; nothing writes it afterwards.  Its
+centralizer average and ``sym_power_summand``'s permutation average both
+come from ``averaged_action``.  ``_failures`` is one ordered stream of
+(check name, witness or None) pairs, one per failed instance in report
+order; ``run_checks`` starts every name in ``CHECKS`` as passed and fails
+it on each pair.  With ``certificates=False`` (``--no-certificates``) no
+certificate runs; otherwise none runs on a truncated window, the homotopy
+certificates run only while every window fits the chain budget, and the
+representative transports while W_full does.
 
 The transport certificates of checks 1 and 4 compose a map with the
 projection (check 1 verifying the composite chain by chain) and then run
@@ -473,9 +474,9 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
     degs = pipe.degree_list
     reps = pipe.classes.representatives
     lhs_dims = {k: pipe.w_hh.homology(k)[0] for k in degs}
-    mu_mat = {k: pipe.mu.homology_matrix(k) for k in degs}
+    mu_mat = _homology_matrices(pipe.mu, degs)
     mu_inv = {k: matrix_inverse(mu_mat[k]) for k in degs}
-    data = {g: _build_class_data(pipe, g, degs, mu_mat, mu_inv) for g in reps}
+    data = {g: ClassRecord(pipe, g, mu_mat, mu_inv) for g in reps}
 
     checks = dict.fromkeys(CHECKS, True)
     witnesses = []
@@ -489,8 +490,8 @@ def run_checks(pipe: DecompositionPipeline) -> DecompositionReport:
             representative=g,
             members=members,
             centralizer=pipe.classes.centralizers[g],
-            summand_dims={k: rank_kernel_image(data[g]["avg"][k])[0] for k in degs},
-            matrices=data[g]["matrices"],
+            summand_dims={k: rank_kernel_image(data[g].avg[k])[0] for k in degs},
+            matrices=data[g].matrices,
         )
         for g, members in zip(reps, pipe.classes.classes)
     ]
@@ -528,80 +529,75 @@ def _rows(matrix: SparseMatrix):
     return [[format_scalar(v) for v in row] for row in matrix.to_rows()]
 
 
-def _build_class_data(pipe, g, degs, mu_mat, mu_inv):
+def _homology_matrices(chain_map, degs) -> dict:
+    return {k: chain_map.homology_matrix(k) for k in degs}
+
+
+def averaged_action(maps, degrees):
+    """The averaged action of ``maps`` ({h: chain map}, all endomorphisms of
+    one window): the homology matrices {h: {k: M_h}}, their sum per degree
+    starting from the window's zero matrix, and the average, that sum
+    scaled by 1/|maps| in the window's field."""
+    window = next(iter(maps.values())).src
+    mats = {h: _homology_matrices(m, degrees) for h, m in maps.items()}
+    total = {}
+    for k in degrees:
+        n = window.homology(k)[0]
+        total[k] = sum((mats[h][k] for h in maps), SparseMatrix(n, n))
+    inv_order = window.field.embed(Fraction(1, len(maps)))
+    return mats, total, {k: m.scale(inv_order) for k, m in total.items()}
+
+
+class ClassRecord:
     """Everything the checks and certificates read about the class of g,
-    built once and not changed afterwards.
+    computed once here and not changed afterwards.
 
     Per degree: the homology matrices A (projection), B (inclusion), K
     (projector map) and L (generator inclusion lambda) with L_inv (None
     where lambda is singular); the centralizer action M_small[h] on the
-    small window, its sum M_sum and average avg, and M_big[h] on the big
-    window; and, where mu is invertible, the class projector E and the
-    report's matrices.  Besides: the chain-level mismatches of pi∘mu, and
-    a conjugate (a, g2 = a^-1 g a ≠ g) with its projector matrices K_alt,
-    both None when g is central.
+    small window, its sum M_sum and average avg (``averaged_action``), and
+    M_big[h] on the big window; and, where mu is invertible, the class
+    projector E and the report's matrices.  Besides: the chain-level
+    mismatches of pi∘mu, and a conjugate (a, g2 = a^-1 g a ≠ g) with its
+    projector matrices K_alt, both None when g is central.
     """
-    grp = pipe.group
-    field = pipe.eqcat.ambient.field
-    cent = pipe.classes.centralizers[g]
-    inv_order = field.embed(Fraction(1, len(cent)))
-    proj = pipe.projection(g)
-    inc = pipe.inclusion(g)
-    k_map = pipe.projector_map(g)
-    lam = pipe.lam(g)
-    _, mismatches = compose_induced(proj, pipe.mu)
-    a_mat = {k: proj.homology_matrix(k) for k in degs}
-    b_mat = {k: inc.homology_matrix(k) for k in degs}
-    k_mat = {k: k_map.homology_matrix(k) for k in degs}
-    l_mat = {k: lam.homology_matrix(k) for k in degs}
-    m_small = {}
-    m_big = {}
-    for h in cent:
-        m = pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, h, g)
-        m_small[h] = {k: m.homology_matrix(k) for k in degs}
-        m = pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g)
-        m_big[h] = {k: m.homology_matrix(k) for k in degs}
-    m_sum = {}
-    for k in degs:
-        n = pipe.w_small[g].homology(k)[0]
-        m_sum[k] = sum((m_small[h][k] for h in cent), SparseMatrix(n, n))
-    e_mat = {
-        k: (mu_inv[k] * k_mat[k]).scale(inv_order) for k in degs if mu_inv[k] is not None
-    }
-    matrices = {
-        k: {
-            "projection": _rows(a_mat[k] * mu_mat[k]),
-            "inclusion": _rows(b_mat[k]),
-            "projector": _rows(e),
+
+    def __init__(self, pipe, g, mu_mat, mu_inv):
+        degs = pipe.degree_list
+        cent = pipe.classes.centralizers[g]
+        self.proj = pipe.projection(g)
+        self.inc = pipe.inclusion(g)
+        _, self.mismatches = compose_induced(self.proj, pipe.mu)
+        self.A = _homology_matrices(self.proj, degs)
+        self.B = _homology_matrices(self.inc, degs)
+        self.K = _homology_matrices(pipe.projector_map(g), degs)
+        self.L = _homology_matrices(pipe.lam(g), degs)
+        self.L_inv = {k: matrix_inverse(m) for k, m in self.L.items()}
+        self.M_small, self.M_sum, self.avg = averaged_action(
+            {h: pipe.centralizer_map(pipe.w_small[g], pipe._rho_small, h, g) for h in cent}, degs
+        )
+        self.M_big = {
+            h: _homology_matrices(pipe.centralizer_map(pipe.w_big[g], pipe._rho_big, h, g), degs)
+            for h in cent
         }
-        for k, e in e_mat.items()
-    }
-    conjugate = k_alt = None
-    for a in grp.elements:
-        g2 = grp.mul(grp.mul(grp.inv(a), g), a)
-        if g2 != g:
-            conjugate = (a, g2)
-            alt = pipe.projector_map(g2)
-            k_alt = {k: alt.homology_matrix(k) for k in degs}
-            break
-    return {
-        "proj": proj,
-        "inc": inc,
-        "mismatches": mismatches,
-        "A": a_mat,
-        "B": b_mat,
-        "K": k_mat,
-        "L": l_mat,
-        "L_inv": {k: matrix_inverse(l_mat[k]) for k in degs},
-        "M_small": m_small,
-        "M_big": m_big,
-        "M_sum": m_sum,
-        "avg": {k: m_sum[k].scale(inv_order) for k in degs},
-        "E": e_mat,
-        "matrices": matrices,
-        "conjugate": conjugate,
-        "K_alt": k_alt,
-    }
+        inv_order = pipe.eqcat.ambient.field.embed(Fraction(1, len(cent)))
+        self.E = {
+            k: (mu_inv[k] * self.K[k]).scale(inv_order) for k in degs if mu_inv[k] is not None
+        }
+        self.matrices = {
+            k: {
+                "projection": _rows(self.A[k] * mu_mat[k]),
+                "inclusion": _rows(self.B[k]),
+                "projector": _rows(e),
+            }
+            for k, e in self.E.items()
+        }
+        grp = pipe.group
+        conjugates = ((a, grp.mul(grp.mul(grp.inv(a), g), a)) for a in grp.elements)
+        self.conjugate = next(((a, g2) for a, g2 in conjugates if g2 != g), None)
+        self.K_alt = self.conjugate and _homology_matrices(
+            pipe.projector_map(self.conjugate[1]), degs
+        )
 
 
 def _failures(pipe, data, mu_mat, mu_inv):
@@ -620,9 +616,9 @@ def _failures(pipe, data, mu_mat, mu_inv):
 
     # per class: chain-level functoriality of pi∘mu, right-action law
     for g in reps:
-        if data[g]["mismatches"]:
+        if data[g].mismatches:
             yield "chain_functoriality", f"chain-level functoriality fails for pi∘mu at {g}"
-        m = data[g]["M_small"]
+        m = data[g].M_small
         for h in cent[g]:
             for h2 in cent[g]:
                 hh2 = pipe.group.mul(h2, h)
@@ -634,10 +630,10 @@ def _failures(pipe, data, mu_mat, mu_inv):
 
     # check 1: projection is centralizer-invariant
     for g in reps:
-        a_mat = data[g]["A"]
+        a_mat = data[g].A
         for h in cent[g]:
             for k in degs:
-                if not data[g]["M_big"][h][k] * a_mat[k] == a_mat[k]:
+                if not data[g].M_big[h][k] * a_mat[k] == a_mat[k]:
                     yield "projection_invariance", (
                         f"projection not invariant under {h} in the class of {g} at degree {k}"
                     )
@@ -646,20 +642,20 @@ def _failures(pipe, data, mu_mat, mu_inv):
     for g in reps:
         for g2 in reps:
             for k in degs:
-                prod = data[g]["A"][k] * data[g2]["B"][k]
+                prod = data[g].A[k] * data[g2].B[k]
                 if g2 != g:
                     if not prod.is_zero():
                         yield "cross_class_vanishing", (
                             f"cross-class composite ({g}, {g2}) nonzero at degree {k}"
                         )
-                elif not prod == data[g]["L"][k] * data[g]["M_sum"][k]:
+                elif not prod == data[g].L[k] * data[g].M_sum[k]:
                     yield "projection_inclusion_trace", (
                         f"projection∘inclusion mismatch for {g} at degree {k}"
                     )
 
     for g in reps:
         for k in degs:
-            if not _is_idempotent(data[g]["avg"][k]):
+            if not _is_idempotent(data[g].avg[k]):
                 yield "averaging_idempotent", (
                     f"averaging projector for {g} not idempotent at degree {k}"
                 )
@@ -669,12 +665,12 @@ def _failures(pipe, data, mu_mat, mu_inv):
         d = data[g]
         c_order = field.embed(len(cent[g]))
         for k in degs:
-            avg = d["avg"][k]
-            if d["L_inv"][k] is None:
+            avg = d.avg[k]
+            if d.L_inv[k] is None:
                 yield "trace_scalar_on_invariants", (
                     f"generator inclusion not iso for {g} at degree {k}"
                 )
-            elif not d["L_inv"][k] * d["A"][k] * d["B"][k] * avg == avg.scale(c_order):
+            elif not d.L_inv[k] * d.A[k] * d.B[k] * avg == avg.scale(c_order):
                 yield "trace_scalar_on_invariants", (
                     f"projection∘inclusion is not |C(g)|·id on invariants for {g} at {k}"
                 )
@@ -683,9 +679,9 @@ def _failures(pipe, data, mu_mat, mu_inv):
     for g in reps:
         d = data[g]
         for k in degs:
-            if d["L_inv"][k] is None:
+            if d.L_inv[k] is None:
                 yield "projector_factorization", None
-            elif not d["K"][k] == d["B"][k] * d["L_inv"][k] * d["A"][k] * mu_mat[k]:
+            elif not d.K[k] == d.B[k] * d.L_inv[k] * d.A[k] * mu_mat[k]:
                 yield "projector_factorization", (
                     f"projector factorization fails for {g} at degree {k}"
                 )
@@ -693,10 +689,10 @@ def _failures(pipe, data, mu_mat, mu_inv):
     # check 4: representative independence (end identity, certified directly)
     for g in reps:
         d = data[g]
-        if d["K_alt"] is None:
+        if d.K_alt is None:
             continue
         for k in degs:
-            if not d["K"][k] == d["K_alt"][k]:
+            if not d.K[k] == d.K_alt[k]:
                 yield "representative_independence", (
                     f"projector differs between conjugate representatives of {g} at {k}"
                 )
@@ -707,7 +703,7 @@ def _failures(pipe, data, mu_mat, mu_inv):
             yield "projector_sum_identity", None
             continue
         n = mu_mat[k].ncols
-        total = sum((data[g]["E"][k] for g in reps), SparseMatrix(n, n))
+        total = sum((data[g].E[k] for g in reps), SparseMatrix(n, n))
         if not total == SparseMatrix.identity(n, one=field.one):
             yield "projector_sum_identity", (
                 f"projectors do not sum to the identity at degree {k}"
@@ -719,13 +715,13 @@ def _failures(pipe, data, mu_mat, mu_inv):
             yield "projectors_orthogonal_idempotent", None
             continue
         for g in reps:
-            if not _is_idempotent(data[g]["E"][k]):
+            if not _is_idempotent(data[g].E[k]):
                 yield "projectors_orthogonal_idempotent", (
                     f"projector of {g} not idempotent at degree {k}"
                 )
         for g in reps:
             for g2 in reps:
-                if g2 != g and not (data[g]["E"][k] * data[g2]["E"][k]).is_zero():
+                if g2 != g and not (data[g].E[k] * data[g2].E[k]).is_zero():
                     yield "projectors_orthogonal_idempotent", (
                         f"projectors of {g}, {g2} not orthogonal at degree {k}"
                     )
@@ -743,7 +739,7 @@ def _representation_failures(pipe, data, mu_inv, rname, rep, chi):
             continue
         t_g = mu_inv[k] * t_map.homology_matrix(k)
         for g in pipe.classes.representatives:
-            e_mat = data[g]["E"][k]
+            e_mat = data[g].E[k]
             if not t_g * e_mat == e_mat.scale(chi[g]):
                 yield (
                     f"representation {rname} does not act by its character on the"
@@ -795,8 +791,8 @@ def _check1_certificates(pipe, data):
     conjugated along alpha_h, with an explicit transport homotopy back to
     the projection itself."""
     for g in pipe.classes.representatives:
-        proj = data[g]["proj"]
-        a_mat = data[g]["A"]
+        proj = data[g].proj
+        a_mat = data[g].A
         for h in pipe.classes.centralizers[g]:
             if h == pipe.group.identity:
                 continue
@@ -806,7 +802,7 @@ def _check1_certificates(pipe, data):
             def agree(transported):
                 return all(
                     transported.homology_matrix(k) == a_mat[k]
-                    and (data[g]["M_big"][h][k] * a_mat[k]) == a_mat[k]
+                    and (data[g].M_big[h][k] * a_mat[k]) == a_mat[k]
                     for k in pipe.degree_list
                 )
 
@@ -820,7 +816,7 @@ def _check23_certificates(pipe, data):
     grp = pipe.group
     for g in pipe.classes.representatives:
         for g2 in pipe.classes.representatives:
-            combined, mismatches = compose_induced(data[g]["proj"], data[g2]["inc"])
+            combined, mismatches = compose_induced(data[g].proj, data[g2].inc)
             summands = [
                 (
                     _embedded_rho(pipe, h),
@@ -859,20 +855,20 @@ def _check4_transports(pipe, data):
     if not _fits_budget(pipe.w_full):
         return
     for g in pipe.classes.representatives:
-        if data[g]["conjugate"] is None:
+        if data[g].conjugate is None:
             continue
-        h, g2 = data[g]["conjugate"]
+        h, g2 = data[g].conjugate
         try:
             proj_g2 = pipe.projection(g2)
             tau = pipe.laction.conjugation_transform(h, g2, g)
             m_tau = InducedMap(
                 pipe.w_big[g], proj_g2.tgt, pipe._rho_big[h], tau, name=f"(rho[{h}],tau)*"
             )
-            combined = induced_composite(m_tau, data[g]["proj"])
+            combined = induced_composite(m_tau, data[g].proj)
 
             def agree(_transported):
                 return all(
-                    combined.homology_matrix(k) == m_tau.homology_matrix(k) * data[g]["A"][k]
+                    combined.homology_matrix(k) == m_tau.homology_matrix(k) * data[g].A[k]
                     for k in pipe.degree_list
                 )
 
@@ -930,7 +926,7 @@ def _check5_certificate(pipe, data):
     classes = list(zip(pipe.classes.representatives, pipe.classes.classes))
     agree = True
     for k in pipe.degree_list:
-        parts = [data[g]["K"][k].scale(field.embed(len(members))) for g, members in classes]
+        parts = [data[g].K[k].scale(field.embed(len(members))) for g, members in classes]
         agree &= sum_map.homology_matrix(k) == sum(parts[1:], parts[0])
     yield "projector sum over the group", "matrix", agree
     yield "projector sum homotopy", "formula", ok
@@ -970,6 +966,7 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
     if n < 1:
         raise StructureError("symmetric power needs n >= 1")
     dlo, dhi = degree_bounds(degrees)
+    degs = list(range(dlo, dhi + 1))
     base_res = hh_dimensions(
         category,
         identity_functor(category),
@@ -977,34 +974,22 @@ def sym_power_summand(category, n, degrees=(0, 0), bar_cap=None):
         bar_cap=bar_cap,
     )
     sym_dims_all = graded_sym_power(base_res["dims"], n)
-    sym_dims = {k: sym_dims_all.get(k, 0) for k in range(dlo, dhi + 1)}
+    sym_dims = {k: sym_dims_all.get(k, 0) for k in degs}
 
     action, power = permutation_action(category, n)
-    win = build_window(
-        power, identity_functor(power), dlo - 1, dhi + 1, bar_cap=bar_cap
-    )
-    field = category.field
+    win = build_window(power, identity_functor(power), dlo - 1, dhi + 1, bar_cap=bar_cap)
     ident = action.group.identity
-    invariant_dims = {}
-    power_dims = {}
-    for k in range(dlo, dhi + 1):
-        hdim = win.homology(k)[0]
-        power_dims[k] = hdim
-        total = SparseMatrix(hdim, hdim)
-        for s in action.group.elements:
-            m = InducedMap(
-                win,
-                win,
-                action.rho(s),
-                action.centralizer_transform(s, ident),
-                name=f"perm[{s}]*",
-            )
-            total = total + m.homology_matrix(k)
-        avg = total.scale(field.embed(Fraction(1, len(action.group))))
-        if not _is_idempotent(avg):
-            raise StructureError("averaged permutation action is not idempotent")
-        rank, _ = rank_kernel_image(avg)
-        invariant_dims[k] = rank
+    perms = {
+        s: InducedMap(
+            win, win, action.rho(s), action.centralizer_transform(s, ident), name=f"perm[{s}]*"
+        )
+        for s in action.group.elements
+    }
+    _, _, avg = averaged_action(perms, degs)
+    if not all(_is_idempotent(avg[k]) for k in degs):
+        raise StructureError("averaged permutation action is not idempotent")
+    invariant_dims = {k: rank_kernel_image(avg[k])[0] for k in degs}
+    power_dims = {k: win.homology(k)[0] for k in degs}
     return {
         "sym_dims": sym_dims,
         "invariant_dims": invariant_dims,

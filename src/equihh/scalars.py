@@ -11,7 +11,8 @@ A rational is canonical (``rational``): an ``int`` when it is integral,
 a ``fractions.Fraction`` only otherwise.  Every place that makes one
 (parsing, ``QQ``, ``invert_scalar``, ``linalg``'s matrices and
 eliminations) makes it canonical, so integral tables compute on small
-ints; an int and the Fraction of its value compare and hash alike.
+ints; an int, the Fraction of its value and a ``Cyc`` of that rational
+value compare and hash alike.
 
 A document names its field as "q" (also "Q", "rational" or absent) for
 Q, or as {"cyclotomic": m} or "cyc:m" for Q(zeta_m), where m is a JSON
@@ -272,6 +273,9 @@ class Cyc:
         return any(self.coeffs)
 
     def __hash__(self):
+        # a rational Cyc equals, so must hash as, the int or Fraction it embeds
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.field.m, self.coeffs))
 
     def __repr__(self):

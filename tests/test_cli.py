@@ -9,6 +9,7 @@ import pytest
 from equihh.cli import main
 from equihh.documents import canonical_json, serialize_bundle
 from equihh.examples import get_example
+from tests_support import cyclotomic_z3_document
 
 
 def write_doc(tmp_path, name, mutate=None):
@@ -520,6 +521,25 @@ def test_hh_over_a_cyclotomic_field(tmp_path, capsys, name):
         assert main(["hh", "--output", "json", path]) == 0
         dims[json.dumps(field)] = json.loads(capsys.readouterr().out)["dims"]
     assert dims['"q"'] == dims['{"cyclotomic": 3}']
+
+
+def test_decompose_over_a_cyclotomic_field(tmp_path, capsys):
+    """E7: Z/3 acting trivially on the point over Q(zeta_3).  Each class
+    summand is one-dimensional, and chi_k acts on the class of r_j by
+    zeta^{kj}.  The pipeline used to merge chi1⊗chi2 into chi0 and then
+    miss it, as the Cyc 1 hashed unlike the document's int 1."""
+    path = tmp_path / "e7.json"
+    path.write_text(json.dumps(cyclotomic_z3_document()))
+    assert main(["decompose", str(path), "--degrees=0..0", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["theorem_holds"]
+    assert report["equivariant_dims"] == {"0": 3}
+    classes = {c["representative"]: c["invariant_dims"] for c in report["classes"]}
+    assert classes == {g: {"0": 1} for g in ("e", "r1", "r2")}
+    reps = report["representation_checks"]
+    assert sorted(reps) == ["chi0", "chi1", "chi2", "regular"]
+    assert all(check["passed"] for check in reps.values())
+    assert reps["chi1"]["character"] == {"e": "cyc3:1,0", "r1": "cyc3:0,1", "r2": "cyc3:-1,-1"}
 
 
 @pytest.mark.parametrize(

@@ -20,10 +20,10 @@ from equihh.examples import (
 import equihh.cli as cli
 import equihh.decomposition as decomposition
 import equihh.equivariant as equivariant
-from equihh.dgcat import DgCategory
+from equihh.dgcat import DgCategory, disjoint_points_category, identity_functor
 from equihh.errors import InputError, StructureError
 from equihh.groups import permutation_action
-from equihh.hochschild import ColumnMap, HomotopyCertificate, LinearComboMap
+from equihh.hochschild import ColumnMap, HomotopyCertificate, LinearComboMap, hh_dimensions
 from equihh.linalg import SparseMatrix
 from tests_support import negative_degree_exterior_category
 from equihh.scalars import QQ
@@ -297,6 +297,38 @@ def test_sym_square_full_equivariant_route():
     assert sums["12"] == sym["sym_dims"][0] == 3
 
 
+@pytest.mark.parametrize(
+    "category, degrees",
+    [
+        (group_algebra_z2_category, (0, 0)),
+        (lambda: disjoint_points_category(QQ, ["a", "b"]), (0, 0)),
+        (negative_degree_exterior_category, (-1, 0)),
+    ],
+    ids=["k[Z2]", "two-points", "exterior-odd"],
+)
+def test_symmetric_square_summands_match_the_closed_formula(category, degrees):
+    """S2 permuting C⊗C, generated by every object of the power: the
+    identity class is the graded-symmetric square Sym²HH(C), and the class
+    of the transposition is HH(C) itself (Baranovsky, Internat. J. Math. 14,
+    2003).  Sign rule: the transposition's centralizer acts trivially on
+    HH(C⊗C, swap) ≅ HH(C), so the odd class of Λ(u) at -1 stays in that
+    summand, while in Sym² an odd class squares to zero.  The identity
+    summand is also what ``sym_power_summand`` reports as invariants."""
+    base = category()
+    action, power = permutation_action(base, 2)
+    rep = decompose(action, [], list(power.objects), degrees=degrees, certificates=False)
+    assert rep.theorem_holds
+    sums = {b.representative: b.summand_dims for b in rep.class_blocks}
+    lo, hi = degrees
+    hh = hh_dimensions(base, identity_functor(base), list(range(2 * lo, hi + 1)))["dims"]
+    sym = graded_sym_power(hh, 2)
+    assert sums == {
+        "12": {k: sym.get(k, 0) for k in range(lo, hi + 1)},
+        "21": {k: hh.get(k, 0) for k in range(lo, hi + 1)},
+    }
+    assert sym_power_summand(base, 2, degrees=degrees)["invariant_dims"] == sums["12"]
+
+
 def test_scaled_nonstrict_action_decomposes():
     # the nontrivial eta/theta force alpha_e = 4 and alpha_s = ±2: two
     # isomorphism classes of equivariant structures on the point
@@ -440,16 +472,15 @@ def test_witness_order_with_doubled_inclusion():
 
 
 def sabotaged_class_data(monkeypatch, change):
-    """Let ``change(g, data)`` alter the class data of g after it is built
-    and before any check reads it."""
-    build = decomposition._build_class_data
+    """Let ``change(g, data)`` alter the fields ``data`` of the class record
+    of g after it is built and before any check reads it."""
 
-    def changed(pipe, g, degs, mu_mat, mu_inv):
-        data = build(pipe, g, degs, mu_mat, mu_inv)
-        change(g, data)
-        return data
+    class Sabotaged(decomposition.ClassRecord):
+        def __init__(self, pipe, g, mu_mat, mu_inv):
+            super().__init__(pipe, g, mu_mat, mu_inv)
+            change(g, vars(self))
 
-    monkeypatch.setattr(decomposition, "_build_class_data", changed)
+    monkeypatch.setattr(decomposition, "ClassRecord", Sabotaged)
 
 
 def doubled(matrices, key):

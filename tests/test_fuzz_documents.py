@@ -3,7 +3,8 @@ unit changed must make `validate`, `hh` and `decompose` exit with a
 documented code, print no traceback, and back every failed check (exit 1)
 with a witness; with one entry of a keyed list repeated they must exit 2.
 E5, the one non-abelian roster, is fuzzed in a test of its own with fewer
-examples, as each of its decompose runs takes about half a second."""
+examples, as each of its decompose runs takes about half a second; so is
+E7, the one document over Q(zeta_3) with representations."""
 
 import contextlib
 import io
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 from equihh.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, EXIT_TRUNCATED, main
 from equihh.documents import serialize_bundle
 from equihh.examples import get_example
-from tests_support import cyclic_group_document
+from tests_support import cyclic_group_document, cyclotomic_z3_document
 
 DOCUMENTS = {
     "E1": serialize_bundle(get_example("E1")),
     "E2": serialize_bundle(get_example("E2")),
     "Z6": cyclic_group_document(11),
     "E5": serialize_bundle(get_example("E5")),
+    "E7": cyclotomic_z3_document(),
 }
 
 
@@ -159,6 +161,12 @@ def test_mutated_documents_exit_with_a_documented_code(doc):
 @settings(max_examples=80, deadline=None)
 @given(doc=mutated_documents(["E5"]))
 def test_mutated_e5_documents_exit_with_a_documented_code(doc):
+    assert_documented_exits(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=mutated_documents(["E7"]))
+def test_mutated_e7_documents_exit_with_a_documented_code(doc):
     assert_documented_exits(doc)
 
 

@@ -14,6 +14,7 @@ from equihh.scalars import (
     format_scalar,
     parse_field,
     parse_scalar,
+    rational,
 )
 from tests_support import euler_phi, reference_cyclotomic_polynomial
 
@@ -168,3 +169,34 @@ def test_field_axioms_cyclotomic(nums):
     assert a * b == b * a
     if a:
         assert a * a.inverse() == F.one
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def scalar_spellings(draw):
+    """Spellings of one value of Q(zeta_m): a Cyc, and when the value is
+    rational also the int or Fraction ``rational`` makes and the Fraction."""
+    field = CyclotomicField(draw(st.sampled_from([1, 3, 4, 5, 6])))
+    head = draw(small_rationals)
+    tail = draw(st.one_of(st.just([]), st.lists(small_rationals, max_size=field.degree - 1)))
+    forms = [field.element([head, *tail])]
+    if not any(tail):
+        forms += [rational(head), Fraction(head)]
+    return field, forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_spellings(), st.data())
+def test_equal_scalars_hash_alike(spelled, data):
+    """x == y implies hash(x) == hash(y) over ints, Fractions and Cyc: a
+    dict keyed by characters or signatures finds a value however it is
+    spelled.  The spellings of one value are equal, and so is a second
+    value of the same field whenever it compares equal."""
+    field, forms = spelled
+    other = data.draw(small_rationals.map(rational) | st.lists(small_rationals).map(field.element))
+    for x in forms:
+        assert x == forms[0] and hash(x) == hash(forms[0])
+        if x == other:
+            assert hash(x) == hash(other)

@@ -1099,6 +1099,55 @@ def cyclic_group_document(seed, n=6):
     }
 
 
+def cyclotomic_z3_document():
+    """E7 of the ROADMAP: Z/3 = {e, r1, r2} acting trivially on the point
+    over Q(zeta_3), with roster and covering the characters chi_k
+    (alpha_{r_j} = zeta^{kj}) and representations chi_0, chi_1, chi_2 and
+    the regular one."""
+    zeta = ["1", "cyc3:0,1", "cyc3:-1,-1"]  # zeta^0, zeta^1, zeta^2
+    elements = ["e", "r1", "r2"]
+    characters = {
+        f"chi{k}": {g: zeta[j * k % 3] for j, g in enumerate(elements)} for k in range(3)
+    }
+    regular = {
+        g: [["1" if r == (c + j) % 3 else "0" for c in range(3)] for r in range(3)]
+        for j, g in enumerate(elements)
+    }
+    return {
+        "schema": "equihh-schema-1",
+        "name": "E7",
+        "field": {"cyclotomic": 3},
+        "category": {
+            "objects": ["pt"],
+            "homs": [{"source": "pt", "target": "pt", "basis": [{"label": "1", "degree": 0}]}],
+            "compositions": [],
+            "units": {"pt": {"1": "1"}},
+        },
+        "group": {
+            "name": "Z/3",
+            "elements": elements,
+            "table": {
+                a: {b: elements[(i + j) % 3] for j, b in enumerate(elements)}
+                for i, a in enumerate(elements)
+            },
+        },
+        "action": {"functors": {g: {"identity": True} for g in elements}},
+        "roster": [
+            {"name": name, "objects": ["pt"], "alpha": {g: [[{"1": v}]] for g, v in chi.items()}}
+            for name, chi in characters.items()
+        ],
+        "generators": ["pt"],
+        "covering": list(characters),
+        "representations": {
+            **{
+                name: {"dim": 1, "matrices": {g: [[v]] for g, v in chi.items()}}
+                for name, chi in characters.items()
+            },
+            "regular": {"dim": 3, "matrices": regular},
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # The additive hull's and the tensor product's tables built by scanning
 # every pair of basis keys and summing from field.zero, as ``dgcat`` did
