@@ -190,10 +190,10 @@ def scalar_spellings(draw):
 @settings(max_examples=200, deadline=None)
 @given(scalar_spellings(), st.data())
 def test_equal_scalars_hash_alike(spelled, data):
-    """x == y implies hash(x) == hash(y) over ints, Fractions and Cyc: a
+    """x == y implies hash(x) == hash(y) over ints, Fractions and Cyc, so a
     dict keyed by characters or signatures finds a value however it is
-    spelled.  The spellings of one value are equal, and so is a second
-    value of the same field whenever it compares equal."""
+    spelled.  The spellings of one value compare and hash alike, and a
+    second value of the same field that equals them hashes alike too."""
     field, forms = spelled
     other = data.draw(small_rationals.map(rational) | st.lists(small_rationals).map(field.element))
     for x in forms:
