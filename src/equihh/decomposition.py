@@ -254,6 +254,9 @@ class DecompositionPipeline:
         if not hh_decl:
             hh_decl = None  # resolved to generator symmetrizations below
         declared_by_name = {d.name: tuple(d.underlying) for d in self.declared}
+        for name in hh_decl or ():
+            if name not in declared_by_name:
+                raise InputError(f"{name!r} is not a roster name", "covering")
         if hh_decl is None:
             cover_underlyings = [base_s_tuple(t) for t in gen_tuples]
         else:

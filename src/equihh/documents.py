@@ -3,11 +3,18 @@
 A document carries a base category, optionally a group with its action,
 declared equivariant objects, generator objects, representations and
 command parameters.  Scalars are strings ("p/q", or "cycM:c0,c1,...").
-Basis labels must be strings, unique within each hom complex, and no
-entry of a keyed list (objects, group elements, homs, differential
-sources, compositions, functor morphisms, theta pairs, roster, covering
-and generator names) repeats an earlier entry's key.  Every parse error
-carries a location path.
+Every parse error carries a location path.
+
+Each convention of the format has one reader, and the writer follows it:
+- ``_key`` reads a basis label (a string) as its key (degree, label);
+- ``_coeffs`` reads a coefficient object {label: scalar}: an image, a
+  result, a unit, a component or a roster alpha cell;
+- ``_new`` rejects a repeated key: of a JSON object, or of an entry of a
+  keyed list (objects, group elements, homs, basis labels, differential
+  sources, compositions, functor morphisms, theta pairs, roster names and
+  objects, covering and generator names);
+- ``_implied_units`` names the units that are one key with coefficient 1,
+  whose unit compositions a document omits and parsing supplies.
 """
 
 from __future__ import annotations
@@ -87,12 +94,36 @@ def _scalar(value, field, location):
         raise InputError(str(exc), location) from exc
 
 
+def _key(value, degrees_of, location):
+    """The basis key (degree, label) of the label ``value`` of a hom complex
+    whose labels have the degrees ``degrees_of``."""
+    label = _name(value, location)
+    if label not in degrees_of:
+        raise InputError(f"unknown basis label {label!r}", location)
+    return degrees_of[label], label
+
+
 def _coeffs(entry, field, degrees_of, location):
+    """A morphism's coefficients {key: scalar} from a document's {label: scalar}."""
+    return {
+        _key(label, degrees_of, location): _scalar(value, field, location)
+        for label, value in _expect(entry, dict, location).items()
+    }
+
+
+def _implied_units(units, field):
+    """{object: key} for each unit that is one basis key with coefficient 1:
+    a document omits the compositions with such a unit, and parsing supplies
+    them."""
+    return {x: next(iter(u)) for x, u in units.items() if list(u.values()) == [field.one]}
+
+
+def _object(pairs):
+    """A JSON object from its (key, value) pairs; a repeated key is an input
+    error, where ``json`` would keep its last value."""
     out = {}
-    for label, value in _expect(entry, dict, location).items():
-        if label not in degrees_of:
-            raise InputError(f"unknown basis label {label!r}", location)
-        out[(degrees_of[label], label)] = _scalar(value, field, location)
+    for key, value in pairs:
+        out[_new(key, out, "document", f"the key {key!r} of a JSON object")] = value
     return out
 
 
@@ -119,7 +150,7 @@ def _transformation(src, tgt, components, name, location, label_degrees):
 def parse_document(doc) -> ExampleBundle:
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, object_pairs_hook=_object)
         except json.JSONDecodeError as exc:
             raise InputError(f"not valid JSON: {exc}", "document") from exc
     if not isinstance(doc, dict):
@@ -157,22 +188,16 @@ def parse_document(doc) -> ExampleBundle:
             bloc = f"{loc}.basis[{k}]"
             label = _name(_expect(b, dict, bloc).get("label"), f"{bloc}.label")
             degree = _expect_int(b.get("degree", 0), f"{bloc}.degree")
-            if label in degrees_of:
-                raise InputError(f"duplicate label {label!r}", loc)
-            degrees_of[label] = degree
+            degrees_of[_new(label, degrees_of, bloc, f"label {label!r}")] = degree
             basis.setdefault(degree, []).append(label)
         homs[(src, tgt)] = GradedSpace(basis)
         label_degrees[(src, tgt)] = degrees_of
         dtable = {}
         for j, d in enumerate(_expect(hom.get("differential", []), list, f"{loc}.differential")):
             dloc = f"{loc}.differential[{j}]"
-            from_label = _name(_expect(d, dict, dloc).get("from"), dloc)
-            if from_label not in degrees_of:
-                raise InputError(f"unknown label {from_label!r}", dloc)
+            key = _key(_expect(d, dict, dloc).get("from"), degrees_of, dloc)
             img = _coeffs(d.get("image", {}), field, degrees_of, dloc)
-            what = f"the differential of {from_label!r}"
-            key = _new((degrees_of[from_label], from_label), dtable, dloc, what)
-            dtable[key] = img
+            dtable[_new(key, dtable, dloc, f"the differential of {key[1]!r}")] = img
         if dtable:
             diff[(src, tgt)] = dtable
     for i, c in enumerate(_expect(cat_doc.get("compositions", []), list, "category.compositions")):
@@ -181,22 +206,18 @@ def parse_document(doc) -> ExampleBundle:
         for o in (x, y, z):
             if o not in objects:
                 raise InputError(f"unknown object {o!r}", loc)
-        gl = _name(c.get("first"), loc)
-        fl = _name(c.get("then"), loc)
-        dg = label_degrees.get((x, y), {})
-        df = label_degrees.get((y, z), {})
-        if gl not in dg or fl not in df:
-            raise InputError(f"unknown composition labels {gl!r}, {fl!r}", loc)
+        (dg, gl), (df, fl) = key = (
+            _key(c.get("first"), label_degrees.get((x, y), {}), loc),
+            _key(c.get("then"), label_degrees.get((y, z), {}), loc),
+        )
         result = _coeffs(c.get("result", {}), field, label_degrees.get((x, z), {}), loc)
         for deg, label in result:
-            if deg != dg[gl] + df[fl]:
+            if deg != dg + df:
                 raise InputError(
-                    f"{fl!r}∘{gl!r} has degree {dg[gl] + df[fl]}, but {label!r} has degree {deg}",
-                    loc,
+                    f"{fl!r}∘{gl!r} has degree {dg + df}, but {label!r} has degree {deg}", loc
                 )
         table = comp.setdefault((x, y, z), {})
-        key = _new(((dg[gl], gl), (df[fl], fl)), table, loc, f"{fl!r}∘{gl!r} in {x}->{y}->{z}")
-        table[key] = result
+        table[_new(key, table, loc, f"{fl!r}∘{gl!r} in {x}->{y}->{z}")] = result
     for x, entry in _expect(cat_doc.get("units") or {}, dict, "category.units").items():
         if x not in objects:
             raise InputError(f"unit for unknown object {x!r}", "category.units")
@@ -204,24 +225,14 @@ def parse_document(doc) -> ExampleBundle:
     missing = [x for x in objects if x not in units]
     if missing:
         raise InputError(f"objects without units: {missing}", "category.units")
-    # synthesize unit compositions when the unit is a single basis element
-    def single_unit(x):
-        u = units[x]
-        if len(u) == 1:
-            (key, c), = u.items()
-            if c == field.one:
-                return key
-        return None
-
-    for x, y in list(homs):
-        for label, degree in label_degrees[(x, y)].items():
+    implied = _implied_units(units, field)
+    for (x, y), degrees_of in label_degrees.items():
+        for label, degree in degrees_of.items():
             key = (degree, label)
-            ux = single_unit(x)
-            if ux is not None:
-                comp.setdefault((x, x, y), {}).setdefault((ux, key), {key: field.one})
-            uy = single_unit(y)
-            if uy is not None:
-                comp.setdefault((x, y, y), {}).setdefault((key, uy), {key: field.one})
+            if x in implied:
+                comp.setdefault((x, x, y), {}).setdefault((implied[x], key), {key: field.one})
+            if y in implied:
+                comp.setdefault((x, y, y), {}).setdefault((key, implied[y]), {key: field.one})
     category = DgCategory(field, objects, homs, diff, comp, units)
 
     group = None
@@ -270,16 +281,12 @@ def parse_document(doc) -> ExampleBundle:
                 src, tgt = _expect(m, dict, mloc).get("source"), m.get("target")
                 if src not in objects or tgt not in objects:
                     raise InputError(f"morphism between unknown objects {src!r}, {tgt!r}", mloc)
-                from_label = _name(m.get("from"), mloc)
-                dg = label_degrees.get((src, tgt), {})
-                if from_label not in dg:
-                    raise InputError(f"unknown label {from_label!r}", mloc)
+                key = _key(m.get("from"), label_degrees.get((src, tgt), {}), mloc)
                 isrc, itgt = obj_map[src], obj_map[tgt]
                 img = _coeffs(m.get("image", {}), field, label_degrees.get((isrc, itgt), {}), mloc)
                 table = mor_map[(src, tgt)]
-                what = f"the image of {from_label!r} in {src}->{tgt}"
-                key = _new((dg[from_label], from_label), table, mloc, what)
-                table[key] = Mor(isrc, itgt, img)
+                what = f"the image of {key[1]!r} in {src}->{tgt}"
+                table[_new(key, table, mloc, what)] = Mor(isrc, itgt, img)
             for x, y in homs:
                 for key in category.basis_keys(x, y):
                     if key not in mor_map[(x, y)]:
@@ -311,6 +318,7 @@ def parse_document(doc) -> ExampleBundle:
         action = GroupAction(group, category, functors, theta, eta, name=doc.get("name", "action"))
 
     declared = []
+    roster_objects = {}  # {(objects, nonzero alpha entries): name}
     for i, r in enumerate(doc.get("roster", [])):
         loc = f"roster[{i}]"
         name = _name(_expect(r, dict, loc).get("name"), f"{loc}.name", required=True)
@@ -336,20 +344,14 @@ def parse_document(doc) -> ExampleBundle:
                 if len(_expect(row, list, f"{gloc}[{ri}]")) > len(underlying):
                     raise InputError(f"more than {len(underlying)} columns", f"{gloc}[{ri}]")
                 for ci, cell in enumerate(row):
-                    if not cell:
-                        continue
-                    _expect(cell, dict, f"{gloc}[{ri}][{ci}]")
-                    pair = (underlying[ci], image[ri])
-                    degrees_of = label_degrees.get(pair, {})
-                    for label, value in cell.items():
-                        if label not in degrees_of:
-                            raise InputError(
-                                f"unknown label {label!r} in alpha[{g}]({ri},{ci})", loc
-                            )
-                        entries[(ri, ci, degrees_of[label], label)] = _scalar(
-                            value, field, f"{gloc}[{ri}][{ci}]"
-                        )
+                    degrees_of = label_degrees.get((underlying[ci], image[ri]), {})
+                    cell = _coeffs(cell or {}, field, degrees_of, f"{gloc}[{ri}][{ci}]")
+                    entries.update(((ri, ci) + key, c) for key, c in cell.items())
             alpha_entries[g] = entries
+        nonzero = tuple(frozenset((k, c) for k, c in e.items() if c) for e in alpha_entries.values())
+        signature = (underlying, nonzero)
+        _new(signature, roster_objects, loc, f"the roster object {roster_objects.get(signature)!r}")
+        roster_objects[signature] = name
         declared.append(DeclaredObject(name, underlying, alpha_entries))
 
     representations = {}
@@ -428,42 +430,38 @@ def _components_out(nat: NatTransform, cat: DgCategory):
 
 def serialize_category(cat: DgCategory):
     homs = []
-    for (src, tgt), space in sorted(cat.homs.items(), key=repr):
+    for src, tgt in sorted(cat.homs, key=repr):
         entry = {
             "source": src,
             "target": tgt,
-            "basis": [
-                {"label": lab, "degree": deg}
-                for deg in space.degrees()
-                for lab in space.labels(deg)
-            ],
+            "basis": [{"label": lab, "degree": deg} for deg, lab in cat.basis_keys(src, tgt)],
         }
-        dtable = cat.diff.get((src, tgt), {})
-        differential = []
-        for (deg, lab), img in sorted(dtable.items(), key=repr):
-            differential.append({"from": lab, "image": _coeffs_out(img)})
+        differential = [
+            {"from": lab, "image": _coeffs_out(img)}
+            for (deg, lab), img in sorted(cat.diff.get((src, tgt), {}).items(), key=repr)
+        ]
         if differential:
             entry["differential"] = differential
         homs.append(entry)
+    implied = _implied_units(cat.units, cat.field)
+    one = cat.field.one
     compositions = []
     for x in cat.objects:
         for y in cat.objects:
             for z in cat.objects:
                 table = cat.comp_table(x, y, z)
-                for ((dg, gl), (df, fl)), result in sorted(table.items(), key=repr):
-                    unit_x = cat.units.get(x, {})
-                    unit_y = cat.units.get(y, {})
-                    if (dg, gl) in unit_x and x == y:
-                        continue  # unit compositions are implied
-                    if (df, fl) in unit_y and y == z:
-                        continue
+                for (gk, fk), result in sorted(table.items(), key=repr):
+                    if (x == y and implied.get(x) == gk and result == {fk: one}) or (
+                        y == z and implied.get(z) == fk and result == {gk: one}
+                    ):
+                        continue  # parse_document supplies it
                     compositions.append(
                         {
                             "source": x,
                             "middle": y,
                             "target": z,
-                            "first": gl,
-                            "then": fl,
+                            "first": gk[1],
+                            "then": fk[1],
                             "result": _coeffs_out(result),
                         }
                     )
@@ -501,18 +499,12 @@ def serialize_bundle(bundle: ExampleBundle):
                 functors[g] = {"identity": True}
                 continue
             morphs = []
-            for (src, tgt), space in sorted(bundle.base.homs.items(), key=repr):
-                for deg in space.degrees():
-                    for lab in space.labels(deg):
-                        img = rho.apply(bundle.base.basis_mor(src, tgt, deg, lab))
-                        morphs.append(
-                            {
-                                "source": src,
-                                "target": tgt,
-                                "from": lab,
-                                "image": _coeffs_out(img.coeffs),
-                            }
-                        )
+            for src, tgt in sorted(bundle.base.homs, key=repr):
+                for deg, lab in bundle.base.basis_keys(src, tgt):
+                    img = rho.apply(bundle.base.basis_mor(src, tgt, deg, lab))
+                    morphs.append(
+                        {"source": src, "target": tgt, "from": lab, "image": _coeffs_out(img.coeffs)}
+                    )
             functors[g] = {
                 "objects": {x: rho.apply_obj(x) for x in bundle.base.objects},
                 "morphisms": morphs,
@@ -533,13 +525,7 @@ def serialize_bundle(bundle: ExampleBundle):
         for d in bundle.declared:
             alpha = {}
             for g, entries in d.alpha_entries.items():
-                image = tuple(
-                    bundle.action.rho(g).apply_obj(x) for x in d.underlying
-                )
-                rows = [
-                    [dict() for _ in range(len(d.underlying))]
-                    for _ in range(len(image))
-                ]
+                rows = [[{} for _ in d.underlying] for _ in d.underlying]
                 for (i, j, deg, lab), c in entries.items():
                     rows[i][j][lab] = format_scalar(c)
                 alpha[g] = rows

@@ -9,7 +9,7 @@ import pytest
 from equihh.cli import main
 from equihh.documents import canonical_json, serialize_bundle
 from equihh.examples import get_example
-from tests_support import cyclotomic_z3_document
+from tests_support import cyclotomic_z3_document, discrete_torsion_document
 
 
 def write_doc(tmp_path, name, mutate=None):
@@ -290,8 +290,9 @@ def test_decompose_without_generators_is_input_error(tmp_path, capsys):
 
 
 def test_covering_object_equal_to_another_is_input_error(tmp_path, capsys):
-    """E1 with minus given plus's alpha: the roster keeps one of the two
-    equal objects, so the covering names an object it does not hold."""
+    """E1 with minus given plus's alpha: minus repeats the roster object
+    plus, which is an input error at minus's entry, whether or not the
+    covering names it."""
 
     def duplicate(doc):
         doc["roster"][1]["alpha"] = doc["roster"][0]["alpha"]
@@ -299,7 +300,47 @@ def test_covering_object_equal_to_another_is_input_error(tmp_path, capsys):
     path = write_doc(tmp_path, "E1", mutate=duplicate)
     assert main(["decompose", path, "--no-certificates"]) == 2
     err = capsys.readouterr().err
-    assert "covering: 'minus' duplicates another roster object" in err
+    assert err == "input error: roster[1]: repeats the roster object 'plus'\n"
+
+
+def _sign_twice(text):
+    trivial = {"dim": 1, "matrices": {"e": [["1"]], "s": [["1"]]}}
+    return text.replace('"sign": ', f'"sign": {json.dumps(trivial)}, "sign": ', 1)
+
+
+def _unit_coefficient_twice(text):
+    return text.replace('"units": {"pt": {"1": "1"}}', '"units": {"pt": {"1": "1", "1": "2"}}')
+
+
+def _plus_twice(text):
+    doc = json.loads(text)
+    doc["roster"].append({**doc["roster"][0], "name": "plus2"})
+    return json.dumps(doc)
+
+
+# E1's text with a repeat that used to be read without an error: (mutation, error)
+SILENT_REPEATS = {
+    "representation": (_sign_twice, "document: repeats the key 'sign' of a JSON object"),
+    "coefficient": (_unit_coefficient_twice, "document: repeats the key '1' of a JSON object"),
+    "roster-object": (_plus_twice, "roster[2]: repeats the roster object 'plus'"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "hh", "decompose"])
+@pytest.mark.parametrize("repeat", list(SILENT_REPEATS))
+def test_a_repeat_once_read_silently_is_an_input_error(tmp_path, capsys, command, repeat):
+    """JSON keeps the last value of a repeated object key, so E1 with a
+    trivial "sign" representation ahead of the real one decomposed with
+    exit 0; and the roster merged plus2, a copy of plus, into plus without
+    a word."""
+    mutate, error = SILENT_REPEATS[repeat]
+    text = json.dumps(serialize_bundle(get_example("E1")))
+    path = tmp_path / "e1.json"
+    path.write_text(mutate(text))
+    assert path.read_text() != text
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {error}\n"
 
 
 def _case(key, value, location=None):
@@ -489,6 +530,7 @@ REPEATED = [
     ("E3", "hh", lambda doc: doc["category"]["objects"].append("pt"), "category.objects[1]"),
     ("E3", "hh", _empty_g_squared, "category.compositions[1]"),
     ("E3", "hh", _repeat(("category", "homs")), "category.homs[1]"),
+    ("E3", "hh", _repeat(("category", "homs", 0, "basis"), 0), "category.homs[0].basis[2]"),
     ("E3", "hh", _differential_twice, "category.homs[0].differential[1]"),
     ("E2", "validate", _theta_twice, "action.theta[1]"),
     ("E2", "validate", _repeat(("action", "functors", "s", "morphisms"), 0), "action.functors[s].morphisms[2]"),
@@ -540,6 +582,30 @@ def test_decompose_over_a_cyclotomic_field(tmp_path, capsys):
     assert sorted(reps) == ["chi0", "chi1", "chi2", "regular"]
     assert all(check["passed"] for check in reps.values())
     assert reps["chi1"]["character"] == {"e": "cyc3:1,0", "r1": "cyc3:0,1", "r2": "cyc3:-1,-1"}
+
+
+@pytest.mark.parametrize(
+    "torsion, dims", [(True, [1, 0, 0, 0]), (False, [1, 1, 1, 1])], ids=["omega", "trivial"]
+)
+def test_decompose_with_discrete_torsion(tmp_path, capsys, torsion, dims):
+    """E6: the Klein four group on the point with theta = omega·id,
+    omega(g, h) = (-1)^{g1·h2}.  The Pauli object is the one irreducible
+    omega-projective representation, and only the identity class is
+    omega-regular: each class g ≠ e is killed by its centralizer character
+    omega(g, h)/omega(h, g), so HH_0(C^G) is 1-dimensional (Karpilovsky,
+    Projective Representations of Finite Groups, 1985).  With omega
+    trivial and the four characters as the roster, every class gives 1."""
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps(discrete_torsion_document(torsion)))
+    assert main(["decompose", str(path), "--degrees=0..0", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["theorem_holds"]
+    assert report["equivariant_dims"] == {"0": sum(dims)}
+    classes = {c["representative"]: c["invariant_dims"]["0"] for c in report["classes"]}
+    assert classes == dict(zip("eabc", dims))
+    reps = report["representation_checks"]
+    assert sorted(reps) == ["chi", "regular"]
+    assert all(check["passed"] for check in reps.values())
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,14 @@ def test_pipeline_with_no_degrees_is_an_input_error():
     assert exc.value.location == "degrees"
 
 
+def test_decompose_with_an_unknown_covering_name_is_an_input_error():
+    """A covering name outside the roster used to raise a bare KeyError."""
+    b = example_e1()
+    with pytest.raises(InputError) as exc:
+        decompose(b.action, b.declared, b.generators, hh_names=["nope"], certificates=False)
+    assert str(exc.value) == "covering: 'nope' is not a roster name"
+
+
 def test_sym_power_with_no_degrees_is_an_input_error():
     with pytest.raises(InputError) as exc:
         sym_power_summand(point_category(), 2, degrees=())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from equihh.dgcat import DgCategory, identity_functor
 from equihh.documents import canonical_json, parse_document, serialize_bundle
 from equihh.errors import InputError
 from equihh.examples import get_example, ExampleBundle
@@ -59,3 +60,31 @@ def test_sabotaged_dgcat_document_rejected():
     good_bundle = ExampleBundle(name="koszul-good", description="", base=good)
     parsed_good = parse_document(canonical_json(serialize_bundle(good_bundle)))
     assert validate_dgcat(parsed_good.base).ok
+
+
+def test_a_unit_of_several_keys_survives_the_round_trip():
+    """k×k, the idempotents e0 and e1 with unit e0 + e1: the writer used to
+    omit every composition with a key of a unit, which the reader supplies
+    only for a unit of one key, so the reparsed category failed four unit
+    laws and hh raised."""
+    from equihh.dgcat import validate_dgcat
+    from equihh.hochschild import hh_dimensions
+    from equihh.linalg import GradedSpace
+
+    e0, e1 = (0, "e0"), (0, "e1")
+    one = QQ.one
+    kxk = DgCategory(
+        QQ,
+        ["pt"],
+        {("pt", "pt"): GradedSpace({0: ["e0", "e1"]})},
+        {},
+        {("pt", "pt", "pt"): {(e0, e0): {e0: one}, (e1, e1): {e1: one}}},
+        {"pt": {e0: one, e1: one}},
+    )
+    assert validate_dgcat(kxk).ok
+    doc = serialize_bundle(ExampleBundle(name="kxk", description="", base=kxk))
+    assert len(doc["category"]["compositions"]) == 2
+    reparsed = parse_document(canonical_json(doc)).base
+    assert validate_dgcat(reparsed).ok
+    dims = [hh_dimensions(c, identity_functor(c), [0])["dims"] for c in (kxk, reparsed)]
+    assert dims == [{0: 2}, {0: 2}]

@@ -49,14 +49,15 @@ LABELS = {
 }
 def keyed_lists(doc):
     """Paths of the non-empty lists of ``doc`` whose entries have distinct
-    keys: names, hom pairs, differential sources, compositions, functor
-    morphisms and theta pairs."""
+    keys: names, hom pairs, basis labels, differential sources,
+    compositions, functor morphisms and theta pairs."""
     cat, action = doc["category"], doc.get("action", {})
     paths = [("category", key) for key in ("objects", "homs", "compositions") if cat.get(key)]
     paths += [
-        ("category", "homs", i, "differential")
+        ("category", "homs", i, key)
         for i, h in enumerate(cat["homs"])
-        if h.get("differential")
+        for key in ("basis", "differential")
+        if h.get(key)
     ]
     paths += [("group", "elements")] if "group" in doc else []
     paths += [

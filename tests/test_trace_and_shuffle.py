@@ -8,6 +8,7 @@ from equihh.dgcat import (
     NatTransform,
     hull_subcategory,
     identity_functor,
+    parity_sign,
     tensor_category,
     validate_dgcat,
 )
@@ -275,3 +276,47 @@ def test_shuffle_s2_equivariance_on_homology():
     lhs = tau.homology_matrix(0) * sh.homology_matrix(0)
     rhs = sh.homology_matrix(0) * swap.homology_matrix(0)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "category, chains, unsigned_differing",
+    [
+        (point_category, 10, 0),
+        (group_algebra_z2_category, 196, 12),
+        (negative_degree_exterior_category, 37, 3),
+    ],
+    ids=["point", "k[Z2]", "exterior-odd"],
+)
+def test_shuffle_commutes_with_the_swap_on_chains(category, chains, unsigned_differing):
+    """Sh∘τ = (swap)_*∘Sh on every chain of C(C)⊗C(C) in degrees -3..1,
+    with τ(x⊗y) = (-1)^{|x||y|} y⊗x and swap the transposition of
+    permutation_action(C, 2): the shuffle product is graded-commutative
+    (Loday, Cyclic Homology, §4.2), so the identity holds on chains, not
+    only on homology.  Without the Koszul sign it fails on some chains."""
+    base = category()
+    w = build_window(base, identity_functor(base), -3, 1)
+    action, power = permutation_action(base, 2)
+    tw = TensorWindow(w, w, -3, 1)
+    tgt = build_window(power, identity_functor(power), -3, 1)
+    sh = hochschild.ShuffleMap(tw, tgt)
+    tau = koszul_swap_map(tw, tw)
+    swap_star = InducedMap(
+        tgt, tgt, action.rho("21"), action.centralizer_transform("21", action.group.identity)
+    )
+    degrees = range(-3, 2)
+    assert sum(tw.dim(k) for k in degrees) == chains
+
+    def unsigned_tau(k, j):
+        ka = tw.chains_at(k)[j][0]
+        return {p: parity_sign(ka * (k - ka)) * c for p, c in tau.apply_chain(k, j).items()}
+
+    def differing(swap):
+        return hochschild._differing_chains(
+            tw,
+            degrees,
+            lambda k, j: sh.apply_vec(k, swap(k, j)),
+            lambda k, j: swap_star.apply_vec(k, sh.apply_chain(k, j)),
+        )
+
+    assert differing(tau.apply_chain) == []
+    assert len(differing(unsigned_tau)) == unsigned_differing

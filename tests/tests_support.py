@@ -1148,6 +1148,80 @@ def cyclotomic_z3_document():
     }
 
 
+
+def discrete_torsion_document(torsion=True):
+    """E6 of the ROADMAP: the Klein four group {e, a, b, c}, g = (g1, g2) in
+    (Z/2)², acting trivially on the point with theta[g, h] = omega(g, h)·id,
+    omega(g, h) = (-1)^{g1·h2}.  The roster and covering are the Pauli
+    object on (pt, pt), alpha_g = X^{g1} Z^{g2}; with ``torsion`` false,
+    omega is trivial and they are the four characters instead.  The
+    representations are chi (+1 on e and b, -1 on a and c) and the regular
+    one."""
+    bits = {"e": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1)}
+    element = {v: g for g, v in bits.items()}
+    elements = list(bits)
+    table = {
+        g: {h: element[((g1 + h1) % 2, (g2 + h2) % 2)] for h, (h1, h2) in bits.items()}
+        for g, (g1, g2) in bits.items()
+    }
+    theta = [
+        {"g": g, "g2": h, "components": {"pt": {"1": "-1"}}}
+        for g, (g1, _) in bits.items()
+        for h, (_, h2) in bits.items()
+        if torsion and g1 * h2
+    ]
+
+    def sign(n):
+        return "-1" if n % 2 else "1"
+
+    def pauli(g1, g2):
+        # X^{g1} Z^{g2}, rows indexed by the image, as a roster's alpha
+        return [
+            [{"1": sign(g2 * c)} if r == (c + g1) % 2 else {} for c in range(2)]
+            for r in range(2)
+        ]
+
+    if torsion:
+        roster = [
+            {
+                "name": "pauli",
+                "objects": ["pt", "pt"],
+                "alpha": {g: pauli(*v) for g, v in bits.items()},
+            }
+        ]
+    else:
+        roster = [
+            {
+                "name": f"chi{s}{t}",
+                "objects": ["pt"],
+                "alpha": {g: [[{"1": sign(s * g1 + t * g2)}]] for g, (g1, g2) in bits.items()},
+            }
+            for s in (0, 1)
+            for t in (0, 1)
+        ]
+    regular = {
+        g: [["1" if table[g][h] == k else "0" for h in elements] for k in elements]
+        for g in elements
+    }
+    return {
+        "schema": "equihh-schema-1",
+        "name": "E6",
+        "category": {
+            "objects": ["pt"],
+            "homs": [{"source": "pt", "target": "pt", "basis": [{"label": "1", "degree": 0}]}],
+            "units": {"pt": {"1": "1"}},
+        },
+        "group": {"name": "Z/2xZ/2", "elements": elements, "table": table},
+        "action": {"functors": {g: {"identity": True} for g in elements}, "theta": theta},
+        "roster": roster,
+        "generators": ["pt"],
+        "covering": [r["name"] for r in roster],
+        "representations": {
+            "chi": {"dim": 1, "matrices": {g: [[sign(g1)]] for g, (g1, _) in bits.items()}},
+            "regular": {"dim": 4, "matrices": regular},
+        },
+    }
+
 # ---------------------------------------------------------------------------
 # The additive hull's and the tensor product's tables built by scanning
 # every pair of basis keys and summing from field.zero, as ``dgcat`` did
