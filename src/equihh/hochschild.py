@@ -81,6 +81,11 @@ cached: induced maps, their sums (``LinearComboMap``), insertion
 homotopies and a solved homotopy (``ColumnMap``).  A
 ``HomotopyCertificate`` holds its H as one, owns dH + Hd and the residual
 f - g - (dH + Hd), and its check and ``solve_homotopy`` share H's cache.
+Each window keeps one column echelon of d_k per degree
+(``WindowBase.column_echelon``), built on first use; every solve into
+the window reads it, top degree downward, and the top degree joins that
+sweep unless the source has chains above it, where one joint system
+solves for both degrees.
 One routine, ``_differing_chains``, compares two maps chain by chain for
 the certificate check, ``ChainMap.verify_chain_map`` and the
 functoriality fallback.
@@ -170,7 +175,8 @@ class WindowBase:
     """The state of a window over degrees [lo, hi] and ``field``, and the
     homology machinery on it: per degree k, the chain list, the chain
     index and d_k: C_k → C_{k+1} once a subclass stores it, the homology
-    bases and ranks mod P as homology computes them."""
+    bases and ranks mod P as homology computes them, and the column
+    echelon of d_k that every homotopy solve into the window reads."""
 
     def __init__(self, lo, hi, field):
         self.lo = lo
@@ -181,6 +187,7 @@ class WindowBase:
         self._d = {}  # degree k -> d_k
         self._homology = {}
         self._ranks = {}  # degree k -> rank_mod_p of d_k, None included
+        self._column_echelons = {}  # degree k -> Echelon of d_k's columns
 
     def chains_at(self, k):
         return self._chains.get(k, [])
@@ -216,6 +223,17 @@ class WindowBase:
                 reps, ech = _exact_homology(d_k, d_prev, closed, self.field)
             self._homology[k] = HomologyBasis(self, k, reps, ech)
         return self._homology[k]
+
+    def column_echelon(self, k):
+        """The echelon of d_k's columns, column j tagged j, over ``field``;
+        built on first use and kept, as ``Echelon.solve`` never changes it,
+        so each solve against d_k reuses it."""
+        ech = self._column_echelons.get(k)
+        if ech is None:
+            ech = self._column_echelons[k] = Echelon(self.field)
+            for j, col in enumerate(self.differential(k).cols):
+                ech.add(col, tag=j)
+        return ech
 
     def _acyclic_mod_p(self, k):
         """True when ranks mod P prove H_k = 0, given d_k∘d_{k-1} = 0:
@@ -1271,69 +1289,73 @@ def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, i):
 def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):
     """Find H' with dH' + H'd = ``cert.residual`` by exact linear solving,
     on the source degrees k with k ± 1 stored in the source and k - 1, k
-    in the target (top degree downward, a joint solve at the top step).
+    in the target, top degree downward: d H'_k = residual_k - H'_{k+1} d,
+    solved against the target's column echelon of d_{k-1}
+    (``WindowBase.column_echelon``), which the window builds once for
+    every solve.  The top degree is the first step of that sweep when the
+    source has no chain above it; otherwise one joint system solves for
+    H'_top and H'_{top+1} together.
 
     Returns H' as a ``ColumnMap``, zero when no degree is solved, or None
-    when no windowed homotopy exists.
+    when a degree has no solution given the degrees above it.  Each step
+    keeps the echelon's one solution, so None can also come where another
+    choice above would have left a solution below.
     """
     src, tgt = cert.f.src, cert.f.tgt
     degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
     if not degrees:
         return ColumnMap(src, tgt, {}, name=name)
     h_cols = {}  # degree k -> list of vectors (per source chain) at k-1
+    sweep = sorted(degrees, reverse=True)
+    top = sweep[0]
+    n_up = src.dim(top + 1)  # top < src.hi
+    if n_up:
+        # joint solve at the top: unknowns H_top and H_{top+1}
+        sweep.pop(0)
+        ech = Echelon(tgt.field)
+        d_tgt = tgt.differential(top - 1)
+        n_top = src.dim(top)
+        dim_tgt_tm1 = tgt.dim(top - 1)
+        dim_tgt_t = tgt.dim(top)
+        d_src_top = src.differential(top)
 
-    top = max(degrees)
-    # joint solve at the top: unknowns H_top and H_{top+1}
-    ech = Echelon(tgt.field)
-    d_tgt = tgt.differential(top - 1)
-    n_top = src.dim(top)
-    n_up = src.dim(top + 1) if top + 1 <= src.hi else 0
-    dim_tgt_tm1 = tgt.dim(top - 1)
-    dim_tgt_t = tgt.dim(top)
-    d_src_top = src.differential(top) if top + 1 <= src.hi else None
+        def eq_index(x_idx, row):
+            return x_idx * dim_tgt_t + row
 
-    def eq_index(x_idx, row):
-        return x_idx * dim_tgt_t + row
+        def eq_rows_of(x, vec):
+            return {eq_index(x, r): v for r, v in vec.items()}
 
-    def eq_rows_of(x, vec):
-        return {eq_index(x, r): v for r, v in vec.items()}
+        for x in range(n_top):
+            for t in range(dim_tgt_tm1):
+                col = eq_rows_of(x, d_tgt.cols[t])
+                if col:
+                    ech.add(col, tag=(top, x, t))
+        for xu in range(n_up):
+            for t in range(dim_tgt_t):
+                col = {}
+                for x in range(n_top):
+                    c = d_src_top.cols[x].get(xu)
+                    if c:
+                        col[eq_index(x, t)] = c
+                if col:
+                    ech.add(col, tag=(top + 1, xu, t))
+        rhs = {}
+        for x in range(n_top):
+            rhs.update(eq_rows_of(x, cert.residual(top, x)))
+        sol = ech.solve(rhs)
+        if sol is None:
+            return None
+        h_cols[top] = [dict() for _ in range(n_top)]
+        h_cols[top + 1] = [dict() for _ in range(n_up)]
+        for (deg, x, t), value in sol.items():
+            h_cols[deg][x][t] = value
 
-    for x in range(n_top):
-        for t in range(dim_tgt_tm1):
-            col = eq_rows_of(x, d_tgt.cols[t])
-            if col:
-                ech.add(col, tag=(top, x, t))
-    for xu in range(n_up):
-        for t in range(dim_tgt_t):
-            col = {}
-            for x in range(n_top):
-                c = d_src_top.cols[x].get(xu)
-                if c:
-                    col[eq_index(x, t)] = c
-            if col:
-                ech.add(col, tag=(top + 1, xu, t))
-    rhs = {}
-    for x in range(n_top):
-        rhs.update(eq_rows_of(x, cert.residual(top, x)))
-    sol = ech.solve(rhs)
-    if sol is None:
-        return None
-    h_cols[top] = [dict() for _ in range(n_top)]
-    h_cols[top + 1] = [dict() for _ in range(n_up)]
-    for (deg, x, t), value in sol.items():
-        h_cols[deg][x][t] = value
-
-    # sweep downward: d H_k = residual_k - H_{k+1} d
-    for k in sorted([d for d in degrees if d < top], reverse=True):
-        n_k = src.dim(k)
-        d_tgt_k = tgt.differential(k - 1)
-        ech_k = Echelon(tgt.field)
-        for j in range(d_tgt_k.ncols):
-            ech_k.add(d_tgt_k.cols[j], tag=j)
+    for k in sweep:
+        ech_k = tgt.column_echelon(k - 1)
         cols = []
         upper = h_cols.get(k + 1)
         d_src_k = src.differential(k)
-        for x in range(n_k):
+        for x in range(src.dim(k)):
             target = cert.residual(k, x)
             if upper is not None:
                 carried = {}

@@ -25,7 +25,9 @@ each vector it is given and stores every column as an integer multiple of
 the reduced column, with that multiple as its pivot entry; cyclotomic
 entries keep integer coefficients.  Callers see canonical field scalars
 only: each entry ``add`` or ``solve`` returns is divided back once, and
-``add`` returns a combination only for a vector already in the span.  A
+``add`` returns a combination only for a vector already in the span.
+``solve`` never changes an echelon, so one built echelon can answer any
+number of solves, in any order, with the same results.  A
 nonzero scaling cancels the same entries as the rational elimination, so
 the returned values and their key order are those of the rational
 elimination.
@@ -231,9 +233,10 @@ class Echelon:
 
     Callers see canonical field scalars only: ``add`` (for a vector
     already in the span) and ``solve`` divide each entry they return once,
-    into ``field``; over Q an integral quotient is an int.  The field
-    becomes the cyclotomic field of the first cyclotomic entry met, if it
-    was Q.
+    into ``field``; over Q an integral quotient is an int.  ``add`` makes
+    the field the cyclotomic field of the first cyclotomic entry met, if
+    it was Q; ``solve`` divides a cyclotomic vector's solution into that
+    vector's field and leaves the echelon's as it was.
     """
 
     def __init__(self, field=QQ):
@@ -247,23 +250,25 @@ class Echelon:
         return len(self.columns)
 
     def _integral(self, vec):
-        """(den·vec, den) with den the lcm of vec's denominators."""
+        """(den·vec, den, field) with den the lcm of vec's denominators and
+        field the echelon's, or the cyclotomic field of vec's entries where
+        the echelon's is Q."""
         try:
             den = lcm(*[x.denominator for x in vec.values()])
         except AttributeError:  # a Cyc entry has no denominator
             return self._integral_cyc(vec)
         if den == 1:
-            return {k: x.numerator for k, x in vec.items()}, 1
-        return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+            return {k: x.numerator for k, x in vec.items()}, 1, self.field
+        return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den, self.field
 
     def _integral_cyc(self, vec):
-        """_integral of a vector with cyclotomic entries; a field that was
-        Q becomes theirs."""
+        """_integral of a vector with cyclotomic entries."""
+        field = self.field
         den = 1
         for x in vec.values():
             if isinstance(x, Cyc):
-                if self.field == QQ:
-                    self.field = x.field
+                if field == QQ:
+                    field = x.field
                 den = lcm(den, *[c.denominator for c in x.coeffs])
             else:
                 den = lcm(den, x.denominator)
@@ -273,7 +278,7 @@ class Echelon:
                 out[k] = Cyc(x.field, tuple(c * den for c in x.coeffs))
             else:
                 out[k] = x.numerator * (den // x.denominator)
-        return out, den
+        return out, den, field
 
     def _reduce(self, vec, combo, scale):
         """Reduce the integral vec and its combo, both ``scale`` times
@@ -299,11 +304,11 @@ class Echelon:
         """Insert a generator.  Returns None when it adds a pivot, and its
         combination over the tagged generators (the generator itself with
         coefficient 1) when it was already in the span."""
-        vec, den = self._integral(vec)
+        vec, den, self.field = self._integral(vec)
         combo = {tag: den} if tag is not None else {}
         scale = self._reduce(vec, combo, den)
         if vec_is_zero(vec):
-            return self._divide(combo, scale)
+            return self._divide(combo, scale, self.field)
         pivot = min(vec)  # lowest row index rule
         self._remove_content(vec, combo)
         lead = vec[pivot]
@@ -326,13 +331,14 @@ class Echelon:
 
     def solve(self, vec):
         """vec as {tag: scalar} over the tagged generators, or None if
-        outside the span.  Untagged generators contribute nothing."""
-        vec, den = self._integral(vec)
+        outside the span.  Untagged generators contribute nothing, and
+        the echelon, its field included, is left unchanged."""
+        vec, den, field = self._integral(vec)
         combo = {}  # minus the solution, times scale
         scale = self._reduce(vec, combo, den)
         if not vec_is_zero(vec):
             return None
-        return self._divide(combo, -scale)
+        return self._divide(combo, -scale, field)
 
     def _remove_content(self, vec, combo):
         """Divide a column and its combination by their joint content."""
@@ -347,15 +353,16 @@ class Echelon:
                 for k, x in v.items():
                     v[k] = Cyc(x.field, tuple(c / g for c in x.coeffs)) if isinstance(x, Cyc) else x // g
 
-    def _divide(self, vec, d):
-        """vec / d entrywise, one division per entry, as canonical field
-        scalars; over Q with d == 1 that is vec itself."""
-        if self.field == QQ:
+    @staticmethod
+    def _divide(vec, d, field):
+        """vec / d entrywise, one division per entry, as canonical scalars
+        of ``field``; over Q with d == 1 that is vec itself."""
+        if field == QQ:
             if d == 1:
                 return vec
             return {k: rational(Fraction(x, d)) for k, x in vec.items()}
         inv = invert_scalar(d)
-        return {k: self.field.canonical(x * inv) for k, x in vec.items()}
+        return {k: field.canonical(x * inv) for k, x in vec.items()}
 
 
 def _coprime(a, c):

@@ -53,6 +53,7 @@ from tests_support import (
     centralizer_action_map,
     full_elimination_basis,
     identity_nat,
+    identity_versus_zero,
     leibniz_sabotage_pair,
     negative_degree_exterior_category,
     normalized_columns,
@@ -65,8 +66,10 @@ from tests_support import (
     reference_matrix,
     reference_object_cycles,
     reference_rank_mod_p,
+    reference_solve_homotopy,
     reference_vec_add,
     reference_vec_scale,
+    solved_columns,
     typed,
     verify_d_squared,
     verify_sign_identities,
@@ -861,17 +864,6 @@ def test_each_differential_is_ranked_once(monkeypatch):
     assert sorted(ranked) == [(-4, True), (-3, False), (-2, False), (-1, False), (0, False)]
 
 
-class IdentityMap(ChainMap):
-    def _compute(self, k, idx):
-        return {idx: Fraction(1)}
-
-
-def identity_versus_zero(win):
-    """The certificate of id ≃ 0 on ``win`` with H = 0."""
-    zero = LinearComboMap(win, win, [])
-    return HomotopyCertificate(IdentityMap(win, win), zero, ColumnMap(win, win, {}))
-
-
 def test_solver_uses_the_unknowns_above_the_top_degree():
     # 0 -> Q -(1)-> Q -> 0 in degrees 1, 2 is acyclic; the solved degrees
     # stop at 1, where C_0 = 0, so only H_2: C_2 -> C_1 can give dH + Hd = id
@@ -881,9 +873,20 @@ def test_solver_uses_the_unknowns_above_the_top_degree():
     solved = solve_homotopy(cert)
     assert solved.apply_chain(1, 0) == {} and solved.apply_chain(2, 0) == {0: 1}
     assert HomotopyCertificate(cert.f, cert.g, solved).check()
+    assert solved_columns(solved) == solved_columns(reference_solve_homotopy(cert))
 
 
 def test_solver_finds_no_homotopy_where_homology_differs():
     # id and 0 differ on H_0 = Q, so no H solves dH + Hd = id
-    win = MatrixWindow({-1: 0, 0: 1, 1: 0}, {})
-    assert solve_homotopy(identity_versus_zero(win)) is None
+    cert = identity_versus_zero(MatrixWindow({-1: 0, 0: 1, 1: 0}, {}))
+    assert solve_homotopy(cert) is None and reference_solve_homotopy(cert) is None
+
+
+def test_solver_sweeps_the_top_degree_when_nothing_sits_above():
+    # 0 -> Q -(2)-> Q -> 0 in degrees 0, 1 is acyclic, and C_2 = 0, so the
+    # top degree 1 is solved against the column echelon of d_0
+    cert = identity_versus_zero(MatrixWindow({-1: 0, 0: 1, 1: 1, 2: 0}, {0: [[2]]}))
+    solved = solve_homotopy(cert)
+    assert solved.apply_chain(1, 0) == {0: Fraction(1, 2)}
+    assert HomotopyCertificate(cert.f, cert.g, solved).check()
+    assert solved_columns(solved) == solved_columns(reference_solve_homotopy(cert))

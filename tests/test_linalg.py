@@ -293,6 +293,20 @@ def test_echelon_solve_over_tags():
     assert ech.solve({0: Fraction(1), 3: Fraction(1)}) is None
 
 
+def test_a_cyclotomic_solve_changes_nothing():
+    """Solving a cyclotomic vector against an echelon over Q leaves its
+    field Q: a later rational solve returns the int a fresh echelon
+    returns, not the Cyc 2.  ``add`` still takes the field of its first
+    cyclotomic entry."""
+    ech = Echelon(QQ)
+    ech.add({0: 1}, tag="a")
+    assert ech.solve({0: CYC.embed(1)}) == {"a": CYC.embed(1)}
+    assert ech.field == QQ
+    assert typed(ech.solve({0: 2})) == [("a", 2, int)]
+    ech.add({1: ZETA}, tag="b")
+    assert ech.field == CYC
+
+
 def test_matrix_inverse_and_singular():
     m = SparseMatrix.from_rows([[2, 1], [1, 1]])
     assert matrix_inverse(m).to_rows() == [[1, -1], [-1, 2]]

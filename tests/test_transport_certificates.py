@@ -160,12 +160,14 @@ def test_transports_skip_the_chain_comparison(builder, degrees, traces, monkeypa
 def test_insertion_homotopies_compute_each_chain_once(monkeypatch):
     """On E1 at -2..0 every certificate runs; an insertion homotopy, summed
     into the trace formula or not, computes each (map, degree, chain) at
-    most once across ``check`` and ``solve_homotopy``."""
-    computed = []
+    most once across ``check`` and ``solve_homotopy``.  Each map is kept
+    alive, so no later map can reuse its id."""
+    computed, maps = [], []
     compute = InsertionHomotopy._compute
 
     def spy(h, k, idx):
         computed.append((id(h), k, idx))
+        maps.append(h)
         return compute(h, k, idx)
 
     monkeypatch.setattr(InsertionHomotopy, "_compute", spy)

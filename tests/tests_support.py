@@ -27,10 +27,12 @@ from equihh.hochschild import (
     Certification,
     Chain,
     ChainMap,
+    ColumnMap,
     HomologyBasis,
     HomotopyCertificate,
     InducedMap,
     InsertionHomotopy,
+    LinearComboMap,
     WindowBase,
     build_window,
 )
@@ -857,6 +859,84 @@ class MatrixWindow(WindowBase):
             for i, row in enumerate(rows):
                 for j, x in enumerate(row):
                     mat.set(i, j, Fraction(x))
+
+
+class IdentityMap(ChainMap):
+    def _compute(self, k, idx):
+        return {idx: Fraction(1)}
+
+
+def identity_versus_zero(win):
+    """The certificate of id ≃ 0 on ``win`` with H = 0."""
+    zero = LinearComboMap(win, win, [])
+    return HomotopyCertificate(IdentityMap(win, win), zero, ColumnMap(win, win, {}))
+
+
+def reference_solve_homotopy(cert, name="H_solved"):
+    """``hochschild.solve_homotopy`` as one call on its own: a fresh
+    echelon of the target's d_{k-1} columns for each degree of the
+    downward sweep, and a joint system for H_top and H_{top+1} at the top
+    degree whether or not the source has chains above it (an empty
+    H_{top+1} list when it has none)."""
+    src, tgt = cert.f.src, cert.f.tgt
+    degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
+    if not degrees:
+        return ColumnMap(src, tgt, {}, name=name)
+    h_cols = {}
+    top = max(degrees)
+    ech = Echelon(tgt.field)
+    d_tgt = tgt.differential(top - 1)
+    n_top = src.dim(top)
+    n_up = src.dim(top + 1) if top + 1 <= src.hi else 0
+    dim_tgt_t = tgt.dim(top)
+    d_src_top = src.differential(top) if top + 1 <= src.hi else None
+    for x in range(n_top):
+        for t in range(tgt.dim(top - 1)):
+            col = {x * dim_tgt_t + r: v for r, v in d_tgt.cols[t].items()}
+            if col:
+                ech.add(col, tag=(top, x, t))
+    for xu in range(n_up):
+        for t in range(dim_tgt_t):
+            col = {}
+            for x in range(n_top):
+                c = d_src_top.cols[x].get(xu)
+                if c:
+                    col[x * dim_tgt_t + t] = c
+            if col:
+                ech.add(col, tag=(top + 1, xu, t))
+    rhs = {}
+    for x in range(n_top):
+        rhs.update({x * dim_tgt_t + r: v for r, v in cert.residual(top, x).items()})
+    sol = ech.solve(rhs)
+    if sol is None:
+        return None
+    h_cols[top] = [dict() for _ in range(n_top)]
+    h_cols[top + 1] = [dict() for _ in range(n_up)]
+    for (deg, x, t), value in sol.items():
+        h_cols[deg][x][t] = value
+    for k in sorted([d for d in degrees if d < top], reverse=True):
+        d_tgt_k = tgt.differential(k - 1)
+        ech_k = Echelon(tgt.field)
+        for j in range(d_tgt_k.ncols):
+            ech_k.add(d_tgt_k.cols[j], tag=j)
+        cols = []
+        upper = h_cols[k + 1]
+        for x in range(src.dim(k)):
+            carried = {}
+            for xu, c in src.differential(k).cols[x].items():
+                vec_axpy(carried, c, upper[xu])
+            col = ech_k.solve(vec_axpy(cert.residual(k, x), -1, carried))
+            if col is None:
+                return None
+            cols.append(col)
+        h_cols[k] = cols
+    return ColumnMap(src, tgt, h_cols, name=name)
+
+
+def solved_columns(solved):
+    """A solved homotopy's columns, each entry with its scalar type, in key
+    order; a degree with no source chain is left out."""
+    return {k: [typed(col) for col in cols] for k, cols in solved.columns.items() if cols}
 
 
 # -- reference paths for the table-driven equivariant layer ------------------
