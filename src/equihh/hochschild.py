@@ -24,15 +24,34 @@ against a0, in ``compose_terms`` order, from the composition table
 indexed by its second key.  Each face walks its table: a nonzero entry,
 with each choice of the other slots' keys that reaches the window, names
 a chain, whose column the chain index gives; so no face builds a
-morphism, and the cost follows the nonzero faces.  Homology
-stops adding boundaries to its echelon once the echelon is as large as
-the cycle space, provided every boundary column is a cycle; the skipped
-columns would reduce to zero.  It also skips a zero boundary column and
-one equal to ± a column already added: such a column lies in the span,
-so the echelon's columns, pivots and combinations, and with them the
-representatives and class coordinates, are those of adding every column.
-(On E5's largest window, 374 of the 34,225 boundary columns at degree -1
-are nonzero and distinct up to sign.)
+morphism, and the cost follows the nonzero faces.
+
+The bottom degree lo is the target of no differential: its chains only
+supply the columns of d_lo.  A window of two or more degrees with no
+unit pivot (every standard window) therefore only counts it, keeps the
+object cycles that reach it, and keeps the columns of d_lo that its
+faces write, by chain, in the order the walk writes them.  The first
+chain-level use (``chains_at(lo)``, an index lookup at lo,
+``differential(lo)``, ``column_echelon(lo)``) enumerates the degree in
+build order, puts each kept column at its chain's index, and drops the
+kept form; until then ``dim(lo)`` reads the count.  On E5 at 0..0 no
+chain-level use reaches W_full or W_big, whose bottom degrees hold 4,491
+and 34,225 of their 4,560 and 34,410 chains.  A normalized window with a
+unit pivot builds every degree up front: a face there can write a pivot
+key, which only the index rejects.
+
+Homology at lo + 1 reads the kept columns in walk order: the closedness
+check, the rank mod P and the boundary span depend only on the set of
+nonzero columns, and the representatives and class coordinates only on
+that span and the order of the cycles.  Homology stops adding boundaries
+to its echelon once the echelon is as large as the cycle space, provided
+every boundary column is a cycle; the skipped columns would reduce to
+zero.  It also skips a zero boundary column and one equal to ± a column
+already added: such a column lies in the span, so the echelon's columns,
+pivots and combinations, and with them the representatives and class
+coordinates, are those of adding every column.  (On E5's largest window,
+7,308 of the 34,225 boundary columns at degree -1 are nonzero, and 374
+of them are distinct up to sign.)
 
 Structure tables hold canonical scalars (``scalars.rational``: an int
 when integral), so window differentials, the d∘d check and the ranks
@@ -135,9 +154,11 @@ from .linalg import (
 )
 
 
-# A build retains 300-450 bytes per chain (E5's W_big, k[Z/6] at -4..1):
-# about 200 MB here, 14 times E5's W_big (34,410 chains), the largest
-# window of a bundled example at its default degrees.
+# A built window retains 300-450 bytes per chain (E5's W_big, k[Z/6] at
+# -4..1): about 200 MB here, 14 times E5's W_big (34,410 chains), the
+# largest window of a bundled example at its default degrees.  Until its
+# bottom degree is built, E5's W_big retains 84 bytes per chain; any
+# chain-level use builds it, so the budget counts every chain.
 WINDOW_CHAIN_BUDGET = 500_000
 
 
@@ -171,12 +192,25 @@ class Chain(NamedTuple):
         return f"Chain({self.objects}, {self.keys})"
 
 
+class _Deferred(NamedTuple):
+    """A standard window's bottom degree before its first chain-level use:
+    the chain count, the object cycles that reach it as (objects, slot key
+    lists) in build order, and the columns of d_lo that a face writes,
+    keyed by chain in the order the walk first writes them."""
+
+    count: int
+    cycles: list
+    columns: dict
+
+
 class WindowBase:
     """The state of a window over degrees [lo, hi] and ``field``, and the
     homology machinery on it: per degree k, the chain list, the chain
-    index and d_k: C_k → C_{k+1} once a subclass stores it, the homology
-    bases and ranks mod P as homology computes them, and the column
-    echelon of d_k that every homotopy solve into the window reads."""
+    index and d_k: C_k → C_{k+1} once a subclass stores it (a standard
+    ``HochschildWindow`` stores its bottom degree's on first use, and until
+    then only the columns of d_lo, by chain), the homology bases and ranks
+    mod P as homology computes them, and the column echelon of d_k that
+    every homotopy solve into the window reads."""
 
     def __init__(self, lo, hi, field):
         self.lo = lo
@@ -215,7 +249,7 @@ class WindowBase:
             )
         if k not in self._homology:
             d_k = self.differential(k)
-            d_prev = self.differential(k - 1)
+            d_prev = self._boundaries(k - 1)
             closed = not any(d_k.cols) or all(not d_k.apply(col) for col in d_prev.cols)
             if closed and self._acyclic_mod_p(k):
                 reps, ech = [], None
@@ -235,6 +269,12 @@ class WindowBase:
                 ech.add(col, tag=j)
         return ech
 
+    def _boundaries(self, k):
+        """d_k as homology at k + 1 reads it: the closedness check, the rank
+        mod P and the boundary span depend only on its set of nonzero
+        columns, so a subclass may give those alone, in any order."""
+        return self.differential(k)
+
     def _acyclic_mod_p(self, k):
         """True when ranks mod P prove H_k = 0, given d_k∘d_{k-1} = 0:
         rank_P(d_{k-1}) reaches dim C_k - rank_P(d_k).  Each full rank is kept,
@@ -248,7 +288,7 @@ class WindowBase:
         if k - 1 in self._ranks:
             kept = self._ranks[k - 1]
             return kept is not None and kept >= need
-        return rank_mod_p(self.differential(k - 1), stop=need) == need
+        return rank_mod_p(self._boundaries(k - 1), stop=need) == need
 
 
 def _exact_homology(d_k, d_prev, closed, field):
@@ -318,7 +358,54 @@ class HochschildWindow(WindowBase):
         self.bar_cap = bar_cap
         self.certification, self.bar_degrees = self._certify()
         self.pivots = _unit_pivots(category, functor) if normalized else {}
+        self._deferred = None  # the bottom degree until first use, a _Deferred
         self._d = self._differentials(self._enumerate())
+
+    # -- the deferred bottom degree ---------------------------------------
+
+    def chains_at(self, k):
+        if self._deferred is not None and k == self.lo:
+            self._materialize()
+        return self._chains.get(k, [])
+
+    def dim(self, k):
+        if self._deferred is not None and k == self.lo:
+            return self._deferred.count
+        return len(self._chains.get(k, ()))
+
+    def differential(self, k) -> SparseMatrix:
+        if self._deferred is not None and k == self.lo:
+            self._materialize()
+        return super().differential(k)
+
+    def _boundaries(self, k):
+        if self._deferred is not None and k == self.lo:
+            cols = [col for col in self._deferred.columns.values() if col]
+            return SparseMatrix(self.dim(k + 1), len(cols), cols)
+        return self.differential(k)
+
+    def _materialize(self):
+        """Build the deferred bottom degree as an eager build does: its
+        chains in enumeration order, their index, and d_lo with each kept
+        column at its chain's index; the deferred form is dropped."""
+        lo, deferred = self.lo, self._deferred
+        self._deferred = None
+        chains = self._chains[lo] = []
+        for objs, keylists in deferred.cycles:
+            m = len(objs) - 1
+            tuples = _tuples_within(keylists, lo + m, lo + m)[lo + m]
+            # tuple.__new__ builds a Chain in C, where Chain(...) is a Python
+            # call: the build stays no dearer than the eager enumeration
+            pairs = zip(itertools.repeat(objs), tuples)
+            chains.extend(map(tuple.__new__, itertools.repeat(Chain), pairs))
+        index = self._index[lo] = {c: i for i, c in enumerate(chains)}
+        # a dict merge reuses the stored hashes: the kept chains, listed
+        # first, take their positions from the index without hashing again
+        positions = dict.fromkeys(deferred.columns)
+        positions.update(index)
+        kept = dict(zip(positions.values(), deferred.columns.values()))
+        cols = [kept.get(j) or {} for j in range(len(chains))]
+        self._d[lo] = SparseMatrix(self.dim(lo + 1), len(chains), cols)
 
     # -- construction ---------------------------------------------------
 
@@ -367,12 +454,17 @@ class HochschildWindow(WindowBase):
         """Fill the chain lists, each cycle's in ``itertools.product`` order
         (``_tuples_within``) and counted against the budget before any is
         built; return the cycles with a column as (objects, slot pairs,
-        slot key lists)."""
+        slot key lists).  A window of two or more degrees with no unit
+        pivot defers its bottom degree: it records the count and the cycles
+        (objects, slot key lists) that reach it, and builds no chain there."""
         cat, lo, hi = self.category, self.lo, self.hi
         count = 0
         cycles = []
         slots = {}  # (hom pair, t > 0) -> the key list of a slot t, shared by the cycles
-        self._chains = {k: [] for k in range(lo, hi + 1)}
+        defer = lo < hi and not self.pivots
+        first = lo + 1 if defer else lo
+        bottom, at_bottom = [], 0
+        self._chains = {k: [] for k in range(first, hi + 1)}
         for m in self.bar_degrees:
             for objs in self._object_cycles(m):
                 pairs = self._slot_pairs(objs)
@@ -384,7 +476,8 @@ class HochschildWindow(WindowBase):
                             keys.remove(self.pivots[x][0])
                     keylists.append(slots[((x, y), t > 0)])
                 counts = _degree_counts(keylists)
-                count += sum(n for s, n in counts.items() if lo <= s - m <= hi)
+                within = sum(n for s, n in counts.items() if lo <= s - m <= hi)
+                count += within
                 if count > WINDOW_CHAIN_BUDGET:
                     raise TruncationError(
                         f"window [{lo}, {hi}] has more than {WINDOW_CHAIN_BUDGET} chains;"
@@ -392,10 +485,17 @@ class HochschildWindow(WindowBase):
                     )
                 if any(lo <= s - m < hi for s in counts):
                     cycles.append((objs, pairs, keylists))
-                for s, tuples in _tuples_within(keylists, lo + m, hi + m).items():
-                    self._chains[s - m].extend(Chain(objs, keys) for keys in tuples)
+                at_lo = counts.get(lo + m, 0) if defer else 0
+                if at_lo:
+                    bottom.append((objs, keylists))
+                    at_bottom += at_lo
+                if within > at_lo:
+                    for s, tuples in _tuples_within(keylists, first + m, hi + m).items():
+                        self._chains[s - m].extend(Chain(objs, keys) for keys in tuples)
         for k, chains in self._chains.items():
             self._index[k] = {c: i for i, c in enumerate(chains)}
+        if defer:
+            self._deferred = _Deferred(at_bottom, bottom, {})
         return cycles
 
     def _object_cycles(self, m):
@@ -448,9 +548,13 @@ class HochschildWindow(WindowBase):
     def _add_term(self, out, degree, objs, keys, c):
         """Add c times the chain (objs, keys) to the degree-``degree``
         vector ``out``; a term of another degree is a StructureError, as its
-        index would belong to another degree's chain list."""
+        index would belong to another degree's chain list.  A miss at a
+        deferred bottom degree builds that degree and looks again."""
         idx = self._index.get(degree, {}).get((objs, keys))
         if idx is None:
+            if self._deferred is not None and degree == self.lo:
+                self._materialize()
+                return self._add_term(out, degree, objs, keys, c)
             k = sum(key[0] for key in keys) - len(keys) + 1
             if k != degree:
                 raise StructureError(f"term {Chain(objs, keys)} has degree {k}, not {degree}")
@@ -486,14 +590,18 @@ class HochschildWindow(WindowBase):
         chain-by-chain build.  A face keeps the other slots' key tuples only
         for the degree sums that its own keys, of any hom degree of the
         category, can bring into a column (``_split_tuples``), memoized per
-        slot-pair sequence and sum range for the build."""
+        slot-pair sequence and sum range for the build.  A deferred bottom
+        degree has no chain index: its columns are kept by chain, in the
+        order the walk first writes them."""
         cat, fun, lo, hi = self.category, self.functor, self.lo, self.hi
-        totals = {k: SparseMatrix(self.dim(k + 1), self.dim(k)) for k in range(lo, hi)}
+        bottom = lo if self._deferred is not None else None
+        kept = self._deferred.columns if bottom is not None else None  # chain -> column of d_lo
+        totals = {k: SparseMatrix(self.dim(k + 1), self.dim(k)) for k in range(lo, hi) if k != bottom}
         splits = {}  # (left, right slot pairs, sum range) -> _split_tuples
         dmin, dmax = cat.min_max_degree()
         for objs, pairs, keylists in cycles:
             m = len(objs) - 1
-            col1 = {}  # (k, j) -> the d1 part of column j of d_k
+            col1 = {}  # (k, j) -> the d1 part of column j of d_k; j a chain at a deferred lo
 
             def walk(entries, a, b, e, new_objs, odd, side=False):
                 """Add each entry's image, as left + (key,) + right on new_objs with sign
@@ -512,7 +620,17 @@ class HochschildWindow(WindowBase):
                         k = hit + degree - m
                         if not lo <= k < hi:
                             continue
-                        at, flip = self._index[k], odd(k, pre)
+                        flip = odd(k, pre)
+                        if k == bottom:  # no index, and no pivot key in a standard window
+                            for left, right in itertools.product(lefts, rights):
+                                chain = (objs, left + before + right + after)
+                                col = col1.setdefault((k, chain), {}) if side else kept.setdefault(chain, {})
+                                for hk, c in image.items():
+                                    if c:
+                                        keys = left + (hk,) + right
+                                        self._add_term(col, k + 1, new_objs, keys, -c if flip else c)
+                            continue
+                        at = self._index[k]
                         for left, right in itertools.product(lefts, rights):
                             j = at.get((objs, left + before + right + after))
                             if j is None:  # a pivot key
@@ -556,7 +674,8 @@ class HochschildWindow(WindowBase):
                          lambda k, pre: (m + km[0] * (k + m - km[0])) % 2)
             for (k, j), c1 in col1.items():
                 if c1:
-                    vec_axpy(totals[k].cols[j], parity_sign(m), c1)
+                    col = kept.setdefault(j, {}) if k == bottom else totals[k].cols[j]
+                    vec_axpy(col, parity_sign(m), c1)
         return totals
 
 
@@ -1289,67 +1408,44 @@ def trace_summand_homotopy(window_src, window_tgt, summand_functors, eta, i):
 def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):
     """Find H' with dH' + H'd = ``cert.residual`` by exact linear solving,
     on the source degrees k with k ± 1 stored in the source and k - 1, k
-    in the target, top degree downward: d H'_k = residual_k - H'_{k+1} d,
+    in the target, and at top + 1 when the source has chains there.
+
+    The sweep runs top degree downward: d H'_k = residual_k - H'_{k+1} d,
     solved against the target's column echelon of d_{k-1}
     (``WindowBase.column_echelon``), which the window builds once for
     every solve.  The top degree is the first step of that sweep when the
     source has no chain above it; otherwise one joint system solves for
-    H'_top and H'_{top+1} together.
+    H'_top and H'_{top+1} together.  Each step keeps the echelon's one
+    solution, so a step can fail where another choice above would have
+    left a solution; then one joint system in every unknown H'_k decides.
 
     Returns H' as a ``ColumnMap``, zero when no degree is solved, or None
-    when a degree has no solution given the degrees above it.  Each step
-    keeps the echelon's one solution, so None can also come where another
-    choice above would have left a solution below.
+    when no H' exists.
     """
     src, tgt = cert.f.src, cert.f.tgt
     degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
     if not degrees:
         return ColumnMap(src, tgt, {}, name=name)
-    h_cols = {}  # degree k -> list of vectors (per source chain) at k-1
-    sweep = sorted(degrees, reverse=True)
+    top = degrees[-1]
+    unknowns = degrees + [top + 1] if src.dim(top + 1) else degrees  # top < src.hi
+    h_cols = _swept_homotopy(cert, degrees, unknowns)
+    if h_cols is None:
+        h_cols = _joint_homotopy(cert, degrees, unknowns)
+    return None if h_cols is None else ColumnMap(src, tgt, h_cols, name=name)
+
+
+def _swept_homotopy(cert, degrees, unknowns):
+    """{k: H'_k's column per source chain} by ``solve_homotopy``'s sweep,
+    or None at the first degree with no solution given those above."""
+    src, tgt = cert.f.src, cert.f.tgt
+    sweep = degrees[::-1]
     top = sweep[0]
-    n_up = src.dim(top + 1)  # top < src.hi
-    if n_up:
-        # joint solve at the top: unknowns H_top and H_{top+1}
-        sweep.pop(0)
-        ech = Echelon(tgt.field)
-        d_tgt = tgt.differential(top - 1)
-        n_top = src.dim(top)
-        dim_tgt_tm1 = tgt.dim(top - 1)
-        dim_tgt_t = tgt.dim(top)
-        d_src_top = src.differential(top)
-
-        def eq_index(x_idx, row):
-            return x_idx * dim_tgt_t + row
-
-        def eq_rows_of(x, vec):
-            return {eq_index(x, r): v for r, v in vec.items()}
-
-        for x in range(n_top):
-            for t in range(dim_tgt_tm1):
-                col = eq_rows_of(x, d_tgt.cols[t])
-                if col:
-                    ech.add(col, tag=(top, x, t))
-        for xu in range(n_up):
-            for t in range(dim_tgt_t):
-                col = {}
-                for x in range(n_top):
-                    c = d_src_top.cols[x].get(xu)
-                    if c:
-                        col[eq_index(x, t)] = c
-                if col:
-                    ech.add(col, tag=(top + 1, xu, t))
-        rhs = {}
-        for x in range(n_top):
-            rhs.update(eq_rows_of(x, cert.residual(top, x)))
-        sol = ech.solve(rhs)
-        if sol is None:
+    h_cols = {}
+    if unknowns[-1] > top:  # H'_top and H'_{top+1} at once
+        h_cols = _joint_homotopy(cert, [top], [top, top + 1])
+        if h_cols is None:
             return None
-        h_cols[top] = [dict() for _ in range(n_top)]
-        h_cols[top + 1] = [dict() for _ in range(n_up)]
-        for (deg, x, t), value in sol.items():
-            h_cols[deg][x][t] = value
-
+        sweep.pop(0)
     for k in sweep:
         ech_k = tgt.column_echelon(k - 1)
         cols = []
@@ -1367,7 +1463,46 @@ def solve_homotopy(cert: HomotopyCertificate, name="H_solved"):
                 return None
             cols.append(col)
         h_cols[k] = cols
-    return ColumnMap(src, tgt, h_cols, name=name)
+    return h_cols
+
+
+def _joint_homotopy(cert, equations, unknowns):
+    """{k: H'_k's column per source chain} for k in ``unknowns`` solving
+    d H'_k + H'_{k+1} d = residual_k at every source degree k of
+    ``equations`` as one system, or None when it has no solution.  Row
+    (k, x, r) is entry r of the equation at chain x of source degree k;
+    unknown (k, x, t) is entry t of H'_k at chain x, and enters the rows
+    of k through d_{k-1} of the target and those of k - 1 through d_{k-1}
+    of the source."""
+    src, tgt = cert.f.src, cert.f.tgt
+    ech = Echelon(tgt.field)
+    for k in unknowns:
+        d_tgt = tgt.differential(k - 1) if k in equations else None
+        below = [[] for _ in range(src.dim(k))]  # chain x -> (y, c) with c·x in d y
+        if k - 1 in equations:
+            for y, col in enumerate(src.differential(k - 1).cols):
+                for x, c in col.items():
+                    below[x].append((y, c))
+        for x, hits in enumerate(below):
+            for t in range(tgt.dim(k - 1)):
+                col = {} if d_tgt is None else {(k, x, r): v for r, v in d_tgt.cols[t].items()}
+                for y, c in hits:
+                    col[(k - 1, y, t)] = c
+                if col:
+                    ech.add(col, tag=(k, x, t))
+    rhs = {
+        (k, x, r): v
+        for k in equations
+        for x in range(src.dim(k))
+        for r, v in cert.residual(k, x).items()
+    }
+    sol = ech.solve(rhs)
+    if sol is None:
+        return None
+    h_cols = {k: [{} for _ in range(src.dim(k))] for k in unknowns}
+    for (k, x, t), value in sol.items():
+        h_cols[k][x][t] = value
+    return h_cols
 
 
 def verify_trace_decomposition(total_map: InducedMap, summands, degrees):

@@ -14,7 +14,6 @@ from equihh.dgcat import (
     algebra_category,
     identity_functor,
     nat_inverse,
-    parity_sign,
     tensor_category,
     validate_dgcat,
 )
@@ -51,6 +50,7 @@ from tests_support import (
     assert_elimination_matches_reference,
     canonical_type,
     centralizer_action_map,
+    columns,
     full_elimination_basis,
     identity_nat,
     identity_versus_zero,
@@ -60,16 +60,13 @@ from tests_support import (
     reference_certify,
     reference_chains,
     reference_columns,
-    reference_d1_chain,
-    reference_d2_chain,
     reference_homology,
-    reference_matrix,
     reference_object_cycles,
     reference_rank_mod_p,
     reference_solve_homotopy,
-    reference_vec_add,
-    reference_vec_scale,
+    reference_total,
     solved_columns,
+    stored,
     typed,
     verify_d_squared,
     verify_sign_identities,
@@ -429,32 +426,6 @@ def reference_windows():
     for cat, twist in (square_zero_twist(), two_object_twist()):
         yield build_window(cat, twist, -3, 1)
         yield build_window(cat, twist, -3, 1, normalized=True)
-
-
-def columns(mat):
-    return [typed(col) for col in mat.cols]
-
-
-def stored(mat):
-    """A reference matrix as a window stores it: each integral Fraction
-    entry becomes an int, every other entry is unchanged."""
-    out = SparseMatrix(mat.nrows, mat.ncols)
-    out.cols = [
-        {i: x.numerator if type(x) is Fraction and x.denominator == 1 else x for i, x in col.items()}
-        for col in mat.cols
-    ]
-    return out
-
-
-def reference_total(win, k):
-    """d2 + (-1)^m d1 of degree k, column by column on the reference path."""
-    d1 = reference_matrix(win, k, reference_d1_chain)
-    d2 = reference_matrix(win, k, reference_d2_chain)
-    total = SparseMatrix(d2.nrows, d2.ncols)
-    for j, chain in enumerate(win.chains_at(k)):
-        sign = parity_sign(chain.bar_degree)
-        total.cols[j] = reference_vec_add(d2.cols[j], reference_vec_scale(sign, d1.cols[j]))
-    return total, d1.nnz()
 
 
 def test_table_differentials_match_mor_reference():

@@ -1,7 +1,10 @@
 """``solve_homotopy`` against its per-call reference: the solver reads one
 column echelon per target window and degree, built once for every solve,
 and joins the top degree to its downward sweep when the source has no
-chain above it; it must return what a fresh elimination per call returns."""
+chain above it; where the reference solves, it must return what a fresh
+elimination per call returns.  Where a sweep step fails, one joint system
+in every unknown decides, so the solver returns None only when no
+homotopy exists."""
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from equihh.linalg import Echelon
 from equihh.scalars import QQ, CyclotomicField
 from tests_support import (
     MatrixWindow,
+    reference_homotopy_exists,
     reference_solve_homotopy,
     solved_columns,
     typed,
@@ -148,8 +152,9 @@ def complexes(draw):
 def test_random_complexes_match_the_reference(complex_, data):
     """On random complexes, with residual λ·id - (dH0 + H0d) for a random
     integer H0 (solvable for λ = 0, and for λ ≠ 0 only where the solved
-    degrees are acyclic), both solvers return None on the same inputs and
-    otherwise the same columns."""
+    degrees are acyclic), the solver solves wherever the reference does,
+    to the same columns; every homotopy it returns certifies; and it
+    returns None only when the brute-force joint solve finds none."""
     dims, rows = complex_
     win = MatrixWindow(dims, rows)
     for k in range(win.lo, win.hi):
@@ -166,9 +171,30 @@ def test_random_complexes_match_the_reference(complex_, data):
     zero = LinearComboMap(win, win, [])
     cert = HomotopyCertificate(f, zero, ColumnMap(win, win, h0))
     solved, ref = solve_homotopy(cert), reference_solve_homotopy(cert)
-    assert (solved is None) == (ref is None)
-    event(f"n_up > 0: {dims[win.hi] > 0}, solved: {solved is not None}")
-    if solved is not None:
+    event(f"n_up > 0: {dims[win.hi] > 0}, solved: {solved is not None}, swept: {ref is not None}")
+    if ref is not None:
+        assert solved is not None
         assert solved_columns(solved) == solved_columns(ref)
+    if solved is None:
+        assert lam and not reference_homotopy_exists(cert)
+    else:
         h = LinearComboMap(win, win, [(1, cert.h), (1, solved)])
         assert HomotopyCertificate(f, zero, h).check()
+
+
+def test_a_failed_sweep_step_falls_back_to_the_joint_system():
+    """d_1 = (0 -3) on C_1 = Q² → C_2 = Q, and residual -(dH0 + H0d) for
+    H0_2 = (1, 0)ᵀ.  The sweep keeps H_2 = 0 at degree 2, which leaves
+    3·e_0 at the chain e_1 of degree 1 with nothing to solve it (C_0 = 0);
+    H_2 = -H0_2, which d_1 also kills, solves both degrees.  The reference
+    sweep returns None; the solver returns a homotopy that certifies."""
+    win = MatrixWindow({0: 0, 1: 2, 2: 1, 3: 0}, {1: [[0, -3]]})
+    zero = LinearComboMap(win, win, [])
+    h0 = ColumnMap(win, win, {2: [{0: 1}]})
+    cert = HomotopyCertificate(zero, zero, h0)
+    assert reference_solve_homotopy(cert) is None
+    assert reference_homotopy_exists(cert)
+    solved = solve_homotopy(cert)
+    assert solved_columns(solved) == {1: [[], []], 2: [[(0, -1, int)]]}
+    h = LinearComboMap(win, win, [(1, h0), (1, solved)])
+    assert HomotopyCertificate(zero, zero, h).check()

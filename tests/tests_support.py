@@ -258,9 +258,13 @@ def projecting_cut(m_bottom=same, t_bottom=same, first_bottom=zero):
 
 def reversed_window(win):
     """A second build of the window ``win``, with each degree's chains
-    listed in reverse order: the same complex on another basis order."""
+    listed in reverse order: the same complex on another basis order.  The
+    bottom degree, which a standard window builds on first use, is built
+    through ``chains_at`` before the lists are reversed, so every degree's
+    differential is rebuilt on the reversed index."""
     other = build_window(win.category, win.functor, win.lo, win.hi, bar_cap=win.bar_cap)
     cycles = other._enumerate()
+    other.chains_at(other.lo)
     for k, chains in other._chains.items():
         chains.reverse()
         other._index[k] = {chain: i for i, chain in enumerate(chains)}
@@ -834,6 +838,32 @@ def reference_matrix(win, k, column):
     return mat
 
 
+def columns(mat):
+    return [typed(col) for col in mat.cols]
+
+
+def stored(mat):
+    """A reference matrix as a window stores it: each integral Fraction
+    entry becomes an int, every other entry is unchanged."""
+    out = SparseMatrix(mat.nrows, mat.ncols)
+    out.cols = [
+        {i: x.numerator if type(x) is Fraction and x.denominator == 1 else x for i, x in col.items()}
+        for col in mat.cols
+    ]
+    return out
+
+
+def reference_total(win, k):
+    """d2 + (-1)^m d1 of degree k, column by column on the reference path."""
+    d1 = reference_matrix(win, k, reference_d1_chain)
+    d2 = reference_matrix(win, k, reference_d2_chain)
+    total = SparseMatrix(d2.nrows, d2.ncols)
+    for j, chain in enumerate(win.chains_at(k)):
+        sign = parity_sign(chain.bar_degree)
+        total.cols[j] = reference_vec_add(d2.cols[j], reference_vec_scale(sign, d1.cols[j]))
+    return total, d1.nnz()
+
+
 def full_elimination_basis(win, k):
     """HomologyBasis with every boundary column added to the echelon."""
     _, cycles = rank_kernel_image(win.differential(k), win.field)
@@ -931,6 +961,30 @@ def reference_solve_homotopy(cert, name="H_solved"):
             cols.append(col)
         h_cols[k] = cols
     return ColumnMap(src, tgt, h_cols, name=name)
+
+
+def reference_homotopy_exists(cert):
+    """Whether some H, on the degrees ``hochschild.solve_homotopy`` solves
+    and the degree above them, has dH + Hd = ``cert.residual`` on each
+    solved degree, by brute force: every elementary H (one entry of one
+    H_k) goes through ``HomotopyCertificate.dh_hd``, and the residual is
+    tested against the span of those images."""
+    src, tgt = cert.f.src, cert.f.tgt
+    degrees = [k for k in range(src.lo + 1, src.hi) if k - 1 >= tgt.lo and k <= tgt.hi]
+    if not degrees:
+        return True
+    zero = LinearComboMap(src, tgt, [])
+
+    def stacked(column):
+        return {(k, x, r): v for k in degrees for x in range(src.dim(k)) for r, v in column(k, x).items()}
+
+    ech = ReferenceEchelon(tgt.field)
+    for u in degrees + [degrees[-1] + 1]:
+        for x in range(src.dim(u)):
+            for t in range(tgt.dim(u - 1)):
+                entry = [{t: 1} if y == x else {} for y in range(src.dim(u))]
+                ech.add(stacked(HomotopyCertificate(zero, zero, ColumnMap(src, tgt, {u: entry})).dh_hd))
+    return ech.solve(stacked(cert.residual)) is not None
 
 
 def solved_columns(solved):
