@@ -15,6 +15,10 @@ This module owns the additive hull's block layout.  A hull basis key is
 at one entry, ``block_mor`` assembles a morphism between concatenated
 tuples from blocks between their parts, and ``block_of`` reads one block
 back.  Callers name blocks by part index and never compute an offset.
+``hull_product`` multiplies hull morphisms block by block off the base's
+composition tables, pairing each term of g only with f's terms in the
+column it meets (``hull_index``), and ``hull_compose`` is its morphism
+form: the hull's ``compose`` without building a hull table.
 
 It also owns the two sums over structure tables.  ``compose_terms`` is
 the bilinear sum Σ c_g·c_f·table[(g key, f key)] that expands f∘g from a
@@ -695,6 +699,52 @@ def hull_entries(coeffs, i, j):
     return {(deg, (i, j, lab)): c for (deg, lab), c in coeffs.items()}
 
 
+def hull_index(terms, part=1):
+    """Hull terms ((deg, (row, col, label)), c) grouped by column, or by
+    row with ``part=0``: {index: [term, ...]}, each list in term order."""
+    index = {}
+    for term in terms:
+        index.setdefault(term[0][1][part], []).append(term)
+    return index
+
+
+def hull_product(base, xs, ys, zs, g_terms, f_by_col):
+    """The coefficients of f∘g for hull morphisms g: xs → ys and f: ys → zs
+    over ``base``, from g's terms and f's grouped by column
+    (``hull_index``), with no hull composition table.  A g term at
+    (mid, j, glab) meets only f's terms in column mid; the product with
+    one at (i, mid, flab) is the entry of base.comp_table(xs[j], ys[mid],
+    zs[i]) at the two base keys, rekeyed to (i, j).  g's terms are the
+    outer loop and each column's terms the inner one, so the sum equals
+    ``compose_terms`` on the hull table in values, scalar types and key
+    order."""
+    out = {}
+    comp_table, column = base.comp_table, f_by_col.get
+    for (gdeg, (mid, j, glab)), cg in g_terms:
+        f_terms = column(mid)
+        if f_terms:
+            xb, yb = xs[j], ys[mid]
+            for (fdeg, (i, _, flab)), cf in f_terms:
+                entry = comp_table(xb, yb, zs[i]).get(((gdeg, glab), (fdeg, flab)))
+                if entry:  # its nonzero values, as the hull table keeps them
+                    rekeyed = {(deg, (i, j, lab)): v for (deg, lab), v in entry.items() if v}
+                    vec_axpy(out, cg * cf, rekeyed)
+    return out
+
+
+def hull_compose(hull, f: Mor, g: Mor) -> Mor:
+    """f∘g for g: xs → ys and f: ys → zs in a hull made by
+    ``hull_subcategory``, read blockwise off its base (``hull_product``):
+    ``hull.compose(f, g)`` without building the hull table of
+    (xs, ys, zs)."""
+    if g.tgt != f.src:
+        raise StructureError(f"cannot compose {f.src}<-{g.tgt}")
+    coeffs = hull_product(
+        hull.base, g.src, g.tgt, f.tgt, g.coeffs.items(), hull_index(f.coeffs.items())
+    )
+    return Mor(g.src, f.tgt, coeffs)
+
+
 def _starts(parts):
     """Where each part of a concatenated hull tuple starts."""
     return list(itertools.accumulate(map(len, parts), initial=0))
@@ -754,7 +804,9 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
     Morphisms are matrices of base morphisms: a basis element of
     Hom(xs, ys) is labeled (row, col, base_label) and lives in the degree
     of the base morphism xs[col] → ys[row]; composition is matrix product
-    via the base structure constants.
+    via the base structure constants, a hom triple's table built the first
+    time ``compose`` reads it.  The hull records ``cat`` as its ``base``,
+    which ``hull_compose`` reads products from without a table.
     """
     objects = [tuple(o) for o in objects]
     for tup in objects:
@@ -798,7 +850,9 @@ def hull_subcategory(cat: DgCategory, objects) -> DgCategory:
                             table[key] = hull_entries(prod, i, j)
         return table
 
-    return DgCategory(field, objects, homs, diff, {}, units, comp_builder=comp_builder)
+    hull = DgCategory(field, objects, homs, diff, {}, units, comp_builder=comp_builder)
+    hull.base = cat
+    return hull
 
 
 def additive_hull(cat: DgCategory, cap: int) -> DgCategory:

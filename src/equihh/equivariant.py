@@ -10,10 +10,12 @@ When the base category and action validate, the conditions of a
 generating set of G are stacked; they imply the others.
 
 Both the conditions and the compositions are read from the structure
-tables, not built one morphism at a time: the condition on a basis key φ
-sums the alpha coefficients against the ambient composition tables and
-rho_g's image of φ (``DgFunctor.image``), each a ``dgcat.compose_terms``
-sum.  The products of two solved bases come from one walk of the ambient
+tables, not built one morphism at a time.  The condition on a basis key
+φ pairs φ and rho_g's image of φ (``DgFunctor.image``) only with the
+alpha terms in the blocks they meet, each product an entry of a base
+composition table (``dgcat.hull_product``), so the solve, like the
+validation of roster objects, builds no hull composition table.  The
+products of two solved bases come from one walk of the ambient
 composition table (``dgcat.compose_families``), each entry added into
 every pair of basis vectors it touches, and each product is restricted
 to the solved basis.  Tables, alphas, images and solved bases hold
@@ -53,9 +55,11 @@ from .dgcat import (
     block_of,
     compose_families,
     compose_functors,
-    compose_terms,
     full_subcategory,
+    hull_compose,
     hull_entries,
+    hull_index,
+    hull_product,
     hull_subcategory,
     identity_functor,
     keyed_functor,
@@ -146,9 +150,10 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject, inverses=
     """Closedness, degree, invertibility and the coherence square per
     pair (g, h), each instance checked exactly.  The square is checked as
     alpha_{hg} = theta[g,h]_c ∘ rho_g(alpha_h) ∘ alpha_g, which needs no
-    inverse and says the same wherever theta is invertible; invertibility
-    is judged on ``inverses`` (``alpha_inverses`` unless the caller keeps
-    its own)."""
+    inverse and says the same wherever theta is invertible; its composites
+    are read blockwise off the base (``dgcat.hull_compose``), so no hull
+    composition table is built.  Invertibility is judged on ``inverses``
+    (``alpha_inverses`` unless the caller keeps its own)."""
     report = ValidationReport(f"equivariant object {obj.name}")
     cat = laction.category
     grp = laction.group
@@ -173,8 +178,8 @@ def validate_equivariant(laction: GroupAction, obj: EquivariantObject, inverses=
         return report
     for g, h in itertools.product(grp.elements, repeat=2):
         hg = grp.mul(h, g)
-        rhs = cat.compose(laction.rho(g).apply(obj.alpha[h]), obj.alpha[g])
-        if not obj.alpha[hg] == cat.compose(laction.theta_at(g, h).at(c), rhs):
+        rhs = hull_compose(cat, laction.rho(g).apply(obj.alpha[h]), obj.alpha[g])
+        if not obj.alpha[hg] == hull_compose(cat, laction.theta_at(g, h).at(c), rhs):
             report.add("cocycle", f"coherence square fails at ({g}, {h})")
     return report
 
@@ -191,9 +196,11 @@ def alpha_inverse(laction: GroupAction, obj: EquivariantObject, g, inverses):
     """alpha_g^{-1}: rho_g(c) -> c, or None; builds ``alpha_inverses``,
     which it reads alpha_e^{-1} from.  The coherence square at (g, g^{-1})
     makes L = alpha_e^{-1}∘theta[g,g^{-1}]_c∘rho_g(alpha_{g^{-1}}) a left
-    inverse of alpha_g.  L is returned when it is a two-sided inverse of
-    degree 0, hence the one ``DgCategory.invert`` finds; otherwise
-    ``invert`` decides, so the verdict never rests on the square."""
+    inverse of alpha_g.  L, and its composites with alpha_g, are read
+    blockwise off the base (``dgcat.hull_compose``).  L is returned when
+    it is a two-sided inverse of degree 0, hence the one
+    ``DgCategory.invert`` finds; otherwise ``invert`` decides, so the
+    verdict never rests on the square."""
     cat, grp, c, a = laction.category, laction.group, obj.underlying, obj.alpha[g]
     e, gi = grp.identity, grp.inv(g)
     if g != e and {e, gi} <= obj.alpha.keys():
@@ -201,9 +208,10 @@ def alpha_inverse(laction: GroupAction, obj: EquivariantObject, g, inverses):
             e_inv = inverses[e]
             if e_inv is not None:
                 back = laction.rho(g).apply(obj.alpha[gi])
-                back = cat.compose(e_inv, cat.compose(laction.theta_at(g, gi).at(c), back))
-                if back.degrees() in ([], [0]) and cat.compose(back, a) == cat.unit(c):
-                    if cat.compose(a, back) == cat.unit(a.tgt):
+                back = hull_compose(cat, laction.theta_at(g, gi).at(c), back)
+                back = hull_compose(cat, e_inv, back)
+                if back.degrees() in ([], [0]) and hull_compose(cat, back, a) == cat.unit(c):
+                    if hull_compose(cat, a, back) == cat.unit(a.tgt):
                         return back
         except StructureError:  # alpha_e, alpha_{g^-1} or theta does not fit
             pass
@@ -359,20 +367,25 @@ class EquivariantCategory:
         conditions cut out the kernel of all |G|.
 
         The condition alpha'_g∘φ - rho_g(φ)∘alpha_g on a basis key φ is
-        read from the tables: per g, the composition tables of
-        (c, c2, rho_g c2) and (c, rho_g c, rho_g c2), the coefficients of
-        both alphas and rho_g's image of φ, each side one ``compose_terms``
-        sum.  Rows are numbered in first-seen (g index, key) order.  Table
-        entries, alphas and images hold canonical scalars
-        (``scalars.rational``), so the conditions are ints where the tables
-        are integral; the kernel comes out of ``Echelon`` as canonical field
-        scalars.  It is the reduced kernel basis (1 on a column that is a
-        combination of earlier ones, the combination's coefficients on the
-        earlier independent columns), which depends only on the subspace;
-        each vector lists its keys in hom-key order, so neither depends on
-        the rows the elimination saw.  A vector's last key is its free
-        column, where no other vector of its degree is nonzero."""
+        read blockwise off the base's composition tables
+        (``dgcat.hull_product``), with no hull table: per g, alpha'_g is
+        indexed by column and alpha_g by row once, so the key φ at
+        (i, j, lab) meets only alpha'_g's column i and alpha_g's rows at
+        the columns of rho_g(φ) (``DgFunctor.image``), column j for a
+        lifted action.  Rows are numbered in first-seen (g index, key)
+        order; for a lifted action the matrices are those the hull tables
+        give, row for row.  Table entries, alphas and images hold canonical
+        scalars (``scalars.rational``), so the conditions are ints where the
+        tables are integral; the kernel comes out of ``Echelon`` as
+        canonical field scalars.  It is the reduced kernel basis (1 on a
+        column that is a combination of earlier ones, the combination's
+        coefficients on the earlier independent columns), which depends
+        only on the subspace; each vector lists its keys in hom-key order,
+        so neither depends on the rows the elimination saw.  A vector's
+        last key is its free column, where no other vector of its degree
+        is nonzero."""
         cat = self.laction.category
+        base = cat.base
         c, c2 = src.underlying, tgt.underlying
         space = cat.hom(c, c2)
         if not space.total_dim():
@@ -381,14 +394,15 @@ class EquivariantCategory:
         for g in self._conditions:
             rho = self.laction.rho(g)
             a_src, a_tgt = src.alpha[g], tgt.alpha[g]
-            if a_tgt.src != c2 or a_src.tgt != rho.apply_obj(c):
+            rho_c, rho_c2 = rho.apply_obj(c), rho.apply_obj(c2)
+            if (a_src.src, a_src.tgt, a_tgt.src, a_tgt.tgt) != (c, rho_c, c2, rho_c2):
                 raise StructureError(f"alpha[{g}] does not compose with {c}->{c2}")
             per_g.append((
                 rho,
-                cat.comp_table(c, c2, a_tgt.tgt),
-                list(a_tgt.coeffs.items()),
-                cat.comp_table(a_src.src, a_src.tgt, rho.apply_obj(c2)),
-                list(a_src.coeffs.items()),
+                rho_c,
+                rho_c2,
+                hull_index(a_tgt.coeffs.items()),
+                hull_index(a_src.coeffs.items(), 0),
             ))
         solved = {}
         for deg in space.degrees():
@@ -397,10 +411,11 @@ class EquivariantCategory:
             matrix_cols = []
             for key in keys:
                 col = {}
-                for gi, (rho, lhs_table, a_tgt, rhs_table, a_src) in enumerate(per_g):
-                    lhs = compose_terms(lhs_table, ((key, 1),), a_tgt)
-                    image = rho.image(c, c2, key).coeffs.items()
-                    rhs = compose_terms(rhs_table, a_src, image)
+                for gi, (rho, rho_c, rho_c2, tgt_cols, src_rows) in enumerate(per_g):
+                    lhs = hull_product(base, c, c2, rho_c2, ((key, 1),), tgt_cols)
+                    image = hull_index(rho.image(c, c2, key).coeffs.items())
+                    src_terms = [term for mid in image for term in src_rows.get(mid, ())]
+                    rhs = hull_product(base, c, rho_c, rho_c2, src_terms, image)
                     for dkey, val in vec_axpy(lhs, -1, rhs).items():
                         row = rows.setdefault((gi, dkey), len(rows))
                         col[row] = val

@@ -192,6 +192,12 @@ class Chain(NamedTuple):
         return f"Chain({self.objects}, {self.keys})"
 
 
+def _chains_of(objs, key_tuples):
+    """The chains (objs, keys) over ``key_tuples``, in order.  tuple.__new__
+    builds each Chain in C, where Chain(objs, keys) is a Python call."""
+    return map(tuple.__new__, itertools.repeat(Chain), zip(itertools.repeat(objs), key_tuples))
+
+
 class _Deferred(NamedTuple):
     """A standard window's bottom degree before its first chain-level use:
     the chain count, the object cycles that reach it as (objects, slot key
@@ -393,11 +399,7 @@ class HochschildWindow(WindowBase):
         chains = self._chains[lo] = []
         for objs, keylists in deferred.cycles:
             m = len(objs) - 1
-            tuples = _tuples_within(keylists, lo + m, lo + m)[lo + m]
-            # tuple.__new__ builds a Chain in C, where Chain(...) is a Python
-            # call: the build stays no dearer than the eager enumeration
-            pairs = zip(itertools.repeat(objs), tuples)
-            chains.extend(map(tuple.__new__, itertools.repeat(Chain), pairs))
+            chains.extend(_chains_of(objs, _tuples_within(keylists, lo + m, lo + m)[lo + m]))
         index = self._index[lo] = {c: i for i, c in enumerate(chains)}
         # a dict merge reuses the stored hashes: the kept chains, listed
         # first, take their positions from the index without hashing again
@@ -491,7 +493,7 @@ class HochschildWindow(WindowBase):
                     at_bottom += at_lo
                 if within > at_lo:
                     for s, tuples in _tuples_within(keylists, first + m, hi + m).items():
-                        self._chains[s - m].extend(Chain(objs, keys) for keys in tuples)
+                        self._chains[s - m].extend(_chains_of(objs, tuples))
         for k, chains in self._chains.items():
             self._index[k] = {c: i for i, c in enumerate(chains)}
         if defer:
