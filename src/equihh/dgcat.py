@@ -15,20 +15,19 @@ This module owns the additive hull's block layout.  A hull basis key is
 at one entry, ``block_mor`` assembles a morphism between concatenated
 tuples from blocks between their parts, and ``block_of`` reads one block
 back.  Callers name blocks by part index and never compute an offset.
-``hull_product`` multiplies hull morphisms block by block off the base's
-composition tables, pairing each term of g only with f's terms in the
-column it meets (``hull_index``), and ``hull_compose`` is its morphism
-form: the hull's ``compose`` without building a hull table.
+``hull_product`` multiplies one hull morphism g by a family of f's
+block by block off the base's composition tables, in one pass, pairing
+each term of g only with the f terms in the column it meets
+(``hull_index``); ``hull_compose`` is its one-f morphism form, the
+hull's ``compose`` without building a hull table.
 
 It also owns the two sums over structure tables.  ``compose_terms`` is
 the bilinear sum Σ c_g·c_f·table[(g key, f key)] that expands f∘g from a
-composition table; ``compose_families`` is its family form, every
-product of two families of vectors (two solved bases) from one walk of
-the table, each entry added into every pair whose terms it meets.
-``spread`` is the linear sum Σ c·value(key) that extends a key map (a
-differential table, a functor's morphism table, a solved basis, a slot
-map) linearly.  ``compose``, ``d``, ``DgFunctor.apply`` and every other
-module sum through them, so each sum has one loop and one term order.
+composition table.  ``spread`` is the linear sum Σ c·value(key) that
+extends a key map (a differential table, a functor's morphism table, a
+solved basis, a slot map) linearly.  ``compose``, ``d``,
+``DgFunctor.apply`` and every other module sum through them, so each sum
+has one loop and one term order.
 
 Every functor built from the images of basis keys (composites, hull
 inclusions, hull lifts, forget, S, T_V, the permutation action) is one
@@ -103,38 +102,6 @@ def compose_terms(table, g_terms, f_terms):
             entry = table.get((gk, fk))
             if entry:
                 vec_axpy(out, cg * cf, entry)
-    return out
-
-
-def compose_families(table, g_family, f_family):
-    """``compose_terms`` for every pair of a family of g's and a family of
-    f's at once: {(g name, f name): coefficients of f∘g}, from one walk of
-    the table.  Each family is a list of (name, terms); both are indexed by
-    key, and each table entry is added into the product of every pair
-    whose terms it meets, on ints where the entries and terms are
-    integral.  A product that cancels stays as {}; a pair no entry meets
-    is absent."""
-
-    def by_key(family):
-        index = {}
-        for name, terms in family:
-            for key, c in terms:
-                index.setdefault(key, []).append((name, c))
-        return index
-
-    g_index, f_index = by_key(g_family), by_key(f_family)
-    out = {}
-    for (gk, fk), entry in table.items():
-        g_hits = g_index.get(gk)
-        f_hits = f_index.get(fk)
-        if not (g_hits and f_hits and entry):
-            continue
-        for gname, cg in g_hits:
-            for fname, cf in f_hits:
-                prod = out.get((gname, fname))
-                if prod is None:
-                    prod = out[(gname, fname)] = {}
-                vec_axpy(prod, cg * cf, entry)
     return out
 
 
@@ -405,9 +372,10 @@ def unit_violations(cat: DgCategory):
 class LazyDict(dict):
     """Dict filling missing keys from a builder closure (lookup via []).
 
-    Two users: ``keyed_functor``'s morphism tables, so that a functor only
-    materializes the hom pairs that are actually traversed, and the
-    lifted coherence components of ``equivariant.lift_action``.
+    Users: ``keyed_functor``'s morphism tables, so that a functor only
+    materializes the hom pairs that are actually traversed, the lifted
+    coherence components of ``equivariant.lift_action``, and the alpha
+    inverses and free-key maps of ``equivariant``.
     """
 
     def __init__(self, builder):
@@ -699,48 +667,64 @@ def hull_entries(coeffs, i, j):
     return {(deg, (i, j, lab)): c for (deg, lab), c in coeffs.items()}
 
 
-def hull_index(terms, part=1):
-    """Hull terms ((deg, (row, col, label)), c) grouped by column, or by
-    row with ``part=0``: {index: [term, ...]}, each list in term order."""
+def hull_index(family, part=1):
+    """The terms ((deg, (row, col, label)), c) of a family of hull morphisms
+    (a list of term iterables) grouped by column, or by row with
+    ``part=0``: {index: [(term, n), ...]}, n the morphism's place in the
+    family, each morphism's terms in their own order."""
     index = {}
-    for term in terms:
-        index.setdefault(term[0][1][part], []).append(term)
+    for n, terms in enumerate(family):
+        for term in terms:
+            index.setdefault(term[0][1][part], []).append((term, n))
     return index
 
 
-def hull_product(base, xs, ys, zs, g_terms, f_by_col):
-    """The coefficients of f∘g for hull morphisms g: xs → ys and f: ys → zs
-    over ``base``, from g's terms and f's grouped by column
-    (``hull_index``), with no hull composition table.  A g term at
-    (mid, j, glab) meets only f's terms in column mid; the product with
-    one at (i, mid, flab) is the entry of base.comp_table(xs[j], ys[mid],
-    zs[i]) at the two base keys, rekeyed to (i, j).  g's terms are the
-    outer loop and each column's terms the inner one, so the sum equals
-    ``compose_terms`` on the hull table in values, scalar types and key
-    order."""
-    out = {}
+def hull_product(base, xs, ys, zs, g_terms, f_by_col, size=1):
+    """[f_n∘g for each f_n of a family] for hull morphisms g: xs → ys and
+    f_0, …, f_{size-1}: ys → zs over ``base``, from g's terms and the
+    family's grouped by column (``hull_index``), in one pass and with no
+    hull composition table.  A g term at (mid, j, glab) meets only the
+    terms in column mid; the product with one at (i, mid, flab) is the
+    entry of base.comp_table(xs[j], ys[mid], zs[i]) at the two base keys,
+    whose nonzero values (the hull table keeps no others) are added into
+    f_n∘g in place at (i, j) with ``vec_axpy``'s rules (c = ±1 is not
+    multiplied).  g's terms are the outer loop and each column's terms the
+    inner one, so each product equals ``compose_terms`` on the hull table
+    in values, scalar types and key order."""
+    # most calls have one f, and a comprehension costs them about 0.5 µs
+    outs = [{}] if size == 1 else [{} for _ in range(size)]
     comp_table, column = base.comp_table, f_by_col.get
     for (gdeg, (mid, j, glab)), cg in g_terms:
-        f_terms = column(mid)
-        if f_terms:
+        hits = column(mid)
+        if hits:
             xb, yb = xs[j], ys[mid]
-            for (fdeg, (i, _, flab)), cf in f_terms:
+            for ((fdeg, (i, _, flab)), cf), n in hits:
                 entry = comp_table(xb, yb, zs[i]).get(((gdeg, glab), (fdeg, flab)))
-                if entry:  # its nonzero values, as the hull table keeps them
-                    rekeyed = {(deg, (i, j, lab)): v for (deg, lab), v in entry.items() if v}
-                    vec_axpy(out, cg * cf, rekeyed)
-    return out
+                c = cg * cf if entry else 0
+                if c:
+                    out = outs[n]
+                    for (deg, lab), v in entry.items():
+                        if v:
+                            v = v if c == 1 else -v if c == -1 else c * v
+                            key = (deg, (i, j, lab))
+                            old = out.get(key)
+                            s = v if old is None else old + v
+                            if s:
+                                out[key] = s
+                            else:
+                                del out[key]
+    return outs
 
 
 def hull_compose(hull, f: Mor, g: Mor) -> Mor:
     """f∘g for g: xs → ys and f: ys → zs in a hull made by
-    ``hull_subcategory``, read blockwise off its base (``hull_product``):
-    ``hull.compose(f, g)`` without building the hull table of
-    (xs, ys, zs)."""
+    ``hull_subcategory``, read blockwise off its base (``hull_product``
+    with one f): ``hull.compose(f, g)`` without building the hull table
+    of (xs, ys, zs)."""
     if g.tgt != f.src:
         raise StructureError(f"cannot compose {f.src}<-{g.tgt}")
-    coeffs = hull_product(
-        hull.base, g.src, g.tgt, f.tgt, g.coeffs.items(), hull_index(f.coeffs.items())
+    (coeffs,) = hull_product(
+        hull.base, g.src, g.tgt, f.tgt, g.coeffs.items(), hull_index([f.coeffs.items()])
     )
     return Mor(g.src, f.tgt, coeffs)
 

@@ -103,12 +103,19 @@ def _key(value, degrees_of, location):
     return degrees_of[label], label
 
 
-def _coeffs(entry, field, degrees_of, location):
-    """A morphism's coefficients {key: scalar} from a document's {label: scalar}."""
-    return {
+def _coeffs(entry, field, degrees_of, location, degree=None, what=""):
+    """A morphism's coefficients {key: scalar} from a document's {label:
+    scalar}, zeros dropped, so that tables and units hold canonical values
+    only.  With ``degree``, every label, a zero's included, must have it:
+    ``what`` names the morphism in the error."""
+    coeffs = {
         _key(label, degrees_of, location): _scalar(value, field, location)
         for label, value in _expect(entry, dict, location).items()
     }
+    for deg, label in coeffs:
+        if degree is not None and deg != degree:
+            raise InputError(f"{what} has degree {degree}, but {label!r} has degree {deg}", location)
+    return {key: c for key, c in coeffs.items() if c}
 
 
 def _implied_units(units, field):
@@ -210,12 +217,9 @@ def parse_document(doc) -> ExampleBundle:
             _key(c.get("first"), label_degrees.get((x, y), {}), loc),
             _key(c.get("then"), label_degrees.get((y, z), {}), loc),
         )
-        result = _coeffs(c.get("result", {}), field, label_degrees.get((x, z), {}), loc)
-        for deg, label in result:
-            if deg != dg + df:
-                raise InputError(
-                    f"{fl!r}∘{gl!r} has degree {dg + df}, but {label!r} has degree {deg}", loc
-                )
+        result = _coeffs(
+            c.get("result", {}), field, label_degrees.get((x, z), {}), loc, dg + df, f"{fl!r}∘{gl!r}"
+        )
         table = comp.setdefault((x, y, z), {})
         table[_new(key, table, loc, f"{fl!r}∘{gl!r} in {x}->{y}->{z}")] = result
     for x, entry in _expect(cat_doc.get("units") or {}, dict, "category.units").items():
@@ -348,8 +352,7 @@ def parse_document(doc) -> ExampleBundle:
                     cell = _coeffs(cell or {}, field, degrees_of, f"{gloc}[{ri}][{ci}]")
                     entries.update(((ri, ci) + key, c) for key, c in cell.items())
             alpha_entries[g] = entries
-        nonzero = tuple(frozenset((k, c) for k, c in e.items() if c) for e in alpha_entries.values())
-        signature = (underlying, nonzero)
+        signature = (underlying, tuple(frozenset(e.items()) for e in alpha_entries.values()))
         _new(signature, roster_objects, loc, f"the roster object {roster_objects.get(signature)!r}")
         roster_objects[signature] = name
         declared.append(DeclaredObject(name, underlying, alpha_entries))

@@ -13,17 +13,17 @@ Both the conditions and the compositions are read from the structure
 tables, not built one morphism at a time.  The condition on a basis key
 φ pairs φ and rho_g's image of φ (``DgFunctor.image``) only with the
 alpha terms in the blocks they meet, each product an entry of a base
-composition table (``dgcat.hull_product``), so the solve, like the
-validation of roster objects, builds no hull composition table.  The
-products of two solved bases come from one walk of the ambient
-composition table (``dgcat.compose_families``), each entry added into
-every pair of basis vectors it touches, and each product is restricted
-to the solved basis.  Tables, alphas, images and solved bases hold
+composition table (``dgcat.hull_product``).  The category's own
+composition tables come from the same product: each solved vector g
+against the whole solved basis of the next hom in one pass, and each
+product is restricted to the solved basis.  So neither the solve, nor
+the validation of roster objects, nor a composition table builds a hull
+composition table.  Tables, alphas, images and solved bases hold
 canonical scalars (``scalars.rational``), so the sums run on ints where
 the tables are integral, as in every bundled example.  Each solved
 vector has 1 at its last key, its free key, where no other vector of its
-degree is nonzero, so ``restrict`` reads coordinates at the free keys and
-keeps a morphism they leave no residual of.
+degree is nonzero, so ``restrict`` reads coordinates at the free keys a
+morphism holds and keeps a morphism they leave no residual of.
 
 Also here, and nowhere else: every piece of the symmetrization S and
 its adjunctions with forget.  The category names S(c) in its roster
@@ -53,7 +53,6 @@ from .dgcat import (
     ValidationReport,
     block_mor,
     block_of,
-    compose_families,
     compose_functors,
     full_subcategory,
     hull_compose,
@@ -308,7 +307,12 @@ class EquivariantCategory:
             self.order.append(obj.name)
         self._signatures = {o.signature(): name for name, o in self.roster.items()}
         self._solved = {}  # (src_name, tgt_name) -> dict[(deg,label) -> ambient coeffs]
-        self._free = {}  # (src_name, tgt_name, deg) -> [(free key, label, ambient coeffs)]
+        # (src_name, tgt_name) -> {free key: (deg, place among the pair's
+        # solved vectors, label, ambient coeffs)}, built on first use
+        self._free = LazyDict(lambda pair: {
+            next(reversed(vec)): (label[0], n, label, vec)
+            for n, (label, vec) in enumerate(self._solved.get(pair, {}).items())
+        })
         self._sym_names = {}  # hull tuple c -> roster name of S(c)
         self._base_valid = base_valid
         self._conditions = self._condition_elements()
@@ -401,8 +405,8 @@ class EquivariantCategory:
                 rho,
                 rho_c,
                 rho_c2,
-                hull_index(a_tgt.coeffs.items()),
-                hull_index(a_src.coeffs.items(), 0),
+                hull_index([a_tgt.coeffs.items()]),
+                hull_index([a_src.coeffs.items()], 0),
             ))
         solved = {}
         for deg in space.degrees():
@@ -412,10 +416,10 @@ class EquivariantCategory:
             for key in keys:
                 col = {}
                 for gi, (rho, rho_c, rho_c2, tgt_cols, src_rows) in enumerate(per_g):
-                    lhs = hull_product(base, c, c2, rho_c2, ((key, 1),), tgt_cols)
-                    image = hull_index(rho.image(c, c2, key).coeffs.items())
-                    src_terms = [term for mid in image for term in src_rows.get(mid, ())]
-                    rhs = hull_product(base, c, rho_c, rho_c2, src_terms, image)
+                    (lhs,) = hull_product(base, c, c2, rho_c2, ((key, 1),), tgt_cols)
+                    image = hull_index([rho.image(c, c2, key).coeffs.items()])
+                    src_terms = [term for mid in image for term, _ in src_rows.get(mid, ())]
+                    (rhs,) = hull_product(base, c, rho_c, rho_c2, src_terms, image)
                     for dkey, val in vec_axpy(lhs, -1, rhs).items():
                         row = rows.setdefault((gi, dkey), len(rows))
                         col[row] = val
@@ -441,10 +445,8 @@ class EquivariantCategory:
                 space_basis = {}
                 for deg, basis in self._solve_pair(src, tgt).items():
                     space_basis[deg] = [f"q{deg}_{i}" for i in range(len(basis))]
-                    free = self._free[(sn, tn, deg)] = []
                     for lab, coeffs in zip(space_basis[deg], basis):
                         table[(deg, lab)] = coeffs
-                        free.append((next(reversed(coeffs)), (deg, lab), coeffs))
                 self._solved[(sn, tn)] = table
                 space = GradedSpace(space_basis)
                 if space.total_dim():
@@ -467,30 +469,21 @@ class EquivariantCategory:
         }
 
         def comp_builder(xn, yn, zn):
-            # every product of the two solved bases from one walk of the
-            # ambient table, on ints where they are integral
+            # each g against every f in one blockwise pass over the base
             gs, fs = self._solved[(xn, yn)], self._solved[(yn, zn)]
-            if not (gs and fs):
-                return {}
-            x, z = self.roster[xn].underlying, self.roster[zn].underlying
-            prods = compose_families(
-                cat.comp_table(x, self.roster[yn].underlying, z),
-                [(gkey, gcoeffs.items()) for gkey, gcoeffs in gs.items()],
-                [(fkey, fcoeffs.items()) for fkey, fcoeffs in fs.items()],
-            )
+            x, y, z = (self.roster[n].underlying for n in (xn, yn, zn))
+            f_by_col = hull_index([f.items() for f in fs.values()])
             table = {}
-            for gkey in gs:
-                for fkey in fs:
-                    prod = prods.get((gkey, fkey))
-                    if not prod:
-                        continue
-                    restricted = self.restrict(Mor(x, z, prod), xn, zn)
-                    if restricted is None:
+            for gkey, g in gs.items():
+                prods = hull_product(cat.base, x, y, z, g.items(), f_by_col, len(fs))
+                for fkey, prod in zip(fs, prods):
+                    coords = self._coordinates(prod, xn, zn) if prod else {}
+                    if coords is None:
                         raise StructureError(
                             f"composite of ({xn},{yn},{zn}) leaves the solved subspace"
                         )
-                    if not restricted.is_zero():
-                        table[(gkey, fkey)] = restricted.coeffs
+                    if coords:
+                        table[(gkey, fkey)] = coords
             return table
 
         return DgCategory(
@@ -506,27 +499,29 @@ class EquivariantCategory:
 
     def restrict(self, amb: Mor, src_name, tgt_name) -> Mor | None:
         """Ambient morphism -> roster morphism, or None if it is not
-        equivariant (not in the solved span).  A coordinate is the value at
-        its vector's free key, as a canonical field scalar; the morphism is
-        in the span exactly when those multiples leave no residual."""
-        out = {}
+        equivariant (not in the solved span; ``_coordinates``)."""
+        coords = self._coordinates(amb.coeffs, src_name, tgt_name)
+        return None if coords is None else Mor(src_name, tgt_name, coords)
+
+    def _coordinates(self, coeffs, src_name, tgt_name):
+        """The roster coordinates {label: canonical field scalar} of ambient
+        coefficients, or None outside the solved span.  A coordinate is the
+        value at its vector's free key, where no other vector of its degree
+        is nonzero, so only the free keys that ``coeffs`` holds are read
+        (``_free``); coordinates come in degree order of first appearance,
+        then free position.  The coefficients are in the span exactly when
+        those multiples leave no residual."""
+        free = self._free[(src_name, tgt_name)]
+        hits = sorted((*free[key], c) for key, c in coeffs.items() if c and key in free)
+        if hits and hits[0][0] != hits[-1][0]:  # degrees by first appearance, not value
+            first = {deg: n for n, deg in enumerate(dict.fromkeys(deg for deg, _ in coeffs))}
+            hits.sort(key=lambda hit: first[hit[0]])
+        residual, out = dict(coeffs), {}
         canonical = self.ambient.field.canonical
-        by_deg = {}
-        for (deg, lab), c in amb.coeffs.items():
-            by_deg.setdefault(deg, {})[(deg, lab)] = c
-        for deg, residual in by_deg.items():
-            free = self._free.get((src_name, tgt_name, deg))
-            if free is None:
-                return None
-            for key, label, coeffs in free:
-                # no other vector of the degree touches key
-                c = residual.get(key)
-                if c:
-                    vec_axpy(residual, -c, coeffs)
-                    out[label] = canonical(c)
-            if residual:
-                return None
-        return Mor(src_name, tgt_name, out)
+        for _, _, label, vec, c in hits:
+            vec_axpy(residual, -c, vec)
+            out[label] = canonical(c)
+        return None if residual else out
 
     def _restricted(self, amb: Mor, src_name, tgt_name, what) -> Mor:
         """``restrict``, raising StructureError "<what> is not equivariant" on None."""

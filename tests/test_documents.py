@@ -88,3 +88,32 @@ def test_a_unit_of_several_keys_survives_the_round_trip():
     assert validate_dgcat(reparsed).ok
     dims = [hh_dimensions(c, identity_functor(c), [0])["dims"] for c in (kxk, reparsed)]
     assert dims == [{0: 2}, {0: 2}]
+
+
+def e3_with_zeros(unit, result):
+    """E3 (k[Z/2] on 1, g) with its unit and the result of g∘g replaced."""
+    doc = serialize_bundle(get_example("E3"))
+    doc["category"]["units"] = {"pt": unit}
+    doc["category"]["compositions"][0]["result"] = result
+    return doc
+
+
+def test_zero_coefficients_are_dropped_after_the_degree_check():
+    """A coefficient written as 0 is no entry of a table or a unit.  The
+    unit 1 + 0·g is then the one key 1 with coefficient 1, so parsing
+    supplies its compositions and the category validates; the result
+    1 + 0·g of g∘g is the int 1 alone.  A zero whose label has the wrong
+    degree is still an input error."""
+    from equihh.dgcat import validate_dgcat
+
+    base = parse_document(json.dumps(e3_with_zeros({"1": "1", "g": "0"}, {"1": "1", "g": "0"}))).base
+    one, g = (0, "1"), (0, "g")
+    assert base.units["pt"] == {one: 1}
+    table = base.comp_table("pt", "pt", "pt")
+    assert table[(g, g)] == {one: 1} and type(table[(g, g)][one]) is int
+    assert table[(one, g)] == {g: 1}
+    assert validate_dgcat(base).ok
+    doc = e3_with_zeros({"1": "1"}, {"1": "1", "h": "0"})
+    doc["category"]["homs"][0]["basis"].append({"label": "h", "degree": -1})
+    with pytest.raises(InputError, match="'g'∘'g' has degree 0, but 'h' has degree -1"):
+        parse_document(json.dumps(doc))

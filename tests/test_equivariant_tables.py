@@ -21,7 +21,6 @@ from equihh.dgcat import (
     NatTransform,
     algebra_category,
     block_mor,
-    compose_families,
     disjoint_points_category,
     identity_functor,
     validate_dgcat,
@@ -63,6 +62,9 @@ from tests_support import (
     reference_restrict,
     reference_solve_pair,
     scaled_action,
+    scanning_restrict,
+    table_route_comp_table,
+    table_route_products,
     typed,
 )
 
@@ -262,8 +264,31 @@ def cyclotomic_z3_eqcat():
     return EquivariantCategory(la, [*chars, symmetrize(la, ("pt",))])
 
 
+def graded_sign_eqcat():
+    """Z/2 acting on the exterior algebra k[u], u in degree -1, by
+    u -> -u: the point with alpha_s = ±1 and the symmetrization of the
+    point.  Hom(plus, minus) is spanned by u alone and End(S(pt)) has
+    homs in degrees 0 and -1, so composites meet several degrees."""
+    base = algebra_category(QQ, "pt", [("1", 0), ("u", -1)], {("u", "u"): {}})
+    z2 = FiniteGroup.cyclic(2, names=["e", "s"])
+
+    def scaling_u(c):
+        images = {(0, "1"): base.unit("pt"), (-1, "u"): base.basis_mor("pt", "pt", -1, "u").scale(c)}
+        return DgFunctor(base, base, {"pt": "pt"}, {("pt", "pt"): images}, name=f"u -> {c}u")
+
+    functors = {"e": scaling_u(1), "s": scaling_u(-1)}
+    la = lift_action(strict_action(z2, base, functors, name="sign"), [("pt",), ("pt", "pt")])
+    unit = la.category.unit(("pt",))
+    signs = [
+        EquivariantObject(name, ("pt",), {"e": unit, "s": unit.scale(c)})
+        for name, c in [("plus", 1), ("minus", -1)]
+    ]
+    return EquivariantCategory(la, [*signs, symmetrize(la, ("pt",))])
+
+
 EQCATS = {
     **{name: lambda name=name: pipeline(name).eqcat for name in BUILDERS},
+    "graded-sign-z2": graded_sign_eqcat,
     "scaled": scaled_eqcat,
     "half-basis-z2": half_basis_eqcat,
     "coboundary-s3": coboundary_eqcat,
@@ -313,21 +338,17 @@ def exact(mor):
 
 def restrict_cases(eq):
     """(pair, ambient coefficients, in the span) for every product of two
-    solved vectors as the composition tables form it, each unit, each
+    solved vectors as the hull composition table forms it, each unit, each
     d-image, each product with 1 added at a key that is no vector's free
-    key, and a vector in a degree with no solved basis."""
+    key, a vector in a degree with no solved basis, and the sum of the
+    first solved vector of each degree, highest degree first, so that its
+    degrees appear out of numerical order."""
     cat = eq.ambient
     one = cat.field.one
     for xn, yn, zn in itertools.product(eq.order, repeat=3):
-        gs, fs = eq._solved[(xn, yn)], eq._solved[(yn, zn)]
         x, z = eq.roster[xn].underlying, eq.roster[zn].underlying
-        prods = compose_families(
-            cat.comp_table(x, eq.roster[yn].underlying, z),
-            [(key, vec.items()) for key, vec in gs.items()],
-            [(key, vec.items()) for key, vec in fs.items()],
-        )
         free = {next(reversed(vec)) for vec in eq._solved[(xn, zn)].values()}
-        for prod in prods.values():
+        for prod in table_route_products(eq, xn, yn, zn).values():
             yield (xn, zn), prod, True
             if prod:
                 deg = next(iter(prod))[0]
@@ -340,6 +361,14 @@ def restrict_cases(eq):
         x, y = (eq.roster[n].underlying for n in pair)
         for vec in eq._solved[pair].values():
             yield pair, cat.d(Mor(x, y, vec)).coeffs, True
+        firsts = {}
+        for (deg, _), vec in eq._solved[pair].items():
+            firsts.setdefault(deg, vec)
+        if len(firsts) > 1:
+            total = {}
+            for deg in sorted(firsts, reverse=True):
+                vec_axpy(total, 1, firsts[deg])
+            yield pair, total, True
         solved = {deg for deg, _ in eq._solved[pair]}
         space = cat.hom(x, y)
         for deg in space.degrees():
@@ -353,13 +382,19 @@ def test_restrict_matches_echelon_reference(name):
     Echelon.solve against the flattened basis gives the same coordinates
     with the same scalar types, or None with it, also when every rational
     value comes as a Fraction: an int over Q, an embedded cyclotomic
-    scalar over Q(zeta_3).  Only the key order may differ."""
+    scalar over Q(zeta_3).  Only the key order may differ; it is that of
+    the scan over every solved vector of each degree that restrict made
+    before it read the free keys a morphism holds."""
     eq = EQCATS[name]()
     seen = {True: 0, False: 0}
     for (sn, tn), coeffs, inside in restrict_cases(eq):
         x, y = eq.roster[sn].underlying, eq.roster[tn].underlying
         got = eq.restrict(Mor(x, y, coeffs), sn, tn)
         want = reference_restrict(eq, Mor(x, y, coeffs), sn, tn)
+        scanned = scanning_restrict(eq, coeffs, sn, tn)
+        assert (None if got is None else typed(got.coeffs)) == (
+            None if scanned is None else typed(scanned)
+        ), (sn, tn, coeffs)
         if got is None or want is None:
             assert got is want is None and not inside, (sn, tn, coeffs)
         else:
@@ -383,6 +418,23 @@ def test_solved_vectors_are_reduced(name):
             assert typed({last: vec[last]}) == typed({last: one}), (deg, lab)
             others = [v for (d, l), v in table.items() if d == deg and l != lab]
             assert not any(v.get(last) for v in others), (deg, lab)
+
+
+@pytest.mark.parametrize("name", sorted(EQCATS))
+def test_composition_tables_match_the_hull_table_route(name):
+    """Each composition table, whose products are read blockwise off the
+    base and restricted at the free keys they hold, equals the route
+    through the hull table: every product by compose_terms on the hull
+    composition table, restricted by scanning every solved vector of the
+    degree.  Equal values and scalar types, tables in the same key order
+    and coordinates in the same order."""
+    eq = EQCATS[name]()
+    nonzero = 0
+    for triple in itertools.product(eq.order, repeat=3):
+        table = eq.category.comp_table(*triple)
+        assert typed_table(table) == typed_table(table_route_comp_table(eq, *triple)), triple
+        nonzero += len(table)
+    assert nonzero
 
 
 def test_composite_outside_the_solved_subspace_is_a_structure_error():

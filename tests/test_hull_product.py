@@ -2,14 +2,16 @@
 
 ``dgcat.hull_compose`` reads f∘g for hull morphisms off the base's
 composition tables, block by block, where ``DgCategory.compose`` builds
-and reads the hull table of the triple.  On random morphisms of every
+and reads the hull table of the triple; ``dgcat.hull_product`` gives
+f∘g for every f of a family in one pass.  On random morphisms of every
 ``EQCATS`` roster's hull, the cyclotomic one included, and of a hull over
 a base with several objects, graded keys, real compositions and a
 differential, both give the same coefficients, in the same key order and
 with the same scalar types, and the same StructureError on a pair that
 does not compose.  A spy on the hull's composition builder shows which
 tables a decompose op still builds: none while the equivariant category
-is solved and validated."""
+is solved and validated or its composition tables are built, only those
+the windows over hulls read."""
 
 import contextlib
 import io
@@ -23,8 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equihh.equivariant as equivariant
+import equihh.hochschild as hochschild
 from equihh.cli import EXIT_OK, main
-from equihh.dgcat import Mor, hull_compose, hull_subcategory, validate_dgcat
+from equihh.dgcat import (
+    Mor,
+    hull_compose,
+    hull_index,
+    hull_product,
+    hull_subcategory,
+    validate_dgcat,
+)
 from equihh.documents import parse_document, serialize_bundle
 from equihh.errors import StructureError
 from equihh.examples import get_example
@@ -38,7 +48,7 @@ def graded_base():
     Hom(y, z) = {b (0)}, Hom(x, z) = {ba (0), ba' (−1)}, d ba' = (3/2)·ba,
     b∘a = 2·ba and b∘a' = 2·ba' (so Leibniz holds), and End(y) with a
     closed u in degree −1 that composes to zero; u∘a is written as
-    0·a', a zero value in a base table."""
+    0·a', a zero that parsing drops."""
     basis = {
         ("x", "x"): [("1", 0)],
         ("y", "y"): [("1", 0), ("u", -1)],
@@ -113,25 +123,38 @@ def hull_morphisms(draw, cat, src, tgt):
 
 
 @st.composite
-def composable_pairs(draw):
-    """(hull, f, g) with g: xs → ys and f: ys → zs, the objects drawn
-    among those with a nonzero hom where there are any."""
+def composable_families(draw, least=0, most=4):
+    """(hull, zs, g, fs) with g: xs → ys and ``least`` to ``most`` f's:
+    ys → zs, the objects drawn among those with a nonzero hom where there
+    are any."""
     cat = hull(draw(st.sampled_from(sorted(HULLS))))
     xs = draw(st.sampled_from(cat.objects))
     reach = [y for y in cat.objects if cat.hom(xs, y).total_dim()] or cat.objects
     ys = draw(st.sampled_from(reach))
     reach = [z for z in cat.objects if cat.hom(ys, z).total_dim()] or cat.objects
     zs = draw(st.sampled_from(reach))
-    return cat, draw(hull_morphisms(cat, ys, zs)), draw(hull_morphisms(cat, xs, ys))
+    fs = draw(st.lists(hull_morphisms(cat, ys, zs), min_size=least, max_size=most))
+    return cat, zs, draw(hull_morphisms(cat, xs, ys)), fs
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=composable_pairs())
+@given(case=composable_families(least=1, most=1))
 def test_blockwise_product_equals_the_table_product(case):
-    cat, f, g = case
+    cat, _, g, (f,) = case
     got, want = hull_compose(cat, f, g), cat.compose(f, g)
     assert (got.src, got.tgt) == (want.src, want.tgt)
     assert typed(got.coeffs) == typed(want.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=composable_families())
+def test_the_family_product_is_each_table_product(case):
+    """One pass of g against a family of f's, the empty family and
+    repeated f's included, gives f∘g for each f as the table does."""
+    cat, zs, g, fs = case
+    by_col = hull_index([f.coeffs.items() for f in fs])
+    got = hull_product(cat.base, g.src, g.tgt, zs, g.coeffs.items(), by_col, len(fs))
+    assert [typed(prod) for prod in got] == [typed(cat.compose(f, g).coeffs) for f in fs]
 
 
 @pytest.mark.parametrize("name", sorted(HULLS))
@@ -170,10 +193,13 @@ def test_a_pair_that_does_not_compose_is_the_same_structure_error(name):
 
 def test_a_zero_base_value_is_skipped_as_the_hull_table_skips_it():
     """The hull table keeps a base entry's nonzero values only.  Here the
-    zero of u∘a lands on a' after 1∘a' put the int 1 there; added with the
-    coefficient 1/2 it would turn that int into a Fraction."""
-    cat = hull("graded")
-    assert cat.base.comp_table("x", "y", "y")[((0, "a"), (-1, "u"))] == {(-1, "a'"): 0}
+    zero of u∘a, put into the graded base's table in code (parsing drops
+    the one the document writes), lands on a' after 1∘a' put the int 1
+    there; added with the coefficient 1/2 it would turn that int into a
+    Fraction."""
+    base = graded_base()
+    base.comp_table("x", "y", "y")[((0, "a"), (-1, "u"))] = {(-1, "a'"): 0}
+    cat = hull_subcategory(base, [("x",), ("y",)])
     x, y = ("x",), ("y",)
     g = Mor(x, y, {(-1, (0, 0, "a'")): 1, (0, (0, 0, "a")): Fraction(1, 2)})
     f = Mor(y, y, {(0, (0, 0, "1")): 1, (-1, (0, 0, "u")): 1})
@@ -182,11 +208,34 @@ def test_a_zero_base_value_is_skipped_as_the_hull_table_skips_it():
     assert type(got.coeffs[(-1, (0, 0, "a'"))]) is int
 
 
+def test_the_parsed_base_composes_to_canonical_scalars():
+    """With the written zero of u∘a dropped, the base's own composition of
+    the same pair gives the int 1 at a', as the hull does."""
+    base = graded_base()
+    assert base.comp_table("x", "y", "y")[((0, "a"), (-1, "u"))] == {}
+    g = Mor("x", "y", {(-1, "a'"): 1, (0, "a"): Fraction(1, 2)})
+    f = Mor("y", "y", {(0, "1"): 1, (-1, "u"): 1})
+    got = base.compose(f, g).coeffs
+    assert got == {(-1, "a'"): 1, (0, "a"): Fraction(1, 2)} and type(got[(-1, "a'")]) is int
+
+
 def spy_on_hull_tables(monkeypatch):
-    """[len(table)] of each composition table a hull made by lift_action
-    builds, appended as it is built."""
-    built = []
+    """(built, marked): ``built`` gets (len(table), phase) for each
+    composition table a hull made by lift_action builds, as it is built,
+    with the innermost phase that a function wrapped by ``marked(fn,
+    phase)`` is running (None outside every one)."""
+    built, phases = [], []
     make = equivariant.hull_subcategory
+
+    def marked(fn, phase):
+        def running(*args, **kwargs):
+            phases.append(phase)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phases.pop()
+
+        return running
 
     def spied(cat, objects):
         hull_cat = make(cat, objects)
@@ -194,31 +243,41 @@ def spy_on_hull_tables(monkeypatch):
 
         def counting(*triple):
             table = builder(*triple)
-            built.append(len(table))
+            built.append((len(table), phases[-1] if phases else None))
             return table
 
         hull_cat._comp_builder = counting
         return hull_cat
 
     monkeypatch.setattr(equivariant, "hull_subcategory", spied)
-    return built
+    return built, marked
 
 
 def test_solving_and_validating_e5_builds_no_hull_table(monkeypatch):
     """Building the equivariant category on E5 (validation, the inverse
-    alphas and every hom solve) builds no hull composition table, and one
-    ``decompose --degrees=0..0`` op on E5 builds 16 of them, 3,885
-    entries in all, for the windows and the category's own tables."""
-    built = spy_on_hull_tables(monkeypatch)
-    during_build = []
-    init = equivariant.EquivariantCategory.__init__
+    alphas and every hom solve) builds no hull composition table, and
+    neither does building every one of its own composition tables, whose
+    products are read blockwise off the base.  One ``decompose
+    --degrees=0..0`` op on E5 builds 16 hull tables, 3,885 entries in all,
+    each one while a window over a hull is built."""
+    built, marked = spy_on_hull_tables(monkeypatch)
+    eqcat = equivariant.EquivariantCategory
+    categories = []
+    init, build = eqcat.__init__, eqcat._build
 
     def building(self, *args, **kwargs):
-        before = len(built)
+        categories.append(self)
         init(self, *args, **kwargs)
-        during_build.append(len(built) - before)
 
-    monkeypatch.setattr(equivariant.EquivariantCategory, "__init__", building)
+    def tables_marked(self):
+        category = build(self)
+        category._comp_builder = marked(category._comp_builder, "equivariant table")
+        return category
+
+    monkeypatch.setattr(eqcat, "__init__", marked(building, "equivariant build"))
+    monkeypatch.setattr(eqcat, "_build", tables_marked)
+    window = hochschild.HochschildWindow
+    monkeypatch.setattr(window, "__init__", marked(window.__init__, "window"))
     doc = json.dumps(serialize_bundle(get_example("E5")))
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
@@ -226,5 +285,8 @@ def test_solving_and_validating_e5_builds_no_hull_table(monkeypatch):
         code = main(["decompose", "-", "--degrees=0..0", "--output", "json"])
     assert code == EXIT_OK
     assert json.loads(out.getvalue())["theorem_holds"] is True
-    assert during_build == [0]
-    assert (len(built), sum(built)) == (16, 3885)
+    (eq,) = categories
+    for triple in itertools.product(eq.order, repeat=3):
+        eq.category.comp_table(*triple)
+    assert (len(built), sum(n for n, _ in built)) == (16, 3885)
+    assert {phase for _, phase in built} == {"window"}

@@ -13,6 +13,7 @@ from equihh.dgcat import (
     ValidationReport,
     algebra_category,
     block_mor,
+    compose_terms,
     functor_unit_violations,
     hull_entries,
     hull_subcategory,
@@ -1072,6 +1073,57 @@ def reference_restrict(eqcat, amb, src_name, tgt_name):
             return None
         out.update(sol)
     return Mor(src_name, tgt_name, out)
+
+
+def scanning_restrict(eqcat, coeffs, src_name, tgt_name):
+    """The coordinates {label: scalar} that EquivariantCategory.restrict
+    found by scanning, or None: per degree in order of first appearance,
+    every solved vector of the degree in order, its free key read off the
+    residual and, where nonzero, the vector subtracted; None for a degree
+    with no solved vector or a residual left."""
+    free = {}
+    for (deg, lab), vec in eqcat._solved[(src_name, tgt_name)].items():
+        free.setdefault(deg, []).append((next(reversed(vec)), (deg, lab), vec))
+    by_deg = {}
+    for (deg, lab), c in coeffs.items():
+        by_deg.setdefault(deg, {})[(deg, lab)] = c
+    out = {}
+    for deg, residual in by_deg.items():
+        if deg not in free:
+            return None
+        for key, label, vec in free[deg]:
+            c = residual.get(key)
+            if c:
+                vec_axpy(residual, -c, vec)
+                out[label] = eqcat.ambient.field.canonical(c)
+        if residual:
+            return None
+    return out
+
+
+def table_route_products(eqcat, xn, yn, zn):
+    """{(g key, f key): f∘g} for every pair of solved vectors of (xn, yn)
+    and (yn, zn), by compose_terms on the hull composition table."""
+    x, y, z = (eqcat.roster[n].underlying for n in (xn, yn, zn))
+    table = eqcat.ambient.comp_table(x, y, z)
+    return {
+        (gkey, fkey): compose_terms(table, g.items(), f.items())
+        for gkey, g in eqcat._solved[(xn, yn)].items()
+        for fkey, f in eqcat._solved[(yn, zn)].items()
+    }
+
+
+def table_route_comp_table(eqcat, xn, yn, zn):
+    """The composition table of eqcat.category on (xn, yn, zn) by the hull
+    table: ``table_route_products``, each restricted by
+    ``scanning_restrict``; a zero coordinate vector is left out."""
+    table = {}
+    for pair, prod in table_route_products(eqcat, xn, yn, zn).items():
+        coords = scanning_restrict(eqcat, prod, xn, zn)
+        assert coords is not None, pair
+        if coords:
+            table[pair] = coords
+    return table
 
 
 # The same two equivariant loops with every table entry, alpha, image and
